@@ -7,12 +7,13 @@ reads the epoch's :class:`~repro.adaptive.traces.EpochConditions`, asks the
 controller for an operating point, and charges the point's per-frame
 latency/energy/AoI under the *true* epoch conditions.
 
-Candidate evaluation goes through the vectorized batch engine
-(:func:`repro.batch.evaluate_points`).  Because the throughput is a
-vectorized axis and the (quantized) handoff probability takes only a few
-distinct values per trace, the runtime can pre-warm its per-epoch sweep
-cache with **one** batched call over all ``epochs x candidates`` points —
-after which a full-grid controller like
+Candidate evaluation goes through the vectorized batch engine: each
+:class:`ControlContext` compiles its candidates once into a
+:class:`repro.batch.ConditionedPoints`, whose condition axes are exactly
+the epoch's throughput and handoff probability.  A live sweep is one
+vectorized call per structure group, and the pre-warm pass fills the
+per-epoch sweep cache with **one** call over all ``epochs x candidates``
+evaluations — after which a full-grid controller like
 :class:`~repro.adaptive.controllers.GreedyBatchSweep` costs an array argmin
 per epoch.
 
@@ -36,9 +37,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.adaptive.traces import ConditionTrace, EpochConditions
-from repro.batch.engine import evaluate_points
+from repro.batch.engine import ConditionedPoints
 from repro.batch.grid import OperatingPoint
-from repro.batch.result import BatchResult
 from repro.cnn.zoo import get_cnn
 from repro.config.application import ApplicationConfig
 from repro.config.network import NetworkConfig
@@ -137,24 +137,15 @@ class EpochOutcome:
     min_roi: Optional[float] = None
 
 
-def _min_roi_array(result: BatchResult) -> Optional[np.ndarray]:
-    """Per-point minimum RoI across sensors (None when AoI was not evaluated)."""
-    out = np.empty(result.n_points)
-    for group in result.groups:
-        if group.aoi is None:
-            return None
-        stacked = [group.aoi.roi[name] for name in group.aoi.sensor_names]
-        out[group.positions] = np.minimum.reduce(stacked)
-    return out
-
-
 class ControlContext:
     """Everything a controller may consult when deciding an epoch.
 
     The context owns the candidate set, the deadline, the quality scores
-    and a memoized per-conditions sweep of the whole candidate list.  A
-    pre-warm pass (:meth:`prewarm`) fills the memo for every epoch of a
-    trace with a single batched :func:`evaluate_points` call.
+    and a memoized per-conditions sweep of the whole candidate list.  The
+    candidates are compiled once into a
+    :class:`~repro.batch.ConditionedPoints`; a pre-warm pass
+    (:meth:`prewarm`) fills the memo for every epoch of a trace with a
+    single call over the trace's distinct conditions.
 
     Args:
         candidates: the operating points the controller chooses among.
@@ -190,6 +181,12 @@ class ControlContext:
         self.complexity_mode = complexity_mode
         self.include_aoi = include_aoi
         self.quality = np.asarray([candidate_quality(p) for p in self.candidates])
+        self._conditioned = ConditionedPoints(
+            self.candidates,
+            coefficients=self.coefficients,
+            complexity_mode=complexity_mode,
+            include_aoi=include_aoi,
+        )
         self._memo: Dict[Tuple[float, float], CandidateEvaluation] = {}
 
     @property
@@ -197,73 +194,49 @@ class ControlContext:
         """Number of operating points under control."""
         return len(self.candidates)
 
-    # -- condition application ------------------------------------------------
-
-    def _conditioned_point(
-        self, point: OperatingPoint, conditions: EpochConditions
-    ) -> OperatingPoint:
-        network = point.network
-        handoff = replace(
-            network.handoff,
-            enabled=True,
-            handoff_probability=float(conditions.handoff_probability),
-        )
-        return replace(
-            point,
-            network=replace(
-                network,
-                throughput_mbps=float(conditions.throughput_mbps),
-                handoff=handoff,
-            ),
-        )
-
     @staticmethod
     def _key(conditions: EpochConditions) -> Tuple[float, float]:
         """Sweep-memo key: the *exact* (throughput, handoff) pair.
 
         Bundled trace generators quantize the handoff probability to the
         coarse 0.005 grid of :data:`repro.adaptive.traces
-        .HANDOFF_PROBABILITY_STEP` (that is a batching optimisation — fewer
-        distinct values mean fewer groups per pre-warm call), but the key
-        deliberately does **not** re-quantize: hand-built or co-sim-generated
-        conditions that fall off that grid get their own memo entry instead
-        of silently aliasing a neighbouring grid point's arrays.
+        .HANDOFF_PROBABILITY_STEP`.  The grid keeps bundled outputs stable;
+        it no longer buys batching, since the handoff probability is a
+        vectorized condition axis.  The key deliberately does **not**
+        re-quantize: hand-built or co-sim-generated conditions that fall
+        off that grid get their own memo entry instead of silently aliasing
+        a neighbouring grid point's arrays.
         """
         return (float(conditions.throughput_mbps), float(conditions.handoff_probability))
 
     # -- evaluation ------------------------------------------------------------
 
-    def _evaluate(self, conditions: EpochConditions) -> CandidateEvaluation:
-        """Evaluate every candidate under ``conditions`` (no memoization)."""
-        points = [self._conditioned_point(p, conditions) for p in self.candidates]
-        result = evaluate_points(
-            points,
-            coefficients=self.coefficients,
-            complexity_mode=self.complexity_mode,
-            include_aoi=self.include_aoi,
+    def _evaluate(self, keys: Sequence[Tuple[float, float]]) -> None:
+        """Evaluate every candidate under each condition key into the memo."""
+        latency, energy, min_roi = self._conditioned.evaluate(
+            [throughput for throughput, _ in keys], [handoff for _, handoff in keys]
         )
-        return CandidateEvaluation(
-            latency_ms=result.total_latency_ms,
-            energy_mj=result.total_energy_mj,
-            min_roi=_min_roi_array(result),
-        )
+        for row, key in enumerate(keys):
+            self._memo[key] = CandidateEvaluation(
+                latency_ms=latency[row],
+                energy_mj=energy[row],
+                min_roi=min_roi[row] if min_roi is not None else None,
+            )
 
     def sweep(self, conditions: EpochConditions) -> CandidateEvaluation:
         """Evaluate every candidate under the given conditions (memoized).
 
         Conditions that were never pre-warmed — e.g. hand-built
         :class:`EpochConditions` or co-sim-generated conditions whose
-        handoff probability falls off the 0.005 trace grid — fall back to a
-        live batched sweep here rather than raising or reusing a nearby
-        cached entry.
+        handoff probability falls off the 0.005 trace grid — are evaluated
+        live here rather than raising or reusing a nearby cached entry.
         """
         key = self._key(conditions)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        evaluation = self._evaluate(conditions)
-        self._memo[key] = evaluation
-        return evaluation
+        self._evaluate([key])
+        return self._memo[key]
 
     def prewarm(self, trace: ConditionTrace) -> int:
         """Fill the sweep memo for every epoch of ``trace`` in one batch call.
@@ -279,36 +252,13 @@ class ControlContext:
             return distinct
 
     def _prewarm(self, trace: ConditionTrace) -> int:
-        fresh = []
-        seen = set()
+        fresh: Dict[Tuple[float, float], None] = {}
         for epoch in trace:
             key = self._key(epoch)
-            if key in self._memo or key in seen:
-                continue
-            seen.add(key)
-            fresh.append(epoch)
-        if not fresh:
-            return 0
-        points: List[OperatingPoint] = []
-        for epoch in fresh:
-            points.extend(self._conditioned_point(p, epoch) for p in self.candidates)
-        result = evaluate_points(
-            points,
-            coefficients=self.coefficients,
-            complexity_mode=self.complexity_mode,
-            include_aoi=self.include_aoi,
-        )
-        latency = result.total_latency_ms
-        energy = result.total_energy_mj
-        min_roi = _min_roi_array(result)
-        n = self.n_candidates
-        for i, epoch in enumerate(fresh):
-            window = slice(i * n, (i + 1) * n)
-            self._memo[self._key(epoch)] = CandidateEvaluation(
-                latency_ms=latency[window],
-                energy_mj=energy[window],
-                min_roi=min_roi[window] if min_roi is not None else None,
-            )
+            if key not in self._memo:
+                fresh[key] = None
+        if fresh:
+            self._evaluate(list(fresh))
         return len(fresh)
 
     # -- selection --------------------------------------------------------------

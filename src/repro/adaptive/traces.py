@@ -45,11 +45,9 @@ from repro.network.mobility import CoverageLayout, RandomWalkMobility
 MIN_THROUGHPUT_MBPS: float = 0.5
 
 #: Handoff probabilities are quantized to this step so that a whole trace
-#: contains only a few distinct values.  The handoff probability is part of
-#: a batch group's *structure* (unlike throughput, which is a vectorized
-#: axis), so fewer distinct values means fewer groups when a full
-#: epochs-x-candidates sweep is evaluated in one :func:`evaluate_points`
-#: call — the optimisation the adaptive runtime's pre-warm pass relies on.
+#: contains only a few distinct values.  The batch engine takes the handoff
+#: probability as a vectorized condition axis, so the grid no longer buys
+#: batching; it stays because the bundled traces' outputs are pinned on it.
 HANDOFF_PROBABILITY_STEP: float = 0.005
 
 

@@ -9,7 +9,7 @@ the per-point loop, while staying bit-compatible with the scalar path
 (``BatchResult.report_at(i)`` is exactly the report ``analyze()`` would
 return for point ``i``).
 
-Two entry points:
+Three entry points:
 
 * :func:`evaluate_grid` consumes a :class:`ParameterGrid` — a cartesian
   sweep over frame side, CPU/GPU clock, encoder bitrate and wireless
@@ -17,7 +17,10 @@ Two entry points:
 * :func:`evaluate_points` consumes an explicit list of
   :class:`OperatingPoint` (heterogeneous devices/apps/networks welcome) and
   buckets them into vectorized groups internally — this is what the fleet
-  analyzer uses to evaluate all unique (device, app, network) keys at once.
+  analyzer uses to evaluate all unique (device, app, network) keys at once;
+* :class:`ConditionedPoints` compiles such a list once and evaluates it
+  under arrays of (throughput, handoff probability) channel conditions —
+  this is what the adaptive runtime's per-epoch candidate sweeps use.
 
 Runnable example — the Fig. 4(a) grid in one call::
 
@@ -44,12 +47,13 @@ per-point cost of the scalar path is object construction, not arithmetic,
 and the batch engine amortises it away.
 """
 
-from repro.batch.engine import evaluate_grid, evaluate_points
+from repro.batch.engine import ConditionedPoints, evaluate_grid, evaluate_points
 from repro.batch.grid import OperatingPoint, ParameterGrid
 from repro.batch.result import BatchResult, GroupAoI, GroupResult
 
 __all__ = [
     "BatchResult",
+    "ConditionedPoints",
     "GroupAoI",
     "GroupResult",
     "OperatingPoint",

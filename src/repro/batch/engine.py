@@ -22,6 +22,11 @@ The vectorized numeric axes are the frame side, the CPU/GPU clocks, the
 encoder bitrate and the wireless throughput; every other field (sensors,
 handoff, cooperation, CNN selection, buffer rate, frame rate, ...) is part
 of the group structure and may differ freely *between* groups.
+
+:class:`ConditionedPoints` adds the handoff probability as a second
+per-point axis: it compiles a candidate set into its groups once and then
+evaluates it under whole arrays of (throughput, ``P(HO)``) conditions, one
+vectorized pass per group over (conditions x candidates).
 """
 
 from __future__ import annotations
@@ -134,11 +139,14 @@ class _GroupEvaluator:
         self.virtual_scene_side_px = app.virtual_scene_side_px
         self.external_ms = self._external_information_ms()
         self.buffering_ms = self._buffering_ms()
-        self.handoff_ms = (
-            HandoffModel(network.handoff).mean_handoff_latency_ms(self.frame_period_ms)
-            if self.uses_remote_path
-            else 0.0
-        )
+        # Eq. (17): the configured l_HO * P(HO), and l_HO alone for points
+        # evaluated at a per-point P(HO) (see ``evaluate``).
+        self.handoff_ms = 0.0
+        self.single_handoff_ms = 0.0
+        if self.uses_remote_path:
+            handoff = HandoffModel(network.handoff)
+            self.handoff_ms = handoff.mean_handoff_latency_ms(self.frame_period_ms)
+            self.single_handoff_ms = handoff.single_handoff_latency_ms()
         self.edge_propagation_ms = network.propagation_delay_ms(network.edge_distance_m)
         # Result-transfer constants of Eq. (8).
         self.result_megabits = INFERENCE_RESULT_SIZE_MB * 8.0
@@ -298,8 +306,14 @@ class _GroupEvaluator:
         bitrate_mbps: np.ndarray,
         throughput_mbps: np.ndarray,
         positions: np.ndarray,
+        handoff_probability: Optional[np.ndarray] = None,
     ) -> GroupResult:
-        """Evaluate the group over aligned per-point value arrays."""
+        """Evaluate the group over aligned per-point value arrays.
+
+        ``handoff_probability`` is None for the group's configured handoff;
+        an array enables the handoff at each point's own ``P(HO)``, so the
+        Eq. (17) term is ``l_HO * p`` per point.
+        """
         side = np.asarray(frame_side_px, dtype=float)
         fc = np.asarray(cpu_freq_ghz, dtype=float)
         fg = np.asarray(gpu_freq_ghz, dtype=float)
@@ -403,7 +417,12 @@ class _GroupEvaluator:
                 (encoded_mb * 8.0) / thr
             ) * 1e3 + self.edge_propagation_ms
             # Eq. (17)
-            segments[Segment.HANDOFF] = np.full(n, self.handoff_ms)
+            if handoff_probability is None:
+                segments[Segment.HANDOFF] = np.full(n, self.handoff_ms)
+            else:
+                segments[Segment.HANDOFF] = self.single_handoff_ms * np.asarray(
+                    handoff_probability, dtype=float
+                )
 
         if self.cooperation_enabled:
             # Eq. (18)
@@ -620,29 +639,40 @@ def evaluate_points(
         return result
 
 
-def _evaluate_points(
+def _structure_key(point: OperatingPoint) -> tuple:
+    """Group key of a point: everything that is not a vectorized axis.
+
+    Resolved device and edge specs first (the evaluator is built from
+    them), then the app and network with their numeric axes stripped.
+    """
+    return (
+        _as_device_spec(point.device),
+        _as_edge_spec(point.edge),
+        _canonical_app(point.app),
+        _canonical_network(point.network),
+    )
+
+
+#: One structure group: its evaluator, the global positions of its points
+#: and their numeric-axis values (arrays aligned with the positions).
+_Bucket = Tuple[_GroupEvaluator, np.ndarray, Dict[str, np.ndarray]]
+
+
+def _bucket_points(
     points: Sequence[OperatingPoint],
-    coefficients: Optional[CoefficientSet],
+    coefficients: CoefficientSet,
     complexity_mode: str,
     include_aoi: bool,
-) -> BatchResult:
-    coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
-
+) -> List[_Bucket]:
+    """Bucket ``points`` by :func:`_structure_key`, in first-seen order."""
     buckets: Dict[tuple, Tuple[_GroupEvaluator, List[int], Dict[str, List[float]]]] = {}
     for index, point in enumerate(points):
-        device = _as_device_spec(point.device)
-        edge = _as_edge_spec(point.edge)
-        key = (
-            device,
-            edge,
-            _canonical_app(point.app),
-            _canonical_network(point.network),
-        )
+        key = _structure_key(point)
         bucket = buckets.get(key)
         if bucket is None:
             evaluator = _GroupEvaluator(
-                device=device,
-                edge=edge,
+                device=key[0],
+                edge=key[1],
                 app=point.app,
                 network=point.network,
                 coefficients=coefficients,
@@ -658,17 +688,146 @@ def _evaluate_points(
         values["gpu_freq_ghz"].append(point.app.gpu_freq_ghz)
         values["bitrate_mbps"].append(point.app.encoder.bitrate_mbps)
         values["throughput_mbps"].append(point.network.throughput_mbps)
-
-    groups: List[GroupResult] = []
-    for evaluator, indices, values in buckets.values():
-        groups.append(
-            evaluator.evaluate(
-                frame_side_px=np.asarray(values["frame_side_px"], dtype=float),
-                cpu_freq_ghz=np.asarray(values["cpu_freq_ghz"], dtype=float),
-                gpu_freq_ghz=np.asarray(values["gpu_freq_ghz"], dtype=float),
-                bitrate_mbps=np.asarray(values["bitrate_mbps"], dtype=float),
-                throughput_mbps=np.asarray(values["throughput_mbps"], dtype=float),
-                positions=np.asarray(indices, dtype=np.intp),
-            )
+    return [
+        (
+            evaluator,
+            np.asarray(indices, dtype=np.intp),
+            {name: np.asarray(column, dtype=float) for name, column in values.items()},
         )
+        for evaluator, indices, values in buckets.values()
+    ]
+
+
+def _evaluate_points(
+    points: Sequence[OperatingPoint],
+    coefficients: Optional[CoefficientSet],
+    complexity_mode: str,
+    include_aoi: bool,
+) -> BatchResult:
+    coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
+    groups = [
+        evaluator.evaluate(
+            frame_side_px=values["frame_side_px"],
+            cpu_freq_ghz=values["cpu_freq_ghz"],
+            gpu_freq_ghz=values["gpu_freq_ghz"],
+            bitrate_mbps=values["bitrate_mbps"],
+            throughput_mbps=values["throughput_mbps"],
+            positions=positions,
+        )
+        for evaluator, positions, values in _bucket_points(
+            points, coefficients, complexity_mode, include_aoi
+        )
+    ]
     return BatchResult(groups=groups, n_points=len(points))
+
+
+class ConditionedPoints:
+    """A point set compiled once and evaluated under arrays of conditions.
+
+    In the closed forms an operating point sees the epoch's channel only
+    through the throughput ``r_w`` (Eqs. 8, 16, 18) and the handoff
+    probability ``P(HO)`` (Eq. 17).  The set buckets its points once, by
+    the same structure key :func:`evaluate_points` groups by, and
+    :meth:`evaluate` then makes one vectorized pass per group over
+    (conditions x points).
+
+    Conditioning keeps every field of a point except the throughput, which
+    becomes the condition's, and the handoff, which is enabled at the
+    condition's probability.  Element ``(e, i)`` of a result therefore
+    equals, bit for bit, :func:`evaluate_points` on point ``i`` with
+    ``network.throughput_mbps = throughput[e]`` and
+    ``network.handoff = replace(handoff, enabled=True,
+    handoff_probability=handoff[e])``.
+
+    Args:
+        points: the operating points to compile.
+        coefficients: regression coefficients shared by every point.
+        complexity_mode: CNN-complexity placement mode.
+        include_aoi: evaluate the AoI model, which enables the min-RoI
+            result (None when any group has no sensors).
+    """
+
+    def __init__(
+        self,
+        points: Sequence[OperatingPoint],
+        coefficients: Optional[CoefficientSet] = None,
+        complexity_mode: str = "paper",
+        include_aoi: bool = True,
+    ) -> None:
+        if not points:
+            raise ConfigurationError("ConditionedPoints needs at least one operating point")
+        coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
+        self.n_points = len(points)
+        self._groups = _bucket_points(points, coefficients, complexity_mode, include_aoi)
+        self._has_aoi = all(evaluator.aoi_active for evaluator, _, _ in self._groups)
+
+    @property
+    def n_groups(self) -> int:
+        """Number of structure groups (vectorized passes per evaluation)."""
+        return len(self._groups)
+
+    def evaluate(
+        self, throughput_mbps: Sequence[float], handoff_probability: Sequence[float]
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Evaluate every point under each of ``E`` condition pairs.
+
+        Args:
+            throughput_mbps: per-condition throughput, shape ``(E,)``.
+            handoff_probability: per-condition ``P(HO)``, shape ``(E,)``.
+
+        Returns:
+            ``(latency_ms, energy_mj, min_roi)`` arrays of shape
+            ``(E, n_points)``; ``min_roi`` (the minimum RoI across sensors)
+            is None when AoI is off or some group has no sensors.
+        """
+        throughput = np.asarray(throughput_mbps, dtype=float)
+        handoff = np.asarray(handoff_probability, dtype=float)
+        if throughput.ndim != 1 or throughput.shape != handoff.shape or not throughput.size:
+            raise ConfigurationError(
+                "throughput and handoff probability must be aligned non-empty 1-D arrays"
+            )
+        if not np.all(throughput > 0.0):
+            raise ConfigurationError("throughputs must be > 0 at every condition")
+        if not np.all((handoff >= 0.0) & (handoff <= 1.0)):
+            raise ConfigurationError("handoff probabilities must be in [0, 1]")
+        n_conditions = throughput.shape[0]
+        n = self.n_points
+        rows = np.arange(n_conditions, dtype=np.intp)[:, None] * n
+        latency = np.empty(n_conditions * n)
+        energy = np.empty(n_conditions * n)
+        min_roi = np.empty(n_conditions * n) if self._has_aoi else None
+        with telemetry.get().span(
+            "batch.evaluate_conditions",
+            points=n_conditions * n,
+            groups=len(self._groups),
+            conditions=n_conditions,
+        ):
+            for evaluator, positions, values in self._groups:
+                k = positions.shape[0]
+                flat = (rows + positions).ravel()
+                if n_conditions > 1:
+                    values = {
+                        name: np.tile(column, n_conditions) for name, column in values.items()
+                    }
+                group = evaluator.evaluate(
+                    frame_side_px=values["frame_side_px"],
+                    cpu_freq_ghz=values["cpu_freq_ghz"],
+                    gpu_freq_ghz=values["gpu_freq_ghz"],
+                    bitrate_mbps=values["bitrate_mbps"],
+                    throughput_mbps=np.repeat(throughput, k),
+                    positions=flat,
+                    handoff_probability=np.repeat(handoff, k),
+                )
+                latency[flat] = group.total_latency_ms
+                energy[flat] = group.total_energy_mj
+                if min_roi is not None:
+                    aoi = group.aoi
+                    min_roi[flat] = np.minimum.reduce(
+                        [aoi.roi[name] for name in aoi.sensor_names]
+                    )
+        shape = (n_conditions, n)
+        return (
+            latency.reshape(shape),
+            energy.reshape(shape),
+            min_roi.reshape(shape) if min_roi is not None else None,
+        )

@@ -30,9 +30,14 @@ Equivalence classes
 Users sharing ``(device, app, controller, trace)`` see identical conditions
 and make identical decisions, so the engine simulates one representative
 controller per class and multiplies: a 10k-user homogeneous fleet costs the
-same controller work as a single user plus O(users) NumPy arithmetic per
-epoch.  Candidate evaluation inside each class goes through the vectorized
-batch engine (:func:`repro.batch.evaluate_points`) via the pre-warmed
+same controller work as a single user.  Loads and charges are computed per
+*slot* — one per offloading (class, edge) pair of the round-robin deal plus
+one per local class — and the deal itself is cached per offloading pattern,
+so a best-response iteration does one accumulation per edge and one tagged
+wait per slot; per-user arrays are only gathered from slot values once per
+epoch, for the charged means and sums.  Candidate evaluation inside each
+class goes through the vectorized batch engine
+(:class:`repro.batch.ConditionedPoints`) via the pre-warmed
 :class:`~repro.adaptive.runtime.ControlContext` sweep cache.
 
 Degeneracies
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -173,15 +179,103 @@ class _UserClass:
         return len(self.user_indices)
 
 
-@dataclass
-class _EpochLoads:
-    """Exact fleet loads implied by one decision vector."""
+#: Round-robin deals a simulation keeps (least recently used evicted first).
+#: A deal holds O(users) indices, so the bound caps its memory.
+DEAL_CACHE_SIZE = 32
+
+
+@dataclass(frozen=True)
+class _Deal:
+    """The round-robin deal of one offloading pattern onto the alive edges.
+
+    Users sit in *slots*: one per offloading ``(class, edge)`` pair, in
+    class-then-edge order, then one local slot per class that does not
+    offload.  Every slot holds at least one user, and all users of a slot
+    see the same wait, latency and energy.
+
+    Attributes:
+        n_offloaded: users whose class offloads.
+        edge_classes: ``(edge, classes)`` for every alive edge that received
+            tenants; ``classes`` lists its tenants' class indices in deal
+            (population) order, which fixes the load accumulation order.
+        pairs: the offloading ``(class, edge)`` slots.  With every edge
+            dead each offloading class gets one placeholder ``(class, 0)``.
+        slot_class: class index of every slot.
+        slot_of_user: slot index of every user.
+        slot_count: users per slot.
+    """
 
     n_offloaded: int
-    wait_user_ms: np.ndarray
+    edge_classes: Tuple[Tuple[int, np.ndarray], ...]
+    pairs: Tuple[Tuple[int, int], ...]
+    slot_class: np.ndarray
+    slot_of_user: np.ndarray
+    slot_count: np.ndarray
+
+
+@dataclass
+class _EpochLoads:
+    """Exact fleet loads implied by one decision vector.
+
+    ``class_wait_ms`` maps every offloading ``(class, edge)`` slot of the
+    deal to its wait, in the deal's pair order.
+    """
+
+    deal: _Deal
     edge_rate: np.ndarray
     edge_busy: np.ndarray
     class_wait_ms: Dict[Tuple[int, int], float]
+
+    @property
+    def n_offloaded(self) -> int:
+        """Users whose class offloads."""
+        return self.deal.n_offloaded
+
+    def slot_wait_ms(self) -> np.ndarray:
+        """Edge wait of every slot of the deal (0 in local slots)."""
+        wait = np.zeros(self.deal.slot_class.size)
+        wait[: len(self.class_wait_ms)] = list(self.class_wait_ms.values())
+        return wait
+
+
+def percentiles_from_counts(
+    values: np.ndarray, counts: np.ndarray, qs: Sequence[float], method: str
+) -> Tuple[float, ...]:
+    """``np.percentile(np.repeat(values, counts), q, method=method)`` per ``q``.
+
+    Reads the order statistics straight off the sorted (value, count)
+    pairs instead of expanding them.  ``method`` is ``"linear"`` (NumPy's
+    default: interpolate between the order statistics around
+    ``(n - 1) * q / 100``, in NumPy's ``_lerp`` operation order) or
+    ``"lower"`` (the order statistic at ``floor((n - 1) * q / 100)``), with
+    ``n = sum(counts)``; either reproduces NumPy bit for bit.  Counts must
+    be positive and values must not be NaN.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    # ends[i]: expanded index one past the run of the i-th smallest value.
+    ends = np.cumsum(counts[order])
+    n = int(ends[-1])
+
+    def statistic(index: int) -> float:
+        return ordered[np.searchsorted(ends, index, side="right")]
+
+    results = []
+    for q in qs:
+        virtual = (n - 1) * (q / 100)
+        if method == "lower":
+            results.append(float(statistic(math.floor(virtual))))
+            continue
+        # At the top NumPy clamps both neighbours to the last element, where
+        # the interpolation weight no longer matters.
+        below = min(math.floor(virtual), n - 1)
+        above = min(below + 1, n - 1)
+        gamma = virtual - below
+        low, high = statistic(below), statistic(above)
+        diff = high - low
+        value = high - diff * (1 - gamma) if gamma >= 0.5 else low + diff * gamma
+        results.append(float(value))
+    return tuple(results)
 
 
 class CoSimulation:
@@ -292,6 +386,8 @@ class CoSimulation:
         self._n_users = len(self.population)
         self._models: Dict[object, XRPerformanceModel] = {}
         self._share_cache: Dict[int, float] = {}
+        self._all_edges = tuple(range(n_edges))
+        self._deals: "OrderedDict[Tuple[bytes, Tuple[int, ...]], _Deal]" = OrderedDict()
         self._classes, self._class_of_user = self._build_classes(
             controller, trace, candidates, prewarm
         )
@@ -455,19 +551,73 @@ class CoSimulation:
 
     # -- loads ----------------------------------------------------------------
 
+    def _deal(self, offload_c: np.ndarray, alive: Tuple[int, ...]) -> _Deal:
+        """The (cached) round-robin deal of an offloading pattern."""
+        key = (offload_c.tobytes(), alive)
+        deal = self._deals.get(key)
+        if deal is None:
+            deal = self._build_deal(offload_c, alive)
+            self._deals[key] = deal
+            if len(self._deals) > DEAL_CACHE_SIZE:
+                self._deals.popitem(last=False)
+        else:
+            self._deals.move_to_end(key)
+        return deal
+
+    def _build_deal(self, offload_c: np.ndarray, alive: Tuple[int, ...]) -> _Deal:
+        """Deal the offloading classes' users round-robin onto ``alive``.
+
+        Offloaders are dealt in population order: the ``k``-th goes to
+        ``alive[k % len(alive)]``.  With no edge alive every offloader of a
+        class shares a placeholder edge-0 slot.
+        """
+        class_of_user = self._class_of_user
+        n_classes = len(self._classes)
+        offloaders = np.flatnonzero(offload_c[class_of_user])
+        offloader_classes = class_of_user[offloaders]
+        n_alive = len(alive)
+        columns = alive if n_alive else (0,)
+        column = np.arange(offloaders.size, dtype=np.intp) % len(columns)
+        occupied = np.zeros((n_classes, len(columns)), dtype=bool)
+        occupied[offloader_classes, column] = True
+        pairs = tuple((int(c), columns[j]) for c, j in np.argwhere(occupied))
+        pair_slot = np.full(occupied.shape, -1, dtype=np.intp)
+        pair_slot[occupied] = np.arange(len(pairs), dtype=np.intp)
+        local = np.flatnonzero(~offload_c)
+        local_slot = np.full(n_classes, -1, dtype=np.intp)
+        local_slot[local] = len(pairs) + np.arange(local.size, dtype=np.intp)
+        slot_of_user = local_slot[class_of_user]
+        slot_of_user[offloaders] = pair_slot[offloader_classes, column]
+        slot_class = np.concatenate(
+            [np.asarray([c for c, _ in pairs], dtype=np.intp), local]
+        )
+        edge_classes = tuple(
+            (alive[j], offloader_classes[j::n_alive])
+            for j in range(min(n_alive, offloaders.size))
+        )
+        return _Deal(
+            n_offloaded=int(offloaders.size),
+            edge_classes=edge_classes,
+            pairs=pairs,
+            slot_class=slot_class,
+            slot_of_user=slot_of_user,
+            slot_count=np.bincount(slot_of_user, minlength=slot_class.size),
+        )
+
     def _loads(
         self,
         decisions: Sequence[Optional[int]],
         fault_state: Optional[EpochFaultState] = None,
     ) -> _EpochLoads:
-        """Edge loads and per-user waits implied by a decision vector.
+        """Edge loads and per-slot waits implied by a decision vector.
 
         Replicates ``FleetAnalyzer.analyze`` operation for operation: users
         whose chosen candidate offloads are dealt round-robin onto the edge
         servers in population order, each edge's offered load accumulates in
-        that order (``np.cumsum`` preserves the scalar addition order), and
-        every tenant's wait is the tagged M/G/1 wait of the *other* tenants'
-        load — ``inf`` when the edge's aggregate load is unstable.
+        that order (``np.cumsum`` over the edge's tenant classes preserves
+        the scalar addition order), and every (class, edge) slot's wait is
+        the tagged M/G/1 wait of the *other* tenants' load — ``inf`` when
+        the edge's aggregate load is unstable.
 
         Under a fault state, dead edges leave the round-robin deal (the
         survivors absorb the load) and each surviving edge's busy fraction
@@ -495,75 +645,42 @@ class CoSimulation:
                 for cls, decision, offloads in zip(classes, decisions, offload_c)
             ]
         )
-        wait_user = np.zeros(self._n_users)
+        alive = fault_state.alive_edges if fault_state is not None else self._all_edges
+        deal = self._deal(offload_c, alive)
         edge_rate = np.zeros(self.n_edges)
         edge_busy = np.zeros(self.n_edges)
-        class_wait: Dict[Tuple[int, int], float] = {}
-        user_offloads = offload_c[self._class_of_user]
-        offloader_indices = np.flatnonzero(user_offloads)
-        n_offloaded = int(offloader_indices.size)
-        if n_offloaded:
-            offloader_classes = self._class_of_user[offloader_indices]
-            alive = (
-                np.asarray(fault_state.alive_edges, dtype=np.intp)
-                if fault_state is not None
-                else np.arange(self.n_edges, dtype=np.intp)
+        for edge_index, tenants in deal.edge_classes:
+            scale = (
+                fault_state.service_scale(edge_index) if fault_state is not None else 1.0
             )
-            if alive.size == 0:
+            rate_u = rate_c[tenants]
+            edge_rate[edge_index] = np.cumsum(rate_u)[-1]
+            edge_busy[edge_index] = np.cumsum(rate_u * service_c[tenants])[-1] * scale
+        class_wait: Dict[Tuple[int, int], float] = {}
+        for cls_index, edge_index in deal.pairs:
+            if not alive:
                 # Every edge is down: offloaded frames never complete.
-                wait_user[offloader_indices] = math.inf
-                for cls_index in np.unique(offloader_classes):
-                    class_wait[(int(cls_index), 0)] = math.inf
-                return _EpochLoads(
-                    n_offloaded=n_offloaded,
-                    wait_user_ms=wait_user,
-                    edge_rate=edge_rate,
-                    edge_busy=edge_busy,
-                    class_wait_ms=class_wait,
+                class_wait[(cls_index, edge_index)] = math.inf
+                continue
+            scale = (
+                fault_state.service_scale(edge_index) if fault_state is not None else 1.0
+            )
+            own_rate = float(rate_c[cls_index])
+            own_service = float(service_c[cls_index])
+            own_busy = own_rate * own_service * scale
+            if edge_busy[edge_index] >= 1.0:
+                wait = math.inf
+            else:
+                background = max(edge_rate[edge_index] - own_rate, 0.0)
+                background_busy = max(edge_busy[edge_index] - own_busy, 0.0)
+                wait = self.scheduler.tagged_waiting_time_ms(
+                    own_service * scale,
+                    background,
+                    background_busy / background if background > 0.0 else None,
                 )
-            edges = alive[np.arange(n_offloaded, dtype=np.intp) % alive.size]
-            rate_u = rate_c[offloader_classes]
-            busy_u = rate_u * service_c[offloader_classes]
-            for edge_index in range(self.n_edges):
-                mask = edges == edge_index
-                if mask.any():
-                    scale = (
-                        fault_state.service_scale(edge_index)
-                        if fault_state is not None
-                        else 1.0
-                    )
-                    edge_rate[edge_index] = np.cumsum(rate_u[mask])[-1]
-                    edge_busy[edge_index] = np.cumsum(busy_u[mask])[-1] * scale
-            for cls_index in np.unique(offloader_classes):
-                own_rate = float(rate_c[cls_index])
-                own_service = float(service_c[cls_index])
-                cls_mask = offloader_classes == cls_index
-                for edge_index in np.unique(edges[cls_mask]):
-                    scale = (
-                        fault_state.service_scale(edge_index)
-                        if fault_state is not None
-                        else 1.0
-                    )
-                    own_busy = own_rate * own_service * scale
-                    if edge_busy[edge_index] >= 1.0:
-                        wait = math.inf
-                    else:
-                        background = max(edge_rate[edge_index] - own_rate, 0.0)
-                        background_busy = max(edge_busy[edge_index] - own_busy, 0.0)
-                        wait = self.scheduler.tagged_waiting_time_ms(
-                            own_service * scale,
-                            background,
-                            background_busy / background if background > 0.0 else None,
-                        )
-                    class_wait[(int(cls_index), int(edge_index))] = wait
-                    pair_mask = cls_mask & (edges == edge_index)
-                    wait_user[offloader_indices[pair_mask]] = wait
+            class_wait[(cls_index, edge_index)] = wait
         return _EpochLoads(
-            n_offloaded=n_offloaded,
-            wait_user_ms=wait_user,
-            edge_rate=edge_rate,
-            edge_busy=edge_busy,
-            class_wait_ms=class_wait,
+            deal=deal, edge_rate=edge_rate, edge_busy=edge_busy, class_wait_ms=class_wait
         )
 
     def _decision_wait(
@@ -728,17 +845,16 @@ class CoSimulation:
             class_reports.append(report)
             user_switches[user_array] = report.switch_count
 
-        all_samples = np.repeat(
-            np.concatenate(sample_values), np.concatenate(sample_counts)
-        )
+        # Every user-epoch latency, as (value, count) pairs of the slots.
+        sample_latency = np.concatenate(sample_values)
         # Saturated-fleet samples are infinite; linear interpolation would
         # produce inf - inf = nan, so fall back to order statistics exactly
         # like FleetReport.  At N == 1 no queueing exists, every sample is
         # finite, and the plain linear path preserves the AdaptationReport
         # degeneracy.
-        method = "linear" if np.isfinite(all_samples).all() else "lower"
-        fleet_p50, fleet_p95, fleet_p99 = (
-            float(np.percentile(all_samples, q, method=method)) for q in (50, 95, 99)
+        method = "linear" if np.isfinite(sample_latency).all() else "lower"
+        fleet_p50, fleet_p95, fleet_p99 = percentiles_from_counts(
+            sample_latency, np.concatenate(sample_counts), (50, 95, 99), method
         )
         return CosimReport(
             n_users=n_users,
@@ -917,37 +1033,45 @@ class CoSimulation:
             if evaluation.min_roi is not None:
                 roi_c[cls_index] = float(evaluation.min_roi[index])
 
-        class_ids = self._class_of_user
-        wait_user = loads.wait_user_ms
-        latency_user = latency_c[class_ids] + wait_user
+        # Charge every slot once, then gather the per-user arrays the
+        # per-user accumulators and the per-epoch means and sums need.
+        deal = loads.deal
+        slot_class = deal.slot_class
+        slot_wait = loads.slot_wait_ms()
+        slot_latency = latency_c[slot_class] + slot_wait
         wait_energy = np.where(
-            np.isinf(wait_user), 0.0, self.network.radio_idle_power_w * wait_user
+            np.isinf(slot_wait), 0.0, self.network.radio_idle_power_w * slot_wait
         )
-        energy_user = energy_c[class_ids] + wait_energy
+        slot_energy = energy_c[slot_class] + wait_energy
+        slot_of_user = deal.slot_of_user
+        latency_user = slot_latency[slot_of_user]
+        energy_user = slot_energy[slot_of_user]
         missed_user = latency_user > self.deadline_ms
 
         user_miss += missed_user
         user_latency_sum += latency_user
-        user_energy_j += energy_user * frames_c[class_ids] / 1e3
+        user_energy_j += (slot_energy * frames_c[slot_class] / 1e3)[slot_of_user]
 
-        method = "linear" if np.isfinite(latency_user).all() else "lower"
+        method = "linear" if np.isfinite(slot_latency).all() else "lower"
+        percentiles = percentiles_from_counts(
+            slot_latency, deal.slot_count, (50, 95, 99), method
+        )
         series["converged"].append(converged)
         series["iterations"].append(iterations)
         series["offload_fraction"].append(loads.n_offloaded / self._n_users)
         series["miss_fraction"].append(float(np.mean(missed_user)))
-        for name, q in (("p50", 50), ("p95", 95), ("p99", 99)):
-            series[name].append(float(np.percentile(latency_user, q, method=method)))
+        for name, value in zip(("p50", "p95", "p99"), percentiles):
+            series[name].append(value)
         series["mean_latency"].append(float(np.mean(latency_user)))
         series["total_energy"].append(float(np.sum(energy_user)))
         series["mean_energy"].append(float(np.mean(energy_user)))
-        series["mean_quality"].append(float(np.mean(quality_c[class_ids])))
+        series["mean_quality"].append(float(np.mean(quality_c[self._class_of_user])))
         series["max_rho"].append(float(loads.edge_busy.max()))
         series["availability"].append(
             fault_state.availability if fault_state is not None else 1.0
         )
-        values, counts = np.unique(latency_user, return_counts=True)
-        sample_values.append(values)
-        sample_counts.append(counts)
+        sample_values.append(slot_latency)
+        sample_counts.append(deal.slot_count)
 
         for cls_index, (cls, user_array) in enumerate(
             zip(classes, self._user_arrays)

@@ -30,18 +30,33 @@ def _span_rows(
             f"{key}={_format_count(value)}"
             for key, value in (node.get("counters") or {}).items()
         )
+        children = node.get("children") or {}
         rows.append(
             (
                 "  " * depth + name,
                 _format_count(node.get("count", 0)),
                 _format_ms(node.get("total_ms")),
+                _format_ms(_self_ms(node.get("total_ms"), children)),
                 _format_ms(node.get("mean_ms")),
                 _format_ms(node.get("p95_ms")),
                 attrs,
             )
         )
-        _span_rows(node.get("children") or {}, depth + 1, rows)
+        _span_rows(children, depth + 1, rows)
     return rows
+
+
+def _self_ms(total_ms: Optional[float], children: Mapping[str, Mapping]) -> Optional[float]:
+    """A span's total minus its children's totals, clamped at 0.
+
+    Totals are float sums recorded (and merged across shards) per span, so
+    a parent can come out a hair below its children's sum; the clamp keeps
+    the column non-negative.
+    """
+    if total_ms is None:
+        return None
+    nested = sum(child.get("total_ms") or 0.0 for child in children.values())
+    return max(total_ms - nested, 0.0)
 
 
 def _table(rows: List[Tuple[str, ...]], headers: Tuple[str, ...]) -> str:
@@ -70,7 +85,7 @@ def format_profile(
             "span tree\n"
             + _table(
                 _span_rows(spans),
-                headers=("span", "calls", "total", "mean", "p95", "attrs"),
+                headers=("span", "calls", "total", "self", "mean", "p95", "attrs"),
             )
         )
 

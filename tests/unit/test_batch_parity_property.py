@@ -3,9 +3,10 @@
 Hypothesis draws random devices, execution modes, frame sizes, clock
 frequencies and encoder bitrates inside the regression domain and asserts
 the batch engine agrees with the scalar path to 1e-9 relative error — on
-the end-to-end totals, every segment, and the AoI quantities.  The
-queueing ports are additionally exercised at the rho -> 0 and rho -> 1
-stability boundaries.
+the end-to-end totals, every segment, and the AoI quantities.  Compiled
+candidate sets (:class:`ConditionedPoints`) must equal ``evaluate_points``
+on explicitly conditioned points bit for bit.  The queueing ports are
+additionally exercised at the rho -> 0 and rho -> 1 stability boundaries.
 """
 
 import math
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import OperatingPoint, evaluate_points
+from repro.adaptive.runtime import default_candidates
+from repro.batch import ConditionedPoints, OperatingPoint, evaluate_points
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.core.framework import XRPerformanceModel
+from repro.exceptions import ConfigurationError
 from repro.queueing.mg1 import MG1Queue
 from repro.queueing.mm1 import MM1Queue
 from repro.queueing.vectorized import (
@@ -88,6 +91,119 @@ def test_scalar_and_batch_agree(
     for name, value in scalar.aoi.roi.items():
         assert _close(batch.aoi.roi[name], value)
     assert _close(batch.aoi.required_frequency_hz, scalar.aoi.required_frequency_hz)
+
+
+# ---------------------------------------------------------------------------
+# Compiled candidate sets under condition arrays
+# ---------------------------------------------------------------------------
+
+
+def _conditioned(point: OperatingPoint, throughput: float, handoff: float) -> OperatingPoint:
+    """The point with the epoch's throughput and its handoff enabled at ``handoff``."""
+    network = point.network
+    return replace(
+        point,
+        network=replace(
+            network,
+            throughput_mbps=throughput,
+            handoff=replace(network.handoff, enabled=True, handoff_probability=handoff),
+        ),
+    )
+
+
+def _reference_min_roi(result):
+    """Per-point minimum RoI across sensors, None when a group has no AoI."""
+    out = np.empty(result.n_points)
+    for group in result.groups:
+        if group.aoi is None:
+            return None
+        out[group.positions] = np.minimum.reduce(
+            [group.aoi.roi[name] for name in group.aoi.sensor_names]
+        )
+    return out
+
+
+def _candidates(device, path_loss, cooperation, sensors):
+    base = ApplicationConfig.object_detection_default()
+    app = replace(
+        base,
+        cooperation=replace(
+            base.cooperation, enabled=cooperation, include_in_totals=cooperation
+        ),
+    )
+    network = NetworkConfig(enable_path_loss=path_loss)
+    if not sensors:
+        network = replace(network, sensors=())
+    return default_candidates(
+        device=device,
+        app=app,
+        network=network,
+        cpu_freqs_ghz=(1.0, 2.5),
+        frame_sides_px=(300.0, 640.0),
+    )
+
+
+conditions_lists = st.lists(
+    st.tuples(
+        st.floats(min_value=0.5, max_value=400.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    device=st.sampled_from(["XR1", "XR2", "XR6"]),
+    path_loss=st.booleans(),
+    cooperation=st.booleans(),
+    include_aoi=st.booleans(),
+    sensors=st.booleans(),
+    conditions=conditions_lists,
+)
+def test_conditioned_points_equal_evaluate_points(
+    device, path_loss, cooperation, include_aoi, sensors, conditions
+):
+    """Row ``e`` of a compiled sweep is evaluate_points on conditioned points."""
+    candidates = _candidates(device, path_loss, cooperation, sensors)
+    modes = {point.app.inference.mode for point in candidates}
+    assert modes == {ExecutionMode.LOCAL, ExecutionMode.REMOTE, ExecutionMode.SPLIT}
+    compiled = ConditionedPoints(candidates, include_aoi=include_aoi)
+    latency, energy, min_roi = compiled.evaluate(
+        [throughput for throughput, _ in conditions],
+        [handoff for _, handoff in conditions],
+    )
+    assert latency.shape == energy.shape == (len(conditions), len(candidates))
+    for row, (throughput, handoff) in enumerate(conditions):
+        expected = evaluate_points(
+            [_conditioned(point, throughput, handoff) for point in candidates],
+            include_aoi=include_aoi,
+        )
+        assert np.array_equal(latency[row], expected.total_latency_ms)
+        assert np.array_equal(energy[row], expected.total_energy_mj)
+        expected_roi = _reference_min_roi(expected)
+        if expected_roi is None:
+            assert min_roi is None
+        else:
+            assert np.array_equal(min_roi[row], expected_roi)
+
+
+def test_conditioned_points_single_condition_and_validation():
+    candidates = _candidates("XR1", path_loss=False, cooperation=False, sensors=True)
+    compiled = ConditionedPoints(candidates)
+    assert compiled.n_points == len(candidates)
+    assert 1 <= compiled.n_groups < len(candidates)
+    latency, energy, min_roi = compiled.evaluate([0.5], [1.0])
+    expected = evaluate_points([_conditioned(p, 0.5, 1.0) for p in candidates])
+    assert np.array_equal(latency[0], expected.total_latency_ms)
+    assert np.array_equal(energy[0], expected.total_energy_mj)
+    assert np.array_equal(min_roi[0], _reference_min_roi(expected))
+    for throughput, handoff in (([0.0], [0.1]), ([10.0], [1.5]), ([10.0, 20.0], [0.1]), ([], [])):
+        with pytest.raises(ConfigurationError):
+            compiled.evaluate(throughput, handoff)
+    with pytest.raises(ConfigurationError):
+        ConditionedPoints([])
 
 
 # ---------------------------------------------------------------------------

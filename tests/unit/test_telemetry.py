@@ -284,5 +284,35 @@ class TestFormatProfile:
         assert "sizes" in text
         assert "devices.catalog.get_device" in text
 
+    def test_self_column_subtracts_child_totals(self):
+        def node(total_ms, count=1, **children):
+            entry = {"count": count, "total_ms": total_ms, "mean_ms": total_ms / count}
+            if children:
+                entry["children"] = children
+            return entry
+
+        snapshot = {
+            "spans": {
+                "outer": node(
+                    10.0,
+                    a=node(4.0, count=2, deep=node(1.5)),
+                    b=node(7.0),
+                ),
+                "solo": node(2.0),
+            }
+        }
+        lines = format_profile(snapshot).splitlines()
+        header = lines[1]
+        assert header.split()[:5] == ["span", "calls", "total", "self", "mean"]
+        start, end = header.index("self"), header.index("mean")
+        self_column = {line.split()[0]: line[start:end].strip() for line in lines[3:]}
+        assert self_column == {
+            "outer": "0 us",  # 10 - (4 + 7) clamps at zero
+            "a": "2.5 ms",
+            "deep": "1.5 ms",
+            "b": "7.0 ms",
+            "solo": "2.0 ms",
+        }
+
     def test_empty_snapshot_renders_a_hint(self):
         assert "empty" in format_profile(NULL_TELEMETRY.snapshot())

@@ -163,7 +163,12 @@ class TestFleetCacheStats:
         prewarm = snapshot["spans"]["adaptive.prewarm"]
         assert prewarm["count"] == 1
         assert prewarm["counters"]["distinct_keys"] > 0
-        assert "batch.evaluate_points" in prewarm["children"]
+        batch = prewarm["children"]["batch.evaluate_conditions"]
+        assert batch["count"] == 1
+        candidates = runtime.context.n_candidates
+        assert batch["counters"]["conditions"] == prewarm["counters"]["distinct_keys"]
+        assert batch["counters"]["points"] == batch["counters"]["conditions"] * candidates
+        assert 1 <= batch["counters"]["groups"] < candidates
 
 
 def _suite_and_scenarios():
