@@ -178,8 +178,6 @@ class ControlContext:
         self.deadline_ms = float(deadline_ms)
         self.objective = objective
         self.coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
-        self.complexity_mode = complexity_mode
-        self.include_aoi = include_aoi
         self.quality = np.asarray([candidate_quality(p) for p in self.candidates])
         self._conditioned = ConditionedPoints(
             self.candidates,

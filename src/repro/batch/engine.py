@@ -761,11 +761,6 @@ class ConditionedPoints:
         self._groups = _bucket_points(points, coefficients, complexity_mode, include_aoi)
         self._has_aoi = all(evaluator.aoi_active for evaluator, _, _ in self._groups)
 
-    @property
-    def n_groups(self) -> int:
-        """Number of structure groups (vectorized passes per evaluation)."""
-        return len(self._groups)
-
     def evaluate(
         self, throughput_mbps: Sequence[float], handoff_probability: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

@@ -32,12 +32,13 @@ and make identical decisions, so the engine simulates one representative
 controller per class and multiplies: a 10k-user homogeneous fleet costs the
 same controller work as a single user.  Loads and charges are computed per
 *slot* — one per offloading (class, edge) pair of the round-robin deal plus
-one per local class — and the deal itself is cached per offloading pattern,
-so a best-response iteration does one accumulation per edge and one tagged
-wait per slot; per-user arrays are only gathered from slot values once per
-epoch, for the charged means and sums.  Candidate evaluation inside each
-class goes through the vectorized batch engine
-(:class:`repro.batch.ConditionedPoints`) via the pre-warmed
+one per local class.  Dealing users onto edges is O(users), but fleets
+revisit few offloading patterns, so the deal is cached per pattern
+(:data:`DEAL_CACHE_SIZE`) and a best-response iteration that reuses one does
+one accumulation per edge and one tagged wait per slot; per-user arrays are
+only gathered from slot values once per epoch, for the charged means and
+sums.  Candidate evaluation inside each class goes through the vectorized
+batch engine (:class:`repro.batch.ConditionedPoints`) via the pre-warmed
 :class:`~repro.adaptive.runtime.ControlContext` sweep cache.
 
 Degeneracies
@@ -180,8 +181,11 @@ class _UserClass:
 
 
 #: Round-robin deals a simulation keeps (least recently used evicted first).
-#: A deal holds O(users) indices, so the bound caps its memory.
-DEAL_CACHE_SIZE = 32
+#: A deal holds O(users) indices, so the bound caps its memory.  The
+#: benchmarked cosim fleets revisit 2 to 4 offloading patterns per
+#: simulation (a greedy fleet past cell capacity alternates between two of
+#: them within each epoch); 8 holds that working set twice over.
+DEAL_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -217,25 +221,20 @@ class _Deal:
 class _EpochLoads:
     """Exact fleet loads implied by one decision vector.
 
-    ``class_wait_ms`` maps every offloading ``(class, edge)`` slot of the
-    deal to its wait, in the deal's pair order.
+    ``slot_wait_ms`` is the edge wait of every slot of the deal: slot ``i <
+    len(deal.pairs)`` holds the tagged wait of pair ``deal.pairs[i]``, and
+    the local slots after them hold 0.
     """
 
     deal: _Deal
     edge_rate: np.ndarray
     edge_busy: np.ndarray
-    class_wait_ms: Dict[Tuple[int, int], float]
+    slot_wait_ms: np.ndarray
 
     @property
     def n_offloaded(self) -> int:
         """Users whose class offloads."""
         return self.deal.n_offloaded
-
-    def slot_wait_ms(self) -> np.ndarray:
-        """Edge wait of every slot of the deal (0 in local slots)."""
-        wait = np.zeros(self.deal.slot_class.size)
-        wait[: len(self.class_wait_ms)] = list(self.class_wait_ms.values())
-        return wait
 
 
 def percentiles_from_counts(
@@ -656,11 +655,11 @@ class CoSimulation:
             rate_u = rate_c[tenants]
             edge_rate[edge_index] = np.cumsum(rate_u)[-1]
             edge_busy[edge_index] = np.cumsum(rate_u * service_c[tenants])[-1] * scale
-        class_wait: Dict[Tuple[int, int], float] = {}
-        for cls_index, edge_index in deal.pairs:
+        slot_wait = np.zeros(deal.slot_class.size)
+        for slot, (cls_index, edge_index) in enumerate(deal.pairs):
             if not alive:
                 # Every edge is down: offloaded frames never complete.
-                class_wait[(cls_index, edge_index)] = math.inf
+                slot_wait[slot] = math.inf
                 continue
             scale = (
                 fault_state.service_scale(edge_index) if fault_state is not None else 1.0
@@ -678,9 +677,9 @@ class CoSimulation:
                     background,
                     background_busy / background if background > 0.0 else None,
                 )
-            class_wait[(cls_index, edge_index)] = wait
+            slot_wait[slot] = wait
         return _EpochLoads(
-            deal=deal, edge_rate=edge_rate, edge_busy=edge_busy, class_wait_ms=class_wait
+            deal=deal, edge_rate=edge_rate, edge_busy=edge_busy, slot_wait_ms=slot_wait
         )
 
     def _decision_wait(
@@ -700,13 +699,10 @@ class CoSimulation:
         tenant (infinite wait when every edge is dead), and the tenant's
         reference service time is scaled like the loads are.
         """
-        waits = [
-            wait
-            for (ci, _), wait in loads.class_wait_ms.items()
-            if ci == cls_index
-        ]
-        if waits:
-            return max(waits)
+        n_pairs = len(loads.deal.pairs)
+        waits = loads.slot_wait_ms[:n_pairs][loads.deal.slot_class[:n_pairs] == cls_index]
+        if waits.size:
+            return float(waits.max())
         if fault_state is not None:
             if fault_state.n_edges_alive == 0:
                 return math.inf
@@ -1037,7 +1033,7 @@ class CoSimulation:
         # per-user accumulators and the per-epoch means and sums need.
         deal = loads.deal
         slot_class = deal.slot_class
-        slot_wait = loads.slot_wait_ms()
+        slot_wait = loads.slot_wait_ms
         slot_latency = latency_c[slot_class] + slot_wait
         wait_energy = np.where(
             np.isinf(slot_wait), 0.0, self.network.radio_idle_power_w * slot_wait

@@ -193,7 +193,6 @@ def test_conditioned_points_single_condition_and_validation():
     candidates = _candidates("XR1", path_loss=False, cooperation=False, sensors=True)
     compiled = ConditionedPoints(candidates)
     assert compiled.n_points == len(candidates)
-    assert 1 <= compiled.n_groups < len(candidates)
     latency, energy, min_roi = compiled.evaluate([0.5], [1.0])
     expected = evaluate_points([_conditioned(p, 0.5, 1.0) for p in candidates])
     assert np.array_equal(latency[0], expected.total_latency_ms)
