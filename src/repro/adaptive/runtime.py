@@ -10,10 +10,11 @@ latency/energy/AoI under the *true* epoch conditions.
 Candidate evaluation goes through the vectorized batch engine: each
 :class:`ControlContext` compiles its candidates once into a
 :class:`repro.batch.ConditionedPoints`, whose condition axes are exactly
-the epoch's throughput and handoff probability.  A live sweep is one
-vectorized call per structure group, and the pre-warm pass fills the
-per-epoch sweep cache with **one** call over all ``epochs x candidates``
-evaluations — after which a full-grid controller like
+the epoch's throughput and handoff probability, so an out-of-domain
+candidate fails at construction.  A live sweep is one fused broadcast pass
+over all candidates, and the pre-warm pass fills the per-epoch sweep cache
+with **one** such pass over all ``epochs x candidates`` evaluations — after
+which a full-grid controller like
 :class:`~repro.adaptive.controllers.GreedyBatchSweep` costs an array argmin
 per epoch.
 

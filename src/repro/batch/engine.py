@@ -24,15 +24,29 @@ handoff, cooperation, CNN selection, buffer rate, frame rate, ...) is part
 of the group structure and may differ freely *between* groups.
 
 :class:`ConditionedPoints` adds the handoff probability as a second
-per-point axis: it compiles a candidate set into its groups once and then
-evaluates it under whole arrays of (throughput, ``P(HO)``) conditions, one
-vectorized pass per group over (conditions x candidates).
+per-point axis.  Only Eq. (8)'s result transfer and Eqs. (16)-(18) see the
+channel, so the set compiles every other term of every group once, into
+per-candidate arrays across all groups, and evaluates whole arrays of
+(throughput, ``P(HO)``) conditions in one broadcast pass over
+(conditions x candidates) through the same :func:`_closed_forms` a group
+evaluation finishes with.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -58,7 +72,7 @@ from repro.exceptions import ConfigurationError, ModelDomainError
 from repro.measurement.truth import SEGMENT_POWER_FACTORS
 from repro.network.handoff import HandoffModel
 from repro.network.wifi import WifiLink
-from repro.queueing.vectorized import mm1_sojourn_ms
+from repro.queueing.vectorized import ArrayLike, mm1_sojourn_ms
 from repro.sensors.sensor import ExternalSensor
 
 from repro.batch.grid import NUMERIC_AXES, OperatingPoint, ParameterGrid
@@ -87,14 +101,145 @@ def _canonical_network(network: NetworkConfig) -> NetworkConfig:
     return replace(network, throughput_mbps=1.0)
 
 
+#: The order the scalar model inserts segments in, which fixes the
+#: floating-point summation order of the Eq. (1) / Eq. (19) totals.
+_SEGMENT_ORDER = (
+    Segment.FRAME_GENERATION,
+    Segment.VOLUMETRIC,
+    Segment.EXTERNAL,
+    Segment.RENDERING,
+    Segment.CONVERSION,
+    Segment.LOCAL_INFERENCE,
+    Segment.ENCODING,
+    Segment.REMOTE_INFERENCE,
+    Segment.TRANSMISSION,
+    Segment.HANDOFF,
+    Segment.COOPERATION,
+)
+
+
+class _Terms(NamedTuple):
+    """The condition-invariant inputs of the closed forms, per point.
+
+    Every value is a scalar or an array that broadcasts against the
+    conditions handed to :func:`_closed_forms`, which adds what depends on
+    the channel: Eq. (8)'s result transfer and Eqs. (16)-(18).
+    """
+
+    #: Condition-invariant segment latencies in :data:`_SEGMENT_ORDER`;
+    #: RENDERING holds raster + memory + buffering, plus the result
+    #: transfer of local inference (a memory copy).
+    latency_ms: Dict[Segment, np.ndarray]
+    #: Energies of those segments, except RENDERING.
+    energy_mj: Dict[Segment, np.ndarray]
+    #: Power of RENDERING, TRANSMISSION, HANDOFF and COOPERATION.
+    power_w: Dict[Segment, ArrayLike]
+    #: Segments the totals sum, when present.
+    billed: AbstractSet[Segment]
+    #: ``(path-loss mask, link-budget r_w)``, None when no point has path
+    #: loss; with path loss r_w is the link budget, not the condition's.
+    link_budget: Optional[Tuple[ArrayLike, ArrayLike]]
+    #: Megabits of the inference result sent over r_w (0 on local inference).
+    result_megabits: ArrayLike
+    #: Edge propagation delay (0 on local inference).
+    edge_propagation_ms: ArrayLike
+    #: Encoded-frame megabits (Eq. 16), None when no point offloads.
+    transmission_megabits: Optional[ArrayLike]
+    #: Latency of one handoff, ``l_HO`` (Eq. 17).
+    handoff_latency_ms: ArrayLike
+    #: Cooperation payload in megabits (Eq. 18), None when no point has it.
+    cooperation_megabits: Optional[ArrayLike]
+    cooperation_propagation_ms: ArrayLike
+    thermal_fraction: ArrayLike
+    base_power_w: ArrayLike
+
+
+class _ClosedForms(NamedTuple):
+    """Segments, energies and totals of :func:`_closed_forms`."""
+
+    latency_ms: Dict[Segment, np.ndarray]
+    energy_mj: Dict[Segment, np.ndarray]
+    included: FrozenSet[Segment]
+    total_latency_ms: np.ndarray
+    thermal_mj: np.ndarray
+    base_mj: np.ndarray
+    total_energy_mj: np.ndarray
+
+
+def _link_ms(megabits: ArrayLike, propagation_ms: ArrayLike, throughput: np.ndarray) -> np.ndarray:
+    """Serialization of ``megabits`` over r_w plus the propagation delay."""
+    return (megabits / throughput) * 1e3 + propagation_ms
+
+
+def _closed_forms(
+    terms: _Terms, throughput_mbps: np.ndarray, handoff_probability: np.ndarray
+) -> _ClosedForms:
+    """Finish the closed forms under (throughput, ``P(HO)``) conditions.
+
+    Adds Eq. (8)'s result transfer and Eqs. (16)-(18) to the
+    condition-invariant ``terms``, then sums the Eq. (1) and Eq. (19)
+    totals in segment order, exactly as ``LatencyBreakdown.total_ms`` and
+    ``EnergyBreakdown.total_mj`` do.  Totals start from +0.0, so a segment a
+    point does not bill may be present with a zero entry: ``x + 0.0 == x``.
+    """
+    thr = throughput_mbps
+    if terms.link_budget is not None:
+        path_loss, link_budget = terms.link_budget
+        thr = np.where(path_loss, link_budget, thr)
+    segments = dict(terms.latency_ms)
+    # Eq. (8): rendering = raster + memory + buffering + result transfer.
+    segments[Segment.RENDERING] = segments[Segment.RENDERING] + _link_ms(
+        terms.result_megabits, terms.edge_propagation_ms, thr
+    )
+    if terms.transmission_megabits is not None:
+        # Eq. (16)
+        segments[Segment.TRANSMISSION] = _link_ms(
+            terms.transmission_megabits, terms.edge_propagation_ms, thr
+        )
+        # Eq. (17)
+        segments[Segment.HANDOFF] = terms.handoff_latency_ms * handoff_probability
+    if terms.cooperation_megabits is not None:
+        # Eq. (18)
+        segments[Segment.COOPERATION] = _link_ms(
+            terms.cooperation_megabits, terms.cooperation_propagation_ms, thr
+        )
+    energy = {
+        segment: terms.power_w[segment] * latency
+        if segment in terms.power_w
+        else terms.energy_mj[segment]
+        for segment, latency in segments.items()
+    }
+    included = frozenset(terms.billed & set(segments))
+
+    total_latency = segment_energy = compute_energy = 0.0
+    for segment, latency in segments.items():
+        if segment in included:
+            total_latency = total_latency + latency
+            segment_energy = segment_energy + energy[segment]
+            if segment in COMPUTE_SEGMENTS:
+                compute_energy = compute_energy + energy[segment]
+    thermal = terms.thermal_fraction * compute_energy
+    base = terms.base_power_w * total_latency
+    return _ClosedForms(
+        latency_ms=segments,
+        energy_mj=energy,
+        included=included,
+        total_latency_ms=total_latency,
+        thermal_mj=thermal,
+        base_mj=base,
+        total_energy_mj=segment_energy + thermal + base,
+    )
+
+
 class _GroupEvaluator:
     """Vectorized evaluator for one structure group.
 
     All point-independent quantities (sensor latencies, buffering delays,
     handoff, CNN complexities, propagation delays) are computed once here —
     with the *scalar* code paths, so they are trivially identical to the
-    scalar model — and the numeric axes stream through array expressions in
-    :meth:`evaluate`.
+    scalar model.  :meth:`_fixed_terms` streams the numeric axes through the
+    condition-invariant array expressions, and :meth:`evaluate` finishes
+    them with :func:`_closed_forms`.
     """
 
     def __init__(
@@ -139,14 +284,19 @@ class _GroupEvaluator:
         self.virtual_scene_side_px = app.virtual_scene_side_px
         self.external_ms = self._external_information_ms()
         self.buffering_ms = self._buffering_ms()
-        # Eq. (17): the configured l_HO * P(HO), and l_HO alone for points
-        # evaluated at a per-point P(HO) (see ``evaluate``).
-        self.handoff_ms = 0.0
-        self.single_handoff_ms = 0.0
+        # Eq. (17) is l_HO * P(HO).  ConditionedPoints enables the handoff at
+        # each condition's P(HO); ``evaluate`` charges the configured one,
+        # and nothing when it is disabled (l_HO * 0 is NaN for l_HO = inf).
+        self.handoff_latency_ms = 0.0
+        self.configured_handoff = (0.0, 0.0)
         if self.uses_remote_path:
             handoff = HandoffModel(network.handoff)
-            self.handoff_ms = handoff.mean_handoff_latency_ms(self.frame_period_ms)
-            self.single_handoff_ms = handoff.single_handoff_latency_ms()
+            self.handoff_latency_ms = handoff.single_handoff_latency_ms()
+            if network.handoff.enabled:
+                self.configured_handoff = (
+                    self.handoff_latency_ms,
+                    handoff.handoff_probability(self.frame_period_ms),
+                )
         self.edge_propagation_ms = network.propagation_delay_ms(network.edge_distance_m)
         # Result-transfer constants of Eq. (8).
         self.result_megabits = INFERENCE_RESULT_SIZE_MB * 8.0
@@ -298,36 +448,25 @@ class _GroupEvaluator:
             )
         return value
 
-    def evaluate(
+    def _fixed_terms(
         self,
-        frame_side_px: np.ndarray,
-        cpu_freq_ghz: np.ndarray,
-        gpu_freq_ghz: np.ndarray,
-        bitrate_mbps: np.ndarray,
-        throughput_mbps: np.ndarray,
-        positions: np.ndarray,
-        handoff_probability: Optional[np.ndarray] = None,
-    ) -> GroupResult:
-        """Evaluate the group over aligned per-point value arrays.
+        side: np.ndarray,
+        fc: np.ndarray,
+        fg: np.ndarray,
+        bitrate: np.ndarray,
+    ) -> Tuple[_Terms, np.ndarray, Optional[np.ndarray], np.ndarray, int]:
+        """The condition-invariant terms at aligned per-point value arrays.
 
-        ``handoff_probability`` is None for the group's configured handoff;
-        an array enables the handoff at each point's own ``P(HO)``, so the
-        Eq. (17) term is ``l_HO * p`` per point.
+        Runs the point checks (frame sides, a path-loss link budget, clocks,
+        the encoding domain).  Returns the terms, the client and edge compute
+        values, the mean power and the number of clamped mean-power points.
         """
-        side = np.asarray(frame_side_px, dtype=float)
-        fc = np.asarray(cpu_freq_ghz, dtype=float)
-        fg = np.asarray(gpu_freq_ghz, dtype=float)
-        bitrate = np.asarray(bitrate_mbps, dtype=float)
-        n = side.shape[0]
-        if self.link_budget_throughput is not None:
-            thr = np.full(n, self.link_budget_throughput)
-        else:
-            thr = np.asarray(throughput_mbps, dtype=float)
         if np.any(side <= 0.0):
             raise ConfigurationError("frame sides must be > 0 at every point")
-        if np.any(thr <= 0.0):
+        link_budget = self.link_budget_throughput
+        if link_budget is not None and link_budget <= 0.0:
             raise ConfigurationError("throughputs must be > 0 at every point")
-
+        n = side.shape[0]
         c = self._client_compute(fc, fg)
         raw_mb = ((side * side) * 1.5) / 1e6  # units.yuv_frame_size_mb
         raw_mem = raw_mb / self.mem_bw
@@ -343,15 +482,11 @@ class _GroupEvaluator:
         )
         # Eqs. (5)-(6)
         segments[Segment.EXTERNAL] = np.full(n, self.external_ms)
-        # Eq. (8): rendering = raster + memory + buffering + result transfer.
-        if self.local:
-            result_transfer = np.full(n, self.result_transfer_local_ms)
-        else:
-            result_transfer = (
-                self.result_megabits / thr
-            ) * 1e3 + self.edge_propagation_ms
+        # Eq. (8) up to the result transfer, which only a local result (a
+        # memory copy) makes condition-invariant.
+        rendering = side / c + raw_mem + self.buffering_ms
         segments[Segment.RENDERING] = (
-            side / c + raw_mem + self.buffering_ms + result_transfer
+            rendering + self.result_transfer_local_ms if self.local else rendering
         )
 
         if self.uses_local_path:
@@ -374,11 +509,13 @@ class _GroupEvaluator:
                 )
 
         edge_compute: Optional[np.ndarray] = None
+        transmission_megabits: Optional[np.ndarray] = None
         if self.uses_remote_path:
             numerator = self._encoding_numerator(side, bitrate)
             # Eq. (10)
             segments[Segment.ENCODING] = numerator / c + raw_mem
             edge_compute = self.edge_scale * c
+            encoded_mb = raw_mb / self.app.encoder.compression_ratio
             # Eqs. (13)-(15)
             if not self.edge_shares:
                 segments[Segment.REMOTE_INFERENCE] = np.zeros(n)
@@ -391,7 +528,6 @@ class _GroupEvaluator:
                     * c
                     / edge_compute
                 )
-                encoded_mb = raw_mb / self.app.encoder.compression_ratio
                 edge_mem = encoded_mb / self.edge_mem_bw
                 remote: Optional[np.ndarray] = None
                 for share in self.edge_shares:
@@ -411,60 +547,70 @@ class _GroupEvaluator:
                         per_share if remote is None else np.maximum(remote, per_share)
                     )
                 segments[Segment.REMOTE_INFERENCE] = remote
-            # Eq. (16)
-            encoded_mb = raw_mb / self.app.encoder.compression_ratio
-            segments[Segment.TRANSMISSION] = (
-                (encoded_mb * 8.0) / thr
-            ) * 1e3 + self.edge_propagation_ms
-            # Eq. (17)
-            if handoff_probability is None:
-                segments[Segment.HANDOFF] = np.full(n, self.handoff_ms)
-            else:
-                segments[Segment.HANDOFF] = self.single_handoff_ms * np.asarray(
-                    handoff_probability, dtype=float
-                )
-
-        if self.cooperation_enabled:
-            # Eq. (18)
-            segments[Segment.COOPERATION] = (
-                self.coop_megabits / thr
-            ) * 1e3 + self.coop_propagation_ms
-
-        included = frozenset(self._included_unrestricted & set(segments))
-
-        # Eq. (1) total, in dict insertion order like LatencyBreakdown.total_ms.
-        total_latency = np.zeros(n)
-        for segment, values in segments.items():
-            if segment in included:
-                total_latency = total_latency + values
+            transmission_megabits = encoded_mb * 8.0
 
         # -- energy (Eqs. 19-21) --------------------------------------------------
         mean_power, clamped_points = self._mean_power(fc, fg)
-        energy: Dict[Segment, np.ndarray] = {}
-        for segment, latency in segments.items():
-            if segment is Segment.HANDOFF:
-                power: Union[float, np.ndarray] = self.network.handoff.power_w
-            elif segment in (Segment.TRANSMISSION, Segment.COOPERATION):
-                power = self.network.radio_tx_power_w
-            else:
-                power = self.segment_factors[segment.value] * mean_power
-            energy[segment] = power * latency
+        power = {
+            segment: self.segment_factors[segment.value] * mean_power
+            for segment in segments
+        }
+        terms = _Terms(
+            latency_ms=segments,
+            energy_mj={
+                segment: power[segment] * latency
+                for segment, latency in segments.items()
+                if segment is not Segment.RENDERING
+            },
+            power_w={
+                Segment.RENDERING: power[Segment.RENDERING],
+                Segment.TRANSMISSION: self.network.radio_tx_power_w,
+                Segment.HANDOFF: self.network.handoff.power_w,
+                Segment.COOPERATION: self.network.radio_tx_power_w,
+            },
+            billed=self._included_unrestricted,
+            link_budget=None if link_budget is None else (True, link_budget),
+            result_megabits=0.0 if self.local else self.result_megabits,
+            edge_propagation_ms=0.0 if self.local else self.edge_propagation_ms,
+            transmission_megabits=transmission_megabits,
+            handoff_latency_ms=self.handoff_latency_ms,
+            cooperation_megabits=self.coop_megabits if self.cooperation_enabled else None,
+            cooperation_propagation_ms=(
+                self.coop_propagation_ms if self.cooperation_enabled else 0.0
+            ),
+            thermal_fraction=self.device.thermal_fraction,
+            base_power_w=self.device.base_power_w,
+        )
+        return terms, c, edge_compute, mean_power, clamped_points
 
-        compute_energy = np.zeros(n)
-        for segment, values in energy.items():
-            if segment in included and segment in COMPUTE_SEGMENTS:
-                compute_energy = compute_energy + values
-        thermal = self.device.thermal_fraction * compute_energy
-        base = self.device.base_power_w * total_latency
-
-        # Eq. (19) total, matching EnergyBreakdown.total_mj's summation order.
-        segment_energy_total = np.zeros(n)
-        for segment, values in energy.items():
-            if segment in included:
-                segment_energy_total = segment_energy_total + values
-        total_energy = segment_energy_total + thermal + base
-
-        aoi = self._evaluate_aoi(total_latency) if self.aoi_active else None
+    def evaluate(
+        self,
+        frame_side_px: np.ndarray,
+        cpu_freq_ghz: np.ndarray,
+        gpu_freq_ghz: np.ndarray,
+        bitrate_mbps: np.ndarray,
+        throughput_mbps: np.ndarray,
+        positions: np.ndarray,
+    ) -> GroupResult:
+        """Evaluate the group over aligned per-point value arrays."""
+        side = np.asarray(frame_side_px, dtype=float)
+        thr = np.asarray(throughput_mbps, dtype=float)
+        if self.link_budget_throughput is None and np.any(thr <= 0.0):
+            raise ConfigurationError("throughputs must be > 0 at every point")
+        terms, c, edge_compute, mean_power, clamped_points = self._fixed_terms(
+            side,
+            np.asarray(cpu_freq_ghz, dtype=float),
+            np.asarray(gpu_freq_ghz, dtype=float),
+            np.asarray(bitrate_mbps, dtype=float),
+        )
+        handoff_latency, handoff_probability = self.configured_handoff
+        closed = _closed_forms(
+            terms._replace(handoff_latency_ms=handoff_latency),
+            thr,
+            np.full(side.shape[0], handoff_probability),
+        )
+        segments = closed.latency_ms
+        aoi = self._evaluate_aoi(closed.total_latency_ms) if self.aoi_active else None
 
         # The scalar path clamps once per mean-power evaluation: one per
         # non-radio segment plus one for the report's mean_power_w field.
@@ -476,13 +622,13 @@ class _GroupEvaluator:
             device_name=self.device.name,
             edge_name=self.edge.name if self.edge is not None else None,
             mode=self.mode,
-            included_segments=included,
+            included_segments=closed.included,
             latency_segments_ms=segments,
-            energy_segments_mj=energy,
-            total_latency_ms=total_latency,
-            thermal_mj=thermal,
-            base_mj=base,
-            total_energy_mj=total_energy,
+            energy_segments_mj=closed.energy_mj,
+            total_latency_ms=closed.total_latency_ms,
+            thermal_mj=closed.thermal_mj,
+            base_mj=closed.base_mj,
+            total_energy_mj=closed.total_energy_mj,
             client_compute=c,
             edge_compute=edge_compute,
             mean_power_w=mean_power,
@@ -721,15 +867,102 @@ def _evaluate_points(
     return BatchResult(groups=groups, n_points=len(points))
 
 
+def _merge_terms(parts: Sequence[Tuple[np.ndarray, _Terms]], n_points: int) -> _Terms:
+    """Lay per-group terms out as ``(1, n_points)`` rows across all groups.
+
+    ``parts`` pairs each group's global positions with its terms.  A
+    point's entry for a segment it does not bill is set to zero, never
+    multiplied to zero (a power or ``l_HO`` may be infinite), so it adds
+    exactly nothing to the totals.  Rows rather than vectors keep a
+    single-condition pass free of broadcasting.
+    """
+
+    def column(value_of: Callable[[_Terms], Optional[ArrayLike]]) -> np.ndarray:
+        out = np.zeros((1, n_points))
+        for positions, terms in parts:
+            value = value_of(terms)
+            if value is not None:
+                out[0, positions] = value
+        return out
+
+    def billed_row(segment: Segment, value_of: Callable[[_Terms], Optional[ArrayLike]]):
+        """``value_of`` as a row, zero where a point does not bill ``segment``."""
+        return column(lambda terms: value_of(terms) if segment in terms.billed else None)
+
+    def billed_by_any(segment: Segment, value_of: Callable[[_Terms], Optional[ArrayLike]]):
+        return any(
+            segment in terms.billed and value_of(terms) is not None for _, terms in parts
+        )
+
+    def optional_row(segment: Segment, value_of: Callable[[_Terms], Optional[ArrayLike]]):
+        """:func:`billed_row`, or None when no point bills ``segment``."""
+        return billed_row(segment, value_of) if billed_by_any(segment, value_of) else None
+
+    fixed = [
+        segment
+        for segment in _SEGMENT_ORDER
+        if billed_by_any(segment, lambda terms: terms.latency_ms.get(segment))
+    ]
+    link_budget = None
+    budgets = [(positions, terms.link_budget) for positions, terms in parts if terms.link_budget]
+    if budgets:
+        path_loss = np.zeros((1, n_points), dtype=bool)
+        budget_mbps = np.zeros((1, n_points))
+        for positions, (_, value) in budgets:
+            path_loss[0, positions] = True
+            budget_mbps[0, positions] = value
+        link_budget = (path_loss, budget_mbps)
+    return _Terms(
+        latency_ms={
+            segment: billed_row(segment, lambda terms: terms.latency_ms.get(segment))
+            for segment in fixed
+        },
+        energy_mj={
+            segment: billed_row(segment, lambda terms: terms.energy_mj.get(segment))
+            for segment in fixed
+            if segment is not Segment.RENDERING
+        },
+        power_w={
+            segment: billed_row(segment, lambda terms: terms.power_w[segment])
+            for segment in (
+                Segment.RENDERING,
+                Segment.TRANSMISSION,
+                Segment.HANDOFF,
+                Segment.COOPERATION,
+            )
+        },
+        billed=frozenset(segment for _, terms in parts for segment in terms.billed),
+        link_budget=link_budget,
+        result_megabits=column(lambda terms: terms.result_megabits),
+        edge_propagation_ms=column(lambda terms: terms.edge_propagation_ms),
+        transmission_megabits=optional_row(
+            Segment.TRANSMISSION, lambda terms: terms.transmission_megabits
+        ),
+        handoff_latency_ms=billed_row(Segment.HANDOFF, lambda terms: terms.handoff_latency_ms),
+        cooperation_megabits=optional_row(
+            Segment.COOPERATION, lambda terms: terms.cooperation_megabits
+        ),
+        cooperation_propagation_ms=billed_row(
+            Segment.COOPERATION, lambda terms: terms.cooperation_propagation_ms
+        ),
+        thermal_fraction=column(lambda terms: terms.thermal_fraction),
+        base_power_w=column(lambda terms: terms.base_power_w),
+    )
+
+
 class ConditionedPoints:
     """A point set compiled once and evaluated under arrays of conditions.
 
     In the closed forms an operating point sees the epoch's channel only
     through the throughput ``r_w`` (Eqs. 8, 16, 18) and the handoff
     probability ``P(HO)`` (Eq. 17).  The set buckets its points once, by
-    the same structure key :func:`evaluate_points` groups by, and
-    :meth:`evaluate` then makes one vectorized pass per group over
-    (conditions x points).
+    the same structure key :func:`evaluate_points` groups by, and compiles
+    every condition-invariant term of every group into per-point arrays
+    across all groups (zero where a point does not bill a segment).
+    :meth:`evaluate` is then one broadcast pass over (conditions x points);
+    only the min-RoI runs per group, over the fused latency.  The point
+    checks (frame sides, clocks, encoding domain, a path-loss link budget)
+    run here, so an out-of-domain point fails at construction.
 
     Conditioning keeps every field of a point except the throughput, which
     becomes the condition's, and the handoff, which is enabled at the
@@ -758,8 +991,24 @@ class ConditionedPoints:
             raise ConfigurationError("ConditionedPoints needs at least one operating point")
         coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
         self.n_points = len(points)
-        self._groups = _bucket_points(points, coefficients, complexity_mode, include_aoi)
-        self._has_aoi = all(evaluator.aoi_active for evaluator, _, _ in self._groups)
+        buckets = _bucket_points(points, coefficients, complexity_mode, include_aoi)
+        self._terms = _merge_terms(
+            [
+                (
+                    positions,
+                    evaluator._fixed_terms(
+                        values["frame_side_px"],
+                        values["cpu_freq_ghz"],
+                        values["gpu_freq_ghz"],
+                        values["bitrate_mbps"],
+                    )[0],
+                )
+                for evaluator, positions, values in buckets
+            ],
+            self.n_points,
+        )
+        self._groups = [(evaluator, positions) for evaluator, positions, _ in buckets]
+        self._has_aoi = all(evaluator.aoi_active for evaluator, _ in self._groups)
 
     def evaluate(
         self, throughput_mbps: Sequence[float], handoff_probability: Sequence[float]
@@ -781,48 +1030,26 @@ class ConditionedPoints:
             raise ConfigurationError(
                 "throughput and handoff probability must be aligned non-empty 1-D arrays"
             )
-        if not np.all(throughput > 0.0):
+        # min/max propagate NaN, so these reject it like an elementwise test.
+        if not throughput.min() > 0.0:
             raise ConfigurationError("throughputs must be > 0 at every condition")
-        if not np.all((handoff >= 0.0) & (handoff <= 1.0)):
+        if not (handoff.min() >= 0.0 and handoff.max() <= 1.0):
             raise ConfigurationError("handoff probabilities must be in [0, 1]")
         n_conditions = throughput.shape[0]
-        n = self.n_points
-        rows = np.arange(n_conditions, dtype=np.intp)[:, None] * n
-        latency = np.empty(n_conditions * n)
-        energy = np.empty(n_conditions * n)
-        min_roi = np.empty(n_conditions * n) if self._has_aoi else None
         with telemetry.get().span(
             "batch.evaluate_conditions",
-            points=n_conditions * n,
+            points=n_conditions * self.n_points,
             groups=len(self._groups),
             conditions=n_conditions,
         ):
-            for evaluator, positions, values in self._groups:
-                k = positions.shape[0]
-                flat = (rows + positions).ravel()
-                if n_conditions > 1:
-                    values = {
-                        name: np.tile(column, n_conditions) for name, column in values.items()
-                    }
-                group = evaluator.evaluate(
-                    frame_side_px=values["frame_side_px"],
-                    cpu_freq_ghz=values["cpu_freq_ghz"],
-                    gpu_freq_ghz=values["gpu_freq_ghz"],
-                    bitrate_mbps=values["bitrate_mbps"],
-                    throughput_mbps=np.repeat(throughput, k),
-                    positions=flat,
-                    handoff_probability=np.repeat(handoff, k),
-                )
-                latency[flat] = group.total_latency_ms
-                energy[flat] = group.total_energy_mj
-                if min_roi is not None:
-                    aoi = group.aoi
-                    min_roi[flat] = np.minimum.reduce(
+            closed = _closed_forms(self._terms, throughput[:, None], handoff[:, None])
+            latency = closed.total_latency_ms
+            min_roi = None
+            if self._has_aoi:
+                min_roi = np.empty_like(latency)
+                for evaluator, positions in self._groups:
+                    aoi = evaluator._evaluate_aoi(latency[:, positions])
+                    min_roi[:, positions] = np.minimum.reduce(
                         [aoi.roi[name] for name in aoi.sensor_names]
                     )
-        shape = (n_conditions, n)
-        return (
-            latency.reshape(shape),
-            energy.reshape(shape),
-            min_roi.reshape(shape) if min_roi is not None else None,
-        )
+        return latency, closed.total_energy_mj, min_roi

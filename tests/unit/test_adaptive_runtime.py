@@ -14,9 +14,11 @@ from repro.adaptive.runtime import (
     default_candidates,
 )
 from repro.adaptive.traces import EpochConditions, burst_trace, drift_trace
+from repro.batch import ConditionedPoints
 from repro.config.application import ExecutionMode
+from repro.core.coefficients import CoefficientSet
 from repro.core.framework import XRPerformanceModel
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ModelDomainError
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,19 @@ class TestControlContext:
         with pytest.raises(ConfigurationError):
             ControlContext(
                 candidates=small_candidates, deadline_ms=100.0, objective="karma"
+            )
+
+    def test_out_of_domain_candidate_fails_at_construction(self, small_candidates):
+        # A non-positive encoding workload raises when the candidates are
+        # compiled, not at the first sweep (which a prewarm=False co-sim
+        # would reach only mid-run).
+        paper = CoefficientSet.paper()
+        coefficients = replace(paper, encoding=replace(paper.encoding, intercept=-1e6))
+        with pytest.raises(ModelDomainError, match="non-positive workload"):
+            ConditionedPoints(small_candidates, coefficients=coefficients)
+        with pytest.raises(ModelDomainError, match="non-positive workload"):
+            ControlContext(
+                candidates=small_candidates, deadline_ms=100.0, coefficients=coefficients
             )
 
     def test_sweep_is_memoized(self, small_context):

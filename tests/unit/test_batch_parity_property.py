@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive.runtime import default_candidates
@@ -123,15 +123,20 @@ def _reference_min_roi(result):
     return out
 
 
-def _candidates(device, path_loss, cooperation, sensors):
+def _candidates(device, path_loss, cooperation, sensors, edge_distance_m=None):
+    """Default candidates; ``cooperation`` is "off", "present" or "billed"."""
     base = ApplicationConfig.object_detection_default()
     app = replace(
         base,
         cooperation=replace(
-            base.cooperation, enabled=cooperation, include_in_totals=cooperation
+            base.cooperation,
+            enabled=cooperation != "off",
+            include_in_totals=cooperation == "billed",
         ),
     )
     network = NetworkConfig(enable_path_loss=path_loss)
+    if edge_distance_m is not None:
+        network = replace(network, edge_distance_m=edge_distance_m)
     if not sensors:
         network = replace(network, sensors=())
     return default_candidates(
@@ -151,22 +156,54 @@ conditions_lists = st.lists(
     min_size=1,
     max_size=4,
 )
+candidate_devices = st.sampled_from(["XR1", "XR2", "XR6"])
+cooperation_states = st.sampled_from(["off", "present", "billed"])
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    device=st.sampled_from(["XR1", "XR2", "XR6"]),
+    devices=st.tuples(candidate_devices, candidate_devices),
     path_loss=st.booleans(),
-    cooperation=st.booleans(),
+    edge_distance_m=st.floats(min_value=1.0, max_value=500.0, allow_nan=False),
+    cooperation=st.tuples(cooperation_states, cooperation_states),
     include_aoi=st.booleans(),
-    sensors=st.booleans(),
+    sensors=st.tuples(st.booleans(), st.booleans()),
     conditions=conditions_lists,
 )
+@example(
+    devices=("XR1", "XR6"),
+    path_loss=True,
+    edge_distance_m=150.0,
+    cooperation=("billed", "present"),
+    include_aoi=True,
+    sensors=(True, True),
+    conditions=[(0.5, 0.0), (37.5, 1.0), (400.0, 0.3)],
+)
+@example(
+    devices=("XR2", "XR2"),
+    path_loss=False,
+    edge_distance_m=3.0,
+    cooperation=("present", "off"),
+    include_aoi=True,
+    sensors=(True, False),
+    conditions=[(12.0, 0.05)],
+)
 def test_conditioned_points_equal_evaluate_points(
-    device, path_loss, cooperation, include_aoi, sensors, conditions
+    devices, path_loss, edge_distance_m, cooperation, include_aoi, sensors, conditions
 ):
-    """Row ``e`` of a compiled sweep is evaluate_points on conditioned points."""
-    candidates = _candidates(device, path_loss, cooperation, sensors)
+    """Row ``e`` of a compiled sweep is evaluate_points on conditioned points.
+
+    One compiled set interleaves the candidates of two devices on two
+    networks (one possibly with path loss, one at another edge distance),
+    each with cooperation off, present but not billed, or billed, and with
+    or without sensors, so per-candidate constants and zero-filled segments
+    are both exercised.
+    """
+    first = _candidates(devices[0], path_loss, cooperation[0], sensors[0])
+    second = _candidates(
+        devices[1], False, cooperation[1], sensors[1], edge_distance_m=edge_distance_m
+    )
+    candidates = [point for pair in zip(first, second) for point in pair]
     modes = {point.app.inference.mode for point in candidates}
     assert modes == {ExecutionMode.LOCAL, ExecutionMode.REMOTE, ExecutionMode.SPLIT}
     compiled = ConditionedPoints(candidates, include_aoi=include_aoi)
@@ -190,7 +227,7 @@ def test_conditioned_points_equal_evaluate_points(
 
 
 def test_conditioned_points_single_condition_and_validation():
-    candidates = _candidates("XR1", path_loss=False, cooperation=False, sensors=True)
+    candidates = _candidates("XR1", path_loss=False, cooperation="off", sensors=True)
     compiled = ConditionedPoints(candidates)
     assert compiled.n_points == len(candidates)
     latency, energy, min_roi = compiled.evaluate([0.5], [1.0])
@@ -198,7 +235,15 @@ def test_conditioned_points_single_condition_and_validation():
     assert np.array_equal(latency[0], expected.total_latency_ms)
     assert np.array_equal(energy[0], expected.total_energy_mj)
     assert np.array_equal(min_roi[0], _reference_min_roi(expected))
-    for throughput, handoff in (([0.0], [0.1]), ([10.0], [1.5]), ([10.0, 20.0], [0.1]), ([], [])):
+    invalid = (
+        ([0.0], [0.1]),
+        ([10.0], [1.5]),
+        ([float("nan")], [0.1]),
+        ([10.0], [float("nan")]),
+        ([10.0, 20.0], [0.1]),
+        ([], []),
+    )
+    for throughput, handoff in invalid:
         with pytest.raises(ConfigurationError):
             compiled.evaluate(throughput, handoff)
     with pytest.raises(ConfigurationError):
