@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import RegressionError
 
@@ -177,6 +176,8 @@ class LinearRegression:
         confidence: float = 0.95,
     ) -> np.ndarray:
         """95% confidence half-widths of the fitted coefficients."""
+        from scipy import stats  # the only SciPy use; kept off ``import repro``
+
         n_samples, n_features = X.shape
         dof = max(n_samples - n_features, 1)
         residual_variance = float(np.sum((y - predictions) ** 2)) / dof

@@ -4,10 +4,10 @@ The paper models XR device mobility with a random-walk model and derives the
 per-frame handoff probability ``P(HO)`` from it (Eq. 17, citing location
 management analyses).  This module provides:
 
-* :class:`CoverageLayout` — a hexagonal-like grid of circular coverage zones
-  described as a :mod:`networkx` adjacency graph, tagged with the access
-  technology of each zone so handoffs can be classified as horizontal (same
-  technology) or vertical (different technology),
+* :class:`CoverageLayout` — a hexagonal-like grid of circular coverage zones,
+  each adjacent to the zones above, below, left and right of it and tagged
+  with its access technology so handoffs can be classified as horizontal
+  (same technology) or vertical (different technology),
 * :class:`RandomWalkMobility` — a discrete-time random walk of the XR device,
   with both an analytical boundary-crossing probability and a Monte-Carlo
   trajectory sampler used by the simulated testbed.
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ModelDomainError
@@ -36,13 +36,15 @@ class CoverageLayout:
         technologies: cyclic assignment of access technologies to zones;
             neighbouring zones with different technologies produce vertical
             handoffs.
+        zones: the ``(row, col)`` zones in row-major order (derived).
     """
 
     rows: int = 3
     cols: int = 3
     cell_radius_m: float = 50.0
     technologies: Tuple[str, ...] = ("wifi-5ghz", "wifi-2.4ghz")
-    _graph: nx.Graph = field(init=False, repr=False)
+    zones: Tuple[Tuple[int, int], ...] = field(init=False, repr=False)
+    _technology: Dict[Tuple[int, int], str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -55,21 +57,8 @@ class CoverageLayout:
             )
         if not self.technologies:
             raise ConfigurationError("at least one access technology is required")
-        self._graph = nx.grid_2d_graph(self.rows, self.cols)
-        for index, node in enumerate(sorted(self._graph.nodes)):
-            self._graph.nodes[node]["technology"] = self.technologies[
-                index % len(self.technologies)
-            ]
-            row, col = node
-            self._graph.nodes[node]["center_m"] = (
-                col * 2.0 * self.cell_radius_m,
-                row * 2.0 * self.cell_radius_m,
-            )
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The zone adjacency graph (nodes are (row, col) tuples)."""
-        return self._graph
+        self.zones = tuple((row, col) for row in range(self.rows) for col in range(self.cols))
+        self._technology = dict(zip(self.zones, cycle(self.technologies)))
 
     @property
     def n_zones(self) -> int:
@@ -77,12 +66,18 @@ class CoverageLayout:
         return self.rows * self.cols
 
     def technology_of(self, zone: Tuple[int, int]) -> str:
-        """Access technology of a zone."""
-        return self._graph.nodes[zone]["technology"]
+        """Access technology of a zone; ConfigurationError if it is not in the layout."""
+        try:
+            return self._technology[zone]
+        except (KeyError, TypeError):  # TypeError: unhashable, e.g. a list
+            raise ConfigurationError(f"zone {zone!r} is outside the layout") from None
 
     def neighbors(self, zone: Tuple[int, int]) -> List[Tuple[int, int]]:
-        """Adjacent zones the device can move to."""
-        return list(self._graph.neighbors(zone))
+        """Adjacent zones, up/down/left/right: the walk's RNG indexes this order."""
+        self.technology_of(zone)  # rejects a zone outside the layout
+        row, col = zone
+        steps = ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1))
+        return [(r, c) for r, c in steps if 0 <= r < self.rows and 0 <= c < self.cols]
 
     def is_vertical_transition(
         self, origin: Tuple[int, int], destination: Tuple[int, int]
@@ -128,10 +123,7 @@ class RandomWalkMobility:
             )
         if self.start_zone is None:
             self.start_zone = (self.layout.rows // 2, self.layout.cols // 2)
-        if self.start_zone not in self.layout.graph:
-            raise ConfigurationError(
-                f"start zone {self.start_zone} is outside the layout"
-            )
+        self.layout.technology_of(self.start_zone)  # rejects a zone outside the layout
 
     # -- analytical boundary-crossing probability --------------------------------
 

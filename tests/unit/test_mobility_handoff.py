@@ -1,7 +1,12 @@
 """Unit tests for mobility (random walk) and handoff models (Eq. 17)."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
+from repro.adaptive import make_trace
 from repro.config.network import HandoffConfig
 from repro.exceptions import ConfigurationError, ModelDomainError
 from repro.network.handoff import HandoffLatencyBreakdown, HandoffModel
@@ -12,11 +17,11 @@ class TestCoverageLayout:
     def test_grid_size(self):
         layout = CoverageLayout(rows=3, cols=4)
         assert layout.n_zones == 12
-        assert len(layout.graph.nodes) == 12
+        assert len(layout.zones) == 12
 
     def test_technology_assignment_cycles(self):
         layout = CoverageLayout(technologies=("a", "b"))
-        technologies = {layout.technology_of(zone) for zone in layout.graph.nodes}
+        technologies = {layout.technology_of(zone) for zone in layout.zones}
         assert technologies == {"a", "b"}
 
     def test_vertical_transition_detection(self):
@@ -25,7 +30,7 @@ class TestCoverageLayout:
 
     def test_single_technology_has_no_vertical_handoffs(self):
         layout = CoverageLayout(technologies=("wifi",))
-        for zone in layout.graph.nodes:
+        for zone in layout.zones:
             assert layout.vertical_neighbor_fraction(zone) == 0.0
 
     def test_invalid_dimensions_rejected(self):
@@ -158,6 +163,101 @@ class TestDegenerateGraphClassification:
         # Every move in an alternating 1xN corridor crosses technologies.
         assert trace.n_handoffs > 0
         assert trace.n_vertical_handoffs == trace.n_handoffs
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestGridParity:
+    """Neighbour order, walks and traces as recorded from networkx's ``grid_2d_graph``.
+
+    ``RandomWalkMobility.walk`` indexes the neighbour list with its RNG, so
+    the neighbour order is part of every seeded trajectory and trace.
+    """
+
+    @pytest.mark.parametrize(
+        "rows, cols, zone, expected",
+        [
+            (3, 3, (0, 0), [(1, 0), (0, 1)]),
+            (3, 3, (0, 1), [(1, 1), (0, 0), (0, 2)]),
+            (3, 3, (1, 0), [(0, 0), (2, 0), (1, 1)]),
+            (3, 3, (1, 1), [(0, 1), (2, 1), (1, 0), (1, 2)]),
+            (3, 3, (2, 2), [(1, 2), (2, 1)]),
+            (1, 5, (0, 0), [(0, 1)]),
+            (1, 5, (0, 2), [(0, 1), (0, 3)]),
+            (1, 5, (0, 4), [(0, 3)]),
+            (5, 1, (0, 0), [(1, 0)]),
+            (5, 1, (2, 0), [(1, 0), (3, 0)]),
+            (5, 1, (4, 0), [(3, 0)]),
+        ],
+    )
+    def test_neighbor_order(self, rows, cols, zone, expected):
+        assert CoverageLayout(rows=rows, cols=cols).neighbors(zone) == expected
+
+    def test_zones_are_row_major_and_technologies_cycle_over_them(self):
+        layout = CoverageLayout(rows=2, cols=3, technologies=("a", "b", "c", "d"))
+        assert layout.zones == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+        assert [layout.technology_of(zone) for zone in layout.zones] == [
+            "a", "b", "c", "d", "a", "b",
+        ]
+
+    def test_seeded_walk_on_default_grid(self):
+        layout = CoverageLayout(technologies=("a", "b", "c"))
+        mobility = RandomWalkMobility(layout=layout, speed_m_per_s=50.0, pause_probability=0.1)
+        trace = mobility.walk(12, 500.0, np.random.default_rng(0))
+        assert trace.zones == [
+            (1, 1), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (1, 1),
+            (1, 2), (1, 2), (1, 2), (1, 1), (1, 1), (1, 1),
+        ]
+        assert [i for i, flag in enumerate(trace.vertical_flags) if flag] == [6, 9]
+
+    @pytest.mark.parametrize(
+        "rows, cols, technologies, seed, digest, moves, vertical",
+        [
+            (3, 3, ("a", "b", "c"), 1,
+             "cef98839c81bd03dfac715f8ebb89d2bc81838d2e52207762df29804997a681f", 101, 48),
+            (1, 5, ("a", "b", "c"), 2,
+             "eff4e7ed5aa42d5e5b378bc18fc268e659ee19d88002104c5327f1216658becd", 109, 109),
+            (5, 1, ("a", "b", "c"), 3,
+             "16fd341a1acbf2dcd693a5a8cffe6c019b88cac11044fd85c1708339cdba8de3", 101, 101),
+            (4, 6, ("a", "b", "c", "d"), 4,
+             "44e1a883c98447028d1d996bd430f309e37eb2839ebcc16b3a1601ce309ed48c", 94, 94),
+            (9, 9, ("a", "b", "c"), 5,
+             "aed7abe744437c61c849a7889fa2d320747ea2c6b475aab834414c0b7710e395", 90, 42),
+        ],
+    )
+    def test_seeded_walks(self, rows, cols, technologies, seed, digest, moves, vertical):
+        layout = CoverageLayout(rows=rows, cols=cols, technologies=technologies)
+        mobility = RandomWalkMobility(layout=layout, speed_m_per_s=50.0, pause_probability=0.1)
+        trace = mobility.walk(400, 500.0, np.random.default_rng(seed))
+        assert (trace.n_handoffs, trace.n_vertical_handoffs) == (moves, vertical)
+        assert _digest([trace.zones, trace.vertical_flags]) == digest
+
+    def test_mobility_trace_digest(self):
+        trace = make_trace("mobility", 2000, seed=7)
+        assert (
+            _digest(trace.to_dict())
+            == "a123b92a7dcb3864aa3f9d76ba22121f2781ad24a7a8dfdf72ffa1ce7c4e7100"
+        )
+
+
+class TestZoneValidation:
+    @pytest.mark.parametrize("zone", [(-1, 1), (1, 3), (1,), (1, 1, 1), [1, 1]])
+    def test_start_zone_outside_layout_rejected(self, zone):
+        # An unhashable list must fail as a ConfigurationError, not a TypeError.
+        with pytest.raises(ConfigurationError):
+            RandomWalkMobility(layout=CoverageLayout(), start_zone=zone)
+
+    @pytest.mark.parametrize("zone", [(3, 0), (-1, 0), (0, 3), (0, -1), (1,), [1, 1]])
+    def test_zone_outside_layout_rejected(self, zone):
+        layout = CoverageLayout()
+        with pytest.raises(ConfigurationError):
+            layout.neighbors(zone)
+        with pytest.raises(ConfigurationError):
+            layout.technology_of(zone)
+        with pytest.raises(ConfigurationError):
+            layout.is_vertical_transition((1, 1), zone)
 
 
 class TestHandoffLatency:
