@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.adaptive.traces import EpochConditions
+from repro.config.validation import ensure_integer, ensure_non_negative
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,7 +44,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @runtime_checkable
 class Controller(Protocol):
-    """The contract :class:`~repro.adaptive.runtime.AdaptiveRuntime` drives."""
+    """The contract :class:`~repro.adaptive.runtime.AdaptiveRuntime` drives.
+
+    ``state`` returns everything ``decide`` and ``observe`` mutate as one
+    value that compares by ``==``, and ``restore`` puts such a value back;
+    ``restore(state())`` must be a no-op.  The co-simulation
+    (:class:`~repro.cosim.engine.CoSimulation`) relies on the pair because
+    its best-response search calls ``decide`` several times per epoch, each
+    time from the epoch-start state.  The single-user runtime calls neither.
+    """
 
     name: str
 
@@ -60,9 +69,19 @@ class Controller(Protocol):
     ) -> None:
         """Digest the realised outcome of the epoch just decided."""
 
+    def state(self) -> object:
+        """The controller's mutable state as an equality-comparable value."""
+
+    def restore(self, state: object) -> None:
+        """Return to a value previously taken by :meth:`state`."""
+
 
 class ControllerBase:
-    """No-op ``reset``/``observe`` so controllers only implement ``decide``."""
+    """No-op ``reset``/``observe`` so controllers implement ``decide``.
+
+    ``state``/``restore`` get no default: ``()`` would be silently wrong for
+    a stateful subclass, so every controller states its own.
+    """
 
     name = "controller"
 
@@ -83,9 +102,9 @@ class StaticBaseline(ControllerBase):
     """
 
     def __init__(self, index: int) -> None:
-        if index < 0:
-            raise ConfigurationError(f"candidate index must be >= 0, got {index}")
-        self.index = int(index)
+        self.index = ensure_non_negative(
+            "candidate index", ensure_integer("candidate index", index)
+        )
         self.name = f"static[{self.index}]"
 
     def reset(self, context: "ControlContext") -> None:
@@ -100,6 +119,12 @@ class StaticBaseline(ControllerBase):
     ) -> int:
         del epoch, conditions, context
         return self.index
+
+    def state(self) -> tuple:
+        return ()
+
+    def restore(self, state: tuple) -> None:
+        del state
 
 
 class HysteresisThreshold(ControllerBase):
@@ -143,9 +168,12 @@ class HysteresisThreshold(ControllerBase):
         offload_index: Optional[int] = None,
         fallback_index: Optional[int] = None,
     ) -> None:
-        if low_mbps <= 0.0 or high_mbps <= 0.0:
-            raise ConfigurationError("hysteresis thresholds must be > 0 Mbps")
-        if low_mbps >= high_mbps:
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not (low_mbps > 0.0 and high_mbps > 0.0):
+            raise ConfigurationError(
+                f"hysteresis thresholds must be > 0 Mbps, got {low_mbps} and {high_mbps}"
+            )
+        if not low_mbps < high_mbps:
             raise ConfigurationError(
                 f"low_mbps ({low_mbps}) must be below high_mbps ({high_mbps})"
             )
@@ -223,6 +251,13 @@ class HysteresisThreshold(ControllerBase):
             self._last_switch_epoch = epoch
         return self._current
 
+    def state(self) -> tuple:
+        # The rungs are fixed at reset, so they are configuration, not state.
+        return (self._current, self._last_switch_epoch)
+
+    def restore(self, state: tuple) -> None:
+        self._current, self._last_switch_epoch = state
+
 
 class GreedyBatchSweep(ControllerBase):
     """Full-grid sweep per epoch through the batch engine.
@@ -248,6 +283,12 @@ class GreedyBatchSweep(ControllerBase):
     ) -> int:
         del epoch
         return context.select(context.sweep(conditions), objective=self.objective)
+
+    def state(self) -> tuple:
+        return ()
+
+    def restore(self, state: tuple) -> None:
+        del state
 
 
 class EwmaPredictive(ControllerBase):
@@ -290,7 +331,7 @@ class EwmaPredictive(ControllerBase):
             raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
         self.alpha = float(alpha)
         self.epsilon = float(epsilon)
-        self.seed = int(seed)
+        self.seed = ensure_non_negative("seed", ensure_integer("seed", seed))
         self.objective = objective
         self._rng = np.random.default_rng(self.seed)
         self._ewma_throughput: Optional[float] = None
@@ -324,6 +365,19 @@ class EwmaPredictive(ControllerBase):
         if feasible.size > 1 and self._rng.random() < self.epsilon:
             return int(feasible[self._rng.integers(0, feasible.size)])
         return context.select(evaluation, objective=self.objective)
+
+    def state(self) -> tuple:
+        return (
+            self._ewma_throughput,
+            self._ewma_handoff,
+            self._rng.bit_generator.state,
+        )
+
+    def restore(self, state: tuple) -> None:
+        self._ewma_throughput, self._ewma_handoff, rng_state = state
+        # Assigned on the existing generator, so later draws continue the
+        # restored stream bit for bit.
+        self._rng.bit_generator.state = rng_state
 
     def observe(
         self, epoch: int, conditions: EpochConditions, outcome: "EpochOutcome"

@@ -7,9 +7,18 @@ exact configuration value that is wrong.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigurationError
+
+
+def ensure_integer(name: str, value: object) -> int:
+    """Return ``value`` as an ``int``; NumPy integers pass, floats raise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def ensure_positive(name: str, value: float) -> float:

@@ -25,6 +25,15 @@ decisions.  Every epoch's convergence flag and iteration count are recorded
 on the :class:`~repro.cosim.results.CosimReport` — an adversarial fleet
 whose best responses cycle is reported, not hidden.
 
+Because ``decide`` may run several times per epoch, every controller must
+advance from the same epoch-start state in each round.  The engine takes
+that state as a value once per epoch (:meth:`Controller.state
+<repro.adaptive.controllers.Controller.state>`) and restores it before each
+``decide``; a controller without ``state``/``restore`` is rejected when the
+simulation is built.  The per-class endogenous conditions are built once
+per (epoch, offloader count) and shared by the decision rounds and the
+charging step.
+
 Equivalence classes
 -------------------
 Users sharing ``(device, app, controller, trace)`` see identical conditions
@@ -460,6 +469,14 @@ class CoSimulation:
             class_of_user[index] = cls_index
         reference = classes[0].trace
         for cls in classes:
+            for method in ("state", "restore"):
+                if not callable(getattr(cls.template, method, None)):
+                    name = getattr(cls.template, "name", type(cls.template).__name__)
+                    raise ConfigurationError(
+                        f"controller {name!r} has no {method}() method; the "
+                        "co-simulation re-runs decide from a state()/restore() "
+                        "snapshot of each epoch"
+                    )
             if (
                 cls.trace.n_epochs != reference.n_epochs
                 or cls.trace.epoch_ms != reference.epoch_ms
@@ -554,6 +571,11 @@ class CoSimulation:
         """The (cached) round-robin deal of an offloading pattern."""
         key = (offload_c.tobytes(), alive)
         deal = self._deals.get(key)
+        registry = telemetry.get()
+        if registry.enabled:
+            registry.add(
+                "cosim.deal_cache.misses" if deal is None else "cosim.deal_cache.hits"
+            )
         if deal is None:
             deal = self._build_deal(offload_c, alive)
             self._deals[key] = deal
@@ -733,28 +755,28 @@ class CoSimulation:
     def _decide_round(
         self,
         epoch: int,
-        base: Sequence[EpochConditions],
-        snapshots: Sequence[Controller],
-        loads: _EpochLoads,
+        conditions: Sequence[EpochConditions],
+        snapshots: Sequence[object],
         wait_ms: Sequence[float],
         throughput_mbps: Sequence[float],
     ) -> List[int]:
         """One synchronized decision round under the given per-class conditions.
 
-        Every controller is restored from its epoch-start snapshot first:
-        the fixed-point search may call ``decide`` several times per epoch,
-        but controller state must advance exactly once per epoch.
+        ``conditions`` are the classes' endogenous conditions under the
+        round's loads; a (damped) ``throughput_mbps`` that differs replaces
+        their throughput.  Every controller is first restored to its
+        epoch-start state value in ``snapshots``: the fixed-point search may
+        call ``decide`` several times per epoch, but controller state must
+        advance exactly once per epoch.
         """
         decisions: List[int] = []
         for cls_index, cls in enumerate(self._classes):
-            conditions = self._endogenous(base[cls_index], loads.n_offloaded)
-            if throughput_mbps[cls_index] != conditions.throughput_mbps:
-                conditions = replace(
-                    conditions, throughput_mbps=throughput_mbps[cls_index]
-                )
-            cls.controller = copy.deepcopy(snapshots[cls_index])
+            current = conditions[cls_index]
+            if throughput_mbps[cls_index] != current.throughput_mbps:
+                current = replace(current, throughput_mbps=throughput_mbps[cls_index])
+            cls.controller.restore(snapshots[cls_index])
             cls.context.decision_wait_ms = wait_ms[cls_index]
-            index = int(cls.controller.decide(epoch, conditions, cls.context))
+            index = int(cls.controller.decide(epoch, current, cls.context))
             if not 0 <= index < cls.context.n_candidates:
                 raise ConfigurationError(
                     f"controller {cls.controller.name!r} chose candidate "
@@ -910,7 +932,18 @@ class CoSimulation:
             # Link degradation reshapes the exogenous channel *before*
             # contention; edge-side faults act through the loads below.
             base = [fault_state.apply_to_conditions(c) for c in base]
-        snapshots = [copy.deepcopy(cls.controller) for cls in classes]
+        snapshots = [cls.controller.state() for cls in classes]
+        # Per-class endogenous conditions by offloader count, shared by the
+        # decision rounds and the charging step.
+        endogenous: Dict[int, List[EpochConditions]] = {}
+
+        def conditions_under(n_offloaded: int) -> List[EpochConditions]:
+            if n_offloaded not in endogenous:
+                endogenous[n_offloaded] = [
+                    self._endogenous(exogenous, n_offloaded) for exogenous in base
+                ]
+            return endogenous[n_offloaded]
+
         decisions: List[Optional[int]] = list(self._prev_decisions)
         prev_wait: List[Optional[float]] = [None] * len(classes)
         prev_thr: List[Optional[float]] = [None] * len(classes)
@@ -927,14 +960,12 @@ class CoSimulation:
             iterations += 1
             loads = self._loads(decisions, fault_state)
             loads_current = True
+            conditions = conditions_under(loads.n_offloaded)
             exact_wait = [
                 self._decision_wait(cls_index, loads, fault_state)
                 for cls_index in range(len(classes))
             ]
-            exact_thr = [
-                self._endogenous(base[cls_index], loads.n_offloaded).throughput_mbps
-                for cls_index in range(len(classes))
-            ]
+            exact_thr = [c.throughput_mbps for c in conditions]
             used_wait = [
                 self._damp(previous, exact)
                 for previous, exact in zip(prev_wait, exact_wait)
@@ -952,7 +983,7 @@ class CoSimulation:
                 )
             prev_wait, prev_thr = used_wait, used_thr
             new_decisions = self._decide_round(
-                epoch, base, snapshots, loads, used_wait, used_thr
+                epoch, conditions, snapshots, used_wait, used_thr
             )
             if new_decisions != decisions:
                 decisions = new_decisions
@@ -972,7 +1003,7 @@ class CoSimulation:
                 break
             iterations += 1
             verification = self._decide_round(
-                epoch, base, snapshots, loads, exact_wait, exact_thr
+                epoch, conditions, snapshots, exact_wait, exact_thr
             )
             prev_wait, prev_thr = list(exact_wait), list(exact_thr)
             if verification == decisions:
@@ -1015,12 +1046,10 @@ class CoSimulation:
         quality_c = np.empty(n_classes)
         frames_c = np.empty(n_classes)
         roi_c: List[Optional[float]] = [None] * n_classes
-        final_conditions: List[EpochConditions] = []
+        final_conditions = conditions_under(loads.n_offloaded)
         for cls_index, cls in enumerate(classes):
-            conditions = self._endogenous(base[cls_index], loads.n_offloaded)
-            final_conditions.append(conditions)
             cls.context.decision_wait_ms = 0.0
-            evaluation = cls.context.sweep(conditions)
+            evaluation = cls.context.sweep(final_conditions[cls_index])
             index = decisions[cls_index]
             latency_c[cls_index] = evaluation.latency_ms[index]
             energy_c[cls_index] = evaluation.energy_mj[index]

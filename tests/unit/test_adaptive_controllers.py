@@ -6,6 +6,8 @@
   produce an identical :class:`AdaptationReport`.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,14 @@ class TestStaticBaseline:
         with pytest.raises(ConfigurationError):
             StaticBaseline(-1)
 
+    def test_fractional_index_rejected(self):
+        with pytest.raises(ConfigurationError, match="integer"):
+            StaticBaseline(1.5)
+
+    def test_numpy_integer_index_accepted(self):
+        controller = StaticBaseline(np.int64(2))
+        assert controller.index == 2 and type(controller.index) is int
+
     def test_pins_its_candidate(self, burst_runtime):
         report = burst_runtime.run(StaticBaseline(5))
         assert set(report.chosen_indices) == {5}
@@ -103,6 +113,12 @@ class TestHysteresisThreshold:
             HysteresisThreshold(handoff_cap=1.5)
         with pytest.raises(ConfigurationError):
             HysteresisThreshold(min_dwell_epochs=-1)
+
+    @pytest.mark.parametrize("edge", ("low_mbps", "high_mbps"))
+    def test_nan_threshold_rejected(self, edge):
+        # Every comparison with NaN is false, so a NaN band never engages.
+        with pytest.raises(ConfigurationError):
+            HysteresisThreshold(**{edge: math.nan})
 
     def test_downgrade_is_immediate_upgrade_waits_for_dwell(self):
         # good x3, bad x1, good x6: the downgrade happens in the bad epoch,
@@ -162,6 +178,17 @@ class TestEwmaPredictive:
             EwmaPredictive(alpha=0.0)
         with pytest.raises(ConfigurationError):
             EwmaPredictive(epsilon=-0.1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            EwmaPredictive(seed=-1)
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="integer"):
+            EwmaPredictive(seed=1.7)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert EwmaPredictive(seed=np.uint32(7)).seed == 7
 
     def test_conservative_prediction_never_misses_with_feasible_local(self):
         for scenario in ("drift", "step", "burst"):

@@ -1,5 +1,6 @@
 """Unit tests for the closed-loop fleet x adaptive co-simulation."""
 
+import copy
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 from repro.adaptive import (
     AdaptiveRuntime,
     ConditionTrace,
+    ControlContext,
+    ControllerBase,
     EpochConditions,
     EwmaPredictive,
     GreedyBatchSweep,
@@ -218,6 +221,116 @@ class TestClosedLoopDynamics:
             include_aoi=False,
         )
         assert simulation.run().to_dict() == simulation.run().to_dict()
+
+
+class _DeepCopyEwma(EwmaPredictive):
+    """The engine's former snapshot semantics: a deep copy of the whole object."""
+
+    def state(self):
+        return copy.deepcopy(vars(self))
+
+    def restore(self, state):
+        vars(self).clear()
+        vars(self).update(copy.deepcopy(state))
+
+
+class _NoState(ControllerBase):
+    """A controller written before ``state``/``restore`` joined the protocol."""
+
+    name = "no-state"
+
+    def decide(self, epoch, conditions, context):
+        return 0
+
+
+class _NoRestore(_NoState):
+    def state(self):
+        return ()
+
+
+class _OutOfRange(ControllerBase):
+    """Chooses one past the last candidate."""
+
+    name = "out-of-range"
+
+    def decide(self, epoch, conditions, context):
+        return context.n_candidates
+
+    def state(self):
+        return ()
+
+    def restore(self, state):
+        del state
+
+
+class TestControllerState:
+    """The engine snapshots controller state as values, once per epoch."""
+
+    @staticmethod
+    def _mixed(ewma_type, population):
+        templates = (
+            GreedyBatchSweep(),
+            HysteresisThreshold(),
+            ewma_type(epsilon=0.5, seed=11),
+        )
+        controller = {
+            user.name: templates[index % 3] for index, user in enumerate(population)
+        }
+        return CoSimulation(
+            population, controller, burst_trace(30, seed=2), n_edges=2, include_aoi=False
+        )
+
+    def test_state_values_match_deep_copy_snapshots(self):
+        population = mixed_devices(24, devices=("XR1", "XR2"))
+        report = self._mixed(EwmaPredictive, population).run()
+        reference = self._mixed(_DeepCopyEwma, population).run()
+        # Every epoch re-decides from its snapshot at least once.
+        assert min(report.iterations) >= 2
+        assert report.to_dict() == reference.to_dict()
+
+    def test_controllers_are_copied_once_per_class_per_run(self, monkeypatch):
+        simulation = self._mixed(EwmaPredictive, mixed_devices(12, devices=("XR1",)))
+        deepcopy = copy.deepcopy
+        copied = []
+
+        def counting(value, memo=None):
+            if memo is None:
+                copied.append(value)
+            return deepcopy(value, memo)
+
+        monkeypatch.setattr(copy, "deepcopy", counting)
+        simulation.run()
+        simulation.run()
+        templates = [cls.template for cls in simulation._classes]
+        assert len(templates) == 3
+        assert [id(value) for value in copied] == [id(t) for t in templates] * 2
+
+    @pytest.mark.parametrize(
+        "controller_type, missing", [(_NoState, "state"), (_NoRestore, "restore")]
+    )
+    def test_controller_without_state_rejected_before_prewarm(
+        self, monkeypatch, controller_type, missing
+    ):
+        def prewarm(context, trace):
+            raise AssertionError("prewarm ran before the controller was checked")
+
+        monkeypatch.setattr(ControlContext, "prewarm", prewarm)
+        with pytest.raises(ConfigurationError, match=rf"'no-state'.* {missing}\(\)"):
+            CoSimulation(homogeneous(2, device="XR1"), controller_type(), constant_trace(2))
+        # The single-user runtime never snapshots, so it still runs them.
+        runtime = AdaptiveRuntime(trace=constant_trace(3), prewarm=False)
+        assert runtime.run(controller_type()).chosen_indices == (0, 0, 0)
+
+    def test_out_of_range_decision_rejected(self):
+        simulation = CoSimulation(
+            homogeneous(3, device="XR1"),
+            _OutOfRange(),
+            constant_trace(2),
+            include_aoi=False,
+            prewarm=False,
+        )
+        with pytest.raises(ConfigurationError, match="'out-of-range' chose candidate"):
+            simulation.run()
 
 
 class TestEquivalenceClasses:

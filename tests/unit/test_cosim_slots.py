@@ -9,7 +9,8 @@ pairs.  These tests pin both to the straightforward per-user definitions:
   offloading user — on edge rates, busy fractions, class waits and per-user
   waits, exactly;
 * ``percentiles_from_counts`` equals ``np.percentile`` over the expanded
-  samples, exactly.
+  samples, exactly;
+* the deal cache's telemetry counts one hit or miss per load computation.
 """
 
 import math
@@ -20,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive import ConditionTrace, EpochConditions, GreedyBatchSweep
+from repro import telemetry
+from repro.adaptive import ConditionTrace, EpochConditions, GreedyBatchSweep, step_trace
 from repro.cosim import CoSimulation
 from repro.cosim.engine import DEAL_CACHE_SIZE, percentiles_from_counts
 from repro.faults.schedule import EpochFaultState
@@ -204,6 +206,35 @@ def test_deal_cache_is_bounded_and_stays_exact():
         assert _pair_waits(loads) == class_wait
         assert np.array_equal(loads.slot_wait_ms[loads.deal.slot_of_user], wait_user)
         assert len(simulation._deals) <= DEAL_CACHE_SIZE
+
+
+def test_deal_cache_counters_cover_every_load(monkeypatch):
+    # A greedy fleet past cell capacity alternates between its two offloading
+    # patterns (all local, all offloading) within an epoch.
+    simulation = CoSimulation(
+        homogeneous(16, device="XR1"),
+        GreedyBatchSweep(),
+        step_trace(12, seed=3),
+        n_edges=1,
+        include_aoi=False,
+    )
+    loads = simulation._loads
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return loads(*args)
+
+    monkeypatch.setattr(simulation, "_loads", counting)
+    with telemetry.scoped(telemetry.Telemetry()) as registry:
+        simulation.run()
+    counters = registry.snapshot()["counters"]
+    hits = counters.get("cosim.deal_cache.hits", 0)
+    misses = counters.get("cosim.deal_cache.misses", 0)
+    assert hits + misses == len(calls)
+    # One class, no faults: at most one deal per offloading pattern.
+    assert 1 <= misses <= 2
+    assert hits > 0
 
 
 # ---------------------------------------------------------------------------
