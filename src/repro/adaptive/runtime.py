@@ -7,8 +7,8 @@ reads the epoch's :class:`~repro.adaptive.traces.EpochConditions`, asks the
 controller for an operating point, and charges the point's per-frame
 latency/energy/AoI under the *true* epoch conditions.
 
-Candidate evaluation goes through the vectorized batch engine: each
-:class:`ControlContext` compiles its candidates once into a
+Candidate evaluation goes through the vectorized batch engine: a
+:class:`ControlContext`'s candidates are compiled once into a
 :class:`repro.batch.ConditionedPoints`, whose condition axes are exactly
 the epoch's throughput and handoff probability, so an out-of-domain
 candidate fails at construction.  A live sweep is one fused broadcast pass
@@ -16,7 +16,10 @@ over all candidates, and the pre-warm pass fills the per-epoch sweep cache
 with **one** such pass over all ``epochs x candidates`` evaluations — after
 which a full-grid controller like
 :class:`~repro.adaptive.controllers.GreedyBatchSweep` costs an array argmin
-per epoch.
+per epoch.  Contexts over different candidate lists can share one compiled
+set (see :class:`_CandidateBlocks`): the co-simulation gives every class
+of a simulation the same set, so a condition key is evaluated once for all
+of them.
 
 Quality model
 -------------
@@ -124,6 +127,66 @@ class CandidateEvaluation:
     min_roi: Optional[np.ndarray] = None
 
 
+#: Sweep-memo key: the exact (throughput, handoff probability) pair.
+_Key = Tuple[float, float]
+
+
+class _CandidateBlocks:
+    """Candidate blocks compiled into one set, with one sweep memo per block.
+
+    A block is one candidate tuple.  All blocks are compiled together into a
+    single :class:`~repro.batch.ConditionedPoints`, so :meth:`evaluate` is
+    one pass over every block's candidates, and each block's memo receives
+    its own columns of the result as basic-slice views.  Every evaluation
+    writes every memo, so all memos always hold the same keys.  A point's
+    row does not depend on the other points of the set (a segment a point
+    does not bill adds ``+0.0``), so a block's slice equals, bit for bit,
+    what a set compiled from that block alone returns.
+
+    ``min_roi`` comes back only when every structure group of the fused set
+    has AoI, so the blocks must agree on it: build them on one network.
+
+    Args:
+        blocks: the candidate tuples, one per block.
+        coefficients / complexity_mode / include_aoi: forwarded to the
+            compiled set.
+    """
+
+    def __init__(
+        self,
+        blocks: Sequence[Sequence[OperatingPoint]],
+        coefficients: Optional[CoefficientSet] = None,
+        complexity_mode: str = "paper",
+        include_aoi: bool = True,
+    ) -> None:
+        self.blocks = tuple(tuple(block) for block in blocks)
+        self._conditioned = ConditionedPoints(
+            [point for block in self.blocks for point in block],
+            coefficients=coefficients,
+            complexity_mode=complexity_mode,
+            include_aoi=include_aoi,
+        )
+        self._columns: List[slice] = []
+        start = 0
+        for block in self.blocks:
+            self._columns.append(slice(start, start + len(block)))
+            start += len(block)
+        self.memos: List[Dict[_Key, CandidateEvaluation]] = [{} for _ in self.blocks]
+
+    def evaluate(self, keys: Sequence[_Key]) -> None:
+        """Evaluate every block under each condition key into every memo."""
+        latency, energy, min_roi = self._conditioned.evaluate(
+            [throughput for throughput, _ in keys], [handoff for _, handoff in keys]
+        )
+        for memo, columns in zip(self.memos, self._columns):
+            for row, key in enumerate(keys):
+                memo[key] = CandidateEvaluation(
+                    latency_ms=latency[row, columns],
+                    energy_mj=energy[row, columns],
+                    min_roi=min_roi[row, columns] if min_roi is not None else None,
+                )
+
+
 @dataclass(frozen=True)
 class EpochOutcome:
     """What the chosen operating point delivered during one epoch."""
@@ -143,10 +206,14 @@ class ControlContext:
 
     The context owns the candidate set, the deadline, the quality scores
     and a memoized per-conditions sweep of the whole candidate list.  The
-    candidates are compiled once into a
-    :class:`~repro.batch.ConditionedPoints`; a pre-warm pass
-    (:meth:`prewarm`) fills the memo for every epoch of a trace with a
-    single call over the trace's distinct conditions.
+    sweeps go through one block of a compiled set
+    (:class:`_CandidateBlocks`); a context built alone compiles a one-block
+    set of its own.  Contexts handed blocks of one shared set share its
+    evaluations: a condition key one of them sweeps or pre-warms is
+    evaluated once, for every block, and is a memo hit for all of them
+    afterwards.  A pre-warm pass (:meth:`prewarm`) fills the memo for every
+    epoch of a trace with a single call over the trace's distinct
+    conditions that are not memoized yet.
 
     Args:
         candidates: the operating points the controller chooses among.
@@ -156,6 +223,11 @@ class ControlContext:
         complexity_mode: CNN-complexity placement mode.
         include_aoi: evaluate the AoI model per point (enables the
             ``min_roi`` arrays and the report's AoI-violation rate).
+        block: ``(compiled set, block index)`` to sweep through; the block
+            must hold exactly ``candidates``, and the set's own
+            coefficients, complexity mode and AoI switch apply.  None
+            compiles a one-block set of the context's own.  The
+            co-simulation passes one to share a set among its classes.
     """
 
     def __init__(
@@ -166,10 +238,12 @@ class ControlContext:
         coefficients: Optional[CoefficientSet] = None,
         complexity_mode: str = "paper",
         include_aoi: bool = True,
+        block: Optional[Tuple[_CandidateBlocks, int]] = None,
     ) -> None:
         if not candidates:
             raise ConfigurationError("the adaptive runtime needs at least one candidate")
-        if deadline_ms <= 0.0:
+        # Written so that NaN fails too.
+        if not deadline_ms > 0.0:
             raise ConfigurationError(f"deadline must be > 0 ms, got {deadline_ms}")
         if objective not in OBJECTIVES:
             raise ConfigurationError(
@@ -180,13 +254,15 @@ class ControlContext:
         self.objective = objective
         self.coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
         self.quality = np.asarray([candidate_quality(p) for p in self.candidates])
-        self._conditioned = ConditionedPoints(
-            self.candidates,
-            coefficients=self.coefficients,
-            complexity_mode=complexity_mode,
-            include_aoi=include_aoi,
-        )
-        self._memo: Dict[Tuple[float, float], CandidateEvaluation] = {}
+        if block is None:
+            shared = _CandidateBlocks(
+                [self.candidates], self.coefficients, complexity_mode, include_aoi
+            )
+            block = (shared, 0)
+        self._blocks, index = block
+        if self._blocks.blocks[index] != self.candidates:
+            raise ConfigurationError("a context's block must hold exactly its candidates")
+        self._memo = self._blocks.memos[index]
 
     @property
     def n_candidates(self) -> int:
@@ -194,7 +270,7 @@ class ControlContext:
         return len(self.candidates)
 
     @staticmethod
-    def _key(conditions: EpochConditions) -> Tuple[float, float]:
+    def _key(conditions: EpochConditions) -> _Key:
         """Sweep-memo key: the *exact* (throughput, handoff) pair.
 
         Bundled trace generators quantize the handoff probability to the
@@ -210,18 +286,6 @@ class ControlContext:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _evaluate(self, keys: Sequence[Tuple[float, float]]) -> None:
-        """Evaluate every candidate under each condition key into the memo."""
-        latency, energy, min_roi = self._conditioned.evaluate(
-            [throughput for throughput, _ in keys], [handoff for _, handoff in keys]
-        )
-        for row, key in enumerate(keys):
-            self._memo[key] = CandidateEvaluation(
-                latency_ms=latency[row],
-                energy_mj=energy[row],
-                min_roi=min_roi[row] if min_roi is not None else None,
-            )
-
     def sweep(self, conditions: EpochConditions) -> CandidateEvaluation:
         """Evaluate every candidate under the given conditions (memoized).
 
@@ -234,14 +298,18 @@ class ControlContext:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        self._evaluate([key])
+        self._blocks.evaluate([key])
         return self._memo[key]
 
     def prewarm(self, trace: ConditionTrace) -> int:
         """Fill the sweep memo for every epoch of ``trace`` in one batch call.
 
-        Returns the number of distinct condition keys evaluated.  Epochs
-        whose conditions were already cached cost nothing.
+        Returns the number of distinct condition keys this call evaluated.
+        Epochs whose conditions were already memoized cost nothing, including
+        those another context sharing this context's compiled set swept or
+        pre-warmed: classes of a co-simulation that replay one trace pay for
+        its keys once, in the first class's pre-warm, and the later ones
+        return 0.
         """
         with telemetry.get().span(
             "adaptive.prewarm", epochs=trace.n_epochs, candidates=self.n_candidates
@@ -251,13 +319,13 @@ class ControlContext:
             return distinct
 
     def _prewarm(self, trace: ConditionTrace) -> int:
-        fresh: Dict[Tuple[float, float], None] = {}
+        fresh: Dict[_Key, None] = {}
         for epoch in trace:
             key = self._key(epoch)
             if key not in self._memo:
                 fresh[key] = None
         if fresh:
-            self._evaluate(list(fresh))
+            self._blocks.evaluate(list(fresh))
         return len(fresh)
 
     # -- selection --------------------------------------------------------------

@@ -46,9 +46,18 @@ revisit few offloading patterns, so the deal is cached per pattern
 (:data:`DEAL_CACHE_SIZE`) and a best-response iteration that reuses one does
 one accumulation per edge and one tagged wait per slot; per-user arrays are
 only gathered from slot values once per epoch, for the charged means and
-sums.  Candidate evaluation inside each class goes through the vectorized
-batch engine (:class:`repro.batch.ConditionedPoints`) via the pre-warmed
-:class:`~repro.adaptive.runtime.ControlContext` sweep cache.
+sums.
+
+Candidate evaluation goes through the vectorized batch engine
+(:class:`repro.batch.ConditionedPoints`), compiled once per simulation: every
+distinct candidate block — one per ``(device, app)`` when the candidates
+are defaulted, or the one explicit list — joins a single compiled set, and
+each class's :class:`~repro.adaptive.runtime.ControlContext` sweeps its
+block of it.  A condition key that any class pre-warms or sweeps live is
+evaluated once, for every block, and is a memo hit for all classes from
+then on.  A block's slice of the set equals what a set of its own would
+return, bit for bit.  The arrival, service and frame arrays are likewise
+built once per block.
 
 Degeneracies
 ------------
@@ -81,6 +90,7 @@ from repro.adaptive.runtime import (
     CandidateEvaluation,
     ControlContext,
     EpochOutcome,
+    _CandidateBlocks,
     build_adaptation_report,
     default_candidates,
 )
@@ -89,6 +99,7 @@ from repro.batch.grid import OperatingPoint
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.device import EdgeServerSpec
 from repro.config.network import NetworkConfig
+from repro.config.validation import ensure_integer
 from repro.core.coefficients import CoefficientSet
 from repro.core.framework import XRPerformanceModel
 from repro.cosim.results import CosimReport, ShardedCosimReport
@@ -312,15 +323,16 @@ class CoSimulation:
         candidates: explicit operating points shared by every class; None
             derives :func:`~repro.adaptive.runtime.default_candidates` from
             each class's device/app.
-        coefficients / complexity_mode / include_aoi: forwarded to the batch
-            evaluation contexts.
+        coefficients / complexity_mode / include_aoi: forwarded to the
+            simulation's compiled candidate set.
         max_iterations: best-response iteration budget per epoch (>= 2 so a
             fixed point can be verified).
         damping: relaxation factor in (0, 1] applied to the endogenous
             throughput/wait between iterations (1.0 = undamped best
             response).  Charged outcomes always use undamped final loads.
         prewarm: pre-fill each class's sweep cache for its exogenous trace
-            with one batched call.
+            with one batched call; classes replaying one trace share it, so
+            only the first pays.
         faults: optional :class:`~repro.faults.schedule.FaultSchedule`
             injected into the closed loop — dead edges leave the
             round-robin deal, brownouts and straggler windows inflate the
@@ -354,8 +366,10 @@ class CoSimulation:
         prewarm: bool = True,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
+        n_edges = ensure_integer("n_edges", n_edges)
         if n_edges < 1:
             raise ConfigurationError(f"need at least one edge server, got {n_edges}")
+        max_iterations = ensure_integer("max_iterations", max_iterations)
         if max_iterations < 2:
             raise ConfigurationError(
                 f"max_iterations must be >= 2 to verify a fixed point, "
@@ -368,6 +382,8 @@ class CoSimulation:
             if isinstance(population, FleetPopulation)
             else FleetPopulation(users=tuple(population))
         )
+        if not len(self.population):
+            raise ConfigurationError("the co-simulation needs at least one user")
         self.edge = edge
         self.n_edges = n_edges
         self.network = network if network is not None else NetworkConfig()
@@ -382,7 +398,7 @@ class CoSimulation:
         )
         self.complexity_mode = complexity_mode
         self.include_aoi = include_aoi
-        self.max_iterations = int(max_iterations)
+        self.max_iterations = max_iterations
         self.damping = float(damping)
         self.faults = faults
         # Validates edge targets against the pool up front and memoizes the
@@ -486,46 +502,78 @@ class CoSimulation:
                     f"got {cls.trace.n_epochs} x {cls.trace.epoch_ms} ms vs "
                     f"{reference.n_epochs} x {reference.epoch_ms} ms"
                 )
+        # One block per (device, app) when the candidates are defaulted, else
+        # the one explicit list.  The fused set reports min_roi only if every
+        # block has AoI; they always agree here, because every defaulted block
+        # is built on self.network.
+        block_of: Dict[tuple, int] = {}
+        blocks: List[Tuple[OperatingPoint, ...]] = []
+        class_blocks: List[int] = []
         for cls in classes:
-            cls_candidates = (
-                tuple(candidates)
-                if candidates is not None
-                else default_candidates(
-                    device=cls.device, edge=self.edge, app=cls.app, network=self.network
+            key = (cls.device, cls.app) if candidates is None else ()
+            if key not in block_of:
+                block_of[key] = len(blocks)
+                blocks.append(
+                    tuple(candidates)
+                    if candidates is not None
+                    else default_candidates(
+                        device=cls.device, edge=self.edge, app=cls.app, network=self.network
+                    )
                 )
-            )
+            class_blocks.append(block_of[key])
+        shared = _CandidateBlocks(
+            blocks,
+            coefficients=self.coefficients,
+            complexity_mode=self.complexity_mode,
+            include_aoi=self.include_aoi,
+        )
+        block_arrays = [self._block_arrays(block, reference.epoch_ms) for block in blocks]
+        for cls, index in zip(classes, class_blocks):
             cls.context = CosimControlContext(
-                candidates=cls_candidates,
+                candidates=blocks[index],
                 deadline_ms=self.deadline_ms,
                 objective=self.objective,
                 coefficients=self.coefficients,
                 complexity_mode=self.complexity_mode,
                 include_aoi=self.include_aoi,
                 radio_idle_power_w=self.network.radio_idle_power_w,
+                block=(shared, index),
             )
-            cls.arrival_per_ms = np.asarray(
-                [point.app.frame_rate_fps / 1e3 for point in cls_candidates]
-            )
-            service = np.zeros(len(cls_candidates))
-            for i, point in enumerate(cls_candidates):
-                if cls.context.offload_mask[i]:
-                    # The same per-frame edge busy time the fleet analyzer
-                    # charges (memoized per device model).
-                    service[i] = self._model_for(
-                        point.device
-                    ).latency_model.remote_inference_ms(point.app)
-            cls.service_ms = service
-            offloading = service[cls.context.offload_mask]
-            cls.service_ref_ms = float(offloading.min()) if offloading.size else 1.0
-            cls.frames_per_epoch = np.asarray(
-                [
-                    cls.trace.epoch_ms / point.app.frame_period_ms
-                    for point in cls_candidates
-                ]
-            )
+            (
+                cls.arrival_per_ms,
+                cls.service_ms,
+                cls.service_ref_ms,
+                cls.frames_per_epoch,
+            ) = block_arrays[index]
             if prewarm:
                 cls.context.prewarm(cls.trace)
         return classes, class_of_user
+
+    def _block_arrays(
+        self, candidates: Tuple[OperatingPoint, ...], epoch_ms: float
+    ) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """Per-candidate arrival rate, edge service time and frames per epoch.
+
+        Returns ``(arrival_per_ms, service_ms, service_ref_ms,
+        frames_per_epoch)``; ``service_ref_ms`` is the shortest offloading
+        service time (1.0 when no candidate offloads).
+        """
+        offloads = [point.app.inference.mode is not ExecutionMode.LOCAL for point in candidates]
+        service = np.zeros(len(candidates))
+        for i, point in enumerate(candidates):
+            if offloads[i]:
+                # The same per-frame edge busy time the fleet analyzer
+                # charges (memoized per device model).
+                service[i] = self._model_for(
+                    point.device
+                ).latency_model.remote_inference_ms(point.app)
+        offloading = service[np.asarray(offloads)]
+        return (
+            np.asarray([point.app.frame_rate_fps / 1e3 for point in candidates]),
+            service,
+            float(offloading.min()) if offloading.size else 1.0,
+            np.asarray([epoch_ms / point.app.frame_period_ms for point in candidates]),
+        )
 
     # -- endogenous conditions ------------------------------------------------
 
@@ -1164,6 +1212,7 @@ def run_cosim(
     and every recovery path produces a result bit-identical to the
     all-serial run.
     """
+    n_shards = ensure_integer("n_shards", n_shards)
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
     population = (

@@ -282,7 +282,7 @@ def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
 
 
 def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
-    from repro.adaptive import StaticBaseline, make_trace
+    from repro.adaptive import make_trace
     from repro.cosim import run_cosim
     from repro.fleet import homogeneous
 
@@ -293,11 +293,7 @@ def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         epoch_ms=float(params.get("epoch_ms", 100.0)),
         seed=spec.seed,
     )
-    controller_name = params.get("controller", "hysteresis")
-    if controller_name == "static":
-        controller = StaticBaseline()
-    else:
-        controller = _adapt_controller(controller_name)
+    controller = _adapt_controller(params.get("controller", "hysteresis"))
     population = homogeneous(
         int(params.get("users", 64)), device=spec.device, app=spec.build_app()
     )

@@ -84,7 +84,7 @@ _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
 _TRACE_NAMES = ("drift", "step", "burst", "mobility")
 _FLEET_POLICIES = ("round-robin", "greedy", "energy")
 _ADAPT_CONTROLLERS = ("static", "hysteresis", "greedy", "ewma")
-_COSIM_CONTROLLERS = ("hysteresis", "greedy", "ewma", "static")
+_COSIM_CONTROLLERS = ("hysteresis", "greedy", "ewma")
 
 # Overridable scalar fields of the two config dataclasses.  Nested
 # sub-configs (encoder/inference/cooperation, sensors/handoff) stay out of

@@ -59,6 +59,15 @@ class TestControlContext:
                 candidates=small_candidates, deadline_ms=100.0, objective="karma"
             )
 
+    def test_nan_deadline_rejected(self):
+        # Every `latency > nan` is false, so a NaN deadline read as a 0.0
+        # miss rate on a trace where a 1 ms deadline misses every epoch.
+        trace = burst_trace(10, seed=0)
+        strict = AdaptiveRuntime(trace=trace, deadline_ms=1.0)
+        assert strict.run(GreedyBatchSweep()).deadline_miss_rate == 1.0
+        with pytest.raises(ConfigurationError, match="deadline"):
+            AdaptiveRuntime(trace=trace, deadline_ms=float("nan"))
+
     def test_out_of_domain_candidate_fails_at_construction(self, small_candidates):
         # A non-positive encoding workload raises when the candidates are
         # compiled, not at the first sweep (which a prewarm=False co-sim

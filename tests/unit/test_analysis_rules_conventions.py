@@ -125,6 +125,13 @@ class TestREP005SpecLint:
         found = lint(tmp_path, source, "REP005", rel="scenarios/bad_device.toml")
         assert len(found) == 1 and "invalid scenario" in found[0].message
 
+    def test_static_cosim_controller_flagged(self, tmp_path):
+        source = VALID_SCENARIO.replace('kind = "analyze"', 'kind = "cosim"').replace(
+            'mode = "local"', 'mode = "local"\n[scenario.params]\ncontroller = "static"'
+        )
+        found = lint(tmp_path, source, "REP005", rel="scenarios/static_cosim.toml")
+        assert len(found) == 1 and "controller" in found[0].message
+
     def test_duplicate_names_flagged(self, tmp_path):
         source = VALID_SCENARIO + "\n" + VALID_SCENARIO
         found = lint(tmp_path, source, "REP005", rel="scenarios/dupes.toml")

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.adaptive import (
@@ -23,7 +24,7 @@ from repro.batch import OperatingPoint
 from repro.config.network import NetworkConfig
 from repro.cosim import CoSimulation, CosimReport, ShardedCosimReport, run_cosim
 from repro.exceptions import ConfigurationError
-from repro.fleet import FleetAnalyzer, homogeneous, mixed_devices
+from repro.fleet import FleetAnalyzer, FleetPopulation, homogeneous, mixed_devices
 
 DEADLINE_MS = 700.0
 
@@ -388,6 +389,75 @@ class TestValidationAndReport:
             CoSimulation(population, GreedyBatchSweep(), trace, damping=0.0)
         with pytest.raises(ConfigurationError):
             CoSimulation(population, GreedyBatchSweep(), "not-a-trace")
+
+    def test_nan_deadline_rejected(self):
+        # Every `latency > nan` is false, so a NaN deadline read as a 0.0
+        # miss rate on a trace where a 1 ms deadline misses every epoch.
+        trace = burst_trace(6, seed=2)
+        missed = run_cosim(
+            homogeneous(2, device="XR1"),
+            GreedyBatchSweep(),
+            trace,
+            deadline_ms=1.0,
+            include_aoi=False,
+        )
+        assert missed.deadline_miss_rate == 1.0
+        with pytest.raises(ConfigurationError, match="deadline"):
+            run_cosim(
+                homogeneous(2, device="XR1"),
+                GreedyBatchSweep(),
+                trace,
+                deadline_ms=math.nan,
+                include_aoi=False,
+            )
+
+    def test_empty_population_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one user"):
+            CoSimulation(FleetPopulation(users=()), GreedyBatchSweep(), burst_trace(3, seed=0))
+
+    def test_fractional_edge_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_edges"):
+            CoSimulation(
+                homogeneous(2, device="XR1"),
+                GreedyBatchSweep(),
+                burst_trace(3, seed=0),
+                n_edges=1.5,
+            )
+
+    def test_fractional_shard_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_shards"):
+            run_cosim(
+                homogeneous(4, device="XR1"),
+                GreedyBatchSweep(),
+                burst_trace(3, seed=0),
+                n_shards=2.0,
+            )
+
+    def test_fractional_iteration_budget_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_iterations"):
+            CoSimulation(
+                homogeneous(2, device="XR1"),
+                GreedyBatchSweep(),
+                burst_trace(3, seed=0),
+                max_iterations=2.5,
+            )
+
+    def test_numpy_integer_counts_accepted(self):
+        population = homogeneous(4, device="XR1")
+        trace = burst_trace(3, seed=0)
+        simulation = CoSimulation(
+            population,
+            GreedyBatchSweep(),
+            trace,
+            n_edges=np.int64(2),
+            max_iterations=np.int32(3),
+            include_aoi=False,
+        )
+        assert (simulation.n_edges, simulation.max_iterations) == (2, 3)
+        sharded = run_cosim(
+            population, GreedyBatchSweep(), trace, n_shards=np.int64(2), include_aoi=False
+        )
+        assert len(sharded.shards) == 2
 
     def test_summary_and_json_roundtrip(self):
         report = CoSimulation(

@@ -161,6 +161,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="controller"):
             ScenarioSpec(name="x", kind="adapt", params={"controller": "oracle"})
 
+    def test_static_cosim_controller_rejected(self):
+        # The co-simulation has no index to pin a static controller to; the
+        # runner used to build StaticBaseline() and abort the whole run on
+        # its TypeError.  The single-user runtime replays the best static.
+        ScenarioSpec(name="ok", kind="adapt", params={"controller": "static"})
+        with pytest.raises(ConfigurationError, match="controller"):
+            ScenarioSpec(name="x", kind="cosim", params={"controller": "static"})
+
     def test_app_and_network_overrides_checked_against_config_fields(self):
         ScenarioSpec(name="ok", kind="analyze", app={"cpu_freq_ghz": 2.5})
         with pytest.raises(ConfigurationError, match="app override"):
