@@ -34,8 +34,8 @@ from repro.adaptive import (
     step_trace,
 )
 from repro.cosim import run_cosim
+from repro.exec import CHAOS_KILL_ENV
 from repro.faults import make_schedule
-from repro.faults.execution import CHAOS_KILL_ENV
 from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous
 
 

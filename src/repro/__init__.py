@@ -163,7 +163,6 @@ from repro.exec import (
     ProcessPoolBackend,
     RetryPolicy,
     SerialBackend,
-    ThreadPoolBackend,
     resolve_backend,
 )
 from repro import figures, telemetry
@@ -227,7 +226,6 @@ __all__ = [
     "SnapshotDiff",
     "SweepConfig",
     "Table",
-    "ThreadPoolBackend",
     "UserProfile",
     "WorkloadConfig",
     "XRDevice",

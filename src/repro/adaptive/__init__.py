@@ -21,6 +21,7 @@ Quickstart::
 """
 
 from repro.adaptive.controllers import (
+    CONTROLLERS,
     Controller,
     ControllerBase,
     EwmaPredictive,
@@ -51,6 +52,7 @@ from repro.adaptive.traces import (
 __all__ = [
     "AdaptationReport",
     "AdaptiveRuntime",
+    "CONTROLLERS",
     "CandidateEvaluation",
     "ConditionTrace",
     "ControlContext",

@@ -30,7 +30,7 @@ makes adaptation runs bit-replayable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Optional, Protocol, Type, runtime_checkable
 
 import numpy as np
 
@@ -395,3 +395,15 @@ class EwmaPredictive(ControllerBase):
             self.alpha * conditions.handoff_probability
             + (1.0 - self.alpha) * self._ewma_handoff
         )
+
+
+#: The adaptive controllers by name, for the CLI's ``--controller`` and a
+#: scenario's ``controller`` parameter (this order is the CLI's).
+#: :class:`StaticBaseline` is not here: it needs a candidate index, and
+#: an ``adapt`` scenario's ``"static"`` replays the runtime's best static
+#: point instead.
+CONTROLLERS: Dict[str, Type[ControllerBase]] = {
+    "hysteresis": HysteresisThreshold,
+    "greedy": GreedyBatchSweep,
+    "ewma": EwmaPredictive,
+}

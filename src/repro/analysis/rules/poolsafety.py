@@ -1,12 +1,12 @@
 """REP003 — callables handed to process pools must be module-level.
 
-``run_hardened``, backend ``map_tasks``/``submit``, and raw executor
-``submit`` ship their callable to worker processes by pickling.  Lambdas, closures (functions defined inside other
-functions), and bound methods (``self.method``) either fail to pickle — at
-best triggering the slow unpicklable serial fallback — or drag an entire
-instance graph across the process boundary.  Both are invisible at the
-call site and only surface as mysterious performance cliffs, so the rule
-flags them statically:
+Backend ``map_tasks``/``submit`` and raw executor ``submit`` ship their
+callable to worker processes by pickling.  Lambdas, closures (functions
+defined inside other functions), and bound methods (``self.method``)
+either fail to pickle — at best triggering the slow unpicklable serial
+fallback — or drag an entire instance graph across the process
+boundary.  Both are invisible at the call site and only surface as
+mysterious performance cliffs, so the rule flags them statically:
 
 * a ``lambda`` argument — always flagged;
 * a bare name that resolves to a function defined in a nested scope in the
@@ -26,7 +26,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules.base import FileContext, LintRule, register
 
 #: Call names whose first positional argument is a pool-bound callable.
-_POOL_ENTRYPOINTS = frozenset({"run_hardened", "map_tasks", "submit"})
+_POOL_ENTRYPOINTS = frozenset({"map_tasks", "submit"})
 
 
 def _nested_function_names(tree: ast.AST) -> Set[str]:
@@ -58,11 +58,11 @@ def _entrypoint_name(func: ast.expr) -> str:
 
 @register
 class PoolSafetyRule(LintRule):
-    """Flag unpicklable callables passed to ``run_hardened``/``submit``."""
+    """Flag unpicklable callables passed to ``map_tasks``/``submit``."""
 
     id = "REP003"
     description = (
-        "callables passed to run_hardened/map_tasks/executor submit must "
+        "callables passed to map_tasks/executor submit must "
         "be module-level (no lambdas, closures, or bound methods)"
     )
 

@@ -53,6 +53,9 @@ from typing import Optional, Sequence
 
 from repro import telemetry
 from repro._version import __version__
+from repro.adaptive.controllers import CONTROLLERS
+from repro.adaptive.runtime import OBJECTIVES
+from repro.adaptive.traces import TRACE_GENERATORS
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.config.workload import SweepConfig, WorkloadConfig
@@ -60,6 +63,7 @@ from repro.core.framework import XRPerformanceModel
 from repro.core.session import SessionAnalyzer
 from repro.devices.catalog import DEVICE_CATALOG, EDGE_CATALOG
 from repro.evaluation.report import format_table
+from repro.fleet.admission import ADMISSION_POLICIES
 
 
 def _env_float(name: str, default: float) -> float:
@@ -232,15 +236,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import (
-        EnergyAwareAdmission,
-        FleetAnalyzer,
-        GreedySLOAdmission,
-        RoundRobinAdmission,
-        homogeneous,
-        mixed_devices,
-        plan_capacity,
-    )
+    from repro.fleet import FleetAnalyzer, homogeneous, mixed_devices, plan_capacity
 
     app = _build_app(args)
     network = _build_network(args)
@@ -248,18 +244,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         population = mixed_devices(args.users, devices=tuple(args.mixed_devices), app=app)
     else:
         population = homogeneous(args.users, device=args.device, app=app)
-    if args.policy == "greedy":
-        policy = GreedySLOAdmission(slo_ms=args.slo_ms)
-    elif args.policy == "energy":
-        policy = EnergyAwareAdmission()
-    else:
-        policy = RoundRobinAdmission()
     analyzer = FleetAnalyzer(
         population,
         edge=args.edge,
         n_edges=args.edge_servers,
         network=network,
-        policy=policy,
+        policy=ADMISSION_POLICIES[args.policy](args.slo_ms),
         slo_ms=args.slo_ms,
     )
     report = analyzer.analyze()
@@ -290,13 +280,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    from repro.adaptive import (
-        AdaptiveRuntime,
-        EwmaPredictive,
-        GreedyBatchSweep,
-        HysteresisThreshold,
-        make_trace,
-    )
+    from repro.adaptive import AdaptiveRuntime, make_trace
 
     trace = make_trace(
         args.trace, args.epochs, epoch_ms=args.epoch_ms, seed=args.seed
@@ -308,16 +292,10 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         objective=args.objective,
     )
-    controllers = {
-        "hysteresis": HysteresisThreshold(),
-        "greedy": GreedyBatchSweep(),
-        "ewma": EwmaPredictive(),
-    }
-    if args.controller != "all":
-        controllers = {args.controller: controllers[args.controller]}
+    names = CONTROLLERS if args.controller == "all" else (args.controller,)
 
     reports = [runtime.static_report()]
-    reports.extend(runtime.run(controller) for controller in controllers.values())
+    reports.extend(runtime.run(CONTROLLERS[name]()) for name in names)
     rows = [
         (
             report.controller,
@@ -357,26 +335,15 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def _cmd_cosim(args: argparse.Namespace) -> int:
-    from repro.adaptive import (
-        EwmaPredictive,
-        GreedyBatchSweep,
-        HysteresisThreshold,
-        make_trace,
-    )
+    from repro.adaptive import make_trace
     from repro.cosim import run_cosim
     from repro.fleet import homogeneous
 
     trace = make_trace(args.trace, args.epochs, epoch_ms=args.epoch_ms, seed=args.seed)
-    controllers = {
-        "hysteresis": HysteresisThreshold,
-        "greedy": GreedyBatchSweep,
-        "ewma": EwmaPredictive,
-    }
-    controller = controllers[args.controller]()
     population = homogeneous(args.users, device=args.device)
     report = run_cosim(
         population,
-        controller,
+        CONTROLLERS[args.controller](),
         trace,
         n_shards=args.shards,
         backend=args.backend,
@@ -923,7 +890,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         trace = make_trace(args.trace, args.epochs or 40, seed=args.seed)
         report = run_cosim(
             homogeneous(args.users, device=args.device),
-            _adapt_controller_instance(args.controller),
+            CONTROLLERS[args.controller](),
             trace,
             n_shards=args.shards,
             backend=args.backend,
@@ -947,7 +914,7 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
             include_aoi=False,
             faults=schedule,
         )
-        report = runtime.run(_adapt_controller_instance(args.controller))
+        report = runtime.run(CONTROLLERS[args.controller]())
         outcome = runtime.fault_report(report)
         print(report.summary())
         print(outcome.summary())
@@ -1124,16 +1091,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _adapt_controller_instance(name: str):
-    from repro.adaptive import EwmaPredictive, GreedyBatchSweep, HysteresisThreshold
-
-    return {
-        "hysteresis": HysteresisThreshold,
-        "greedy": GreedyBatchSweep,
-        "ewma": EwmaPredictive,
-    }[name]()
-
-
 def _cmd_tables(args: argparse.Namespace) -> int:
     from repro.evaluation.tables import table_1, table_2
 
@@ -1239,7 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--policy",
         default="greedy",
-        choices=("greedy", "round-robin", "energy"),
+        choices=tuple(ADMISSION_POLICIES),
         help="admission/placement policy",
     )
     fleet.add_argument("--edge-servers", type=int, default=1)
@@ -1263,7 +1220,7 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument(
         "--trace",
         default="burst",
-        choices=("drift", "step", "burst", "mobility"),
+        choices=tuple(TRACE_GENERATORS),
         help="bundled condition-trace scenario to replay",
     )
     adapt.add_argument("--epochs", type=int, default=400, help="control epochs")
@@ -1280,13 +1237,13 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument(
         "--objective",
         default="quality",
-        choices=("quality", "latency", "energy"),
+        choices=OBJECTIVES,
         help="what to optimise among deadline-feasible candidates",
     )
     adapt.add_argument(
         "--controller",
         default="all",
-        choices=("all", "hysteresis", "greedy", "ewma"),
+        choices=("all", *CONTROLLERS),
         help="controller(s) to run against the best static reference",
     )
     adapt.set_defaults(handler=_cmd_adapt)
@@ -1300,7 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
     cosim.add_argument(
         "--trace",
         default="burst",
-        choices=("drift", "step", "burst", "mobility"),
+        choices=tuple(TRACE_GENERATORS),
         help="exogenous (per-user) condition-trace scenario",
     )
     cosim.add_argument("--epochs", type=int, default=200, help="control epochs")
@@ -1317,13 +1274,13 @@ def build_parser() -> argparse.ArgumentParser:
     cosim.add_argument(
         "--objective",
         default="quality",
-        choices=("quality", "latency", "energy"),
+        choices=OBJECTIVES,
         help="what to optimise among deadline-feasible candidates",
     )
     cosim.add_argument(
         "--controller",
         default="hysteresis",
-        choices=("hysteresis", "greedy", "ewma"),
+        choices=tuple(CONTROLLERS),
         help="adaptive controller every user runs",
     )
     cosim.add_argument("--edge-servers", type=int, default=1)
@@ -1600,13 +1557,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flt_run.add_argument(
         "--trace",
-        choices=("drift", "step", "burst", "mobility"),
+        choices=tuple(TRACE_GENERATORS),
         default="step",
         help="condition trace generator (cosim/adapt)",
     )
     flt_run.add_argument(
         "--controller",
-        choices=("hysteresis", "greedy", "ewma"),
+        choices=tuple(CONTROLLERS),
         default="hysteresis",
         help="adaptation controller (cosim/adapt)",
     )

@@ -1180,8 +1180,6 @@ def _run_shard(payload: tuple) -> Tuple[CosimReport, Optional[dict]]:
     population, controller, trace, kwargs, capture = payload
     if not capture:
         return CoSimulation(population, controller, trace, **kwargs).run(), None
-    # Thread-local activation: correct in a process worker, a thread
-    # worker, and the in-process serial fallback alike.
     with telemetry.scoped(telemetry.Telemetry()) as registry:
         report = CoSimulation(population, controller, trace, **kwargs).run()
     return report, registry.snapshot()

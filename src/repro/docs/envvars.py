@@ -109,9 +109,9 @@ ENV_VARS: Tuple[EnvVar, ...] = (
         default="unset",
         consumer="repro.exec pooled workers (repro/exec/backend.py)",
         description=(
-            "Comma-separated task indices whose worker dies mid-task — "
-            "os._exit(1) in a process worker, a deliberate exception in a "
-            "thread worker — to exercise crash salvage (workers only)."
+            "Comma-separated task indices whose process worker dies "
+            "mid-task with os._exit(1), to exercise crash salvage (workers "
+            "only)."
         ),
     ),
     EnvVar(
@@ -130,7 +130,7 @@ ENV_VARS: Tuple[EnvVar, ...] = (
         description=(
             "Execution backend for every pooled seam (cosim shards, "
             "experiment pools, bench) when no --backend flag or explicit "
-            "argument picks one: serial, process, or thread."
+            "argument picks one: serial or process."
         ),
     ),
     EnvVar(

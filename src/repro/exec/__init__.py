@@ -8,16 +8,13 @@ crashes, hangs, or unpicklable payloads is repaired by re-running exactly
 the failed tasks in-process, so every backend produces bit-identical
 results (and, modulo wall time, bit-identical merged telemetry).
 
-Three implementations ship today, selected by name through
+Two implementations ship today, selected by name through
 :func:`resolve_backend` (explicit argument ▸ ``REPRO_EXEC_BACKEND`` ▸
 ``"process"``):
 
 * ``"serial"`` — :class:`SerialBackend`, the in-process reference path;
 * ``"process"`` — :class:`ProcessPoolBackend`, hardened
-  ``ProcessPoolExecutor`` fan-out for CPU-bound work;
-* ``"thread"`` — :class:`ThreadPoolBackend`, ``ThreadPoolExecutor``
-  fan-out for I/O-shaped work (no pickling; telemetry capture via
-  thread-local :func:`repro.telemetry.scoped` registries).
+  ``ProcessPoolExecutor`` fan-out for CPU-bound work.
 
 The conformance suite (``tests/unit/test_exec_backends.py``) pins the
 contract every implementation — including future distributed ones — must
@@ -31,12 +28,11 @@ from repro.exec.backend import (
     CHAOS_KILL_ENV,
     DEFAULT_RETRY_POLICY,
     EXEC_TIMEOUT_ENV,
-    ChaosKilledTask,
     ExecutionBackend,
     RetryPolicy,
     default_timeout_s,
 )
-from repro.exec.pools import ProcessPoolBackend, ThreadPoolBackend
+from repro.exec.pools import ProcessPoolBackend
 from repro.exec.registry import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -55,12 +51,10 @@ __all__ = [
     "DEFAULT_RETRY_POLICY",
     "EXEC_BACKEND_ENV",
     "EXEC_TIMEOUT_ENV",
-    "ChaosKilledTask",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "RetryPolicy",
     "SerialBackend",
-    "ThreadPoolBackend",
     "backend_names",
     "default_timeout_s",
     "resolve_backend",

@@ -14,14 +14,12 @@ The counter names are part of the backend contract — the conformance suite
 holds every backend to identical merged counters (modulo wall time) on a
 clean run.
 
-For tests and chaos drills the pooled backends honour environment hooks,
-read *inside pool workers only* (serial execution never consults them, so
-a retried task cannot crash twice):
+For tests and chaos drills the process backend honours environment
+hooks, read *inside pool workers only* (serial execution never consults
+them, so a retried task cannot crash twice):
 
 - ``REPRO_CHAOS_KILL_TASK`` — comma-separated task indices whose worker
-  dies (``os._exit(1)`` in a process worker — a real SIGCHLD-visible
-  crash; a deliberate :class:`ChaosKilledTask` in a thread worker, where
-  ``os._exit`` would take the whole interpreter down);
+  dies with ``os._exit(1)`` (a real SIGCHLD-visible crash);
 - ``REPRO_CHAOS_HANG_TASK`` — comma-separated task indices that sleep for
   ``REPRO_CHAOS_HANG_S`` seconds (default 3600) before running, to
   exercise the per-task timeout.
@@ -34,7 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro import telemetry
 from repro.exceptions import ConfigurationError
 
 #: Environment variable naming the per-task timeout (seconds) when the
@@ -45,16 +42,6 @@ EXEC_TIMEOUT_ENV = "REPRO_EXEC_TIMEOUT_S"
 CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_TASK"
 CHAOS_HANG_ENV = "REPRO_CHAOS_HANG_S"
 CHAOS_HANG_TASK_ENV = "REPRO_CHAOS_HANG_TASK"
-
-
-class ChaosKilledTask(RuntimeError):
-    """Raised by a *thread* worker whose task index is chaos-killed.
-
-    The thread analogue of a worker process dying with ``os._exit(1)``:
-    the task's result is lost, the pool survives, and the hardened
-    collection loop re-runs the task serially (where chaos hooks are
-    never consulted).
-    """
 
 
 def _chaos_indices(env_name: str) -> Tuple[int, ...]:
@@ -132,7 +119,7 @@ class ExecutionBackend:
       the module docstring.
     """
 
-    #: Registry key (``"serial"``, ``"process"``, ``"thread"``).
+    #: Registry key (``"serial"``, ``"process"``).
     name: str = ""
 
     def map_tasks(

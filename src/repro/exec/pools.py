@@ -1,26 +1,15 @@
-"""Pooled backends: hardened process and thread fan-out with salvage.
+"""The pooled backend: hardened process fan-out with per-task salvage.
 
-Both backends share one collection loop (:class:`_PoolBackend`) carrying
-the per-task recovery discipline that used to live in
-``repro.faults.execution.run_hardened``: completed futures keep their
-results, and only the tasks that crashed, hung past the per-task timeout,
-or raised are re-executed serially, in payload order.  Because the serial
-path *is* the reference path (the same function on the same payload), a
+:class:`ProcessPoolBackend` drives a ``ProcessPoolExecutor`` and carries
+the per-task recovery discipline: completed futures keep their results,
+and only the tasks that crashed, hung past the per-task timeout, or raised
+are re-executed serially, in payload order.  Because the serial path *is*
+the reference path (the same function on the same payload), a
 partially-recovered run is bit-identical to an all-serial run.
 
-The backends differ only in the executor they drive and in what "worker
-death" means there:
-
-* :class:`ProcessPoolBackend` — ``ProcessPoolExecutor``; payloads must
-  pickle (probed up front, with a counted in-process fallback when they
-  do not), a dead worker surfaces as ``BrokenProcessPool``, and a wedged
-  worker is terminated with the pool.
-* :class:`ThreadPoolBackend` — ``ThreadPoolExecutor`` for I/O-shaped
-  work; nothing needs to pickle, workers share the interpreter (chaos
-  "kill" raises :class:`~repro.exec.backend.ChaosKilledTask` instead of
-  exiting), and a task that outlives ``timeout_s`` is abandoned — its
-  thread cannot be terminated, so arm hang drills with a short
-  ``REPRO_CHAOS_HANG_S``.
+Payloads must pickle (probed up front, with a counted in-process fallback
+when they do not), a dead worker surfaces as ``BrokenProcessPool``, and a
+wedged worker is terminated with the pool.
 """
 
 from __future__ import annotations
@@ -28,7 +17,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence
 
@@ -36,7 +25,6 @@ from repro import telemetry
 from repro.exec.backend import (
     CHAOS_KILL_ENV,
     DEFAULT_RETRY_POLICY,
-    ChaosKilledTask,
     ExecutionBackend,
     RetryPolicy,
     _chaos_indices,
@@ -61,43 +49,49 @@ def _process_task(args: tuple):
     return fn(payload)
 
 
-def _thread_task(args: tuple):
-    """Thread-worker wrapper: chaos "death" raises instead of exiting."""
-    fn, index, payload = args
-    if index in _chaos_indices(CHAOS_KILL_ENV):
-        raise ChaosKilledTask(f"chaos hook killed thread task {index}")
-    chaos_hang(index)
-    return fn(payload)
+def _submit(pool, fn: Callable, index: int, payload) -> concurrent.futures.Future:
+    """Queue one task; a pool that broke while tasks were still being
+    queued (a worker died early) fails the rest as if they were queued."""
+    try:
+        return pool.submit(_process_task, (fn, index, payload))
+    except BrokenProcessPool as exc:
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        future.set_exception(exc)
+        return future
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared hardened collection loop over an injectable executor."""
+def _terminate(pool) -> None:
+    """Best-effort hard stop of a pool whose workers may be wedged."""
+    processes = getattr(pool, "_processes", None)
+    if processes:
+        for process in list(processes.values()):
+            try:
+                process.terminate()
+            except (OSError, AttributeError, ValueError):
+                pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except TypeError:  # pragma: no cover - pre-3.9 signature safety net
+        pool.shutdown(wait=False)
 
-    #: Probe payload picklability before opening the pool.
-    _pickle_probe = False
-    #: Exception classes meaning "the pool itself died under this future".
-    _broken_pool_errors: tuple = ()
+
+class ProcessPoolBackend(ExecutionBackend):
+    """Hardened ``ProcessPoolExecutor`` fan-out for CPU-bound tasks.
+
+    Unpicklable payloads fall back to in-process execution (counted);
+    ``BrokenProcessPool``, per-task timeouts and task exceptions are
+    salvaged by re-running only the failed tasks serially.
+    """
+
+    name = "process"
 
     def __init__(
         self, pool_factory: Optional[Callable[[int], object]] = None
     ):
         """``pool_factory`` overrides the executor constructor (tests)."""
-        self._pool_factory = pool_factory
-
-    # -- per-executor hooks -------------------------------------------------
-
-    def _default_pool_factory(self) -> Callable[[int], object]:
-        raise NotImplementedError
-
-    def _worker_entry(self) -> Callable:
-        """The module-level wrapper submitted for every task."""
-        raise NotImplementedError
-
-    def _terminate(self, pool) -> None:
-        """Best-effort hard stop of a pool whose workers may be wedged."""
-        raise NotImplementedError
-
-    # -- the hardened loop --------------------------------------------------
+        self._pool_factory = (
+            ProcessPoolExecutor if pool_factory is None else pool_factory
+        )
 
     def map_tasks(
         self,
@@ -118,29 +112,24 @@ class _PoolBackend(ExecutionBackend):
         if max_workers == 1 or n_tasks == 1:
             return self._run_serial(fn, payloads)
 
-        if self._pickle_probe:
-            try:
-                pickle.dumps(list(payloads))
-            except _UNPICKLABLE_ERRORS:
-                registry.add(f"{label}.fallback.unpicklable")
-                return self._run_serial(fn, payloads)
+        try:
+            pickle.dumps(list(payloads))
+        except _UNPICKLABLE_ERRORS:
+            registry.add(f"{label}.fallback.unpicklable")
+            return self._run_serial(fn, payloads)
 
-        pool_factory = self._pool_factory or self._default_pool_factory()
-        entry = self._worker_entry()
         results: List = [None] * n_tasks
         failed: List[int] = []
         first_error: Optional[BaseException] = None
-        pool = pool_factory(min(max_workers, n_tasks))
+        pool = self._pool_factory(min(max_workers, n_tasks))
         pool_dead = False
         try:
             try:
                 futures = [
-                    pool.submit(entry, (fn, index, payload))
+                    _submit(pool, fn, index, payload)
                     for index, payload in enumerate(payloads)
                 ]
             except _UNPICKLABLE_ERRORS:
-                if not self._pickle_probe:
-                    raise
                 registry.add(f"{label}.fallback.unpicklable")
                 return self._run_serial(fn, payloads)
             for index, future in enumerate(futures):
@@ -162,9 +151,9 @@ class _PoolBackend(ExecutionBackend):
                     # A wedged worker can starve every queued task; stop
                     # waiting, salvage whatever already finished, and hand
                     # the rest to the serial retry.
-                    self._terminate(pool)
+                    _terminate(pool)
                     pool_dead = True
-                except self._broken_pool_errors as exc:
+                except BrokenProcessPool as exc:
                     registry.add(f"{label}.retry.broken_pool")
                     failed.append(index)
                     first_error = first_error or exc
@@ -190,65 +179,3 @@ class _PoolBackend(ExecutionBackend):
                 for index in failed:
                     results[index] = fn(payloads[index])
         return results
-
-
-class ProcessPoolBackend(_PoolBackend):
-    """Hardened ``ProcessPoolExecutor`` fan-out for CPU-bound tasks.
-
-    Absorbs the pickle-probe in-process fallback, BrokenProcessPool and
-    per-task-timeout salvage, and failed-task-only serial re-run that
-    ``repro.faults.execution.run_hardened`` introduced (that function is
-    now a thin shim over this class).
-    """
-
-    name = "process"
-    _pickle_probe = True
-    _broken_pool_errors = (BrokenProcessPool,)
-
-    def _default_pool_factory(self) -> Callable[[int], object]:
-        return ProcessPoolExecutor
-
-    def _worker_entry(self) -> Callable:
-        return _process_task
-
-    def _terminate(self, pool) -> None:
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except (OSError, AttributeError, ValueError):
-                    pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # pragma: no cover - pre-3.9 signature safety net
-            pool.shutdown(wait=False)
-
-
-class ThreadPoolBackend(_PoolBackend):
-    """``ThreadPoolExecutor`` fan-out for I/O-shaped work.
-
-    Payloads never cross a process boundary, so nothing needs to pickle
-    and per-worker telemetry capture relies on
-    :func:`repro.telemetry.scoped` thread-local registries.  Salvage
-    semantics match the process backend, with one honest difference: a
-    timed-out task's thread cannot be terminated, only abandoned, so the
-    pool is shut down without waiting and the stragglers' results are
-    discarded when they eventually finish.
-    """
-
-    name = "thread"
-    _pickle_probe = False
-    _broken_pool_errors = (concurrent.futures.BrokenExecutor,)
-
-    def _default_pool_factory(self) -> Callable[[int], object]:
-        return ThreadPoolExecutor
-
-    def _worker_entry(self) -> Callable:
-        return _thread_task
-
-    def _terminate(self, pool) -> None:
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # pragma: no cover - pre-3.9 signature safety net
-            pool.shutdown(wait=False)

@@ -7,7 +7,7 @@ from typing import Dict, Tuple, Type, Union
 
 from repro.exceptions import ConfigurationError
 from repro.exec.backend import ExecutionBackend
-from repro.exec.pools import ProcessPoolBackend, ThreadPoolBackend
+from repro.exec.pools import ProcessPoolBackend
 from repro.exec.serial import SerialBackend
 
 #: Environment variable naming the backend when the caller passes none.
@@ -22,7 +22,6 @@ DEFAULT_BACKEND = "process"
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     "serial": SerialBackend,
     "process": ProcessPoolBackend,
-    "thread": ThreadPoolBackend,
 }
 
 

@@ -149,10 +149,8 @@ def _sweep_metrics(spec: ScenarioSpec) -> Dict[str, object]:
 
 def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     from repro.fleet import (
-        EnergyAwareAdmission,
+        ADMISSION_POLICIES,
         FleetAnalyzer,
-        GreedySLOAdmission,
-        RoundRobinAdmission,
         homogeneous,
         mixed_devices,
         plan_capacity,
@@ -168,12 +166,7 @@ def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         population = mixed_devices(users, devices=tuple(params["mixed_devices"]), app=app)
     else:
         population = homogeneous(users, device=spec.device, app=app)
-    policy_name = params.get("policy", "greedy")
-    policy = {
-        "greedy": lambda: GreedySLOAdmission(slo_ms=slo_ms),
-        "energy": EnergyAwareAdmission,
-        "round-robin": RoundRobinAdmission,
-    }[policy_name]()
+    policy = ADMISSION_POLICIES[params.get("policy", "greedy")](slo_ms)
     fault_state = None
     schedule = spec.build_faults()
     if schedule is not None:
@@ -222,18 +215,8 @@ def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     return metrics
 
 
-def _adapt_controller(name: str):
-    from repro.adaptive import EwmaPredictive, GreedyBatchSweep, HysteresisThreshold
-
-    return {
-        "hysteresis": HysteresisThreshold,
-        "greedy": GreedyBatchSweep,
-        "ewma": EwmaPredictive,
-    }[name]()
-
-
 def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
-    from repro.adaptive import AdaptiveRuntime, make_trace
+    from repro.adaptive import CONTROLLERS, AdaptiveRuntime, make_trace
 
     params = spec.params
     trace = make_trace(
@@ -257,7 +240,7 @@ def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     if controller_name == "static":
         report = static = runtime.static_report()
     else:
-        report = runtime.run(_adapt_controller(controller_name))
+        report = runtime.run(CONTROLLERS[controller_name]())
         static = runtime.static_report()
     metrics: Dict[str, object] = {
         "n_epochs": int(report.n_epochs),
@@ -282,7 +265,7 @@ def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
 
 
 def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
-    from repro.adaptive import make_trace
+    from repro.adaptive import CONTROLLERS, make_trace
     from repro.cosim import run_cosim
     from repro.fleet import homogeneous
 
@@ -293,7 +276,7 @@ def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         epoch_ms=float(params.get("epoch_ms", 100.0)),
         seed=spec.seed,
     )
-    controller = _adapt_controller(params.get("controller", "hysteresis"))
+    controller = CONTROLLERS[params.get("controller", "hysteresis")]()
     population = homogeneous(
         int(params.get("users", 64)), device=spec.device, app=spec.build_app()
     )
@@ -555,8 +538,6 @@ def _run_scenario_captured(payload: Tuple[ScenarioSpec, bool]):
     spec, capture = payload
     if not capture:
         return run_scenario(spec), None
-    # Thread-local activation: correct in a process worker, a thread
-    # worker, and the in-process serial fallback alike.
     with telemetry.scoped(telemetry.Telemetry()) as registry:
         result = run_scenario(spec)
     return result, registry.snapshot()

@@ -25,11 +25,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.adaptive.controllers import CONTROLLERS
+from repro.adaptive.runtime import OBJECTIVES
+from repro.adaptive.traces import TRACE_GENERATORS
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.config.validation import ensure_choice, ensure_non_negative
 from repro.devices.catalog import DEVICE_CATALOG, EDGE_CATALOG
 from repro.exceptions import ConfigurationError
+from repro.fleet.admission import ADMISSION_POLICIES
 
 try:  # Python >= 3.11
     import tomllib as _toml
@@ -81,10 +85,9 @@ _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
     ),
 }
 
-_TRACE_NAMES = ("drift", "step", "burst", "mobility")
-_FLEET_POLICIES = ("round-robin", "greedy", "energy")
-_ADAPT_CONTROLLERS = ("static", "hysteresis", "greedy", "ewma")
-_COSIM_CONTROLLERS = ("hysteresis", "greedy", "ewma")
+# An ``adapt`` scenario may also replay the best static operating point.
+_ADAPT_CONTROLLERS = ("static", *CONTROLLERS)
+_COSIM_CONTROLLERS = tuple(CONTROLLERS)
 
 # Overridable scalar fields of the two config dataclasses.  Nested
 # sub-configs (encoder/inference/cooperation, sensors/handoff) stay out of
@@ -235,12 +238,20 @@ class ScenarioSpec:
     def _validate_params(self) -> None:
         params = self.params
         if "trace" in params:
-            ensure_choice("trace", params["trace"], _TRACE_NAMES)
+            ensure_choice("trace", params["trace"], TRACE_GENERATORS)
         if "policy" in params:
-            ensure_choice("policy", params["policy"], _FLEET_POLICIES)
+            ensure_choice("policy", params["policy"], ADMISSION_POLICIES)
         if "controller" in params:
             controllers = _ADAPT_CONTROLLERS if self.kind == "adapt" else _COSIM_CONTROLLERS
             ensure_choice("controller", params["controller"], controllers)
+        if "objective" in params:
+            ensure_choice("objective", params["objective"], OBJECTIVES)
+        for key in ("include_aoi", "plan_capacity"):
+            if key in params and not isinstance(params[key], bool):
+                raise ConfigurationError(
+                    f"scenario {self.name!r}: {key} must be true or false, "
+                    f"got {params[key]!r}"
+                )
         for key in ("users", "epochs", "n_edges", "shards", "max_iterations"):
             if key in params:
                 value = params[key]

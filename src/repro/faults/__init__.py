@@ -1,6 +1,6 @@
-"""Deterministic fault injection and hardened execution.
+"""Deterministic fault injection and recovery accounting.
 
-The package has three layers:
+The package has two layers:
 
 - :mod:`repro.faults.schedule` — the declarative model: seeded,
   serializable :class:`FaultSchedule` objects composing epoch-indexed
@@ -8,22 +8,12 @@ The package has three layers:
   straggler windows) into per-epoch :class:`EpochFaultState` views that
   the fleet, adaptive and cosim engines consume;
 - :mod:`repro.faults.report` — recovery metrics: per-fault-window miss
-  rates and time-to-recover epochs folded into a :class:`FaultOutcome`;
-- :mod:`repro.faults.execution` — :func:`run_hardened`, the hardened
-  process-pool entry point with per-task timeout, bounded retry and
-  serial re-execution of only the failed tasks (now a compatibility shim
-  over :class:`repro.exec.ProcessPoolBackend`, where the machinery lives
-  alongside the serial and thread backends).
+  rates and time-to-recover epochs folded into a :class:`FaultOutcome`.
+
+Hardened execution (per-task timeouts, crash salvage, the
+``REPRO_CHAOS_*`` worker hooks) lives in :mod:`repro.exec`.
 """
 
-from repro.faults.execution import (
-    CHAOS_HANG_ENV,
-    CHAOS_HANG_TASK_ENV,
-    CHAOS_KILL_ENV,
-    EXEC_TIMEOUT_ENV,
-    default_timeout_s,
-    run_hardened,
-)
 from repro.faults.report import FaultOutcome, FaultWindow, fault_outcome
 from repro.faults.scenarios import (
     FAULT_GENERATORS,
@@ -40,10 +30,6 @@ from repro.faults.schedule import (
 )
 
 __all__ = [
-    "CHAOS_HANG_ENV",
-    "CHAOS_HANG_TASK_ENV",
-    "CHAOS_KILL_ENV",
-    "EXEC_TIMEOUT_ENV",
     "FAULT_GENERATORS",
     "FAULT_KINDS",
     "EpochFaultState",
@@ -53,9 +39,7 @@ __all__ = [
     "FaultSchedule",
     "FaultWindow",
     "build_schedule",
-    "default_timeout_s",
     "fault_outcome",
     "fault_schedule_names",
     "make_schedule",
-    "run_hardened",
 ]

@@ -22,6 +22,7 @@ Quickstart::
 """
 
 from repro.fleet.admission import (
+    ADMISSION_POLICIES,
     AdmissionPolicy,
     EnergyAwareAdmission,
     GreedySLOAdmission,
@@ -46,6 +47,7 @@ from repro.fleet.population import (
 from repro.fleet.results import FleetReport, UserOutcome
 
 __all__ = [
+    "ADMISSION_POLICIES",
     "AdmissionPolicy",
     "CapacityPlan",
     "ContentionModel",

@@ -22,7 +22,7 @@ Three policies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.fleet.edge_scheduler import EdgeScheduler
@@ -282,3 +282,13 @@ class EnergyAwareAdmission(AdmissionPolicy):
                 )
             decisions.append(decision)
         return decisions
+
+
+#: The admission policies by name, for the CLI's ``fleet --policy`` and a
+#: scenario's ``policy`` parameter (this order is the CLI's).  Each entry
+#: builds its policy from the fleet's latency SLO in ms.
+ADMISSION_POLICIES: Dict[str, Callable[[float], AdmissionPolicy]] = {
+    "greedy": lambda slo_ms: GreedySLOAdmission(slo_ms=slo_ms),
+    "round-robin": lambda slo_ms: RoundRobinAdmission(),
+    "energy": lambda slo_ms: EnergyAwareAdmission(),
+}

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import threading
 import time
 from typing import Dict, Iterator, List, Mapping, Optional, Union
 
@@ -309,22 +308,10 @@ TelemetryLike = Union[Telemetry, NullTelemetry]
 
 _active: TelemetryLike = NULL_TELEMETRY
 
-# Per-thread override installed by :func:`scoped`.  Worker threads (the
-# thread execution backend) capture into private registries through this
-# slot, so concurrent tasks never clobber the process-wide registry; in
-# single-threaded code (including process-pool workers) the override is
-# indistinguishable from plain :func:`activate`.
-_local = threading.local()
-
 
 def get() -> TelemetryLike:
-    """The active registry (the no-op singleton unless enabled).
-
-    A :func:`scoped` override installed on the calling thread wins over
-    the process-wide registry set by :func:`activate`.
-    """
-    override = getattr(_local, "registry", None)
-    return _active if override is None else override
+    """The active registry (the no-op singleton unless enabled)."""
+    return _active
 
 
 def activate(telemetry: TelemetryLike) -> TelemetryLike:
@@ -358,26 +345,24 @@ def disable() -> None:
 
 @contextlib.contextmanager
 def scoped(telemetry: TelemetryLike) -> Iterator[TelemetryLike]:
-    """Make ``telemetry`` the active registry for this thread only.
+    """Make ``telemetry`` the active registry until the block exits.
 
-    Unlike :func:`activate`, the override is confined to the calling
-    thread and restored on exit, which makes it safe inside concurrently
-    running pool workers::
+    An :func:`activate` / restore pair: the previous registry comes back
+    on exit, even when the block raises::
 
         with telemetry.scoped(Telemetry()) as registry:
-            ...  # instrumentation on this thread records into registry
+            ...  # instrumentation records into registry
         snapshot = registry.snapshot()
 
     Capture wrappers (cosim shards, experiment scenarios) use this so the
-    same code path is correct in a process worker, a thread worker, and
-    the in-process serial fallback.
+    same code path is correct in a process worker and in the in-process
+    serial fallback.
     """
-    previous = getattr(_local, "registry", None)
-    _local.registry = telemetry
+    previous = activate(telemetry)
     try:
         yield telemetry
     finally:
-        _local.registry = previous
+        activate(previous)
 
 
 # ---------------------------------------------------------------------------

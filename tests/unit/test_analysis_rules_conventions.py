@@ -132,6 +132,13 @@ class TestREP005SpecLint:
         found = lint(tmp_path, source, "REP005", rel="scenarios/static_cosim.toml")
         assert len(found) == 1 and "controller" in found[0].message
 
+    def test_unknown_objective_flagged(self, tmp_path):
+        source = VALID_SCENARIO.replace('kind = "analyze"', 'kind = "adapt"').replace(
+            'mode = "local"', 'mode = "local"\n[scenario.params]\nobjective = "bogus"'
+        )
+        found = lint(tmp_path, source, "REP005", rel="scenarios/bad_objective.toml")
+        assert len(found) == 1 and "objective" in found[0].message
+
     def test_duplicate_names_flagged(self, tmp_path):
         source = VALID_SCENARIO + "\n" + VALID_SCENARIO
         found = lint(tmp_path, source, "REP005", rel="scenarios/dupes.toml")

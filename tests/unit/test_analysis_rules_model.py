@@ -204,16 +204,13 @@ class TestREP003PoolSafety:
         found = lint(tmp_path, source, "REP003")
         assert len(found) == 1 and "lambda" in found[0].message
 
-    def test_closure_flagged_for_run_hardened(self, tmp_path):
+    def test_closure_flagged_for_map_tasks(self, tmp_path):
         source = (
-            "from repro.faults.execution import run_hardened\n"
-            "\n"
-            "\n"
-            "def fan_out(items):\n"
+            "def fan_out(backend, items):\n"
             "    def task(payload):\n"
             "        return payload\n"
             "\n"
-            "    return run_hardened(task, items)\n"
+            "    return backend.map_tasks(task, items, max_workers=2)\n"
         )
         found = lint(tmp_path, source, "REP003")
         assert len(found) == 1 and "closure" in found[0].message

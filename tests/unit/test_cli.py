@@ -2,13 +2,55 @@
 
 import pytest
 
+from repro.adaptive import CONTROLLERS, TRACE_GENERATORS
+from repro.adaptive.runtime import OBJECTIVES
 from repro.cli import build_parser, main
+from repro.docs.cli_reference import iter_commands
+from repro.experiments import ScenarioSpec
+from repro.fleet import ADMISSION_POLICIES
+
+
+#: (subcommand, flag, the registry its choices must equal).
+REGISTRY_FLAGS = (
+    ("adapt", "--controller", ("all", *CONTROLLERS)),
+    ("cosim", "--controller", tuple(CONTROLLERS)),
+    ("faults run", "--controller", tuple(CONTROLLERS)),
+    ("adapt", "--trace", tuple(TRACE_GENERATORS)),
+    ("cosim", "--trace", tuple(TRACE_GENERATORS)),
+    ("faults run", "--trace", tuple(TRACE_GENERATORS)),
+    ("adapt", "--objective", OBJECTIVES),
+    ("cosim", "--objective", OBJECTIVES),
+    ("fleet", "--policy", tuple(ADMISSION_POLICIES)),
+)
+
+
+def _choices(command, flag):
+    """The ``choices`` of ``flag`` on the subcommand ``repro <command>``."""
+    parsers = {path: parser for path, parser, _ in iter_commands(build_parser())}
+    parser = parsers[("repro", *command.split())]
+    (action,) = [a for a in parser._actions if flag in a.option_strings]
+    return tuple(action.choices)
 
 
 class TestParser:
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize(
+        "command, flag, registry",
+        REGISTRY_FLAGS,
+        ids=[f"{command.replace(' ', '-')}{flag}" for command, flag, _ in REGISTRY_FLAGS],
+    )
+    def test_choices_are_the_registry_keys(self, command, flag, registry):
+        assert _choices(command, flag) == registry
+
+    def test_every_controller_builds_a_valid_scenario(self):
+        assert tuple(CONTROLLERS) == ("hysteresis", "greedy", "ewma")
+        for name in CONTROLLERS:
+            for kind in ("adapt", "cosim"):
+                spec = ScenarioSpec(name=name, kind=kind, params={"controller": name})
+                assert spec.params["controller"] == name
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -40,7 +40,7 @@ class TestCliRendering:
         reference = render_cli_markdown()
         # Parser-build-time defaults must be scrubbed, not inherited.
         monkeypatch.setenv("REPRO_BENCH_TOLERANCE", "0.05")
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "serial")
         assert render_cli_markdown() == reference
 
     def test_marker_and_trailing_newline_present(self):
@@ -63,7 +63,14 @@ class TestCliRendering:
     def test_backend_flag_documented_with_choices(self):
         text = render_cli_markdown()
         assert "`--backend`" in text
-        assert "`process`" in text and "`serial`" in text and "`thread`" in text
+        assert "`process`" in text and "`serial`" in text
+        backend_rows = [
+            line for line in text.splitlines() if line.startswith("| `--backend` |")
+        ]
+        assert backend_rows
+        for row in backend_rows:
+            assert "(choices: `process`, `serial`)" in row
+            assert "thread" not in row
 
     def test_iter_commands_walks_the_whole_tree(self):
         paths = [

@@ -1,7 +1,7 @@
 """Conformance suite for :mod:`repro.exec` execution backends.
 
-One parametrized suite holds every backend — serial, thread, process — to
-the same contract: results in payload order, identical telemetry counters
+One parametrized suite holds every backend — serial and process — to the
+same contract: results in payload order, identical telemetry counters
 on a clean run (modulo wall time, which lives in spans), and salvage that
 reproduces the all-serial result bit for bit when a worker dies, hangs, or
 raises.  The call-site tests at the bottom pin the same property end to
@@ -22,19 +22,17 @@ from repro.exec import (
     CHAOS_KILL_ENV,
     DEFAULT_BACKEND,
     EXEC_BACKEND_ENV,
-    ChaosKilledTask,
     ExecutionBackend,
     ProcessPoolBackend,
     RetryPolicy,
     SerialBackend,
-    ThreadPoolBackend,
     backend_names,
     resolve_backend,
 )
 from repro.experiments import ExperimentRunner, ScenarioSpec, ScenarioSuite
 from repro.fleet import homogeneous
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 
 @pytest.fixture(autouse=True)
@@ -51,10 +49,6 @@ def backend(request):
 
 def _square(x):
     return x * x
-
-
-def _boom(x):
-    raise ValueError(f"boom {x}")
 
 
 class _LazyFuture:
@@ -79,10 +73,15 @@ class _LazyFuture:
 
 
 class _FakePool:
-    """Executor double whose failures are scripted per task index."""
+    """Executor double whose failures are scripted per task index.
 
-    def __init__(self, plan):
+    ``broken_from`` makes ``submit`` refuse that task index and every later
+    one, like a pool whose worker died while tasks were still being queued.
+    """
+
+    def __init__(self, plan, broken_from=None):
         self.plan = plan
+        self.broken_from = broken_from
         self.submitted = 0
 
     def __call__(self, max_workers):  # pool_factory signature
@@ -90,6 +89,8 @@ class _FakePool:
 
     def submit(self, fn, args):
         index = self.submitted
+        if self.broken_from is not None and index >= self.broken_from:
+            raise BrokenProcessPool("worker died while tasks were queued")
         self.submitted += 1
         return _LazyFuture(fn, args, error=self.plan.get(index))
 
@@ -136,24 +137,16 @@ class TestContract:
             snapshots[name] = registry.snapshot()["counters"]
             telemetry.disable()
         assert snapshots["serial"] == {"conf.tasks": 4}
-        assert snapshots["thread"] == snapshots["serial"]
         assert snapshots["process"] == snapshots["serial"]
 
 
 class TestScriptedSalvage:
     """Worker death injected through a scripted executor (no real pools)."""
 
-    @pytest.mark.parametrize(
-        "backend_cls, error",
-        [
-            (ProcessPoolBackend, BrokenProcessPool("worker died")),
-            (ThreadPoolBackend, concurrent.futures.BrokenExecutor("dead")),
-        ],
-        ids=["process", "thread"],
-    )
-    def test_broken_pool_reruns_only_failed_tasks(self, backend_cls, error):
+    @pytest.mark.parametrize("backend_cls", [ProcessPoolBackend], ids=["process"])
+    def test_broken_pool_reruns_only_failed_tasks(self, backend_cls):
         registry = telemetry.enable()
-        pool = _FakePool({1: error})
+        pool = _FakePool({1: BrokenProcessPool("worker died")})
         backend = backend_cls(pool_factory=pool)
         results = backend.map_tasks(
             _square, [1, 2, 3], max_workers=3, label="t"
@@ -164,14 +157,24 @@ class TestScriptedSalvage:
         assert counters["t.serial_reruns"] == 1
         assert counters["t.tasks"] == 3
 
-    @pytest.mark.parametrize(
-        "backend_cls", [ProcessPoolBackend, ThreadPoolBackend],
-        ids=["process", "thread"],
-    )
+    @pytest.mark.parametrize("backend_cls", [ProcessPoolBackend], ids=["process"])
     def test_cancelled_future_joins_serial_retry(self, backend_cls):
         pool = _FakePool({0: concurrent.futures.CancelledError()})
         backend = backend_cls(pool_factory=pool)
         assert backend.map_tasks(_square, [3, 4], max_workers=2) == [9, 16]
+
+    def test_pool_broken_while_queueing_reruns_unqueued_tasks(self):
+        # A worker can die before the last submit(), which then raises; the
+        # unqueued tasks join the serial retry like queued ones.
+        registry = telemetry.enable()
+        backend = ProcessPoolBackend(pool_factory=_FakePool({}, broken_from=1))
+        results = backend.map_tasks(
+            _square, [1, 2, 3], max_workers=3, label="t"
+        )
+        assert results == [1, 4, 9]
+        counters = registry.snapshot()["counters"]
+        assert counters["t.retry.broken_pool"] == 2
+        assert counters["t.serial_reruns"] == 2
 
     def test_retry_disabled_raises_first_pool_error(self):
         pool = _FakePool({1: BrokenProcessPool("worker died")})
@@ -212,30 +215,6 @@ class TestChaosSalvage:
         # salvage tests, which are deterministic).
         assert 1 <= counters["t.serial_reruns"] <= 3
 
-    def test_thread_worker_kill_recovers(self, monkeypatch):
-        # A thread worker cannot os._exit without taking the interpreter
-        # down; chaos "death" is a deliberate exception, salvaged the same
-        # way a genuine task error is.
-        monkeypatch.setenv(CHAOS_KILL_ENV, "1")
-        registry = telemetry.enable()
-        results = resolve_backend("thread").map_tasks(
-            _square, [1, 2, 3], max_workers=2, label="t"
-        )
-        assert results == [1, 4, 9]
-        counters = registry.snapshot()["counters"]
-        assert counters["t.retry.error"] == 1
-        assert counters["t.serial_reruns"] == 1
-
-    def test_thread_chaos_kill_raises_chaos_killed_task(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_KILL_ENV, "0,1")
-        pool = _FakePool({})  # scripted pool still runs the worker entry
-        backend = ThreadPoolBackend(pool_factory=pool)
-        with pytest.raises(ChaosKilledTask):
-            backend.map_tasks(
-                _boom, [1, 2], max_workers=2,
-                retry=RetryPolicy(serial_rerun=False),
-            )
-
     def test_chaos_hooks_never_reach_serial_execution(self, monkeypatch):
         # Serial execution is the reference/recovery path: killing every
         # index must not perturb it, on any backend.
@@ -258,16 +237,6 @@ class TestPicklability:
         counters = registry.snapshot()["counters"]
         assert counters["t.fallback.unpicklable"] == 1
 
-    def test_thread_backend_runs_unpicklable_payloads_in_pool(self):
-        # Nothing crosses a process boundary, so no probe and no fallback.
-        registry = telemetry.enable()
-        payloads = [lambda: 1, lambda: 2]
-        results = resolve_backend("thread").map_tasks(
-            lambda f: f(), payloads, max_workers=2, label="t"
-        )
-        assert results == [1, 2]
-        assert "t.fallback.unpicklable" not in registry.snapshot()["counters"]
-
 
 class TestResolveBackend:
     def test_default_is_the_process_pool(self, monkeypatch):
@@ -276,31 +245,34 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(), ProcessPoolBackend)
 
     def test_env_override_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(EXEC_BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend(), ThreadPoolBackend)
+        monkeypatch.setenv(EXEC_BACKEND_ENV, "serial")
+        assert isinstance(resolve_backend(), SerialBackend)
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXEC_BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend("serial"), SerialBackend)
+        monkeypatch.setenv(EXEC_BACKEND_ENV, "serial")
+        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
 
     def test_name_normalised(self):
         assert isinstance(resolve_backend("  Serial "), SerialBackend)
 
     def test_unknown_name_rejected_with_choices(self):
-        with pytest.raises(ConfigurationError, match="process"):
-            resolve_backend("cluster")
+        # "thread" named a backend that was removed.
+        for name in ("cluster", "thread"):
+            with pytest.raises(ConfigurationError, match="process, serial"):
+                resolve_backend(name)
 
     def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(EXEC_BACKEND_ENV, "cluster")
-        with pytest.raises(ConfigurationError):
-            resolve_backend()
+        for name in ("cluster", "thread"):
+            monkeypatch.setenv(EXEC_BACKEND_ENV, name)
+            with pytest.raises(ConfigurationError, match="process, serial"):
+                resolve_backend()
 
     def test_instance_passthrough(self):
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
     def test_backend_names_sorted(self):
-        assert backend_names() == ("process", "serial", "thread")
+        assert backend_names() == ("process", "serial")
 
     def test_every_registered_backend_is_an_execution_backend(self):
         for name in backend_names():
@@ -324,7 +296,6 @@ class TestCallSiteInvariance:
 
     def test_sharded_cosim_bit_identical_across_backends(self):
         reference = _sharded_cosim("serial").to_dict()
-        assert _sharded_cosim("thread").to_dict() == reference
         assert _sharded_cosim("process").to_dict() == reference
 
     def test_sharded_cosim_counters_identical_across_backends(self):
@@ -334,7 +305,6 @@ class TestCallSiteInvariance:
             _sharded_cosim(name)
             counters[name] = registry.snapshot()["counters"]
             telemetry.disable()
-        assert counters["thread"] == counters["serial"]
         assert counters["process"] == counters["serial"]
         assert counters["serial"]["exec.tasks"] == 2
 
@@ -355,7 +325,7 @@ class TestCallSiteInvariance:
         )
         runner = ExperimentRunner(suite, manifest_dir=None)
         serial = runner.run(write=False).metric_payload()
-        threaded = runner.run(
-            processes=2, backend="thread", write=False
+        pooled = runner.run(
+            processes=2, backend="process", write=False
         ).metric_payload()
-        assert threaded == serial
+        assert pooled == serial

@@ -169,6 +169,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="controller"):
             ScenarioSpec(name="x", kind="cosim", params={"controller": "static"})
 
+    def test_objective_validated_for_adapt_and_cosim(self):
+        for kind in ("adapt", "cosim"):
+            ScenarioSpec(name="ok", kind=kind, params={"objective": "energy"})
+            with pytest.raises(ConfigurationError, match="objective"):
+                ScenarioSpec(name="x", kind=kind, params={"objective": "bogus"})
+
+    def test_boolean_params_must_be_booleans(self):
+        # The runner's bool(...) would turn both strings on.
+        ScenarioSpec(name="ok", kind="fleet", params={"plan_capacity": False})
+        with pytest.raises(ConfigurationError, match="plan_capacity"):
+            ScenarioSpec(name="x", kind="fleet", params={"plan_capacity": "no"})
+        for kind in ("analyze", "fleet", "adapt", "cosim"):
+            ScenarioSpec(name="ok", kind=kind, params={"include_aoi": True})
+            with pytest.raises(ConfigurationError, match="include_aoi"):
+                ScenarioSpec(name="x", kind=kind, params={"include_aoi": "false"})
+            with pytest.raises(ConfigurationError, match="include_aoi"):
+                ScenarioSpec(name="x", kind=kind, params={"include_aoi": 1})
+
     def test_app_and_network_overrides_checked_against_config_fields(self):
         ScenarioSpec(name="ok", kind="analyze", app={"cpu_freq_ghz": 2.5})
         with pytest.raises(ConfigurationError, match="app override"):

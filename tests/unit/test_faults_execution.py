@@ -1,26 +1,23 @@
-"""Tests for the hardened execution seam (:func:`repro.faults.execution
-.run_hardened`): per-task recovery, timeouts, chaos hooks and telemetry.
-
-The crash/hang tests inject faults two ways — a fake executor whose futures
-fail deterministically (fast, no subprocesses) and the ``REPRO_CHAOS_*``
-environment hooks against a real :class:`ProcessPoolExecutor` (end-to-end,
-exactly what the CI chaos job runs).
-"""
+"""Fault salvage of :class:`repro.exec.ProcessPoolBackend`: per-task
+recovery, timeouts, chaos hooks and telemetry, injected through a scripted
+executor (no subprocesses) and through the ``REPRO_CHAOS_*`` hooks against
+a real pool (what the CI chaos job runs)."""
 
 import concurrent.futures
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from test_exec_backends import _FakePool, _square
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
-from repro.faults.execution import (
+from repro.exec import (
     CHAOS_HANG_ENV,
     CHAOS_HANG_TASK_ENV,
     CHAOS_KILL_ENV,
     EXEC_TIMEOUT_ENV,
+    ProcessPoolBackend,
     default_timeout_s,
-    run_hardened,
 )
 
 
@@ -29,10 +26,6 @@ def _null_registry():
     telemetry.disable()
     yield
     telemetry.disable()
-
-
-def _square(x):
-    return x * x
 
 
 def _boom(x):
@@ -45,105 +38,64 @@ def _flaky(x):
     return x * x
 
 
-class _LazyFuture:
-    """A future resolved at ``result()`` time: a scripted exception wins,
-    otherwise the task runs in-process."""
-
-    def __init__(self, fn, args, error=None):
-        self._fn = fn
-        self._args = args
-        self._error = error
-
-    def result(self, timeout=None):
-        if self._error is not None:
-            raise self._error
-        return self._fn(self._args)
-
-    def done(self):
-        return True
-
-    def cancelled(self):
-        return False
+def _no_pool(max_workers):
+    raise AssertionError("this run must not open a pool")
 
 
-class _FakePool:
-    """Executor double whose behaviour is scripted per task index.
-
-    ``plan[index]`` may be an exception instance (raised by that future) or
-    absent (the task runs in-process and succeeds when resolved).
-    """
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.submitted = 0
-
-    def __call__(self, max_workers):  # pool_factory signature
-        return self
-
-    def submit(self, fn, args):
-        index = self.submitted
-        self.submitted += 1
-        return _LazyFuture(fn, args, error=self.plan.get(index))
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
+def _run(fn, payloads, pool_factory=None, **kwargs):
+    """``map_tasks`` on a process backend (optionally over a scripted pool)."""
+    return ProcessPoolBackend(pool_factory=pool_factory).map_tasks(fn, payloads, **kwargs)
 
 
 class TestValidation:
     def test_max_workers_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_hardened(_square, [1], max_workers=0)
-        with pytest.raises(ConfigurationError):
-            run_hardened(_square, [1], max_workers=-2)
+        for max_workers in (0, -2):
+            with pytest.raises(ConfigurationError):
+                _run(_square, [1], max_workers=max_workers)
 
     def test_timeout_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            run_hardened(_square, [1, 2], max_workers=2, timeout_s=0.0)
+            _run(_square, [1, 2], max_workers=2, timeout_s=0.0)
 
     def test_env_timeout_parsing(self, monkeypatch):
         monkeypatch.delenv(EXEC_TIMEOUT_ENV, raising=False)
         assert default_timeout_s() is None
         monkeypatch.setenv(EXEC_TIMEOUT_ENV, "2.5")
         assert default_timeout_s() == 2.5
-        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "zero")
-        with pytest.raises(ConfigurationError):
-            default_timeout_s()
-        monkeypatch.setenv(EXEC_TIMEOUT_ENV, "-1")
-        with pytest.raises(ConfigurationError):
-            default_timeout_s()
+        for bad in ("zero", "-1"):
+            monkeypatch.setenv(EXEC_TIMEOUT_ENV, bad)
+            with pytest.raises(ConfigurationError):
+                default_timeout_s()
 
 
 class TestSerialPaths:
     def test_empty_payloads(self):
-        assert run_hardened(_square, [], max_workers=4) == []
+        assert _run(_square, [], max_workers=4, pool_factory=_no_pool) == []
 
     def test_single_worker_runs_serially(self):
-        assert run_hardened(_square, [1, 2, 3], max_workers=1) == [1, 4, 9]
+        results = _run(_square, [1, 2, 3], max_workers=1, pool_factory=_no_pool)
+        assert results == [1, 4, 9]
 
     def test_single_task_runs_serially(self):
-        assert run_hardened(_square, [5], max_workers=4) == [25]
+        assert _run(_square, [5], max_workers=4, pool_factory=_no_pool) == [25]
 
     def test_unpicklable_payload_falls_back(self):
         registry = telemetry.enable()
         payloads = [lambda: 1, lambda: 2]  # lambdas cannot cross a pool
-        results = run_hardened(lambda f: f(), payloads, max_workers=2, label="t")
+        results = _run(lambda f: f(), payloads, max_workers=2, label="t", pool_factory=_no_pool)
         assert results == [1, 2]
         assert registry.snapshot()["counters"]["t.fallback.unpicklable"] == 1
 
 
 class TestFakePoolRecovery:
     def test_all_tasks_succeed(self):
-        results = run_hardened(
-            _square, [1, 2, 3], max_workers=3, pool_factory=_FakePool({})
-        )
+        results = _run(_square, [1, 2, 3], max_workers=3, pool_factory=_FakePool({}))
         assert results == [1, 4, 9]
 
     def test_broken_pool_reruns_only_failed_tasks(self):
         registry = telemetry.enable()
         pool = _FakePool({1: BrokenProcessPool("worker died")})
-        results = run_hardened(
-            _square, [1, 2, 3], max_workers=3, label="t", pool_factory=pool
-        )
+        results = _run(_square, [1, 2, 3], max_workers=3, label="t", pool_factory=pool)
         assert results == [1, 4, 9]
         counters = registry.snapshot()["counters"]
         assert counters["t.retry.broken_pool"] == 1
@@ -154,45 +106,38 @@ class TestFakePoolRecovery:
         registry = telemetry.enable()
         pool = _FakePool({0: ValueError("worker-side failure")})
         # The serial retry re-raises the deterministic error with a direct
-        # traceback instead of a pickled pool traceback.
+        # traceback instead of the scripted pool-side one.
         with pytest.raises(ValueError, match="boom"):
-            run_hardened(_boom, [7, 8], max_workers=2, label="t", pool_factory=pool)
+            _run(_boom, [7, 8], max_workers=2, label="t", pool_factory=pool)
         # Both tasks error (one scripted, one genuine) before the serial
         # retry surfaces the deterministic failure.
         assert registry.snapshot()["counters"]["t.retry.error"] == 2
 
     def test_flaky_error_recovers_when_serial_path_succeeds(self):
-        # _FakePool raises from the future while the serial path computes
-        # the true value: recovery is per-task, not all-or-nothing.
+        # The future raises while the serial path computes the true value:
+        # recovery is per task, not all-or-nothing.
         pool = _FakePool({2: ValueError("transient")})
-        results = run_hardened(
-            _square, [1, 2, 3, 4], max_workers=4, label="t", pool_factory=pool
-        )
+        results = _run(_square, [1, 2, 3, 4], max_workers=4, label="t", pool_factory=pool)
         assert results == [1, 4, 9, 16]
 
     def test_cancelled_future_joins_serial_retry(self):
         pool = _FakePool({0: concurrent.futures.CancelledError()})
-        results = run_hardened(
-            _square, [3, 4], max_workers=2, label="t", pool_factory=pool
-        )
-        assert results == [9, 16]
+        assert _run(_square, [3, 4], max_workers=2, pool_factory=pool) == [9, 16]
 
 
 class TestRealPoolChaos:
     def test_plain_pooled_run_matches_serial(self):
-        pooled = run_hardened(_square, [1, 2, 3, 4], max_workers=2)
+        pooled = _run(_square, [1, 2, 3, 4], max_workers=2)
         assert pooled == [_square(p) for p in [1, 2, 3, 4]]
 
     def test_killed_worker_recovers_per_task(self, monkeypatch):
         monkeypatch.setenv(CHAOS_KILL_ENV, "1")
         registry = telemetry.enable()
-        results = run_hardened(_square, [1, 2, 3], max_workers=2, label="t")
+        results = _run(_square, [1, 2, 3], max_workers=2, label="t")
         assert results == [1, 4, 9]
         counters = registry.snapshot()["counters"]
-        # At least the killed task was retried.  Under heavy load the pool
-        # can break before any future is collected, so every task may join
-        # the serial retry — the deterministic "completed tasks never
-        # re-run" pin lives in the scripted _FakePool tests above.
+        # Under load the pool can break before any future is collected, so
+        # every task may rerun; the per-task pin is in the scripted tests.
         assert counters.get("t.retry.broken_pool", 0) >= 1
         assert 1 <= counters["t.serial_reruns"] <= 3
 
@@ -200,21 +145,17 @@ class TestRealPoolChaos:
         monkeypatch.setenv(CHAOS_HANG_TASK_ENV, "0")
         monkeypatch.setenv(CHAOS_HANG_ENV, "30")
         registry = telemetry.enable()
-        results = run_hardened(
-            _square, [1, 2, 3], max_workers=2, timeout_s=1.0, label="t"
-        )
+        results = _run(_square, [1, 2, 3], max_workers=2, timeout_s=1.0, label="t")
         assert results == [1, 4, 9]
         counters = registry.snapshot()["counters"]
         assert counters["t.retry.timeout"] == 1
         assert counters["t.serial_reruns"] >= 1
 
     def test_chaos_hooks_do_not_reach_serial_retries(self, monkeypatch):
-        # Killing every task index still converges: the serial retry calls
-        # fn directly, bypassing the worker-side chaos wrapper.
+        # The serial retry calls fn directly, bypassing the chaos wrapper.
         monkeypatch.setenv(CHAOS_KILL_ENV, "0,1,2")
-        results = run_hardened(_square, [1, 2, 3], max_workers=2)
-        assert results == [1, 4, 9]
+        assert _run(_square, [1, 2, 3], max_workers=2) == [1, 4, 9]
 
     def test_genuine_error_propagates_from_real_pool(self):
         with pytest.raises(ValueError, match="flaky payload"):
-            run_hardened(_flaky, [1, 2, 3], max_workers=2)
+            _run(_flaky, [1, 2, 3], max_workers=2)

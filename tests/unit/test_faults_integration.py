@@ -28,10 +28,10 @@ from repro.adaptive import (
 from repro.cli import main
 from repro.cosim import CoSimulation, run_cosim
 from repro.exceptions import ConfigurationError
+from repro.exec import CHAOS_KILL_ENV
 from repro.experiments import ExperimentRunner, bundled_suite
 from repro.experiments.spec import ScenarioSpec
 from repro.faults import FaultSchedule, make_schedule
-from repro.faults.execution import CHAOS_KILL_ENV
 from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous
 
 

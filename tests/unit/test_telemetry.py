@@ -169,6 +169,19 @@ class TestRegistry:
         assert telemetry.get() is NULL_TELEMETRY
         assert registry.snapshot()["counters"]["seen"] == 1
 
+    def test_scoped_activates_and_restores_process_wide(self):
+        outer = telemetry.enable()
+        with telemetry.scoped(Telemetry()) as inner:
+            assert telemetry.get() is inner
+            telemetry.get().add("inside")
+        assert telemetry.get() is outer
+        with pytest.raises(RuntimeError):
+            with telemetry.scoped(Telemetry()):
+                raise RuntimeError("boom")
+        assert telemetry.get() is outer
+        assert inner.snapshot()["counters"] == {"inside": 1}
+        assert outer.snapshot()["counters"] == {}
+
     def test_snapshot_is_json_serializable(self):
         registry = Telemetry()
         with registry.span("s", n=1):
