@@ -43,10 +43,14 @@ same controller work as a single user.  Loads and charges are computed per
 *slot* — one per offloading (class, edge) pair of the round-robin deal plus
 one per local class.  Dealing users onto edges is O(users), but fleets
 revisit few offloading patterns, so the deal is cached per pattern
-(:data:`DEAL_CACHE_SIZE`) and a best-response iteration that reuses one does
-one accumulation per edge and one tagged wait per slot; per-user arrays are
-only gathered from slot values once per epoch, for the charged means and
-sums.
+(:data:`DEAL_CACHE_SIZE`).  Each cached deal keeps a table of the loads
+computed on it (:data:`LOADS_TABLE_SIZE`), keyed by the classes' arrival
+rates and service times and the alive edges' service scales — everything
+the loads and the classes' decision waits depend on — so a best-response
+round that revisits a decision vector costs two lookups, and only a new key
+pays one accumulation per edge and one tagged wait per slot.  Per-user
+arrays are only gathered from slot values once per epoch, for the charged
+means and sums.
 
 Candidate evaluation goes through the vectorized batch engine
 (:class:`repro.batch.ConditionedPoints`), compiled once per simulation: every
@@ -207,6 +211,18 @@ class _UserClass:
 #: them within each epoch); 8 holds that working set twice over.
 DEAL_CACHE_SIZE = 8
 
+#: Loads a deal's table keeps (least recently used evicted first).  An entry
+#: is O(edges + slots + classes), and the table goes when its deal is
+#: evicted.  The benchmarked cosim fleets compute loads for at most 4
+#: (rate, service, service-scale) keys per deal; 8 holds that twice over.
+LOADS_TABLE_SIZE = 8
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only because a cache shares it."""
+    array.flags.writeable = False
+    return array
+
 
 @dataclass(frozen=True)
 class _Deal:
@@ -243,13 +259,17 @@ class _EpochLoads:
 
     ``slot_wait_ms`` is the edge wait of every slot of the deal: slot ``i <
     len(deal.pairs)`` holds the tagged wait of pair ``deal.pairs[i]``, and
-    the local slots after them hold 0.
+    the local slots after them hold 0.  ``decision_wait_ms`` holds every
+    class's :meth:`CoSimulation._decision_wait` under these loads; it is
+    filled once, when the loads are computed.  Loads are cached and shared,
+    so their arrays are read-only.
     """
 
     deal: _Deal
     edge_rate: np.ndarray
     edge_busy: np.ndarray
     slot_wait_ms: np.ndarray
+    decision_wait_ms: List[float] = field(default_factory=list)
 
     @property
     def n_offloaded(self) -> int:
@@ -411,7 +431,7 @@ class CoSimulation:
         self._models: Dict[object, XRPerformanceModel] = {}
         self._share_cache: Dict[int, float] = {}
         self._all_edges = tuple(range(n_edges))
-        self._deals: "OrderedDict[Tuple[bytes, Tuple[int, ...]], _Deal]" = OrderedDict()
+        self._deals: "OrderedDict[tuple, Tuple[_Deal, OrderedDict]]" = OrderedDict()
         self._classes, self._class_of_user = self._build_classes(
             controller, trace, candidates, prewarm
         )
@@ -422,19 +442,27 @@ class CoSimulation:
     # -- construction ---------------------------------------------------------
 
     @staticmethod
-    def _resolve(spec, user: UserProfile, kind: str):
+    def _resolver(spec, kind: str) -> Callable[[UserProfile], object]:
+        """Per-user resolution of a controller or trace spec, classified once.
+
+        A mapping is looked up by user name and a factory (a callable that is
+        neither a controller nor a trace) is called per user; any other spec
+        is one object shared by every user.
+        """
         if isinstance(spec, Mapping):
-            try:
-                return spec[user.name]
-            except KeyError:
-                raise ConfigurationError(
-                    f"no {kind} given for user {user.name!r}"
-                ) from None
-        if isinstance(spec, ConditionTrace):
+
+            def lookup(user: UserProfile):
+                try:
+                    return spec[user.name]
+                except KeyError:
+                    raise ConfigurationError(
+                        f"no {kind} given for user {user.name!r}"
+                    ) from None
+
+            return lookup
+        if callable(spec) and not isinstance(spec, (ConditionTrace, Controller)):
             return spec
-        if callable(spec) and not isinstance(spec, Controller):
-            return spec(user)
-        return spec
+        return lambda user: spec
 
     def _model_for(self, device) -> XRPerformanceModel:
         key = device if isinstance(device, str) else id(device)
@@ -459,14 +487,26 @@ class CoSimulation:
         classes: List[_UserClass] = []
         class_of_user = np.empty(self._n_users, dtype=np.intp)
         key_to_index: Dict[tuple, int] = {}
+        # Equal apps share a class.  Hashing an app walks its nested
+        # configuration, so each app object is hashed once; the population
+        # keeps every app alive, so its id is stable for this loop.
+        app_of_id: Dict[int, int] = {}
+        app_index: Dict[ApplicationConfig, int] = {}
+        controller_of = self._resolver(controller, "controller")
+        trace_of = self._resolver(trace, "trace")
         for index, user in enumerate(self.population):
-            user_controller = self._resolve(controller, user, "controller")
-            user_trace = self._resolve(trace, user, "trace")
+            user_controller = controller_of(user)
+            user_trace = trace_of(user)
             if not isinstance(user_trace, ConditionTrace):
                 raise ConfigurationError(
                     f"cannot interpret {user_trace!r} as a condition trace"
                 )
-            key = (user.device, user.app, id(user_controller), id(user_trace))
+            app = app_of_id.get(id(user.app))
+            if app is None:
+                app = app_of_id[id(user.app)] = app_index.setdefault(
+                    user.app, len(app_index)
+                )
+            key = (user.device, app, id(user_controller), id(user_trace))
             cls_index = key_to_index.get(key)
             if cls_index is None:
                 cls_index = len(classes)
@@ -615,23 +655,30 @@ class CoSimulation:
 
     # -- loads ----------------------------------------------------------------
 
-    def _deal(self, offload_c: np.ndarray, alive: Tuple[int, ...]) -> _Deal:
-        """The (cached) round-robin deal of an offloading pattern."""
+    def _deal(
+        self, offload_c: np.ndarray, alive: Tuple[int, ...]
+    ) -> Tuple[_Deal, "OrderedDict[tuple, _EpochLoads]"]:
+        """The (cached) round-robin deal of an offloading pattern.
+
+        Returns the deal and its loads table (see :meth:`_loads`).  The table
+        lives in the deal's cache entry, not in the deal the loads point
+        back to, so evicting the entry frees both at once.
+        """
         key = (offload_c.tobytes(), alive)
-        deal = self._deals.get(key)
+        entry = self._deals.get(key)
         registry = telemetry.get()
         if registry.enabled:
             registry.add(
-                "cosim.deal_cache.misses" if deal is None else "cosim.deal_cache.hits"
+                "cosim.deal_cache.misses" if entry is None else "cosim.deal_cache.hits"
             )
-        if deal is None:
-            deal = self._build_deal(offload_c, alive)
-            self._deals[key] = deal
+        if entry is None:
+            entry = (self._build_deal(offload_c, alive), OrderedDict())
+            self._deals[key] = entry
             if len(self._deals) > DEAL_CACHE_SIZE:
                 self._deals.popitem(last=False)
         else:
             self._deals.move_to_end(key)
-        return deal
+        return entry
 
     def _build_deal(self, offload_c: np.ndarray, alive: Tuple[int, ...]) -> _Deal:
         """Deal the offloading classes' users round-robin onto ``alive``.
@@ -661,16 +708,16 @@ class CoSimulation:
             [np.asarray([c for c, _ in pairs], dtype=np.intp), local]
         )
         edge_classes = tuple(
-            (alive[j], offloader_classes[j::n_alive])
+            (alive[j], _read_only(offloader_classes[j::n_alive]))
             for j in range(min(n_alive, offloaders.size))
         )
         return _Deal(
             n_offloaded=int(offloaders.size),
             edge_classes=edge_classes,
             pairs=pairs,
-            slot_class=slot_class,
-            slot_of_user=slot_of_user,
-            slot_count=np.bincount(slot_of_user, minlength=slot_class.size),
+            slot_class=_read_only(slot_class),
+            slot_of_user=_read_only(slot_of_user),
+            slot_count=_read_only(np.bincount(slot_of_user, minlength=slot_class.size)),
         )
 
     def _loads(
@@ -678,7 +725,7 @@ class CoSimulation:
         decisions: Sequence[Optional[int]],
         fault_state: Optional[EpochFaultState] = None,
     ) -> _EpochLoads:
-        """Edge loads and per-slot waits implied by a decision vector.
+        """Edge loads, per-slot waits and decision waits of a decision vector.
 
         Replicates ``FleetAnalyzer.analyze`` operation for operation: users
         whose chosen candidate offloads are dealt round-robin onto the edge
@@ -694,6 +741,12 @@ class CoSimulation:
         (brownout/straggler).  With every edge dead, offloaders wait
         forever.  A scale of exactly 1.0 leaves every float untouched, so
         the no-fault path is bit-identical to the pre-fault engine.
+
+        The loads depend only on the deal, the classes' arrival rates and
+        service times and the alive edges' service scales, so the deal's
+        table (:data:`LOADS_TABLE_SIZE` entries) keeps them per such key: a
+        round that revisits a decision vector costs one deal lookup and one
+        table lookup.
         """
         classes = self._classes
         offload_c = np.asarray(
@@ -714,8 +767,22 @@ class CoSimulation:
                 for cls, decision, offloads in zip(classes, decisions, offload_c)
             ]
         )
-        alive = fault_state.alive_edges if fault_state is not None else self._all_edges
-        deal = self._deal(offload_c, alive)
+        if fault_state is None:
+            alive, scales = self._all_edges, ()
+        else:
+            alive = fault_state.alive_edges
+            scales = tuple(fault_state.service_scale(edge) for edge in alive)
+        deal, table = self._deal(offload_c, alive)
+        key = (rate_c.tobytes(), service_c.tobytes(), scales)
+        loads = table.get(key)
+        registry = telemetry.get()
+        if registry.enabled:
+            registry.add(
+                "cosim.loads_cache.misses" if loads is None else "cosim.loads_cache.hits"
+            )
+        if loads is not None:
+            table.move_to_end(key)
+            return loads
         edge_rate = np.zeros(self.n_edges)
         edge_busy = np.zeros(self.n_edges)
         for edge_index, tenants in deal.edge_classes:
@@ -748,9 +815,20 @@ class CoSimulation:
                     background_busy / background if background > 0.0 else None,
                 )
             slot_wait[slot] = wait
-        return _EpochLoads(
-            deal=deal, edge_rate=edge_rate, edge_busy=edge_busy, slot_wait_ms=slot_wait
+        loads = _EpochLoads(
+            deal=deal,
+            edge_rate=_read_only(edge_rate),
+            edge_busy=_read_only(edge_busy),
+            slot_wait_ms=_read_only(slot_wait),
         )
+        loads.decision_wait_ms.extend(
+            self._decision_wait(cls_index, loads, fault_state)
+            for cls_index in range(len(classes))
+        )
+        table[key] = loads
+        if len(table) > LOADS_TABLE_SIZE:
+            table.popitem(last=False)
+        return loads
 
     def _decision_wait(
         self,
@@ -1009,10 +1087,7 @@ class CoSimulation:
             loads = self._loads(decisions, fault_state)
             loads_current = True
             conditions = conditions_under(loads.n_offloaded)
-            exact_wait = [
-                self._decision_wait(cls_index, loads, fault_state)
-                for cls_index in range(len(classes))
-            ]
+            exact_wait = loads.decision_wait_ms
             exact_thr = [c.throughput_mbps for c in conditions]
             used_wait = [
                 self._damp(previous, exact)

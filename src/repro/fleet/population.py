@@ -11,12 +11,14 @@ mixed-workload fleets, and Poisson session arrival/departure dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config.application import ApplicationConfig, ExecutionMode
+from repro.config.validation import ensure_integer
 from repro.devices.catalog import get_device
 from repro.exceptions import ConfigurationError
 
@@ -124,6 +126,7 @@ def homogeneous(
         mode: inference placement used when ``app`` is not given.
         name_prefix: users are named ``{prefix}-0001`` onwards.
     """
+    n_users = ensure_integer("n_users", n_users)
     if n_users <= 0:
         raise ConfigurationError(f"fleet size must be > 0, got {n_users}")
     shared_app = app if app is not None else _default_app(mode)
@@ -142,6 +145,7 @@ def mixed_devices(
     mode: ExecutionMode = ExecutionMode.REMOTE,
 ) -> FleetPopulation:
     """``n_users`` users cycling round-robin through several device models."""
+    n_users = ensure_integer("n_users", n_users)
     if n_users <= 0:
         raise ConfigurationError(f"fleet size must be > 0, got {n_users}")
     if not devices:
@@ -165,6 +169,7 @@ def mixed_workloads(
     device: str = "XR1",
 ) -> FleetPopulation:
     """``n_users`` users on one device cycling through workload variants."""
+    n_users = ensure_integer("n_users", n_users)
     if n_users <= 0:
         raise ConfigurationError(f"fleet size must be > 0, got {n_users}")
     if not apps:
@@ -196,13 +201,17 @@ class PoissonSessionModel:
     mean_session_min: float
 
     def __post_init__(self) -> None:
-        if self.arrival_rate_per_min <= 0.0:
+        # With a NaN or infinite arrival rate the session clock never passes
+        # the horizon, so concurrency_trace would never return.
+        if not 0.0 < self.arrival_rate_per_min < math.inf:
             raise ConfigurationError(
-                f"session arrival rate must be > 0, got {self.arrival_rate_per_min}"
+                "session arrival rate must be finite and > 0, "
+                f"got {self.arrival_rate_per_min}"
             )
-        if self.mean_session_min <= 0.0:
+        if not 0.0 < self.mean_session_min < math.inf:
             raise ConfigurationError(
-                f"mean session duration must be > 0, got {self.mean_session_min}"
+                "mean session duration must be finite and > 0, "
+                f"got {self.mean_session_min}"
             )
 
     @property
@@ -219,8 +228,8 @@ class PoissonSessionModel:
         arrival instant (where the concurrency peaks occur), starting from an
         empty system at time 0.
         """
-        if horizon_min <= 0.0:
-            raise ConfigurationError(f"horizon must be > 0, got {horizon_min}")
+        if not 0.0 < horizon_min < math.inf:
+            raise ConfigurationError(f"horizon must be finite and > 0, got {horizon_min}")
         rng = np.random.default_rng(seed)
         times = [0.0]
         counts = [0]

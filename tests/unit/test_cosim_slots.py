@@ -7,10 +7,12 @@ pairs.  These tests pin both to the straightforward per-user definitions:
 * ``_loads`` equals a per-user loop — round robin over the alive edges in
   population order, sequential load accumulation, one tagged wait per
   offloading user — on edge rates, busy fractions, class waits and per-user
-  waits, exactly;
+  waits, exactly, whether the loads are computed or read from a deal's
+  loads table;
 * ``percentiles_from_counts`` equals ``np.percentile`` over the expanded
   samples, exactly;
-* the deal cache's telemetry counts one hit or miss per load computation.
+* the deal cache's and the loads tables' telemetry count one hit or miss
+  per load computation.
 """
 
 import math
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.adaptive import ConditionTrace, EpochConditions, GreedyBatchSweep, step_trace
 from repro.cosim import CoSimulation
-from repro.cosim.engine import DEAL_CACHE_SIZE, percentiles_from_counts
+from repro.cosim.engine import DEAL_CACHE_SIZE, LOADS_TABLE_SIZE, percentiles_from_counts
 from repro.faults.schedule import EpochFaultState
 from repro.fleet import FleetPopulation, UserProfile, homogeneous
 
@@ -170,9 +172,16 @@ def test_loads_match_per_user_reference(seed):
     rng = np.random.default_rng(seed)
     n_edges = int(rng.integers(1, 5))
     simulation = _simulation(rng, n_edges)
-    for fault_state in _fault_states(rng, n_edges):
-        for _ in range(4):
-            decisions = _decisions(rng, simulation)
+    fault_states = _fault_states(rng, n_edges)
+    vectors = [_decisions(rng, simulation) for _ in range(4 * len(fault_states))]
+    # Every vector under every fault state, twice over.  A vector thus meets
+    # fault states that leave the same edges alive at different service
+    # scales, and each (vector, fault state) is looked up a second time
+    # while its deal is still cached, so table hits are held to the
+    # reference too.
+    lookups = [(decisions, state) for decisions in vectors for state in fault_states * 2]
+    with telemetry.scoped(telemetry.Telemetry()) as registry:
+        for decisions, fault_state in lookups:
             loads = simulation._loads(decisions, fault_state)
             dealt, edge_rate, edge_busy, class_wait, wait_user = reference_loads(
                 simulation, decisions, fault_state
@@ -185,7 +194,13 @@ def test_loads_match_per_user_reference(seed):
             assert np.array_equal(loads.slot_wait_ms[deal.slot_of_user], wait_user)
             assert deal.slot_count.sum() == simulation._n_users
             assert (deal.slot_count > 0).all()
+            assert loads.decision_wait_ms == [
+                simulation._decision_wait(cls_index, loads, fault_state)
+                for cls_index in range(len(simulation._classes))
+            ]
+    assert registry.snapshot()["counters"]["cosim.loads_cache.hits"] >= len(lookups) // 2
     assert len(simulation._deals) <= DEAL_CACHE_SIZE
+    assert all(len(table) <= LOADS_TABLE_SIZE for _, table in simulation._deals.values())
 
 
 def test_deal_cache_is_bounded_and_stays_exact():
@@ -235,6 +250,41 @@ def test_deal_cache_counters_cover_every_load(monkeypatch):
     # One class, no faults: at most one deal per offloading pattern.
     assert 1 <= misses <= 2
     assert hits > 0
+    # The loads tables miss once per distinct (rate, service) vector, and
+    # no deal or table is evicted at this size.
+    keys = set()
+    for decisions, *_ in calls:
+        key = []
+        for cls, decision in zip(simulation._classes, decisions):
+            if decision is not None and cls.context.offload_mask[decision]:
+                key.append((cls.arrival_per_ms[decision], cls.service_ms[decision]))
+            else:
+                key.append(None)
+        keys.add(tuple(key))
+    table_hits = counters.get("cosim.loads_cache.hits", 0)
+    table_misses = counters.get("cosim.loads_cache.misses", 0)
+    assert table_hits + table_misses == len(calls)
+    assert table_misses == len(keys)
+
+
+def test_cached_loads_are_read_only():
+    simulation = CoSimulation(
+        homogeneous(6, device="XR1"),
+        GreedyBatchSweep(),
+        _trace(),
+        n_edges=2,
+        include_aoi=False,
+        prewarm=False,
+    )
+    offload = int(np.flatnonzero(simulation._classes[0].context.offload_mask)[0])
+    loads = simulation._loads([offload])
+    assert simulation._loads([offload]) is loads
+    deal = loads.deal
+    shared = (loads.edge_rate, loads.edge_busy, loads.slot_wait_ms, deal.slot_class)
+    shared += (deal.slot_of_user, deal.slot_count, deal.edge_classes[0][1])
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for the fleet population generators."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.config.application import ApplicationConfig, ExecutionMode
@@ -81,6 +84,20 @@ class TestMixedGenerators:
         with pytest.raises(ConfigurationError):
             FleetPopulation(users=(user, user))
 
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            homogeneous,
+            mixed_devices,
+            lambda n: mixed_workloads(n, apps=(ApplicationConfig(),)),
+        ],
+        ids=["homogeneous", "mixed_devices", "mixed_workloads"],
+    )
+    def test_fractional_fleet_size_rejected(self, generate):
+        with pytest.raises(ConfigurationError, match="n_users must be an integer"):
+            generate(2.5)
+        assert generate(np.int64(3)).n_users == 3
+
 
 class TestWithMode:
     def test_replaces_every_users_mode(self):
@@ -119,3 +136,18 @@ class TestPoissonSessions:
             PoissonSessionModel(arrival_rate_per_min=0.0, mean_session_min=1.0)
         with pytest.raises(ConfigurationError):
             PoissonSessionModel(arrival_rate_per_min=1.0, mean_session_min=-2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        # A NaN or infinite arrival rate would stall the session clock, and
+        # a NaN duration would report a peak of 1.
+        with pytest.raises(ConfigurationError, match="arrival rate"):
+            PoissonSessionModel(arrival_rate_per_min=value, mean_session_min=1.0)
+        with pytest.raises(ConfigurationError, match="session duration"):
+            PoissonSessionModel(arrival_rate_per_min=1.0, mean_session_min=value)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+    def test_non_finite_horizon_rejected(self, horizon):
+        model = PoissonSessionModel(arrival_rate_per_min=1.0, mean_session_min=1.0)
+        with pytest.raises(ConfigurationError, match="horizon"):
+            model.peak_concurrency(horizon)
