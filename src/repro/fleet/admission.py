@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.config.validation import ensure_integer
 from repro.exceptions import ConfigurationError
 from repro.fleet.edge_scheduler import EdgeScheduler
 
@@ -91,9 +92,11 @@ class AdmissionPolicy:
         raise NotImplementedError
 
     @staticmethod
-    def _check_edges(n_edges: int) -> None:
+    def _check_edges(n_edges: int) -> int:
+        n_edges = ensure_integer("n_edges", n_edges)
         if n_edges < 1:
             raise ConfigurationError(f"need at least one edge server, got {n_edges}")
+        return n_edges
 
 
 class RoundRobinAdmission(AdmissionPolicy):
@@ -102,7 +105,7 @@ class RoundRobinAdmission(AdmissionPolicy):
     def assign(
         self, candidates: Sequence[UserCandidate], n_edges: int
     ) -> List[PlacementDecision]:
-        self._check_edges(n_edges)
+        n_edges = self._check_edges(n_edges)
         decisions: List[PlacementDecision] = []
         next_edge = 0
         for candidate in candidates:
@@ -150,7 +153,7 @@ class GreedySLOAdmission(AdmissionPolicy):
         scheduler: Optional[EdgeScheduler] = None,
         utilization_cap: float = 0.95,
     ) -> None:
-        if slo_ms <= 0.0:
+        if not slo_ms > 0.0:
             raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
         if not 0.0 < utilization_cap < 1.0:
             raise ConfigurationError(
@@ -163,7 +166,7 @@ class GreedySLOAdmission(AdmissionPolicy):
     def assign(
         self, candidates: Sequence[UserCandidate], n_edges: int
     ) -> List[PlacementDecision]:
-        self._check_edges(n_edges)
+        n_edges = self._check_edges(n_edges)
         # Per-edge admitted load, tracked as (arrival rate, busy-time rate).
         edge_rates = [0.0] * n_edges
         edge_busy = [0.0] * n_edges
@@ -233,7 +236,7 @@ class EnergyAwareAdmission(AdmissionPolicy):
     def assign(
         self, candidates: Sequence[UserCandidate], n_edges: int
     ) -> List[PlacementDecision]:
-        self._check_edges(n_edges)
+        n_edges = self._check_edges(n_edges)
         by_name: dict = {}
         edge_busy = [0.0] * n_edges
         ranked = sorted(

@@ -29,6 +29,7 @@ import numpy as np
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.device import EdgeServerSpec
 from repro.config.network import NetworkConfig
+from repro.config.validation import ensure_integer
 from repro.core.coefficients import CoefficientSet
 from repro.core.segments import Segment
 from repro.exceptions import ConfigurationError
@@ -264,8 +265,11 @@ def plan_capacity(
     ``max_users == 0`` (capacity-driven deployment sizing, the co-sim CLI)
     get a clear terminal error rather than a bogus plan.
     """
-    if slo_ms <= 0.0:
+    if not slo_ms > 0.0:
         raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
+    n_edges = ensure_integer("n_edges", n_edges)
+    if n_edges < 1:
+        raise ConfigurationError(f"need at least one edge server, got {n_edges}")
     shared_coefficients = (
         coefficients if coefficients is not None else CoefficientSet.paper()
     )
@@ -401,8 +405,10 @@ def plan_edges(
             The search always terminates: ``max_edges`` is probed first, so
             an unmeetable SLO costs exactly one evaluation.
     """
-    if slo_ms <= 0.0:
+    if not slo_ms > 0.0:
         raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
+    n_users = ensure_integer("n_users", n_users)
+    max_edges = ensure_integer("max_edges", max_edges)
     if n_users < 1:
         raise ConfigurationError(f"n_users must be >= 1, got {n_users}")
     if max_edges < 1:

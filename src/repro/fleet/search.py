@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
+from repro.config.validation import ensure_integer
 from repro.exceptions import ConfigurationError
 
 
@@ -28,6 +29,7 @@ def bisect_capacity(
         count (0 when even 1 is infeasible), whether the ceiling capped the
         search, and how many predicate evaluations were spent.
     """
+    max_users = ensure_integer("max_users", max_users)
     if max_users < 1:
         raise ConfigurationError(f"max_users must be >= 1, got {max_users}")
     evaluations = 1

@@ -1,5 +1,6 @@
 """Unit tests for the admission-control and placement policies."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -53,6 +54,25 @@ class TestRoundRobin:
             RoundRobinAdmission().assign([make_candidate("u")], n_edges=0)
 
 
+@pytest.mark.parametrize(
+    "policy",
+    (RoundRobinAdmission(), GreedySLOAdmission(slo_ms=10_000.0), EnergyAwareAdmission()),
+    ids=("round-robin", "greedy", "energy"),
+)
+class TestEdgeCount:
+    def test_fractional_edge_count_rejected(self, policy):
+        candidates = [make_candidate(f"u{i}") for i in range(3)]
+        for n_edges in (2.5, float("nan"), 2.0):
+            with pytest.raises(ConfigurationError, match="n_edges must be an integer"):
+                policy.assign(candidates, n_edges=n_edges)
+
+    def test_numpy_integer_edge_count_accepted(self, policy):
+        candidates = [make_candidate(f"u{i}") for i in range(3)]
+        assert policy.assign(candidates, n_edges=np.int64(2)) == policy.assign(
+            candidates, n_edges=2
+        )
+
+
 class TestGreedySLO:
     def test_admits_until_stability_cap(self):
         # Each user offers rho = 0.03 * 10 = 0.3; the cap of 0.95 fits three.
@@ -85,6 +105,8 @@ class TestGreedySLO:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             GreedySLOAdmission(slo_ms=0.0)
+        with pytest.raises(ConfigurationError):
+            GreedySLOAdmission(slo_ms=float("nan"))
         with pytest.raises(ConfigurationError):
             GreedySLOAdmission(slo_ms=100.0, utilization_cap=1.5)
 

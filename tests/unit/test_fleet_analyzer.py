@@ -1,24 +1,34 @@
 """Unit tests for the fleet analyzer, report aggregation, and capacity planner."""
 
 import math
+import random
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.core.framework import XRPerformanceModel
 from repro.exceptions import ConfigurationError
+from repro.faults.schedule import EpochFaultState
 from repro.fleet import (
     CapacityPlan,
     EdgePlan,
+    EdgeScheduler,
+    EnergyAwareAdmission,
     FleetAnalyzer,
     FleetReport,
     GreedySLOAdmission,
     RoundRobinAdmission,
+    UserCandidate,
+    UserOutcome,
     bisect_capacity,
     homogeneous,
     mixed_devices,
+    mixed_workloads,
     plan_capacity,
     plan_edges,
+    with_mode,
 )
 
 SLO_MS = 800.0
@@ -153,6 +163,293 @@ class TestFleetEffects:
     def test_zero_edges_rejected(self, remote_fleet_app):
         with pytest.raises(ConfigurationError):
             FleetAnalyzer(homogeneous(2, app=remote_fleet_app), n_edges=0)
+        for n_edges in (2.5, float("nan"), 2.0):
+            with pytest.raises(ConfigurationError, match="n_edges must be an integer"):
+                FleetAnalyzer(homogeneous(8), n_edges=n_edges)
+
+    def test_numpy_integer_edge_count_accepted(self):
+        report = FleetAnalyzer(homogeneous(8), n_edges=np.int64(2)).analyze()
+        assert report == FleetAnalyzer(homogeneous(8), n_edges=2).analyze()
+
+    @pytest.mark.parametrize("slo_ms", (float("nan"), -1.0, 0.0))
+    def test_invalid_slo_rejected(self, slo_ms):
+        with pytest.raises(ConfigurationError, match="SLO must be > 0 ms"):
+            FleetAnalyzer(homogeneous(8), slo_ms=slo_ms)
+
+
+# -- the kind-grouped analyzer against the per-user algorithm --------------------
+
+
+def _local_app(analyzer, user):
+    return analyzer._mode_variant(user.app, ExecutionMode.LOCAL)
+
+
+def _remote_app(analyzer, user):
+    if user.wants_offload:
+        return user.app
+    return analyzer._mode_variant(user.app, ExecutionMode.REMOTE)
+
+
+def reference_candidates(analyzer: FleetAnalyzer):
+    """Per-user candidates: each user resolves its own apps and reports."""
+    population = analyzer.population
+    n_wants = sum(1 for user in population if user.wants_offload)
+    remote_network = analyzer.contention.network_for(max(n_wants, 1))
+    keys = []
+    for user in population:
+        keys.append((user.device, _local_app(analyzer, user), analyzer.network))
+        keys.append((user.device, _remote_app(analyzer, user), remote_network))
+    analyzer._prime_reports(keys)
+    candidates = []
+    for user in population:
+        local = analyzer._report(user.device, _local_app(analyzer, user), analyzer.network)
+        remote = analyzer._report(
+            user.device, _remote_app(analyzer, user), remote_network
+        )
+        candidates.append(
+            UserCandidate(
+                name=user.name,
+                wants_offload=user.wants_offload,
+                frame_rate_fps=user.frame_rate_fps,
+                service_time_ms=analyzer._service_time_ms(
+                    user.device, _remote_app(analyzer, user)
+                ),
+                local_latency_ms=local.total_latency_ms,
+                remote_latency_ms=remote.total_latency_ms,
+                local_energy_mj=local.total_energy_mj,
+                remote_energy_mj=remote.total_energy_mj,
+            )
+        )
+    return candidates
+
+
+def reference_analyze(analyzer: FleetAnalyzer) -> FleetReport:
+    """The per-user algorithm that the kind-grouped analyzer reproduces.
+
+    Every user resolves its own reports and edge wait.  Run it on a fresh
+    analyzer, so that its report cache is batch-primed with the same keys,
+    in the same order, as the analyzer under test.
+    """
+    population = analyzer.population
+    network = analyzer.network
+    fault_state = analyzer.fault_state
+    candidates = reference_candidates(analyzer)
+    decisions, forced_local = analyzer._placements_under_faults(candidates)
+    by_name = {candidate.name: candidate for candidate in candidates}
+    offloaders = [decision for decision in decisions if decision.offload]
+    contended = (
+        analyzer.contention.network_for(len(offloaders)) if offloaders else network
+    )
+    edge_scale = [
+        fault_state.service_scale(index) if fault_state is not None else 1.0
+        for index in range(analyzer.n_edges)
+    ]
+    edge_rates = [0.0] * analyzer.n_edges
+    edge_busy = [0.0] * analyzer.n_edges
+    for decision in offloaders:
+        candidate = by_name[decision.name]
+        edge = decision.edge_index
+        edge_rates[edge] += candidate.arrival_rate_per_ms
+        edge_busy[edge] += (
+            candidate.arrival_rate_per_ms * candidate.service_time_ms * edge_scale[edge]
+        )
+    analyzer._prime_reports(
+        [
+            (user.device, _remote_app(analyzer, user), contended)
+            if decision.offload
+            else (user.device, _local_app(analyzer, user), network)
+            for user, decision in zip(population, decisions)
+        ]
+    )
+    outcomes = []
+    for user, decision in zip(population, decisions):
+        candidate = by_name[user.name]
+        if decision.offload:
+            app, user_network = _remote_app(analyzer, user), contended
+            edge = decision.edge_index
+            scale = edge_scale[edge]
+            if edge_busy[edge] >= 1.0:
+                wait_ms = math.inf
+            else:
+                background = max(edge_rates[edge] - candidate.arrival_rate_per_ms, 0.0)
+                background_busy = max(
+                    edge_busy[edge]
+                    - candidate.arrival_rate_per_ms * candidate.service_time_ms * scale,
+                    0.0,
+                )
+                wait_ms = analyzer.scheduler.tagged_waiting_time_ms(
+                    candidate.service_time_ms * scale,
+                    background,
+                    background_busy / background if background > 0.0 else None,
+                )
+        else:
+            app, user_network, wait_ms = _local_app(analyzer, user), network, 0.0
+        report = analyzer._report(user.device, app, user_network)
+        wait_energy_mj = (
+            user_network.radio_idle_power_w * wait_ms if wait_ms != math.inf else 0.0
+        )
+        fresh_fraction = None
+        if report.aoi is not None and report.aoi.roi:
+            fresh_fraction = len(report.aoi.fresh_sensors()) / len(report.aoi.roi)
+        outcomes.append(
+            UserOutcome(
+                user=user.name,
+                device=user.device,
+                mode=app.inference.mode.value,
+                offloaded=decision.offload,
+                edge_index=decision.edge_index,
+                throughput_mbps=user_network.throughput_mbps,
+                edge_wait_ms=wait_ms,
+                latency_ms=report.total_latency_ms + wait_ms,
+                energy_mj=report.total_energy_mj + wait_energy_mj,
+                report=report,
+                aoi_fresh_fraction=fresh_fraction,
+            )
+        )
+    return FleetReport.from_outcomes(
+        outcomes,
+        edge_utilizations=edge_busy,
+        slo_ms=analyzer.slo_ms,
+        availability=fault_state.availability if fault_state is not None else 1.0,
+        n_edges_alive=fault_state.n_edges_alive if fault_state is not None else None,
+        fault_forced_local=forced_local,
+    )
+
+
+POPULATIONS = ("homogeneous", "mixed_devices", "mixed_workloads", "with_mode")
+POLICIES = ("round-robin", "greedy", "energy")
+FAULTS = (None, "dead-edge", "all-dead", "brownout", "straggler", "link")
+#: Two seeded cases per (population, policy, fault state) combination.
+N_CASES = 2 * len(POPULATIONS) * len(POLICIES) * len(FAULTS)
+
+
+def _seeded_population(kind: str, rng: random.Random):
+    remote = ApplicationConfig.object_detection_default().with_mode(ExecutionMode.REMOTE)
+    local = remote.with_mode(ExecutionMode.LOCAL)
+    edited = ApplicationConfig(
+        frame_side_px=rng.choice((300.0, 600.0)),
+        frame_rate_fps=rng.choice((5.0, 15.0, 30.0)),
+    ).with_mode(ExecutionMode.REMOTE)
+    devices = ("XR1", "XR2", "XR3", "XR6")
+    n_users = rng.randint(1, 24)
+    if kind == "homogeneous":
+        return homogeneous(
+            n_users, device=rng.choice(devices), app=rng.choice((remote, local, edited))
+        )
+    if kind == "mixed_devices":
+        return mixed_devices(
+            n_users,
+            devices=tuple(rng.sample(devices, rng.randint(2, 4))),
+            app=rng.choice((remote, edited)),
+        )
+    apps = [remote, local, edited]
+    rng.shuffle(apps)
+    population = mixed_workloads(n_users, apps=apps, device=rng.choice(devices))
+    if kind == "with_mode":
+        # Every user gets an app object of its own, so users of one
+        # workload hold equal apps in distinct objects.
+        return with_mode(population, ExecutionMode.REMOTE)
+    return population
+
+
+def _fault_state(kind, n_edges: int, rng: random.Random):
+    if kind is None:
+        return None
+    capacity = [1.0] * n_edges
+    service = [1.0] * n_edges
+    throughput_factor, handoff_boost = 1.0, 0.0
+    if kind == "dead-edge":
+        capacity[rng.randrange(n_edges)] = 0.0
+    elif kind == "all-dead":
+        capacity = [0.0] * n_edges
+    elif kind == "brownout":
+        capacity = [rng.choice((0.25, 0.5, 1.0)) for _ in range(n_edges)]
+    elif kind == "straggler":
+        service[rng.randrange(n_edges)] = rng.choice((1.5, 3.0))
+    else:
+        throughput_factor, handoff_boost = 0.5, 0.05
+    return EpochFaultState(
+        0, n_edges, tuple(capacity), tuple(service), throughput_factor, handoff_boost
+    )
+
+
+def _analyzer_args(case: int) -> dict:
+    """Seeded analyzer arguments for one case.
+
+    The cases cycle through every population, policy and fault state, with
+    ``n_edges`` in 1..5 and AoI on and off.
+    """
+    population = POPULATIONS[case % len(POPULATIONS)]
+    policy = POLICIES[case // len(POPULATIONS) % len(POLICIES)]
+    fault = FAULTS[case // (len(POPULATIONS) * len(POLICIES)) % len(FAULTS)]
+    rng = random.Random(case)
+    n_edges = 1 + case % 5
+    slo_ms = rng.uniform(500.0, 1500.0)
+    return {
+        "population": _seeded_population(population, rng),
+        "n_edges": n_edges,
+        "policy": {
+            "round-robin": RoundRobinAdmission(),
+            "greedy": GreedySLOAdmission(slo_ms=slo_ms),
+            "energy": EnergyAwareAdmission(),
+        }[policy],
+        "slo_ms": slo_ms,
+        "include_aoi": case % 2 == 0,
+        "fault_state": _fault_state(fault, n_edges, rng),
+    }
+
+
+def _assert_same_report(report: FleetReport, expected: FleetReport) -> None:
+    # repr renders every float exactly, so equal reprs mean equal bits.
+    assert repr(report) == repr(expected)
+    for outcome, reference in zip(report.outcomes, expected.outcomes):
+        assert repr(outcome.report) == repr(reference.report)
+
+
+@dataclass(frozen=True)
+class _CountingScheduler(EdgeScheduler):
+    """An edge scheduler that records every tagged-wait computation."""
+
+    calls: list = field(default_factory=list, compare=False)
+
+    def tagged_waiting_time_ms(self, *args):
+        self.calls.append(args)
+        return super().tagged_waiting_time_ms(*args)
+
+
+class TestKindsMatchPerUserReference:
+    @pytest.mark.parametrize("case", range(N_CASES))
+    def test_report_matches_reference_bit_for_bit(self, case):
+        args = _analyzer_args(case)
+        report = FleetAnalyzer(**args).analyze()
+        _assert_same_report(report, reference_analyze(FleetAnalyzer(**args)))
+
+    @pytest.mark.parametrize("case", range(len(POPULATIONS)))
+    def test_candidates_match_reference(self, case):
+        args = _analyzer_args(case)
+        assert repr(FleetAnalyzer(**args).candidates()) == repr(
+            reference_candidates(FleetAnalyzer(**args))
+        )
+
+    def test_one_wait_per_kind_and_edge(self):
+        apps = tuple(
+            ApplicationConfig(frame_side_px=side, frame_rate_fps=2.0).with_mode(
+                ExecutionMode.REMOTE
+            )
+            for side in (300.0, 450.0, 600.0)
+        )
+        args = {
+            "population": mixed_workloads(24, apps=apps),
+            "n_edges": 4,
+            "policy": RoundRobinAdmission(),
+        }
+        scheduler = _CountingScheduler()
+        report = FleetAnalyzer(**args, scheduler=scheduler).analyze()
+        # 24 offloaders on stable edges: one wait per (kind, edge) is 12.
+        assert report.n_offloaded == 24
+        assert report.is_stable
+        assert 0 < len(scheduler.calls) <= 3 * 4
+        _assert_same_report(report, reference_analyze(FleetAnalyzer(**args)))
 
 
 class TestFleetReport:
@@ -264,6 +561,16 @@ class TestPlanCapacity:
     def test_invalid_slo_rejected(self):
         with pytest.raises(ConfigurationError):
             plan_capacity(slo_ms=-5.0)
+        with pytest.raises(ConfigurationError):
+            plan_capacity(slo_ms=float("nan"))
+
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_edges must be an integer"):
+            plan_capacity(n_edges=1.5)
+        with pytest.raises(ConfigurationError, match="max_users must be an integer"):
+            plan_capacity(max_users=10.5)
+        with pytest.raises(ConfigurationError, match="at least one edge"):
+            plan_capacity(n_edges=0)
 
     def test_unmeetable_slo_raises_when_feasibility_required(self):
         with pytest.raises(ConfigurationError, match="unmeetable"):
@@ -306,6 +613,12 @@ class TestPlanEdges:
         with pytest.raises(ConfigurationError):
             plan_edges(slo_ms=0.0)
         with pytest.raises(ConfigurationError):
+            plan_edges(slo_ms=float("nan"))
+        with pytest.raises(ConfigurationError):
             plan_edges(n_users=0)
         with pytest.raises(ConfigurationError):
+            plan_edges(n_users=2.5)
+        with pytest.raises(ConfigurationError):
             plan_edges(max_edges=0)
+        with pytest.raises(ConfigurationError):
+            plan_edges(max_edges=2.5)
