@@ -73,8 +73,9 @@ Degeneracies
   pinned to the users' own operating point: decisions never move, the loop
   converges immediately, and the per-epoch fleet aggregates reproduce
   :meth:`repro.fleet.analyzer.FleetAnalyzer.analyze` bit for bit (same
-  contended throughput, same per-edge accumulation order, same tagged
-  M/G/1 waits).
+  contended throughput; the loads and waits of one definition,
+  :func:`repro.fleet.edge_scheduler.edge_loads` and
+  :meth:`~repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms`).
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ from repro.exec import resolve_backend
 from repro.faults.report import fault_outcome
 from repro.faults.schedule import EpochFaultState, FaultInjector, FaultSchedule
 from repro.fleet.contention import ContentionModel
-from repro.fleet.edge_scheduler import EdgeScheduler
+from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
 from repro.fleet.population import FleetPopulation, UserProfile
 from repro.simulation.des import EventScheduler
 
@@ -727,20 +728,21 @@ class CoSimulation:
     ) -> _EpochLoads:
         """Edge loads, per-slot waits and decision waits of a decision vector.
 
-        Replicates ``FleetAnalyzer.analyze`` operation for operation: users
-        whose chosen candidate offloads are dealt round-robin onto the edge
-        servers in population order, each edge's offered load accumulates in
-        that order (``np.cumsum`` over the edge's tenant classes preserves
-        the scalar addition order), and every (class, edge) slot's wait is
-        the tagged M/G/1 wait of the *other* tenants' load — ``inf`` when
-        the edge's aggregate load is unstable.
+        Users whose chosen candidate offloads are dealt round-robin onto the
+        edge servers in population order.  The loads and waits then come
+        from the definition ``FleetAnalyzer.analyze`` uses:
+        :func:`~repro.fleet.edge_scheduler.edge_loads` adds each edge's
+        tenants in deal order and scales the sum by the edge's service
+        scale, and :meth:`EdgeScheduler.tenant_wait_ms
+        <repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms>` charges
+        every (class, edge) slot the tagged M/G/1 wait of the *other*
+        tenants' load — ``inf`` when the edge's aggregate load is unstable.
 
         Under a fault state, dead edges leave the round-robin deal (the
-        survivors absorb the load) and each surviving edge's busy fraction
-        and waits are scaled by its effective service multiplier
-        (brownout/straggler).  With every edge dead, offloaders wait
-        forever.  A scale of exactly 1.0 leaves every float untouched, so
-        the no-fault path is bit-identical to the pre-fault engine.
+        survivors absorb the load), and a brownout or straggler window sets
+        a surviving edge's service scale.  With every edge dead, offloaders
+        wait forever.  A scale of exactly 1.0 leaves every float untouched,
+        so the no-fault path is bit-identical to the pre-fault engine.
 
         The loads depend only on the deal, the classes' arrival rates and
         service times and the alive edges' service scales, so the deal's
@@ -783,38 +785,28 @@ class CoSimulation:
         if loads is not None:
             table.move_to_end(key)
             return loads
-        edge_rate = np.zeros(self.n_edges)
-        edge_busy = np.zeros(self.n_edges)
+        edge_scale = [
+            fault_state.service_scale(edge) if fault_state is not None else 1.0
+            for edge in range(self.n_edges)
+        ]
+        tenants_by_edge = [np.empty(0, dtype=np.intp)] * self.n_edges
         for edge_index, tenants in deal.edge_classes:
-            scale = (
-                fault_state.service_scale(edge_index) if fault_state is not None else 1.0
-            )
-            rate_u = rate_c[tenants]
-            edge_rate[edge_index] = np.cumsum(rate_u)[-1]
-            edge_busy[edge_index] = np.cumsum(rate_u * service_c[tenants])[-1] * scale
+            tenants_by_edge[edge_index] = tenants
+        edge_rate, edge_busy = edge_loads(rate_c, service_c, tenants_by_edge, edge_scale)
         slot_wait = np.zeros(deal.slot_class.size)
         for slot, (cls_index, edge_index) in enumerate(deal.pairs):
-            if not alive:
-                # Every edge is down: offloaded frames never complete.
-                slot_wait[slot] = math.inf
-                continue
-            scale = (
-                fault_state.service_scale(edge_index) if fault_state is not None else 1.0
-            )
-            own_rate = float(rate_c[cls_index])
-            own_service = float(service_c[cls_index])
-            own_busy = own_rate * own_service * scale
-            if edge_busy[edge_index] >= 1.0:
-                wait = math.inf
-            else:
-                background = max(edge_rate[edge_index] - own_rate, 0.0)
-                background_busy = max(edge_busy[edge_index] - own_busy, 0.0)
-                wait = self.scheduler.tagged_waiting_time_ms(
-                    own_service * scale,
-                    background,
-                    background_busy / background if background > 0.0 else None,
+            # With every edge down, offloaded frames never complete.
+            slot_wait[slot] = (
+                self.scheduler.tenant_wait_ms(
+                    float(service_c[cls_index]),
+                    float(edge_rate[edge_index]),
+                    float(edge_busy[edge_index]),
+                    float(rate_c[cls_index]),
+                    edge_scale[edge_index],
                 )
-            slot_wait[slot] = wait
+                if alive
+                else math.inf
+            )
         loads = _EpochLoads(
             deal=deal,
             edge_rate=_read_only(edge_rate),
@@ -862,18 +854,11 @@ class CoSimulation:
             edge_index = int(np.argmin(masked_busy))
         else:
             edge_index = int(np.argmin(loads.edge_busy))
-        if loads.edge_busy[edge_index] >= 1.0:
-            return math.inf
-        rate = float(loads.edge_rate[edge_index])
-        if rate <= 0.0:
-            return 0.0
-        scale = (
-            fault_state.service_scale(edge_index) if fault_state is not None else 1.0
-        )
-        return self.scheduler.tagged_waiting_time_ms(
-            self._classes[cls_index].service_ref_ms * scale,
-            rate,
-            float(loads.edge_busy[edge_index]) / rate,
+        return self.scheduler.tenant_wait_ms(
+            self._classes[cls_index].service_ref_ms,
+            float(loads.edge_rate[edge_index]),
+            float(loads.edge_busy[edge_index]),
+            scale=fault_state.service_scale(edge_index) if fault_state is not None else 1.0,
         )
 
     # -- the epoch loop -------------------------------------------------------

@@ -21,6 +21,7 @@ Three policies are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -86,9 +87,17 @@ class AdmissionPolicy:
     """Base class: maps candidates to placement decisions."""
 
     def assign(
-        self, candidates: Sequence[UserCandidate], n_edges: int
+        self,
+        candidates: Sequence[UserCandidate],
+        n_edges: int,
+        service_scales: Optional[Sequence[float]] = None,
     ) -> List[PlacementDecision]:
-        """Decide placement for every candidate (in candidate order)."""
+        """Decide placement for every candidate (in candidate order).
+
+        ``service_scales`` holds each edge's service-time multiplier (a
+        browned-out or straggling edge serves every frame slower); ``None``
+        means 1.0 on every edge.
+        """
         raise NotImplementedError
 
     @staticmethod
@@ -98,12 +107,31 @@ class AdmissionPolicy:
             raise ConfigurationError(f"need at least one edge server, got {n_edges}")
         return n_edges
 
+    @staticmethod
+    def _check_scales(
+        service_scales: Optional[Sequence[float]], n_edges: int
+    ) -> List[float]:
+        if service_scales is None:
+            return [1.0] * n_edges
+        scales = [float(scale) for scale in service_scales]
+        if len(scales) != n_edges or not all(0.0 < scale < math.inf for scale in scales):
+            raise ConfigurationError(
+                f"need {n_edges} positive finite service scales, got {service_scales}"
+            )
+        return scales
+
 
 class RoundRobinAdmission(AdmissionPolicy):
-    """Admit every offload-preferring user, cycling across edge servers."""
+    """Admit every offload-preferring user, cycling across edge servers.
+
+    The edges' service scales do not change the deal.
+    """
 
     def assign(
-        self, candidates: Sequence[UserCandidate], n_edges: int
+        self,
+        candidates: Sequence[UserCandidate],
+        n_edges: int,
+        service_scales: Optional[Sequence[float]] = None,
     ) -> List[PlacementDecision]:
         n_edges = self._check_edges(n_edges)
         decisions: List[PlacementDecision] = []
@@ -135,11 +163,12 @@ class GreedySLOAdmission(AdmissionPolicy):
     """Admit offloaders while stability and a latency SLO are preserved.
 
     Users are considered in candidate order.  Each offload-preferring user is
-    tentatively placed on the least-loaded edge; the placement sticks only if
-    that edge stays stable and the predicted tenant latency — the candidate's
+    tentatively placed on the least-loaded edge (by busy fraction, service
+    scale included); the placement sticks only if that edge's busy fraction
+    stays within the cap and the predicted tenant latency — the candidate's
     (contention-bounded) remote latency plus the M/G/1 waiting caused by the
-    load already admitted there — stays within the SLO.  Rejected users fall
-    back to local inference.
+    load already admitted there (:meth:`EdgeScheduler.tenant_wait_ms`) —
+    stays within the SLO.  Rejected users fall back to local inference.
 
     Attributes:
         slo_ms: motion-to-photon latency budget per user.
@@ -164,11 +193,17 @@ class GreedySLOAdmission(AdmissionPolicy):
         self.utilization_cap = utilization_cap
 
     def assign(
-        self, candidates: Sequence[UserCandidate], n_edges: int
+        self,
+        candidates: Sequence[UserCandidate],
+        n_edges: int,
+        service_scales: Optional[Sequence[float]] = None,
     ) -> List[PlacementDecision]:
         n_edges = self._check_edges(n_edges)
-        # Per-edge admitted load, tracked as (arrival rate, busy-time rate).
+        scales = self._check_scales(service_scales, n_edges)
+        # Per-edge admitted load: arrival rate, sum of rate * service, and
+        # that sum times the edge's service scale (the busy fraction).
         edge_rates = [0.0] * n_edges
+        edge_sums = [0.0] * n_edges
         edge_busy = [0.0] * n_edges
         decisions: List[PlacementDecision] = []
         for candidate in candidates:
@@ -183,15 +218,18 @@ class GreedySLOAdmission(AdmissionPolicy):
                 )
                 continue
             edge = min(range(n_edges), key=lambda index: edge_busy[index])
-            new_busy = edge_busy[edge] + candidate.arrival_rate_per_ms * candidate.service_time_ms
-            wait = self.scheduler.tagged_waiting_time_ms(
+            new_sum = edge_sums[edge] + candidate.arrival_rate_per_ms * candidate.service_time_ms
+            new_busy = new_sum * scales[edge]
+            wait = self.scheduler.tenant_wait_ms(
                 candidate.service_time_ms,
                 edge_rates[edge],
-                edge_busy[edge] / edge_rates[edge] if edge_rates[edge] > 0.0 else None,
+                edge_busy[edge],
+                scale=scales[edge],
             )
             predicted = candidate.remote_latency_ms + wait
             if new_busy <= self.utilization_cap and predicted <= self.slo_ms:
                 edge_rates[edge] += candidate.arrival_rate_per_ms
+                edge_sums[edge] = new_sum
                 edge_busy[edge] = new_busy
                 decisions.append(
                     PlacementDecision(
@@ -217,8 +255,9 @@ class EnergyAwareAdmission(AdmissionPolicy):
     """Admit the users that save the most device energy by offloading.
 
     Offload-preferring users are ranked by their per-frame energy saving and
-    admitted best-first onto the least-loaded edge until the utilisation cap
-    is reached; users whose offload would *cost* energy run locally.
+    admitted best-first onto the least-loaded edge (by busy fraction, service
+    scale included) until the utilisation cap is reached; users whose offload
+    would *cost* energy run locally.
     """
 
     def __init__(
@@ -234,10 +273,15 @@ class EnergyAwareAdmission(AdmissionPolicy):
         self.utilization_cap = utilization_cap
 
     def assign(
-        self, candidates: Sequence[UserCandidate], n_edges: int
+        self,
+        candidates: Sequence[UserCandidate],
+        n_edges: int,
+        service_scales: Optional[Sequence[float]] = None,
     ) -> List[PlacementDecision]:
         n_edges = self._check_edges(n_edges)
+        scales = self._check_scales(service_scales, n_edges)
         by_name: dict = {}
+        edge_sums = [0.0] * n_edges
         edge_busy = [0.0] * n_edges
         ranked = sorted(
             (c for c in candidates if c.wants_offload),
@@ -254,8 +298,10 @@ class EnergyAwareAdmission(AdmissionPolicy):
                 )
                 continue
             edge = min(range(n_edges), key=lambda index: edge_busy[index])
-            new_busy = edge_busy[edge] + candidate.arrival_rate_per_ms * candidate.service_time_ms
+            new_sum = edge_sums[edge] + candidate.arrival_rate_per_ms * candidate.service_time_ms
+            new_busy = new_sum * scales[edge]
             if new_busy <= self.utilization_cap:
+                edge_sums[edge] = new_sum
                 edge_busy[edge] = new_busy
                 by_name[candidate.name] = PlacementDecision(
                     name=candidate.name,

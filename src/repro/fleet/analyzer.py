@@ -18,11 +18,14 @@ from the :class:`EdgeScheduler`, and placements chosen by an
 An analysis groups the users into *kinds* (one device, one application
 config object) and resolves per kind the mode variants, the edge service
 time, the reports (batch-evaluated, cached by ``(device, app, network)``)
-and their totals; an offloader's edge wait is computed once per (kind,
-edge).  Per user remain the candidate, decision and outcome records, the
-admission policy's loop and the per-edge load sum, which adds offloaders in
-population order.  A homogeneous 10k-user fleet under greedy SLO admission
-needs two model evaluations and took 0.11-0.17 s on a 2-vCPU box.
+and their totals.  Each edge's load comes from
+:func:`~repro.fleet.edge_scheduler.edge_loads`, which adds its offloaders in
+population order and scales the sum by the edge's service scale, and an
+offloader's wait from :meth:`EdgeScheduler.tenant_wait_ms
+<repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms>`, once per (kind,
+edge).  Per user remain the candidate, decision and outcome records and the
+admission policy's loop.  A homogeneous 10k-user fleet under greedy SLO
+admission needs two model evaluations and took 0.08-0.17 s on a 2-vCPU box.
 
 With a single user the analyzer degenerates exactly to the paper's model:
 contention leaves the channel untouched at ``N == 1`` and a sole edge tenant
@@ -36,6 +39,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro import telemetry
 from repro.config.application import ApplicationConfig, ExecutionMode
@@ -55,7 +60,7 @@ from repro.fleet.admission import (
     UserCandidate,
 )
 from repro.fleet.contention import ContentionModel
-from repro.fleet.edge_scheduler import EdgeScheduler
+from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
 from repro.fleet.population import FleetPopulation, UserProfile
 from repro.fleet.results import FleetReport, UserOutcome
 
@@ -417,10 +422,11 @@ class FleetAnalyzer:
     ) -> Tuple[List[PlacementDecision], int]:
         """Placements re-routed around dead edges.
 
-        The admission policy sees only the surviving edges (as *slots*);
-        its slot indices are then mapped back onto the physical pool.  With
-        no edge alive every offload-preferring user is forced local.  With
-        no fault state the policy sees the full pool untouched.
+        The admission policy sees only the surviving edges (as *slots*) and
+        their service scales; its slot indices are then mapped back onto the
+        physical pool.  With no edge alive every offload-preferring user is
+        forced local.  With no fault state the policy sees the full pool
+        untouched.
         """
         fault_state = self.fault_state
         if fault_state is None:
@@ -442,9 +448,10 @@ class FleetAnalyzer:
                 for candidate in candidates
             ]
             return decisions, forced_local
+        scales = [fault_state.service_scale(edge) for edge in alive]
         if len(alive) == self.n_edges:
-            return self.policy.assign(candidates, self.n_edges), 0
-        slot_decisions = self.policy.assign(candidates, len(alive))
+            return self.policy.assign(candidates, self.n_edges, service_scales=scales), 0
+        slot_decisions = self.policy.assign(candidates, len(alive), service_scales=scales)
         decisions = [
             replace(
                 decision,
@@ -460,34 +467,15 @@ class FleetAnalyzer:
         ]
         return decisions, 0
 
-    def _edge_wait_ms(
-        self, kind: _Kind, edge_rate: float, edge_busy: float, scale: float
-    ) -> float:
-        """Queueing wait of a ``kind`` tenant on an edge whose total load,
-        this tenant included, is ``(edge_rate, edge_busy)``."""
-        if edge_busy >= 1.0:
-            # The edge cannot sustain its aggregate offered load: no tenant
-            # on it has a steady state, however small its own contribution.
-            return math.inf
-        background = max(edge_rate - kind.arrival_rate_per_ms, 0.0)
-        background_busy = max(
-            edge_busy - kind.arrival_rate_per_ms * kind.service_time_ms * scale, 0.0
-        )
-        return self.scheduler.tagged_waiting_time_ms(
-            kind.service_time_ms * scale,
-            background,
-            background_busy / background if background > 0.0 else None,
-        )
-
     def _analyze(self) -> FleetReport:
         fault_state = self.fault_state
         kinds, kind_of_user = self._kinds()
         candidates = self._candidates(kinds, kind_of_user)
         decisions, forced_local = self._placements_under_faults(candidates)
 
-        n_stations = sum(1 for decision in decisions if decision.offload)
+        offloaders = [user for user, decision in enumerate(decisions) if decision.offload]
         contended = (
-            self.contention.network_for(n_stations) if n_stations else self.network
+            self.contention.network_for(len(offloaders)) if offloaders else self.network
         )
 
         # Service-time multiplier per edge (1.0 everywhere absent faults;
@@ -498,18 +486,20 @@ class FleetAnalyzer:
             for index in range(self.n_edges)
         ]
 
-        # Offered load per edge server, added one offloader at a time in
-        # population order: that order fixes the float sums.
-        edge_rates = [0.0] * self.n_edges
-        edge_busy = [0.0] * self.n_edges
-        for index, decision in zip(kind_of_user, decisions):
-            if decision.offload:
-                kind = kinds[index]
-                edge = decision.edge_index
-                edge_rates[edge] += kind.arrival_rate_per_ms
-                edge_busy[edge] += (
-                    kind.arrival_rate_per_ms * kind.service_time_ms * edge_scale[edge]
-                )
+        # Offered load per edge server: each edge's offloaders' kinds in
+        # population order, the order that fixes the float sums.
+        offloader_kinds = np.asarray(kind_of_user, dtype=np.intp)[offloaders]
+        offloader_edges = np.asarray(
+            [decisions[user].edge_index for user in offloaders], dtype=np.intp
+        )
+        rates, busy = edge_loads(
+            np.asarray([kind.arrival_rate_per_ms for kind in kinds]),
+            np.asarray([kind.service_time_ms for kind in kinds]),
+            [offloader_kinds[offloader_edges == edge] for edge in range(self.n_edges)],
+            edge_scale,
+        )
+        # Python floats, so that no NumPy scalar reaches the outcomes.
+        edge_rates, edge_busy = rates.tolist(), busy.tolist()
 
         # Every (kind, placement) the decisions use, in first-use order.  The
         # reports candidates() did not already cover are batch-evaluated (the
@@ -555,8 +545,12 @@ class FleetAnalyzer:
                 ]
                 edge = decision.edge_index
                 wait_ms = (
-                    self._edge_wait_ms(
-                        kind, edge_rates[edge], edge_busy[edge], edge_scale[edge]
+                    self.scheduler.tenant_wait_ms(
+                        kind.service_time_ms,
+                        edge_rates[edge],
+                        edge_busy[edge],
+                        kind.arrival_rate_per_ms,
+                        edge_scale[edge],
                     )
                     if decision.offload
                     else 0.0

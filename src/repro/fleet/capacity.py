@@ -7,20 +7,21 @@ size — contention only shrinks per-user throughput and edge queueing only
 grows with tenants — so the planner exponentially grows an upper bound and
 then bisects, evaluating ``O(log N)`` fleets.
 
-Probe evaluation is vectorized: for the default round-robin policy a
+Probe evaluation is cheap: for the default round-robin policy a
 homogeneous fleet of ``n`` identical users needs only *one* per-user report
 (evaluated through the batch engine of :mod:`repro.batch`, whose results are
-bit-identical to the scalar path) plus per-edge queueing arithmetic, so each
-bisection probe costs O(n_edges) instead of O(n) Python-object work.  The
-probe reproduces :meth:`repro.fleet.analyzer.FleetAnalyzer.analyze`
-operation-for-operation (including the accumulation order of the per-edge
-offered load), so the planned capacity is identical to the exhaustive path.
-A custom admission policy falls back to full :class:`FleetAnalyzer` probes.
+bit-identical to the scalar path) plus one wait per distinct tenant count,
+so each bisection probe costs O(n_edges) Python-object work instead of
+O(n).  The probe computes its loads and waits with the definition the
+analyzer uses (:func:`~repro.fleet.edge_scheduler.edge_loads`, which adds
+an edge's tenants in deal order and scales the sum, and
+:meth:`~repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms`), so the
+planned capacity is identical to the exhaustive path.  A custom admission
+policy falls back to full :class:`FleetAnalyzer` probes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -36,7 +37,7 @@ from repro.exceptions import ConfigurationError
 from repro.fleet.admission import AdmissionPolicy, RoundRobinAdmission
 from repro.fleet.analyzer import FleetAnalyzer
 from repro.fleet.contention import ContentionModel
-from repro.fleet.edge_scheduler import EdgeScheduler
+from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
 from repro.fleet.population import homogeneous
 from repro.fleet.results import FleetReport
 from repro.fleet.search import bisect_capacity
@@ -87,15 +88,15 @@ class CapacityPlan:
 
 
 class _HomogeneousRoundRobinProbe:
-    """Vectorized p95 probe for homogeneous all-identical round-robin fleets.
+    """O(n_edges) p95 probe for homogeneous all-identical round-robin fleets.
 
     Mirrors ``FleetAnalyzer.analyze`` for the special case the capacity
     planner constructs: every user shares one device and application config,
     and the round-robin policy admits every offload-preferring user.  The
     per-user report is evaluated once per probed fleet size through the
-    batch engine; the per-edge queueing waits use the same
-    :class:`EdgeScheduler` calls (and the same floating-point accumulation
-    order for the offered load) as the exhaustive analyzer.
+    batch engine; the loads and waits come from the analyzer's own
+    :func:`~repro.fleet.edge_scheduler.edge_loads` and
+    :meth:`EdgeScheduler.tenant_wait_ms`, once per distinct tenant count.
     """
 
     def __init__(
@@ -197,33 +198,18 @@ class _HomogeneousRoundRobinProbe:
             tenant_counts = [
                 base + 1 if index < extra else base for index in range(self.n_edges)
             ]
-            # The analyzer accumulates each edge's offered load one admitted
-            # user at a time; cumulative sums replicate that addition order.
-            k_max = max(tenant_counts)
-            rate_cum = np.cumsum(np.full(k_max, arrival))
-            busy_cum = np.cumsum(np.full(k_max, arrival * service_ms))
-            # One vectorized waiting-time evaluation over the distinct tenant
-            # counts (round robin produces at most two).
-            distinct_counts = sorted({count for count in tenant_counts if count > 0})
-            backgrounds = []
-            background_services = []
-            saturated = []
-            for count in distinct_counts:
-                edge_rate = float(rate_cum[count - 1])
-                edge_busy = float(busy_cum[count - 1])
-                saturated.append(edge_busy >= 1.0)
-                background = max(edge_rate - arrival, 0.0)
-                background_busy = max(edge_busy - arrival * service_ms, 0.0)
-                backgrounds.append(background)
-                background_services.append(
-                    background_busy / background if background > 0.0 else service_ms
-                )
-            waits = self.scheduler.tagged_waiting_times_ms(
-                service_ms, backgrounds, background_services
+            # Edges with the same tenant count share loads and waits, and
+            # round robin produces at most two distinct counts.
+            counts = sorted({count for count in tenant_counts if count > 0})
+            rates, busy = edge_loads(
+                np.asarray([arrival]),
+                np.asarray([service_ms]),
+                [np.zeros(count, dtype=np.intp) for count in counts],
+                [1.0] * len(counts),
             )
             wait_by_count = {
-                count: math.inf if is_saturated else float(wait)
-                for count, is_saturated, wait in zip(distinct_counts, saturated, waits)
+                count: self.scheduler.tenant_wait_ms(service_ms, rate, load, arrival)
+                for count, rate, load in zip(counts, rates.tolist(), busy.tolist())
             }
             per_edge_latency = [
                 remote_latency + wait_by_count.get(count, 0.0)
@@ -256,7 +242,7 @@ def plan_capacity(
     largest one whose p95 motion-to-photon latency meets the SLO.  The
     default round-robin policy offloads everyone, so the plan reflects the
     infrastructure's raw capacity rather than an admission policy's gating —
-    and lets every bisection probe run through the O(n_edges) vectorized
+    and lets every bisection probe run through the O(n_edges) homogeneous
     probe instead of an O(n) per-user analysis.
 
     With ``require_feasible=True`` an SLO that not even a single user can

@@ -16,22 +16,60 @@ Pollaczek-Khinchine :class:`repro.queueing.mg1.MG1Queue`:
 Overload (``rho >= 1``) is reported as an *infinite* waiting time rather
 than an exception so capacity planners can treat saturation as an ordinary
 infeasible point.
+
+The multi-user layers — the fleet analyzer, the admission policies, the
+capacity planner and the co-simulation — share one definition of an edge's
+load and of a tenant's wait on it.  :func:`edge_loads` adds each edge's
+tenants one at a time in placement order, and its busy fraction is the sum
+of the tenants' ``rate * service`` times the edge's service scale (a
+browned-out or straggling edge serves every frame slower): the scale
+multiplies the sum, not each term.  :meth:`EdgeScheduler.tenant_wait_ms`
+takes one tenant's own load out of its edge's total and charges it the
+tagged wait of the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ModelDomainError
 from repro.queueing.mg1 import MG1Queue
-from repro.queueing.vectorized import mg1_waiting_ms, ps_waiting_ms
 
 #: Supported service disciplines.
 DISCIPLINES = ("fifo", "ps")
+
+
+def _check_service(service_time_ms: float) -> None:
+    if service_time_ms <= 0.0:
+        raise ModelDomainError(f"service time must be > 0, got {service_time_ms}")
+
+
+def edge_loads(
+    rate: np.ndarray,
+    service: np.ndarray,
+    tenants_by_edge: Sequence[np.ndarray],
+    scale: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Offered frame rate (frames/ms) and busy fraction of every edge.
+
+    ``tenants_by_edge[e]`` indexes edge ``e``'s tenants into ``rate``
+    (frames/ms) and ``service`` (ms per frame) in placement order.  Both sums
+    add the tenants one at a time in that order (``np.cumsum`` adds
+    sequentially), and the busy fraction is ``(sum of rate * service) *
+    scale[e]``.  An edge without tenants carries no load, whatever its scale.
+    """
+    edge_rate = np.zeros(len(tenants_by_edge))
+    edge_busy = np.zeros(len(tenants_by_edge))
+    for edge, tenants in enumerate(tenants_by_edge):
+        if len(tenants):
+            tenant_rate = rate[tenants]
+            edge_rate[edge] = np.cumsum(tenant_rate)[-1]
+            edge_busy[edge] = np.cumsum(tenant_rate * service[tenants])[-1] * scale[edge]
+    return edge_rate, edge_busy
 
 
 @dataclass(frozen=True)
@@ -41,9 +79,9 @@ class EdgeScheduler:
     Attributes:
         discipline: ``"fifo"`` (M/G/1) or ``"ps"`` (processor sharing).
         service_scv: squared coefficient of variation of the inference
-            service time for the FIFO discipline; CNN inference on a
-            dedicated GPU is fairly regular, so the default sits between
-            deterministic (0) and exponential (1) service.
+            service time for the FIFO discipline (finite, >= 0); CNN
+            inference on a dedicated GPU is fairly regular, so the default
+            sits between deterministic (0) and exponential (1) service.
     """
 
     discipline: str = "fifo"
@@ -54,9 +92,9 @@ class EdgeScheduler:
             raise ConfigurationError(
                 f"discipline must be one of {DISCIPLINES}, got {self.discipline!r}"
             )
-        if self.service_scv < 0.0:
+        if not 0.0 <= self.service_scv < math.inf:
             raise ModelDomainError(
-                f"service SCV must be >= 0, got {self.service_scv}"
+                f"service SCV must be finite and >= 0, got {self.service_scv}"
             )
 
     # -- load ----------------------------------------------------------------
@@ -68,46 +106,10 @@ class EdgeScheduler:
             raise ModelDomainError(
                 f"arrival rate must be >= 0, got {arrival_rate_per_ms}"
             )
-        if service_time_ms <= 0.0:
-            raise ModelDomainError(
-                f"service time must be > 0, got {service_time_ms}"
-            )
+        _check_service(service_time_ms)
         return arrival_rate_per_ms * service_time_ms
 
-    def is_stable(self, arrival_rate_per_ms: float, service_time_ms: float) -> bool:
-        """Whether the edge queue is stable under the offered load."""
-        return self.utilization(arrival_rate_per_ms, service_time_ms) < 1.0
-
-    @staticmethod
-    def max_stable_arrival_rate_per_ms(service_time_ms: float) -> float:
-        """Saturation arrival rate ``1 / E[S]`` (frames/ms)."""
-        if service_time_ms <= 0.0:
-            raise ModelDomainError(
-                f"service time must be > 0, got {service_time_ms}"
-            )
-        return 1.0 / service_time_ms
-
     # -- waiting time ----------------------------------------------------------
-
-    def waiting_time_ms(
-        self, arrival_rate_per_ms: float, service_time_ms: float
-    ) -> float:
-        """Mean extra delay (beyond service) under the given offered load.
-
-        Returns ``inf`` when the queue is saturated (``rho >= 1``); returns
-        exactly 0 for an idle queue (``lambda == 0``).
-        """
-        rho = self.utilization(arrival_rate_per_ms, service_time_ms)
-        if rho >= 1.0:
-            return math.inf
-        if self.discipline == "ps":
-            return service_time_ms * rho / (1.0 - rho)
-        queue = MG1Queue(
-            arrival_rate_per_ms=arrival_rate_per_ms,
-            mean_service_time_ms=service_time_ms,
-            service_scv=self.service_scv,
-        )
-        return queue.mean_waiting_time_ms
 
     def tagged_waiting_time_ms(
         self,
@@ -133,10 +135,7 @@ class EdgeScheduler:
                 background workload — not the tagged tenant's — determines
                 the queue, including whether it is saturated at all.
         """
-        if service_time_ms <= 0.0:
-            raise ModelDomainError(
-                f"service time must be > 0, got {service_time_ms}"
-            )
+        _check_service(service_time_ms)
         background_service = (
             background_service_time_ms
             if background_service_time_ms is not None
@@ -154,33 +153,39 @@ class EdgeScheduler:
         )
         return queue.mean_waiting_time_ms
 
-    def tagged_waiting_times_ms(
+    def tenant_wait_ms(
         self,
         service_time_ms: float,
-        background_arrival_rates_per_ms: Sequence[float],
-        background_service_times_ms: Sequence[float],
-    ) -> np.ndarray:
-        """Vectorized :meth:`tagged_waiting_time_ms` over background loads.
+        edge_rate_per_ms: float,
+        edge_busy: float,
+        own_rate_per_ms: float = 0.0,
+        scale: float = 1.0,
+    ) -> float:
+        """Queueing wait of one tenant on an edge loaded as :func:`edge_loads` says.
 
-        Element ``i`` equals ``tagged_waiting_time_ms(service_time_ms,
-        rates[i], services[i])`` bit for bit (via the array queueing ports of
-        :mod:`repro.queueing.vectorized`); saturated entries (``rho >= 1``)
-        map to ``inf`` instead of raising, matching the scalar contract.
+        Args:
+            service_time_ms: the tenant's unscaled service time per frame.
+            edge_rate_per_ms: the edge's total frame rate.
+            edge_busy: the edge's total busy fraction.
+            own_rate_per_ms: the tenant's own frame rate, included in the
+                totals; a marginal tenant, not yet placed, passes 0.
+            scale: the edge's service scale.
+
+        The tenant's own load ``(own_rate * service) * scale`` comes out of
+        the totals, and the rest is the background of
+        :meth:`tagged_waiting_time_ms`.  ``inf`` when the edge's total load
+        saturates it: no tenant on it has a steady state, however small its
+        own share.  Exactly 0 when no other tenant is on the edge.
         """
-        if service_time_ms <= 0.0:
-            raise ModelDomainError(
-                f"service time must be > 0, got {service_time_ms}"
-            )
-        rates = np.asarray(background_arrival_rates_per_ms, dtype=float)
-        services = np.asarray(background_service_times_ms, dtype=float)
-        rho = rates * services
-        waits = np.full(rho.shape, math.inf)
-        stable = rho < 1.0
-        if np.any(stable):
-            if self.discipline == "ps":
-                waits[stable] = ps_waiting_ms(service_time_ms, rho[stable])
-            else:
-                waits[stable] = mg1_waiting_ms(
-                    rates[stable], services[stable], self.service_scv
-                )
-        return waits
+        _check_service(service_time_ms)
+        if edge_busy >= 1.0:
+            return math.inf
+        background = max(edge_rate_per_ms - own_rate_per_ms, 0.0)
+        if background == 0.0:
+            return 0.0
+        background_busy = max(
+            edge_busy - own_rate_per_ms * service_time_ms * scale, 0.0
+        )
+        return self.tagged_waiting_time_ms(
+            service_time_ms * scale, background, background_busy / background
+        )

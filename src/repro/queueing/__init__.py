@@ -10,8 +10,8 @@ Eq. 22).  This package provides:
   closed-form results and to drive the simulated testbed's input buffer
   (:mod:`repro.queueing.simulation`),
 * Little's-law consistency helpers (:mod:`repro.queueing.littles_law`),
-* vectorized array ports of the M/M/1 / M/G/1 closed forms used by the
-  batch evaluation engine (:mod:`repro.queueing.vectorized`).
+* a vectorized array port of the M/M/1 sojourn time used by the batch
+  evaluation engine (:mod:`repro.queueing.vectorized`).
 """
 
 from repro.queueing.arrivals import (
@@ -23,12 +23,7 @@ from repro.queueing.littles_law import littles_law_l, littles_law_w, relative_ga
 from repro.queueing.mg1 import MG1Queue
 from repro.queueing.mm1 import MM1Queue
 from repro.queueing.simulation import QueueSimulationResult, simulate_single_server_queue
-from repro.queueing.vectorized import (
-    mg1_waiting_ms,
-    mm1_sojourn_ms,
-    mm1_waiting_ms,
-    ps_waiting_ms,
-)
+from repro.queueing.vectorized import mm1_sojourn_ms
 
 __all__ = [
     "DeterministicProcess",
@@ -39,10 +34,7 @@ __all__ = [
     "littles_law_l",
     "littles_law_w",
     "merge_arrival_times",
-    "mg1_waiting_ms",
     "mm1_sojourn_ms",
-    "mm1_waiting_ms",
-    "ps_waiting_ms",
     "relative_gap",
     "simulate_single_server_queue",
 ]

@@ -1,26 +1,18 @@
-"""Vectorized closed-form queueing results (array ports of M/M/1 and M/G/1).
+"""Vectorized closed-form queueing results (array port of M/M/1).
 
-The scalar classes :class:`repro.queueing.mm1.MM1Queue` and
-:class:`repro.queueing.mg1.MG1Queue` evaluate one operating point at a time;
-the batch evaluation engine (:mod:`repro.batch`) and the multi-tenant edge
-scheduler need the same closed forms over whole arrays of operating points.
-The functions below are element-wise ports of the scalar formulas — same
-equations, same operation order, so a length-1 array reproduces the scalar
-result bit for bit:
+The scalar class :class:`repro.queueing.mm1.MM1Queue` evaluates one
+operating point at a time; the batch evaluation engine (:mod:`repro.batch`)
+needs the same closed form over whole arrays of operating points.
+``mm1_sojourn_ms`` is an element-wise port of the Eq. (7)/(22) mean sojourn
+``1 / (mu - lambda)`` — same equation, same operation order, so a length-1
+array reproduces the scalar result bit for bit.  The batch engine's
+buffering and AoI terms use it.  The edge GPU's tagged M/G/1 and PS waits
+have no array port: they are defined once, per tenant, by
+:meth:`repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms`.
 
-* ``mm1_sojourn_ms``  — Eq. (7)/(22) mean sojourn ``1 / (mu - lambda)``;
-  used by the batch engine's buffering and AoI terms,
-* ``mm1_waiting_ms``  — the queueing-only companion ``rho / (mu - lambda)``,
-* ``mg1_waiting_ms``  — the Pollaczek–Khinchine mean waiting time and
-* ``ps_waiting_ms``   — the processor-sharing slowdown ``E[S] rho/(1-rho)``;
-  both backing :meth:`repro.fleet.edge_scheduler.EdgeScheduler.\
-tagged_waiting_times_ms`, which the capacity planner's vectorized probes
-  call.
-
-Stability is enforced exactly like the scalar classes: a zero arrival rate
+Stability is enforced exactly like the scalar class: a zero arrival rate
 is a legitimate idle-queue boundary, while ``rho >= 1`` raises
-:class:`~repro.exceptions.UnstableQueueError` (use ``where_stable`` masks on
-the caller side when saturation should map to ``inf`` instead).
+:class:`~repro.exceptions.UnstableQueueError`.
 """
 
 from __future__ import annotations
@@ -61,64 +53,3 @@ def mm1_sojourn_ms(
     service = _as_array(service_rate_per_ms)
     _check_rates(arrival, service)
     return 1.0 / (service - arrival)
-
-
-def mm1_waiting_ms(
-    arrival_rate_per_ms: ArrayLike, service_rate_per_ms: ArrayLike
-) -> np.ndarray:
-    """Element-wise M/M/1 mean waiting time ``W_q = rho / (mu - lambda)`` (ms)."""
-    arrival = _as_array(arrival_rate_per_ms)
-    service = _as_array(service_rate_per_ms)
-    _check_rates(arrival, service)
-    rho = arrival / service
-    return rho * (1.0 / (service - arrival))
-
-
-def mg1_waiting_ms(
-    arrival_rate_per_ms: ArrayLike,
-    mean_service_time_ms: ArrayLike,
-    service_scv: ArrayLike = 1.0,
-) -> np.ndarray:
-    """Element-wise Pollaczek–Khinchine mean waiting time (ms).
-
-    ``W_q = rho * E[S] * (1 + c_s^2) / (2 * (1 - rho))`` — identical to
-    :attr:`repro.queueing.mg1.MG1Queue.mean_waiting_time_ms`.
-    """
-    arrival = _as_array(arrival_rate_per_ms)
-    service = _as_array(mean_service_time_ms)
-    scv = _as_array(service_scv)
-    if np.any(arrival < 0.0):
-        raise UnstableQueueError(
-            f"arrival rates must be >= 0, got min {np.min(arrival)}"
-        )
-    if np.any(service <= 0.0):
-        raise UnstableQueueError(
-            f"mean service times must be > 0, got min {np.min(service)}"
-        )
-    if np.any(scv < 0.0):
-        raise UnstableQueueError(f"service SCV must be >= 0, got min {np.min(scv)}")
-    rho = arrival * service
-    if np.any(rho >= 1.0):
-        raise UnstableQueueError(
-            f"M/G/1 requires rho < 1 at every point, got max rho={np.max(rho):.4f}"
-        )
-    return rho * service * (1.0 + scv) / (2.0 * (1.0 - rho))
-
-
-def ps_waiting_ms(
-    mean_service_time_ms: ArrayLike, utilization: ArrayLike
-) -> np.ndarray:
-    """Element-wise M/G/1-PS extra delay ``E[S] * rho / (1 - rho)`` (ms).
-
-    Matches the ``"ps"`` branch of
-    :meth:`repro.fleet.edge_scheduler.EdgeScheduler.waiting_time_ms`.
-    """
-    service = _as_array(mean_service_time_ms)
-    rho = _as_array(utilization)
-    if np.any(service <= 0.0):
-        raise UnstableQueueError(
-            f"mean service times must be > 0, got min {np.min(service)}"
-        )
-    if np.any((rho < 0.0) | (rho >= 1.0)):
-        raise UnstableQueueError("PS slowdown requires 0 <= rho < 1 at every point")
-    return service * rho / (1.0 - rho)

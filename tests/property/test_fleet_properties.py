@@ -1,5 +1,8 @@
 """Property-based tests of the fleet layer (hypothesis)."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.core.framework import XRPerformanceModel
 from repro.fleet import ContentionModel, EdgeScheduler, FleetAnalyzer, homogeneous
+from repro.fleet.edge_scheduler import DISCIPLINES, edge_loads
 
 station_counts = st.integers(min_value=1, max_value=512)
 
@@ -41,11 +45,89 @@ class TestSchedulerProperties:
         scv=st.floats(min_value=0.0, max_value=3.0),
     )
     def test_waiting_time_non_negative_and_monotone_in_load(self, rho, service, scv):
+        # With the full load as background, the tagged wait is the queue's.
         scheduler = EdgeScheduler(service_scv=scv)
-        wait = scheduler.waiting_time_ms(rho / service, service)
-        heavier = scheduler.waiting_time_ms(min(rho + 0.01, 0.999) / service, service)
+        wait = scheduler.tagged_waiting_time_ms(service, rho / service, service)
+        heavier = scheduler.tagged_waiting_time_ms(
+            service, min(rho + 0.01, 0.999) / service, service
+        )
         assert wait >= 0.0
         assert heavier >= wait
+
+
+def reference_tenant_wait(scheduler, service, edge_rate, edge_busy, own_rate, scale):
+    """The tagged wait of the other tenants' load, with no idle-edge shortcut."""
+    if edge_busy >= 1.0:
+        return math.inf
+    background = max(edge_rate - own_rate, 0.0)
+    background_busy = max(edge_busy - own_rate * service * scale, 0.0)
+    return scheduler.tagged_waiting_time_ms(
+        service * scale,
+        background,
+        background_busy / background if background > 0.0 else None,
+    )
+
+
+#: Service scales: powers of two (where summing and scaling commute) and not.
+service_scales = st.one_of(st.sampled_from((1.0, 2.0, 4.0)), st.floats(1.0, 8.0))
+
+
+class TestEdgeLoadProperties:
+    """``edge_loads`` and ``tenant_wait_ms`` against a per-tenant Python loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        discipline=st.sampled_from(DISCIPLINES),
+        scv=st.floats(min_value=0.0, max_value=3.0),
+        kinds=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-3, max_value=0.06),  # frames/ms
+                st.floats(min_value=0.5, max_value=40.0),  # ms per frame
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_loads_and_waits_match_per_tenant_loop(self, discipline, scv, kinds, data):
+        scheduler = EdgeScheduler(discipline=discipline, service_scv=scv)
+        n_edges = data.draw(st.integers(min_value=1, max_value=5))
+        # Possibly empty, so idle edges occur; long lists saturate an edge.
+        tenants = data.draw(
+            st.lists(
+                st.lists(st.integers(0, len(kinds) - 1), max_size=8),
+                min_size=n_edges,
+                max_size=n_edges,
+            )
+        )
+        scale = data.draw(st.lists(service_scales, min_size=n_edges, max_size=n_edges))
+        rate = [r for r, _ in kinds]
+        service = [s for _, s in kinds]
+        edge_rate, edge_busy = edge_loads(
+            np.asarray(rate),
+            np.asarray(service),
+            [np.asarray(t, dtype=np.intp) for t in tenants],
+            scale,
+        )
+        marginal = data.draw(st.sampled_from(service))
+        for edge, on_edge in enumerate(tenants):
+            total_rate = total = 0.0
+            for kind in on_edge:
+                total_rate += rate[kind]
+                total += rate[kind] * service[kind]
+            busy = total * scale[edge] if on_edge else 0.0
+            assert edge_rate[edge] == total_rate
+            assert edge_busy[edge] == busy
+            for kind in on_edge:
+                assert scheduler.tenant_wait_ms(
+                    service[kind], total_rate, busy, rate[kind], scale[edge]
+                ) == reference_tenant_wait(
+                    scheduler, service[kind], total_rate, busy, rate[kind], scale[edge]
+                )
+            # A marginal tenant, not yet placed, brings no load of its own.
+            assert scheduler.tenant_wait_ms(
+                marginal, total_rate, busy, scale=scale[edge]
+            ) == reference_tenant_wait(scheduler, marginal, total_rate, busy, 0.0, scale[edge])
 
 
 class TestSingleUserEquivalenceProperty:

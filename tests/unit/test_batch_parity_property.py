@@ -23,14 +23,8 @@ from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.core.framework import XRPerformanceModel
 from repro.exceptions import ConfigurationError
-from repro.queueing.mg1 import MG1Queue
 from repro.queueing.mm1 import MM1Queue
-from repro.queueing.vectorized import (
-    mg1_waiting_ms,
-    mm1_sojourn_ms,
-    mm1_waiting_ms,
-    ps_waiting_ms,
-)
+from repro.queueing.vectorized import mm1_sojourn_ms
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -268,27 +262,6 @@ def test_mm1_vectorized_matches_scalar(rho, service_rate):
     arrival = rho * service_rate
     scalar = MM1Queue(arrival_rate_per_ms=arrival, service_rate_per_ms=service_rate)
     assert _close(float(mm1_sojourn_ms(arrival, service_rate)), scalar.mean_time_in_system_ms)
-    assert _close(float(mm1_waiting_ms(arrival, service_rate)), scalar.mean_waiting_time_ms)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    rho=st.one_of(
-        st.floats(min_value=1e-12, max_value=1.0 - 1e-9, exclude_max=False),
-        st.just(0.0),
-        st.just(1.0 - 1e-12),
-    ),
-    service_time=st.floats(min_value=1e-3, max_value=1e3),
-    scv=st.floats(min_value=0.0, max_value=4.0),
-)
-def test_mg1_vectorized_matches_scalar(rho, service_time, scv):
-    arrival = rho / service_time
-    scalar = MG1Queue(
-        arrival_rate_per_ms=arrival, mean_service_time_ms=service_time, service_scv=scv
-    )
-    assert _close(
-        float(mg1_waiting_ms(arrival, service_time, scv)), scalar.mean_waiting_time_ms
-    )
 
 
 def test_vectorized_queueing_over_arrays():
@@ -299,40 +272,6 @@ def test_vectorized_queueing_over_arrays():
         [MM1Queue(a, service).mean_time_in_system_ms for a in arrivals]
     )
     np.testing.assert_allclose(sojourn, expected, rtol=RELATIVE_TOLERANCE)
-    waits = mg1_waiting_ms(arrivals, service, 0.5)
-    expected = np.array(
-        [MG1Queue(a, service, 0.5).mean_waiting_time_ms for a in arrivals]
-    )
-    np.testing.assert_allclose(waits, expected, rtol=RELATIVE_TOLERANCE)
-
-
-def test_ps_waiting_matches_edge_scheduler():
-    from repro.fleet.edge_scheduler import EdgeScheduler
-
-    scheduler = EdgeScheduler(discipline="ps")
-    service = 12.0
-    for rho in (0.0, 0.25, 0.75, 0.999):
-        arrival = rho / service
-        assert _close(
-            float(ps_waiting_ms(service, rho)),
-            scheduler.waiting_time_ms(arrival, service),
-        )
-
-
-def test_tagged_waiting_times_vectorized_matches_scalar():
-    from repro.fleet.edge_scheduler import EdgeScheduler
-
-    service = 11.0
-    rates = [0.0, 0.01, 0.05, 0.2]  # the last load saturates (rho > 1)
-    services = [11.0, 11.0, 9.0, 11.0]
-    for discipline in ("fifo", "ps"):
-        scheduler = EdgeScheduler(discipline=discipline)
-        vectorized = scheduler.tagged_waiting_times_ms(service, rates, services)
-        for rate, background_service, wait in zip(rates, services, vectorized):
-            assert wait == scheduler.tagged_waiting_time_ms(
-                service, rate, background_service
-            )
-    assert math.isinf(vectorized[-1])
 
 
 def test_unstable_inputs_rejected():
@@ -340,7 +279,3 @@ def test_unstable_inputs_rejected():
 
     with pytest.raises(UnstableQueueError):
         mm1_sojourn_ms(np.array([0.5, 1.0]), 1.0)
-    with pytest.raises(UnstableQueueError):
-        mg1_waiting_ms(np.array([0.5, 2.0]), 1.0)
-    with pytest.raises(UnstableQueueError):
-        ps_waiting_ms(1.0, np.array([0.5, 1.0]))

@@ -21,9 +21,11 @@ from repro.adaptive import (
     step_trace,
 )
 from repro.batch import OperatingPoint
+from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.cosim import CoSimulation, CosimReport, ShardedCosimReport, run_cosim
 from repro.exceptions import ConfigurationError
+from repro.faults import make_schedule
 from repro.fleet import FleetAnalyzer, FleetPopulation, homogeneous, mixed_devices
 
 DEADLINE_MS = 700.0
@@ -121,6 +123,47 @@ class TestStaticFleetDegeneracy:
             assert report.offload_fraction[epoch] == fleet.n_offloaded / fleet.n_users
         assert report.all_converged
         assert report.switch_count == 0
+
+    @pytest.mark.parametrize("factor", [1.25, 1.5, 3.0])
+    @pytest.mark.parametrize("n_edges", [1, 2, 3])
+    @pytest.mark.parametrize("n_users", [2, 6, 10])
+    def test_straggler_epochs_equal_fleet_report(self, n_users, n_edges, factor):
+        # A straggler scale that is not a power of two makes the order of
+        # summing and scaling an edge's load visible in the last bit.
+        network = NetworkConfig()
+        app = ApplicationConfig(frame_side_px=300.0, frame_rate_fps=5.0).with_mode(
+            ExecutionMode.REMOTE
+        )
+        population = homogeneous(n_users, device="XR1", app=app)
+        trace = constant_trace(3, throughput_mbps=network.throughput_mbps)
+        schedule = make_schedule(
+            "straggler", start_epoch=1, duration_epochs=1, service_factor=factor
+        )
+        report = CoSimulation(
+            population,
+            StaticBaseline(0),
+            trace,
+            n_edges=n_edges,
+            candidates=(
+                OperatingPoint(app=app, network=network, device="XR1", edge="EDGE-AGX"),
+            ),
+            network=network,
+            include_aoi=False,
+            faults=schedule,
+        ).run()
+        for epoch in range(trace.n_epochs):
+            fleet = FleetAnalyzer(
+                population,
+                n_edges=n_edges,
+                network=network,
+                include_aoi=False,
+                fault_state=schedule.state_at(epoch, n_edges),
+            ).analyze()
+            assert report.p50_latency_ms[epoch] == fleet.p50_latency_ms
+            assert report.p95_latency_ms[epoch] == fleet.p95_latency_ms
+            assert report.p99_latency_ms[epoch] == fleet.p99_latency_ms
+            assert report.mean_latency_ms[epoch] == fleet.mean_latency_ms
+            assert report.max_edge_utilization[epoch] == max(fleet.edge_utilizations)
 
     def test_per_user_latency_matches_outcomes(self, static_setup):
         network, population, trace, candidates = static_setup

@@ -14,6 +14,7 @@ Pins the PR's contracts:
 """
 
 import json
+import math
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.exceptions import ConfigurationError
 from repro.exec import CHAOS_KILL_ENV
 from repro.experiments import ExperimentRunner, bundled_suite
 from repro.experiments.spec import ScenarioSpec
-from repro.faults import FaultSchedule, make_schedule
+from repro.faults import EpochFaultState, FaultSchedule, make_schedule
 from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous
 
 
@@ -186,6 +187,17 @@ class TestFleetFaults:
         assert all(not o.offloaded for o in report.outcomes)
         assert report.fault_forced_local > 0
         assert "forced local" in report.summary()
+
+    def test_brownout_caps_admission_on_scaled_load(self):
+        # Both edges at half capacity serve every frame twice as slowly.  The
+        # greedy policy must cap the scaled busy fraction, so it admits one
+        # user per edge instead of two that would saturate it.
+        report = self._analyze(EpochFaultState(0, 2, (0.5, 0.5), (1.0, 1.0)))
+        assert report.n_offloaded == 2
+        assert report.edge_utilizations == pytest.approx((0.8674, 0.8674), abs=1e-4)
+        assert all(math.isfinite(o.latency_ms) for o in report.outcomes)
+        assert report.slo_violations == 0
+        assert report.p95_latency_ms == pytest.approx(740.34, abs=0.01)
 
     def test_no_fault_state_matches_pre_fault_analyzer(self):
         base = self._analyze(None)

@@ -145,6 +145,63 @@ class TestEnergyAware:
         assert not decisions[0].offload
 
 
+class TestServiceScales:
+    """Policies weigh each edge's load by its service scale (brownout, straggler)."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        (GreedySLOAdmission(slo_ms=10_000.0), EnergyAwareAdmission(utilization_cap=0.95)),
+        ids=("greedy", "energy"),
+    )
+    def test_cap_and_least_loaded_edge_use_scaled_load(self, policy):
+        # Each user offers rho = 0.3, 0.9 on edge 0 (scale 3).  Unscaled, the
+        # six users would alternate edges; scaled, edge 0 takes only the
+        # first and edge 1 fills up to the cap.
+        candidates = [make_candidate(f"u{i}") for i in range(6)]
+        decisions = policy.assign(candidates, n_edges=2, service_scales=[3.0, 1.0])
+        assert [d.edge_index for d in decisions] == [0, 1, 1, 1, None, None]
+        unscaled = policy.assign(candidates, n_edges=2)
+        assert [d.edge_index for d in unscaled] == [0, 1, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "policy",
+        (RoundRobinAdmission(), GreedySLOAdmission(slo_ms=10_000.0), EnergyAwareAdmission()),
+        ids=("round-robin", "greedy", "energy"),
+    )
+    def test_unit_scales_change_nothing(self, policy):
+        candidates = [make_candidate(f"u{i}", service_time_ms=4.0) for i in range(9)]
+        assert policy.assign(candidates, 2, service_scales=[1.0, 1.0]) == policy.assign(
+            candidates, 2
+        )
+
+    def test_round_robin_ignores_scales(self):
+        candidates = [make_candidate(f"u{i}") for i in range(5)]
+        policy = RoundRobinAdmission()
+        assert policy.assign(candidates, 2, service_scales=[3.0, 1.0]) == policy.assign(
+            candidates, 2
+        )
+
+    def test_greedy_predicts_the_scaled_wait(self):
+        # Two users of rho 0.15 on one edge: unscaled, the second waits
+        # 0.66 ms behind the first; at scale 2 it waits 3.2 ms, past the SLO.
+        candidates = [make_candidate(f"u{i}", service_time_ms=5.0) for i in range(2)]
+        policy = GreedySLOAdmission(slo_ms=702.0)
+        assert all(d.offload for d in policy.assign(candidates, 1))
+        scaled = policy.assign(candidates, 1, service_scales=[2.0])
+        assert [d.offload for d in scaled] == [True, False]
+
+    @pytest.mark.parametrize(
+        "policy",
+        (GreedySLOAdmission(slo_ms=10_000.0), EnergyAwareAdmission()),
+        ids=("greedy", "energy"),
+    )
+    def test_invalid_scales_rejected(self, policy):
+        candidates = [make_candidate("u")]
+        for scales in ([1.0], [1.0, 0.0], [1.0, float("nan")], [1.0, float("inf")]):
+            with pytest.raises(ConfigurationError, match="service scales"):
+                policy.assign(candidates, 2, service_scales=scales)
+
+
 class TestCandidateDerivedQuantities:
     def test_arrival_rate(self):
         assert make_candidate("u").arrival_rate_per_ms == pytest.approx(0.03)

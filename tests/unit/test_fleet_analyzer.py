@@ -244,15 +244,18 @@ def reference_analyze(analyzer: FleetAnalyzer) -> FleetReport:
         fault_state.service_scale(index) if fault_state is not None else 1.0
         for index in range(analyzer.n_edges)
     ]
+    # Each edge sums its tenants' raw rate * service, and its service scale
+    # multiplies the sum once.
     edge_rates = [0.0] * analyzer.n_edges
-    edge_busy = [0.0] * analyzer.n_edges
+    edge_sums = [0.0] * analyzer.n_edges
     for decision in offloaders:
         candidate = by_name[decision.name]
         edge = decision.edge_index
         edge_rates[edge] += candidate.arrival_rate_per_ms
-        edge_busy[edge] += (
-            candidate.arrival_rate_per_ms * candidate.service_time_ms * edge_scale[edge]
-        )
+        edge_sums[edge] += candidate.arrival_rate_per_ms * candidate.service_time_ms
+    edge_busy = [
+        total * scale if total else 0.0 for total, scale in zip(edge_sums, edge_scale)
+    ]
     analyzer._prime_reports(
         [
             (user.device, _remote_app(analyzer, user), contended)
