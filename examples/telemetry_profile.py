@@ -6,7 +6,7 @@ records nothing until enabled.  This walkthrough:
 
 1. runs a small closed-loop co-simulation with telemetry enabled and
    renders the resulting span tree / counter tables — the in-process
-   equivalent of ``python -m repro profile cosim``;
+   equivalent of ``python -m repro profile --select cosim_burst_hysteresis``;
 2. shows the convergence accounting the instrumentation adds (converged /
    unconverged / oscillating epochs, best-response iterations, damping
    blends) lining up with the report's own ``convergence_rate``;
@@ -45,7 +45,7 @@ def profiled_run(users: int = 16, epochs: int = 40):
 def main() -> None:
     # -- 1. profile one run ------------------------------------------------
     report, snapshot = profiled_run()
-    print("=== span tree and counters (repro profile cosim, in-process) ===")
+    print("=== span tree and counters (repro profile, in-process) ===")
     print(telemetry.format_profile(snapshot, telemetry.cache_report()))
 
     # -- 2. convergence accounting ----------------------------------------

@@ -161,7 +161,6 @@ from repro.figures import (
 from repro.exec import (
     ExecutionBackend,
     ProcessPoolBackend,
-    RetryPolicy,
     SerialBackend,
     resolve_backend,
 )
@@ -212,7 +211,6 @@ __all__ = [
     "PerformanceReport",
     "ProcessPoolBackend",
     "RegressionReport",
-    "RetryPolicy",
     "RunHistory",
     "RunManifest",
     "ScenarioSpec",

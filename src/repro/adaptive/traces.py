@@ -29,6 +29,7 @@ materialised replay format for traces that came from somewhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -118,8 +119,8 @@ class ConditionTrace:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.epoch_ms <= 0.0:
-            raise ConfigurationError(f"epoch_ms must be > 0, got {self.epoch_ms}")
+        if not 0.0 < self.epoch_ms < math.inf:
+            raise ConfigurationError(f"epoch_ms must be a finite number > 0, got {self.epoch_ms}")
         if not self.epochs:
             raise ConfigurationError("a condition trace needs at least one epoch")
 

@@ -1,6 +1,6 @@
 """REP003 — callables handed to process pools must be module-level.
 
-Backend ``map_tasks``/``submit`` and raw executor ``submit`` ship their
+Backend ``map_tasks`` and raw executor ``submit`` ship their
 callable to worker processes by pickling.  Lambdas, closures (functions
 defined inside other functions), and bound methods (``self.method``)
 either fail to pickle — at best triggering the slow unpicklable serial

@@ -37,8 +37,14 @@ Installed as ``python -m repro``.  Subcommands:
 * ``tables``   — print the Table I / Table II reproductions,
 * ``validate`` — quick model-vs-simulated-testbed validation (Fig. 4 style).
 
-``profile --diff A B`` structurally compares two saved telemetry snapshots
-(span trees, counters, histogram percentiles) instead of profiling.
+``profile`` runs scenarios of a suite with telemetry on; ``profile --diff
+A B`` structurally compares two saved telemetry snapshots (span trees,
+counters, histogram percentiles) instead of profiling.
+
+The ``fleet``, ``adapt``, ``cosim`` and ``faults run`` subcommands map their
+flags onto a :class:`~repro.experiments.ScenarioSpec` and build the workload
+through :mod:`repro.experiments.runner`, as a scenario would.  A
+:class:`~repro.exceptions.ReproError` prints one ``error:`` line and exits 2.
 
 Every subcommand prints plain text tables; nothing is written to disk except
 by ``validate`` (which stores artefacts under ``results/``).
@@ -49,7 +55,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro._version import __version__
@@ -63,6 +69,7 @@ from repro.core.framework import XRPerformanceModel
 from repro.core.session import SessionAnalyzer
 from repro.devices.catalog import DEVICE_CATALOG, EDGE_CATALOG
 from repro.evaluation.report import format_table
+from repro.exceptions import ReproError
 from repro.fleet.admission import ADMISSION_POLICIES
 
 
@@ -125,24 +132,64 @@ def _add_operating_point_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--throughput", type=float, default=200.0, help="wireless throughput in Mbps")
 
 
-def _build_app(args: argparse.Namespace) -> ApplicationConfig:
-    app = ApplicationConfig(
-        frame_side_px=args.frame_side, cpu_freq_ghz=args.cpu_freq, frame_rate_fps=args.fps
-    )
-    return app.with_mode(ExecutionMode(args.mode))
-
-
-def _build_network(args: argparse.Namespace) -> NetworkConfig:
-    return NetworkConfig(throughput_mbps=args.throughput)
+def _operating_point(args: argparse.Namespace) -> Tuple[dict, dict]:
+    """The ``ApplicationConfig`` and ``NetworkConfig`` fields the
+    operating-point flags set."""
+    app = {
+        "frame_side_px": args.frame_side,
+        "cpu_freq_ghz": args.cpu_freq,
+        "frame_rate_fps": args.fps,
+    }
+    return app, {"throughput_mbps": args.throughput}
 
 
 def _build_model(args: argparse.Namespace) -> XRPerformanceModel:
+    app, network = _operating_point(args)
     return XRPerformanceModel(
         device=args.device,
         edge=args.edge,
-        app=_build_app(args),
-        network=_build_network(args),
+        app=ApplicationConfig(**app).with_mode(ExecutionMode(args.mode)),
+        network=NetworkConfig(**network),
     )
+
+
+def _workload_spec(
+    args: argparse.Namespace,
+    kind: str,
+    *,
+    app: Optional[dict] = None,
+    network: Optional[dict] = None,
+    faults: Optional[dict] = None,
+    **params,
+):
+    """The :class:`~repro.experiments.ScenarioSpec` a workload subcommand's
+    flags describe.
+
+    A subcommand without ``--mode`` or ``--seed`` keeps the spec's default,
+    and params left at None are omitted, so the runner's defaults apply.
+    """
+    from repro.experiments import ScenarioSpec
+
+    return ScenarioSpec(
+        name=args.command,
+        kind=kind,
+        device=args.device,
+        edge=args.edge,
+        app=app or {},
+        network=network or {},
+        faults=faults or {},
+        params={key: value for key, value in params.items() if value is not None},
+        **{key: getattr(args, key) for key in ("mode", "seed") if key in args},
+    )
+
+
+def _fault_table(args: argparse.Namespace) -> dict:
+    """The ``[scenario.faults]`` table the schedule flags describe."""
+    table = {"schedule": args.schedule}
+    for key in ("start_epoch", "duration_epochs", "edge_index"):
+        if getattr(args, key) is not None:
+            table[key] = getattr(args, key)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -236,38 +283,31 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetAnalyzer, homogeneous, mixed_devices, plan_capacity
+    from repro.experiments.runner import fleet_report
 
-    app = _build_app(args)
-    network = _build_network(args)
-    if args.mixed_devices:
-        population = mixed_devices(args.users, devices=tuple(args.mixed_devices), app=app)
-    else:
-        population = homogeneous(args.users, device=args.device, app=app)
-    analyzer = FleetAnalyzer(
-        population,
-        edge=args.edge,
-        n_edges=args.edge_servers,
-        network=network,
-        policy=ADMISSION_POLICIES[args.policy](args.slo_ms),
-        slo_ms=args.slo_ms,
+    app, network = _operating_point(args)
+    report, plan = fleet_report(
+        _workload_spec(
+            args,
+            "fleet",
+            app=app,
+            network=network,
+            users=args.users,
+            n_edges=args.edge_servers,
+            policy=args.policy,
+            slo_ms=args.slo_ms,
+            mixed_devices=args.mixed_devices,
+            plan_capacity=not args.no_capacity,
+            include_aoi=True,
+        )
     )
-    report = analyzer.analyze()
     print(
         f"Fleet analysis — {args.users} users on {args.device}"
         f"{' (mixed)' if args.mixed_devices else ''}, "
         f"{args.edge_servers}x {args.edge}, policy: {args.policy}"
     )
     print(report.summary())
-    if not args.no_capacity:
-        plan = plan_capacity(
-            device=args.device,
-            edge=args.edge,
-            slo_ms=args.slo_ms,
-            app=app,
-            network=network,
-            n_edges=args.edge_servers,
-        )
+    if plan is not None:
         print()
         # The plan measures raw infrastructure capacity: a homogeneous
         # fleet with everyone offloading, regardless of --policy or
@@ -280,18 +320,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    from repro.adaptive import AdaptiveRuntime, make_trace
+    from repro.experiments.runner import adaptive_runtime
 
-    trace = make_trace(
-        args.trace, args.epochs, epoch_ms=args.epoch_ms, seed=args.seed
+    runtime = adaptive_runtime(
+        _workload_spec(
+            args,
+            "adapt",
+            trace=args.trace,
+            epochs=args.epochs,
+            epoch_ms=args.epoch_ms,
+            deadline_ms=args.deadline_ms,
+            objective=args.objective,
+            include_aoi=True,
+        )
     )
-    runtime = AdaptiveRuntime(
-        trace=trace,
-        device=args.device,
-        edge=args.edge,
-        deadline_ms=args.deadline_ms,
-        objective=args.objective,
-    )
+    trace = runtime.trace
     names = CONTROLLERS if args.controller == "all" else (args.controller,)
 
     reports = [runtime.static_report()]
@@ -335,32 +378,30 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def _cmd_cosim(args: argparse.Namespace) -> int:
-    from repro.adaptive import make_trace
-    from repro.cosim import run_cosim
-    from repro.fleet import homogeneous
+    from repro.experiments.runner import cosim_report
 
-    trace = make_trace(args.trace, args.epochs, epoch_ms=args.epoch_ms, seed=args.seed)
-    population = homogeneous(args.users, device=args.device)
-    report = run_cosim(
-        population,
-        CONTROLLERS[args.controller](),
-        trace,
-        n_shards=args.shards,
-        backend=args.backend,
-        edge=args.edge,
+    spec = _workload_spec(
+        args,
+        "cosim",
+        users=args.users,
+        trace=args.trace,
+        epochs=args.epochs,
+        epoch_ms=args.epoch_ms,
+        controller=args.controller,
         n_edges=args.edge_servers,
+        shards=args.shards,
         deadline_ms=args.deadline_ms,
         objective=args.objective,
-        include_aoi=False,
         max_iterations=args.max_iterations,
         damping=args.damping,
     )
+    report = cosim_report(spec, backend=args.backend)
     print(
         f"Closed-loop co-simulation — {args.users} users on {args.device}, "
         f"{args.edge_servers}x {args.edge}"
         f"{f' per cell x {args.shards} cells' if args.shards > 1 else ''}, "
-        f"controller '{args.controller}', trace '{trace.name}' "
-        f"({trace.n_epochs} epochs x {trace.epoch_ms:.0f} ms, seed {args.seed})"
+        f"controller '{args.controller}', trace '{args.trace}' "
+        f"({args.epochs} epochs x {args.epoch_ms:.0f} ms, seed {args.seed})"
     )
     print(report.summary())
     return 0
@@ -581,80 +622,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_batch(args: argparse.Namespace) -> str:
-    import numpy as np
-
-    from repro.batch import ParameterGrid, evaluate_grid
-
-    grid = ParameterGrid(
-        frame_sides_px=tuple(np.linspace(300.0, 700.0, 24)),
-        cpu_freqs_ghz=tuple(np.linspace(1.0, 3.0, 12)),
-        devices=(args.device,),
-        edge=args.edge,
-        app=ApplicationConfig.object_detection_default(),
-        network=NetworkConfig(),
-    )
-    evaluate_grid(grid)
-    return f"{grid.n_points}-point batch grid on {args.device}"
-
-
-def _profile_fleet(args: argparse.Namespace) -> str:
-    from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous
-
-    FleetAnalyzer(
-        homogeneous(args.users, device=args.device),
-        edge=args.edge,
-        policy=GreedySLOAdmission(slo_ms=800.0),
-        slo_ms=800.0,
-        include_aoi=False,
-    ).analyze()
-    return f"{args.users}-user fleet on {args.device}"
-
-
-def _profile_adapt(args: argparse.Namespace) -> str:
-    from repro.adaptive import AdaptiveRuntime, GreedyBatchSweep, burst_trace
-
-    trace = burst_trace(args.epochs, seed=0)
-    runtime = AdaptiveRuntime(trace=trace, device=args.device, edge=args.edge)
-    runtime.run(GreedyBatchSweep())
-    return f"{args.epochs} burst epochs on {args.device}"
-
-
-def _profile_cosim(args: argparse.Namespace) -> str:
-    from repro.adaptive import HysteresisThreshold, make_trace
-    from repro.cosim import run_cosim
-    from repro.fleet import homogeneous
-
-    trace = make_trace("burst", args.epochs, seed=0)
-    run_cosim(
-        homogeneous(args.users, device=args.device),
-        HysteresisThreshold(),
-        trace,
-        edge=args.edge,
-        n_edges=2,
-        include_aoi=False,
-    )
-    return f"{args.users} users x {args.epochs} closed-loop epochs on {args.device}"
-
-
-def _profile_experiments(args: argparse.Namespace) -> str:
-    from repro.experiments import ExperimentRunner, bundled_suite
-
-    del args
-    suite = bundled_suite()
-    ExperimentRunner(suite, manifest_dir=None).run(write=False)
-    return f"bundled suite ({len(suite)} scenarios)"
-
-
-_PROFILE_WORKLOADS = {
-    "batch": _profile_batch,
-    "fleet": _profile_fleet,
-    "adapt": _profile_adapt,
-    "cosim": _profile_cosim,
-    "experiments": _profile_experiments,
-}
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.diff:
         from repro.figures import diff_snapshot_files
@@ -662,22 +629,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         diff = diff_snapshot_files(args.diff[0], args.diff[1])
         print(diff.to_text())
         return 0 if diff.max_counter_delta == 0.0 else 1
-    if args.workload is None:
-        print(
-            "error: a workload is required unless --diff is given "
-            f"(choose from {', '.join(sorted(_PROFILE_WORKLOADS))})",
-            file=sys.stderr,
-        )
-        return 2
+    from repro.experiments import ExperimentRunner
+
+    suite = _resolve_suite(args.suite)
     registry = telemetry.enable()
     try:
-        description = _PROFILE_WORKLOADS[args.workload](args)
+        manifest = ExperimentRunner(suite, manifest_dir=None).run(
+            select=args.select, write=False
+        )
     finally:
         telemetry.disable()
     snapshot = registry.snapshot()
     if args.json:
         telemetry.save_snapshot(snapshot, args.json)
-    print(f"Telemetry profile — {description}")
+    print(f"Telemetry profile — {len(manifest.scenarios)} of {len(suite)} {suite.name} scenarios")
     print()
     print(telemetry.format_profile(snapshot, telemetry.cache_report()))
     if args.json:
@@ -820,17 +785,6 @@ def _cmd_experiments_bench_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _resolve_fault_schedule(args: argparse.Namespace):
-    from repro.faults import make_schedule
-
-    overrides = {}
-    for key in ("start_epoch", "duration_epochs", "edge_index"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return make_schedule(args.schedule, **overrides)
-
-
 def _fault_timeline(schedule, n_epochs: int, n_edges: int) -> str:
     """One character per epoch: '.' clean, 'X' dead edge(s), 'b' brownout,
     '~' link fault, 's' straggler."""
@@ -865,7 +819,9 @@ def _cmd_faults_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults_describe(args: argparse.Namespace) -> int:
-    schedule = _resolve_fault_schedule(args)
+    from repro.faults import build_schedule
+
+    schedule = build_schedule(_fault_table(args))
     print(schedule.describe())
     n_epochs = args.epochs if args.epochs is not None else schedule.last_epoch + 4
     timeline = _fault_timeline(schedule, n_epochs, args.edge_servers)
@@ -880,40 +836,44 @@ def _cmd_faults_describe(args: argparse.Namespace) -> int:
 def _cmd_faults_run(args: argparse.Namespace) -> int:
     import json
 
-    schedule = _resolve_fault_schedule(args)
+    from repro.experiments.runner import (
+        adaptive_runtime,
+        cosim_report,
+        fault_epoch,
+        fleet_report,
+    )
+    from repro.faults import build_schedule
+
+    faults = _fault_table(args)
+    schedule = build_schedule(faults)
+    epochs = 40 if args.epochs is None else args.epochs
     payload = {"workload": args.workload, "schedule": schedule.to_dict()}
     if args.workload == "cosim":
-        from repro.adaptive import make_trace
-        from repro.cosim import run_cosim
-        from repro.fleet import homogeneous
-
-        trace = make_trace(args.trace, args.epochs or 40, seed=args.seed)
-        report = run_cosim(
-            homogeneous(args.users, device=args.device),
-            CONTROLLERS[args.controller](),
-            trace,
-            n_shards=args.shards,
-            backend=args.backend,
-            edge=args.edge,
+        spec = _workload_spec(
+            args,
+            "cosim",
+            faults=faults,
+            users=args.users,
+            trace=args.trace,
+            epochs=epochs,
+            controller=args.controller,
             n_edges=args.edge_servers,
+            shards=args.shards,
             deadline_ms=args.deadline_ms,
-            include_aoi=False,
-            faults=schedule,
         )
+        report = cosim_report(spec, backend=args.backend)
         print(report.summary())
         payload["report"] = report.to_dict()
     elif args.workload == "adapt":
-        from repro.adaptive import AdaptiveRuntime, make_trace
-
-        trace = make_trace(args.trace, args.epochs or 40, seed=args.seed)
-        runtime = AdaptiveRuntime(
-            trace=trace,
-            device=args.device,
-            edge=args.edge,
+        spec = _workload_spec(
+            args,
+            "adapt",
+            faults=faults,
+            trace=args.trace,
+            epochs=epochs,
             deadline_ms=args.deadline_ms,
-            include_aoi=False,
-            faults=schedule,
         )
+        runtime = adaptive_runtime(spec)
         report = runtime.run(CONTROLLERS[args.controller]())
         outcome = runtime.fault_report(report)
         print(report.summary())
@@ -921,27 +881,20 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
         payload["report"] = report.to_dict()
         payload["faults"] = outcome.to_dict()
     else:  # fleet
-        from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous
-
-        fault_epoch = (
-            args.fault_epoch
-            if args.fault_epoch is not None
-            else min(event.start_epoch for event in schedule.events)
-        )
-        state = schedule.state_at(fault_epoch, args.edge_servers)
-        report = FleetAnalyzer(
-            homogeneous(args.users, device=args.device),
-            edge=args.edge,
+        spec = _workload_spec(
+            args,
+            "fleet",
+            faults=faults,
+            users=args.users,
             n_edges=args.edge_servers,
-            policy=GreedySLOAdmission(slo_ms=args.deadline_ms),
             slo_ms=args.deadline_ms,
-            include_aoi=False,
-            fault_state=state,
-        ).analyze()
+            fault_epoch=args.fault_epoch,
+        )
+        report, _ = fleet_report(spec)
         print(
             f"Fleet under fault schedule {schedule.name!r} at epoch "
-            f"{fault_epoch} ({state.n_edges_alive}/{args.edge_servers} "
-            f"edges alive):\n"
+            f"{fault_epoch(spec, schedule)} ({report.n_edges_alive}/"
+            f"{args.edge_servers} edges alive):\n"
         )
         print(report.summary())
         payload["report"] = {
@@ -1360,16 +1313,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.set_defaults(handler=_cmd_bench)
 
+    def _add_suite_argument(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            "--suite",
+            default="bundled",
+            help="'bundled' or a path to a .toml/.json scenario file or directory",
+        )
+
     profile = subparsers.add_parser(
         "profile",
-        help="run a small representative workload with telemetry enabled and "
-        "print its span tree, counters and cache report",
+        help="run scenarios of a suite with telemetry enabled and print their "
+        "span tree, counters and cache report",
     )
+    _add_suite_argument(profile)
     profile.add_argument(
-        "workload",
-        nargs="?",
-        choices=sorted(_PROFILE_WORKLOADS),
-        help="which subsystem workload to profile (omit when using --diff)",
+        "--select",
+        nargs="+",
+        metavar="SCENARIO",
+        help="profile only these scenarios (default: the whole suite)",
     )
     profile.add_argument(
         "--diff",
@@ -1378,13 +1339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="structurally diff two saved telemetry snapshots instead of "
         "profiling; exits non-zero when the snapshots disagree on any "
         "counter or span call-count",
-    )
-    _add_device_arguments(profile)
-    profile.add_argument(
-        "--users", type=int, default=64, help="fleet size (fleet/cosim workloads)"
-    )
-    profile.add_argument(
-        "--epochs", type=int, default=100, help="control epochs (adapt/cosim workloads)"
     )
     profile.add_argument(
         "--json", metavar="PATH", help="also write the telemetry snapshot as JSON"
@@ -1397,13 +1351,6 @@ def build_parser() -> argparse.ArgumentParser:
         "them against committed baselines",
     )
     actions = experiments.add_subparsers(dest="action", required=True)
-
-    def _add_suite_argument(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--suite",
-            default="bundled",
-            help="'bundled' or a path to a .toml/.json scenario file or directory",
-        )
 
     exp_list = actions.add_parser("list", help="print the suite's scenario table")
     _add_suite_argument(exp_list)
@@ -1734,20 +1681,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A :class:`~repro.exceptions.ReproError` raised by a subcommand (invalid
+    input, an unknown scenario) prints one ``error:`` line to stderr and
+    exits 2, like an argparse usage error.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     telemetry_path = getattr(args, "telemetry", None)
-    if not telemetry_path:
-        return args.handler(args)
-    # --telemetry PATH: run the subcommand against a fresh recording
-    # registry and persist its snapshot, whatever the exit path.
-    registry = telemetry.enable()
     try:
-        code = args.handler(args)
-    finally:
-        telemetry.disable()
-        telemetry.save_snapshot(registry.snapshot(), telemetry_path)
+        if not telemetry_path:
+            return args.handler(args)
+        # --telemetry PATH: run the subcommand against a fresh recording
+        # registry and persist its snapshot, whatever the exit path.
+        registry = telemetry.enable()
+        try:
+            code = args.handler(args)
+        finally:
+            telemetry.disable()
+            telemetry.save_snapshot(registry.snapshot(), telemetry_path)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote telemetry snapshot {telemetry_path}")
     return code
 

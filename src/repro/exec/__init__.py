@@ -26,10 +26,8 @@ from repro.exec.backend import (
     CHAOS_HANG_ENV,
     CHAOS_HANG_TASK_ENV,
     CHAOS_KILL_ENV,
-    DEFAULT_RETRY_POLICY,
     EXEC_TIMEOUT_ENV,
     ExecutionBackend,
-    RetryPolicy,
     default_timeout_s,
 )
 from repro.exec.pools import ProcessPoolBackend
@@ -48,12 +46,10 @@ __all__ = [
     "CHAOS_HANG_TASK_ENV",
     "CHAOS_KILL_ENV",
     "DEFAULT_BACKEND",
-    "DEFAULT_RETRY_POLICY",
     "EXEC_BACKEND_ENV",
     "EXEC_TIMEOUT_ENV",
     "ExecutionBackend",
     "ProcessPoolBackend",
-    "RetryPolicy",
     "SerialBackend",
     "backend_names",
     "default_timeout_s",

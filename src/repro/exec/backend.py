@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -81,30 +80,10 @@ def default_timeout_s() -> Optional[float]:
     return value
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """What a backend does with tasks the pool failed to complete.
-
-    Attributes:
-        serial_rerun: re-execute failed tasks serially, in payload order
-            (the default, and the only mode whose results are guaranteed
-            bit-identical to an all-serial run).  With ``serial_rerun``
-            off the first pool failure is re-raised to the caller instead
-            of being repaired.
-    """
-
-    serial_rerun: bool = True
-
-
-#: The default policy: salvage completed tasks, re-run failures serially.
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
 class ExecutionBackend:
     """Maps module-level functions over payloads with deterministic merge.
 
-    Subclasses implement :meth:`map_tasks`; :meth:`submit` is the
-    single-task convenience built on top of it.  The contract every
+    Subclasses implement :meth:`map_tasks`.  The contract every
     implementation (including future distributed ones) must honour is
     pinned by the conformance suite in
     ``tests/unit/test_exec_backends.py``:
@@ -113,8 +92,8 @@ class ExecutionBackend:
     * ``fn`` must be a picklable module-level function of one payload
       (REP003 lints call sites for this);
     * a task the pool loses (crash, hang past ``timeout_s``, exception)
-      is re-run serially under the default :class:`RetryPolicy`, so the
-      merged result is bit-identical to a serial run;
+      is re-run serially, so the merged result is bit-identical to a
+      serial run;
     * telemetry counters under ``label`` use the shared names listed in
       the module docstring.
     """
@@ -130,7 +109,6 @@ class ExecutionBackend:
         max_workers: int,
         timeout_s: Optional[float] = None,
         label: str = "exec",
-        retry: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> list:
         """Run ``fn`` over ``payloads``; results in payload order.
 
@@ -143,13 +121,8 @@ class ExecutionBackend:
                 :data:`EXEC_TIMEOUT_ENV` when unset, and no timeout when
                 that is unset too.
             label: telemetry counter prefix for this seam.
-            retry: what to do with tasks the pool failed to complete.
         """
         raise NotImplementedError
-
-    def submit(self, fn: Callable, payload, *, label: str = "exec"):
-        """Run a single task through the backend; returns ``fn(payload)``."""
-        return self.map_tasks(fn, [payload], max_workers=1, label=label)[0]
 
     # -- shared plumbing ----------------------------------------------------
 

@@ -24,9 +24,7 @@ from typing import Callable, List, Optional, Sequence
 from repro import telemetry
 from repro.exec.backend import (
     CHAOS_KILL_ENV,
-    DEFAULT_RETRY_POLICY,
     ExecutionBackend,
-    RetryPolicy,
     _chaos_indices,
     chaos_hang,
 )
@@ -101,7 +99,6 @@ class ProcessPoolBackend(ExecutionBackend):
         max_workers: int,
         timeout_s: Optional[float] = None,
         label: str = "exec",
-        retry: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> list:
         timeout_s = self._resolve_limits(max_workers, timeout_s)
         registry = telemetry.get()
@@ -120,7 +117,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
         results: List = [None] * n_tasks
         failed: List[int] = []
-        first_error: Optional[BaseException] = None
         pool = self._pool_factory(min(max_workers, n_tasks))
         pool_dead = False
         try:
@@ -144,36 +140,30 @@ class ProcessPoolBackend(ExecutionBackend):
                     continue
                 try:
                     results[index] = future.result(timeout=timeout_s)
-                except concurrent.futures.TimeoutError as exc:
+                except concurrent.futures.TimeoutError:
                     registry.add(f"{label}.retry.timeout")
                     failed.append(index)
-                    first_error = first_error or exc
                     # A wedged worker can starve every queued task; stop
                     # waiting, salvage whatever already finished, and hand
                     # the rest to the serial retry.
                     _terminate(pool)
                     pool_dead = True
-                except BrokenProcessPool as exc:
+                except BrokenProcessPool:
                     registry.add(f"{label}.retry.broken_pool")
                     failed.append(index)
-                    first_error = first_error or exc
-                except concurrent.futures.CancelledError as exc:
+                except concurrent.futures.CancelledError:
                     failed.append(index)
-                    first_error = first_error or exc
-                except Exception as exc:
+                except Exception:
                     # A genuine task exception: retry serially so a
                     # deterministic failure surfaces with a direct
                     # traceback.
                     registry.add(f"{label}.retry.error")
                     failed.append(index)
-                    first_error = first_error or exc
         finally:
             if not pool_dead:
                 pool.shutdown(wait=True)
 
         if failed:
-            if not retry.serial_rerun:
-                raise first_error
             registry.add(f"{label}.serial_reruns", len(failed))
             with registry.span(f"{label}.serial_rerun", tasks=len(failed)):
                 for index in failed:

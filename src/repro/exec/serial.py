@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro import telemetry
-from repro.exec.backend import DEFAULT_RETRY_POLICY, ExecutionBackend, RetryPolicy
+from repro.exec.backend import ExecutionBackend
 
 
 class SerialBackend(ExecutionBackend):
@@ -28,7 +28,6 @@ class SerialBackend(ExecutionBackend):
         max_workers: int,
         timeout_s: Optional[float] = None,
         label: str = "exec",
-        retry: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> list:
         self._resolve_limits(max_workers, timeout_s)
         registry = telemetry.get()

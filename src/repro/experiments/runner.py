@@ -6,6 +6,9 @@
 :class:`repro.fleet.FleetAnalyzer` (+ ``plan_capacity``),
 :class:`repro.adaptive.AdaptiveRuntime` and :func:`repro.cosim.run_cosim` —
 and collects each scenario's scalar metrics into a :class:`RunManifest`.
+The per-kind construction (:func:`fleet_report`, :func:`adaptive_runtime`,
+:func:`cosim_report`) is also what the CLI's workload subcommands call, so
+a command line and the scenario it maps to build the same workload.
 
 Scenarios are independent, so the runner can fan them out on a process pool;
 a deterministic serial path produces bit-identical metric payloads and is
@@ -147,7 +150,22 @@ def _sweep_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     }
 
 
-def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
+def fault_epoch(spec: ScenarioSpec, schedule) -> int:
+    """The epoch a ``fleet`` scenario samples its fault schedule at.
+
+    A fleet analysis is a steady-state snapshot, so the schedule is sampled
+    at one epoch: ``fault_epoch`` if given, else the first epoch any event
+    is active.
+    """
+    return int(spec.params.get("fault_epoch", min(e.start_epoch for e in schedule.events)))
+
+
+def fleet_report(spec: ScenarioSpec):
+    """Analyze a ``fleet`` scenario.
+
+    Returns ``(FleetReport, CapacityPlan or None)``; the plan is computed
+    only when ``plan_capacity`` is set.
+    """
     from repro.fleet import (
         ADMISSION_POLICIES,
         FleetAnalyzer,
@@ -170,11 +188,7 @@ def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     fault_state = None
     schedule = spec.build_faults()
     if schedule is not None:
-        # A fleet analysis is a steady-state snapshot, so the schedule is
-        # sampled at one epoch: ``fault_epoch`` if given, else the first
-        # epoch any event is active.
-        epoch = int(params.get("fault_epoch", min(e.start_epoch for e in schedule.events)))
-        fault_state = schedule.state_at(epoch, n_edges)
+        fault_state = schedule.state_at(fault_epoch(spec, schedule), n_edges)
     report = FleetAnalyzer(
         population,
         edge=spec.edge,
@@ -185,20 +199,7 @@ def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         include_aoi=bool(params.get("include_aoi", False)),
         fault_state=fault_state,
     ).analyze()
-    metrics: Dict[str, object] = {
-        "n_users": users,
-        "p50_latency_ms": float(report.p50_latency_ms),
-        "p95_latency_ms": float(report.p95_latency_ms),
-        "p99_latency_ms": float(report.p99_latency_ms),
-        "mean_latency_ms": float(report.mean_latency_ms),
-        "total_energy_mj": float(report.total_energy_mj),
-        "slo_violations": int(report.slo_violations),
-        "max_edge_utilization": float(max(report.edge_utilizations, default=0.0)),
-    }
-    if fault_state is not None:
-        metrics["availability"] = float(report.availability)
-        metrics["n_edges_alive"] = int(report.n_edges_alive)
-        metrics["fault_forced_local"] = int(report.fault_forced_local)
+    plan = None
     if params.get("plan_capacity", False):
         plan = plan_capacity(
             device=spec.device,
@@ -208,6 +209,26 @@ def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
             network=network,
             n_edges=n_edges,
         )
+    return report, plan
+
+
+def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
+    report, plan = fleet_report(spec)
+    metrics: Dict[str, object] = {
+        "n_users": int(report.n_users),
+        "p50_latency_ms": float(report.p50_latency_ms),
+        "p95_latency_ms": float(report.p95_latency_ms),
+        "p99_latency_ms": float(report.p99_latency_ms),
+        "mean_latency_ms": float(report.mean_latency_ms),
+        "total_energy_mj": float(report.total_energy_mj),
+        "slo_violations": int(report.slo_violations),
+        "max_edge_utilization": float(max(report.edge_utilizations, default=0.0)),
+    }
+    if spec.faults:
+        metrics["availability"] = float(report.availability)
+        metrics["n_edges_alive"] = int(report.n_edges_alive)
+        metrics["fault_forced_local"] = int(report.fault_forced_local)
+    if plan is not None:
         metrics["capacity_max_users"] = int(plan.max_users)
         metrics["capacity_p95_ms"] = (
             float(plan.p95_at_capacity_ms) if plan.p95_at_capacity_ms is not None else None
@@ -215,18 +236,29 @@ def _fleet_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     return metrics
 
 
-def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
-    from repro.adaptive import CONTROLLERS, AdaptiveRuntime, make_trace
+def _trace(spec: ScenarioSpec, default_epochs: int):
+    from repro.adaptive import make_trace
 
     params = spec.params
-    trace = make_trace(
+    return make_trace(
         params.get("trace", "burst"),
-        int(params.get("epochs", 200)),
+        int(params.get("epochs", default_epochs)),
         epoch_ms=float(params.get("epoch_ms", 100.0)),
         seed=spec.seed,
     )
-    runtime = AdaptiveRuntime(
-        trace=trace,
+
+
+def adaptive_runtime(spec: ScenarioSpec):
+    """The :class:`~repro.adaptive.AdaptiveRuntime` of an ``adapt`` scenario.
+
+    The runtime is built (and its sweep cache prewarmed) but no controller
+    has run; ``controller`` is read by the caller.
+    """
+    from repro.adaptive import AdaptiveRuntime
+
+    params = spec.params
+    return AdaptiveRuntime(
+        trace=_trace(spec, 200),
         device=spec.device,
         edge=spec.edge,
         app=spec.build_app(),
@@ -236,7 +268,13 @@ def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         include_aoi=bool(params.get("include_aoi", False)),
         faults=spec.build_faults(),
     )
-    controller_name = params.get("controller", "greedy")
+
+
+def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
+    from repro.adaptive import CONTROLLERS
+
+    runtime = adaptive_runtime(spec)
+    controller_name = spec.params.get("controller", "greedy")
     if controller_name == "static":
         report = static = runtime.static_report()
     else:
@@ -264,28 +302,23 @@ def _adapt_metrics(spec: ScenarioSpec) -> Dict[str, object]:
     return metrics
 
 
-def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
-    from repro.adaptive import CONTROLLERS, make_trace
+def cosim_report(spec: ScenarioSpec, backend: Optional[str] = None):
+    """Run a ``cosim`` scenario through :func:`repro.cosim.run_cosim`.
+
+    ``backend`` names the execution backend of a sharded run (see
+    :func:`repro.exec.resolve_backend`); it is not part of the workload.
+    """
+    from repro.adaptive import CONTROLLERS
     from repro.cosim import run_cosim
     from repro.fleet import homogeneous
 
     params = spec.params
-    trace = make_trace(
-        params.get("trace", "burst"),
-        int(params.get("epochs", 100)),
-        epoch_ms=float(params.get("epoch_ms", 100.0)),
-        seed=spec.seed,
-    )
-    controller = CONTROLLERS[params.get("controller", "hysteresis")]()
-    population = homogeneous(
-        int(params.get("users", 64)), device=spec.device, app=spec.build_app()
-    )
-    faults = spec.build_faults()
-    report = run_cosim(
-        population,
-        controller,
-        trace,
+    return run_cosim(
+        homogeneous(int(params.get("users", 64)), device=spec.device, app=spec.build_app()),
+        CONTROLLERS[params.get("controller", "hysteresis")](),
+        _trace(spec, 100),
         n_shards=int(params.get("shards", 1)),
+        backend=backend,
         edge=spec.edge,
         n_edges=int(params.get("n_edges", 1)),
         network=spec.build_network(),
@@ -294,8 +327,12 @@ def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         include_aoi=bool(params.get("include_aoi", False)),
         max_iterations=int(params.get("max_iterations", 8)),
         damping=float(params.get("damping", 0.5)),
-        faults=faults,
+        faults=spec.build_faults(),
     )
+
+
+def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
+    report = cosim_report(spec)
     metrics: Dict[str, object] = {
         "n_users": int(report.n_users),
         "deadline_miss_rate": float(report.deadline_miss_rate),
@@ -312,7 +349,7 @@ def _cosim_metrics(spec: ScenarioSpec) -> Dict[str, object]:
         value = getattr(report, name, None)
         if value is not None:
             metrics[name] = float(value) if name != "n_unconverged_epochs" else int(value)
-    if faults is not None:
+    if spec.faults:
         # Both report shapes carry the fault surface (the sharded merge
         # aggregates it user-weighted across shards).
         metrics["availability"] = float(report.availability)

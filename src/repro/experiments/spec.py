@@ -260,10 +260,12 @@ class ScenarioSpec:
                         f"scenario {self.name!r}: {key} must be a positive integer, "
                         f"got {value!r}"
                     )
+        # The positive-number checks are written ``not value > 0`` so that
+        # NaN fails them too.
         for key in ("epoch_ms", "deadline_ms", "slo_ms", "damping"):
             if key in params:
                 value = params[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
                     raise ConfigurationError(
                         f"scenario {self.name!r}: {key} must be a positive number, "
                         f"got {value!r}"
@@ -275,7 +277,7 @@ class ScenarioSpec:
                     not isinstance(values, (list, tuple))
                     or not values
                     or any(
-                        isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0
+                        isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0
                         for v in values
                     )
                 ):

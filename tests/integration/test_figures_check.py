@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from repro.experiments import bundled_suite
 from repro.figures import FIGURES, FigureInputs, check_figures
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -71,11 +72,12 @@ class TestCliBuild:
 class TestProfileDiff:
     @pytest.fixture(scope="class")
     def snapshots(self, tmp_path_factory):
-        """Two telemetry snapshots of the same serial batch workload."""
+        """Two telemetry snapshots of the same serial batch workloads."""
         directory = tmp_path_factory.mktemp("snapshots")
         paths = [directory / "a.json", directory / "b.json"]
+        sweeps = ["fig4_sweep_local", "fig4_sweep_remote", "fig5_sweep_split"]
         for path in paths:
-            assert cli.main(["profile", "batch", "--json", str(path)]) == 0
+            assert cli.main(["profile", "--select", *sweeps, "--json", str(path)]) == 0
         return paths
 
     def test_same_run_reports_zero_work_delta(self, snapshots, capsys):
@@ -99,8 +101,15 @@ class TestProfileDiff:
         assert exit_code == 1
         assert "WORK DIVERGED" in out
 
-    def test_profile_without_workload_or_diff_is_an_error(self, capsys):
-        exit_code = cli.main(["profile"])
+    def test_profile_without_select_runs_the_whole_suite(self, tmp_path, capsys):
+        path = tmp_path / "suite.json"
+        assert cli.main(["profile", "--json", str(path)]) == 0
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["experiments.scenarios"] == len(bundled_suite()) == 17
+        assert "17 of 17 bundled scenarios" in capsys.readouterr().out
+
+    def test_profile_unknown_scenario_exits_2(self, capsys):
+        exit_code = cli.main(["profile", "--select", "fig4_sweep_local", "nonsense"])
         captured = capsys.readouterr()
         assert exit_code == 2
-        assert "workload is required" in captured.err
+        assert captured.err.startswith("error: unknown scenario(s) ['nonsense']")

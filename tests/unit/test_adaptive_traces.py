@@ -50,6 +50,13 @@ class TestTraceContainer:
         with pytest.raises(ConfigurationError):
             ConditionTrace(name="x", epoch_ms=0.0, epochs=(epoch,))
 
+    @pytest.mark.parametrize("epoch_ms", [float("nan"), float("inf")])
+    def test_non_finite_epoch_length_rejected(self, epoch_ms):
+        # A NaN epoch length used to replay with NaN energy.
+        epoch = EpochConditions(time_ms=0.0, throughput_mbps=10.0, handoff_probability=0.0)
+        with pytest.raises(ConfigurationError, match="epoch_ms"):
+            ConditionTrace(name="x", epoch_ms=epoch_ms, epochs=(epoch,))
+
     def test_length_iteration_and_duration(self):
         trace = drift_trace(25, epoch_ms=50.0, seed=1)
         assert len(trace) == trace.n_epochs == 25

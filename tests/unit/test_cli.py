@@ -415,15 +415,15 @@ class TestExperimentsCommand:
 
 class TestProfileAndTelemetry:
     def test_profile_batch_prints_span_tree(self, capsys):
-        assert main(["profile", "batch"]) == 0
+        assert main(["profile", "--select", "fig4_sweep_local"]) == 0
         output = capsys.readouterr().out
-        assert "Telemetry profile" in output
+        assert "Telemetry profile — 1 of 17 bundled scenarios" in output
         assert "span tree" in output
         assert "batch.evaluate_grid" in output
         assert "lru_cache" in output
 
     def test_profile_cosim_reports_convergence_counters(self, capsys):
-        assert main(["profile", "cosim", "--users", "8", "--epochs", "10"]) == 0
+        assert main(["profile", "--select", "cosim_burst_hysteresis"]) == 0
         output = capsys.readouterr().out
         assert "cosim.run" in output
         assert "cosim.epochs" in output
@@ -435,11 +435,15 @@ class TestProfileAndTelemetry:
 
         path = tmp_path / "profile.json"
         assert main(
-            ["profile", "adapt", "--epochs", "10", "--json", str(path)]
+            ["profile", "--select", "faults_adapt_outage", "--json", str(path)]
         ) == 0
         snapshot = json.loads(path.read_text())
-        assert snapshot["counters"]["adaptive.epochs"] == 10
-        assert "adaptive.run" in snapshot["spans"]
+        # The greedy run and the static reference, 30 epochs each.
+        assert snapshot["counters"]["adaptive.epochs"] == 60
+        scenario = snapshot["spans"]["experiments.run"]["children"][
+            "experiments.scenario.faults_adapt_outage"
+        ]
+        assert "adaptive.run" in scenario["children"]
         assert "wrote" in capsys.readouterr().out
 
     def test_profile_rejects_unknown_workload(self):

@@ -24,7 +24,6 @@ from repro.exec import (
     EXEC_BACKEND_ENV,
     ExecutionBackend,
     ProcessPoolBackend,
-    RetryPolicy,
     SerialBackend,
     backend_names,
     resolve_backend,
@@ -113,9 +112,6 @@ class TestContract:
     def test_single_task(self, backend):
         assert backend.map_tasks(_square, [7], max_workers=4) == [49]
 
-    def test_submit_single_payload(self, backend):
-        assert backend.submit(_square, 6) == 36
-
     def test_max_workers_below_one_rejected(self, backend):
         with pytest.raises(ConfigurationError):
             backend.map_tasks(_square, [1], max_workers=0)
@@ -175,27 +171,6 @@ class TestScriptedSalvage:
         counters = registry.snapshot()["counters"]
         assert counters["t.retry.broken_pool"] == 2
         assert counters["t.serial_reruns"] == 2
-
-    def test_retry_disabled_raises_first_pool_error(self):
-        pool = _FakePool({1: BrokenProcessPool("worker died")})
-        backend = ProcessPoolBackend(pool_factory=pool)
-        with pytest.raises(BrokenProcessPool):
-            backend.map_tasks(
-                _square,
-                [1, 2, 3],
-                max_workers=3,
-                retry=RetryPolicy(serial_rerun=False),
-            )
-
-    def test_retry_disabled_still_returns_clean_runs(self):
-        backend = ProcessPoolBackend(pool_factory=_FakePool({}))
-        results = backend.map_tasks(
-            _square,
-            [1, 2],
-            max_workers=2,
-            retry=RetryPolicy(serial_rerun=False),
-        )
-        assert results == [1, 4]
 
 
 class TestChaosSalvage:

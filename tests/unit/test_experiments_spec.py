@@ -161,6 +161,32 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="controller"):
             ScenarioSpec(name="x", kind="adapt", params={"controller": "oracle"})
 
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("adapt", "epoch_ms"),
+            ("cosim", "epoch_ms"),
+            ("adapt", "deadline_ms"),
+            ("cosim", "deadline_ms"),
+            ("fleet", "slo_ms"),
+        ],
+    )
+    def test_nan_positive_numbers_rejected(self, kind, key):
+        # NaN passed ``value <= 0``: an adapt scenario then ran with NaN
+        # energy and the cosim failed late with "5 x nan ms vs 5 x nan ms".
+        with pytest.raises(ConfigurationError, match=key):
+            ScenarioSpec(name="x", kind=kind, params={key: float("nan")})
+
+    @pytest.mark.parametrize("key", ["frame_sides_px", "cpu_freqs_ghz"])
+    def test_nan_sweep_axis_rejected(self, key):
+        # A NaN axis value used to run to status "ok" with NaN metrics.
+        with pytest.raises(ConfigurationError, match=key):
+            ScenarioSpec(name="x", kind="sweep", params={key: [float("nan"), 2.0]})
+
+    def test_infinite_deadline_and_slo_allowed(self):
+        ScenarioSpec(name="ok", kind="adapt", params={"deadline_ms": float("inf")})
+        ScenarioSpec(name="ok", kind="fleet", params={"slo_ms": float("inf")})
+
     def test_static_cosim_controller_rejected(self):
         # The co-simulation has no index to pin a static controller to; the
         # runner used to build StaticBaseline() and abort the whole run on
