@@ -52,9 +52,12 @@ Networks"* (Mallik, Xie, Han — ICDCS 2024).  The package provides:
   AST rules for determinism (REP001), ``to_dict``/``from_dict``
   round-trip completeness (REP002), pickle-safe process-pool tasks
   (REP003), dotted telemetry naming (REP004), scenario-spec validity
-  (REP005) and trustworthy ``__all__`` listings (REP006), with inline
-  ``# repro: noqa[RULE]`` suppressions and a committed findings baseline
-  (:mod:`repro.analysis`).
+  (REP005), trustworthy ``__all__`` listings (REP006) and docstrings on
+  the exported API (REP007), with inline ``# repro: noqa[RULE]``
+  suppressions and a committed findings baseline (:mod:`repro.analysis`).
+
+The names below resolve on first use (see ``_LAZY``), so ``import repro``
+loads no subsystem, and no NumPy, until one is asked for.
 
 Quickstart::
 
@@ -65,106 +68,125 @@ Quickstart::
     print(report.summary())
 """
 
+import importlib
+
 from repro._version import __version__
-from repro.config import (
-    ApplicationConfig,
-    CooperationConfig,
-    DeviceSpec,
-    EdgeServerSpec,
-    EncoderConfig,
-    ExecutionMode,
-    HandoffConfig,
-    InferenceConfig,
-    NetworkConfig,
-    SensorConfig,
-    SweepConfig,
-    WorkloadConfig,
-)
-from repro.core import (
-    AoIModel,
-    AoIResult,
-    CoefficientSet,
-    EnergyBreakdown,
-    LatencyBreakdown,
-    OffloadingPlanner,
-    PerformanceReport,
-    Segment,
-    SessionAnalyzer,
-    SessionReport,
-    XREnergyModel,
-    XRLatencyModel,
-    XRPerformanceModel,
-    calibrated_coefficients,
-)
-from repro.batch import (
-    BatchResult,
-    OperatingPoint,
-    ParameterGrid,
-    evaluate_grid,
-    evaluate_points,
-)
-from repro.adaptive import (
-    AdaptationReport,
-    AdaptiveRuntime,
-    ConditionTrace,
-    EpochConditions,
-    EwmaPredictive,
-    GreedyBatchSweep,
-    HysteresisThreshold,
-    StaticBaseline,
-    make_trace,
-)
-from repro.devices import XRDevice, EdgeServer, get_device, get_edge_server
-from repro.cnn import CNNModel, get_cnn, list_cnns
-from repro.fleet import (
-    CapacityPlan,
-    EdgePlan,
-    FleetAnalyzer,
-    FleetPopulation,
-    FleetReport,
-    UserProfile,
-    plan_capacity,
-    plan_edges,
-)
-from repro.cosim import (
-    CoSimulation,
-    CosimReport,
-    ShardedCosimReport,
-    run_cosim,
-)
-from repro.experiments import (
-    ExperimentRunner,
-    RegressionReport,
-    RunManifest,
-    ScenarioSpec,
-    ScenarioSuite,
-    bundled_suite,
-    compare_manifests,
-    load_suite,
-)
-from repro.analysis import (
-    Diagnostic,
-    LintEngine,
-    LintReport,
-    run_lint,
-)
-from repro.figures import (
-    FigureInputs,
-    RunHistory,
-    SnapshotDiff,
-    Table,
-    build_all,
-    build_figure,
-    check_figures,
-    diff_snapshots,
-)
-from repro.exec import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro import figures, telemetry
+
+
+def _lazy_exports(package: str, namespace: dict, table: dict):
+    """A package's PEP 562 ``__getattr__`` and ``__dir__`` over ``table``.
+
+    ``table`` maps each re-exported name to the module that defines it; a
+    name mapped to ``"<package>.<name>"`` is that submodule itself.  The
+    first access imports the module and caches the value in ``namespace``
+    (the package's globals), so a process loads only the modules its code
+    touches.  An unknown name raises the standard ``AttributeError``.
+    """
+
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(table[name])
+        value = module if table[name] == f"{package}.{name}" else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(table))
+
+    return __getattr__, __dir__
+
+
+#: Exported name -> defining module, imported on first access.
+_LAZY = {
+    "ApplicationConfig": "repro.config.application",
+    "CooperationConfig": "repro.config.application",
+    "DeviceSpec": "repro.config.device",
+    "EdgeServerSpec": "repro.config.device",
+    "EncoderConfig": "repro.config.application",
+    "ExecutionMode": "repro.config.application",
+    "HandoffConfig": "repro.config.network",
+    "InferenceConfig": "repro.config.application",
+    "NetworkConfig": "repro.config.network",
+    "SensorConfig": "repro.config.network",
+    "SweepConfig": "repro.config.workload",
+    "WorkloadConfig": "repro.config.workload",
+    "AoIModel": "repro.core.aoi",
+    "AoIResult": "repro.core.aoi",
+    "CoefficientSet": "repro.core.coefficients",
+    "EnergyBreakdown": "repro.core.results",
+    "LatencyBreakdown": "repro.core.results",
+    "OffloadingPlanner": "repro.core.offloading",
+    "PerformanceReport": "repro.core.results",
+    "Segment": "repro.core.segments",
+    "SessionAnalyzer": "repro.core.session",
+    "SessionReport": "repro.core.session",
+    "XREnergyModel": "repro.core.energy",
+    "XRLatencyModel": "repro.core.latency",
+    "XRPerformanceModel": "repro.core.framework",
+    "calibrated_coefficients": "repro.core.coefficients",
+    "BatchResult": "repro.batch.result",
+    "OperatingPoint": "repro.batch.grid",
+    "ParameterGrid": "repro.batch.grid",
+    "evaluate_grid": "repro.batch.engine",
+    "evaluate_points": "repro.batch.engine",
+    "AdaptationReport": "repro.adaptive.runtime",
+    "AdaptiveRuntime": "repro.adaptive.runtime",
+    "ConditionTrace": "repro.adaptive.traces",
+    "EpochConditions": "repro.adaptive.traces",
+    "EwmaPredictive": "repro.adaptive.controllers",
+    "GreedyBatchSweep": "repro.adaptive.controllers",
+    "HysteresisThreshold": "repro.adaptive.controllers",
+    "StaticBaseline": "repro.adaptive.controllers",
+    "make_trace": "repro.adaptive.traces",
+    "XRDevice": "repro.devices.device",
+    "EdgeServer": "repro.devices.edge_server",
+    "get_device": "repro.devices.catalog",
+    "get_edge_server": "repro.devices.catalog",
+    "CNNModel": "repro.cnn.model",
+    "get_cnn": "repro.cnn.zoo",
+    "list_cnns": "repro.cnn.zoo",
+    "CapacityPlan": "repro.fleet.capacity",
+    "EdgePlan": "repro.fleet.capacity",
+    "FleetAnalyzer": "repro.fleet.analyzer",
+    "FleetPopulation": "repro.fleet.population",
+    "FleetReport": "repro.fleet.results",
+    "UserProfile": "repro.fleet.population",
+    "plan_capacity": "repro.fleet.capacity",
+    "plan_edges": "repro.fleet.capacity",
+    "CoSimulation": "repro.cosim.engine",
+    "CosimReport": "repro.cosim.results",
+    "ShardedCosimReport": "repro.cosim.results",
+    "run_cosim": "repro.cosim.engine",
+    "ExperimentRunner": "repro.experiments.runner",
+    "RegressionReport": "repro.experiments.regression",
+    "RunManifest": "repro.experiments.runner",
+    "ScenarioSpec": "repro.experiments.spec",
+    "ScenarioSuite": "repro.experiments.spec",
+    "bundled_suite": "repro.experiments.spec",
+    "compare_manifests": "repro.experiments.regression",
+    "load_suite": "repro.experiments.spec",
+    "Diagnostic": "repro.analysis.diagnostics",
+    "LintEngine": "repro.analysis.engine",
+    "LintReport": "repro.analysis.engine",
+    "run_lint": "repro.analysis.engine",
+    "FigureInputs": "repro.figures.registry",
+    "RunHistory": "repro.figures.tabular",
+    "SnapshotDiff": "repro.figures.diffs",
+    "Table": "repro.figures.tabular",
+    "build_all": "repro.figures.registry",
+    "build_figure": "repro.figures.registry",
+    "check_figures": "repro.figures.registry",
+    "diff_snapshots": "repro.figures.diffs",
+    "ExecutionBackend": "repro.exec.backend",
+    "ProcessPoolBackend": "repro.exec.pools",
+    "SerialBackend": "repro.exec.serial",
+    "resolve_backend": "repro.exec.registry",
+    "figures": "repro.figures",
+    "telemetry": "repro.telemetry",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)
 
 __all__ = [
     "AdaptationReport",

@@ -9,6 +9,11 @@ either direction makes them untrustworthy:
   missing from ``__all__`` hides API that the module docstring and README
   advertise.
 
+A package root that resolves its re-exports on first use lists them in a
+``_LAZY = {"Name": "pkg.module", ...}`` dict literal; each key counts as a
+name the module re-exports from inside its package, so both directions
+hold for lazy roots as well.
+
 Names imported from the standard library or third-party packages are
 exempt from the second direction — an ``__init__`` may use ``Path`` or
 ``json`` internally without exporting them.  Underscore-prefixed names are
@@ -28,7 +33,8 @@ def _module_bindings(
     tree: ast.Module, package_root: Optional[str]
 ) -> Tuple[Dict[str, int], Set[str]]:
     """(all module-level bound names -> line, names re-exported from within
-    the same top-level package)."""
+    the same top-level package).  Each key of a ``_LAZY`` table counts as
+    both: the package binds it on first access, from its own modules."""
     bound: Dict[str, int] = {}
     internal: Set[str] = set()
     for node in tree.body:
@@ -40,6 +46,11 @@ def _module_bindings(
             for target in targets:
                 if isinstance(target, ast.Name):
                     bound[target.id] = node.lineno
+                    if target.id == "_LAZY" and isinstance(node.value, ast.Dict):
+                        for key in node.value.keys:
+                            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                                bound[key.value] = key.lineno
+                                internal.add(key.value)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 
 from repro import units
 from repro.config.validation import (
+    ensure_finite,
     ensure_fraction,
     ensure_non_negative,
     ensure_positive,
@@ -217,6 +218,15 @@ class ApplicationConfig:
         ensure_fraction("cpu_share", self.cpu_share)
         ensure_positive("cpu_freq_ghz", self.cpu_freq_ghz)
         ensure_positive("gpu_freq_ghz", self.gpu_freq_ghz)
+        # An infinite size or clock turns every total into inf or NaN.
+        for name in (
+            "frame_side_px",
+            "virtual_scene_side_px",
+            "point_cloud_mb",
+            "cpu_freq_ghz",
+            "gpu_freq_ghz",
+        ):
+            ensure_finite(name, getattr(self, name))
 
     # -- derived quantities -------------------------------------------------
 

@@ -7,6 +7,7 @@ exact configuration value that is wrong.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterable, Sequence
 
@@ -29,9 +30,16 @@ def ensure_positive(name: str, value: float) -> float:
 
 
 def ensure_non_negative(name: str, value: float) -> float:
-    """Return ``value`` if >= 0, otherwise raise."""
-    if value < 0.0:
+    """Return ``value`` if >= 0, otherwise raise (NaN raises too)."""
+    if not value >= 0.0:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def ensure_finite(name: str, value: float) -> float:
+    """Return ``value`` if it is neither infinite nor NaN, otherwise raise."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return value
 
 

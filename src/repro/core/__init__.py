@@ -20,22 +20,33 @@ This package implements Sections IV-VI of the paper:
   ties everything together (the main public entry point).
 """
 
-from repro.core.aoi import AoIModel, AoIResult, AoITimeline
-from repro.core.coefficients import (
-    CoefficientSet,
-    EncodingCoefficients,
-    QuadraticBlend,
-    calibrated_coefficients,
-)
-from repro.core.energy import XREnergyModel
-from repro.core.framework import XRPerformanceModel
-from repro.core.latency import XRLatencyModel
-from repro.core.offloading import OffloadingDecision, OffloadingPlanner
-from repro.core.power import PowerModel
-from repro.core.resources import ComputeResourceModel
-from repro.core.results import EnergyBreakdown, LatencyBreakdown, PerformanceReport
-from repro.core.segments import Segment
-from repro.core.session import SessionAnalyzer, SessionReport
+from repro import _lazy_exports
+
+#: Exported name -> defining module, imported on first access.
+_LAZY = {
+    "AoIModel": "repro.core.aoi",
+    "AoIResult": "repro.core.aoi",
+    "AoITimeline": "repro.core.aoi",
+    "CoefficientSet": "repro.core.coefficients",
+    "EncodingCoefficients": "repro.core.coefficients",
+    "QuadraticBlend": "repro.core.coefficients",
+    "calibrated_coefficients": "repro.core.coefficients",
+    "XREnergyModel": "repro.core.energy",
+    "XRPerformanceModel": "repro.core.framework",
+    "XRLatencyModel": "repro.core.latency",
+    "OffloadingDecision": "repro.core.offloading",
+    "OffloadingPlanner": "repro.core.offloading",
+    "PowerModel": "repro.core.power",
+    "ComputeResourceModel": "repro.core.resources",
+    "EnergyBreakdown": "repro.core.results",
+    "LatencyBreakdown": "repro.core.results",
+    "PerformanceReport": "repro.core.results",
+    "Segment": "repro.core.segments",
+    "SessionAnalyzer": "repro.core.session",
+    "SessionReport": "repro.core.session",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)
 
 __all__ = [
     "AoIModel",

@@ -67,11 +67,17 @@ DEFAULT_EXPECTED_RTOL = 1e-6
 
 
 def git_sha(cwd: Union[str, Path, None] = None) -> Optional[str]:
-    """The current checkout's commit SHA, or None outside a git repository."""
+    """The commit SHA of the checkout at ``cwd``, or None outside a git repository.
+
+    ``cwd`` defaults to this package's own directory, so a run is attributed
+    to the code that ran it, wherever the process was started from.
+    """
+    if cwd is None:
+        cwd = Path(__file__).resolve().parents[1]
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=str(cwd),
             capture_output=True,
             text=True,
             timeout=10.0,

@@ -26,10 +26,22 @@ We do not have the physical testbed, so this package substitutes it:
   generation for whole pipeline runs.
 """
 
-from repro.measurement.datasets import MeasurementDataset, MeasurementSample, split_by_device
-from repro.measurement.regression import LinearRegression, RegressionResult
-from repro.measurement.synthetic import CampaignConfig, SyntheticCampaign
-from repro.measurement.truth import SEGMENT_POWER_FACTORS, TestbedTruth
+from repro import _lazy_exports
+
+#: Exported name -> defining module, imported on first access.
+_LAZY = {
+    "MeasurementDataset": "repro.measurement.datasets",
+    "MeasurementSample": "repro.measurement.datasets",
+    "split_by_device": "repro.measurement.datasets",
+    "LinearRegression": "repro.measurement.regression",
+    "RegressionResult": "repro.measurement.regression",
+    "CampaignConfig": "repro.measurement.synthetic",
+    "SyntheticCampaign": "repro.measurement.synthetic",
+    "SEGMENT_POWER_FACTORS": "repro.measurement.truth",
+    "TestbedTruth": "repro.measurement.truth",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)
 
 __all__ = [
     "CampaignConfig",

@@ -18,12 +18,23 @@ ground truth by simulation:
   sweeps, mirroring the paper's experimental methodology.
 """
 
-from repro.simulation.des import EventScheduler
-from repro.simulation.noise import NoiseModel
-from repro.simulation.pipeline_sim import PipelineSimulator
-from repro.simulation.sensor_sim import AoIEmulation, emulate_aoi
-from repro.simulation.testbed import GroundTruthRun, SimulatedTestbed, truth_coefficients
-from repro.simulation.trace import FrameTrace, RunTrace
+from repro import _lazy_exports
+
+#: Exported name -> defining module, imported on first access.
+_LAZY = {
+    "EventScheduler": "repro.simulation.des",
+    "NoiseModel": "repro.simulation.noise",
+    "PipelineSimulator": "repro.simulation.pipeline_sim",
+    "AoIEmulation": "repro.simulation.sensor_sim",
+    "emulate_aoi": "repro.simulation.sensor_sim",
+    "GroundTruthRun": "repro.simulation.testbed",
+    "SimulatedTestbed": "repro.simulation.testbed",
+    "truth_coefficients": "repro.simulation.testbed",
+    "FrameTrace": "repro.simulation.trace",
+    "RunTrace": "repro.simulation.trace",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)
 
 __all__ = [
     "AoIEmulation",

@@ -193,6 +193,35 @@ class TestREP006ExportConsistency:
         found = lint(tmp_path, source, "REP006", rel="src/repro/mypkg/__init__.py")
         assert len(found) == 1 and "helper" in found[0].message
 
+    LAZY_INIT = (
+        "from repro import _lazy_exports\n"
+        "\n"
+        "_LAZY = {\n"
+        "    'Thing': 'repro.mypkg.core',\n"
+        "    'helper': 'repro.mypkg.tools',\n"
+        "}\n"
+        "\n"
+        "__getattr__, __dir__ = _lazy_exports(__name__, globals(), _LAZY)\n"
+        "\n"
+    )
+
+    def test_consistent_lazy_init_passes(self, tmp_path):
+        clean = self.LAZY_INIT + "__all__ = ['Thing', 'helper']\n"
+        assert lint(tmp_path, clean, "REP006", rel="src/repro/mypkg/__init__.py") == []
+
+    def test_lazy_phantom_export_flagged(self, tmp_path):
+        source = self.LAZY_INIT + "__all__ = ['Thing', 'ghost', 'helper']\n"
+        found = lint(tmp_path, source, "REP006", rel="src/repro/mypkg/__init__.py")
+        assert len(found) == 1
+        assert "'ghost'" in found[0].message and "never defines" in found[0].message
+
+    def test_lazy_key_missing_from_all_flagged(self, tmp_path):
+        source = self.LAZY_INIT + "__all__ = ['Thing']\n"
+        found = lint(tmp_path, source, "REP006", rel="src/repro/mypkg/__init__.py")
+        assert len(found) == 1
+        assert "'helper'" in found[0].message and "missing from __all__" in found[0].message
+        assert found[0].line == 5  # the table key's own line
+
     def test_stdlib_imports_are_exempt(self, tmp_path):
         clean = (
             "import json\n"

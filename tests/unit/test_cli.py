@@ -70,6 +70,13 @@ class TestCommands:
         assert "Latency (ms):" in output
         assert "Energy (mJ):" in output
 
+    def test_analyze_rejects_infinite_clock(self, capsys):
+        assert main(["analyze", "--device", "XR1", "--cpu-freq", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
     def test_sweep_prints_all_points(self, capsys):
         assert main(["sweep", "--device", "XR1"]) == 0
         output = capsys.readouterr().out

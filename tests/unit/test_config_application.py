@@ -112,6 +112,21 @@ class TestApplicationConfig:
         with pytest.raises(ConfigurationError):
             ApplicationConfig(frame_rate_fps=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("point_cloud_mb", float("nan")),
+            ("point_cloud_mb", float("inf")),
+            ("cpu_freq_ghz", float("inf")),
+            ("gpu_freq_ghz", float("inf")),
+            ("frame_side_px", float("inf")),
+            ("virtual_scene_side_px", float("inf")),
+        ],
+    )
+    def test_non_finite_size_or_clock_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ApplicationConfig(**{field: value})
+
     def test_invalid_cpu_share_rejected(self):
         with pytest.raises(ConfigurationError):
             ApplicationConfig(cpu_share=1.5)

@@ -27,6 +27,20 @@ class TestEnsureNonNegative:
         with pytest.raises(ConfigurationError):
             validation.ensure_non_negative("x", -0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ConfigurationError, match="x must be >= 0"):
+            validation.ensure_non_negative("x", float("nan"))
+
+
+class TestEnsureFinite:
+    def test_accepts_finite(self):
+        assert validation.ensure_finite("x", -2.5) == -2.5
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ConfigurationError, match="x must be finite"):
+            validation.ensure_finite("x", value)
+
 
 class TestEnsureFraction:
     def test_accepts_bounds(self):

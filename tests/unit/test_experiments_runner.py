@@ -1,9 +1,13 @@
 """Unit tests for the experiment runner and run manifests."""
 
 import math
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     ExperimentRunner,
@@ -12,6 +16,7 @@ from repro.experiments import (
     ScenarioSpec,
     ScenarioSuite,
     bundled_suite,
+    git_sha,
     run_scenario,
     toml_available,
 )
@@ -213,6 +218,24 @@ class TestRunnerAndManifest:
         assert restored.metrics["m"] == 1.5
         assert math.isnan(restored.metrics["nan"])
         assert restored.checks == ("c",)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+def test_git_sha_names_the_package_checkout_not_the_working_directory(tmp_path, monkeypatch):
+    def git(*args, cwd):
+        return subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+
+    git("init", "-q", cwd=tmp_path)
+    identity = ("-c", "user.name=t", "-c", "user.email=t@t")
+    git(*identity, "commit", "-q", "--allow-empty", "-m", "other", cwd=tmp_path)
+    other = git("rev-parse", "HEAD", cwd=tmp_path).stdout.strip()
+    assert other  # the working directory is a checkout with its own HEAD
+    package_dir = Path(repro.__file__).resolve().parent
+    package = git("-C", str(package_dir), "rev-parse", "HEAD", cwd=tmp_path)
+    expected = package.stdout.strip() if package.returncode == 0 else None
+    monkeypatch.chdir(tmp_path)
+    assert git_sha() == expected
+    assert git_sha(tmp_path) == other
 
 
 @requires_toml
