@@ -37,13 +37,12 @@ Networks"* (Mallik, Xie, Han — ICDCS 2024).  The package provides:
   (:mod:`repro.cosim`),
 * a declarative experiment layer: versioned TOML/JSON scenario specs
   covering every subsystem, a runner that turns a suite into an
-  attributable JSON run manifest, and regression gates that compare
-  manifests and bench payloads against committed baselines — the single
-  entry point CI uses to detect correctness and performance drift
-  (:mod:`repro.experiments`),
+  attributable JSON run manifest, and a regression gate that compares
+  manifests against a committed baseline — the single entry point CI uses
+  to detect drift in the model's outputs (:mod:`repro.experiments`),
 * a figure/analytics layer over the persisted artifacts: a stdlib-only
-  row-oriented :class:`~repro.figures.Table` with manifest / telemetry /
-  bench flatteners, a :class:`~repro.figures.RunHistory` index turning a
+  row-oriented :class:`~repro.figures.Table` with manifest and telemetry
+  flatteners, a :class:`~repro.figures.RunHistory` index turning a
   directory of manifests into per-metric time series, a registry of
   figure builders that re-render every committed ``results/`` artifact
   byte-identically (plus CSV and Vega-Lite sidecars), and structural

@@ -428,7 +428,7 @@ class AdaptationReport:
         )
 
     def to_dict(self) -> dict:
-        """JSON-able form (used by the bench baseline and replay tests)."""
+        """JSON-able form (used by ``faults run --json`` and replay tests)."""
         return {
             "controller": self.controller,
             "trace_name": self.trace_name,

@@ -19,7 +19,7 @@ Two families of generators are provided:
 * :func:`drift_trace` / :func:`step_trace` / :func:`burst_trace` are
   synthetic scenarios with known structure (slow degradation, a regime
   change, periodic congestion bursts) used by the controller tests and the
-  bundled benchmarks.
+  bundled scenarios.
 
 Every generator is seeded and fully deterministic: the same ``(generator,
 parameters, seed)`` triple reproduces the trace bit-for-bit, and
@@ -379,7 +379,7 @@ def mobility_fading_trace(
     )
 
 
-#: Named generators for the bundled scenarios (CLI, benchmarks, tests).
+#: Named generators for the bundled scenarios (CLI, specs, tests).
 TRACE_GENERATORS: Dict[str, Callable[..., ConditionTrace]] = {
     "drift": drift_trace,
     "step": step_trace,

@@ -33,7 +33,7 @@ SKIPPED_DIRS = frozenset(
 )
 
 #: Paths linted when the caller names none (relative to the engine root).
-DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "scenarios")
+DEFAULT_PATHS = ("src", "tests", "examples")
 
 #: Pseudo-rule ID attached to unparseable Python files.
 SYNTAX_RULE = "REP000"

@@ -13,14 +13,10 @@ Installed as ``python -m repro``.  Subcommands:
 * ``cosim``    — closed-loop co-simulation: every fleet user runs an
   adaptive controller while contention and edge queueing feed back from the
   fleet's own placement decisions each epoch,
-* ``bench``    — scalar-vs-batch, fleet-scale, adaptive-runtime and co-sim
-  throughput summary (optionally written to a JSON baseline for the perf
-  trajectory),
 * ``experiments`` — declarative scenario suites: ``list`` the bundled
-  specs, ``run`` them into a manifest under ``results/manifests/``,
+  specs, ``run`` them into a manifest under ``results/manifests/``, and
   ``check`` a manifest against a committed baseline (the CI regression
-  gate), and ``bench-check`` a ``bench --json`` payload against the
-  committed ``BENCH_*.json`` baselines,
+  gate),
 * ``figures``  — the figure registry: ``list`` the builders, ``build``
   text/CSV/Vega-Lite artifact triples under ``results/figures/``, and
   ``check`` that every committed ``results/*.txt`` artifact re-renders
@@ -46,8 +42,11 @@ flags onto a :class:`~repro.experiments.ScenarioSpec` and build the workload
 through :mod:`repro.experiments.runner`, as a scenario would.  A
 :class:`~repro.exceptions.ReproError` prints one ``error:`` line and exits 2.
 
-Every subcommand prints plain text tables; nothing is written to disk except
-by ``validate`` (which stores artefacts under ``results/``).
+Every subcommand prints plain text tables.  Files are written only by
+``experiments run`` (its manifest), ``figures build`` (artifact triples),
+``docs build`` (``docs/CLI.md``), ``lint --write-baseline`` and the
+``--json`` / ``--telemetry`` options, each to the path it names;
+``validate`` and the ``check`` actions write nothing.
 """
 
 from __future__ import annotations
@@ -71,25 +70,6 @@ from repro.devices.catalog import DEVICE_CATALOG, EDGE_CATALOG
 from repro.evaluation.report import format_table
 from repro.exceptions import ReproError
 from repro.fleet.admission import ADMISSION_POLICIES
-
-
-def _env_float(name: str, default: float) -> float:
-    """An environment override parsed as float; malformed values fall back.
-
-    Parsing happens at parser-build time, so a bad value must not take every
-    unrelated subcommand down with a traceback.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        print(
-            f"warning: ignoring {name}={raw!r} (not a number); using {default}",
-            file=sys.stderr,
-        )
-        return default
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser, noun: str) -> None:
@@ -407,221 +387,6 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    from dataclasses import replace
-
-    import numpy as np
-
-    from repro.batch import ParameterGrid, evaluate_grid
-    from repro.fleet import FleetAnalyzer, GreedySLOAdmission, homogeneous
-
-    app = ApplicationConfig.object_detection_default()
-    network = NetworkConfig()
-    model = XRPerformanceModel(device=args.device, edge=args.edge, app=app, network=network)
-
-    # Warm both paths before any timing: the first scalar analyze() pays the
-    # one-time memoized lookups and the first batch call pays lazy imports;
-    # neither belongs in a steady-state throughput baseline.
-    model.analyze(app, network, include_aoi=False)
-    evaluate_grid(
-        ParameterGrid(devices=(args.device,), edge=args.edge, app=app, network=network)
-    )
-
-    def _grid_case(name, cpu_freqs, frame_sides):
-        n_points = len(cpu_freqs) * len(frame_sides)
-        with telemetry.get().span("bench.grid.scalar", points=n_points) as sp:
-            for cpu_freq in cpu_freqs:
-                for frame_side in frame_sides:
-                    model.analyze(
-                        replace(app, cpu_freq_ghz=cpu_freq, frame_side_px=frame_side),
-                        network,
-                        include_aoi=False,
-                    )
-        scalar_s = sp.elapsed_s
-        grid = ParameterGrid(
-            frame_sides_px=tuple(frame_sides),
-            cpu_freqs_ghz=tuple(cpu_freqs),
-            devices=(args.device,),
-            edge=args.edge,
-            app=app,
-            network=network,
-        )
-        with telemetry.get().span("bench.grid.batch", points=n_points) as sp:
-            evaluate_grid(grid)
-        batch_s = sp.elapsed_s
-        return {
-            "name": name,
-            "points": n_points,
-            "scalar_seconds": scalar_s,
-            "batch_seconds": batch_s,
-            "scalar_points_per_s": n_points / scalar_s,
-            "batch_points_per_s": n_points / batch_s,
-            "speedup": scalar_s / batch_s,
-        }
-
-    sweep = SweepConfig.paper_default()
-    cases = [_grid_case("fig4_grid", sweep.cpu_freqs_ghz, sweep.frame_sides_px)]
-    if args.points > 0:
-        n_freqs = max(int(round(args.points**0.5 / 1.25)), 2)
-        n_sides = max(args.points // n_freqs, 2)
-        cases.append(
-            _grid_case(
-                f"grid_{n_freqs * n_sides}",
-                np.linspace(1.0, 3.0, n_freqs),
-                np.linspace(300.0, 700.0, n_sides),
-            )
-        )
-
-    fleet_case = None
-    if args.fleet_users > 0:
-        with telemetry.get().span("bench.fleet", users=args.fleet_users) as sp:
-            report = FleetAnalyzer(
-                homogeneous(args.fleet_users, device=args.device),
-                edge=args.edge,
-                policy=GreedySLOAdmission(slo_ms=800.0),
-                slo_ms=800.0,
-                include_aoi=False,
-            ).analyze()
-        fleet_s = sp.elapsed_s
-        fleet_case = {
-            "name": f"fleet_{args.fleet_users}",
-            "users": args.fleet_users,
-            "seconds": fleet_s,
-            "users_per_s": args.fleet_users / fleet_s,
-            "p95_latency_ms": report.p95_latency_ms,
-        }
-
-    adaptive_case = None
-    if args.adaptive_epochs > 0:
-        from repro.adaptive import AdaptiveRuntime, GreedyBatchSweep, burst_trace
-
-        trace = burst_trace(args.adaptive_epochs, seed=0)
-        with telemetry.get().span("bench.adaptive.prewarm", epochs=args.adaptive_epochs) as sp:
-            runtime = AdaptiveRuntime(trace=trace, device=args.device, edge=args.edge)
-        prewarm_s = sp.elapsed_s
-        with telemetry.get().span("bench.adaptive.control", epochs=args.adaptive_epochs) as sp:
-            adaptive_report = runtime.run(GreedyBatchSweep())
-        control_s = sp.elapsed_s
-        decisions = args.adaptive_epochs * len(runtime.candidates)
-        adaptive_case = {
-            "name": f"adaptive_{args.adaptive_epochs}",
-            "trace": trace.name,
-            "epochs": args.adaptive_epochs,
-            "candidates": len(runtime.candidates),
-            "prewarm_seconds": prewarm_s,
-            "control_seconds": control_s,
-            "seconds": prewarm_s + control_s,
-            "epochs_per_s": args.adaptive_epochs / (prewarm_s + control_s),
-            "candidate_evaluations_per_s": decisions / (prewarm_s + control_s),
-            "deadline_miss_rate": adaptive_report.deadline_miss_rate,
-            "mean_quality": adaptive_report.mean_quality,
-        }
-
-    cosim_case = None
-    if args.cosim_users > 0 and args.cosim_epochs > 0:
-        from repro.adaptive import GreedyBatchSweep, step_trace
-        from repro.cosim import run_cosim
-        from repro.fleet import homogeneous
-
-        trace = step_trace(args.cosim_epochs, seed=11)
-        with telemetry.get().span(
-            "bench.cosim", users=args.cosim_users, epochs=args.cosim_epochs
-        ) as sp:
-            cosim_report = run_cosim(
-                homogeneous(args.cosim_users, device=args.device),
-                GreedyBatchSweep(),
-                trace,
-                n_shards=args.cosim_shards,
-                backend=args.backend,
-                edge=args.edge,
-                n_edges=8,
-                include_aoi=False,
-            )
-        cosim_s = sp.elapsed_s
-        user_epochs = args.cosim_users * args.cosim_epochs
-        # Sharded merges expose a reduced diagnostic surface; record what
-        # the report carries so the JSON stays comparable either way.
-        offload = getattr(cosim_report, "mean_offload_fraction", None)
-        unconverged = getattr(cosim_report, "n_unconverged_epochs", None)
-        cosim_case = {
-            "name": f"cosim_{args.cosim_users}x{args.cosim_epochs}",
-            "users": args.cosim_users,
-            "epochs": args.cosim_epochs,
-            "shards": args.cosim_shards,
-            "trace": trace.name,
-            "seconds": cosim_s,
-            "user_epochs_per_s": user_epochs / cosim_s,
-            "deadline_miss_rate": cosim_report.deadline_miss_rate,
-            "mean_offload_fraction": offload,
-            "unconverged_epochs": unconverged,
-        }
-
-    # Write the baseline before printing anything: a summary that fails to
-    # render (broken pipe, encoding) must not cost the measurement, and the
-    # payload carries the git SHA + version so baselines are attributable.
-    if args.json:
-        from repro.experiments import git_sha
-
-        payload = {
-            "device": args.device,
-            "edge": args.edge,
-            "version": __version__,
-            "git_sha": git_sha(),
-            "grids": cases,
-            "fleet": fleet_case,
-            "adaptive": adaptive_case,
-            "cosim": cosim_case,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-
-    rows = [
-        (
-            case["name"],
-            f"{case['points']}",
-            f"{case['scalar_points_per_s']:,.0f}",
-            f"{case['batch_points_per_s']:,.0f}",
-            f"{case['speedup']:.0f}x",
-        )
-        for case in cases
-    ]
-    print(f"Evaluation throughput on {args.device} / {args.edge} (points/second)")
-    print(format_table(rows, headers=("grid", "points", "scalar", "batch", "speedup")))
-    if fleet_case is not None:
-        print(
-            f"\nFleet analysis: {fleet_case['users']} users in "
-            f"{fleet_case['seconds']:.2f} s ({fleet_case['users_per_s']:,.0f} users/s)"
-        )
-    if adaptive_case is not None:
-        print(
-            f"\nAdaptive runtime: {adaptive_case['epochs']} epochs x "
-            f"{adaptive_case['candidates']} candidates (greedy full-grid sweep) in "
-            f"{adaptive_case['seconds']:.2f} s "
-            f"({adaptive_case['epochs_per_s']:,.0f} epochs/s, "
-            f"{adaptive_case['candidate_evaluations_per_s']:,.0f} evaluations/s)"
-        )
-
-    if cosim_case is not None:
-        unconverged = (
-            f"{cosim_case['unconverged_epochs']} unconverged epochs"
-            if cosim_case["unconverged_epochs"] is not None
-            else f"{cosim_case['shards']} shards"
-        )
-        print(
-            f"\nCo-simulation: {cosim_case['users']} users x "
-            f"{cosim_case['epochs']} epochs (closed loop) in "
-            f"{cosim_case['seconds']:.2f} s "
-            f"({cosim_case['user_epochs_per_s']:,.0f} user-epochs/s, "
-            f"{unconverged})"
-        )
-
-    if args.json:
-        print(f"\nwrote {args.json}")
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     if args.diff:
         from repro.figures import diff_snapshot_files
@@ -765,24 +530,6 @@ def _cmd_experiments_check(args: argparse.Namespace) -> int:
         _print_manifest(manifest)
         return 1
     return 0 if report.passed else 1
-
-
-def _cmd_experiments_bench_check(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments import compare_bench_files
-
-    with open(args.current, "r", encoding="utf-8") as handle:
-        current = json.load(handle)
-    reports = compare_bench_files(
-        current, args.baselines, tolerance=args.tolerance
-    )
-    failed = False
-    for report in reports:
-        print(report.summary())
-        print()
-        failed = failed or not report.passed
-    return 1 if failed else 0
 
 
 def _fault_timeline(schedule, n_epochs: int, n_edges: int) -> str:
@@ -1258,61 +1005,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cosim.set_defaults(handler=_cmd_cosim)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="scalar-vs-batch, fleet-scale, adaptive-runtime and co-sim "
-        "throughput summary",
-    )
-    _add_device_arguments(bench)
-    bench.add_argument(
-        "--points",
-        type=int,
-        default=1000,
-        help="approximate size of the large benchmark grid (0 to skip)",
-    )
-    bench.add_argument(
-        "--fleet-users",
-        type=int,
-        default=10_000,
-        help="fleet size for the fleet-analysis timing (0 to skip)",
-    )
-    bench.add_argument(
-        "--adaptive-epochs",
-        type=int,
-        default=1000,
-        help="burst-trace epochs for the adaptive-runtime timing (0 to skip)",
-    )
-    bench.add_argument(
-        "--cosim-users",
-        type=int,
-        default=0,
-        help="fleet size for the closed-loop co-sim timing (0 to skip)",
-    )
-    bench.add_argument(
-        "--cosim-epochs",
-        type=int,
-        default=500,
-        help="epochs for the closed-loop co-sim timing",
-    )
-    bench.add_argument(
-        "--cosim-shards",
-        type=int,
-        default=1,
-        help="independent cells the co-sim fleet is split into (pooled shard fan-out)",
-    )
-    _add_backend_argument(bench, "the sharded co-sim measurement")
-    bench.add_argument(
-        "--json",
-        metavar="PATH",
-        help="also write the measurements to a JSON baseline file",
-    )
-    bench.add_argument(
-        "--telemetry",
-        metavar="PATH",
-        help="run with telemetry enabled and write the snapshot as JSON",
-    )
-    bench.set_defaults(handler=_cmd_bench)
-
     def _add_suite_argument(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
             "--suite",
@@ -1424,27 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare metrics even when the scenario suite changed",
     )
     exp_check.set_defaults(handler=_cmd_experiments_check)
-
-    exp_bench = actions.add_parser(
-        "bench-check",
-        help="gate a 'repro bench --json' payload against committed BENCH_*.json "
-        "baselines (throughput one-sided, model outputs tight)",
-    )
-    exp_bench.add_argument("--current", required=True, help="fresh bench --json payload")
-    exp_bench.add_argument(
-        "--baselines",
-        nargs="+",
-        default=["BENCH_batch.json", "BENCH_adaptive.json", "BENCH_cosim.json"],
-        help="committed baseline files to gate against",
-    )
-    exp_bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=_env_float("REPRO_BENCH_TOLERANCE", 0.6),
-        help="one-sided throughput slack (fraction below baseline allowed; "
-        "default 0.6, overridable via REPRO_BENCH_TOLERANCE)",
-    )
-    exp_bench.set_defaults(handler=_cmd_experiments_bench_check)
 
     faults = subparsers.add_parser(
         "faults",
@@ -1639,8 +1310,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: src tests benchmarks "
-        "examples scenarios, whichever exist)",
+        help="files or directories to lint (default: src tests examples, "
+        "whichever exist)",
     )
     lint.add_argument(
         "--rule",
@@ -1685,26 +1356,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     A :class:`~repro.exceptions.ReproError` raised by a subcommand (invalid
     input, an unknown scenario) prints one ``error:`` line to stderr and
-    exits 2, like an argparse usage error.
+    exits 2, like an argparse usage error.  A reader that closes stdout
+    early ends the command with exit 1 and no traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     telemetry_path = getattr(args, "telemetry", None)
     try:
         if not telemetry_path:
-            return args.handler(args)
-        # --telemetry PATH: run the subcommand against a fresh recording
-        # registry and persist its snapshot, whatever the exit path.
-        registry = telemetry.enable()
-        try:
             code = args.handler(args)
-        finally:
-            telemetry.disable()
-            telemetry.save_snapshot(registry.snapshot(), telemetry_path)
+        else:
+            # --telemetry PATH: run the subcommand against a fresh recording
+            # registry and persist its snapshot, whatever the exit path.
+            registry = telemetry.enable()
+            try:
+                code = args.handler(args)
+            finally:
+                telemetry.disable()
+                telemetry.save_snapshot(registry.snapshot(), telemetry_path)
+            print(f"wrote telemetry snapshot {telemetry_path}")
+        # Flush here, so a reader that closed the pipe early
+        # (``repro tables | head -1``) fails inside this try, not at exit.
+        sys.stdout.flush()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote telemetry snapshot {telemetry_path}")
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot raise a second time (the SIGPIPE recipe of the
+        # Python ``signal`` docs), and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

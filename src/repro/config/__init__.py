@@ -15,7 +15,7 @@ frozen dataclasses defined in this package:
   :class:`~repro.config.network.SensorConfig`) — the wireless/edge topology,
 * :class:`~repro.config.workload.SweepConfig` /
   :class:`~repro.config.workload.WorkloadConfig` — evaluation sweeps used by
-  the benchmark harness.
+  the figure generators.
 
 All configs validate themselves at construction time and raise
 :class:`repro.exceptions.ConfigurationError` on inconsistent input.

@@ -23,6 +23,7 @@ from repro import units
 from repro.config.validation import (
     ensure_finite,
     ensure_fraction,
+    ensure_integer,
     ensure_non_negative,
     ensure_positive,
 )
@@ -211,15 +212,18 @@ class ApplicationConfig:
         ensure_positive("frame_side_px", self.frame_side_px)
         if self.converted_frame_side_px is not None:
             ensure_positive("converted_frame_side_px", self.converted_frame_side_px)
+            ensure_finite("converted_frame_side_px", self.converted_frame_side_px)
         ensure_positive("virtual_scene_side_px", self.virtual_scene_side_px)
         ensure_non_negative("point_cloud_mb", self.point_cloud_mb)
+        ensure_integer("sensor_updates_per_frame", self.sensor_updates_per_frame)
         ensure_non_negative("sensor_updates_per_frame", self.sensor_updates_per_frame)
         ensure_positive("buffer_service_rate_hz", self.buffer_service_rate_hz)
         ensure_fraction("cpu_share", self.cpu_share)
         ensure_positive("cpu_freq_ghz", self.cpu_freq_ghz)
         ensure_positive("gpu_freq_ghz", self.gpu_freq_ghz)
-        # An infinite size or clock turns every total into inf or NaN.
+        # An infinite rate, size or clock turns every total into inf or NaN.
         for name in (
+            "frame_rate_fps",
             "frame_side_px",
             "virtual_scene_side_px",
             "point_cloud_mb",

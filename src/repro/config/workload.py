@@ -4,7 +4,7 @@ The paper's evaluation sweeps frame size (300-700 pixel^2) and CPU clock
 frequency (1, 2, 3 GHz) for the latency/energy figures, and sensor
 information-generation frequency for the AoI figures.  These sweeps are
 described declaratively here so the figure generators, the example scripts
-and the benchmarks all consume the exact same definition.
+and the tests all consume the exact same definition.
 """
 
 from __future__ import annotations

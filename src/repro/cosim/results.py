@@ -35,8 +35,8 @@ class CosimReport:
     """Aggregate outcome of one closed-loop co-simulation run.
 
     All per-epoch and per-user series are tuples, so two runs from identical
-    inputs compare equal bit for bit (the determinism contract the bench
-    suite asserts).
+    inputs compare equal bit for bit (the determinism contract the tests
+    assert).
 
     Attributes:
         n_users / n_epochs / epoch_ms / deadline_ms / n_edges: run geometry.
@@ -209,7 +209,7 @@ class CosimReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """JSON-able form (used by the bench baseline and replay tests)."""
+        """JSON-able form (used by ``faults run --json`` and replay tests)."""
         return {
             "n_users": self.n_users,
             "n_epochs": self.n_epochs,

@@ -7,18 +7,14 @@ own sections) plus the environment-variable registry from
 :mod:`repro.docs.envvars`.  The renderer deliberately avoids argparse's
 ``format_help``/``format_usage`` — those wrap to the current terminal
 width, which would make the output environment-dependent — and instead
-formats actions itself, so two renders are byte-identical anywhere.
-
-Because a handful of CLI defaults are themselves environment-overridable
-(``REPRO_BENCH_TOLERANCE`` is read at parser-build time), the parser is
-built under a scrubbed environment: the documented defaults are always
-the out-of-the-box ones.
+formats actions itself, so two renders are byte-identical anywhere.  No
+CLI default reads the environment, so the documented defaults are the
+out-of-the-box ones whatever ``REPRO_*`` variables are set.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 from typing import Dict, Iterator, List, Tuple
 
 from repro._version import __version__
@@ -26,21 +22,6 @@ from repro.docs.envvars import render_env_table
 
 #: Marker line embedded in generated files (and checked by tests).
 GENERATED_MARKER = "<!-- generated by `repro docs build`; do not edit by hand -->"
-
-
-def _build_parser_clean() -> argparse.ArgumentParser:
-    """The CLI parser, built with every ``REPRO_*`` override unset."""
-    from repro.cli import build_parser
-
-    scrubbed = {
-        name: os.environ.pop(name)
-        for name in sorted(os.environ)
-        if name.startswith("REPRO_")
-    }
-    try:
-        return build_parser()
-    finally:
-        os.environ.update(scrubbed)
 
 
 def _subparsers_action(
@@ -160,7 +141,9 @@ def _command_section(
 
 def render_cli_markdown() -> str:
     """The full ``docs/CLI.md`` content (deterministic, trailing newline)."""
-    parser = _build_parser_clean()
+    from repro.cli import build_parser
+
+    parser = build_parser()
     lines = [
         "# `repro` CLI reference",
         "",

@@ -23,7 +23,7 @@ from typing import FrozenSet, List, Tuple
 _ENV_NAME_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 #: Directories swept (relative to the repo root) for ``REPRO_*`` mentions.
-SWEEP_DIRS = ("src", "benchmarks", "examples", "scenarios", ".github")
+SWEEP_DIRS = ("src", "examples", ".github")
 
 #: File suffixes the sweep reads.
 _SWEEP_SUFFIXES = frozenset({".py", ".yml", ".yaml", ".toml", ".cfg", ".sh"})
@@ -48,43 +48,6 @@ class EnvVar:
 
 #: Every environment variable the repository reads, alphabetically.
 ENV_VARS: Tuple[EnvVar, ...] = (
-    EnvVar(
-        name="REPRO_BENCH_MAX_ADAPT_SECONDS",
-        default="10",
-        consumer="benchmarks/test_bench_adaptive.py",
-        description=(
-            "Wall-clock ceiling (seconds) for the adaptive-runtime "
-            "benchmark smoke; loosen on slow machines."
-        ),
-    ),
-    EnvVar(
-        name="REPRO_BENCH_MAX_COSIM_SECONDS",
-        default="10",
-        consumer="benchmarks/test_bench_cosim.py",
-        description=(
-            "Wall-clock ceiling (seconds) for the co-simulation benchmark "
-            "smoke; loosen on slow machines."
-        ),
-    ),
-    EnvVar(
-        name="REPRO_BENCH_MIN_SPEEDUP",
-        default="20",
-        consumer="benchmarks/test_bench_batch_grid.py",
-        description=(
-            "Minimum accepted batch-vs-scalar grid speedup; lower it on "
-            "machines where the scalar path is unusually fast."
-        ),
-    ),
-    EnvVar(
-        name="REPRO_BENCH_TOLERANCE",
-        default="0.6",
-        consumer="repro experiments bench-check (repro/cli.py)",
-        description=(
-            "Allowed fractional shortfall of throughput metrics against "
-            "the committed BENCH_*.json baselines (model-output metrics "
-            "always gate bit-tight)."
-        ),
-    ),
     EnvVar(
         name="REPRO_CHAOS_HANG_S",
         default="3600",
@@ -129,7 +92,7 @@ ENV_VARS: Tuple[EnvVar, ...] = (
         consumer="repro.exec.resolve_backend (repro/exec/registry.py)",
         description=(
             "Execution backend for every pooled seam (cosim shards, "
-            "experiment pools, bench) when no --backend flag or explicit "
+            "experiment pools) when no --backend flag or explicit "
             "argument picks one: serial or process."
         ),
     ),

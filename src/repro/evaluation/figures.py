@@ -3,11 +3,11 @@
 Every generator returns a structured result object that carries the series
 the corresponding figure plots, the headline numbers the paper quotes for it
 (mean error / accuracy gain), and a ``to_text()`` rendering used by the
-benchmarks and by ``python -m repro.evaluation.run_all``.
+figure registry and by ``python -m repro.evaluation.run_all``.
 
 All generators accept a ``quick`` flag that shrinks the sweep (fewer points,
 fewer simulated frames) so the test suite can exercise them end-to-end in a
-few seconds; benchmarks run them at the paper's full sweep size.
+few seconds; the figure registry runs them at the paper's full sweep size.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The evaluation harness produces structured results; this module renders them
 as fixed-width text tables (the "rows/series the paper reports") and stores
-them under a ``results/`` directory so benchmark runs leave an inspectable
-artefact behind.
+them under a ``results/`` directory so a run leaves an inspectable artefact
+behind.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """repro.exec — one pluggable execution backend for every pool.
 
-The execution backbone shared by the cosim shard fan-out, the
-``ExperimentRunner`` scenario pool, and the bench harness.  A backend
-maps a module-level function over payloads and hands back results in
-payload order with serial-reference semantics: whatever a pool loses to
+The execution backbone shared by the cosim shard fan-out and the
+``ExperimentRunner`` scenario pool.  A backend maps a module-level
+function over payloads and hands back results in payload order with
+serial-reference semantics: whatever a pool loses to
 crashes, hangs, or unpicklable payloads is repaired by re-running exactly
 the failed tasks in-process, so every backend produces bit-identical
 results (and, modulo wall time, bit-identical merged telemetry).

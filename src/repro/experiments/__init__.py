@@ -10,12 +10,9 @@ both correctness and performance drift from a single entry point
 """
 
 from repro.experiments.regression import (
-    DEFAULT_BENCH_TOLERANCE,
     DEFAULT_GATE_RTOL,
     MetricDrift,
     RegressionReport,
-    compare_bench,
-    compare_bench_files,
     compare_manifests,
 )
 from repro.experiments.runner import (
@@ -38,7 +35,6 @@ from repro.experiments.spec import (
 )
 
 __all__ = [
-    "DEFAULT_BENCH_TOLERANCE",
     "DEFAULT_GATE_RTOL",
     "DEFAULT_MANIFEST_DIR",
     "ExperimentRunner",
@@ -50,8 +46,6 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioSuite",
     "bundled_suite",
-    "compare_bench",
-    "compare_bench_files",
     "compare_manifests",
     "git_sha",
     "load_specs",

@@ -1,20 +1,13 @@
-"""Regression gates: manifest-vs-baseline and bench-vs-baseline comparison.
+"""Regression gate: manifest-vs-baseline comparison.
 
-Two comparators share one drift vocabulary:
+:func:`compare_manifests` gates a fresh :class:`~repro.experiments.runner
+.RunManifest` against a committed baseline manifest.  Every metric recorded
+in the baseline must be reproduced within its relative tolerance
+(per-metric tolerances committed with the baseline win over the gate-wide
+default).  Missing scenarios, missing metrics, error statuses, NaN
+mismatches and spec-hash drift all fail with a named reason.
 
-* :func:`compare_manifests` — gates a fresh :class:`~repro.experiments
-  .runner.RunManifest` against a committed baseline manifest.  Every metric
-  recorded in the baseline must be reproduced within its relative tolerance
-  (per-metric tolerances committed with the baseline win over the gate-wide
-  default).  Missing scenarios, missing metrics, error statuses, NaN
-  mismatches and spec-hash drift all fail with a named reason.
-* :func:`compare_bench` — gates a fresh ``repro bench --json`` payload
-  against the committed ``BENCH_*.json`` baselines.  Throughput metrics are
-  one-sided (only *slower* fails, with a generous machine-variance
-  tolerance); model-output metrics are two-sided and tight, because they
-  are deterministic.
-
-Both return a :class:`RegressionReport` whose ``summary()`` names each
+It returns a :class:`RegressionReport` whose ``summary()`` names each
 drifted metric — the text CI prints when the gate fails.
 """
 
@@ -22,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.experiments.runner import RunManifest, metrics_close
 
@@ -31,50 +24,13 @@ from repro.experiments.runner import RunManifest, metrics_close
 #: metrics through their committed ``tolerances`` table.
 DEFAULT_GATE_RTOL = 1e-6
 
-#: Default one-sided slack for bench throughput metrics: the current run may
-#: be up to this fraction slower than the recorded baseline before the gate
-#: fails (CI runners are noisy; correctness metrics stay tight).
-DEFAULT_BENCH_TOLERANCE = 0.6
-
-#: Bench metrics that measure speed (one-sided: only slower is drift).
-_BENCH_THROUGHPUT_METRICS = (
-    "scalar_points_per_s",
-    "batch_points_per_s",
-    "speedup",
-    "users_per_s",
-    "epochs_per_s",
-    "candidate_evaluations_per_s",
-    "user_epochs_per_s",
-)
-
-#: Grid cases below this many points are sub-millisecond microbenchmarks
-#: whose throughput swings 2-3x between back-to-back runs on one machine
-#: (observed across the committed BENCH_*.json baselines themselves); their
-#: throughput is reported but not gated.  Model outputs stay gated.
-_BENCH_MIN_GATED_POINTS = 100
-
-#: Bench metrics that are deterministic model outputs (two-sided, tight).
-_BENCH_CORRECTNESS_METRICS = (
-    "points",
-    "users",
-    "epochs",
-    "candidates",
-    "shards",
-    "p95_latency_ms",
-    "deadline_miss_rate",
-    "mean_quality",
-    "mean_offload_fraction",
-    "unconverged_epochs",
-)
-
 
 @dataclass
 class MetricDrift:
     """One gate violation.
 
     ``reason`` is one of ``drift`` | ``missing-metric`` |
-    ``missing-scenario`` | ``status`` | ``baseline-status`` | ``spec-hash``
-    | ``slower``.
+    ``missing-scenario`` | ``status`` | ``baseline-status`` | ``spec-hash``.
     """
 
     scenario: str
@@ -121,11 +77,6 @@ class MetricDrift:
             return (
                 "spec hash mismatch — the scenario suite changed since the baseline "
                 "was recorded; regenerate the baseline manifest"
-            )
-        if self.reason == "slower":
-            return (
-                f"{self.scenario}.{self.metric}: {self.current:,.1f} is more than "
-                f"{self.tolerance:.0%} below the baseline {self.baseline:,.1f}"
             )
         rel = ""
         if (
@@ -290,140 +241,3 @@ def compare_manifests(
         n_scenarios=len(baseline.scenarios),
         n_new_metrics=n_new,
     )
-
-
-# ---------------------------------------------------------------------------
-# Bench baselines
-# ---------------------------------------------------------------------------
-
-
-def _bench_cases(payload: Mapping) -> Dict[str, Mapping]:
-    """Flatten a ``repro bench --json`` payload into name -> case dict."""
-    cases: Dict[str, Mapping] = {}
-    for grid in payload.get("grids") or ():
-        cases[grid["name"]] = grid
-    for section in ("fleet", "adaptive", "cosim"):
-        case = payload.get(section)
-        if case is not None:
-            cases[case["name"]] = case
-    return cases
-
-
-def compare_bench(
-    current: Mapping,
-    baseline: Mapping,
-    tolerance: float = DEFAULT_BENCH_TOLERANCE,
-    correctness_rtol: float = DEFAULT_GATE_RTOL,
-    baseline_label: str = "bench baseline",
-) -> RegressionReport:
-    """Gate a fresh bench payload against one committed ``BENCH_*.json``.
-
-    Every case recorded in the baseline must exist in the current payload
-    (matched by case name, so the bench must be invoked with the same
-    shapes).  Throughput metrics may not fall more than ``tolerance``
-    below the baseline; deterministic model outputs must match within
-    ``correctness_rtol``.
-    """
-    drifts: List[MetricDrift] = []
-    n_compared = 0
-    current_cases = _bench_cases(current)
-    baseline_cases = _bench_cases(baseline)
-    for name, base_case in baseline_cases.items():
-        case = current_cases.get(name)
-        if case is None:
-            drifts.append(
-                MetricDrift(scenario=name, metric="<case>", reason="missing-scenario")
-            )
-            continue
-        points = _as_number(base_case.get("points"))
-        gate_throughput = points is None or points >= _BENCH_MIN_GATED_POINTS
-        for metric in _BENCH_THROUGHPUT_METRICS if gate_throughput else ():
-            base_value = _as_number(base_case.get(metric))
-            if base_value is None:
-                continue
-            n_compared += 1
-            value = _as_number(case.get(metric))
-            if value is None:
-                drifts.append(
-                    MetricDrift(
-                        scenario=name,
-                        metric=metric,
-                        reason="missing-metric",
-                        baseline=base_value,
-                    )
-                )
-            elif value < (1.0 - tolerance) * base_value:
-                drifts.append(
-                    MetricDrift(
-                        scenario=name,
-                        metric=metric,
-                        reason="slower",
-                        baseline=base_value,
-                        current=value,
-                        tolerance=tolerance,
-                    )
-                )
-        for metric in _BENCH_CORRECTNESS_METRICS:
-            base_value = _as_number(base_case.get(metric))
-            if base_value is None:
-                continue
-            n_compared += 1
-            value = _as_number(case.get(metric))
-            if value is None:
-                drifts.append(
-                    MetricDrift(
-                        scenario=name,
-                        metric=metric,
-                        reason="missing-metric",
-                        baseline=base_value,
-                    )
-                )
-            elif not metrics_close(value, base_value, correctness_rtol):
-                drifts.append(
-                    MetricDrift(
-                        scenario=name,
-                        metric=metric,
-                        reason="drift",
-                        baseline=base_value,
-                        current=value,
-                        tolerance=correctness_rtol,
-                    )
-                )
-    return RegressionReport(
-        baseline_label=baseline_label,
-        current_label="repro bench --json",
-        drifts=tuple(drifts),
-        n_compared=n_compared,
-        n_scenarios=len(baseline_cases),
-    )
-
-
-def compare_bench_files(
-    current: Mapping,
-    baseline_paths: Sequence[str],
-    tolerance: float = DEFAULT_BENCH_TOLERANCE,
-    correctness_rtol: float = DEFAULT_GATE_RTOL,
-) -> List[RegressionReport]:
-    """Run :func:`compare_bench` against several committed baseline files."""
-    import json
-    from pathlib import Path
-
-    from repro.exceptions import ConfigurationError
-
-    reports = []
-    for path in baseline_paths:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"bench baseline {str(path)!r} does not exist")
-        with open(path, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        reports.append(
-            compare_bench(
-                current,
-                baseline,
-                tolerance=tolerance,
-                correctness_rtol=correctness_rtol,
-                baseline_label=path.name,
-            )
-        )
-    return reports

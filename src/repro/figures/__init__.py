@@ -3,9 +3,9 @@
 Three layers over the repo's persisted artifacts:
 
 * :mod:`repro.figures.tabular` — a stdlib-only row-oriented :class:`Table`
-  plus loaders flattening run manifests, telemetry snapshots and
-  ``BENCH_*.json`` payloads, and a :class:`RunHistory` index turning a
-  directory of manifests into per-metric time series.
+  plus loaders flattening run manifests and telemetry snapshots, and a
+  :class:`RunHistory` index turning a directory of manifests into
+  per-metric time series.
 * :mod:`repro.figures.registry` / :mod:`repro.figures.builders` — the
   :data:`FIGURES` registry: every paper figure/table/ablation and every
   subsystem dashboard as a named builder emitting a byte-stable text
@@ -41,8 +41,6 @@ from repro.figures.tabular import (
     HistoryPoint,
     RunHistory,
     Table,
-    bench_table,
-    load_bench,
     load_manifest,
     manifest_table,
     scenario_table,
@@ -63,14 +61,12 @@ __all__ = [
     "SpanDelta",
     "Table",
     "ValueDelta",
-    "bench_table",
     "build_all",
     "build_figure",
     "check_figures",
     "diff_snapshot_files",
     "diff_snapshots",
     "figure_names",
-    "load_bench",
     "load_manifest",
     "manifest_table",
     "register",

@@ -6,10 +6,9 @@ Three families:
   evaluation generators (:mod:`repro.evaluation`) and render the exact
   committed text — ``repro figures check`` gates on byte-identity — while
   adding the CSV/Vega-Lite sidecars the text files never had.
-* **Dashboards** (sources ``"manifest"``/``"bench"``/``"history"``): read
-  persisted JSON (the baseline run manifest, ``BENCH_*.json`` payloads,
-  the manifest directory) and summarize the fleet / adaptive / co-sim /
-  fault subsystems.
+* **Dashboards** (sources ``"manifest"``/``"history"``): read persisted
+  JSON (the baseline run manifest, the manifest directory) and summarize
+  the fleet / adaptive / co-sim / fault subsystems.
 * **Telemetry diff** (source ``"snapshots"``): structural comparison of
   two snapshot files via :mod:`repro.figures.diffs`.
 
@@ -26,7 +25,7 @@ from repro.figures.registry import (
     register,
     vega_lite_spec,
 )
-from repro.figures.tabular import Table, bench_table, manifest_table
+from repro.figures.tabular import Table, manifest_table
 
 # ---------------------------------------------------------------------------
 # Ported paper tables
@@ -466,10 +465,6 @@ def _register_studies() -> None:
         lambda inputs: extensions.multi_edge_extension(),
         "Extension: multi-edge placement",
     )
-    # The committed artifacts for these two are also (re)written by
-    # benchmarks/test_bench_extensions.py; the full-mode parameters here
-    # must stay identical to the benchmark kwargs or a local benchmark run
-    # and 'figures check' disagree about results/.
     _register_extension(
         "extension_session",
         lambda inputs: extensions.session_extension(
@@ -644,48 +639,8 @@ def build_faults_dashboard(inputs: FigureInputs) -> BuiltFigure:
 
 
 # ---------------------------------------------------------------------------
-# Bench trajectory and run history
+# Run history
 # ---------------------------------------------------------------------------
-
-
-@register(
-    "bench_trajectory",
-    title="Bench trajectory: perf metrics across committed BENCH baselines",
-    source="bench",
-    description="one row per (baseline file, case, metric) across BENCH_*.json",
-)
-def build_bench_trajectory(inputs: FigureInputs) -> BuiltFigure:
-    from repro.evaluation.report import format_table
-
-    tables = [bench_table(payload, source=stem) for stem, payload in inputs.benches]
-    rows: List[Dict[str, object]] = []
-    for table in tables:
-        rows.extend(table.rows)
-    data = Table(("source", "git_sha", "case", "metric", "value"), rows)
-    text_rows = [
-        (
-            str(row["source"]),
-            str(row["git_sha"] or "-"),
-            str(row["case"]),
-            str(row["metric"]),
-            f"{row['value']:.6g}" if isinstance(row["value"], float) else str(row["value"]),
-        )
-        for row in data.rows
-    ]
-    title = "Bench trajectory: perf metrics across committed BENCH baselines"
-    text = title + "\n" + format_table(text_rows, headers=("source", "git_sha", "case", "metric", "value"))
-    spec = vega_lite_spec(
-        "bench_trajectory",
-        title,
-        {"type": "line", "point": True},
-        {
-            "x": {"field": "source", "type": "nominal", "title": "baseline"},
-            "y": {"field": "value", "type": "quantitative", "scale": {"type": "log"}},
-            "color": {"field": "case", "type": "nominal"},
-            "detail": {"field": "metric", "type": "nominal"},
-        },
-    )
-    return BuiltFigure(name="bench_trajectory", title=title, text=text, table=data, spec=spec)
 
 
 @register(

@@ -4,7 +4,7 @@ Every figure, table, ablation and dashboard the repo can render is an
 entry in :data:`FIGURES`, keyed by name.  A builder turns a
 :class:`FigureInputs` bundle (lazy-loading the expensive shared state:
 the calibrated :class:`~repro.evaluation.figures.FigureContext`, the
-baseline run manifest, the bench payloads, the run history) into a
+baseline run manifest, the run history) into a
 :class:`BuiltFigure` carrying three synchronized renders of the same
 data:
 
@@ -18,8 +18,8 @@ data:
   in this repo.
 
 Registry entries declare their ``source`` ("generator" figures re-run the
-seeded evaluation code; "manifest"/"bench"/"history" figures load persisted
-JSON; "snapshots" figures need two telemetry snapshot paths) and, when the
+seeded evaluation code; "manifest"/"history" figures load persisted JSON;
+"snapshots" figures need two telemetry snapshot paths) and, when the
 text render is committed under ``results/``, the ``artifact`` filename the
 drift check compares against.
 """
@@ -32,13 +32,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.figures.tabular import RunHistory, Table, load_bench
+from repro.figures.tabular import RunHistory, Table
 
 #: Sources whose builders only read persisted JSON (cheap); "generator"
 #: re-runs the seeded evaluation pipeline (seconds); "snapshots" needs two
 #: explicit telemetry snapshot paths and is skipped by ``build --all``
 #: unless they are provided.
-SOURCES = ("generator", "manifest", "bench", "history", "snapshots")
+SOURCES = ("generator", "manifest", "history", "snapshots")
 
 
 @dataclass
@@ -89,12 +89,10 @@ class FigureInputs:
     quick: bool = False
     manifest_path: Union[str, Path] = Path("results") / "manifests" / "baseline.json"
     history_dir: Union[str, Path] = Path("results") / "manifests"
-    bench_paths: Optional[Sequence[Union[str, Path]]] = None
     snapshot_paths: Optional[Tuple[Union[str, Path], Union[str, Path]]] = None
     _context: Optional[object] = field(default=None, repr=False)
     _manifest: Optional[object] = field(default=None, repr=False)
     _history: Optional[RunHistory] = field(default=None, repr=False)
-    _benches: Optional[List[Tuple[str, dict]]] = field(default=None, repr=False)
 
     @property
     def context(self):
@@ -123,18 +121,6 @@ class FigureInputs:
         if self._history is None:
             self._history = RunHistory.load(self.history_dir)
         return self._history
-
-    @property
-    def benches(self) -> List[Tuple[str, dict]]:
-        """The ``BENCH_*.json`` payloads as (stem, payload), name-sorted."""
-        if self._benches is None:
-            paths = (
-                [Path(p) for p in self.bench_paths]
-                if self.bench_paths is not None
-                else sorted(Path(".").glob("BENCH_*.json"))
-            )
-            self._benches = [(path.stem, load_bench(path)) for path in paths]
-        return self._benches
 
     def snapshots(self) -> Tuple[dict, dict, str, str]:
         """The two telemetry snapshots for diff figures (A, B, label_a, label_b)."""

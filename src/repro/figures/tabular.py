@@ -1,9 +1,9 @@
 """Row-oriented tables and run-history indexing over persisted artifacts.
 
 The figure registry needs exactly three dataframe operations — select,
-group, pivot — over three JSON document families: run manifests
-(:class:`~repro.experiments.runner.RunManifest`), telemetry snapshots
-(:mod:`repro.telemetry`) and ``BENCH_*.json`` perf baselines.  Pulling
+group, pivot — over two JSON document families: run manifests
+(:class:`~repro.experiments.runner.RunManifest`) and telemetry snapshots
+(:mod:`repro.telemetry`).  Pulling
 pandas in for that would be the repo's first third-party analytics
 dependency; :class:`Table` is the stdlib-only sliver of it we actually use:
 a tuple of column names plus a list of per-row dicts, with typed columns,
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -237,7 +236,7 @@ class Table:
 
 
 # ---------------------------------------------------------------------------
-# Loaders: manifests, telemetry snapshots, bench payloads
+# Loaders: manifests and telemetry snapshots
 # ---------------------------------------------------------------------------
 
 
@@ -369,33 +368,6 @@ def telemetry_table(snapshot: Mapping) -> Table:
         "counter_value",
     )
     return Table(columns, rows)
-
-
-def bench_table(payload: Mapping, source: Optional[str] = None) -> Table:
-    """Flatten a ``repro bench --json`` payload into long form.
-
-    One row per (case, numeric metric), keyed by the payload's git SHA so
-    several baselines concatenate into a trajectory.
-    """
-    from repro.experiments.regression import _bench_cases
-
-    rows: List[Dict[str, Cell]] = []
-    sha = payload.get("git_sha")
-    for case_name, case in _bench_cases(payload).items():
-        for metric in sorted(case):
-            value = case[metric]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            rows.append(
-                {
-                    "source": source,
-                    "git_sha": (sha or "")[:12] or None,
-                    "case": case_name,
-                    "metric": metric,
-                    "value": value,
-                }
-            )
-    return Table(("source", "git_sha", "case", "metric", "value"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +502,6 @@ def load_manifest(path: Union[str, Path]):
     from repro.experiments.runner import RunManifest
 
     return RunManifest.load(path)
-
-
-def load_bench(path: Union[str, Path]) -> dict:
-    """Load one ``BENCH_*.json`` payload."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def nan_safe_equal(a: Cell, b: Cell) -> bool:

@@ -32,8 +32,8 @@ class CampaignConfig:
     Attributes:
         n_samples: total number of measurement samples to generate.  The
             paper's campaign has 119,465 + 36,083 samples; the default here is
-            smaller so that calibration stays fast, and tests/benchmarks can
-            request the full size.
+            smaller so that calibration stays fast, and tests can request
+            the full size.
         devices: device names to measure (defaults to all Table I XR devices).
         seed: RNG seed.
         compute_noise: relative noise on the compute-capability measurements.

@@ -2,7 +2,7 @@
 
 The paper assumes Markovian service at the input buffer; real buffer service
 times are closer to deterministic (fixed-size control packets).  The M/G/1
-model lets the ablation benchmarks quantify how much that assumption matters
+model lets the buffer ablation quantify how much that assumption matters
 by comparing M/M/1 against M/D/1 (deterministic service, squared coefficient
 of variation 0).
 """

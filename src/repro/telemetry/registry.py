@@ -136,8 +136,8 @@ class Span:
     """A timed block; also usable as a plain stopwatch on the null registry.
 
     ``elapsed_s`` is valid after ``__exit__`` regardless of whether the
-    owning registry records anything — the one timing idiom the CLI bench
-    paths and the experiment runner share.
+    owning registry records anything, so the experiment runner times each
+    scenario with it whether or not telemetry is on.
     """
 
     __slots__ = ("_telemetry", "name", "_attrs", "_start", "elapsed_s")

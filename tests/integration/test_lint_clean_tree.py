@@ -1,8 +1,8 @@
 """Integration test: the committed tree passes its own lint gate.
 
 This is the acceptance criterion of the analysis subsystem — ``repro lint``
-over the real ``src``/``tests``/``benchmarks``/``examples`` trees (and the
-bundled scenario TOMLs) must exit 0 with the committed baseline.  The
+over the real ``src``/``tests``/``examples`` trees (and the bundled
+scenario TOMLs) must exit 0 with the committed baseline.  The
 baseline is a ratchet, not a dumping ground: every entry is a REP007
 docstring gap grandfathered when the rule was introduced, and each carries
 a real justification.  If this test fails, either fix the violation or

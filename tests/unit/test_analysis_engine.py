@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.analysis import (
     save_report,
     suppressed_rules,
 )
-from repro.analysis.engine import SYNTAX_RULE
+from repro.analysis.engine import DEFAULT_PATHS, SYNTAX_RULE
 from repro.exceptions import ConfigurationError
 
 #: A snippet with exactly one REP001 finding on line 4.
@@ -154,6 +155,12 @@ class TestEngine:
         write(tmp_path, "src/repro/good.py", "x = 1\n")
         report = LintEngine(root=tmp_path).run()
         assert report.files_checked == 1
+
+    def test_default_paths_name_trees_of_this_repository(self):
+        # A default path is skipped silently when absent, so a stale entry
+        # (a tree that was deleted) would go unnoticed without this check.
+        root = Path(__file__).resolve().parents[2]
+        assert [name for name in DEFAULT_PATHS if not (root / name).is_dir()] == []
 
     def test_unknown_path_is_refused(self, tmp_path):
         with pytest.raises(ConfigurationError):

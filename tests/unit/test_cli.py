@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.adaptive import CONTROLLERS, TRACE_GENERATORS
@@ -9,6 +14,7 @@ from repro.docs.cli_reference import iter_commands
 from repro.experiments import ScenarioSpec
 from repro.fleet import ADMISSION_POLICIES
 
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: (subcommand, flag, the registry its choices must equal).
 REGISTRY_FLAGS = (
@@ -30,6 +36,29 @@ def _choices(command, flag):
     parser = parsers[("repro", *command.split())]
     (action,) = [a for a in parser._actions if flag in a.option_strings]
     return tuple(action.choices)
+
+
+def _run_with_closed_stdout(*argv):
+    """Run ``python -m repro *argv`` with a stdout pipe nobody reads.
+
+    The reader has gone before the first write, as the reader of
+    ``repro tables | head -1`` has once head has its line.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            cwd=SRC.parent,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
 
 
 class TestParser:
@@ -77,6 +106,27 @@ class TestCommands:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
+    def test_closed_stdout_exits_1_without_traceback(self):
+        completed = _run_with_closed_stdout("tables")
+        assert completed.returncode == 1
+        assert completed.stderr == b""
+
+    def test_closed_stdout_still_writes_the_telemetry_snapshot(self, tmp_path):
+        import json
+
+        snapshot = tmp_path / "telemetry.json"
+        completed = _run_with_closed_stdout(
+            "experiments",
+            "run",
+            "--select", "table1_analyze_xr1_local",
+            "--out", str(tmp_path / "manifest.json"),
+            "--telemetry", str(snapshot),
+        )
+        assert completed.returncode == 1
+        assert completed.stderr == b""
+        # --telemetry persists the snapshot whatever the exit path.
+        assert "experiments.run" in json.loads(snapshot.read_text())["spans"]
+
     def test_sweep_prints_all_points(self, capsys):
         assert main(["sweep", "--device", "XR1"]) == 0
         output = capsys.readouterr().out
@@ -97,54 +147,6 @@ class TestCommands:
     def test_session_analytical_mode(self, capsys):
         assert main(["session", "--device", "XR6", "--frames", "20", "--analytical"]) == 0
         assert "battery" in capsys.readouterr().out
-
-    def test_bench_prints_throughput_summary(self, capsys):
-        assert main(
-            [
-                "bench",
-                "--points", "60",
-                "--fleet-users", "50",
-                "--adaptive-epochs", "0",
-            ]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "fig4_grid" in output
-        assert "speedup" in output
-        assert "Fleet analysis: 50 users" in output
-
-    def test_bench_includes_adaptive_case(self, capsys):
-        assert main(
-            [
-                "bench",
-                "--points", "0",
-                "--fleet-users", "0",
-                "--adaptive-epochs", "40",
-            ]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "Adaptive runtime: 40 epochs" in output
-        assert "greedy full-grid sweep" in output
-
-    def test_bench_writes_json_baseline(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "bench.json"
-        assert main(
-            [
-                "bench",
-                "--points", "0",
-                "--fleet-users", "0",
-                "--adaptive-epochs", "30",
-                "--json", str(path),
-            ]
-        ) == 0
-        payload = json.loads(path.read_text())
-        assert payload["grids"][0]["name"] == "fig4_grid"
-        assert payload["grids"][0]["points"] == 15
-        assert payload["fleet"] is None
-        assert payload["adaptive"]["epochs"] == 30
-        assert payload["adaptive"]["deadline_miss_rate"] == 0.0
-        assert "wrote" in capsys.readouterr().out
 
     def test_cosim_prints_closed_loop_summary(self, capsys):
         assert main(
@@ -172,19 +174,6 @@ class TestCommands:
             ]
         ) == 0
         assert "independent cells" in capsys.readouterr().out
-
-    def test_bench_includes_cosim_case(self, capsys):
-        assert main(
-            [
-                "bench",
-                "--points", "0",
-                "--fleet-users", "0",
-                "--adaptive-epochs", "0",
-                "--cosim-users", "40",
-                "--cosim-epochs", "12",
-            ]
-        ) == 0
-        assert "Co-simulation:" in capsys.readouterr().out
 
     def test_adapt_compares_controllers_to_best_static(self, capsys):
         assert main(["adapt", "--epochs", "50", "--trace", "burst"]) == 0
@@ -350,6 +339,16 @@ class TestExperimentsCommand:
         assert "point/total_latency_ms" in output
         assert "rel_err" in output
 
+    def test_check_against_a_missing_baseline_is_an_error(self, tmp_path, capsys):
+        suite = self._suite_file(tmp_path)
+        absent = tmp_path / "absent.json"
+        argv = ["experiments", "check", "--suite", str(suite), "--baseline", str(absent)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "does not exist" in line
+
     def test_run_select_subset(self, tmp_path, capsys):
         suite = self._suite_file(tmp_path)
         out = tmp_path / "selected.json"
@@ -366,59 +365,6 @@ class TestExperimentsCommand:
             == 0
         )
         assert "grid" in capsys.readouterr().out
-
-    def test_bench_check_gates_payload(self, tmp_path, capsys):
-        import json
-
-        current = tmp_path / "bench.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--points", "0",
-                    "--fleet-users", "0",
-                    "--adaptive-epochs", "0",
-                    "--json", str(current),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        # Self-comparison passes...
-        assert (
-            main(
-                [
-                    "experiments",
-                    "bench-check",
-                    "--current", str(current),
-                    "--baselines", str(current),
-                ]
-            )
-            == 0
-        )
-        assert "PASS" in capsys.readouterr().out
-        # ...and a doctored baseline (much faster + different model output) fails.
-        payload = json.loads(current.read_text())
-        payload["grids"][0]["batch_points_per_s"] *= 100.0
-        payload["grids"][0]["points"] = 16
-        baseline = tmp_path / "BENCH_doctored.json"
-        baseline.write_text(json.dumps(payload))
-        assert (
-            main(
-                [
-                    "experiments",
-                    "bench-check",
-                    "--current", str(current),
-                    "--baselines", str(baseline),
-                    "--tolerance", "0.5",
-                ]
-            )
-            == 1
-        )
-        output = capsys.readouterr().out
-        assert "FAIL" in output
-        assert "fig4_grid/points" in output
-
 
 class TestProfileAndTelemetry:
     def test_profile_batch_prints_span_tree(self, capsys):
@@ -456,24 +402,6 @@ class TestProfileAndTelemetry:
     def test_profile_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "nonsense"])
-
-    def test_bench_telemetry_flag_writes_snapshot(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "telemetry.json"
-        assert main(
-            [
-                "bench",
-                "--points", "0",
-                "--fleet-users", "0",
-                "--adaptive-epochs", "20",
-                "--telemetry", str(path),
-            ]
-        ) == 0
-        snapshot = json.loads(path.read_text())
-        assert "bench.adaptive.control" in snapshot["spans"]
-        assert snapshot["counters"]["adaptive.epochs"] == 20
-        assert "wrote telemetry snapshot" in capsys.readouterr().out
 
     def test_experiments_run_telemetry_flag_writes_snapshot(self, tmp_path, capsys):
         import json

@@ -38,6 +38,8 @@ class TestZoo:
         assert yolov3.depth == 106
         assert yolov3.size_mb == pytest.approx(210.0)
         assert yolov3.tier == "server"
+        assert get_cnn("MobileNetv1_240 Float").depth == 31
+        assert get_cnn("NasNet Float").depth == 663
 
     def test_yolov7_has_depth_scaling(self):
         assert get_cnn("YOLOv7").depth_scale == pytest.approx(1.5)

@@ -1,5 +1,6 @@
 """Unit tests for the application-pipeline configuration."""
 
+import numpy as np
 import pytest
 
 from repro.config.application import (
@@ -121,11 +122,26 @@ class TestApplicationConfig:
             ("gpu_freq_ghz", float("inf")),
             ("frame_side_px", float("inf")),
             ("virtual_scene_side_px", float("inf")),
+            # Unchecked, analyze() divides by zero on this one,
+            ("converted_frame_side_px", float("inf")),
+            # and the M/M/1 buffer reports an unstable queue on this one.
+            ("frame_rate_fps", float("inf")),
         ],
     )
     def test_non_finite_size_or_clock_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ApplicationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), 2.5, 3.0, "3"])
+    def test_non_integer_sensor_update_count_rejected(self, value):
+        # Unchecked, a float count reaches range() in analyze() as a TypeError,
+        # and a string one fails the sign check with a TypeError.
+        with pytest.raises(ConfigurationError, match="sensor_updates_per_frame"):
+            ApplicationConfig(sensor_updates_per_frame=value)
+
+    def test_numpy_integer_sensor_update_count_accepted(self):
+        app = ApplicationConfig(sensor_updates_per_frame=np.int64(2))
+        assert app.sensor_updates_per_frame == 2
 
     def test_invalid_cpu_share_rejected(self):
         with pytest.raises(ConfigurationError):

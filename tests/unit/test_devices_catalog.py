@@ -70,9 +70,12 @@ class TestLookups:
     def test_list_devices_sorted(self):
         names = [device.name for device in list_devices()]
         assert names == sorted(names)
+        assert len(names) == 7
 
     def test_list_edge_servers_returns_specs(self):
-        assert all(isinstance(edge, EdgeServerSpec) for edge in list_edge_servers())
+        edges = list_edge_servers()
+        assert all(isinstance(edge, EdgeServerSpec) for edge in edges)
+        assert len(edges) == 2
 
     def test_devices_are_specs(self):
         assert all(isinstance(device, DeviceSpec) for device in list_devices())

@@ -23,6 +23,7 @@ from repro.docs import (
     stale_names,
     undocumented_names,
 )
+from repro.docs.envvars import SWEEP_DIRS
 
 
 @pytest.fixture(autouse=True)
@@ -38,9 +39,9 @@ class TestCliRendering:
 
     def test_render_is_env_independent(self, monkeypatch):
         reference = render_cli_markdown()
-        # Parser-build-time defaults must be scrubbed, not inherited.
-        monkeypatch.setenv("REPRO_BENCH_TOLERANCE", "0.05")
+        # The documented defaults are the out-of-the-box ones.
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "serial")
+        monkeypatch.setenv("REPRO_EXEC_TIMEOUT_S", "5")
         assert render_cli_markdown() == reference
 
     def test_marker_and_trailing_newline_present(self):
@@ -106,6 +107,12 @@ class TestEnvVarRegistry:
         root = Path(__file__).resolve().parents[2]
         assert undocumented_names(root) == []
         assert stale_names(root) == []
+
+    def test_sweep_dirs_name_trees_of_this_repository(self):
+        # The sweep skips an absent directory, so a stale entry would
+        # quietly stop covering the files it was meant to.
+        root = Path(__file__).resolve().parents[2]
+        assert [name for name in SWEEP_DIRS if not (root / name).is_dir()] == []
 
     def test_sweep_flags_undocumented_and_stale(self, tmp_path):
         src = tmp_path / "src"

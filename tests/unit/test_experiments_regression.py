@@ -1,15 +1,10 @@
-"""Unit tests for the manifest and bench regression gates."""
+"""Unit tests for the manifest regression gate."""
 
 import math
 
-import pytest
-
-from repro.exceptions import ConfigurationError
 from repro.experiments import (
     RunManifest,
     ScenarioResult,
-    compare_bench,
-    compare_bench_files,
     compare_manifests,
     metrics_close,
 )
@@ -71,6 +66,15 @@ class TestCompareManifests:
         assert drift.metric == "latency"
         assert drift.reason == "drift"
         assert "scn/latency" in report.summary()
+
+    def test_drift_is_two_sided(self):
+        # A model output that moved is drift even when it moved the "good"
+        # way: lower latency than the baseline is a changed answer too.
+        report = compare_manifests(_manifest({"latency": 80.0}), _manifest({"latency": 100.0}))
+        assert not report.passed
+        (drift,) = report.drifts
+        assert drift.reason == "drift"
+        assert (drift.current, drift.baseline) == (80.0, 100.0)
 
     def test_tolerance_boundary_passes_just_beyond_fails(self):
         baseline = _manifest({"latency": 100.0}, tolerances={"latency": 0.05})
@@ -139,74 +143,3 @@ class TestCompareManifests:
         report = compare_manifests(current, _manifest({"latency": 100.0}))
         assert report.passed
         assert report.n_new_metrics == 1
-
-
-def _bench_payload(points_per_s=1000.0, p95=275.0, fleet=True):
-    return {
-        "grids": [
-            {
-                "name": "grid_1000",
-                "points": 1000,
-                "batch_points_per_s": points_per_s,
-                "speedup": 50.0,
-            }
-        ],
-        "fleet": (
-            {"name": "fleet_10", "users": 10, "users_per_s": 5000.0, "p95_latency_ms": p95}
-            if fleet
-            else None
-        ),
-        "adaptive": None,
-        "cosim": None,
-    }
-
-
-class TestCompareBench:
-    def test_identical_payloads_pass(self):
-        report = compare_bench(_bench_payload(), _bench_payload())
-        assert report.passed
-        assert report.n_compared > 0
-
-    def test_faster_is_never_drift(self):
-        report = compare_bench(_bench_payload(points_per_s=9999.0), _bench_payload())
-        assert report.passed
-
-    def test_slower_within_tolerance_passes(self):
-        report = compare_bench(
-            _bench_payload(points_per_s=500.0), _bench_payload(), tolerance=0.6
-        )
-        assert report.passed
-
-    def test_slower_beyond_tolerance_fails(self):
-        report = compare_bench(
-            _bench_payload(points_per_s=300.0), _bench_payload(), tolerance=0.6
-        )
-        assert not report.passed
-        (drift,) = report.drifts
-        assert drift.reason == "slower"
-        assert drift.metric == "batch_points_per_s"
-        assert "grid_1000/batch_points_per_s" in report.summary()
-
-    def test_correctness_metric_is_two_sided_and_tight(self):
-        report = compare_bench(_bench_payload(p95=275.1), _bench_payload(p95=275.0))
-        assert not report.passed
-        assert report.drifts[0].metric == "p95_latency_ms"
-        # ... even when the current run is "better" (lower latency).
-        report = compare_bench(_bench_payload(p95=274.9), _bench_payload(p95=275.0))
-        assert not report.passed
-
-    def test_missing_case_fails(self):
-        report = compare_bench(_bench_payload(fleet=False), _bench_payload())
-        assert not report.passed
-        assert report.drifts[0].reason == "missing-scenario"
-
-    def test_compare_bench_files(self, tmp_path):
-        import json
-
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps(_bench_payload()))
-        (report,) = compare_bench_files(_bench_payload(), [str(path)])
-        assert report.passed
-        assert report.baseline_label == "BENCH_x.json"
-        with pytest.raises(ConfigurationError, match="does not exist"):
-            compare_bench_files(_bench_payload(), [str(tmp_path / "nope.json")])

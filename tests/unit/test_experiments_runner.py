@@ -169,6 +169,10 @@ class TestRunnerAndManifest:
         restored = RunManifest.load(path)
         assert restored.to_dict() == manifest.to_dict()
 
+    def test_load_rejects_a_missing_path(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="does not exist"):
+            RunManifest.load(tmp_path / "absent.json")
+
     def test_load_rejects_unknown_schema(self, tmp_path):
         manifest = ExperimentRunner(_tiny_suite(), manifest_dir=None).run(write=False)
         payload = manifest.to_dict()

@@ -31,6 +31,7 @@ class TestPathlossExtension:
         result = pathloss_extension()
         throughputs = [float(row[1]) for row in result.rows]
         assert throughputs == sorted(throughputs, reverse=True)
+        assert throughputs[0] > throughputs[-1]
 
     def test_transmission_latency_increases_with_distance(self):
         result = pathloss_extension()

@@ -8,6 +8,7 @@ inputs.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.figures import (
     build_figure,
     check_figures,
 )
-from repro.figures.registry import register
+from repro.figures.registry import SOURCES, register
 
 
 def _write_manifest(path, scenarios):
@@ -65,21 +66,7 @@ def inputs(tmp_path):
             ),
         ],
     )
-    bench = tmp_path / "BENCH_x.json"
-    bench.write_text(
-        json.dumps(
-            {
-                "git_sha": "f" * 40,
-                "grids": [{"name": "g", "points": 10, "speedup": 3.0}],
-            }
-        )
-    )
-    return FigureInputs(
-        quick=True,
-        manifest_path=manifest,
-        history_dir=tmp_path,
-        bench_paths=[bench],
-    )
+    return FigureInputs(quick=True, manifest_path=manifest, history_dir=tmp_path)
 
 
 class TestRegistry:
@@ -97,7 +84,6 @@ class TestRegistry:
             "adaptive_dashboard",
             "cosim_dashboard",
             "faults_dashboard",
-            "bench_trajectory",
             "run_history",
             "telemetry_diff",
         ):
@@ -130,6 +116,17 @@ class TestRegistry:
         ):
             assert expected in artifacts, expected
 
+    def test_every_committed_text_file_is_a_registry_artifact(self):
+        # ``figures check`` only re-renders registered artifacts, so a text
+        # file under results/ that no entry builds would never be checked.
+        results = Path(__file__).resolve().parents[2] / "results"
+        artifacts = {spec.artifact for spec in FIGURES.values() if spec.artifact}
+        committed = {path.name for path in results.glob("*.txt")}
+        assert committed and committed - artifacts == set()
+
+    def test_every_source_has_a_builder(self):
+        assert {spec.source for spec in FIGURES.values()} == set(SOURCES)
+
     def test_unknown_figure_raises(self, inputs):
         with pytest.raises(ConfigurationError, match="unknown figure"):
             build_figure("nope", inputs)
@@ -159,11 +156,6 @@ class TestDashboards:
         built = build_figure("cosim_dashboard", inputs)
         assert set(built.table.column("scenario")) == {"cosim_a", "faults_a"}
 
-    def test_bench_trajectory(self, inputs):
-        built = build_figure("bench_trajectory", inputs)
-        assert set(built.table.column("case")) == {"g"}
-        assert built.table.rows[0]["source"] == "BENCH_x"
-
     def test_run_history_figure_single_run(self, inputs):
         built = build_figure("run_history", inputs)
         assert "1 run(s) indexed" in built.text
@@ -175,7 +167,7 @@ class TestDashboards:
             build_figure("telemetry_diff", inputs)
 
     def test_build_all_skips_snapshot_figures_without_paths(self, inputs):
-        names = [name for name, spec in FIGURES.items() if spec.source in ("manifest", "bench", "history")]
+        names = [name for name, spec in FIGURES.items() if spec.source in ("manifest", "history")]
         built = build_all(inputs, names=names)
         assert [figure.name for figure in built] == names
 

@@ -1,7 +1,6 @@
 """Unit tests for repro.figures.tabular: Table, loaders, RunHistory."""
 
 import math
-import warnings
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.figures.tabular import (
     HistoryPoint,
     RunHistory,
     Table,
-    bench_table,
     manifest_table,
     nan_safe_equal,
     scenario_table,
@@ -156,7 +154,7 @@ class TestManifestLoaders:
         assert table.rows[1]["lat"] == 3.0
 
 
-class TestTelemetryAndBenchLoaders:
+class TestTelemetryLoaders:
     def test_telemetry_table_sections(self):
         registry = Telemetry()
         registry.add("frames", 3)
@@ -170,18 +168,6 @@ class TestTelemetryAndBenchLoaders:
         span_rows = table.where(lambda row: row["section"] == "span")
         assert span_rows.rows[0]["counter"] == "points"
         assert span_rows.rows[0]["counter_value"] == 12
-
-    def test_bench_table_flattens_numeric_case_metrics(self):
-        payload = {
-            "git_sha": "c" * 40,
-            "grids": [{"name": "g1", "points": 10, "speedup": 2.0}],
-            "fleet": {"name": "fleet_10", "users": 10, "users_per_s": 100.0},
-        }
-        table = bench_table(payload, source="BENCH_x")
-        cases = set(table.column("case"))
-        assert cases == {"g1", "fleet_10"}
-        assert all(row["git_sha"] == "c" * 12 for row in table.rows)
-        assert all(isinstance(row["value"], (int, float)) for row in table.rows)
 
 
 class TestRunHistory:

@@ -55,6 +55,7 @@ class TestAnalyses:
         report = performance_model.analyze()
         assert report.total_latency_ms == pytest.approx(report.latency.total_ms)
         assert report.total_energy_mj == pytest.approx(report.energy.total_mj)
+        assert report.total_energy_mj > 0.0
         assert report.aoi is not None
         assert report.device_name == "XR1"
         assert report.edge_name == "EDGE-AGX"
@@ -114,3 +115,12 @@ class TestSweepsAndPlacement:
     def test_best_placement_energy_objective(self, performance_model):
         decision = performance_model.best_placement(objective="energy")
         assert decision.total_energy_mj > 0.0
+
+    def test_best_placement_on_a_standalone_headset(self, app, network):
+        model = XRPerformanceModel(device="XR6", edge="EDGE-AGX")
+        decision = model.best_placement("latency", app, network)
+        assert decision.total_latency_ms > 0.0
+
+    def test_remote_report_on_a_held_out_device(self, remote_app, network):
+        report = XRPerformanceModel(device="XR2", edge="EDGE-AGX").analyze(remote_app, network)
+        assert report.total_latency_ms > 0.0

@@ -46,7 +46,19 @@ class TestTableReproductions:
 
     def test_table_one_mentions_every_device(self):
         text = table_1().to_text()
-        for name in ("XR1", "XR7", "EDGE-AGX", "Huawei Mate 40 Pro", "Meta Quest 2"):
+        for name in (
+            "XR1",
+            "XR7",
+            "EDGE-AGX",
+            "Huawei Mate 40 Pro",
+            "OnePlus 8 Pro",
+            "Motorola One Macro",
+            "Xiaomi Redmi Note 8",
+            "Google Glass Enterprise Edition 2",
+            "Meta Quest 2",
+            "Nvidia Jetson TX2",
+            "Nvidia Jetson AGX Xavier",
+        ):
             assert name in text
 
     def test_table_two_has_eleven_rows(self):
@@ -58,4 +70,5 @@ class TestTableReproductions:
         text = table_2().to_text()
         assert "YOLOv3" in text
         assert "MobileNetv2_300 Float" in text
+        assert "EfficientNet Quant" in text
         assert "210" in text  # YOLOv3 storage size

@@ -37,6 +37,12 @@ class TestRuns:
         assert run.mean_latency_ms > 0.0
         assert run.device_name == "XR2"
 
+    def test_single_repetition_traces_every_frame(self, app, network):
+        run = SimulatedTestbed(device="XR2", edge="EDGE-AGX").run(
+            app, network=network, n_frames=20, repetitions=1
+        )
+        assert len(run.trace) == 20
+
     def test_run_rejects_zero_repetitions(self, quick_testbed, app):
         with pytest.raises(ValueError):
             quick_testbed.run(app, repetitions=0)
