@@ -1,17 +1,15 @@
-"""Figures walkthrough: tables, dashboards, run history, snapshot diffing.
+"""Figures walkthrough: tables, dashboards, snapshot diffing.
 
-``repro.figures`` turns the repo's persisted artifacts — run manifests,
-telemetry snapshots, BENCH payloads, the committed ``results/`` text
-figures — into one queryable layer.  This walkthrough:
+``repro.figures`` renders the repo's persisted artifacts — run manifests,
+telemetry snapshots, the committed ``results/`` text figures.  This
+walkthrough:
 
 1. flattens the committed baseline run manifest into a stdlib-only
    :class:`~repro.figures.Table` and pivots it into the fleet dashboard;
-2. indexes the manifest directory as a :class:`~repro.figures.RunHistory`
-   and prints per-metric first/last/delta lines;
-3. builds one registry figure and saves its text + CSV + Vega-Lite triple
+2. builds one registry figure and saves its text + CSV + Vega-Lite triple
    — the same builders ``python -m repro figures build --all`` runs, and
    the same renders ``figures check`` gates byte-identically in CI;
-4. profiles the same tiny workload twice and structurally diffs the two
+3. profiles the same tiny workload twice and structurally diffs the two
    telemetry snapshots: identical *work* (counters, span call counts),
    wall-time drift reported but never failing.
 
@@ -25,14 +23,8 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.adaptive import GreedyBatchSweep, make_trace
-from repro.figures import (
-    FigureInputs,
-    RunHistory,
-    build_figure,
-    diff_snapshots,
-    manifest_table,
-)
-from repro.figures.tabular import load_manifest
+from repro.experiments import RunManifest
+from repro.figures import FigureInputs, build_figure, diff_snapshots, manifest_table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 MANIFEST_DIR = REPO_ROOT / "results" / "manifests"
@@ -55,34 +47,23 @@ def profiled_adapt_run(epochs: int):
 
 def main() -> None:
     # -- 1. manifest -> Table -> pivot ------------------------------------
-    manifest = load_manifest(MANIFEST_DIR / "baseline.json")
+    manifest = RunManifest.load(MANIFEST_DIR / "baseline.json")
     table = manifest_table(manifest)
     print(f"=== baseline manifest, long form ({len(table)} metric rows) ===")
     fleet_rows = table.where(lambda row: row["kind"] == "fleet")
     wide = fleet_rows.pivot("scenario", "metric", "value")
-    print(f"fleet scenarios: {wide.column('scenario')}")
+    print(f"fleet scenarios: {[row['scenario'] for row in wide.rows]}")
     print(f"fleet metrics:   {[c for c in wide.columns if c != 'scenario']}")
 
-    # -- 2. run history across every committed manifest --------------------
-    history = RunHistory.load(MANIFEST_DIR)
-    print(f"\n=== run history: {history.n_runs} run(s) indexed ===")
-    for scenario, metric in history.metrics()[:5]:
-        series = [point.value for point in history.series(scenario, metric)]
-        print(f"{scenario}.{metric}: first={series[0]} last={series[-1]}")
-
-    # -- 3. one registry figure, saved as text + CSV + Vega-Lite ----------
-    inputs = FigureInputs(
-        quick=True,
-        manifest_path=MANIFEST_DIR / "baseline.json",
-        history_dir=MANIFEST_DIR,
-    )
+    # -- 2. one registry figure, saved as text + CSV + Vega-Lite ----------
+    inputs = FigureInputs(quick=True, manifest_path=MANIFEST_DIR / "baseline.json")
     built = build_figure("fleet_dashboard", inputs)
     paths = built.save(Path("figures_out"))
     print(f"\n=== built '{built.name}' ===")
     print(built.text)
     print("wrote " + ", ".join(str(path) for path in paths))
 
-    # -- 4. telemetry diff: same work, different wall clock ----------------
+    # -- 3. telemetry diff: same work, different wall clock ----------------
     epochs = 10 if QUICK else 30
     diff = diff_snapshots(
         profiled_adapt_run(epochs), profiled_adapt_run(epochs), "run_a", "run_b"

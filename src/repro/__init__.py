@@ -40,13 +40,12 @@ Networks"* (Mallik, Xie, Han — ICDCS 2024).  The package provides:
   attributable JSON run manifest, and a regression gate that compares
   manifests against a committed baseline — the single entry point CI uses
   to detect drift in the model's outputs (:mod:`repro.experiments`),
-* a figure/analytics layer over the persisted artifacts: a stdlib-only
-  row-oriented :class:`~repro.figures.Table` with manifest and telemetry
-  flatteners, a :class:`~repro.figures.RunHistory` index turning a
-  directory of manifests into per-metric time series, a registry of
-  figure builders that re-render every committed ``results/`` artifact
-  byte-identically (plus CSV and Vega-Lite sidecars), and structural
-  telemetry-snapshot diffing (:mod:`repro.figures`),
+* a figure layer over the persisted artifacts: a registry of figure
+  builders that re-render every committed ``results/`` artifact
+  byte-identically (plus CSV and Vega-Lite sidecars, through a
+  stdlib-only row-oriented :class:`~repro.figures.Table`), dashboards
+  over the baseline run manifest, and structural telemetry-snapshot
+  diffing (:mod:`repro.figures`),
 * an invariant-checking lint engine behind ``repro lint``: stdlib-only
   AST rules for determinism (REP001), ``to_dict``/``from_dict``
   round-trip completeness (REP002), pickle-safe process-pool tasks
@@ -170,7 +169,6 @@ _LAZY = {
     "LintReport": "repro.analysis.engine",
     "run_lint": "repro.analysis.engine",
     "FigureInputs": "repro.figures.registry",
-    "RunHistory": "repro.figures.tabular",
     "SnapshotDiff": "repro.figures.diffs",
     "Table": "repro.figures.tabular",
     "build_all": "repro.figures.registry",
@@ -232,7 +230,6 @@ __all__ = [
     "PerformanceReport",
     "ProcessPoolBackend",
     "RegressionReport",
-    "RunHistory",
     "RunManifest",
     "ScenarioSpec",
     "ScenarioSuite",

@@ -51,6 +51,7 @@ from repro.core.offloading import placement_candidates
 from repro.exceptions import ConfigurationError
 from repro.faults.report import FaultOutcome, fault_outcome
 from repro.faults.schedule import EpochFaultState, FaultInjector, FaultSchedule
+from repro.fleet.results import percentile_method
 from repro.simulation.des import EventScheduler
 
 #: Supported selection objectives (all are deadline-first; see
@@ -476,9 +477,8 @@ def build_adaptation_report(
     total_energy_j = float(np.sum(energy * frames_per_epoch[indices]) / 1e3)
     # Single-user epochs are always finite (the closed forms have no
     # queueing), but co-sim classes on a saturated edge report infinite
-    # latencies; order statistics avoid the inf - inf = nan of linear
-    # interpolation there, exactly like FleetReport.
-    method = "linear" if np.isfinite(latency).all() else "lower"
+    # latencies.
+    method = percentile_method(latency)
     return AdaptationReport(
         controller=controller_name,
         trace_name=trace.name,

@@ -16,12 +16,18 @@ numeric axes — so ``grid.points()[i]`` corresponds to index ``i`` of every
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.config.application import ApplicationConfig, ExecutionMode
+from repro.config.application import (
+    MAX_CLOCK_GHZ,
+    MAX_SIDE_PX,
+    ApplicationConfig,
+    ExecutionMode,
+)
 from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.exceptions import ConfigurationError
@@ -58,14 +64,24 @@ class OperatingPoint:
     edge: EdgeLike = "EDGE-AGX"
 
 
+#: Swept axes that :class:`ApplicationConfig` bounds too, so a grid rejects
+#: the values a scalar configuration rejects.
+_AXIS_BOUNDS = {
+    "frame_side_px": MAX_SIDE_PX,
+    "cpu_freq_ghz": MAX_CLOCK_GHZ,
+    "gpu_freq_ghz": MAX_CLOCK_GHZ,
+}
+
+
 def _ensure_axis(name: str, values: Sequence[float]) -> Tuple[float, ...]:
     axis = tuple(float(v) for v in values)
     if not axis:
         raise ConfigurationError(f"grid axis {name!r} must not be empty")
+    high = _AXIS_BOUNDS.get(name, math.inf)
     for value in axis:
-        if value <= 0.0:
+        if not 0.0 < value <= high:
             raise ConfigurationError(
-                f"grid axis {name!r} values must be > 0, got {value}"
+                f"grid axis {name!r} values must be within (0, {high}], got {value}"
             )
     return axis
 

@@ -662,18 +662,6 @@ def _cmd_faults_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_inputs(args: argparse.Namespace):
-    from repro.figures import FigureInputs
-
-    snapshots = getattr(args, "snapshot", None)
-    return FigureInputs(
-        quick=getattr(args, "quick", False),
-        manifest_path=args.manifest,
-        history_dir=args.history,
-        snapshot_paths=tuple(snapshots) if snapshots else None,
-    )
-
-
 def _cmd_figures_list(args: argparse.Namespace) -> int:
     from repro.figures import FIGURES
 
@@ -688,7 +676,7 @@ def _cmd_figures_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures_build(args: argparse.Namespace) -> int:
-    from repro.figures import FIGURES, build_all
+    from repro.figures import FIGURES, FigureInputs, build_all
 
     names = None
     if not args.all:
@@ -700,17 +688,10 @@ def _cmd_figures_build(args: argparse.Namespace) -> int:
             )
             return 2
         names = args.names
-    inputs = _figure_inputs(args)
-    built = build_all(inputs, names=names)
-    for figure in built:
+    inputs = FigureInputs(quick=args.quick, manifest_path=args.manifest)
+    for figure in build_all(inputs, names=names):
         paths = figure.save(args.out)
         print(f"built {figure.name}: " + ", ".join(str(path) for path in paths))
-    skipped = len(FIGURES) - len(built) if args.all else 0
-    if skipped:
-        print(
-            f"({skipped} snapshot-sourced figure(s) skipped; pass "
-            "--snapshot A --snapshot B to build them)"
-        )
     return 0
 
 
@@ -719,17 +700,16 @@ def _cmd_figures_check(args: argparse.Namespace) -> int:
 
     # Byte-identity needs the full (non-quick) generator parameters; the
     # committed artifacts were rendered with them.
-    inputs = _figure_inputs(args)
-    outcomes = check_figures(inputs, results_dir=args.results)
+    outcomes = check_figures(results_dir=args.results)
     rows = [(outcome.name, outcome.artifact, outcome.status) for outcome in outcomes]
     print(f"Figure drift check against {args.results or 'results/'}")
     print(format_table(rows, headers=("figure", "artifact", "status")))
     failed = [outcome for outcome in outcomes if not outcome.ok]
     if failed:
         print(
-            f"\n{len(failed)} artifact(s) drifted or missing — regenerate with "
-            "'repro figures build --all' and commit the refreshed files if "
-            "the change is intentional"
+            f"\n{len(failed)} artifact(s) drifted or missing — regenerate them with "
+            "'python -m repro.evaluation.run_all' and commit the refreshed "
+            "files if the change is intentional"
         )
         return 1
     print(f"\nall {len(outcomes)} committed artifacts reproduce byte-identically")
@@ -1217,24 +1197,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig_list = figure_actions.add_parser("list", help="print the registered figure builders")
     fig_list.set_defaults(handler=_cmd_figures_list)
 
-    def _add_figure_input_arguments(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--manifest",
-            default="results/manifests/baseline.json",
-            help="run manifest feeding the dashboard figures",
-        )
-        parser.add_argument(
-            "--history",
-            default="results/manifests",
-            help="manifest directory feeding the run-history figure",
-        )
-        parser.add_argument(
-            "--snapshot",
-            action="append",
-            metavar="PATH",
-            help="telemetry snapshot for diff figures (pass twice: A then B)",
-        )
-
     fig_build = figure_actions.add_parser(
         "build", help="build figures into text + CSV + Vega-Lite files"
     )
@@ -1250,7 +1212,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reduced generator sweeps (not byte-identical to committed artifacts)",
     )
-    _add_figure_input_arguments(fig_build)
+    fig_build.add_argument(
+        "--manifest",
+        default="results/manifests/baseline.json",
+        help="run manifest feeding the dashboard figures",
+    )
     fig_build.set_defaults(handler=_cmd_figures_build)
 
     fig_check = figure_actions.add_parser(
@@ -1263,7 +1229,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="directory holding the committed artifacts (default: results/)",
     )
-    _add_figure_input_arguments(fig_check)
     fig_check.set_defaults(handler=_cmd_figures_check)
 
     docs = subparsers.add_parser(

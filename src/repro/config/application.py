@@ -16,6 +16,7 @@ and swept over safely.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -23,11 +24,24 @@ from repro import units
 from repro.config.validation import (
     ensure_finite,
     ensure_fraction,
+    ensure_in_range,
     ensure_integer,
     ensure_non_negative,
     ensure_positive,
 )
 from repro.exceptions import ConfigurationError
+
+#: Physical bounds on an :class:`ApplicationConfig`.  They sit orders of
+#: magnitude outside every device and sweep the paper covers (300-700 px
+#: frames, 0.3-3 GHz clocks, 30 fps, a few sensor updates per frame), so
+#: they reject nothing physical; without them a 1e155 px frame side squares
+#: to inf, a 1e155 GHz clock overflows the quadratic resource regression
+#: (Eqs. 3, 21), a 5e-324 fps frame period is inf, and the per-update AoI
+#: sum (Eq. 24) runs for as many steps as the update count asks for.
+MAX_SIDE_PX = 1e5
+MAX_CLOCK_GHZ = 100.0
+MIN_FRAME_RATE_FPS = 1e-3
+MAX_SENSOR_UPDATES_PER_FRAME = 10_000
 
 
 class ExecutionMode(enum.Enum):
@@ -209,28 +223,33 @@ class ApplicationConfig:
 
     def __post_init__(self) -> None:
         ensure_positive("frame_rate_fps", self.frame_rate_fps)
-        ensure_positive("frame_side_px", self.frame_side_px)
-        if self.converted_frame_side_px is not None:
-            ensure_positive("converted_frame_side_px", self.converted_frame_side_px)
-            ensure_finite("converted_frame_side_px", self.converted_frame_side_px)
-        ensure_positive("virtual_scene_side_px", self.virtual_scene_side_px)
+        ensure_in_range("frame_rate_fps", self.frame_rate_fps, MIN_FRAME_RATE_FPS, math.inf)
+        # An infinite rate or payload turns every total into inf or NaN.
+        ensure_finite("frame_rate_fps", self.frame_rate_fps)
         ensure_non_negative("point_cloud_mb", self.point_cloud_mb)
+        ensure_finite("point_cloud_mb", self.point_cloud_mb)
         ensure_integer("sensor_updates_per_frame", self.sensor_updates_per_frame)
         ensure_non_negative("sensor_updates_per_frame", self.sensor_updates_per_frame)
+        ensure_in_range(
+            "sensor_updates_per_frame",
+            self.sensor_updates_per_frame,
+            0,
+            MAX_SENSOR_UPDATES_PER_FRAME,
+        )
         ensure_positive("buffer_service_rate_hz", self.buffer_service_rate_hz)
         ensure_fraction("cpu_share", self.cpu_share)
-        ensure_positive("cpu_freq_ghz", self.cpu_freq_ghz)
-        ensure_positive("gpu_freq_ghz", self.gpu_freq_ghz)
-        # An infinite rate, size or clock turns every total into inf or NaN.
-        for name in (
-            "frame_rate_fps",
-            "frame_side_px",
-            "virtual_scene_side_px",
-            "point_cloud_mb",
-            "cpu_freq_ghz",
-            "gpu_freq_ghz",
-        ):
-            ensure_finite(name, getattr(self, name))
+        bounded = {
+            "frame_side_px": MAX_SIDE_PX,
+            "converted_frame_side_px": MAX_SIDE_PX,
+            "virtual_scene_side_px": MAX_SIDE_PX,
+            "cpu_freq_ghz": MAX_CLOCK_GHZ,
+            "gpu_freq_ghz": MAX_CLOCK_GHZ,
+        }
+        for name, high in bounded.items():
+            value = getattr(self, name)
+            if value is not None:
+                ensure_positive(name, value)
+                ensure_in_range(name, value, 0.0, high)
 
     # -- derived quantities -------------------------------------------------
 

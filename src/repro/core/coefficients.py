@@ -249,7 +249,12 @@ def calibrated_coefficients(
     This is the coefficient set the figure-reproduction harness uses: the
     regression *forms* are the paper's, but the constants are calibrated to
     the simulated testbed, exactly as the paper calibrated its constants to
-    the physical testbed.  Results are cached per (n_samples, seed).
+    the physical testbed.  The two constants the campaign does not fit,
+    ``decode_discount`` and ``edge_compute_scale``, are read from the
+    campaign's truth, whose values equal the paper's published 1/3 (Eq. 14)
+    and 11.76, so they hand the model nothing the paper did not publish; a
+    truth that moved away from those values would leak its hidden constants
+    into the calibrated model.  Results are cached per (n_samples, seed).
 
     Args:
         n_samples: number of synthetic measurement samples.

@@ -115,6 +115,7 @@ from repro.faults.schedule import EpochFaultState, FaultInjector, FaultSchedule
 from repro.fleet.contention import ContentionModel
 from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
 from repro.fleet.population import FleetPopulation, UserProfile
+from repro.fleet.results import percentile_method
 from repro.simulation.des import EventScheduler
 
 #: Per-user controller specification: one shared template instance, a
@@ -976,12 +977,9 @@ class CoSimulation:
 
         # Every user-epoch latency, as (value, count) pairs of the slots.
         sample_latency = np.concatenate(sample_values)
-        # Saturated-fleet samples are infinite; linear interpolation would
-        # produce inf - inf = nan, so fall back to order statistics exactly
-        # like FleetReport.  At N == 1 no queueing exists, every sample is
-        # finite, and the plain linear path preserves the AdaptationReport
-        # degeneracy.
-        method = "linear" if np.isfinite(sample_latency).all() else "lower"
+        # At N == 1 no queueing exists, every sample is finite, and the
+        # plain linear path preserves the AdaptationReport degeneracy.
+        method = percentile_method(sample_latency)
         fleet_p50, fleet_p95, fleet_p99 = percentiles_from_counts(
             sample_latency, np.concatenate(sample_counts), (50, 95, 99), method
         )
@@ -1185,7 +1183,7 @@ class CoSimulation:
         user_latency_sum += latency_user
         user_energy_j += (slot_energy * frames_c[slot_class] / 1e3)[slot_of_user]
 
-        method = "linear" if np.isfinite(slot_latency).all() else "lower"
+        method = percentile_method(slot_latency)
         percentiles = percentiles_from_counts(
             slot_latency, deal.slot_count, (50, 95, 99), method
         )

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.adaptive.runtime import AdaptationReport
 from repro.faults.report import FaultOutcome
+from repro.fleet.results import percentile_method
 
 
 @dataclass(frozen=True)
@@ -300,9 +301,8 @@ class ShardedCosimReport:
         user_miss = np.concatenate(
             [np.asarray(shard.user_miss_rate) for shard in shards]
         )
-        # Users behind a saturated edge carry infinite means; order
-        # statistics avoid inf - inf = nan, matching FleetReport.
-        method = "linear" if np.isfinite(user_means).all() else "lower"
+        # Users behind a saturated edge carry infinite means.
+        method = percentile_method(user_means)
         p50, p95, p99 = (
             float(np.percentile(user_means, q, method=method)) for q in (50, 95, 99)
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 
 def format_table(rows: Iterable[Sequence], headers: Sequence[str]) -> str:
@@ -33,16 +33,19 @@ def format_table(rows: Iterable[Sequence], headers: Sequence[str]) -> str:
     return "\n".join(lines)
 
 
-def results_directory(base: Optional[str] = None) -> Path:
-    """The directory evaluation artefacts are written to (created on demand).
+def results_directory(base: Union[str, Path, None] = None, create: bool = True) -> Path:
+    """The directory evaluation artefacts are written to.
 
     Defaults to ``<cwd>/results``; override with the ``REPRO_RESULTS_DIR``
-    environment variable or the ``base`` argument.
+    environment variable or the ``base`` argument.  The directory is
+    created unless ``create`` is false (for readers such as the drift
+    check).
     """
     if base is None:
         base = os.environ.get("REPRO_RESULTS_DIR", "results")
     path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    if create:
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 

@@ -1,11 +1,10 @@
-"""repro.figures: run-history analytics, figure registry, telemetry diffing.
+"""repro.figures: the figure registry and telemetry diffing.
 
 Three layers over the repo's persisted artifacts:
 
 * :mod:`repro.figures.tabular` — a stdlib-only row-oriented :class:`Table`
-  plus loaders flattening run manifests and telemetry snapshots, and a
-  :class:`RunHistory` index turning a directory of manifests into
-  per-metric time series.
+  (filter, pivot, CSV round-trip) and :func:`manifest_table`, which
+  flattens a run manifest for the dashboards.
 * :mod:`repro.figures.registry` / :mod:`repro.figures.builders` — the
   :data:`FIGURES` registry: every paper figure/table/ablation and every
   subsystem dashboard as a named builder emitting a byte-stable text
@@ -37,15 +36,7 @@ from repro.figures.registry import (
     figure_names,
     register,
 )
-from repro.figures.tabular import (
-    HistoryPoint,
-    RunHistory,
-    Table,
-    load_manifest,
-    manifest_table,
-    scenario_table,
-    telemetry_table,
-)
+from repro.figures.tabular import Table, manifest_table
 from repro.figures import builders as _builders  # noqa: F401  (populates FIGURES)
 
 __all__ = [
@@ -55,8 +46,6 @@ __all__ = [
     "FigureInputs",
     "FigureSpec",
     "HistogramDelta",
-    "HistoryPoint",
-    "RunHistory",
     "SnapshotDiff",
     "SpanDelta",
     "Table",
@@ -67,9 +56,6 @@ __all__ = [
     "diff_snapshot_files",
     "diff_snapshots",
     "figure_names",
-    "load_manifest",
     "manifest_table",
     "register",
-    "scenario_table",
-    "telemetry_table",
 ]

@@ -1,16 +1,13 @@
 """Builders for every registered figure.
 
-Three families:
+Two families:
 
 * **Ported paper artifacts** (source ``"generator"``): re-run the seeded
   evaluation generators (:mod:`repro.evaluation`) and render the exact
   committed text — ``repro figures check`` gates on byte-identity — while
   adding the CSV/Vega-Lite sidecars the text files never had.
-* **Dashboards** (sources ``"manifest"``/``"history"``): read persisted
-  JSON (the baseline run manifest, the manifest directory) and summarize
-  the fleet / adaptive / co-sim / fault subsystems.
-* **Telemetry diff** (source ``"snapshots"``): structural comparison of
-  two snapshot files via :mod:`repro.figures.diffs`.
+* **Dashboards** (source ``"manifest"``): read the baseline run manifest
+  and summarize the fleet / adaptive / co-sim / fault subsystems.
 
 Importing this module populates :data:`repro.figures.registry.FIGURES`.
 """
@@ -51,10 +48,10 @@ def _table_builder(table) -> Tuple[Table, dict]:
     "table_I",
     title="Table I: XR and edge device specifications",
     source="generator",
-    artifact="table_I.txt",
     description="device catalog as printed in the paper",
 )
 def build_table_1(inputs: FigureInputs) -> BuiltFigure:
+    """Table I: the XR and edge device catalog, as printed in the paper."""
     from repro.evaluation.tables import table_1
 
     table = table_1()
@@ -77,10 +74,10 @@ def build_table_1(inputs: FigureInputs) -> BuiltFigure:
     "table_II",
     title="Table II: CNN models used in this research",
     source="generator",
-    artifact="table_II.txt",
     description="CNN catalog as printed in the paper",
 )
 def build_table_2(inputs: FigureInputs) -> BuiltFigure:
+    """Table II: the CNN catalog, as printed in the paper."""
     from repro.evaluation.tables import table_2
 
     table = table_2()
@@ -112,10 +109,10 @@ _PAPER_R2 = (
     "regression_quality",
     title="Regression fit quality (train R^2)",
     source="generator",
-    artifact="regression_quality.txt",
     description="calibration-campaign R^2 vs the paper's reported fits",
 )
 def build_regression_quality(inputs: FigureInputs) -> BuiltFigure:
+    """Train R^2 of the four calibrated regressions next to the paper's fits."""
     from repro.evaluation.report import format_table
 
     r2 = inputs.context.coefficients.r_squared
@@ -204,7 +201,6 @@ def _register_validation(name: str, generator, title: str) -> None:
         name,
         title=title,
         source="generator",
-        artifact=f"{name}.txt",
         description=title,
     )
     def build(inputs: FigureInputs, _generator=generator, _name=name) -> BuiltFigure:
@@ -270,10 +266,10 @@ def _aoi_builder(name: str, figure, section: Tuple[str, str, str]) -> BuiltFigur
     "figure_4e",
     title="Fig. 4(e): AoI vs time across sensor frequencies",
     source="generator",
-    artifact="figure_4e.txt",
     description="analytical vs emulated AoI timelines",
 )
 def build_figure_4e(inputs: FigureInputs) -> BuiltFigure:
+    """Fig. 4(e): analytical vs emulated AoI timelines across sensor frequencies."""
     from repro.evaluation.figures import figure_4e
 
     figure = figure_4e()
@@ -292,10 +288,10 @@ def build_figure_4e(inputs: FigureInputs) -> BuiltFigure:
     "figure_4f",
     title="Fig. 4(f): AoI staircase and RoI for a 100 Hz sensor",
     source="generator",
-    artifact="figure_4f.txt",
     description="AoI/RoI staircase against a 200 Hz requirement",
 )
 def build_figure_4f(inputs: FigureInputs) -> BuiltFigure:
+    """Fig. 4(f): the AoI staircase and RoI of a 100 Hz sensor."""
     from repro.evaluation.figures import figure_4f
 
     figure = figure_4f()
@@ -366,10 +362,10 @@ def _comparison_builder(name: str, figure) -> BuiltFigure:
     "figure_5a",
     title="Fig. 5(a): latency accuracy vs FACT and LEAF",
     source="generator",
-    artifact="figure_5a.txt",
     description="normalized latency accuracy against the baselines",
 )
 def build_figure_5a(inputs: FigureInputs) -> BuiltFigure:
+    """Fig. 5(a): normalized latency accuracy of the model, FACT and LEAF."""
     from repro.evaluation.figures import figure_5a
 
     return _comparison_builder("figure_5a", figure_5a(context=inputs.context))
@@ -379,10 +375,10 @@ def build_figure_5a(inputs: FigureInputs) -> BuiltFigure:
     "figure_5b",
     title="Fig. 5(b): energy accuracy vs FACT and LEAF",
     source="generator",
-    artifact="figure_5b.txt",
     description="normalized energy accuracy against the baselines",
 )
 def build_figure_5b(inputs: FigureInputs) -> BuiltFigure:
+    """Fig. 5(b): normalized energy accuracy of the model, FACT and LEAF."""
     from repro.evaluation.figures import figure_5b
 
     return _comparison_builder("figure_5b", figure_5b(context=inputs.context))
@@ -416,13 +412,13 @@ def _named_table_builder(name: str, result, kind: str, section_kind: str) -> Bui
 
 
 def _register_ablation(name: str, make, title: str) -> None:
-    @register(name, title=title, source="generator", artifact=f"{name}.txt", description=title)
+    @register(name, title=title, source="generator", description=title)
     def build(inputs: FigureInputs, _make=make, _name=name) -> BuiltFigure:
         return _named_table_builder(_name, _make(inputs), "Ablation", "Ablation")
 
 
 def _register_extension(name: str, make, title: str) -> None:
-    @register(name, title=title, source="generator", artifact=f"{name}.txt", description=title)
+    @register(name, title=title, source="generator", description=title)
     def build(inputs: FigureInputs, _make=make, _name=name) -> BuiltFigure:
         return _named_table_builder(_name, _make(inputs), "Extension experiment", "Extension")
 
@@ -547,6 +543,7 @@ def _manifest_dashboard(
     description="p50/p95/p99 latency, utilization and SLO violations for fleet scenarios",
 )
 def build_fleet_dashboard(inputs: FigureInputs) -> BuiltFigure:
+    """Tail latency, utilization and SLO violations of the manifest's fleet scenarios."""
     return _manifest_dashboard(
         "fleet_dashboard",
         "Fleet scale-out: tail latency and SLO pressure per scenario",
@@ -572,6 +569,7 @@ def build_fleet_dashboard(inputs: FigureInputs) -> BuiltFigure:
     description="miss-rate, quality and switch counts per adapt scenario",
 )
 def build_adaptive_dashboard(inputs: FigureInputs) -> BuiltFigure:
+    """Miss rate, quality and switch count of the manifest's adapt scenarios."""
     return _manifest_dashboard(
         "adaptive_dashboard",
         "Adaptive control: deadline miss-rate vs controller",
@@ -596,6 +594,7 @@ def build_adaptive_dashboard(inputs: FigureInputs) -> BuiltFigure:
     description="convergence, unconverged epochs and fleet tail latency per cosim scenario",
 )
 def build_cosim_dashboard(inputs: FigureInputs) -> BuiltFigure:
+    """Convergence, miss rate and fleet tail of the manifest's cosim scenarios."""
     return _manifest_dashboard(
         "cosim_dashboard",
         "Device/edge co-simulation: convergence rate per scenario",
@@ -620,6 +619,7 @@ def build_cosim_dashboard(inputs: FigureInputs) -> BuiltFigure:
     description="availability, TTR and miss-rate inside fault windows, any scenario kind",
 )
 def build_faults_dashboard(inputs: FigureInputs) -> BuiltFigure:
+    """Availability and recovery of every manifest scenario run under faults."""
     return _manifest_dashboard(
         "faults_dashboard",
         "Fault injection: availability and time-to-recover over fault windows",
@@ -635,101 +635,4 @@ def build_faults_dashboard(inputs: FigureInputs) -> BuiltFigure:
         require="availability",
         y_field="availability",
         y_title="availability",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Run history
-# ---------------------------------------------------------------------------
-
-
-@register(
-    "run_history",
-    title="Run history: per-metric trajectory across archived manifests",
-    source="history",
-    description="first/last/delta per (scenario, metric) over the manifest directory",
-)
-def build_run_history(inputs: FigureInputs) -> BuiltFigure:
-    from repro.evaluation.report import format_table
-
-    history = inputs.history
-    rows: List[Dict[str, object]] = []
-    for scenario, metric in history.metrics():
-        points = [p for p in history.series(scenario, metric) if p.value is not None]
-        if not points:
-            continue
-        first, last = points[0], points[-1]
-        rows.append(
-            {
-                "scenario": scenario,
-                "metric": metric,
-                "n_runs": len(points),
-                "first": first.value,
-                "last": last.value,
-                "delta": last.value - first.value,
-                "first_sha": (first.git_sha or "")[:12] or None,
-                "last_sha": (last.git_sha or "")[:12] or None,
-            }
-        )
-    columns = ("scenario", "metric", "n_runs", "first", "last", "delta", "first_sha", "last_sha")
-    data = Table(columns, rows)
-
-    def fmt(value) -> str:
-        if value is None:
-            return "-"
-        if isinstance(value, float):
-            return f"{value:.6g}"
-        return str(value)
-
-    title = "Run history: per-metric trajectory across archived manifests"
-    text_rows = [[fmt(row[column]) for column in columns] for row in data.rows]
-    text = (
-        f"{title}\n({history.n_runs} run(s) indexed)\n"
-        + format_table(text_rows, headers=columns)
-    )
-    spec = vega_lite_spec(
-        "run_history",
-        title,
-        {"type": "line", "point": True},
-        {
-            "x": {"field": "metric", "type": "nominal"},
-            "y": {"field": "delta", "type": "quantitative", "title": "last - first"},
-            "color": {"field": "scenario", "type": "nominal"},
-        },
-    )
-    return BuiltFigure(name="run_history", title=title, text=text, table=data, spec=spec)
-
-
-# ---------------------------------------------------------------------------
-# Telemetry diff
-# ---------------------------------------------------------------------------
-
-
-@register(
-    "telemetry_diff",
-    title="Telemetry diff: structural comparison of two snapshots",
-    source="snapshots",
-    description="counter/span/histogram deltas between two snapshot files",
-)
-def build_telemetry_diff(inputs: FigureInputs) -> BuiltFigure:
-    from repro.figures.diffs import diff_snapshots
-
-    snapshot_a, snapshot_b, label_a, label_b = inputs.snapshots()
-    diff = diff_snapshots(snapshot_a, snapshot_b, label_a=label_a, label_b=label_b)
-    spec = vega_lite_spec(
-        "telemetry_diff",
-        "Telemetry diff: structural comparison of two snapshots",
-        "bar",
-        {
-            "x": {"field": "delta", "type": "quantitative"},
-            "y": {"field": "name", "type": "nominal"},
-            "color": {"field": "section", "type": "nominal"},
-        },
-    )
-    return BuiltFigure(
-        name="telemetry_diff",
-        title="Telemetry diff: structural comparison of two snapshots",
-        text=diff.to_text(),
-        table=diff.to_table(),
-        spec=spec,
     )

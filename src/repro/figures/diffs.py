@@ -5,8 +5,7 @@ wall times may drift with machine load, but work done is work done.  This
 module aligns two snapshots structurally: top-level counters and gauges by
 name, histograms by name with percentile shifts, and the span tree by
 path with per-node wall-time and counter deltas.  The result renders as a
-deterministic text report (``repro profile --diff A B``) and flattens to a
-:class:`~repro.figures.tabular.Table` for the figure registry.
+deterministic text report (``repro profile --diff A B``).
 
 The report deliberately separates *work* deltas (counters, span counts)
 from *timing* deltas (wall-time, percentiles): a clean diff has zero work
@@ -19,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
-
-from repro.figures.tabular import Table
 
 _PERCENTILES = (0.50, 0.95, 0.99)
 
@@ -118,73 +115,6 @@ class SnapshotDiff:
         return worst
 
     # -- renders ---------------------------------------------------------------
-
-    def to_table(self) -> Table:
-        """Long-form flattening: one row per compared quantity."""
-        rows: List[Dict[str, object]] = []
-        for section, entries in (("counter", self.counters), ("gauge", self.gauges)):
-            for entry in entries:
-                rows.append(
-                    {
-                        "section": section,
-                        "name": entry.name,
-                        "a": entry.a,
-                        "b": entry.b,
-                        "delta": entry.delta,
-                    }
-                )
-        for hist in self.histograms:
-            rows.append(
-                {
-                    "section": "histogram",
-                    "name": f"{hist.name}.count",
-                    "a": hist.count_a,
-                    "b": hist.count_b,
-                    "delta": hist.count_delta,
-                }
-            )
-            for q, a, b, shift in zip(
-                _PERCENTILES, hist.percentiles_a, hist.percentiles_b, hist.shifts()
-            ):
-                rows.append(
-                    {
-                        "section": "histogram",
-                        "name": f"{hist.name}.p{int(q * 100)}",
-                        "a": None if math.isnan(a) else a,
-                        "b": None if math.isnan(b) else b,
-                        "delta": shift,
-                    }
-                )
-        for span in self.spans:
-            rows.append(
-                {
-                    "section": "span",
-                    "name": f"{span.path}.count",
-                    "a": span.count_a,
-                    "b": span.count_b,
-                    "delta": span.count_delta,
-                }
-            )
-            rows.append(
-                {
-                    "section": "span",
-                    "name": f"{span.path}.total_ms",
-                    "a": span.total_ms_a,
-                    "b": span.total_ms_b,
-                    "delta": span.total_ms_delta,
-                }
-            )
-            for entry in span.counters:
-                rows.append(
-                    {
-                        "section": "span",
-                        "name": f"{span.path}.{entry.name}",
-                        "a": entry.a,
-                        "b": entry.b,
-                        "delta": entry.delta,
-                    }
-                )
-        return Table(("section", "name", "a", "b", "delta"), rows)
 
     def to_text(self) -> str:
         """Deterministic human-readable report."""

@@ -3,10 +3,9 @@
 Every figure, table, ablation and dashboard the repo can render is an
 entry in :data:`FIGURES`, keyed by name.  A builder turns a
 :class:`FigureInputs` bundle (lazy-loading the expensive shared state:
-the calibrated :class:`~repro.evaluation.figures.FigureContext`, the
-baseline run manifest, the run history) into a
-:class:`BuiltFigure` carrying three synchronized renders of the same
-data:
+the calibrated :class:`~repro.evaluation.figures.FigureContext` and the
+baseline run manifest) into a :class:`BuiltFigure` carrying three
+synchronized renders of the same data:
 
 * ``text`` — a deterministic fixed-width render.  For ported paper
   artifacts this is byte-identical to the committed ``results/*.txt``
@@ -17,11 +16,11 @@ data:
   artifact plots in any Vega-Lite viewer without a plotting dependency
   in this repo.
 
-Registry entries declare their ``source`` ("generator" figures re-run the
-seeded evaluation code; "manifest"/"history" figures load persisted JSON;
-"snapshots" figures need two telemetry snapshot paths) and, when the
-text render is committed under ``results/``, the ``artifact`` filename the
-drift check compares against.
+Registry entries declare their ``source``: "generator" figures re-run the
+seeded evaluation code, and each one's text render is committed as
+``results/<name>.txt`` (its :attr:`FigureSpec.artifact`), which the drift
+check compares against; "manifest" dashboards read the baseline run
+manifest and are not committed.
 """
 
 from __future__ import annotations
@@ -32,13 +31,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.figures.tabular import RunHistory, Table
+from repro.figures.tabular import Table
 
-#: Sources whose builders only read persisted JSON (cheap); "generator"
-#: re-runs the seeded evaluation pipeline (seconds); "snapshots" needs two
-#: explicit telemetry snapshot paths and is skipped by ``build --all``
-#: unless they are provided.
-SOURCES = ("generator", "manifest", "history", "snapshots")
+#: "generator" re-runs the seeded evaluation pipeline (seconds) and is
+#: gated against ``results/``; "manifest" only reads the baseline run
+#: manifest (cheap).
+SOURCES = ("generator", "manifest")
 
 
 @dataclass
@@ -80,19 +78,16 @@ class BuiltFigure:
 class FigureInputs:
     """Lazy bundle of everything a builder may need.
 
-    The expensive pieces (the simulated-testbed context, the manifest, the
-    run history) are built on first access and cached, so building twenty
-    figures calibrates coefficients exactly once, and a ``figures list``
-    touches nothing at all.
+    The expensive pieces (the simulated-testbed context and the manifest)
+    are built on first access and cached, so building twenty figures
+    calibrates coefficients exactly once, and a ``figures list`` touches
+    nothing at all.
     """
 
     quick: bool = False
     manifest_path: Union[str, Path] = Path("results") / "manifests" / "baseline.json"
-    history_dir: Union[str, Path] = Path("results") / "manifests"
-    snapshot_paths: Optional[Tuple[Union[str, Path], Union[str, Path]]] = None
     _context: Optional[object] = field(default=None, repr=False)
     _manifest: Optional[object] = field(default=None, repr=False)
-    _history: Optional[RunHistory] = field(default=None, repr=False)
 
     @property
     def context(self):
@@ -115,24 +110,6 @@ class FigureInputs:
             self._manifest = RunManifest.load(path)
         return self._manifest
 
-    @property
-    def history(self) -> RunHistory:
-        """The manifest-directory run history (loaded once, cached)."""
-        if self._history is None:
-            self._history = RunHistory.load(self.history_dir)
-        return self._history
-
-    def snapshots(self) -> Tuple[dict, dict, str, str]:
-        """The two telemetry snapshots for diff figures (A, B, label_a, label_b)."""
-        if self.snapshot_paths is None:
-            raise ConfigurationError(
-                "this figure needs two telemetry snapshots (pass --snapshot A --snapshot B)"
-            )
-        from repro.telemetry import load_snapshot
-
-        path_a, path_b = (Path(p) for p in self.snapshot_paths)
-        return load_snapshot(path_a), load_snapshot(path_b), path_a.name, path_b.name
-
 
 @dataclass(frozen=True)
 class FigureSpec:
@@ -142,10 +119,13 @@ class FigureSpec:
     title: str
     source: str
     builder: Callable[[FigureInputs], BuiltFigure]
-    #: Committed text artifact under ``results/`` this figure must
-    #: reproduce byte-identically (None for uncommitted dashboards).
-    artifact: Optional[str] = None
     description: str = ""
+
+    @property
+    def artifact(self) -> Optional[str]:
+        """Committed text artifact under ``results/`` this figure must
+        reproduce byte-identically (None for uncommitted dashboards)."""
+        return f"{self.name}.txt" if self.source == "generator" else None
 
 
 FIGURES: Dict[str, FigureSpec] = {}
@@ -156,7 +136,6 @@ def register(
     *,
     title: str,
     source: str,
-    artifact: Optional[str] = None,
     description: str = "",
 ) -> Callable[[Callable[[FigureInputs], BuiltFigure]], Callable[[FigureInputs], BuiltFigure]]:
     """Decorator adding a builder to :data:`FIGURES` under ``name``."""
@@ -171,7 +150,6 @@ def register(
             title=title,
             source=source,
             builder=builder,
-            artifact=artifact,
             description=description or title,
         )
         return builder
@@ -198,23 +176,10 @@ def build_figure(name: str, inputs: Optional[FigureInputs] = None) -> BuiltFigur
 def build_all(
     inputs: Optional[FigureInputs] = None, names: Optional[Sequence[str]] = None
 ) -> List[BuiltFigure]:
-    """Build every registered figure (or the named subset), in order.
-
-    Snapshot-sourced figures are skipped unless the inputs carry snapshot
-    paths (they have no default data to diff).
-    """
+    """Build every registered figure (or the named subset), in order."""
     inputs = inputs if inputs is not None else FigureInputs()
-    selected = list(names) if names is not None else figure_names()
-    built: List[BuiltFigure] = []
-    for name in selected:
-        spec = FIGURES.get(name)
-        if spec is None:
-            known = ", ".join(sorted(FIGURES))
-            raise ConfigurationError(f"unknown figure {name!r} (known: {known})")
-        if spec.source == "snapshots" and inputs.snapshot_paths is None and names is None:
-            continue
-        built.append(spec.builder(inputs))
-    return built
+    selected = names if names is not None else figure_names()
+    return [build_figure(name, inputs) for name in selected]
 
 
 @dataclass(frozen=True)
@@ -236,16 +201,16 @@ def check_figures(
 ) -> List[CheckResult]:
     """Re-render every committed text artifact and compare bytes.
 
-    For each registry entry with an ``artifact``, the builder re-runs and
-    its text render is compared against ``results/<artifact>``; any
-    difference is ``drift``, an absent committed file is ``missing``.
-    This is the CI gate that keeps ``results/`` a verified pipeline
-    output instead of a stale copy.
+    For each generator entry, the builder re-runs and its text render is
+    compared against ``results/<name>.txt``; any difference is ``drift``,
+    an absent committed file is ``missing``.  The check only reads: it
+    creates no directory and writes no file.  This is the CI gate that
+    keeps ``results/`` a verified pipeline output instead of a stale copy.
     """
     from repro.evaluation.report import results_directory
 
     inputs = inputs if inputs is not None else FigureInputs()
-    directory = Path(results_dir) if results_dir is not None else results_directory()
+    directory = results_directory(results_dir, create=False)
     outcomes: List[CheckResult] = []
     for spec in FIGURES.values():
         if spec.artifact is None:

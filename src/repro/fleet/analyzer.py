@@ -294,17 +294,9 @@ class FleetAnalyzer:
     def _report(
         self, device: str, app: ApplicationConfig, network: NetworkConfig
     ) -> PerformanceReport:
-        key = (device, app, network)
-        report = self._reports.get(key)
-        if report is None:
-            self._cache_misses["reports"] += 1
-            report = self.model_for(device).analyze(
-                app, network, include_aoi=self.include_aoi
-            )
-            self._reports[key] = report
-        else:
-            self._cache_hits["reports"] += 1
-        return report
+        """The report :meth:`_prime_reports` cached for the key (one hit)."""
+        self._cache_hits["reports"] += 1
+        return self._reports[(device, app, network)]
 
     def _service_time_ms(self, device: str, app: ApplicationConfig) -> float:
         """Edge GPU busy time per frame for one user (memoized)."""

@@ -39,7 +39,7 @@ from repro.fleet.analyzer import FleetAnalyzer
 from repro.fleet.contention import ContentionModel
 from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
 from repro.fleet.population import homogeneous
-from repro.fleet.results import FleetReport
+from repro.fleet.results import FleetReport, percentile_method
 from repro.fleet.search import bisect_capacity
 
 
@@ -216,7 +216,7 @@ class _HomogeneousRoundRobinProbe:
                 for count in tenant_counts
             ]
             latencies = np.repeat(np.asarray(per_edge_latency), tenant_counts)
-        method = "linear" if np.isfinite(latencies).all() else "lower"
+        method = percentile_method(latencies)
         p95 = float(np.percentile(latencies, 95, method=method))
         self._p95_cache[n_users] = p95
         return p95
@@ -248,8 +248,8 @@ def plan_capacity(
     With ``require_feasible=True`` an SLO that not even a single user can
     meet raises a :class:`~repro.exceptions.ConfigurationError` instead of
     returning a zero-capacity plan — callers that would otherwise build on
-    ``max_users == 0`` (capacity-driven deployment sizing, the co-sim CLI)
-    get a clear terminal error rather than a bogus plan.
+    ``max_users == 0`` (capacity-driven deployment sizing) get a clear
+    terminal error rather than a bogus plan.
     """
     if not slo_ms > 0.0:
         raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")

@@ -18,6 +18,17 @@ import numpy as np
 from repro.core.results import PerformanceReport
 
 
+def percentile_method(latencies: np.ndarray) -> str:
+    """The ``np.percentile`` method for latencies a saturated edge can make infinite.
+
+    Linear interpolation between an infinite and a finite order statistic
+    gives inf - inf = nan, so any infinite sample switches to the order
+    statistics (``"lower"``); all-finite samples keep NumPy's default
+    ``"linear"``.
+    """
+    return "linear" if np.isfinite(latencies).all() else "lower"
+
+
 @dataclass(frozen=True)
 class UserOutcome:
     """Fleet-adjusted per-frame performance of one user.
@@ -131,10 +142,7 @@ class FleetReport:
             )
         latencies = np.asarray([outcome.latency_ms for outcome in outcomes], dtype=float)
         energies = np.asarray([outcome.energy_mj for outcome in outcomes], dtype=float)
-        # An overloaded edge yields infinite latencies; linear interpolation
-        # would produce inf - inf = nan there, so fall back to order
-        # statistics (method="lower") for saturated fleets.
-        method = "linear" if np.isfinite(latencies).all() else "lower"
+        method = percentile_method(latencies)
         p50, p95, p99 = (
             float(np.percentile(latencies, q, method=method)) for q in (50, 95, 99)
         )

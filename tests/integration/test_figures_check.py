@@ -21,19 +21,12 @@ RESULTS_DIR = REPO_ROOT / "results"
 
 class TestByteIdentity:
     def test_every_committed_artifact_reproduces_byte_identically(self):
-        outcomes = check_figures(
-            FigureInputs(
-                quick=False,
-                manifest_path=RESULTS_DIR / "manifests" / "baseline.json",
-                history_dir=RESULTS_DIR / "manifests",
-            ),
-            results_dir=RESULTS_DIR,
-        )
+        outcomes = check_figures(FigureInputs(quick=False), results_dir=RESULTS_DIR)
         gated = [spec for spec in FIGURES.values() if spec.artifact]
         assert len(outcomes) == len(gated)
         drifted = [outcome for outcome in outcomes if not outcome.ok]
         assert not drifted, (
-            "artifact drift — regenerate with 'repro figures build --all': "
+            "artifact drift — regenerate with 'python -m repro.evaluation.run_all': "
             + ", ".join(f"{outcome.artifact} ({outcome.status})" for outcome in drifted)
         )
 
@@ -43,6 +36,17 @@ class TestByteIdentity:
         captured = capsys.readouterr()
         assert exit_code == 0, captured.out
         assert "reproduce byte-identically" in captured.out
+
+    def test_cli_check_in_an_empty_directory_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
+        exit_code = cli.main(["figures", "check"])
+        out = capsys.readouterr().out
+        assert exit_code == 1
+        assert "missing" in out
+        # The hint names the command that rewrites results/<name>.txt.
+        assert "python -m repro.evaluation.run_all" in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliBuild:
@@ -54,9 +58,11 @@ class TestCliBuild:
         )
         captured = capsys.readouterr()
         assert exit_code == 0, captured.out
-        # Snapshot-sourced figures are skipped without --snapshot inputs.
-        assert "skipped" in captured.out
-        for name in ("figure_4a", "table_I", "fleet_dashboard", "run_history"):
+        # Every registered figure is built: the 20 generator figures and
+        # the 4 manifest dashboards, three files each.
+        assert len(FIGURES) == 24
+        assert len(list(out.iterdir())) == 3 * len(FIGURES)
+        for name in FIGURES:
             assert (out / f"{name}.txt").is_file()
             assert (out / f"{name}.csv").is_file()
             spec = json.loads((out / f"{name}.vl.json").read_text())

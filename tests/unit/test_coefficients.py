@@ -99,6 +99,13 @@ class TestCalibration:
         assert first is not second
         assert second.source == "calibrated"
 
+    def test_unfitted_constants_are_the_papers(self, session_calibrated_coefficients):
+        # The campaign fits neither constant; the calibrated set reads them
+        # from the testbed truth, which must hold the paper's values.
+        paper = CoefficientSet.paper()
+        assert session_calibrated_coefficients.decode_discount == paper.decode_discount
+        assert session_calibrated_coefficients.edge_compute_scale == paper.edge_compute_scale
+
     def test_calibrated_resource_monotone_in_cpu_clock(self, session_calibrated_coefficients):
         blend = session_calibrated_coefficients.resource
         values = [blend.evaluate(freq, 0.8, 0.8) for freq in (1.0, 2.0, 3.0)]

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.batch import OperatingPoint, ParameterGrid, evaluate_grid, evaluate_points
 from repro.config.application import (
+    MAX_CLOCK_GHZ,
+    MAX_SENSOR_UPDATES_PER_FRAME,
+    MAX_SIDE_PX,
+    MIN_FRAME_RATE_FPS,
     ApplicationConfig,
     CooperationConfig,
     EncoderConfig,
     ExecutionMode,
     InferenceConfig,
 )
+from repro.core.framework import XRPerformanceModel
 from repro.exceptions import ConfigurationError
 
 
@@ -126,11 +132,56 @@ class TestApplicationConfig:
             ("converted_frame_side_px", float("inf")),
             # and the M/M/1 buffer reports an unstable queue on this one.
             ("frame_rate_fps", float("inf")),
+            # Finite but unbounded, analyze() divides by zero in the AoI
+            # model on the next four, overflows the quadratic resource
+            # regression on the two clocks,
+            ("frame_side_px", 1e200),
+            ("converted_frame_side_px", 1e200),
+            ("virtual_scene_side_px", 1e200),
+            ("frame_rate_fps", 5e-324),
+            ("cpu_freq_ghz", 1e200),
+            ("gpu_freq_ghz", 1e200),
+            # and loops once per requested update in the AoI model here.
+            ("sensor_updates_per_frame", 10**12),
         ],
     )
     def test_non_finite_size_or_clock_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             ApplicationConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame_side_px", MAX_SIDE_PX),
+            ("converted_frame_side_px", MAX_SIDE_PX),
+            ("virtual_scene_side_px", MAX_SIDE_PX),
+            ("frame_rate_fps", MIN_FRAME_RATE_FPS),
+            ("cpu_freq_ghz", MAX_CLOCK_GHZ),
+            ("gpu_freq_ghz", MAX_CLOCK_GHZ),
+            ("sensor_updates_per_frame", MAX_SENSOR_UPDATES_PER_FRAME),
+        ],
+    )
+    @pytest.mark.parametrize("mode", [ExecutionMode.LOCAL, ExecutionMode.REMOTE])
+    def test_bounds_analyze_to_the_same_finite_totals_in_both_paths(self, field, value, mode):
+        app = ApplicationConfig(**{field: value}).with_mode(mode)
+        report = XRPerformanceModel(device="XR1", edge="EDGE-AGX").analyze(app)
+        batch = evaluate_points([OperatingPoint(app=app)])
+        assert np.isfinite([report.total_latency_ms, report.total_energy_mj]).all()
+        assert batch.total_latency_ms[0] == pytest.approx(report.total_latency_ms, rel=1e-9)
+        assert batch.total_energy_mj[0] == pytest.approx(report.total_energy_mj, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "axis, field, value",
+        [
+            ("frame_sides_px", "frame_side_px", 1e200),
+            ("cpu_freqs_ghz", "cpu_freq_ghz", 1e200),
+            ("gpu_freqs_ghz", "gpu_freq_ghz", float("nan")),
+        ],
+    )
+    def test_grid_axes_reject_what_the_configuration_rejects(self, axis, field, value):
+        # ApplicationConfig rejects each of these values too.
+        with pytest.raises(ConfigurationError, match=field):
+            evaluate_grid(ParameterGrid(**{axis: (value,)}))
 
     @pytest.mark.parametrize("value", [float("inf"), 2.5, 3.0, "3"])
     def test_non_integer_sensor_update_count_rejected(self, value):

@@ -30,12 +30,6 @@ class TestIdenticalSnapshots:
         assert "verdict: identical work" in text
         assert "0 changed" in text
 
-    def test_to_table_has_zero_deltas_everywhere(self):
-        snapshot = _workload()
-        table = diff_snapshots(snapshot, snapshot).to_table()
-        deltas = [row["delta"] for row in table.rows if row["delta"] is not None]
-        assert deltas and all(delta == 0 for delta in deltas)
-
 
 class TestDivergedSnapshots:
     def test_counter_divergence_is_flagged(self):

@@ -21,6 +21,7 @@ from repro.figures import (
     build_all,
     build_figure,
     check_figures,
+    figure_names,
 )
 from repro.figures.registry import SOURCES, register
 
@@ -66,7 +67,7 @@ def inputs(tmp_path):
             ),
         ],
     )
-    return FigureInputs(quick=True, manifest_path=manifest, history_dir=tmp_path)
+    return FigureInputs(quick=True, manifest_path=manifest)
 
 
 class TestRegistry:
@@ -84,8 +85,6 @@ class TestRegistry:
             "adaptive_dashboard",
             "cosim_dashboard",
             "faults_dashboard",
-            "run_history",
-            "telemetry_diff",
         ):
             assert name in FIGURES, name
 
@@ -127,6 +126,14 @@ class TestRegistry:
     def test_every_source_has_a_builder(self):
         assert {spec.source for spec in FIGURES.values()} == set(SOURCES)
 
+    def test_gated_artifacts_are_exactly_the_generator_figures(self):
+        # Gating follows from the source: each of the 20 generator figures
+        # is committed as <name>.txt, and no dashboard is committed.
+        gated = {name: spec.artifact for name, spec in FIGURES.items() if spec.artifact}
+        assert gated == {name: f"{name}.txt" for name in figure_names("generator")}
+        assert len(gated) == 20
+        assert len(figure_names("manifest")) == 4
+
     def test_unknown_figure_raises(self, inputs):
         with pytest.raises(ConfigurationError, match="unknown figure"):
             build_figure("nope", inputs)
@@ -143,31 +150,38 @@ class TestRegistry:
 class TestDashboards:
     def test_fleet_dashboard(self, inputs):
         built = build_figure("fleet_dashboard", inputs)
-        assert built.table.column("scenario") == ["fleet_a"]
+        assert [row["scenario"] for row in built.table.rows] == ["fleet_a"]
         assert "fleet_a" in built.text
         assert built.spec["$schema"].startswith("https://vega.github.io/schema/vega-lite")
 
+    def test_adaptive_dashboard(self, inputs):
+        built = build_figure("adaptive_dashboard", inputs)
+        assert built.table.columns == (
+            "scenario",
+            "deadline_miss_rate",
+            "mean_quality",
+            "switch_count",
+        )
+        assert built.table.rows == [
+            {
+                "scenario": "adapt_a",
+                "deadline_miss_rate": 0.1,
+                "mean_quality": 0.9,
+                "switch_count": 3,
+            }
+        ]
+
     def test_faults_dashboard_selects_only_fault_scenarios(self, inputs):
         built = build_figure("faults_dashboard", inputs)
-        assert built.table.column("scenario") == ["faults_a"]
+        assert [row["scenario"] for row in built.table.rows] == ["faults_a"]
         assert built.table.rows[0]["availability"] == 0.9
 
     def test_cosim_dashboard_includes_all_cosim_kinds(self, inputs):
         built = build_figure("cosim_dashboard", inputs)
-        assert set(built.table.column("scenario")) == {"cosim_a", "faults_a"}
+        assert {row["scenario"] for row in built.table.rows} == {"cosim_a", "faults_a"}
 
-    def test_run_history_figure_single_run(self, inputs):
-        built = build_figure("run_history", inputs)
-        assert "1 run(s) indexed" in built.text
-        deltas = built.table.column("delta")
-        assert deltas and all(delta == 0.0 for delta in deltas)
-
-    def test_snapshot_figure_requires_snapshots(self, inputs):
-        with pytest.raises(ConfigurationError, match="two telemetry snapshots"):
-            build_figure("telemetry_diff", inputs)
-
-    def test_build_all_skips_snapshot_figures_without_paths(self, inputs):
-        names = [name for name, spec in FIGURES.items() if spec.source in ("manifest", "history")]
+    def test_build_all_builds_the_named_subset_in_order(self, inputs):
+        names = list(reversed(figure_names("manifest")))
         built = build_all(inputs, names=names)
         assert [figure.name for figure in built] == names
 
@@ -184,7 +198,7 @@ class TestSaveAndCheck:
         ]
         assert paths[0].read_text().endswith("\n")
         round_trip = Table.from_csv(paths[1].read_text())
-        assert round_trip.column("scenario") == ["fleet_a"]
+        assert [row["scenario"] for row in round_trip.rows] == ["fleet_a"]
         spec = json.loads(paths[2].read_text())
         assert spec["data"]["url"] == "fleet_dashboard.csv"
 

@@ -30,6 +30,7 @@ from repro.fleet import (
     plan_edges,
     with_mode,
 )
+from repro.fleet.results import percentile_method
 
 SLO_MS = 800.0
 
@@ -505,6 +506,16 @@ class TestFleetReport:
         assert not report.meets_slo()
         assert not report.meets_slo(1e9)
         assert "0 users" in report.summary()
+
+    def test_saturated_percentiles_use_order_statistics(self):
+        finite = np.array([1.0, 2.0, 4.0])
+        saturated = np.array([1.0, 2.0, math.inf])
+        assert percentile_method(finite) == "linear"
+        assert percentile_method(saturated) == "lower"
+        # Linear interpolation next to an infinite sample would give NaN.
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(np.percentile(saturated, 99, method="linear"))
+        assert np.percentile(saturated, 99, method=percentile_method(saturated)) == 2.0
 
 
 class TestBisectCapacity:
