@@ -17,6 +17,7 @@ numeric axes — so ``grid.points()[i]`` corresponds to index ``i`` of every
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -29,7 +30,7 @@ from repro.config.application import (
     ExecutionMode,
 )
 from repro.config.device import DeviceSpec, EdgeServerSpec
-from repro.config.network import NetworkConfig
+from repro.config.network import MIN_THROUGHPUT_MBPS, NetworkConfig
 from repro.exceptions import ConfigurationError
 
 DeviceLike = Union[str, DeviceSpec]
@@ -64,12 +65,14 @@ class OperatingPoint:
     edge: EdgeLike = "EDGE-AGX"
 
 
-#: Swept axes that :class:`ApplicationConfig` bounds too, so a grid rejects
-#: the values a scalar configuration rejects.
+#: Swept axes that :class:`ApplicationConfig` or :class:`NetworkConfig`
+#: bound too, as inclusive (low, high), so a grid rejects the values a scalar
+#: configuration rejects.
 _AXIS_BOUNDS = {
-    "frame_side_px": MAX_SIDE_PX,
-    "cpu_freq_ghz": MAX_CLOCK_GHZ,
-    "gpu_freq_ghz": MAX_CLOCK_GHZ,
+    "frame_side_px": (0.0, MAX_SIDE_PX),
+    "cpu_freq_ghz": (0.0, MAX_CLOCK_GHZ),
+    "gpu_freq_ghz": (0.0, MAX_CLOCK_GHZ),
+    "throughput_mbps": (MIN_THROUGHPUT_MBPS, sys.float_info.max),
 }
 
 
@@ -77,11 +80,12 @@ def _ensure_axis(name: str, values: Sequence[float]) -> Tuple[float, ...]:
     axis = tuple(float(v) for v in values)
     if not axis:
         raise ConfigurationError(f"grid axis {name!r} must not be empty")
-    high = _AXIS_BOUNDS.get(name, math.inf)
+    low, high = _AXIS_BOUNDS.get(name, (0.0, math.inf))
     for value in axis:
-        if not 0.0 < value <= high:
+        if not (0.0 < value and low <= value <= high):
             raise ConfigurationError(
-                f"grid axis {name!r} values must be within (0, {high}], got {value}"
+                f"grid axis {name!r} values must be > 0 and within [{low}, {high}], "
+                f"got {value}"
             )
     return axis
 

@@ -151,11 +151,6 @@ class BatchResult:
         return self._assemble(lambda group: group.total_energy_mj)
 
     @property
-    def mean_power_w(self) -> np.ndarray:
-        """Mean computation power ``P_mean`` per point (Eq. 21)."""
-        return self._assemble(lambda group: group.mean_power_w)
-
-    @property
     def power_clamp_count(self) -> int:
         """Mean-power clamps the scalar path would have recorded (diagnostic)."""
         return sum(group.power_clamp_count for group in self.groups)
@@ -164,14 +159,6 @@ class BatchResult:
         """Latency of one segment per point (0.0 where the segment is absent)."""
         return self._assemble(
             lambda group: group.latency_segments_ms.get(
-                segment, np.zeros(group.n_points)
-            )
-        )
-
-    def segment_energy_mj(self, segment: Segment) -> np.ndarray:
-        """Energy of one segment per point (0.0 where the segment is absent)."""
-        return self._assemble(
-            lambda group: group.energy_segments_mj.get(
                 segment, np.zeros(group.n_points)
             )
         )

@@ -16,12 +16,12 @@ and swept over safely.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro import units
 from repro.config.validation import (
+    ensure_at_least,
     ensure_finite,
     ensure_fraction,
     ensure_in_range,
@@ -222,10 +222,8 @@ class ApplicationConfig:
     cooperation: CooperationConfig = field(default_factory=CooperationConfig)
 
     def __post_init__(self) -> None:
-        ensure_positive("frame_rate_fps", self.frame_rate_fps)
-        ensure_in_range("frame_rate_fps", self.frame_rate_fps, MIN_FRAME_RATE_FPS, math.inf)
         # An infinite rate or payload turns every total into inf or NaN.
-        ensure_finite("frame_rate_fps", self.frame_rate_fps)
+        ensure_at_least("frame_rate_fps", self.frame_rate_fps, MIN_FRAME_RATE_FPS)
         ensure_non_negative("point_cloud_mb", self.point_cloud_mb)
         ensure_finite("point_cloud_mb", self.point_cloud_mb)
         ensure_integer("sensor_updates_per_frame", self.sensor_updates_per_frame)
@@ -237,6 +235,13 @@ class ApplicationConfig:
             MAX_SENSOR_UPDATES_PER_FRAME,
         )
         ensure_positive("buffer_service_rate_hz", self.buffer_service_rate_hz)
+        if not self.frame_rate_fps < self.buffer_service_rate_hz:
+            # The frame stream alone would make the input buffer unstable
+            # (Eq. 7), whatever the network.
+            raise ConfigurationError(
+                f"frame_rate_fps ({self.frame_rate_fps!r}) must be below "
+                f"buffer_service_rate_hz ({self.buffer_service_rate_hz!r})"
+            )
         ensure_fraction("cpu_share", self.cpu_share)
         bounded = {
             "frame_side_px": MAX_SIDE_PX,

@@ -19,11 +19,38 @@ from typing import Optional, Tuple
 
 from repro import units
 from repro.config.validation import (
+    ensure_at_least,
+    ensure_finite,
     ensure_fraction,
-    ensure_non_negative,
+    ensure_in_range,
     ensure_positive,
 )
 from repro.exceptions import ConfigurationError
+
+#: Physical bounds on the network configurations.  Like the application
+#: bounds they sit orders of magnitude outside the paper's setting (a
+#: 200 Mbps link, an edge and sensors tens of metres away, sensors at tens
+#: to hundreds of Hz, a 150 ms handoff, radios near 1 W) and outside every
+#: value the stack derives, such as a 10k-user fleet's ~0.01 Mbps contended
+#: share.  Every numeric field must also be finite.  Without the bounds a
+#: 5e-324 Mbps link, propagation speed or sensor rate, or an infinite
+#: distance, handoff latency or radio power, makes a latency or energy total
+#: infinite; the upper bounds also keep finite values far from overflow.
+MIN_THROUGHPUT_MBPS = 1e-6
+MIN_PROPAGATION_SPEED_M_PER_S = 1.0
+MIN_SENSOR_RATE_HZ = 1e-3
+MAX_DISTANCE_M = 1e7
+MAX_HANDOFF_LATENCY_MS = 1e6
+MAX_POWER_W = 1e3
+
+#: Link-budget bounds (the path-loss extension).  A dB value goes through
+#: ``10 ** (x / 10)``, and a carrier or bandwidth near zero sends the
+#: free-space loss or the noise floor towards -inf dB, so the SNR overflows.
+#: Within them the budget may still deliver less than ``MIN_THROUGHPUT_MBPS``
+#: (a long link, a steep exponent); :class:`NetworkConfig` rejects that too.
+MAX_ABS_DB = 100.0
+MIN_CARRIER_FREQUENCY_GHZ = 1e-3
+MIN_BANDWIDTH_MHZ = 1e-3
 
 
 @dataclass(frozen=True)
@@ -49,11 +76,12 @@ class SensorConfig:
     arrival_rate_hz: Optional[float] = None
 
     def __post_init__(self) -> None:
-        ensure_positive("generation_frequency_hz", self.generation_frequency_hz)
-        ensure_non_negative("distance_m", self.distance_m)
+        ensure_at_least("generation_frequency_hz", self.generation_frequency_hz, MIN_SENSOR_RATE_HZ)
+        ensure_in_range("distance_m", self.distance_m, 0.0, MAX_DISTANCE_M)
         ensure_positive("packet_size_kb", self.packet_size_kb)
+        ensure_finite("packet_size_kb", self.packet_size_kb)
         if self.arrival_rate_hz is not None:
-            ensure_positive("arrival_rate_hz", self.arrival_rate_hz)
+            ensure_at_least("arrival_rate_hz", self.arrival_rate_hz, MIN_SENSOR_RATE_HZ)
 
     @property
     def effective_arrival_rate_hz(self) -> float:
@@ -82,8 +110,6 @@ class HandoffConfig:
         handoff_latency_ms: latency of one (vertical) handoff ``l_HO``.
         handoff_probability: per-frame handoff probability ``P(HO)``;
             ``None`` defers to the mobility model.
-        vertical_fraction: fraction of handoffs that are vertical (across
-            access technologies) rather than horizontal.
         cell_radius_m: coverage-zone radius used by the random-walk model.
         device_speed_m_per_s: XR device speed used by the random-walk model.
         power_w: radio power draw during a handoff.
@@ -92,19 +118,18 @@ class HandoffConfig:
     enabled: bool = False
     handoff_latency_ms: float = 150.0
     handoff_probability: Optional[float] = None
-    vertical_fraction: float = 0.3
     cell_radius_m: float = 50.0
     device_speed_m_per_s: float = 1.4
     power_w: float = 1.2
 
     def __post_init__(self) -> None:
-        ensure_non_negative("handoff_latency_ms", self.handoff_latency_ms)
+        ensure_in_range("handoff_latency_ms", self.handoff_latency_ms, 0.0, MAX_HANDOFF_LATENCY_MS)
         if self.handoff_probability is not None:
             ensure_fraction("handoff_probability", self.handoff_probability)
-        ensure_fraction("vertical_fraction", self.vertical_fraction)
         ensure_positive("cell_radius_m", self.cell_radius_m)
-        ensure_non_negative("device_speed_m_per_s", self.device_speed_m_per_s)
-        ensure_non_negative("power_w", self.power_w)
+        ensure_in_range("cell_radius_m", self.cell_radius_m, 0.0, MAX_DISTANCE_M)
+        ensure_at_least("device_speed_m_per_s", self.device_speed_m_per_s, 0.0)
+        ensure_in_range("power_w", self.power_w, 0.0, MAX_POWER_W)
 
 
 @dataclass(frozen=True)
@@ -157,19 +182,41 @@ class NetworkConfig:
     radio_idle_power_w: float = 0.25
 
     def __post_init__(self) -> None:
-        ensure_positive("throughput_mbps", self.throughput_mbps)
-        ensure_non_negative("edge_distance_m", self.edge_distance_m)
-        ensure_positive("propagation_speed_m_per_s", self.propagation_speed_m_per_s)
+        ensure_at_least("throughput_mbps", self.throughput_mbps, MIN_THROUGHPUT_MBPS)
+        ensure_in_range("edge_distance_m", self.edge_distance_m, 0.0, MAX_DISTANCE_M)
+        ensure_at_least(
+            "propagation_speed_m_per_s",
+            self.propagation_speed_m_per_s,
+            MIN_PROPAGATION_SPEED_M_PER_S,
+        )
         ensure_positive("path_loss_exponent", self.path_loss_exponent)
-        ensure_non_negative("shadowing_sigma_db", self.shadowing_sigma_db)
-        ensure_positive("carrier_frequency_ghz", self.carrier_frequency_ghz)
-        ensure_positive("bandwidth_mhz", self.bandwidth_mhz)
-        ensure_non_negative("noise_figure_db", self.noise_figure_db)
-        ensure_non_negative("radio_tx_power_w", self.radio_tx_power_w)
-        ensure_non_negative("radio_idle_power_w", self.radio_idle_power_w)
+        ensure_finite("path_loss_exponent", self.path_loss_exponent)
+        ensure_in_range("shadowing_sigma_db", self.shadowing_sigma_db, 0.0, MAX_ABS_DB)
+        ensure_at_least(
+            "carrier_frequency_ghz", self.carrier_frequency_ghz, MIN_CARRIER_FREQUENCY_GHZ
+        )
+        ensure_at_least("bandwidth_mhz", self.bandwidth_mhz, MIN_BANDWIDTH_MHZ)
+        ensure_in_range("tx_power_dbm", self.tx_power_dbm, -MAX_ABS_DB, MAX_ABS_DB)
+        ensure_in_range("noise_figure_db", self.noise_figure_db, 0.0, MAX_ABS_DB)
+        ensure_in_range("radio_tx_power_w", self.radio_tx_power_w, 0.0, MAX_POWER_W)
+        ensure_in_range("radio_idle_power_w", self.radio_idle_power_w, 0.0, MAX_POWER_W)
         names = [sensor.name for sensor in self.sensors]
         if len(names) != len(set(names)):
             raise ConfigurationError(f"sensor names must be unique, got {names!r}")
+        if self.enable_path_loss:
+            # Imported here: repro.network.wifi imports this module.
+            from repro.network.wifi import WifiLink
+
+            # The log-distance model is undefined at zero distance.
+            ensure_positive("edge_distance_m", self.edge_distance_m)
+            budget_mbps = WifiLink(config=self).throughput_mbps()
+            if not budget_mbps >= MIN_THROUGHPUT_MBPS:
+                raise ConfigurationError(
+                    "the link budget (tx_power_dbm, path_loss_exponent, "
+                    "carrier_frequency_ghz, bandwidth_mhz, noise_figure_db, "
+                    f"edge_distance_m) delivers {budget_mbps!r} Mbps, below "
+                    f"{MIN_THROUGHPUT_MBPS} Mbps"
+                )
 
     # -- derived quantities -------------------------------------------------
 

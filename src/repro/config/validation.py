@@ -59,6 +59,15 @@ def ensure_in_range(name: str, value: float, low: float, high: float) -> float:
     return value
 
 
+def ensure_at_least(name: str, value: float, low: float) -> float:
+    """Return ``value`` if it is finite and at least ``low``."""
+    if not low <= value < math.inf:
+        raise ConfigurationError(
+            f"{name} must be finite and >= {low}, got {value!r}"
+        )
+    return value
+
+
 def ensure_choice(name: str, value: str, choices: Iterable[str]) -> str:
     """Return ``value`` if it is one of ``choices``."""
     allowed = tuple(choices)

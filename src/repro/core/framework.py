@@ -15,7 +15,6 @@ specification dataclasses, or as runtime objects.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config.application import ApplicationConfig, ExecutionMode
@@ -85,17 +84,6 @@ class XRPerformanceModel:
         )
 
     # -- configuration helpers -------------------------------------------------------
-
-    def with_app(self, **changes) -> "XRPerformanceModel":
-        """Return a new model whose application config has the given fields replaced."""
-        return XRPerformanceModel(
-            device=self.device,
-            edge=self.edge,
-            app=replace(self.app, **changes),
-            network=self.network,
-            coefficients=self.coefficients,
-            complexity_mode=self.latency_model.complexity_mode,
-        )
 
     def _app_or_default(self, app: Optional[ApplicationConfig]) -> ApplicationConfig:
         return app if app is not None else self.app

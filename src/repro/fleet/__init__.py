@@ -37,7 +37,6 @@ from repro.fleet.contention import ContentionModel
 from repro.fleet.edge_scheduler import EdgeScheduler
 from repro.fleet.population import (
     FleetPopulation,
-    PoissonSessionModel,
     UserProfile,
     homogeneous,
     mixed_devices,
@@ -59,7 +58,6 @@ __all__ = [
     "FleetReport",
     "GreedySLOAdmission",
     "PlacementDecision",
-    "PoissonSessionModel",
     "RoundRobinAdmission",
     "UserCandidate",
     "UserOutcome",

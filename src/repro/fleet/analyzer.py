@@ -393,10 +393,6 @@ class FleetAnalyzer:
             for user, index in zip(self.population, kind_of_user)
         ]
 
-    def placements(self) -> List[PlacementDecision]:
-        """Admission/placement decisions for the whole fleet."""
-        return self.policy.assign(self.candidates(), self.n_edges)
-
     # -- fleet analysis --------------------------------------------------------------
 
     def analyze(self) -> FleetReport:

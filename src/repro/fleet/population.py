@@ -5,17 +5,14 @@ describes *who* is on the network: a :class:`FleetPopulation` is an ordered
 collection of :class:`UserProfile` entries (device + application
 configuration per user), and the generators below build the standard
 populations the fleet analyzer and capacity planner sweep over —
-homogeneous fleets, mixed-device fleets drawn from the Table I catalog,
-mixed-workload fleets, and Poisson session arrival/departure dynamics.
+homogeneous fleets, mixed-device fleets drawn from the Table I catalog
+and mixed-workload fleets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.validation import ensure_integer
@@ -182,90 +179,6 @@ def mixed_workloads(
             for index in range(n_users)
         )
     )
-
-
-@dataclass(frozen=True)
-class PoissonSessionModel:
-    """Poisson session arrival/departure dynamics (an M/M/inf session model).
-
-    Sessions arrive as a Poisson process and last an exponential time, so
-    the number of concurrently active users is a birth-death process whose
-    stationary distribution is Poisson with mean ``offered_load``.
-
-    Attributes:
-        arrival_rate_per_min: session arrival rate (sessions/minute).
-        mean_session_min: mean session duration (minutes).
-    """
-
-    arrival_rate_per_min: float
-    mean_session_min: float
-
-    def __post_init__(self) -> None:
-        # With a NaN or infinite arrival rate the session clock never passes
-        # the horizon, so concurrency_trace would never return.
-        if not 0.0 < self.arrival_rate_per_min < math.inf:
-            raise ConfigurationError(
-                "session arrival rate must be finite and > 0, "
-                f"got {self.arrival_rate_per_min}"
-            )
-        if not 0.0 < self.mean_session_min < math.inf:
-            raise ConfigurationError(
-                "mean session duration must be finite and > 0, "
-                f"got {self.mean_session_min}"
-            )
-
-    @property
-    def offered_load(self) -> float:
-        """Mean number of concurrently active sessions (Erlang load)."""
-        return self.arrival_rate_per_min * self.mean_session_min
-
-    def concurrency_trace(
-        self, horizon_min: float, seed: int = 0
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Simulate the session process over a horizon.
-
-        Returns ``(times_min, active_counts)`` sampled at every session
-        arrival instant (where the concurrency peaks occur), starting from an
-        empty system at time 0.
-        """
-        if not 0.0 < horizon_min < math.inf:
-            raise ConfigurationError(f"horizon must be finite and > 0, got {horizon_min}")
-        rng = np.random.default_rng(seed)
-        times = [0.0]
-        counts = [0]
-        departures: list = []
-        clock = 0.0
-        while True:
-            clock += float(rng.exponential(1.0 / self.arrival_rate_per_min))
-            if clock > horizon_min:
-                break
-            # Retire sessions that ended before this arrival.
-            departures = [d for d in departures if d > clock]
-            departures.append(clock + float(rng.exponential(self.mean_session_min)))
-            times.append(clock)
-            counts.append(len(departures))
-        return np.asarray(times), np.asarray(counts)
-
-    def peak_concurrency(self, horizon_min: float, seed: int = 0) -> int:
-        """Peak number of simultaneously active sessions over the horizon."""
-        _, counts = self.concurrency_trace(horizon_min, seed=seed)
-        return int(counts.max()) if counts.size else 0
-
-    def population(
-        self,
-        horizon_min: float,
-        seed: int = 0,
-        device: str = "XR1",
-        app: Optional[ApplicationConfig] = None,
-        mode: ExecutionMode = ExecutionMode.REMOTE,
-    ) -> FleetPopulation:
-        """A homogeneous population sized to the simulated peak concurrency.
-
-        Capacity planning against the peak of the session process is the
-        conservative reading of "how many users must this cell support".
-        """
-        peak = max(self.peak_concurrency(horizon_min, seed=seed), 1)
-        return homogeneous(peak, device=device, app=app, mode=mode)
 
 
 def with_mode(population: FleetPopulation, mode: ExecutionMode) -> FleetPopulation:

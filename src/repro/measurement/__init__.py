@@ -22,8 +22,6 @@ We do not have the physical testbed, so this package substitutes it:
   (10), (12) and (21) forms from the campaign.
 * :mod:`repro.measurement.datasets` — dataset containers and the
   train/test device split.
-* :mod:`repro.measurement.power_traces` — Monsoon-style sampled power trace
-  generation for whole pipeline runs.
 """
 
 from repro import _lazy_exports

@@ -149,14 +149,6 @@ class TestbedTruth:
         gpu = self.gpu_capability_intercept + self.gpu_capability_slope * gpu_freq_ghz
         return compute_factor * (cpu_share * cpu + (1.0 - cpu_share) * gpu)
 
-    def edge_compute_capability(self, client_capability: float) -> float:
-        """Edge compute capability corresponding to a client capability."""
-        if client_capability <= 0.0:
-            raise ModelDomainError(
-                f"client capability must be > 0, got {client_capability}"
-            )
-        return self.edge_compute_scale * client_capability
-
     # -- power (the paper's P_mean) -------------------------------------------------
 
     def mean_power_w(
@@ -228,45 +220,6 @@ class TestbedTruth:
                 "configuration is outside the testbed's measured domain"
             )
         return numerator
-
-    def encoding_latency_ms(
-        self,
-        compute_capability: float,
-        i_frame_interval: float,
-        b_frame_count: float,
-        bitrate_mbps: float,
-        frame_side_px: float,
-        frame_rate_fps: float,
-        quantization: float,
-    ) -> float:
-        """True encoding latency (ms), excluding the memory read term."""
-        if compute_capability <= 0.0:
-            raise ModelDomainError(
-                f"compute capability must be > 0, got {compute_capability}"
-            )
-        return (
-            self.encoding_numerator(
-                i_frame_interval,
-                b_frame_count,
-                bitrate_mbps,
-                frame_side_px,
-                frame_rate_fps,
-                quantization,
-            )
-            / compute_capability
-        )
-
-    def decoding_latency_ms(
-        self, encoding_latency_ms: float, client_capability: float, edge_capability: float
-    ) -> float:
-        """True decoding latency on the edge (Eq. 14 structure)."""
-        if encoding_latency_ms < 0.0:
-            raise ModelDomainError(
-                f"encoding latency must be >= 0, got {encoding_latency_ms}"
-            )
-        if client_capability <= 0.0 or edge_capability <= 0.0:
-            raise ModelDomainError("capabilities must be > 0")
-        return encoding_latency_ms * self.decode_discount * client_capability / edge_capability
 
     # -- CNN complexity ---------------------------------------------------------------
 

@@ -3,27 +3,26 @@
 Covers the pieces of the edge-assisted wireless network the paper's models
 touch:
 
-* free-space propagation delay (:mod:`repro.network.propagation`),
 * log-distance path loss and shadowing (:mod:`repro.network.pathloss`) —
   off by default, matching the paper's baseline assumptions,
 * small-scale fading samplers (:mod:`repro.network.fading`),
 * 802.11 link-budget throughput estimation (:mod:`repro.network.wifi`),
 * random-walk mobility over a cellular coverage layout
   (:mod:`repro.network.mobility`),
-* horizontal/vertical handoff probability and latency models
-  (:mod:`repro.network.handoff`).
+* the per-frame handoff latency model (:mod:`repro.network.handoff`).
+
+The free-space propagation delay ``d / c`` is
+:func:`repro.units.propagation_delay_ms`.
 """
 
 from repro.network.fading import RayleighFading, RicianFading
-from repro.network.handoff import HandoffModel, HandoffLatencyBreakdown
+from repro.network.handoff import HandoffModel
 from repro.network.mobility import CoverageLayout, RandomWalkMobility
 from repro.network.pathloss import LogDistancePathLoss, free_space_path_loss_db
-from repro.network.propagation import propagation_delay_ms
 from repro.network.wifi import WifiLink, shannon_capacity_mbps
 
 __all__ = [
     "CoverageLayout",
-    "HandoffLatencyBreakdown",
     "HandoffModel",
     "LogDistancePathLoss",
     "RandomWalkMobility",
@@ -31,6 +30,5 @@ __all__ = [
     "RicianFading",
     "WifiLink",
     "free_space_path_loss_db",
-    "propagation_delay_ms",
     "shannon_capacity_mbps",
 ]

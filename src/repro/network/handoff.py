@@ -5,62 +5,15 @@ The average per-frame handoff latency in the end-to-end model is::
     L_HO = l_HO * P(HO)
 
 ``P(HO)`` comes either from the configuration directly or from the
-random-walk mobility model; ``l_HO`` is composed from the standard phases of
-an IEEE 802.11 / vertical handoff (channel scanning, authentication and
-(re)association, plus network-layer registration for vertical handoffs
-across sub-networks), following the latency analyses the paper cites.
+random-walk mobility model; ``l_HO`` is the configured latency of one
+handoff (``HandoffConfig.handoff_latency_ms``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.config.network import HandoffConfig
 from repro.exceptions import ModelDomainError
 from repro.network.mobility import CoverageLayout, RandomWalkMobility
-
-
-@dataclass(frozen=True)
-class HandoffLatencyBreakdown:
-    """Per-phase latency of a single handoff.
-
-    Attributes:
-        scan_ms: channel scanning / discovery time.
-        authentication_ms: 802.11 authentication + (re)association.
-        layer3_registration_ms: network-layer (Mobile-IP style) registration,
-            only incurred by vertical handoffs across sub-networks.
-    """
-
-    scan_ms: float = 80.0
-    authentication_ms: float = 20.0
-    layer3_registration_ms: float = 300.0
-
-    def __post_init__(self) -> None:
-        for name in ("scan_ms", "authentication_ms", "layer3_registration_ms"):
-            if getattr(self, name) < 0.0:
-                raise ModelDomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-    @property
-    def horizontal_latency_ms(self) -> float:
-        """Latency of a horizontal (same technology, same sub-network) handoff."""
-        return self.scan_ms + self.authentication_ms
-
-    @property
-    def vertical_latency_ms(self) -> float:
-        """Latency of a vertical handoff (adds layer-3 registration)."""
-        return self.horizontal_latency_ms + self.layer3_registration_ms
-
-    def mean_latency_ms(self, vertical_fraction: float) -> float:
-        """Average handoff latency for a given mix of vertical handoffs."""
-        if not 0.0 <= vertical_fraction <= 1.0:
-            raise ModelDomainError(
-                f"vertical fraction must be in [0, 1], got {vertical_fraction}"
-            )
-        return (
-            (1.0 - vertical_fraction) * self.horizontal_latency_ms
-            + vertical_fraction * self.vertical_latency_ms
-        )
 
 
 class HandoffModel:
@@ -68,37 +21,22 @@ class HandoffModel:
 
     Args:
         config: the handoff configuration (enabled flag, explicit probability
-            or mobility parameters, single-handoff latency override).
-        breakdown: optional per-phase latency breakdown; when provided, the
-            single-handoff latency is derived from it instead of the
-            configuration's ``handoff_latency_ms``.
-        mobility: optional mobility model used to derive ``P(HO)`` when the
-            configuration does not fix it; a default random walk over a 3x3
-            layout with the configured cell radius and speed is built
-            otherwise.
+            or mobility parameters, single-handoff latency).  ``P(HO)`` comes
+            from the configured probability when set, otherwise from a random
+            walk over a 3x3 layout with the configured cell radius and speed.
     """
 
-    def __init__(
-        self,
-        config: HandoffConfig,
-        breakdown: Optional[HandoffLatencyBreakdown] = None,
-        mobility: Optional[RandomWalkMobility] = None,
-    ) -> None:
+    def __init__(self, config: HandoffConfig) -> None:
         self.config = config
-        self.breakdown = breakdown
-        if mobility is None:
-            layout = CoverageLayout(cell_radius_m=config.cell_radius_m)
-            mobility = RandomWalkMobility(
-                layout=layout, speed_m_per_s=config.device_speed_m_per_s
-            )
-        self.mobility = mobility
+        layout = CoverageLayout(cell_radius_m=config.cell_radius_m)
+        self.mobility = RandomWalkMobility(
+            layout=layout, speed_m_per_s=config.device_speed_m_per_s
+        )
 
     # -- components ---------------------------------------------------------------
 
     def single_handoff_latency_ms(self) -> float:
         """Latency ``l_HO`` of one handoff."""
-        if self.breakdown is not None:
-            return self.breakdown.mean_latency_ms(self.config.vertical_fraction)
         return self.config.handoff_latency_ms
 
     def handoff_probability(self, frame_period_ms: float) -> float:

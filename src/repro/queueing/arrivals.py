@@ -15,7 +15,7 @@ line up with the rest of the framework's millisecond time base.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -107,17 +107,3 @@ class DeterministicProcess:
             raise ValueError(f"horizon must be > 0 ms, got {horizon_ms}")
         first = self.offset_ms if self.offset_ms > 0.0 else self.period_ms
         return np.arange(first, horizon_ms + 1e-12, self.period_ms, dtype=float)
-
-
-def merge_arrival_times(streams: Sequence[np.ndarray]) -> np.ndarray:
-    """Merge several sorted arrival-time arrays into one sorted array.
-
-    Used to superpose the per-sensor arrival streams into the single stream
-    entering the XR input buffer.
-    """
-    non_empty = [np.asarray(stream, dtype=float) for stream in streams if len(stream)]
-    if not non_empty:
-        return np.array([], dtype=float)
-    merged = np.concatenate(non_empty)
-    merged.sort(kind="mergesort")
-    return merged

@@ -1,11 +1,10 @@
 """Event-driven single-server queue simulator.
 
-Used to (a) validate the closed-form M/M/1 / M/G/1 results in the test suite
-and (b) provide the input-buffer behaviour inside the simulated testbed,
-where the buffering delay experienced by each frame is *measured* rather than
-taken from the analytical formula — this is one of the effects that makes the
-simulated ground truth deviate slightly from the analytical model, as a real
-testbed would.
+Measures a FIFO queue's per-packet waits instead of taking them from a
+closed form.  The buffer-model ablation
+(:func:`repro.evaluation.ablations.ablation_buffer_model`) compares its
+M/M/1 runs with the M/M/1 and M/D/1 formulas, and the test suite checks the
+closed-form queues against it.
 """
 
 from __future__ import annotations
@@ -40,13 +39,6 @@ class QueueSimulationResult:
     def n_packets(self) -> int:
         """Number of packets that went through the queue."""
         return int(len(self.arrival_times_ms))
-
-    @property
-    def mean_waiting_time_ms(self) -> float:
-        """Average waiting time across packets (0.0 when empty)."""
-        if self.n_packets == 0:
-            return 0.0
-        return float(np.mean(self.waiting_times_ms))
 
     @property
     def mean_sojourn_time_ms(self) -> float:

@@ -6,21 +6,18 @@ This package models:
 
 * the per-sensor information generation process and its latency contribution
   (Eqs. 5-6) — :mod:`repro.sensors.sensor`,
-* the alignment between the XR application's requested update instants and
-  the sensors' actual generation instants, which drives the AoI staircase of
-  Fig. 4(f) — :mod:`repro.sensors.generators`,
 * the input buffer holding captured frames, volumetric data and external
   information, modelled as an M/M/1 queue (Eq. 7) — :mod:`repro.sensors.buffer`.
+
+The AoI staircase of Fig. 4(f) is computed by :mod:`repro.core.aoi` and
+replayed by :mod:`repro.simulation.sensor_sim`.
 """
 
 from repro.sensors.buffer import BufferDelays, InputBuffer
-from repro.sensors.generators import UpdateSchedule, generation_times_for_requests
 from repro.sensors.sensor import ExternalSensor
 
 __all__ = [
     "BufferDelays",
     "ExternalSensor",
     "InputBuffer",
-    "UpdateSchedule",
-    "generation_times_for_requests",
 ]

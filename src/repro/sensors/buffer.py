@@ -5,28 +5,17 @@ volumetric data and the external sensor information.  The paper models the
 buffer as a stable M/M/1 system, so each stream's buffering time is the M/M/1
 mean sojourn time ``1 / (mu - lambda)`` evaluated with that stream's arrival
 rate; the per-frame buffering delay is the sum of the three (Eq. 7).
-
-Two modes are provided:
-
-* the **analytical** mode returns the closed-form Eq. (7) value,
-* the **simulation** mode replays concrete arrivals through the event-driven
-  queue simulator, which is what the simulated testbed uses so the ground
-  truth contains realistic buffering variability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.config.application import ApplicationConfig
 from repro.config.network import NetworkConfig
 from repro.exceptions import UnstableQueueError
 from repro.queueing.mm1 import MM1Queue
-from repro.queueing.arrivals import PoissonProcess, merge_arrival_times
-from repro.queueing.simulation import simulate_single_server_queue
 
 
 @dataclass(frozen=True)
@@ -68,8 +57,6 @@ class InputBuffer:
         """Service rate in items per millisecond."""
         return self.service_rate_hz / 1e3
 
-    # -- analytical mode ---------------------------------------------------------
-
     def stream_delay_ms(self, arrival_rate_hz: float) -> float:
         """M/M/1 mean sojourn time for a stream with the given arrival rate."""
         queue = MM1Queue.from_rates_hz(arrival_rate_hz, self.service_rate_hz)
@@ -100,72 +87,6 @@ class InputBuffer:
     def aoi_service_time_ms(self, arrival_rate_hz: float) -> float:
         """Average buffer time ``T̄ = 1/(mu - lambda)`` used by the AoI model (Eq. 22)."""
         return self.stream_delay_ms(arrival_rate_hz)
-
-    # -- simulation mode -----------------------------------------------------------
-
-    def simulate_delays(
-        self,
-        app: ApplicationConfig,
-        network: NetworkConfig,
-        horizon_ms: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> BufferDelays:
-        """Measure per-stream buffering delays by simulating the shared buffer.
-
-        All three streams share one FIFO server; each stream's delay is the
-        mean sojourn time of its own packets, which captures the cross-stream
-        interference the analytical model ignores.
-        """
-        if horizon_ms <= 0.0:
-            raise ValueError(f"horizon must be > 0 ms, got {horizon_ms}")
-        if rng is None:
-            rng = np.random.default_rng(0)
-
-        frame_rate_per_ms = app.frame_rate_fps / 1e3
-        streams = {
-            "frame": PoissonProcess(frame_rate_per_ms).sample_arrival_times(horizon_ms, rng),
-            "volumetric": PoissonProcess(frame_rate_per_ms).sample_arrival_times(
-                horizon_ms, rng
-            ),
-        }
-        sensor_rate_hz = network.total_sensor_arrival_rate_hz
-        if sensor_rate_hz > 0.0:
-            streams["external"] = PoissonProcess(sensor_rate_hz / 1e3).sample_arrival_times(
-                horizon_ms, rng
-            )
-        else:
-            streams["external"] = np.array([], dtype=float)
-
-        labels: list[str] = []
-        for name, times in streams.items():
-            labels.extend([name] * len(times))
-        merged = merge_arrival_times(list(streams.values()))
-        order = np.argsort(
-            np.concatenate([times for times in streams.values()])
-            if any(len(t) for t in streams.values())
-            else np.array([])
-        , kind="mergesort")
-        ordered_labels = [labels[i] for i in order]
-
-        if len(merged) == 0:
-            return BufferDelays(frame_ms=0.0, volumetric_ms=0.0, external_ms=0.0)
-
-        services = rng.exponential(1.0 / self.service_rate_per_ms, size=len(merged))
-        result = simulate_single_server_queue(merged, services, rng=rng)
-
-        def mean_for(label: str) -> float:
-            values = [
-                result.sojourn_times_ms[i]
-                for i, packet_label in enumerate(ordered_labels)
-                if packet_label == label
-            ]
-            return float(np.mean(values)) if values else 0.0
-
-        return BufferDelays(
-            frame_ms=mean_for("frame"),
-            volumetric_ms=mean_for("volumetric"),
-            external_ms=mean_for("external"),
-        )
 
     # -- stability ------------------------------------------------------------------
 

@@ -19,7 +19,7 @@ deterministic for a deterministic sample stream.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 #: Buckets per octave (powers of two).  8 gives a bucket growth factor of
 #: 2**(1/8) ~ 1.0905, i.e. at most ~4.4% relative error at the midpoint.
@@ -60,11 +60,6 @@ class StreamingHistogram:
         else:
             index = math.floor(math.log(value) / _LOG_BASE)
             self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def record_many(self, values: Iterable[float]) -> None:
-        """Add an iterable of samples."""
-        for value in values:
-            self.record(value)
 
     # -- quantiles -------------------------------------------------------------
 

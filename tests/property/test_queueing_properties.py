@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.queueing.littles_law import littles_law_l
+from oracles import littles_law_l
 from repro.queueing.mg1 import MG1Queue
 from repro.queueing.mm1 import MM1Queue
 from repro.queueing.simulation import simulate_single_server_queue

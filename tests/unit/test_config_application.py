@@ -119,6 +119,16 @@ class TestApplicationConfig:
         with pytest.raises(ConfigurationError):
             ApplicationConfig(frame_rate_fps=0.0)
 
+    def test_frame_rate_must_stay_below_the_buffer_service_rate(self):
+        # The frame stream alone would saturate the input buffer (Eq. 7), so
+        # analyze() and evaluate_points would raise UnstableQueueError.
+        assert ApplicationConfig(frame_rate_fps=599.0).buffer_service_rate_hz == 600.0
+        for changes in ({"frame_rate_fps": 600.0}, {"buffer_service_rate_hz": 30.0}):
+            with pytest.raises(
+                ConfigurationError, match="frame_rate_fps .* buffer_service_rate_hz"
+            ):
+                ApplicationConfig(**changes)
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -176,10 +186,11 @@ class TestApplicationConfig:
             ("frame_sides_px", "frame_side_px", 1e200),
             ("cpu_freqs_ghz", "cpu_freq_ghz", 1e200),
             ("gpu_freqs_ghz", "gpu_freq_ghz", float("nan")),
+            ("throughputs_mbps", "throughput_mbps", 5e-324),
         ],
     )
     def test_grid_axes_reject_what_the_configuration_rejects(self, axis, field, value):
-        # ApplicationConfig rejects each of these values too.
+        # ApplicationConfig or NetworkConfig rejects each of these values too.
         with pytest.raises(ConfigurationError, match=field):
             evaluate_grid(ParameterGrid(**{axis: (value,)}))
 

@@ -42,6 +42,17 @@ class TestEnsureFinite:
             validation.ensure_finite("x", value)
 
 
+class TestEnsureAtLeast:
+    def test_accepts_the_bound_and_above(self):
+        assert validation.ensure_at_least("x", 1.0, 1.0) == 1.0
+        assert validation.ensure_at_least("x", 1e300, 1.0) == 1e300
+
+    @pytest.mark.parametrize("value", [0.5, float("inf"), float("nan")])
+    def test_rejects_below_or_non_finite(self, value):
+        with pytest.raises(ConfigurationError, match="x must be finite and >= 1.0"):
+            validation.ensure_at_least("x", value, 1.0)
+
+
 class TestEnsureFraction:
     def test_accepts_bounds(self):
         assert validation.ensure_fraction("x", 0.0) == 0.0

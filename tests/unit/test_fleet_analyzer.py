@@ -572,6 +572,19 @@ class TestPlanCapacity:
         plan = plan_capacity(device="XR1", slo_ms=SLO_MS)
         assert str(plan.max_users) in plan.summary()
 
+    def test_all_local_fleet_is_planned_at_its_uncontended_p95(self):
+        # Nobody offloads, so every user sees the same local latency: the
+        # planner fits no user below the fleet's p95 and all 64 at or above it.
+        app = ApplicationConfig().with_mode(ExecutionMode.LOCAL)
+        p95 = FleetAnalyzer(homogeneous(64, device="XR1", app=app), n_edges=2).analyze()
+        p95 = p95.p95_latency_ms
+        plans = {
+            slo: plan_capacity(device="XR1", app=app, n_edges=2, max_users=64, slo_ms=slo)
+            for slo in (math.nextafter(p95, 0.0), p95, p95 + 1.0)
+        }
+        assert [plan.max_users for plan in plans.values()] == [0, 64, 64]
+        assert plans[p95].p95_at_capacity_ms == p95
+
     def test_invalid_slo_rejected(self):
         with pytest.raises(ConfigurationError):
             plan_capacity(slo_ms=-5.0)

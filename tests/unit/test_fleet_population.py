@@ -1,7 +1,5 @@
 """Unit tests for the fleet population generators."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.exceptions import ConfigurationError, UnknownDeviceError
 from repro.fleet.population import (
     FleetPopulation,
-    PoissonSessionModel,
     UserProfile,
     homogeneous,
     mixed_devices,
@@ -105,49 +102,3 @@ class TestWithMode:
         assert all(
             user.app.inference.mode is ExecutionMode.LOCAL for user in population
         )
-
-
-class TestPoissonSessions:
-    def test_offered_load(self):
-        model = PoissonSessionModel(arrival_rate_per_min=4.0, mean_session_min=5.0)
-        assert model.offered_load == pytest.approx(20.0)
-
-    def test_trace_is_deterministic_per_seed(self):
-        model = PoissonSessionModel(arrival_rate_per_min=2.0, mean_session_min=3.0)
-        first = model.concurrency_trace(60.0, seed=11)
-        second = model.concurrency_trace(60.0, seed=11)
-        assert (first[0] == second[0]).all()
-        assert (first[1] == second[1]).all()
-
-    def test_peak_concurrency_scales_with_load(self):
-        light = PoissonSessionModel(arrival_rate_per_min=1.0, mean_session_min=1.0)
-        heavy = PoissonSessionModel(arrival_rate_per_min=10.0, mean_session_min=5.0)
-        assert heavy.peak_concurrency(120.0, seed=3) > light.peak_concurrency(
-            120.0, seed=3
-        )
-
-    def test_population_is_at_least_one_user(self):
-        model = PoissonSessionModel(arrival_rate_per_min=0.001, mean_session_min=0.001)
-        population = model.population(1.0, seed=0)
-        assert population.n_users >= 1
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PoissonSessionModel(arrival_rate_per_min=0.0, mean_session_min=1.0)
-        with pytest.raises(ConfigurationError):
-            PoissonSessionModel(arrival_rate_per_min=1.0, mean_session_min=-2.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_parameters_rejected(self, value):
-        # A NaN or infinite arrival rate would stall the session clock, and
-        # a NaN duration would report a peak of 1.
-        with pytest.raises(ConfigurationError, match="arrival rate"):
-            PoissonSessionModel(arrival_rate_per_min=value, mean_session_min=1.0)
-        with pytest.raises(ConfigurationError, match="session duration"):
-            PoissonSessionModel(arrival_rate_per_min=1.0, mean_session_min=value)
-
-    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
-    def test_non_finite_horizon_rejected(self, horizon):
-        model = PoissonSessionModel(arrival_rate_per_min=1.0, mean_session_min=1.0)
-        with pytest.raises(ConfigurationError, match="horizon"):
-            model.peak_concurrency(horizon)

@@ -77,11 +77,6 @@ class TestAnalyses:
         direct = performance_model.analyze_aoi(frame_latency_ms=500.0)
         assert direct.required_frequency_hz == pytest.approx(3.0 / 0.5)
 
-    def test_with_app_replaces_fields(self, performance_model):
-        faster = performance_model.with_app(frame_rate_fps=60.0)
-        assert faster.app.frame_rate_fps == pytest.approx(60.0)
-        assert performance_model.app.frame_rate_fps == pytest.approx(30.0)
-
     def test_aoi_timelines_default_workload(self, performance_model):
         timelines = performance_model.aoi_timelines()
         assert len(timelines) == 3

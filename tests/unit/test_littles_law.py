@@ -1,8 +1,8 @@
-"""Unit tests for the Little's-law helpers."""
+"""Unit tests for the Little's-law oracle in ``tests/oracles.py``."""
 
 import pytest
 
-from repro.queueing.littles_law import littles_law_l, littles_law_w, relative_gap
+from oracles import littles_law_l, littles_law_w, relative_gap
 
 
 def test_l_equals_lambda_w():

@@ -8,8 +8,8 @@ import pytest
 
 from repro.adaptive import make_trace
 from repro.config.network import HandoffConfig
-from repro.exceptions import ConfigurationError, ModelDomainError
-from repro.network.handoff import HandoffLatencyBreakdown, HandoffModel
+from repro.exceptions import ConfigurationError
+from repro.network.handoff import HandoffModel
 from repro.network.mobility import CoverageLayout, RandomWalkMobility
 
 
@@ -124,9 +124,8 @@ class TestSingleZoneLayouts:
         assert 0.0 < mobility.handoff_probability(100.0) < 1.0
 
     def test_handoff_model_on_single_zone_layout(self):
-        layout = CoverageLayout(rows=1, cols=1)
-        mobility = RandomWalkMobility(layout=layout, speed_m_per_s=0.0)
-        model = HandoffModel(HandoffConfig(enabled=True), mobility=mobility)
+        # A device that never moves never leaves its zone.
+        model = HandoffModel(HandoffConfig(enabled=True, device_speed_m_per_s=0.0))
         assert model.mean_handoff_latency_ms(33.3) == 0.0
 
 
@@ -260,21 +259,6 @@ class TestZoneValidation:
             layout.is_vertical_transition((1, 1), zone)
 
 
-class TestHandoffLatency:
-    def test_vertical_slower_than_horizontal(self):
-        breakdown = HandoffLatencyBreakdown()
-        assert breakdown.vertical_latency_ms > breakdown.horizontal_latency_ms
-
-    def test_mean_latency_interpolates(self):
-        breakdown = HandoffLatencyBreakdown()
-        mixed = breakdown.mean_latency_ms(0.5)
-        assert breakdown.horizontal_latency_ms < mixed < breakdown.vertical_latency_ms
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ModelDomainError):
-            HandoffLatencyBreakdown().mean_latency_ms(1.5)
-
-
 class TestHandoffModel:
     def test_disabled_handoff_costs_nothing(self):
         model = HandoffModel(HandoffConfig(enabled=False))
@@ -292,13 +276,6 @@ class TestHandoffModel:
         period = 33.3
         expected = model.single_handoff_latency_ms() * model.handoff_probability(period)
         assert model.mean_handoff_latency_ms(period) == pytest.approx(expected)
-
-    def test_breakdown_overrides_config_latency(self):
-        config = HandoffConfig(enabled=True, handoff_latency_ms=1.0, vertical_fraction=1.0)
-        model = HandoffModel(config, breakdown=HandoffLatencyBreakdown())
-        assert model.single_handoff_latency_ms() == pytest.approx(
-            HandoffLatencyBreakdown().vertical_latency_ms
-        )
 
     def test_energy_uses_configured_radio_power(self):
         config = HandoffConfig(enabled=True, handoff_probability=0.5, handoff_latency_ms=100.0, power_w=2.0)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import relative_gap
 from repro.exceptions import SimulationError
-from repro.queueing.littles_law import relative_gap
 from repro.queueing.mm1 import MM1Queue
 from repro.queueing.simulation import simulate_mm1, simulate_single_server_queue
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.queueing.arrivals import (
-    DeterministicProcess,
-    PoissonProcess,
-    merge_arrival_times,
-)
+from repro.queueing.arrivals import DeterministicProcess, PoissonProcess
 
 
 class TestPoissonProcess:
@@ -56,18 +52,3 @@ class TestDeterministicProcess:
         with pytest.raises(ConfigurationError):
             DeterministicProcess(period_ms=0.0)
 
-
-class TestMerge:
-    def test_merge_is_sorted(self, rng):
-        a = PoissonProcess(0.2).sample_arrival_times(500.0, rng)
-        b = DeterministicProcess(period_ms=7.0).sample_arrival_times(500.0)
-        merged = merge_arrival_times([a, b])
-        assert len(merged) == len(a) + len(b)
-        assert np.all(np.diff(merged) >= 0.0)
-
-    def test_merge_of_empty_streams(self):
-        assert len(merge_arrival_times([np.array([]), np.array([])])) == 0
-
-    def test_merge_ignores_empty_members(self):
-        merged = merge_arrival_times([np.array([]), np.array([1.0, 2.0])])
-        assert list(merged) == [1.0, 2.0]

@@ -1,14 +1,14 @@
-"""Unit tests for external sensors, request/generation alignment, and the input buffer."""
+"""Unit tests for external sensors and the input buffer."""
 
 import numpy as np
 import pytest
 
+from oracles import simulate_buffer_delays
 from repro import units
 from repro.config.network import NetworkConfig, SensorConfig
 from repro.exceptions import UnstableQueueError
 from repro.queueing.mm1 import MM1Queue
 from repro.sensors.buffer import InputBuffer
-from repro.sensors.generators import generation_times_for_requests
 from repro.sensors.sensor import ExternalSensor
 
 
@@ -52,39 +52,6 @@ class TestExternalSensor:
         assert far > near
 
 
-class TestUpdateSchedule:
-    def test_fast_sensor_serves_every_request(self):
-        schedule = generation_times_for_requests(
-            request_times_ms=[5.0, 10.0, 15.0],
-            sensor_generation_times_ms=[5.0, 10.0, 15.0, 20.0],
-        )
-        assert list(schedule.generation_times_ms) == pytest.approx([5.0, 10.0, 15.0])
-        assert np.all(schedule.staleness_ms == 0.0)
-
-    def test_slow_sensor_reuses_samples(self):
-        schedule = generation_times_for_requests(
-            request_times_ms=[5.0, 10.0, 15.0, 20.0],
-            sensor_generation_times_ms=[10.0, 20.0],
-        )
-        # Requests at 10 and 15 are served by the sample generated at 10.
-        assert list(schedule.generation_times_ms) == pytest.approx([10.0, 10.0, 10.0, 20.0])
-        assert max(schedule.requests_per_sample()) >= 2
-
-    def test_early_request_waits_for_first_sample(self):
-        schedule = generation_times_for_requests([2.0], [10.0])
-        assert schedule.generation_times_ms[0] == pytest.approx(10.0)
-        assert schedule.served_by_sample[0] == -1
-        assert schedule.staleness_ms[0] < 0.0
-
-    def test_requires_at_least_one_generation(self):
-        with pytest.raises(ValueError):
-            generation_times_for_requests([1.0], [])
-
-    def test_unsorted_requests_rejected(self):
-        with pytest.raises(ValueError):
-            generation_times_for_requests([5.0, 1.0], [1.0])
-
-
 class TestInputBuffer:
     def test_stream_delay_matches_mm1(self):
         buffer = InputBuffer(service_rate_hz=600.0)
@@ -121,7 +88,7 @@ class TestInputBuffer:
     def test_simulated_delays_capture_cross_stream_interference(self, app, network, rng):
         buffer = InputBuffer(app.buffer_service_rate_hz)
         analytical = buffer.analytical_delays(app, network)
-        simulated = buffer.simulate_delays(app, network, horizon_ms=200_000.0, rng=rng)
+        simulated = simulate_buffer_delays(app, network, horizon_ms=200_000.0, rng=rng)
         # The analytical model treats each stream as its own M/M/1 queue, so the
         # simulated shared buffer (where streams interfere) is never faster.
         assert simulated.total_ms >= analytical.total_ms * 0.9

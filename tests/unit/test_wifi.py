@@ -5,7 +5,6 @@ import pytest
 from repro import units
 from repro.config.network import NetworkConfig
 from repro.exceptions import ModelDomainError
-from repro.network.propagation import round_trip_propagation_ms
 from repro.network.wifi import WifiLink, shannon_capacity_mbps
 
 
@@ -61,9 +60,3 @@ class TestWifiLinkWithPathLoss:
         noise_dbm = WifiLink(config=config).noise_power_dbm()
         assert -100.0 < noise_dbm < -80.0
 
-
-class TestPropagationHelpers:
-    def test_round_trip_is_twice_one_way(self):
-        assert round_trip_propagation_ms(150.0) == pytest.approx(
-            2.0 * units.propagation_delay_ms(150.0)
-        )
