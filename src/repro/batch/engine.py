@@ -117,6 +117,10 @@ _SEGMENT_ORDER = (
     Segment.COOPERATION,
 )
 
+#: Values per chunk of the AoI sum over updates (8 MB of float64), so a
+#: sweep over many conditions at the largest update count stays bounded.
+_AOI_CHUNK_ELEMENTS = 2**20
+
 
 class _Terms(NamedTuple):
     """The condition-invariant inputs of the closed forms, per point.
@@ -268,9 +272,7 @@ class _GroupEvaluator:
         mode = app.inference.mode
         self.mode = mode
         self.local = mode is ExecutionMode.LOCAL
-        self.uses_local_path = self.local or (
-            mode is ExecutionMode.SPLIT and app.inference.omega_client > 0.0
-        )
+        self.uses_local_path = mode is not ExecutionMode.REMOTE
         self.uses_remote_path = not self.local
         if self.uses_remote_path and edge is None:
             raise ModelDomainError(
@@ -650,20 +652,31 @@ class _GroupEvaluator:
         roi: Dict[str, np.ndarray] = {}
         processed: Dict[str, np.ndarray] = {}
         speed = network.propagation_speed_m_per_s
+        # The update index runs down a leading axis, a chunk of rows at a
+        # time so a chunk holds at most _AOI_CHUNK_ELEMENTS values.
+        rows = max(1, _AOI_CHUNK_ELEMENTS // max(required_period.size, 1))
+        index_shape = (-1,) + (1,) * required_period.ndim
         for sensor in network.sensors:
             generation_period = sensor.generation_period_ms
             propagation = (sensor.distance_m / speed) * 1e3
             overhead = propagation + buffer_time
             slow = generation_period >= required_period
             accumulator: Optional[np.ndarray] = None
-            for index in range(1, updates + 1):
+            for start in range(1, updates + 1, rows):
+                index = np.arange(
+                    start, min(start + rows, updates + 1), dtype=float
+                ).reshape(index_shape)
                 request_time = (index - 1) * required_period
                 # Eq. (23): a sensor slower than the requirement accumulates
                 # AoI linearly; a faster sensor always has a fresh sample.
                 aoi_slow = index * generation_period + overhead - request_time
                 aoi_fast = request_time % generation_period + overhead
                 aoi_n = np.where(slow, aoi_slow, aoi_fast)
-                accumulator = aoi_n if accumulator is None else accumulator + aoi_n
+                if accumulator is not None:
+                    aoi_n[0] += accumulator
+                # cumsum adds in update order, as Eq. (24)'s sum runs; a
+                # pairwise np.sum would change the last bit.
+                accumulator = np.cumsum(aoi_n, axis=0)[-1]
             mean_aoi = accumulator / updates
             average_aoi[sensor.name] = mean_aoi
             processed_hz = np.where(mean_aoi > 0.0, 1e3 / mean_aoi, np.inf)

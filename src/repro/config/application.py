@@ -130,6 +130,13 @@ class InferenceConfig:
                 raise ConfigurationError(
                     "LOCAL execution must not define edge_shares"
                 )
+        if self.mode is ExecutionMode.SPLIT and not (
+            self.omega_client > 0.0 and any(share > 0.0 for share in self.edge_shares)
+        ):
+            raise ConfigurationError(
+                "SPLIT execution needs omega_client > 0 and an edge_shares entry > 0, "
+                f"got omega_client={self.omega_client} and edge_shares={self.edge_shares}"
+            )
         if self.mode is ExecutionMode.REMOTE and not self.edge_shares:
             # Remote with a single implicit edge server carrying the whole task.
             object.__setattr__(self, "edge_shares", (self.total_task,))
@@ -298,15 +305,39 @@ class ApplicationConfig:
         return replace(self, cpu_freq_ghz=cpu_freq_ghz)
 
     def with_mode(self, mode: ExecutionMode) -> "ApplicationConfig":
-        """Return a copy running inference in the given execution mode."""
+        """Return a copy running inference in the given execution mode.
+
+        An app that already splits keeps its split; any other app gets the
+        one-edge placement of :meth:`with_placement` (for a split, the even
+        split).
+        """
+        if mode is ExecutionMode.SPLIT and self.inference.mode is ExecutionMode.SPLIT:
+            return self
+        return self.with_placement(mode)
+
+    def with_placement(
+        self, mode: ExecutionMode, n_edge_servers: int = 1
+    ) -> "ApplicationConfig":
+        """Return a copy placing inference in ``mode`` over ``n_edge_servers`` edges.
+
+        Local keeps the whole task on the client.  Remote spreads it evenly
+        over the edge servers.  The even split keeps half on the client and
+        spreads the other half evenly over the edge servers.
+        """
+        if n_edge_servers <= 0:
+            raise ConfigurationError(
+                f"n_edge_servers must be >= 1, got {n_edge_servers}"
+            )
+        total = self.inference.total_task
         if mode is ExecutionMode.LOCAL:
-            inference = replace(
-                self.inference, mode=mode, omega_client=1.0, edge_shares=()
-            )
+            omega_client, edge_shares = 1.0, ()
         elif mode is ExecutionMode.REMOTE:
-            inference = replace(
-                self.inference, mode=mode, omega_client=0.0, edge_shares=(self.inference.total_task,)
-            )
+            omega_client = 0.0
+            edge_shares = tuple([total / n_edge_servers] * n_edge_servers)
         else:
-            inference = replace(self.inference, mode=mode)
+            edge_shares = tuple([total / (2 * n_edge_servers)] * n_edge_servers)
+            omega_client = max(total - sum(edge_shares), 0.0)
+        inference = replace(
+            self.inference, mode=mode, omega_client=omega_client, edge_shares=edge_shares
+        )
         return replace(self, inference=inference)

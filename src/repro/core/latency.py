@@ -300,9 +300,7 @@ class XRLatencyModel:
             network = NetworkConfig()
         mode = app.inference.mode
         local = mode is ExecutionMode.LOCAL
-        uses_local_path = local or (
-            mode is ExecutionMode.SPLIT and app.inference.omega_client > 0.0
-        )
+        uses_local_path = mode is not ExecutionMode.REMOTE
         uses_remote_path = not local
 
         per_segment: Dict[Segment, float] = {

@@ -10,7 +10,7 @@ objective (latency, energy, or a weighted combination).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config.application import ApplicationConfig, ExecutionMode
@@ -24,32 +24,6 @@ from repro.exceptions import ConfigurationError
 OBJECTIVES = ("latency", "energy", "weighted")
 
 
-def _with_placement(
-    app: ApplicationConfig, mode: ExecutionMode, edge_shares: Tuple[float, ...]
-) -> ApplicationConfig:
-    if mode is ExecutionMode.LOCAL:
-        inference = replace(
-            app.inference, mode=mode, omega_client=1.0, edge_shares=()
-        )
-    elif mode is ExecutionMode.REMOTE:
-        inference = replace(
-            app.inference,
-            mode=mode,
-            omega_client=0.0,
-            edge_shares=edge_shares or (app.inference.total_task,),
-        )
-    else:
-        total = app.inference.total_task
-        client_share = max(total - sum(edge_shares), 0.0)
-        inference = replace(
-            app.inference,
-            mode=mode,
-            omega_client=client_share,
-            edge_shares=edge_shares,
-        )
-    return replace(app, inference=inference)
-
-
 def placement_candidates(
     app: ApplicationConfig, n_edge_servers: int = 1
 ) -> Tuple[ApplicationConfig, ...]:
@@ -59,17 +33,9 @@ def placement_candidates(
     it needs no models, so consumers that only want the placement variants
     (e.g. the adaptive layer's candidate grids) can use it directly.
     """
-    if n_edge_servers <= 0:
-        raise ConfigurationError(
-            f"n_edge_servers must be >= 1, got {n_edge_servers}"
-        )
-    total = app.inference.total_task
-    remote_shares = tuple([total / n_edge_servers] * n_edge_servers)
-    split_shares = tuple([total / (2 * n_edge_servers)] * n_edge_servers)
-    return (
-        _with_placement(app, ExecutionMode.LOCAL, ()),
-        _with_placement(app, ExecutionMode.REMOTE, remote_shares),
-        _with_placement(app, ExecutionMode.SPLIT, split_shares),
+    return tuple(
+        app.with_placement(mode, n_edge_servers)
+        for mode in (ExecutionMode.LOCAL, ExecutionMode.REMOTE, ExecutionMode.SPLIT)
     )
 
 
@@ -137,8 +103,6 @@ class OffloadingPlanner:
         ] = {}
 
     # -- candidate construction ------------------------------------------------------
-
-    _with_placement = staticmethod(_with_placement)
 
     def candidates(
         self, app: ApplicationConfig, n_edge_servers: int = 1

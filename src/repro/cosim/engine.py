@@ -49,8 +49,13 @@ rates and service times and the alive edges' service scales — everything
 the loads and the classes' decision waits depend on — so a best-response
 round that revisits a decision vector costs two lookups, and only a new key
 pays one accumulation per edge and one tagged wait per slot.  Per-user
-arrays are only gathered from slot values once per epoch, for the charged
-means and sums.
+totals are charged per *group*: the users who sat in the same slot in every
+deal charged so far.  An epoch adds one value per group, and splits the
+groups only when it charges a deal that has not refined them yet — one sort
+of the users, once per deal key.  Only two kinds of per-epoch value still
+reduce over every user: the fleet's mean latency and total energy, whose
+last bit NumPy's pairwise summation fixes, and, in a fleet of more than one
+class, the per-class means.
 
 Candidate evaluation goes through the vectorized batch engine
 (:class:`repro.batch.ConditionedPoints`), compiled once per simulation: every
@@ -236,6 +241,7 @@ class _Deal:
     see the same wait, latency and energy.
 
     Attributes:
+        key: the deal's cache key, ``(offload pattern bytes, alive edges)``.
         n_offloaded: users whose class offloads.
         edge_classes: ``(edge, classes)`` for every alive edge that received
             tenants; ``classes`` lists its tenants' class indices in deal
@@ -247,6 +253,7 @@ class _Deal:
         slot_count: users per slot.
     """
 
+    key: tuple
     n_offloaded: int
     edge_classes: Tuple[Tuple[int, np.ndarray], ...]
     pairs: Tuple[Tuple[int, int], ...]
@@ -277,6 +284,58 @@ class _EpochLoads:
     def n_offloaded(self) -> int:
         """Users whose class offloads."""
         return self.deal.n_offloaded
+
+
+class _UserGroups:
+    """Per-user running totals, kept once per group of users charged alike.
+
+    A group is a set of users that sat in the same slot in every deal charged
+    so far.  Each of its users took exactly the additions the group took, in
+    epoch order, so expanding the group totals through :attr:`of_user` gives
+    every user's totals bit for bit.  Charging a deal that has not refined the
+    groups yet splits them, and each new group inherits its parent's totals:
+    one sort of the users, O(users log users), once per deal key.  Every other
+    charge costs O(groups).  A deal is remembered by its cache key, not its
+    ``id``, because an evicted deal's id can be reused.
+    """
+
+    def __init__(self, n_users: int) -> None:
+        #: Group index of every user.
+        self.of_user = np.zeros(n_users, dtype=np.intp)
+        #: Each group's first user, in population order.
+        self.first_user = np.zeros(1, dtype=np.intp)
+        #: Epochs each group's users missed the deadline in.
+        self.miss = np.zeros(1)
+        #: Sum of each group's per-epoch latencies (ms).
+        self.latency_sum = np.zeros(1)
+        #: Energy each group's users spent (J).
+        self.energy_j = np.zeros(1)
+        self._refined: set = set()
+
+    def charge(
+        self,
+        deal: _Deal,
+        slot_missed: np.ndarray,
+        slot_latency_ms: np.ndarray,
+        slot_energy_j: np.ndarray,
+    ) -> None:
+        """Add one epoch's per-slot charges to every group's totals."""
+        if deal.key not in self._refined:
+            self._refined.add(deal.key)
+            n_slots = deal.slot_class.size
+            keys, self.first_user, self.of_user = np.unique(
+                self.of_user * n_slots + deal.slot_of_user,
+                return_index=True,
+                return_inverse=True,
+            )
+            parent = keys // n_slots
+            self.miss = self.miss[parent]
+            self.latency_sum = self.latency_sum[parent]
+            self.energy_j = self.energy_j[parent]
+        slot = deal.slot_of_user[self.first_user]
+        self.miss += slot_missed[slot]
+        self.latency_sum += slot_latency_ms[slot]
+        self.energy_j += slot_energy_j[slot]
 
 
 def percentiles_from_counts(
@@ -674,7 +733,7 @@ class CoSimulation:
                 "cosim.deal_cache.misses" if entry is None else "cosim.deal_cache.hits"
             )
         if entry is None:
-            entry = (self._build_deal(offload_c, alive), OrderedDict())
+            entry = (self._build_deal(key, offload_c, alive), OrderedDict())
             self._deals[key] = entry
             if len(self._deals) > DEAL_CACHE_SIZE:
                 self._deals.popitem(last=False)
@@ -682,7 +741,9 @@ class CoSimulation:
             self._deals.move_to_end(key)
         return entry
 
-    def _build_deal(self, offload_c: np.ndarray, alive: Tuple[int, ...]) -> _Deal:
+    def _build_deal(
+        self, key: tuple, offload_c: np.ndarray, alive: Tuple[int, ...]
+    ) -> _Deal:
         """Deal the offloading classes' users round-robin onto ``alive``.
 
         Offloaders are dealt in population order: the ``k``-th goes to
@@ -714,6 +775,7 @@ class CoSimulation:
             for j in range(min(n_alive, offloaders.size))
         )
         return _Deal(
+            key=key,
             n_offloaded=int(offloaders.size),
             edge_classes=edge_classes,
             pairs=pairs,
@@ -918,10 +980,10 @@ class CoSimulation:
             cls.controller.reset(cls.context)
             cls.outcomes = []
         self._prev_decisions: List[Optional[int]] = [None] * len(classes)
+        # The fleet's mean quality under every final decision vector so far.
+        self._mean_quality: Dict[Tuple[int, ...], float] = {}
 
-        user_miss = np.zeros(n_users)
-        user_latency_sum = np.zeros(n_users)
-        user_energy_j = np.zeros(n_users)
+        groups = _UserGroups(n_users)
         series: Dict[str, list] = {
             name: []
             for name in (
@@ -946,14 +1008,7 @@ class CoSimulation:
         def step(scheduler: EventScheduler) -> None:
             epoch = len(series["converged"])
             self._run_epoch(
-                epoch,
-                scheduler.now_ms,
-                user_miss,
-                user_latency_sum,
-                user_energy_j,
-                series,
-                sample_values,
-                sample_counts,
+                epoch, scheduler.now_ms, groups, series, sample_values, sample_counts
             )
             if epoch + 1 < n_epochs:
                 scheduler.schedule_in(epoch_ms, step)
@@ -961,6 +1016,10 @@ class CoSimulation:
         clock = EventScheduler()
         clock.schedule_at(0.0, step)
         clock.run(max_events=n_epochs + 1)
+
+        registry = telemetry.get()
+        if registry.enabled:
+            registry.add("cosim.user_groups", groups.first_user.size)
 
         class_reports: List[AdaptationReport] = []
         user_switches = np.zeros(n_users, dtype=int)
@@ -974,6 +1033,9 @@ class CoSimulation:
             )
             class_reports.append(report)
             user_switches[user_array] = report.switch_count
+        user_miss = groups.miss[groups.of_user]
+        user_latency_sum = groups.latency_sum[groups.of_user]
+        user_energy_j = groups.energy_j[groups.of_user]
 
         # Every user-epoch latency, as (value, count) pairs of the slots.
         sample_latency = np.concatenate(sample_values)
@@ -1006,10 +1068,10 @@ class CoSimulation:
             mean_quality=tuple(series["mean_quality"]),
             max_edge_utilization=tuple(series["max_rho"]),
             user_names=tuple(user.name for user in self.population),
-            user_miss_rate=tuple(float(v) for v in user_miss / n_epochs),
-            user_mean_latency_ms=tuple(float(v) for v in user_latency_sum / n_epochs),
-            user_energy_j=tuple(float(v) for v in user_energy_j),
-            user_switch_count=tuple(int(v) for v in user_switches),
+            user_miss_rate=tuple((user_miss / n_epochs).tolist()),
+            user_mean_latency_ms=tuple((user_latency_sum / n_epochs).tolist()),
+            user_energy_j=tuple(user_energy_j.tolist()),
+            user_switch_count=tuple(user_switches.tolist()),
             deadline_miss_rate=float(np.sum(user_miss) / (n_users * n_epochs)),
             fleet_p50_latency_ms=fleet_p50,
             fleet_p95_latency_ms=fleet_p95,
@@ -1021,21 +1083,16 @@ class CoSimulation:
             faults=fault_outcome(self.faults, self.n_edges, series["miss_fraction"]),
         )
 
-    def _run_epoch(
-        self,
-        epoch: int,
-        now_ms: float,
-        user_miss: np.ndarray,
-        user_latency_sum: np.ndarray,
-        user_energy_j: np.ndarray,
-        series: Dict[str, list],
-        sample_values: List[np.ndarray],
-        sample_counts: List[np.ndarray],
-    ) -> None:
+    def _solve(
+        self, epoch: int, fault_state: Optional[EpochFaultState]
+    ) -> Tuple[List[int], _EpochLoads, List[EpochConditions], bool, int]:
+        """The best-response fixed point of one epoch.
+
+        Returns the final decisions, their exact (undamped) loads and the
+        classes' endogenous conditions under them, whether the fixed point
+        was verified, and the iterations spent.
+        """
         classes = self._classes
-        fault_state = (
-            self._injector.state(epoch) if self._injector is not None else None
-        )
         base = [cls.trace[epoch] for cls in classes]
         if fault_state is not None:
             # Link degradation reshapes the exogenous channel *before*
@@ -1060,7 +1117,7 @@ class CoSimulation:
         iterations = 0
         loads: Optional[_EpochLoads] = None
         # Whether `loads` was computed for the current `decisions` vector
-        # (lets the charging step below skip a recomputation).
+        # (lets the charging step skip a recomputation).
         loads_current = False
         registry = telemetry.get()
         n_blends = 0
@@ -1146,13 +1203,31 @@ class CoSimulation:
         # decision vector; only budget-exhausted exits need a recomputation.
         if not loads_current:
             loads = self._loads(decisions, fault_state)
+        return decisions, loads, conditions_under(loads.n_offloaded), converged, iterations
+
+    def _run_epoch(
+        self,
+        epoch: int,
+        now_ms: float,
+        groups: _UserGroups,
+        series: Dict[str, list],
+        sample_values: List[np.ndarray],
+        sample_counts: List[np.ndarray],
+    ) -> None:
+        classes = self._classes
+        n_users = self._n_users
+        fault_state = (
+            self._injector.state(epoch) if self._injector is not None else None
+        )
+        decisions, loads, final_conditions, converged, iterations = self._solve(
+            epoch, fault_state
+        )
         n_classes = len(classes)
         latency_c = np.empty(n_classes)
         energy_c = np.empty(n_classes)
         quality_c = np.empty(n_classes)
         frames_c = np.empty(n_classes)
         roi_c: List[Optional[float]] = [None] * n_classes
-        final_conditions = conditions_under(loads.n_offloaded)
         for cls_index, cls in enumerate(classes):
             cls.context.decision_wait_ms = 0.0
             evaluation = cls.context.sweep(final_conditions[cls_index])
@@ -1164,8 +1239,7 @@ class CoSimulation:
             if evaluation.min_roi is not None:
                 roi_c[cls_index] = float(evaluation.min_roi[index])
 
-        # Charge every slot once, then gather the per-user arrays the
-        # per-user accumulators and the per-epoch means and sums need.
+        # Charge every slot once and the per-user totals once per group.
         deal = loads.deal
         slot_class = deal.slot_class
         slot_wait = loads.slot_wait_ms
@@ -1174,14 +1248,32 @@ class CoSimulation:
             np.isinf(slot_wait), 0.0, self.network.radio_idle_power_w * slot_wait
         )
         slot_energy = energy_c[slot_class] + wait_energy
-        slot_of_user = deal.slot_of_user
-        latency_user = slot_latency[slot_of_user]
-        energy_user = slot_energy[slot_of_user]
-        missed_user = latency_user > self.deadline_ms
-
-        user_miss += missed_user
-        user_latency_sum += latency_user
-        user_energy_j += (slot_energy * frames_c[slot_class] / 1e3)[slot_of_user]
+        slot_missed = slot_latency > self.deadline_ms
+        groups.charge(
+            deal, slot_missed, slot_latency, slot_energy * frames_c[slot_class] / 1e3
+        )
+        # The reductions whose last bit NumPy's pairwise summation fixes
+        # still take the per-user arrays.
+        latency_user = slot_latency[deal.slot_of_user]
+        energy_user = slot_energy[deal.slot_of_user]
+        mean_latency = float(np.mean(latency_user))
+        total_energy = float(np.sum(energy_user))
+        # np.mean is exactly the sum divided by the count.
+        mean_energy = total_energy / n_users
+        if n_classes == 1:
+            # The class holds every user, in population order: its means are
+            # the fleet's.
+            class_means = [(mean_latency, mean_energy)]
+        else:
+            class_means = [
+                (float(np.mean(latency_user[users])), float(np.mean(energy_user[users])))
+                for users in self._user_arrays
+            ]
+        decision_key = tuple(decisions)
+        mean_quality = self._mean_quality.get(decision_key)
+        if mean_quality is None:
+            mean_quality = float(np.mean(quality_c[self._class_of_user]))
+            self._mean_quality[decision_key] = mean_quality
 
         method = percentile_method(slot_latency)
         percentiles = percentiles_from_counts(
@@ -1189,14 +1281,14 @@ class CoSimulation:
         )
         series["converged"].append(converged)
         series["iterations"].append(iterations)
-        series["offload_fraction"].append(loads.n_offloaded / self._n_users)
-        series["miss_fraction"].append(float(np.mean(missed_user)))
+        series["offload_fraction"].append(loads.n_offloaded / n_users)
+        series["miss_fraction"].append(int(deal.slot_count[slot_missed].sum()) / n_users)
         for name, value in zip(("p50", "p95", "p99"), percentiles):
             series[name].append(value)
-        series["mean_latency"].append(float(np.mean(latency_user)))
-        series["total_energy"].append(float(np.sum(energy_user)))
-        series["mean_energy"].append(float(np.mean(energy_user)))
-        series["mean_quality"].append(float(np.mean(quality_c[self._class_of_user])))
+        series["mean_latency"].append(mean_latency)
+        series["total_energy"].append(total_energy)
+        series["mean_energy"].append(mean_energy)
+        series["mean_quality"].append(mean_quality)
         series["max_rho"].append(float(loads.edge_busy.max()))
         series["availability"].append(
             fault_state.availability if fault_state is not None else 1.0
@@ -1204,18 +1296,17 @@ class CoSimulation:
         sample_values.append(slot_latency)
         sample_counts.append(deal.slot_count)
 
-        for cls_index, (cls, user_array) in enumerate(
-            zip(classes, self._user_arrays)
+        for cls_index, (cls, (class_latency, class_energy)) in enumerate(
+            zip(classes, class_means)
         ):
-            mean_latency = float(np.mean(latency_user[user_array]))
             outcome = EpochOutcome(
                 epoch=epoch,
                 time_ms=now_ms,
                 index=decisions[cls_index],
-                latency_ms=mean_latency,
-                energy_mj=float(np.mean(energy_user[user_array])),
+                latency_ms=class_latency,
+                energy_mj=class_energy,
                 quality=float(quality_c[cls_index]),
-                deadline_missed=mean_latency > self.deadline_ms,
+                deadline_missed=class_latency > self.deadline_ms,
                 min_roi=roi_c[cls_index],
             )
             cls.controller.observe(epoch, final_conditions[cls_index], outcome)

@@ -1,4 +1,4 @@
-"""Properties: the co-simulation's two degeneracies, over drawn fleets.
+"""Properties: the co-simulation's degeneracies and population relations.
 
 The engine docstring (:mod:`repro.cosim.engine`) promises that
 
@@ -8,16 +8,26 @@ The engine docstring (:mod:`repro.cosim.engine`) promises that
   :meth:`FleetAnalyzer.analyze` under each epoch's conditions, in every
   epoch.
 
-Both are drawn over every bundled condition trace with drawn seeds, catalog
-devices, edited applications in local and remote mode, and 1-5 edges.
-Neither holds everywhere today, so both are strict xfails pinned to a
-counterexample; when the engine is fixed they pass and the marks go.
+Two relations between populations should hold as well:
+
+* swapping two users of one class swaps their per-user series and changes
+  nothing else;
+* splitting a class into two identical classes (distinct controller
+  instances, same configuration) changes only the class breakdown.
+
+Only the swap holds everywhere today.  The other three are strict xfails
+pinned to a counterexample; when the engine is fixed they pass and the
+marks go.
+
+All are drawn over every bundled condition trace with drawn seeds, catalog
+devices, edited applications in local, remote and split mode, and 1-5 edges.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import (
@@ -50,7 +60,7 @@ APPS = st.builds(
     st.floats(300.0, 700.0),
     st.floats(0.8, 3.2),
     st.sampled_from([10.0, 30.0, 60.0]),
-    st.sampled_from([ExecutionMode.LOCAL, ExecutionMode.REMOTE]),
+    st.sampled_from([ExecutionMode.LOCAL, ExecutionMode.REMOTE, ExecutionMode.SPLIT]),
 )
 DEVICES = st.sampled_from(sorted(DEVICE_CATALOG))
 SEEDS = st.integers(0, 2**16)
@@ -180,3 +190,137 @@ def test_all_static_cosim_is_the_fleet_analysis_in_every_epoch(
             fleet.mean_energy_mj,
             fleet.n_offloaded / fleet.n_users,
         ), (epoch, conditions)
+
+
+CONTROLLER_KINDS = st.sampled_from(["greedy", "ewma", "hysteresis", "static"])
+
+#: The report's per-user series, aligned with ``user_names``.
+PER_USER_SERIES = ("user_miss_rate", "user_mean_latency_ms", "user_energy_j", "user_switch_count")
+
+
+def _kinds_population(kinds, n_users):
+    """Users cycling through ``(device, app, controller kind)`` kinds."""
+    return FleetPopulation(
+        users=tuple(
+            UserProfile(name=f"user-{index}", device=device, app=app)
+            for index, (device, app, _) in zip(range(n_users), itertools.cycle(kinds))
+        )
+    )
+
+
+def _templates(kinds, number):
+    """One controller per kind, built from the kind's configuration."""
+    return [
+        _controller(kind, number, len(default_candidates(device=device, app=app)))
+        for device, app, kind in kinds
+    ]
+
+
+KINDS = st.lists(st.tuples(DEVICES, APPS, CONTROLLER_KINDS), min_size=1, max_size=2, unique=True)
+
+
+@pytest.mark.parametrize("trace_name", sorted(TRACE_GENERATORS))
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=SEEDS,
+    kinds=KINDS,
+    extra_users=st.integers(0, 8),
+    n_edges=st.integers(1, 5),
+    number=SEEDS,
+    data=st.data(),
+)
+def test_swapping_two_users_of_one_class_swaps_their_series(
+    trace_name, seed, kinds, extra_users, n_edges, number, data
+):
+    trace = TRACE_GENERATORS[trace_name](N_EPOCHS, seed=seed)
+    population = _kinds_population(kinds, 2 * len(kinds) + extra_users)
+    templates = _templates(kinds, number)
+    controllers = {
+        user.name: templates[index % len(kinds)] for index, user in enumerate(population)
+    }
+    kind = data.draw(st.integers(0, len(kinds) - 1), label="kind")
+    members = range(kind, len(population), len(kinds))
+    i, j = data.draw(
+        st.lists(st.sampled_from(members), min_size=2, max_size=2, unique=True), label="pair"
+    )
+    users = list(population.users)
+    users[i], users[j] = users[j], users[i]
+    report = CoSimulation(population, controllers, trace, n_edges=n_edges).run()
+    swapped = CoSimulation(
+        FleetPopulation(users=tuple(users)), controllers, trace, n_edges=n_edges
+    ).run()
+    # Users are charged by position, so the two names trade series.
+    by_name = {
+        series: dict(zip(report.user_names, getattr(report, series)))
+        for series in PER_USER_SERIES
+    }
+    for series in PER_USER_SERIES:
+        assert dict(zip(swapped.user_names, getattr(swapped, series))) == {
+            **by_name[series],
+            users[i].name: by_name[series][users[j].name],
+            users[j].name: by_name[series][users[i].name],
+        }, series
+    assert replace(swapped, user_names=report.user_names) == report
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "a class decides as one proxy, so all its users offload or none do: five "
+        "greedy XR1 users (300 px, 1 GHz, 30 fps) on two edges never offload as one "
+        "class, but the two that round robin puts on edge 1 offload from epoch 0 "
+        "once they form a class of their own"
+    ),
+)
+@pytest.mark.parametrize("trace_name", sorted(TRACE_GENERATORS))
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=SEEDS,
+    kinds=KINDS,
+    extra_users=st.integers(0, 12),
+    n_edges=st.integers(1, 5),
+    number=SEEDS,
+    kind_index=st.integers(0, 1),
+    moved=st.sets(st.integers(0, 15), min_size=1),
+)
+@example(
+    seed=0,
+    kinds=[("XR1", _app(300.0, 1.0, 30.0, ExecutionMode.LOCAL), "greedy")],
+    extra_users=3,
+    n_edges=2,
+    number=0,
+    kind_index=0,
+    moved={1, 3},
+)
+def test_splitting_a_class_into_identical_classes_changes_only_the_breakdown(
+    trace_name, seed, kinds, extra_users, n_edges, number, kind_index, moved
+):
+    trace = TRACE_GENERATORS[trace_name](N_EPOCHS, seed=seed)
+    population = _kinds_population(kinds, 2 * len(kinds) + extra_users)
+    templates = _templates(kinds, number)
+    twins = _templates(kinds, number)
+    # The users of one kind in ``moved`` get the kind's twin controller.
+    kind = kind_index % len(kinds)
+    members = set(range(kind, len(population), len(kinds)))
+    moved = moved & members
+    assume(moved and moved != members)
+    controllers = {
+        user.name: templates[index % len(kinds)] for index, user in enumerate(population)
+    }
+    split_controllers = {
+        user.name: twins[kind] if index in moved else templates[index % len(kinds)]
+        for index, user in enumerate(population)
+    }
+    report = CoSimulation(population, controllers, trace, n_edges=n_edges).run()
+    split = CoSimulation(population, split_controllers, trace, n_edges=n_edges).run()
+    assert len(split.class_names) == len(report.class_names) + 1
+    assert (
+        replace(
+            split,
+            class_names=report.class_names,
+            class_sizes=report.class_sizes,
+            class_reports=report.class_reports,
+        )
+        == report
+    )

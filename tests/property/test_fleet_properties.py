@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.core.framework import XRPerformanceModel
-from repro.fleet import ContentionModel, EdgeScheduler, FleetAnalyzer, homogeneous
+from repro.devices.catalog import DEVICE_CATALOG
+from repro.fleet import (
+    ContentionModel,
+    EdgeScheduler,
+    FleetAnalyzer,
+    FleetPopulation,
+    UserProfile,
+    homogeneous,
+)
+from repro.fleet.admission import RoundRobinAdmission
 from repro.fleet.edge_scheduler import DISCIPLINES, edge_loads
 
 station_counts = st.integers(min_value=1, max_value=512)
@@ -164,3 +173,58 @@ class TestFleetMonotonicityProperty:
             ).analyze().p95_latency_ms
 
         assert p95(n) <= p95(n + 1) or p95(n + 1) == pytest.approx(p95(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        device=st.sampled_from(sorted(DEVICE_CATALOG)),
+        side=st.floats(300.0, 700.0),
+        cpu_freq=st.floats(0.8, 3.2),
+        fps=st.sampled_from((10.0, 30.0, 60.0)),
+        mode=st.sampled_from(tuple(ExecutionMode)),
+        n_users=st.integers(min_value=1, max_value=60),
+        n_edges=st.integers(min_value=1, max_value=5),
+    )
+    def test_one_more_edge_never_raises_p95_of_a_single_kind_fleet(
+        self, device, side, cpu_freq, fps, mode, n_users, n_edges
+    ):
+        # One device and one app: every tenant brings the same load, so a
+        # user's wait depends only on how many tenants share its edge, and
+        # round robin over one more edge never raises those counts.
+        app = ApplicationConfig(
+            frame_side_px=side, cpu_freq_ghz=cpu_freq, frame_rate_fps=fps
+        ).with_mode(mode)
+        population = homogeneous(n_users, device=device, app=app)
+
+        def p95(edges):
+            return FleetAnalyzer(
+                population, n_edges=edges, policy=RoundRobinAdmission(), include_aoi=False
+            ).analyze().p95_latency_ms
+
+        assert p95(n_edges + 1) <= p95(n_edges)
+
+
+def test_one_more_edge_can_raise_p95_of_a_mixed_fleet():
+    # Round robin deals users in population order and ignores their load, so
+    # one more edge is not monotone for mixed fleets.  Five remote XR1 users
+    # alternate 30 and 10 fps: three edges hold (30, 10), (10, 30) and (30)
+    # fps, four edges (30, 30), (10), (30) and (10).  The extra edge puts
+    # users 0 and 4, both at 30 fps, together on edge 0, and p95 rises.
+    apps = [
+        ApplicationConfig(frame_rate_fps=fps).with_mode(ExecutionMode.REMOTE)
+        for fps in (30.0, 10.0)
+    ]
+    population = FleetPopulation(
+        users=tuple(
+            UserProfile(name=f"user-{index}", device="XR1", app=apps[index % 2])
+            for index in range(5)
+        )
+    )
+
+    def p95(edges):
+        return FleetAnalyzer(
+            population, n_edges=edges, policy=RoundRobinAdmission()
+        ).analyze().p95_latency_ms
+
+    assert p95(3) == pytest.approx(750.388, abs=1e-3)
+    assert p95(4) == pytest.approx(758.360, abs=1e-3)
+    assert p95(4) > p95(3)

@@ -296,9 +296,9 @@ class TestConsumers:
         ranked = planner.rank(app, network, n_edge_servers=2)
         assert len(ranked) == 3
         for decision in ranked:
-            direct = planner.evaluate(
-                planner._with_placement(app, decision.mode, decision.edge_shares), network
-            )
+            placed = app.with_placement(decision.mode, max(len(decision.edge_shares), 1))
+            assert placed.inference.edge_shares == decision.edge_shares
+            direct = planner.evaluate(placed, network)
             assert decision.total_latency_ms == direct.total_latency_ms
             assert decision.total_energy_mj == direct.total_energy_mj
         assert ranked[0].score <= ranked[-1].score
@@ -340,9 +340,9 @@ class TestConsumers:
             objective="energy",
         )
         for decision in planner.rank(app, network):
-            direct = planner.evaluate(
-                planner._with_placement(app, decision.mode, decision.edge_shares), network
-            )
+            placed = app.with_placement(decision.mode, max(len(decision.edge_shares), 1))
+            assert placed.inference.edge_shares == decision.edge_shares
+            direct = planner.evaluate(placed, network)
             assert decision.total_energy_mj == direct.total_energy_mj
 
     def test_capacity_probe_inherits_population_default_app(self):
@@ -410,3 +410,99 @@ class TestConsumers:
                 include_aoi=False,
             )
             assert probe.p95_latency_ms(n_users) == analyzer.analyze().p95_latency_ms
+
+
+# ---------------------------------------------------------------------------
+# The AoI sum over updates (Eq. 24)
+# ---------------------------------------------------------------------------
+
+
+def reference_aoi(self, total_latency_ms):
+    """``_GroupEvaluator._evaluate_aoi`` as one NumPy pass per update."""
+    from repro.batch.result import GroupAoI
+
+    network = self.network
+    updates = self.updates_per_frame
+    buffer_time = self.aoi_buffer_time_ms
+    required_period = total_latency_ms / updates
+    required_frequency = 1e3 / required_period
+    average_aoi, roi, processed = {}, {}, {}
+    speed = network.propagation_speed_m_per_s
+    for sensor in network.sensors:
+        generation_period = sensor.generation_period_ms
+        overhead = (sensor.distance_m / speed) * 1e3 + buffer_time
+        slow = generation_period >= required_period
+        accumulator = None
+        for index in range(1, updates + 1):
+            request_time = (index - 1) * required_period
+            aoi_slow = index * generation_period + overhead - request_time
+            aoi_fast = request_time % generation_period + overhead
+            aoi_n = np.where(slow, aoi_slow, aoi_fast)
+            accumulator = aoi_n if accumulator is None else accumulator + aoi_n
+        mean_aoi = accumulator / updates
+        average_aoi[sensor.name] = mean_aoi
+        processed_hz = np.where(mean_aoi > 0.0, 1e3 / mean_aoi, np.inf)
+        processed[sensor.name] = processed_hz
+        roi[sensor.name] = processed_hz / required_frequency
+    return GroupAoI(
+        sensor_names=tuple(sensor.name for sensor in network.sensors),
+        average_aoi_ms=average_aoi,
+        roi=roi,
+        processed_frequency_hz=processed,
+        required_frequency_hz=required_frequency,
+        buffer_time_ms=buffer_time,
+    )
+
+
+def _aoi_points(updates):
+    base = ApplicationConfig(sensor_updates_per_frame=updates)
+    return [
+        OperatingPoint(
+            app=replace(base, frame_side_px=side, cpu_freq_ghz=freq).with_mode(mode),
+            device=device,
+            edge="EDGE-AGX",
+        )
+        for side, freq, mode, device in (
+            (300.0, 1.0, ExecutionMode.LOCAL, "XR1"),
+            (500.0, 2.2, ExecutionMode.REMOTE, "XR1"),
+            (700.0, 3.0, ExecutionMode.SPLIT, "XR6"),
+        )
+    ]
+
+
+def _aoi_outputs(points):
+    from repro.batch import ConditionedPoints
+
+    result = evaluate_points(points)
+    reports = [result.report_at(i) for i in range(len(points))]
+    latency, energy, min_roi = ConditionedPoints(points).evaluate(
+        [35.0, 120.0, 400.0], [0.0, 0.05, 0.3]
+    )
+    return (
+        result.total_latency_ms,
+        [(r.aoi.average_aoi_ms, r.aoi.roi, r.aoi.processed_frequency_hz) for r in reports],
+        latency,
+        energy,
+        min_roi,
+    )
+
+
+@pytest.mark.parametrize(
+    "updates, chunk_elements",
+    [(1, None), (3, None), (7, None), (1000, None), (10_000, None), (7, 1), (1000, 40)],
+)
+def test_aoi_sum_is_the_per_update_loop(updates, chunk_elements, monkeypatch):
+    from repro.batch import engine
+
+    if chunk_elements is not None:
+        # Chunks of one or a few update rows: the running sum is carried
+        # into each chunk's first row.
+        monkeypatch.setattr(engine, "_AOI_CHUNK_ELEMENTS", chunk_elements)
+    points = _aoi_points(updates)
+    vectorized = _aoi_outputs(points)
+    monkeypatch.setattr(engine._GroupEvaluator, "_evaluate_aoi", reference_aoi)
+    reference = _aoi_outputs(points)
+    np.testing.assert_array_equal(vectorized[0], reference[0])
+    assert vectorized[1] == reference[1]
+    for got, want in zip(vectorized[2:], reference[2:]):
+        np.testing.assert_array_equal(got, want)

@@ -66,6 +66,18 @@ class TestInferenceConfig:
         )
         assert inference.n_edge_servers == 2
 
+    @pytest.mark.parametrize(
+        "omega_client, edge_shares",
+        [(1.0, ()), (1.0, (0.0,)), (0.0, (1.0,)), (0.0, (0.5, 0.5))],
+    )
+    def test_split_that_offloads_nothing_or_everything_rejected(
+        self, omega_client, edge_shares
+    ):
+        with pytest.raises(ConfigurationError, match="omega_client > 0 and an edge_shares"):
+            InferenceConfig(
+                mode=ExecutionMode.SPLIT, omega_client=omega_client, edge_shares=edge_shares
+            )
+
     def test_omega_loc_indicator(self):
         assert ExecutionMode.LOCAL.omega_loc == 1
         assert ExecutionMode.REMOTE.omega_loc == 0
@@ -216,3 +228,53 @@ class TestApplicationConfig:
 
     def test_configs_are_hashable(self, app):
         assert hash(app) == hash(ApplicationConfig.object_detection_default())
+
+
+class TestWithModeSplit:
+    """``with_mode(SPLIT)`` builds the even split the placement candidates hold."""
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.LOCAL, ExecutionMode.REMOTE])
+    def test_split_of_a_local_or_remote_app_is_the_even_split(self, mode):
+        from repro.core.offloading import placement_candidates
+
+        app = ApplicationConfig(frame_rate_fps=30.0).with_mode(mode)
+        split = app.with_mode(ExecutionMode.SPLIT)
+        assert split.inference.mode is ExecutionMode.SPLIT
+        assert split.inference.omega_client == 0.5
+        assert split.inference.edge_shares == (0.5,)
+        assert split == placement_candidates(app)[2]
+        assert split.with_mode(ExecutionMode.SPLIT) is split
+
+    def test_a_valid_split_is_kept(self):
+        app = ApplicationConfig(
+            inference=InferenceConfig(
+                mode=ExecutionMode.SPLIT, omega_client=0.2, edge_shares=(0.5, 0.3)
+            )
+        )
+        assert app.with_mode(ExecutionMode.SPLIT) is app
+
+    def test_split_offloads_part_of_the_inference(self):
+        model = XRPerformanceModel(device="XR1", edge="EDGE-AGX")
+        split = ApplicationConfig().with_mode(ExecutionMode.SPLIT)
+        report = model.analyze(split)
+        assert report.latency.edge_compute is not None
+        assert model.latency_model.remote_inference_ms(split) > 0.0
+
+    def test_fleet_and_cosim_of_split_users_run(self):
+        from repro.adaptive import StaticBaseline, step_trace
+        from repro.batch import OperatingPoint
+        from repro.cosim import CoSimulation
+        from repro.fleet import FleetAnalyzer, FleetPopulation, UserProfile
+
+        split = ApplicationConfig().with_mode(ExecutionMode.SPLIT)
+        population = FleetPopulation(
+            users=tuple(UserProfile(name=f"u{i}", device="XR1", app=split) for i in range(3))
+        )
+        fleet = FleetAnalyzer(population).analyze()
+        assert fleet.n_offloaded == 3
+        assert np.isfinite(fleet.p95_latency_ms)
+        candidate = OperatingPoint(app=split, device="XR1", edge="EDGE-AGX")
+        report = CoSimulation(
+            population, StaticBaseline(0), step_trace(4, seed=0), candidates=(candidate,)
+        ).run()
+        assert report.offload_fraction == (1.0,) * 4

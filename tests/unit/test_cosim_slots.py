@@ -12,11 +12,16 @@ pairs.  These tests pin both to the straightforward per-user definitions:
 * ``percentiles_from_counts`` equals ``np.percentile`` over the expanded
   samples, exactly;
 * the deal cache's and the loads tables' telemetry count one hit or miss
-  per load computation.
+  per load computation;
+* charging per group of users equals charging every user each epoch: a
+  test-local copy of the per-user charging gives the same report, field for
+  field.
 """
 
+import copy
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -24,11 +29,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.adaptive import ConditionTrace, EpochConditions, GreedyBatchSweep, step_trace
-from repro.cosim import CoSimulation
+from repro.adaptive import (
+    ConditionTrace,
+    EpochConditions,
+    EwmaPredictive,
+    GreedyBatchSweep,
+    HysteresisThreshold,
+    step_trace,
+)
+from repro.adaptive.runtime import EpochOutcome, build_adaptation_report
+from repro.adaptive.traces import TRACE_GENERATORS
+from repro.cosim import CoSimulation, CosimReport
 from repro.cosim.engine import DEAL_CACHE_SIZE, LOADS_TABLE_SIZE, percentiles_from_counts
+from repro.faults import FaultEvent, FaultSchedule
+from repro.faults.report import fault_outcome
 from repro.faults.schedule import EpochFaultState
 from repro.fleet import FleetPopulation, UserProfile, homogeneous
+from repro.fleet.results import percentile_method
+from repro.simulation.des import EventScheduler
 
 #: Frame rates of the test apps: distinct per-class arrival rates make the
 #: per-edge accumulation order observable in the last bit.
@@ -360,3 +378,305 @@ def test_linear_with_infinities_matches_numpy():
 def test_single_sample_percentiles(method):
     got = percentiles_from_counts(np.asarray([3.25]), np.asarray([1]), QS, method)
     assert got == (3.25, 3.25, 3.25)
+
+
+# ---------------------------------------------------------------------------
+# Charging per group of users against charging every user
+# ---------------------------------------------------------------------------
+
+
+#: The per-epoch series a co-simulation report carries.
+SERIES = (
+    "converged",
+    "iterations",
+    "offload_fraction",
+    "miss_fraction",
+    "p50",
+    "p95",
+    "p99",
+    "mean_latency",
+    "total_energy",
+    "mean_energy",
+    "mean_quality",
+    "max_rho",
+    "availability",
+)
+
+
+class PerUserCoSimulation(CoSimulation):
+    """The co-simulation with per-user charging: every epoch gathers each
+    user's latency, energy and miss from the slot values and adds them to
+    per-user running totals, and every mean runs over per-user arrays.  The
+    best-response solve is the engine's own."""
+
+    def _run(self) -> CosimReport:
+        classes = self._classes
+        n_users = self._n_users
+        n_epochs = classes[0].trace.n_epochs
+        epoch_ms = classes[0].trace.epoch_ms
+        for cls in classes:
+            cls.controller = copy.deepcopy(cls.template)
+            cls.context.decision_wait_ms = 0.0
+            cls.controller.reset(cls.context)
+            cls.outcomes = []
+        self._prev_decisions = [None] * len(classes)
+        user_miss = np.zeros(n_users)
+        user_latency_sum = np.zeros(n_users)
+        user_energy_j = np.zeros(n_users)
+        series: Dict[str, list] = {name: [] for name in SERIES}
+        sample_values: List[np.ndarray] = []
+        sample_counts: List[np.ndarray] = []
+
+        def step(scheduler):
+            epoch = len(series["converged"])
+            self._charge_per_user(
+                epoch,
+                scheduler.now_ms,
+                user_miss,
+                user_latency_sum,
+                user_energy_j,
+                series,
+                sample_values,
+                sample_counts,
+            )
+            if epoch + 1 < n_epochs:
+                scheduler.schedule_in(epoch_ms, step)
+
+        clock = EventScheduler()
+        clock.schedule_at(0.0, step)
+        clock.run(max_events=n_epochs + 1)
+
+        class_reports = []
+        user_switches = np.zeros(n_users, dtype=int)
+        for cls, user_array in zip(classes, self._user_arrays):
+            report = build_adaptation_report(
+                cls.controller.name, cls.trace, cls.context, cls.frames_per_epoch, cls.outcomes
+            )
+            class_reports.append(report)
+            user_switches[user_array] = report.switch_count
+        sample_latency = np.concatenate(sample_values)
+        fleet_p50, fleet_p95, fleet_p99 = percentiles_from_counts(
+            sample_latency,
+            np.concatenate(sample_counts),
+            (50, 95, 99),
+            percentile_method(sample_latency),
+        )
+        return CosimReport(
+            n_users=n_users,
+            n_epochs=n_epochs,
+            epoch_ms=epoch_ms,
+            deadline_ms=self.deadline_ms,
+            n_edges=self.n_edges,
+            max_iterations=self.max_iterations,
+            class_names=tuple(cls.name for cls in classes),
+            class_sizes=tuple(cls.n_users for cls in classes),
+            class_reports=tuple(class_reports),
+            converged=tuple(series["converged"]),
+            iterations=tuple(series["iterations"]),
+            offload_fraction=tuple(series["offload_fraction"]),
+            miss_fraction=tuple(series["miss_fraction"]),
+            p50_latency_ms=tuple(series["p50"]),
+            p95_latency_ms=tuple(series["p95"]),
+            p99_latency_ms=tuple(series["p99"]),
+            mean_latency_ms=tuple(series["mean_latency"]),
+            total_energy_mj=tuple(series["total_energy"]),
+            mean_energy_mj=tuple(series["mean_energy"]),
+            mean_quality=tuple(series["mean_quality"]),
+            max_edge_utilization=tuple(series["max_rho"]),
+            user_names=tuple(user.name for user in self.population),
+            user_miss_rate=tuple(float(v) for v in user_miss / n_epochs),
+            user_mean_latency_ms=tuple(float(v) for v in user_latency_sum / n_epochs),
+            user_energy_j=tuple(float(v) for v in user_energy_j),
+            user_switch_count=tuple(int(v) for v in user_switches),
+            deadline_miss_rate=float(np.sum(user_miss) / (n_users * n_epochs)),
+            fleet_p50_latency_ms=fleet_p50,
+            fleet_p95_latency_ms=fleet_p95,
+            fleet_p99_latency_ms=fleet_p99,
+            total_energy_j=float(np.sum(user_energy_j)),
+            mean_quality_overall=float(np.mean(series["mean_quality"])),
+            switch_count=int(np.sum(user_switches)),
+            epoch_availability=tuple(series["availability"]),
+            faults=fault_outcome(self.faults, self.n_edges, series["miss_fraction"]),
+        )
+
+    def _charge_per_user(
+        self,
+        epoch,
+        now_ms,
+        user_miss,
+        user_latency_sum,
+        user_energy_j,
+        series,
+        sample_values,
+        sample_counts,
+    ):
+        classes = self._classes
+        fault_state = self._injector.state(epoch) if self._injector is not None else None
+        decisions, loads, final_conditions, converged, iterations = self._solve(
+            epoch, fault_state
+        )
+        n_classes = len(classes)
+        latency_c = np.empty(n_classes)
+        energy_c = np.empty(n_classes)
+        quality_c = np.empty(n_classes)
+        frames_c = np.empty(n_classes)
+        roi_c = [None] * n_classes
+        for cls_index, cls in enumerate(classes):
+            cls.context.decision_wait_ms = 0.0
+            evaluation = cls.context.sweep(final_conditions[cls_index])
+            index = decisions[cls_index]
+            latency_c[cls_index] = evaluation.latency_ms[index]
+            energy_c[cls_index] = evaluation.energy_mj[index]
+            quality_c[cls_index] = cls.context.quality[index]
+            frames_c[cls_index] = cls.frames_per_epoch[index]
+            if evaluation.min_roi is not None:
+                roi_c[cls_index] = float(evaluation.min_roi[index])
+
+        deal = loads.deal
+        slot_class = deal.slot_class
+        slot_wait = loads.slot_wait_ms
+        slot_latency = latency_c[slot_class] + slot_wait
+        wait_energy = np.where(
+            np.isinf(slot_wait), 0.0, self.network.radio_idle_power_w * slot_wait
+        )
+        slot_energy = energy_c[slot_class] + wait_energy
+        slot_of_user = deal.slot_of_user
+        latency_user = slot_latency[slot_of_user]
+        energy_user = slot_energy[slot_of_user]
+        missed_user = latency_user > self.deadline_ms
+
+        user_miss += missed_user
+        user_latency_sum += latency_user
+        user_energy_j += (slot_energy * frames_c[slot_class] / 1e3)[slot_of_user]
+
+        percentiles = percentiles_from_counts(
+            slot_latency, deal.slot_count, (50, 95, 99), percentile_method(slot_latency)
+        )
+        series["converged"].append(converged)
+        series["iterations"].append(iterations)
+        series["offload_fraction"].append(loads.n_offloaded / self._n_users)
+        series["miss_fraction"].append(float(np.mean(missed_user)))
+        for name, value in zip(("p50", "p95", "p99"), percentiles):
+            series[name].append(value)
+        series["mean_latency"].append(float(np.mean(latency_user)))
+        series["total_energy"].append(float(np.sum(energy_user)))
+        series["mean_energy"].append(float(np.mean(energy_user)))
+        series["mean_quality"].append(float(np.mean(quality_c[self._class_of_user])))
+        series["max_rho"].append(float(loads.edge_busy.max()))
+        series["availability"].append(
+            fault_state.availability if fault_state is not None else 1.0
+        )
+        sample_values.append(slot_latency)
+        sample_counts.append(deal.slot_count)
+
+        for cls_index, (cls, user_array) in enumerate(zip(classes, self._user_arrays)):
+            mean_latency = float(np.mean(latency_user[user_array]))
+            outcome = EpochOutcome(
+                epoch=epoch,
+                time_ms=now_ms,
+                index=decisions[cls_index],
+                latency_ms=mean_latency,
+                energy_mj=float(np.mean(energy_user[user_array])),
+                quality=float(quality_c[cls_index]),
+                deadline_missed=mean_latency > self.deadline_ms,
+                min_roi=roi_c[cls_index],
+            )
+            cls.controller.observe(epoch, final_conditions[cls_index], outcome)
+            cls.outcomes.append(outcome)
+
+
+def _grouped_and_per_user(population, controller, trace, **kwargs):
+    """Both reports of one fleet, and the grouped run's ``cosim.user_groups``."""
+    with telemetry.scoped(telemetry.Telemetry()) as registry:
+        grouped = CoSimulation(population, controller, trace, **kwargs).run()
+    per_user = PerUserCoSimulation(population, controller, trace, **kwargs).run()
+    for item in fields(CosimReport):
+        assert getattr(grouped, item.name) == getattr(per_user, item.name), item.name
+    return registry.snapshot()["counters"]["cosim.user_groups"]
+
+
+def _drawn_fleet(rng: np.random.Generator):
+    """A mixed-device fleet of drawn frame rates and 1-3 controller templates."""
+    base = homogeneous(1).users[0].app
+    apps = [replace(base, frame_rate_fps=fps) for fps in (10.0,) + FRAME_RATES_FPS]
+    population = FleetPopulation(
+        users=tuple(
+            UserProfile(
+                name=f"user-{index}",
+                device=str(rng.choice(["XR1", "XR2", "XR6"])),
+                app=apps[int(rng.integers(0, len(apps)))],
+            )
+            for index in range(int(rng.integers(2, 30)))
+        )
+    )
+    makers = (GreedyBatchSweep, HysteresisThreshold, lambda: EwmaPredictive(seed=3))
+    templates = [makers[int(rng.integers(0, 3))]() for _ in range(int(rng.integers(1, 4)))]
+    controllers = {
+        user.name: templates[int(rng.integers(0, len(templates)))] for user in population
+    }
+    return population, controllers
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grouped_charging_equals_per_user_charging(seed):
+    rng = np.random.default_rng(1000 + seed)
+    population, controllers = _drawn_fleet(rng)
+    trace_name = sorted(TRACE_GENERATORS)[seed % len(TRACE_GENERATORS)]
+    trace = TRACE_GENERATORS[trace_name](16, seed=seed)
+    _grouped_and_per_user(
+        population, controllers, trace, n_edges=int(rng.integers(1, 6)), include_aoi=False
+    )
+
+
+def test_grouped_charging_follows_edges_that_die_and_revive():
+    # Edges 0 and 2 die and come back at different epochs, so the charged
+    # deal changes mid-run and a class's users move between edges.
+    rng = np.random.default_rng(5)
+    population, controllers = _drawn_fleet(rng)
+    schedule = FaultSchedule(
+        name="flapping",
+        events=(
+            FaultEvent(kind="edge_outage", start_epoch=3, duration_epochs=4, edge_index=0),
+            FaultEvent(kind="edge_outage", start_epoch=5, duration_epochs=6, edge_index=2),
+            FaultEvent(kind="edge_outage", start_epoch=12, duration_epochs=2),
+        ),
+    )
+    n_groups = _grouped_and_per_user(
+        homogeneous(5, device="XR1"),
+        GreedyBatchSweep(),
+        TRACE_GENERATORS["burst"](20, seed=1),
+        n_edges=3,
+        include_aoi=False,
+        faults=schedule,
+    )
+    # Three edges deal the five offloaders into three groups; the outages
+    # re-deal them and split every group down to one user.
+    assert n_groups == 5
+    _grouped_and_per_user(
+        population,
+        controllers,
+        TRACE_GENERATORS["step"](20, seed=2),
+        n_edges=3,
+        include_aoi=False,
+        faults=schedule,
+    )
+
+
+def test_grouped_charging_of_one_user():
+    population = homogeneous(1, device="XR2")
+    assert _grouped_and_per_user(
+        population, HysteresisThreshold(), TRACE_GENERATORS["mobility"](20, seed=4)
+    ) == 1
+
+
+def test_grouped_charging_of_one_class():
+    # One class on several edges: round robin splits it into one group per
+    # edge once it offloads, and its epoch means are the fleet's.
+    n_groups = _grouped_and_per_user(
+        homogeneous(5, device="XR1"),
+        GreedyBatchSweep(),
+        TRACE_GENERATORS["step"](24, seed=0),
+        n_edges=4,
+        include_aoi=False,
+    )
+    assert n_groups == 4

@@ -282,6 +282,8 @@ class TestCallSiteInvariance:
             telemetry.disable()
         assert counters["process"] == counters["serial"]
         assert counters["serial"]["exec.tasks"] == 2
+        # Each shard ends its run with at least one charge group.
+        assert counters["serial"]["cosim.user_groups"] >= 2
 
     def test_experiment_suite_backend_invariant(self):
         suite = ScenarioSuite(
