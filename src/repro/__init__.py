@@ -137,8 +137,6 @@ _LAZY = {
     "HysteresisThreshold": "repro.adaptive.controllers",
     "StaticBaseline": "repro.adaptive.controllers",
     "make_trace": "repro.adaptive.traces",
-    "XRDevice": "repro.devices.device",
-    "EdgeServer": "repro.devices.edge_server",
     "get_device": "repro.devices.catalog",
     "get_edge_server": "repro.devices.catalog",
     "CNNModel": "repro.cnn.model",
@@ -207,7 +205,6 @@ __all__ = [
     "DeviceSpec",
     "Diagnostic",
     "EdgePlan",
-    "EdgeServer",
     "EdgeServerSpec",
     "EncoderConfig",
     "EnergyBreakdown",
@@ -244,7 +241,6 @@ __all__ = [
     "Table",
     "UserProfile",
     "WorkloadConfig",
-    "XRDevice",
     "XREnergyModel",
     "XRLatencyModel",
     "XRPerformanceModel",

@@ -586,9 +586,6 @@ class AdaptiveRuntime:
         objective: default selection objective.
         coefficients / complexity_mode: forwarded to the batch engine.
         include_aoi: evaluate AoI per point (adds the AoI-violation rate).
-        prewarm: pre-fill the sweep cache for every trace epoch with one
-            batched call (recommended; disable only to measure the
-            per-epoch evaluation path).
         faults: optional deterministic fault schedule replayed alongside the
             trace.  The runtime models a single edge server (edge index 0):
             link degradation reshapes each faulted epoch's conditions,
@@ -609,7 +606,6 @@ class AdaptiveRuntime:
         coefficients: Optional[CoefficientSet] = None,
         complexity_mode: str = "paper",
         include_aoi: bool = True,
-        prewarm: bool = True,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         self.trace = trace
@@ -636,8 +632,7 @@ class AdaptiveRuntime:
                 for p in self.context.candidates
             ]
         )
-        if prewarm:
-            self.context.prewarm(trace)
+        self.context.prewarm(trace)
 
     @property
     def candidates(self) -> Tuple[OperatingPoint, ...]:

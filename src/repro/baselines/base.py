@@ -26,11 +26,6 @@ class BaselineModel(abc.ABC):
     def __init__(self) -> None:
         self._calibrated = False
 
-    @property
-    def is_calibrated(self) -> bool:
-        """True once :meth:`calibrate` has been called."""
-        return self._calibrated
-
     def _require_calibration(self) -> None:
         if not self._calibrated:
             raise ModelDomainError(

@@ -45,7 +45,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -57,16 +56,7 @@ from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.core.coefficients import CoefficientSet
 from repro.core.latency import COMPLEXITY_MODES, INFERENCE_RESULT_SIZE_MB
-from repro.core.segments import (
-    COMMON_SEGMENTS,
-    COMPUTE_SEGMENTS,
-    LOCAL_ONLY_SEGMENTS,
-    RADIO_SEGMENTS,
-    REMOTE_ONLY_SEGMENTS,
-    Segment,
-)
-from repro.devices.device import XRDevice
-from repro.devices.edge_server import EdgeServer
+from repro.core.segments import COMPUTE_SEGMENTS, RADIO_SEGMENTS, Segment, billed_segments
 from repro.devices.resolve import resolve_device_spec, resolve_edge_spec
 from repro.exceptions import ConfigurationError, ModelDomainError
 from repro.measurement.truth import SEGMENT_POWER_FACTORS
@@ -78,11 +68,6 @@ from repro.sensors.sensor import ExternalSensor
 from repro.batch.grid import NUMERIC_AXES, OperatingPoint, ParameterGrid
 from repro.batch.result import BatchResult, GroupAoI, GroupResult
 
-DeviceLike = Union[str, DeviceSpec, XRDevice]
-EdgeLike = Union[str, EdgeServerSpec, EdgeServer, None]
-
-_as_device_spec = resolve_device_spec
-_as_edge_spec = resolve_edge_spec
 
 
 def _canonical_app(app: ApplicationConfig) -> ApplicationConfig:
@@ -339,15 +324,11 @@ class _GroupEvaluator:
                 app.cooperation.distance_m
             )
 
-        # Included-segment set, exactly as the scalar end_to_end assembles it.
-        included = set(COMMON_SEGMENTS)
-        if self.uses_local_path:
-            included |= LOCAL_ONLY_SEGMENTS
-        if self.uses_remote_path:
-            included |= REMOTE_ONLY_SEGMENTS
-        if app.cooperation.enabled and app.cooperation.include_in_totals:
-            included.add(Segment.COOPERATION)
-        self._included_unrestricted = included
+        self._included_unrestricted = billed_segments(
+            self.uses_local_path,
+            self.uses_remote_path,
+            app.cooperation.enabled and app.cooperation.include_in_totals,
+        )
 
         # Energy constants.
         self.segment_factors = dict(SEGMENT_POWER_FACTORS)
@@ -732,13 +713,13 @@ def _evaluate_grid(
     coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
     numeric = grid.numeric_arrays()
     per_group = grid.points_per_group
-    edge = _as_edge_spec(grid.edge)
+    edge = resolve_edge_spec(grid.edge)
     canonical_network = grid.network
 
     groups: List[GroupResult] = []
     offset = 0
     for device_like, mode in grid.group_keys():
-        device = _as_device_spec(device_like)
+        device = resolve_device_spec(device_like)
         app = grid.group_app(mode)
         evaluator = _GroupEvaluator(
             device=device,
@@ -805,8 +786,8 @@ def _structure_key(point: OperatingPoint) -> tuple:
     them), then the app and network with their numeric axes stripped.
     """
     return (
-        _as_device_spec(point.device),
-        _as_edge_spec(point.edge),
+        resolve_device_spec(point.device),
+        resolve_edge_spec(point.edge),
         _canonical_app(point.app),
         _canonical_network(point.network),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +29,9 @@ from repro.config.application import (
     ApplicationConfig,
     ExecutionMode,
 )
-from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import MIN_THROUGHPUT_MBPS, NetworkConfig
+from repro.devices.resolve import DeviceLike, EdgeLike
 from repro.exceptions import ConfigurationError
-
-DeviceLike = Union[str, DeviceSpec]
-EdgeLike = Union[str, EdgeServerSpec, None]
 
 #: Numeric axis names of a grid, in point-ordering precedence (slowest last
 #: two categorical axes excluded).

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from repro.cnn.model import CNNModel
 from repro.exceptions import ModelDomainError
 
@@ -133,17 +131,4 @@ class CNNComplexityModel:
         """Evaluate ``C_CNN`` for a :class:`~repro.cnn.model.CNNModel` descriptor."""
         return self.complexity_from_parameters(
             depth=model.depth, size_mb=model.size_mb, depth_scale=model.depth_scale
-        )
-
-    def complexity_vector(self, models: Sequence[CNNModel]) -> np.ndarray:
-        """Vectorised complexity evaluation over a sequence of models."""
-        return np.array([self.complexity(model) for model in models], dtype=float)
-
-    def as_coefficients(self) -> tuple[float, float, float, float]:
-        """Return the coefficient tuple (intercept, depth, size, scale)."""
-        return (
-            self.intercept,
-            self.depth_coefficient,
-            self.size_coefficient,
-            self.scale_coefficient,
         )

@@ -48,11 +48,6 @@ class CNNModel:
         if self.tier not in {"lightweight", "server"}:
             raise ValueError(f"tier must be 'lightweight' or 'server', got {self.tier!r}")
 
-    @property
-    def is_lightweight(self) -> bool:
-        """True for models intended to run on the XR device itself."""
-        return self.tier == "lightweight"
-
     def describe(self) -> str:
         """One-line human-readable description used by the report generator."""
         quant = "quantized" if self.quantized else "float"

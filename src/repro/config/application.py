@@ -51,15 +51,6 @@ class ExecutionMode(enum.Enum):
     REMOTE = "remote"
     SPLIT = "split"
 
-    @property
-    def omega_loc(self) -> int:
-        """The paper's binary local-inference indicator ``omega_loc``.
-
-        ``SPLIT`` counts as remote for the purpose of the indicator because
-        the remote path (encoding, transmission, remote inference) is active.
-        """
-        return 1 if self is ExecutionMode.LOCAL else 0
-
 
 @dataclass(frozen=True)
 class EncoderConfig:

@@ -96,11 +96,6 @@ class DeviceSpec:
         # mAh * V = mWh; 1 mWh = 3600 mJ
         return self.battery_capacity_mah * self.battery_voltage_v * 3600.0
 
-    @property
-    def supports_5ghz_wifi(self) -> bool:
-        """True when the device supports a 5 GHz capable 802.11 amendment."""
-        return any(std in {"a", "ac", "ax"} for std in self.wifi_standards)
-
     def with_memory_bandwidth(self, bandwidth_gb_s: float) -> "DeviceSpec":
         """Return a copy of the spec with a different memory bandwidth."""
         return replace(self, memory_bandwidth_gb_s=bandwidth_gb_s)

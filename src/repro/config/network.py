@@ -221,11 +221,6 @@ class NetworkConfig:
     # -- derived quantities -------------------------------------------------
 
     @property
-    def n_sensors(self) -> int:
-        """Number of external sensors/devices (``M``)."""
-        return len(self.sensors)
-
-    @property
     def total_sensor_arrival_rate_hz(self) -> float:
         """Aggregate packet arrival rate into the input buffer from sensors."""
         return sum(sensor.effective_arrival_rate_hz for sensor in self.sensors)
@@ -234,15 +229,6 @@ class NetworkConfig:
         """Propagation delay for an arbitrary distance with this config's speed."""
         return units.propagation_delay_ms(distance_m, self.propagation_speed_m_per_s)
 
-    @property
-    def edge_propagation_delay_ms(self) -> float:
-        """Propagation delay between the XR device and the edge server."""
-        return self.propagation_delay_ms(self.edge_distance_m)
-
     def with_throughput(self, throughput_mbps: float) -> "NetworkConfig":
         """Return a copy with a different wireless throughput."""
         return replace(self, throughput_mbps=throughput_mbps)
-
-    def with_sensors(self, sensors: Tuple[SensorConfig, ...]) -> "NetworkConfig":
-        """Return a copy with a different sensor population."""
-        return replace(self, sensors=sensors)

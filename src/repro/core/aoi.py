@@ -92,10 +92,6 @@ class AoIResult:
         """Sensors whose information can be considered fresh (RoI >= 1)."""
         return sorted(name for name, value in self.roi.items() if value >= 1.0)
 
-    def stale_sensors(self) -> List[str]:
-        """Sensors whose information goes stale (RoI < 1)."""
-        return sorted(name for name, value in self.roi.items() if value < 1.0)
-
     def __str__(self) -> str:
         lines = [
             f"required frequency: {self.required_frequency_hz:.1f} Hz, "

@@ -229,10 +229,6 @@ class CoefficientSet:
             base = replace(base, **overrides)
         return base
 
-    def with_complexity(self, model: CNNComplexityModel) -> "CoefficientSet":
-        """Return a copy using a different CNN complexity model."""
-        return replace(self, cnn_complexity=model)
-
 
 # ---------------------------------------------------------------------------
 # Calibration cache

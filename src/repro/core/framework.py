@@ -9,16 +9,15 @@ exposes the per-frame analysis the paper's evaluation performs::
     report = model.analyze()
     print(report.summary())
 
-Devices and edge servers can be given as catalog names (Table I), as
-specification dataclasses, or as runtime objects.
+Devices and edge servers can be given as catalog names (Table I) or as
+specification dataclasses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.application import ApplicationConfig, ExecutionMode
-from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.config.workload import WorkloadConfig
 from repro.core.aoi import AoIModel, AoIResult, AoITimeline
@@ -28,26 +27,17 @@ from repro.core.latency import XRLatencyModel
 from repro.core.offloading import OffloadingDecision, OffloadingPlanner
 from repro.core.power import PowerModel
 from repro.core.results import EnergyBreakdown, LatencyBreakdown, PerformanceReport
-from repro.devices.device import XRDevice
-from repro.devices.edge_server import EdgeServer
-from repro.devices.resolve import resolve_device_spec, resolve_edge_spec
+from repro.devices.resolve import DeviceLike, EdgeLike, resolve_device_spec, resolve_edge_spec
 from repro.exceptions import ConfigurationError
-
-DeviceLike = Union[str, DeviceSpec, XRDevice]
-EdgeLike = Union[str, EdgeServerSpec, EdgeServer, None]
-
-# Shared resolution helpers (kept under their historical local names).
-_resolve_device = resolve_device_spec
-_resolve_edge = resolve_edge_spec
 
 
 class XRPerformanceModel:
     """Performance analysis of one XR application on one device/edge pair.
 
     Args:
-        device: XR device (catalog name, spec, or runtime device).
-        edge: edge server (catalog name, spec, runtime server, or None for a
-            purely local analysis).
+        device: XR device (catalog name or spec).
+        edge: edge server (catalog name, spec, or None for a purely local
+            analysis).
         app: application configuration; defaults to the paper's
             object-detection pipeline.
         network: network configuration; defaults to the paper's testbed
@@ -66,8 +56,8 @@ class XRPerformanceModel:
         coefficients: Optional[CoefficientSet] = None,
         complexity_mode: str = "paper",
     ) -> None:
-        self.device = _resolve_device(device)
-        self.edge = _resolve_edge(edge)
+        self.device = resolve_device_spec(device)
+        self.edge = resolve_edge_spec(edge)
         self.app = app if app is not None else ApplicationConfig.object_detection_default()
         self.network = network if network is not None else NetworkConfig()
         self.coefficients = coefficients if coefficients is not None else CoefficientSet.paper()

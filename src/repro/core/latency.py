@@ -23,12 +23,7 @@ from repro.config.network import NetworkConfig
 from repro.core.coefficients import CoefficientSet
 from repro.core.resources import ComputeResourceModel
 from repro.core.results import LatencyBreakdown
-from repro.core.segments import (
-    COMMON_SEGMENTS,
-    LOCAL_ONLY_SEGMENTS,
-    REMOTE_ONLY_SEGMENTS,
-    Segment,
-)
+from repro.core.segments import Segment, billed_segments
 from repro.exceptions import ConfigurationError, ModelDomainError
 from repro.network.handoff import HandoffModel
 from repro.network.wifi import WifiLink
@@ -320,18 +315,13 @@ class XRLatencyModel:
         if app.cooperation.enabled:
             per_segment[Segment.COOPERATION] = self.cooperation_ms(app, network)
 
-        included = set(COMMON_SEGMENTS)
-        if uses_local_path:
-            included |= LOCAL_ONLY_SEGMENTS
-        if uses_remote_path:
-            included |= REMOTE_ONLY_SEGMENTS
-        if app.cooperation.enabled and app.cooperation.include_in_totals:
-            included.add(Segment.COOPERATION)
-        included &= set(per_segment)
-
         return LatencyBreakdown(
             per_segment_ms=per_segment,
-            included_segments=frozenset(included),
+            included_segments=billed_segments(
+                uses_local_path,
+                uses_remote_path,
+                app.cooperation.enabled and app.cooperation.include_in_totals,
+            ),
             mode=mode,
             client_compute=self.client_compute(app),
             edge_compute=self.edge_compute(app) if uses_remote_path and self.edge else None,

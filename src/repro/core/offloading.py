@@ -120,12 +120,6 @@ class OffloadingPlanner:
             self._candidate_cache[key] = cached
         return cached
 
-    def candidate_placements(
-        self, app: ApplicationConfig, n_edge_servers: int = 1
-    ) -> List[ApplicationConfig]:
-        """Build the candidate placements: local, remote, and an even split."""
-        return list(self.candidates(app, n_edge_servers=n_edge_servers))
-
     # -- scoring ------------------------------------------------------------------------
 
     def _score(self, latency: LatencyBreakdown, energy: EnergyBreakdown) -> float:

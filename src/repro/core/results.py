@@ -11,10 +11,10 @@ always inspectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import FrozenSet, Mapping, Optional
 
 from repro.config.application import ExecutionMode
-from repro.core.segments import COMPUTE_SEGMENTS, Segment
+from repro.core.segments import Segment
 
 
 def _format_table(rows, headers) -> str:
@@ -66,29 +66,9 @@ class LatencyBreakdown:
             if segment in self.included_segments
         )
 
-    @property
-    def computation_ms(self) -> float:
-        """Latency spent on the device compute complex."""
-        return sum(
-            value
-            for segment, value in self.per_segment_ms.items()
-            if segment in self.included_segments and segment in COMPUTE_SEGMENTS
-        )
-
-    @property
-    def communication_ms(self) -> float:
-        """Latency spent outside the device compute complex."""
-        return self.total_ms - self.computation_ms
-
     def segment_ms(self, segment: Segment) -> float:
         """Latency of one segment (0.0 when the segment was not evaluated)."""
         return float(self.per_segment_ms.get(segment, 0.0))
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary keyed by segment value plus ``"total"``."""
-        data = {segment.value: float(value) for segment, value in self.per_segment_ms.items()}
-        data["total"] = self.total_ms
-        return data
 
     def summary(self) -> str:
         """Fixed-width text table of the breakdown."""
@@ -144,18 +124,6 @@ class EnergyBreakdown:
     def total_mj(self) -> float:
         """End-to-end energy ``E_tot`` (Eq. 19) including thermal and base terms."""
         return self.segment_total_mj + self.thermal_mj + self.base_mj
-
-    def segment_mj(self, segment: Segment) -> float:
-        """Energy of one segment (0.0 when not evaluated)."""
-        return float(self.per_segment_mj.get(segment, 0.0))
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary keyed by segment value plus thermal/base/total."""
-        data = {segment.value: float(value) for segment, value in self.per_segment_mj.items()}
-        data["thermal"] = self.thermal_mj
-        data["base"] = self.base_mj
-        data["total"] = self.total_mj
-        return data
 
     def summary(self) -> str:
         """Fixed-width text table of the breakdown."""

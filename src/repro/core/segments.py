@@ -41,12 +41,12 @@ COMMON_SEGMENTS: FrozenSet[Segment] = frozenset(
     }
 )
 
-#: Segments active only on the local-inference path (``omega_loc = 1``).
+#: Segments of the local-inference path (local and split execution).
 LOCAL_ONLY_SEGMENTS: FrozenSet[Segment] = frozenset(
     {Segment.CONVERSION, Segment.LOCAL_INFERENCE}
 )
 
-#: Segments active only on the remote-inference path (``omega_loc = 0``).
+#: Segments of the remote-inference path (remote and split execution).
 REMOTE_ONLY_SEGMENTS: FrozenSet[Segment] = frozenset(
     {
         Segment.ENCODING,
@@ -76,21 +76,24 @@ RADIO_SEGMENTS: FrozenSet[Segment] = frozenset(
 )
 
 
-def segments_for_mode(local_inference: bool, include_cooperation: bool) -> FrozenSet[Segment]:
-    """The set of segments contributing to the end-to-end totals (Eq. 1).
+def billed_segments(local_path: bool, remote_path: bool, cooperation: bool) -> FrozenSet[Segment]:
+    """The segments whose values sum into the end-to-end totals (Eq. 1).
+
+    The scalar models and the batch engine both bill through this rule.
 
     Args:
-        local_inference: True when inference executes on the XR device
-            (``omega_loc = 1``), False for the remote/split path.
-        include_cooperation: whether the XR-cooperation segment is billed to
-            the end-to-end totals (the paper excludes it by default because it
-            runs in parallel with rendering).
+        local_path: the frame runs conversion and inference on the XR device
+            (local and split execution).
+        remote_path: the frame is encoded, sent and inferred on an edge
+            server (remote and split execution).
+        cooperation: the XR-cooperation segment is billed to the totals (the
+            paper leaves it out, because it runs in parallel with rendering).
     """
     segments = set(COMMON_SEGMENTS)
-    if local_inference:
+    if local_path:
         segments |= LOCAL_ONLY_SEGMENTS
-    else:
+    if remote_path:
         segments |= REMOTE_ONLY_SEGMENTS
-    if include_cooperation:
+    if cooperation:
         segments.add(Segment.COOPERATION)
     return frozenset(segments)

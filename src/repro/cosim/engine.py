@@ -411,9 +411,6 @@ class CoSimulation:
         damping: relaxation factor in (0, 1] applied to the endogenous
             throughput/wait between iterations (1.0 = undamped best
             response).  Charged outcomes always use undamped final loads.
-        prewarm: pre-fill each class's sweep cache for its exogenous trace
-            with one batched call; classes replaying one trace share it, so
-            only the first pays.
         faults: optional :class:`~repro.faults.schedule.FaultSchedule`
             injected into the closed loop — dead edges leave the
             round-robin deal, brownouts and straggler windows inflate the
@@ -444,7 +441,6 @@ class CoSimulation:
         include_aoi: bool = True,
         max_iterations: int = 8,
         damping: float = 0.5,
-        prewarm: bool = True,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         n_edges = ensure_integer("n_edges", n_edges)
@@ -493,9 +489,7 @@ class CoSimulation:
         self._share_cache: Dict[int, float] = {}
         self._all_edges = tuple(range(n_edges))
         self._deals: "OrderedDict[tuple, Tuple[_Deal, OrderedDict]]" = OrderedDict()
-        self._classes, self._class_of_user = self._build_classes(
-            controller, trace, candidates, prewarm
-        )
+        self._classes, self._class_of_user = self._build_classes(controller, trace, candidates)
         self._user_arrays = [
             np.asarray(cls.user_indices, dtype=np.intp) for cls in self._classes
         ]
@@ -543,7 +537,6 @@ class CoSimulation:
         controller: ControllerLike,
         trace: TraceLike,
         candidates: Optional[Sequence[OperatingPoint]],
-        prewarm: bool,
     ) -> Tuple[List[_UserClass], np.ndarray]:
         classes: List[_UserClass] = []
         class_of_user = np.empty(self._n_users, dtype=np.intp)
@@ -646,8 +639,7 @@ class CoSimulation:
                 cls.service_ref_ms,
                 cls.frames_per_epoch,
             ) = block_arrays[index]
-            if prewarm:
-                cls.context.prewarm(cls.trace)
+            cls.context.prewarm(cls.trace)
         return classes, class_of_user
 
     def _block_arrays(

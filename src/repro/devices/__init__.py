@@ -1,11 +1,9 @@
-"""Device substrate: catalog (Table I), runtime device models, power rail.
+"""Device substrate: the Table I catalog, battery and thermal models.
 
 The analytical framework consumes devices through a small number of
-aggregate parameters (clock frequencies, memory bandwidth, base power); the
-simulated testbed consumes the richer runtime models defined here
-(:class:`~repro.devices.device.XRDevice`,
-:class:`~repro.devices.edge_server.EdgeServer`) which add battery, thermal
-and sampled power-rail behaviour.
+aggregate parameters (clock frequencies, memory bandwidth, base power) of
+their specification dataclasses; the session analysis adds the battery and
+thermal models defined here.
 """
 
 from repro.devices.battery import Battery
@@ -19,9 +17,6 @@ from repro.devices.catalog import (
     list_devices,
     list_edge_servers,
 )
-from repro.devices.device import XRDevice
-from repro.devices.edge_server import EdgeServer
-from repro.devices.power_rail import PowerRail, PowerSample
 from repro.devices.resolve import resolve_device_spec, resolve_edge_spec
 from repro.devices.thermals import ThermalModel
 
@@ -29,13 +24,9 @@ __all__ = [
     "Battery",
     "DEVICE_CATALOG",
     "EDGE_CATALOG",
-    "EdgeServer",
-    "PowerRail",
-    "PowerSample",
     "TEST_DEVICES",
     "TRAIN_DEVICES",
     "ThermalModel",
-    "XRDevice",
     "get_device",
     "get_edge_server",
     "list_devices",

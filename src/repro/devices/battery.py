@@ -56,11 +56,6 @@ class Battery:
             return 1.0
         return self.remaining_mj / self.capacity_mj
 
-    @property
-    def is_depleted(self) -> bool:
-        """True once the battery has no usable energy left."""
-        return not self.is_tethered and self.remaining_mj <= 0.0
-
     def drain(self, energy_mj: float) -> float:
         """Remove ``energy_mj`` from the battery and return the energy actually drawn.
 
@@ -77,15 +72,6 @@ class Battery:
         drawn = min(energy_mj, self.remaining_mj)
         self.remaining_mj -= drawn
         return drawn
-
-    def recharge(self, energy_mj: float = -1.0) -> None:
-        """Recharge by ``energy_mj`` (default: back to full)."""
-        if self.is_tethered:
-            return
-        if energy_mj < 0.0:
-            self.remaining_mj = self.capacity_mj
-        else:
-            self.remaining_mj = min(self.capacity_mj, self.remaining_mj + energy_mj)
 
     def frames_remaining(self, energy_per_frame_mj: float) -> float:
         """Number of frames the battery can still sustain at the given cost."""

@@ -1,11 +1,11 @@
 """Resolution of device/edge arguments to their specification dataclasses.
 
-Public entry points across the framework accept devices and edge servers in
-three interchangeable forms — a Table I catalog name, a specification
-dataclass, or a runtime object.  The two helpers here normalise any of those
-to the spec the analytical models consume; both the scalar facade
-(:mod:`repro.core.framework`) and the batch engine (:mod:`repro.batch`)
-share them, so the accepted forms can never diverge between the two paths.
+Public entry points across the framework accept a device or an edge server
+either as a Table I catalog name or as its specification dataclass.  The two
+helpers here normalise both forms to the spec the analytical models consume;
+the scalar facade (:mod:`repro.core.framework`) and the batch engine
+(:mod:`repro.batch`) share them, so the accepted forms can never diverge
+between the two paths.
 """
 
 from __future__ import annotations
@@ -14,23 +14,19 @@ from typing import Optional, Union
 
 from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.devices.catalog import get_device, get_edge_server
-from repro.devices.device import XRDevice
-from repro.devices.edge_server import EdgeServer
 from repro.exceptions import ConfigurationError
 
-DeviceLike = Union[str, DeviceSpec, XRDevice]
-EdgeLike = Union[str, EdgeServerSpec, EdgeServer, None]
+DeviceLike = Union[str, DeviceSpec]
+EdgeLike = Union[str, EdgeServerSpec, None]
 
 
 def resolve_device_spec(device: DeviceLike) -> DeviceSpec:
-    """Normalise a catalog name / spec / runtime device to its spec.
+    """Normalise a catalog name / spec to its spec.
 
     Raises:
         ConfigurationError: for values of an unsupported type.
         UnknownDeviceError: for catalog names not in Table I.
     """
-    if isinstance(device, XRDevice):
-        return device.spec
     if isinstance(device, DeviceSpec):
         return device
     if isinstance(device, str):
@@ -39,7 +35,7 @@ def resolve_device_spec(device: DeviceLike) -> DeviceSpec:
 
 
 def resolve_edge_spec(edge: EdgeLike) -> Optional[EdgeServerSpec]:
-    """Normalise a catalog name / spec / runtime server to its spec (None passes).
+    """Normalise a catalog name / spec to its spec (None passes).
 
     Raises:
         ConfigurationError: for values of an unsupported type.
@@ -47,8 +43,6 @@ def resolve_edge_spec(edge: EdgeLike) -> Optional[EdgeServerSpec]:
     """
     if edge is None:
         return None
-    if isinstance(edge, EdgeServer):
-        return edge.spec
     if isinstance(edge, EdgeServerSpec):
         return edge
     if isinstance(edge, str):

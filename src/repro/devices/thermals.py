@@ -15,7 +15,6 @@ framework models two aspects:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 from repro.config.device import DeviceSpec
 
@@ -39,7 +38,6 @@ class ThermalModel:
     thermal_capacitance_j_per_c: float = 45.0
     throttle_threshold_c: float = 43.0
     _temperature_c: float = field(init=False, default=0.0)
-    _history: List[float] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.thermal_fraction <= 1.0:
@@ -62,11 +60,6 @@ class ThermalModel:
     def is_throttling(self) -> bool:
         """True when the skin temperature exceeds the throttle threshold."""
         return self._temperature_c >= self.throttle_threshold_c
-
-    @property
-    def history(self) -> List[float]:
-        """Skin temperature after each recorded interval."""
-        return list(self._history)
 
     def thermal_energy_mj(self, consumed_energy_mj: float) -> float:
         """Thermal energy ``E_theta`` (mJ) produced by consuming ``consumed_energy_mj``."""
@@ -96,10 +89,4 @@ class ThermalModel:
         steady_state_c = self.ambient_c + heat_power_w * self.thermal_resistance_c_per_w
         decay = pow(2.718281828459045, -duration_s / tau_s)
         self._temperature_c = steady_state_c + (self._temperature_c - steady_state_c) * decay
-        self._history.append(self._temperature_c)
         return self._temperature_c
-
-    def reset(self) -> None:
-        """Reset to ambient temperature and clear the history."""
-        self._temperature_c = self.ambient_c
-        self._history.clear()

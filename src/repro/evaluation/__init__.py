@@ -20,7 +20,6 @@ _LAZY = {
     "mean_absolute_percentage_error": "repro.evaluation.metrics",
     "mean_error_percent": "repro.evaluation.metrics",
     "normalized_accuracy": "repro.evaluation.metrics",
-    "series_accuracy": "repro.evaluation.metrics",
     "SweepComparison": "repro.evaluation.sweeps",
     "SweepSeries": "repro.evaluation.sweeps",
     "run_sweep_comparison": "repro.evaluation.sweeps",
@@ -58,7 +57,6 @@ __all__ = [
     "mean_absolute_percentage_error",
     "mean_error_percent",
     "normalized_accuracy",
-    "series_accuracy",
     "run_sweep_comparison",
     "table_1",
     "table_2",

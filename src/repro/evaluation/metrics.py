@@ -54,13 +54,6 @@ def normalized_accuracy(prediction: float, truth: float) -> float:
     return float(max(0.0, 100.0 - deviation))
 
 
-def series_accuracy(predictions: Sequence[float], truths: Sequence[float]) -> float:
-    """Mean normalized accuracy (percent) of a series of predictions."""
-    predicted, truth = _as_arrays(predictions, truths)
-    accuracies = [normalized_accuracy(p, t) for p, t in zip(predicted, truth)]
-    return float(np.mean(accuracies))
-
-
 def relative_error(prediction: float, truth: float) -> float:
     """Unsigned relative error of one prediction (fraction, not percent)."""
     if truth <= 0.0:

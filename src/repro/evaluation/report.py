@@ -56,8 +56,3 @@ def save_text(name: str, content: str, base: Optional[str] = None) -> Path:
     path = results_directory(base) / name
     path.write_text(content + ("\n" if not content.endswith("\n") else ""))
     return path
-
-
-def format_float(value: float, digits: int = 2) -> str:
-    """Format a float with a fixed number of decimals (helper for tables)."""
-    return f"{value:.{digits}f}"

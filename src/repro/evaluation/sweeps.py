@@ -75,13 +75,6 @@ class SweepComparison:
             truth.extend(curve.ground_truth)
         return mean_absolute_percentage_error(model, truth)
 
-    def series_for(self, cpu_freq_ghz: float) -> SweepSeries:
-        """The curve of one CPU frequency."""
-        for curve in self.series:
-            if abs(curve.cpu_freq_ghz - cpu_freq_ghz) < 1e-9:
-                return curve
-        raise KeyError(f"no series for CPU frequency {cpu_freq_ghz} GHz")
-
     def rows(self) -> List[Tuple[float, float, float, float]]:
         """Flat (cpu_freq, frame_side, ground_truth, model) rows for reporting."""
         rows: List[Tuple[float, float, float, float]] = []

@@ -18,7 +18,6 @@ from repro.faults.report import FaultOutcome, FaultWindow, fault_outcome
 from repro.faults.scenarios import (
     FAULT_GENERATORS,
     build_schedule,
-    fault_schedule_names,
     make_schedule,
 )
 from repro.faults.schedule import (
@@ -40,6 +39,5 @@ __all__ = [
     "FaultWindow",
     "build_schedule",
     "fault_outcome",
-    "fault_schedule_names",
     "make_schedule",
 ]

@@ -80,11 +80,6 @@ class FaultOutcome:
         """Number of contiguous fault windows the run crossed."""
         return len(self.windows)
 
-    @property
-    def all_recovered(self) -> bool:
-        """Whether every fault window recovered before the run ended."""
-        return all(window.recovered for window in self.windows)
-
     def summary(self) -> str:
         """One-line human-readable digest."""
         return (

@@ -13,7 +13,7 @@ or an inline ``events`` list in the :meth:`FaultSchedule.to_dict` format.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.faults.schedule import FaultEvent, FaultSchedule
@@ -150,11 +150,6 @@ FAULT_GENERATORS: Dict[str, Callable[..., FaultSchedule]] = {
     "straggler": straggler_schedule,
     "random-outages": random_outages_schedule,
 }
-
-
-def fault_schedule_names() -> Tuple[str, ...]:
-    """Names of the bundled schedules, in registry order."""
-    return tuple(FAULT_GENERATORS)
 
 
 def make_schedule(name: str, **kwargs) -> FaultSchedule:

@@ -226,22 +226,12 @@ def check_figures(
     return outcomes
 
 
-def vega_lite_spec(
-    name: str,
-    title: str,
-    mark: Union[str, dict],
-    encoding: dict,
-    *,
-    transform: Optional[List[dict]] = None,
-) -> dict:
+def vega_lite_spec(name: str, title: str, mark: Union[str, dict], encoding: dict) -> dict:
     """A minimal Vega-Lite v5 spec reading the figure's CSV sidecar."""
-    spec: Dict[str, object] = {
+    return {
         "$schema": "https://vega.github.io/schema/vega-lite/v5.json",
         "description": title,
         "data": {"url": f"{name}.csv", "format": {"type": "csv"}},
         "mark": mark,
         "encoding": encoding,
     }
-    if transform:
-        spec["transform"] = transform
-    return spec

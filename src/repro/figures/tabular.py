@@ -6,8 +6,8 @@ over one JSON document family, run manifests
 that would be the repo's first third-party analytics dependency;
 :class:`Table` is the stdlib-only sliver of it the builders in
 :mod:`repro.figures.builders` call: a tuple of column names plus a list of
-per-row dicts, with deterministic CSV round-trips (NaN/inf included) for
-the figure sidecars.
+per-row dicts, with deterministic CSV output (NaN/inf included) for the
+figure sidecars.
 """
 
 from __future__ import annotations
@@ -26,34 +26,17 @@ def _format_cell(value: Cell) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         # repr round-trips doubles exactly; NaN/inf spell as nan/inf/-inf,
-        # which _parse_cell below maps straight back through float().
+        # which float() reads straight back.
         return repr(value)
     return str(value)
-
-
-def _parse_cell(text: str) -> Cell:
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 class Table:
     """A minimal row-oriented table: ordered columns over dict rows.
 
     Rows are plain dicts; a missing key reads as ``None``.  :meth:`to_csv`
-    / :meth:`from_csv` round-trip every cell bit-exactly (``int`` vs
-    ``float`` vs ``bool`` included), NaN and infinities too.
+    spells every float so that ``float()`` reads it back bit-exactly, NaN
+    and infinities too.
     """
 
     __slots__ = ("columns", "rows")
@@ -103,19 +86,6 @@ class Table:
         for row in self.rows:
             writer.writerow([_format_cell(row[name]) for name in self.columns])
         return buffer.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Table":
-        """Parse :meth:`to_csv` output back into a typed table."""
-        reader = csv.reader(io.StringIO(text))
-        try:
-            columns = next(reader)
-        except StopIteration:
-            return cls(())
-        rows = [
-            {name: _parse_cell(cell) for name, cell in zip(columns, line)} for line in reader
-        ]
-        return cls(tuple(columns), rows)
 
 
 def manifest_table(manifest) -> Table:

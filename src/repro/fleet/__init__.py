@@ -40,7 +40,6 @@ from repro.fleet.population import (
     UserProfile,
     homogeneous,
     mixed_devices,
-    mixed_workloads,
     with_mode,
 )
 from repro.fleet.results import FleetReport, UserOutcome
@@ -65,7 +64,6 @@ __all__ = [
     "bisect_capacity",
     "homogeneous",
     "mixed_devices",
-    "mixed_workloads",
     "plan_capacity",
     "plan_edges",
     "with_mode",

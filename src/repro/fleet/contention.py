@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from repro.config.network import NetworkConfig
 from repro.exceptions import ModelDomainError
-from repro.fleet.search import bisect_capacity
 from repro.network.wifi import WifiLink
 
 
@@ -83,17 +82,3 @@ class ContentionModel:
         if n_stations == 1:
             return self.network
         return self.network.with_throughput(self.per_user_throughput_mbps(n_stations))
-
-    def saturation_stations(self, min_throughput_mbps: float) -> int:
-        """Largest station count whose per-user share stays above a floor."""
-        if min_throughput_mbps <= 0.0:
-            raise ModelDomainError(
-                f"throughput floor must be > 0, got {min_throughput_mbps}"
-            )
-        # The share is at most r_w / N, so N > r_w / floor is never feasible.
-        ceiling = max(int(self.per_user_throughput_mbps(1) / min_throughput_mbps) + 1, 1)
-        stations, _, _ = bisect_capacity(
-            lambda n: self.per_user_throughput_mbps(n) >= min_throughput_mbps,
-            max_users=ceiling,
-        )
-        return stations

@@ -5,8 +5,8 @@ describes *who* is on the network: a :class:`FleetPopulation` is an ordered
 collection of :class:`UserProfile` entries (device + application
 configuration per user), and the generators below build the standard
 populations the fleet analyzer and capacity planner sweep over —
-homogeneous fleets, mixed-device fleets drawn from the Table I catalog
-and mixed-workload fleets.
+homogeneous fleets and mixed-device fleets drawn from the Table I
+catalog.
 """
 
 from __future__ import annotations
@@ -111,9 +111,8 @@ def homogeneous(
     device: str = "XR1",
     app: Optional[ApplicationConfig] = None,
     mode: ExecutionMode = ExecutionMode.REMOTE,
-    name_prefix: str = "user",
 ) -> FleetPopulation:
-    """``n_users`` identical users on one device model.
+    """``n_users`` identical users on one device model, named ``user-0000`` onwards.
 
     Args:
         n_users: fleet size.
@@ -121,7 +120,6 @@ def homogeneous(
         app: shared application configuration; defaults to the paper's
             object-detection pipeline in the given ``mode``.
         mode: inference placement used when ``app`` is not given.
-        name_prefix: users are named ``{prefix}-0001`` onwards.
     """
     n_users = ensure_integer("n_users", n_users)
     if n_users <= 0:
@@ -129,7 +127,7 @@ def homogeneous(
     shared_app = app if app is not None else _default_app(mode)
     return FleetPopulation(
         users=tuple(
-            UserProfile(name=f"{name_prefix}-{index:04d}", device=device, app=shared_app)
+            UserProfile(name=f"user-{index:04d}", device=device, app=shared_app)
             for index in range(n_users)
         )
     )
@@ -154,27 +152,6 @@ def mixed_devices(
                 name=f"user-{index:04d}",
                 device=devices[index % len(devices)],
                 app=shared_app,
-            )
-            for index in range(n_users)
-        )
-    )
-
-
-def mixed_workloads(
-    n_users: int,
-    apps: Sequence[ApplicationConfig],
-    device: str = "XR1",
-) -> FleetPopulation:
-    """``n_users`` users on one device cycling through workload variants."""
-    n_users = ensure_integer("n_users", n_users)
-    if n_users <= 0:
-        raise ConfigurationError(f"fleet size must be > 0, got {n_users}")
-    if not apps:
-        raise ConfigurationError("mixed_workloads needs at least one application config")
-    return FleetPopulation(
-        users=tuple(
-            UserProfile(
-                name=f"user-{index:04d}", device=device, app=apps[index % len(apps)]
             )
             for index in range(n_users)
         )

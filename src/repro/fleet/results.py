@@ -186,11 +186,6 @@ class FleetReport:
             counts[outcome.device] = counts.get(outcome.device, 0) + 1
         return counts
 
-    @property
-    def is_stable(self) -> bool:
-        """True when every edge server operates below saturation."""
-        return all(rho < 1.0 for rho in self.edge_utilizations)
-
     def meets_slo(self, slo_ms: Optional[float] = None) -> bool:
         """Whether the fleet's p95 latency meets the (given or stored) SLO.
 

@@ -162,11 +162,6 @@ class LinearRegression:
             feature_names=self.feature_names,
         )
 
-    def predict(self, design_matrix: np.ndarray) -> np.ndarray:
-        """Predict targets for a design matrix using the fitted coefficients."""
-        X = np.asarray(design_matrix, dtype=float)
-        return X @ self.coefficients
-
     @staticmethod
     def _confidence_intervals(
         X: np.ndarray,

@@ -13,7 +13,7 @@ train/test R^2 using the paper's device split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class CampaignConfig:
             if not 0.0 < low < high:
                 raise ConfigurationError(f"{name} must satisfy 0 < low < high, got {low}, {high}")
 
-    @classmethod
-    def paper_scale(cls) -> "CampaignConfig":
-        """A campaign with the paper's full sample count (119,465 + 36,083)."""
-        return cls(n_samples=119_465 + 36_083)
-
 
 @dataclass(frozen=True)
 class CampaignFits:
@@ -90,15 +85,6 @@ class CampaignFits:
     power: RegressionResult
     encoding: RegressionResult
     complexity: RegressionResult
-
-    def r_squared_summary(self) -> Dict[str, float]:
-        """Train R^2 of each regression keyed like the paper reports them."""
-        return {
-            "compute_resource": self.resource.r_squared_train,
-            "mean_power": self.power.r_squared_train,
-            "encoding_latency": self.encoding.r_squared_train,
-            "cnn_complexity": self.complexity.r_squared_train,
-        }
 
 
 class SyntheticCampaign:

@@ -60,7 +60,3 @@ class HandoffModel:
         return self.single_handoff_latency_ms() * self.handoff_probability(
             frame_period_ms
         )
-
-    def mean_handoff_energy_mj(self, frame_period_ms: float) -> float:
-        """Average handoff energy charged to one frame (radio power x latency)."""
-        return self.config.power_w * self.mean_handoff_latency_ms(frame_period_ms)

@@ -60,11 +60,6 @@ class CoverageLayout:
         self.zones = tuple((row, col) for row in range(self.rows) for col in range(self.cols))
         self._technology = dict(zip(self.zones, cycle(self.technologies)))
 
-    @property
-    def n_zones(self) -> int:
-        """Number of coverage zones."""
-        return self.rows * self.cols
-
     def technology_of(self, zone: Tuple[int, int]) -> str:
         """Access technology of a zone; ConfigurationError if it is not in the layout."""
         try:
@@ -84,16 +79,6 @@ class CoverageLayout:
     ) -> bool:
         """True when moving between zones with different access technologies."""
         return self.technology_of(origin) != self.technology_of(destination)
-
-    def vertical_neighbor_fraction(self, zone: Tuple[int, int]) -> float:
-        """Fraction of a zone's neighbours reachable only by vertical handoff."""
-        neighbors = self.neighbors(zone)
-        if not neighbors:
-            return 0.0
-        vertical = sum(
-            1 for neighbor in neighbors if self.is_vertical_transition(zone, neighbor)
-        )
-        return vertical / len(neighbors)
 
 
 @dataclass
@@ -147,13 +132,6 @@ class RandomWalkMobility:
         moving_fraction = 1.0 - self.pause_probability
         interval_s = interval_ms / 1e3
         return moving_fraction * (1.0 - math.exp(-crossing_rate_per_s * interval_s))
-
-    def expected_handoffs(self, duration_ms: float, interval_ms: float) -> float:
-        """Expected number of handoffs over ``duration_ms`` in steps of ``interval_ms``."""
-        if interval_ms <= 0.0:
-            raise ModelDomainError(f"interval must be > 0 ms, got {interval_ms}")
-        n_intervals = duration_ms / interval_ms
-        return n_intervals * self.handoff_probability(interval_ms)
 
     # -- Monte-Carlo trajectory ----------------------------------------------------
 
@@ -212,27 +190,3 @@ class MobilityTrace:
     handoff_flags: List[bool]
     vertical_flags: List[bool]
     step_interval_ms: float
-
-    @property
-    def n_handoffs(self) -> int:
-        """Total number of handoffs along the trajectory."""
-        return int(sum(self.handoff_flags))
-
-    @property
-    def n_vertical_handoffs(self) -> int:
-        """Number of vertical (cross-technology) handoffs."""
-        return int(sum(self.vertical_flags))
-
-    @property
-    def empirical_handoff_probability(self) -> float:
-        """Fraction of steps that produced a handoff."""
-        if not self.handoff_flags:
-            return 0.0
-        return self.n_handoffs / len(self.handoff_flags)
-
-    def zone_occupancy(self) -> Dict[Tuple[int, int], int]:
-        """Number of steps spent in each zone."""
-        occupancy: Dict[Tuple[int, int], int] = {}
-        for zone in self.zones:
-            occupancy[zone] = occupancy.get(zone, 0) + 1
-        return occupancy

@@ -3,7 +3,7 @@
 The paper models the XR input buffer as a stable M/M/1 queue (Eq. 7 and
 Eq. 22).  This package provides:
 
-* arrival/service process generators (:mod:`repro.queueing.arrivals`),
+* a Poisson arrival process generator (:mod:`repro.queueing.arrivals`),
 * closed-form M/M/1 and M/G/1 (Pollaczek–Khinchine) results
   (:mod:`repro.queueing.mm1`, :mod:`repro.queueing.mg1`),
 * an event-driven single-server queue simulator, which the buffer-model
@@ -13,14 +13,13 @@ Eq. 22).  This package provides:
   evaluation engine (:mod:`repro.queueing.vectorized`).
 """
 
-from repro.queueing.arrivals import DeterministicProcess, PoissonProcess
+from repro.queueing.arrivals import PoissonProcess
 from repro.queueing.mg1 import MG1Queue
 from repro.queueing.mm1 import MM1Queue
 from repro.queueing.simulation import QueueSimulationResult, simulate_single_server_queue
 from repro.queueing.vectorized import mm1_sojourn_ms
 
 __all__ = [
-    "DeterministicProcess",
     "MG1Queue",
     "MM1Queue",
     "PoissonProcess",

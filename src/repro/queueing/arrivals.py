@@ -1,12 +1,7 @@
-"""Arrival and service processes for the queueing substrate.
+"""Arrival processes for the queueing substrate.
 
-Two concrete processes cover everything the framework needs:
-
-* :class:`PoissonProcess` — exponential inter-event times, used for the
-  M/M/1 input-buffer model and its simulation counterpart,
-* :class:`DeterministicProcess` — fixed-period events, used for sensor
-  information generation at a fixed frequency (Fig. 2) and for M/D/1
-  comparisons.
+:class:`PoissonProcess` draws exponential inter-event times, the arrivals of
+the M/M/1 queue simulation (:func:`repro.queueing.simulation.simulate_mm1`).
 
 Rates are expressed in events per millisecond so the generated timestamps
 line up with the rest of the framework's millisecond time base.
@@ -70,40 +65,3 @@ class PoissonProcess:
                     break
                 times.append(current)
         return np.array(times, dtype=float)
-
-
-@dataclass(frozen=True)
-class DeterministicProcess:
-    """Deterministic (fixed-period) event process.
-
-    Attributes:
-        period_ms: time between consecutive events.
-        offset_ms: timestamp of the first event.
-    """
-
-    period_ms: float
-    offset_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.period_ms <= 0.0:
-            raise ConfigurationError(
-                f"period must be > 0 ms, got {self.period_ms}"
-            )
-        if self.offset_ms < 0.0:
-            raise ConfigurationError(
-                f"offset must be >= 0 ms, got {self.offset_ms}"
-            )
-
-    @property
-    def rate_per_ms(self) -> float:
-        """Event rate in events per millisecond."""
-        return 1.0 / self.period_ms
-
-    def sample_arrival_times(
-        self, horizon_ms: float, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Event timestamps (ms) up to ``horizon_ms`` (rng accepted for API parity)."""
-        if horizon_ms <= 0.0:
-            raise ValueError(f"horizon must be > 0 ms, got {horizon_ms}")
-        first = self.offset_ms if self.offset_ms > 0.0 else self.period_ms
-        return np.arange(first, horizon_ms + 1e-12, self.period_ms, dtype=float)

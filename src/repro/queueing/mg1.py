@@ -92,13 +92,3 @@ class MG1Queue:
     def mean_time_in_system_ms(self) -> float:
         """Mean sojourn time ``W = W_q + E[S]``."""
         return self.mean_waiting_time_ms + self.mean_service_time_ms
-
-    @property
-    def mean_number_in_system(self) -> float:
-        """Mean number in system via Little's law ``L = lambda * W``."""
-        return self.arrival_rate_per_ms * self.mean_time_in_system_ms
-
-    @property
-    def mean_number_in_queue(self) -> float:
-        """Mean number waiting via Little's law ``L_q = lambda * W_q``."""
-        return self.arrival_rate_per_ms * self.mean_waiting_time_ms

@@ -7,15 +7,12 @@ packet spends in the buffer in the AoI model (Eq. 22):
     T̄ = 1 / (mu - lambda)
 
 This module provides that result plus the standard companion quantities
-(utilisation, queue lengths, waiting time, sojourn-time distribution) so the
-simulated testbed and the property-based tests can cross-check the formulas.
+(utilisation, waiting time, service time).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.exceptions import UnstableQueueError
 
@@ -73,44 +70,6 @@ class MM1Queue:
     def mean_service_time_ms(self) -> float:
         """Mean service time ``1 / mu``."""
         return 1.0 / self.service_rate_per_ms
-
-    @property
-    def mean_number_in_system(self) -> float:
-        """Mean number of packets in the system ``L = rho / (1 - rho)``."""
-        rho = self.utilization
-        return rho / (1.0 - rho)
-
-    @property
-    def mean_number_in_queue(self) -> float:
-        """Mean number of packets waiting ``L_q = rho^2 / (1 - rho)``."""
-        rho = self.utilization
-        return rho * rho / (1.0 - rho)
-
-    # -- distributions ---------------------------------------------------------
-
-    def prob_n_in_system(self, n: int) -> float:
-        """Stationary probability of exactly ``n`` packets in the system."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        rho = self.utilization
-        return (1.0 - rho) * rho**n
-
-    def prob_empty(self) -> float:
-        """Probability the buffer is empty (no waiting and no service)."""
-        return self.prob_n_in_system(0)
-
-    def sojourn_time_cdf(self, time_ms: float) -> float:
-        """CDF of the sojourn time: ``1 - exp(-(mu - lambda) t)``."""
-        if time_ms < 0.0:
-            return 0.0
-        return 1.0 - float(np.exp(-(self.service_rate_per_ms - self.arrival_rate_per_ms) * time_ms))
-
-    def sojourn_time_quantile(self, probability: float) -> float:
-        """Quantile (ms) of the sojourn-time distribution."""
-        if not 0.0 <= probability < 1.0:
-            raise ValueError(f"probability must be in [0, 1), got {probability}")
-        rate = self.service_rate_per_ms - self.arrival_rate_per_ms
-        return float(-np.log(1.0 - probability) / rate)
 
     # -- convenience constructors ----------------------------------------------
 

@@ -58,15 +58,6 @@ class QueueSimulationResult:
         busy = float(np.sum(self.departure_times_ms - self.start_service_times_ms))
         return min(1.0, busy / horizon)
 
-    def mean_number_in_system(self) -> float:
-        """Time-averaged number of packets in the system (Little's-law check)."""
-        if self.n_packets == 0:
-            return 0.0
-        horizon = float(self.departure_times_ms[-1])
-        if horizon <= 0.0:
-            return 0.0
-        return float(np.sum(self.sojourn_times_ms)) / horizon
-
 
 def simulate_single_server_queue(
     arrival_times_ms: Sequence[float],

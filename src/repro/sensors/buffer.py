@@ -10,7 +10,6 @@ rate; the per-frame buffering delay is the sum of the three (Eq. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.config.application import ApplicationConfig
 from repro.config.network import NetworkConfig
@@ -83,13 +82,3 @@ class InputBuffer:
             volumetric_ms=volumetric_delay,
             external_ms=external_delay,
         )
-
-    def aoi_service_time_ms(self, arrival_rate_hz: float) -> float:
-        """Average buffer time ``T̄ = 1/(mu - lambda)`` used by the AoI model (Eq. 22)."""
-        return self.stream_delay_ms(arrival_rate_hz)
-
-    # -- stability ------------------------------------------------------------------
-
-    def is_stable(self, arrival_rates_hz: Sequence[float]) -> bool:
-        """True when the aggregate arrival rate keeps the buffer stable."""
-        return sum(arrival_rates_hz) < self.service_rate_hz

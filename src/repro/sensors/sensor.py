@@ -3,11 +3,8 @@
 One :class:`ExternalSensor` wraps a :class:`~repro.config.network.SensorConfig`
 and answers the questions the latency and AoI models ask about it:
 
-* the latency of delivering the ``n``-th update of frame ``q``
-  (Eq. 6: generation period plus propagation delay),
-* the timestamps at which the sensor actually generates information, given
-  its own clock (a deterministic process at ``f_t``), which feed the AoI
-  model and the simulated testbed.
+the latency of delivering the ``n``-th update of frame ``q`` (Eq. 6:
+generation period plus propagation delay).
 """
 
 from __future__ import annotations
@@ -15,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro import units
 from repro.config.network import SensorConfig
-from repro.queueing.arrivals import DeterministicProcess, PoissonProcess
 
 
 @dataclass(frozen=True)
@@ -73,43 +67,3 @@ class ExternalSensor:
         if n_updates < 0:
             raise ValueError(f"n_updates must be >= 0, got {n_updates}")
         return n_updates * self.update_latency_ms()
-
-    # -- generation process -------------------------------------------------------
-
-    def generation_times_ms(self, horizon_ms: float, offset_ms: float = 0.0) -> np.ndarray:
-        """Deterministic generation timestamps up to ``horizon_ms``.
-
-        The first sample is produced one full generation period after
-        ``offset_ms`` — the sensor needs ``1/f_t`` to *produce* the
-        information, which is exactly the behaviour of Fig. 2.
-        """
-        process = DeterministicProcess(
-            period_ms=self.generation_period_ms, offset_ms=offset_ms
-        )
-        times = process.sample_arrival_times(horizon_ms)
-        if offset_ms > 0.0:
-            # DeterministicProcess emits the first event at offset; shift it so
-            # the first information is ready one period after the offset.
-            times = times + self.generation_period_ms
-            times = times[times <= horizon_ms + 1e-12]
-        return times
-
-    def arrival_times_ms(
-        self,
-        horizon_ms: float,
-        rng: Optional[np.random.Generator] = None,
-        poisson: bool = False,
-    ) -> np.ndarray:
-        """Arrival timestamps at the XR input buffer up to ``horizon_ms``.
-
-        By default arrivals are the deterministic generation instants shifted
-        by the propagation delay.  With ``poisson=True`` the arrival process
-        is Poisson at the sensor's effective arrival rate, matching the
-        M/M/1 assumption of the analytical buffer model.
-        """
-        if poisson:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            rate_per_ms = self.config.effective_arrival_rate_hz / 1e3
-            return PoissonProcess(rate_per_ms).sample_arrival_times(horizon_ms, rng)
-        return self.generation_times_ms(horizon_ms) + self.propagation_delay_ms

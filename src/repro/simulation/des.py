@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.exceptions import SimulationError
 
@@ -23,10 +23,8 @@ EventCallback = Callable[["EventScheduler"], None]
 @dataclass(order=True)
 class _ScheduledEvent:
     time_ms: float
-    priority: int
     sequence: int
     callback: EventCallback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
 
 class EventScheduler:
@@ -39,7 +37,6 @@ class EventScheduler:
         self._queue: List[_ScheduledEvent] = []
         self._sequence = itertools.count()
         self._now_ms = 0.0
-        self._processed = 0
 
     # -- clock -----------------------------------------------------------------
 
@@ -48,22 +45,12 @@ class EventScheduler:
         """Current simulation time."""
         return self._now_ms
 
-    @property
-    def processed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events still scheduled."""
-        return sum(1 for event in self._queue if not event.cancelled)
-
     # -- scheduling -------------------------------------------------------------
 
-    def schedule_at(
-        self, time_ms: float, callback: EventCallback, priority: int = 0
-    ) -> _ScheduledEvent:
+    def schedule_at(self, time_ms: float, callback: EventCallback) -> None:
         """Schedule ``callback`` at absolute time ``time_ms``.
+
+        Events due at the same time run in the order they were scheduled.
 
         Raises:
             SimulationError: when scheduling into the past.
@@ -73,68 +60,40 @@ class EventScheduler:
                 f"cannot schedule event at {time_ms} ms, current time is {self._now_ms} ms"
             )
         event = _ScheduledEvent(
-            time_ms=float(time_ms),
-            priority=priority,
-            sequence=next(self._sequence),
-            callback=callback,
+            time_ms=float(time_ms), sequence=next(self._sequence), callback=callback
         )
         heapq.heappush(self._queue, event)
-        return event
 
-    def schedule_in(
-        self, delay_ms: float, callback: EventCallback, priority: int = 0
-    ) -> _ScheduledEvent:
+    def schedule_in(self, delay_ms: float, callback: EventCallback) -> None:
         """Schedule ``callback`` after ``delay_ms`` from the current time."""
         if delay_ms < 0.0:
             raise SimulationError(f"delay must be >= 0 ms, got {delay_ms}")
-        return self.schedule_at(self._now_ms + delay_ms, callback, priority=priority)
-
-    @staticmethod
-    def cancel(event: _ScheduledEvent) -> None:
-        """Cancel a previously scheduled event (lazy removal)."""
-        event.cancelled = True
+        self.schedule_at(self._now_ms + delay_ms, callback)
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, until_ms: Optional[float] = None, max_events: int = 1_000_000) -> float:
-        """Run events in timestamp order.
+    def run(self, max_events: int = 1_000_000) -> float:
+        """Run events in timestamp order until the queue drains.
 
         Args:
-            until_ms: stop once the next event lies beyond this time (the
-                clock is advanced to ``until_ms``); ``None`` runs until the
-                queue drains.
-            max_events: safety limit on the number of executed events.
+            max_events: safety limit on the number of executed events; the
+                run executes at most this many callbacks.
 
         Returns:
             The simulation time when the run stopped.
 
         Raises:
-            SimulationError: when the event budget is exhausted (runaway loop).
+            SimulationError: when an event is still due after ``max_events``
+                callbacks ran (runaway loop).
         """
         executed = 0
         while self._queue:
-            event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until_ms is not None and event.time_ms > until_ms:
-                self._now_ms = until_ms
-                return self._now_ms
-            heapq.heappop(self._queue)
-            self._now_ms = event.time_ms
-            event.callback(self)
-            self._processed += 1
-            executed += 1
-            if executed > max_events:
+            if executed == max_events:
                 raise SimulationError(
                     f"event budget of {max_events} exhausted; likely a runaway schedule"
                 )
-        if until_ms is not None and until_ms > self._now_ms:
-            self._now_ms = until_ms
+            event = heapq.heappop(self._queue)
+            self._now_ms = event.time_ms
+            event.callback(self)
+            executed += 1
         return self._now_ms
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._queue.clear()
-        self._now_ms = 0.0
-        self._processed = 0

@@ -52,11 +52,6 @@ class NoiseModel:
                 f"power_sigma must be >= 0, got {self.power_sigma}"
             )
 
-    @classmethod
-    def none(cls) -> "NoiseModel":
-        """A noise-free model (useful for deterministic tests)."""
-        return cls(relative_sigma=0.0, jitter_mean_ms=0.0, power_sigma=0.0)
-
     def latency_ms(self, expected_ms: float, rng: np.random.Generator) -> float:
         """Sample a noisy latency around ``expected_ms``."""
         if expected_ms < 0.0:

@@ -23,7 +23,6 @@ from repro.config.network import NetworkConfig
 from repro.core.coefficients import CoefficientSet
 from repro.core.latency import XRLatencyModel
 from repro.core.segments import COMPUTE_SEGMENTS, Segment
-from repro.devices.device import XRDevice
 from repro.measurement.truth import TestbedTruth
 from repro.simulation.noise import NoiseModel
 from repro.simulation.processes import SegmentSampler
@@ -62,7 +61,6 @@ class PipelineSimulator:
         network: Optional[NetworkConfig] = None,
         n_frames: int = 20,
         seed: int = 0,
-        track_device_state: bool = False,
     ) -> RunTrace:
         """Simulate ``n_frames`` frames and return their traces.
 
@@ -71,9 +69,6 @@ class PipelineSimulator:
             network: network configuration (defaults to the standard topology).
             n_frames: number of frames to simulate.
             seed: RNG seed of the run.
-            track_device_state: also drain a runtime :class:`XRDevice` battery
-                and thermal model while simulating (slower; used by the
-                session-length examples).
         """
         if n_frames <= 0:
             raise ValueError(f"n_frames must be > 0, got {n_frames}")
@@ -87,11 +82,6 @@ class PipelineSimulator:
             app=app,
             network=network,
             noise=self.noise,
-        )
-        runtime_device = (
-            XRDevice(spec=self.device, cpu_freq_ghz=None, gpu_freq_ghz=None)
-            if track_device_state
-            else None
         )
 
         frames = []
@@ -113,8 +103,6 @@ class PipelineSimulator:
                 energy = power * latency
                 latencies[segment] = latency
                 energies[segment] = energy
-                if runtime_device is not None:
-                    runtime_device.consume(segment.value, latency, power)
 
             compute_energy = sum(
                 energies[segment] for segment in energies if segment in COMPUTE_SEGMENTS

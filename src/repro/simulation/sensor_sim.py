@@ -21,7 +21,6 @@ import numpy as np
 from repro import units
 from repro.config.workload import WorkloadConfig
 from repro.core.aoi import AoITimeline
-from repro.exceptions import SimulationError
 from repro.simulation.des import EventScheduler
 
 
@@ -48,15 +47,6 @@ class AoIEmulation:
     timelines: List[AoITimeline]
     required_update_period_ms: float
     mean_buffer_wait_ms: float
-
-    def timeline_for_frequency(self, frequency_hz: float) -> AoITimeline:
-        """The timeline of the sensor with the given generation frequency."""
-        for timeline in self.timelines:
-            if abs(timeline.generation_frequency_hz - frequency_hz) < 1e-6:
-                return timeline
-        raise SimulationError(
-            f"no emulated sensor with generation frequency {frequency_hz} Hz"
-        )
 
 
 def emulate_aoi(

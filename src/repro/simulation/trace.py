@@ -85,12 +85,6 @@ class RunTrace:
         """Mean end-to-end energy across frames."""
         return float(np.mean(self.energies_mj))
 
-    def latency_percentile_ms(self, percentile: float) -> float:
-        """Latency percentile across frames (e.g. 95 for the p95 latency)."""
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {percentile}")
-        return float(np.percentile(self.latencies_ms, percentile))
-
     def mean_segment_latency_ms(self) -> Dict[Segment, float]:
         """Mean latency of each segment across frames (0 for absent segments)."""
         totals: Dict[Segment, float] = {}
@@ -110,8 +104,3 @@ class RunTrace:
                 totals[segment] = totals.get(segment, 0.0) + value
                 counts[segment] = counts.get(segment, 0) + 1
         return {segment: totals[segment] / counts[segment] for segment in totals}
-
-    @property
-    def handoff_rate(self) -> float:
-        """Fraction of frames during which a handoff occurred."""
-        return float(np.mean([frame.handoff_occurred for frame in self._frames]))

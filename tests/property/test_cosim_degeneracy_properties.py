@@ -15,7 +15,10 @@ Two relations between populations should hold as well:
 * splitting a class into two identical classes (distinct controller
   instances, same configuration) changes only the class breakdown.
 
-Only the swap holds everywhere today.  The other three are strict xfails
+And a reported epoch should be an equilibrium: no user of a greedy fleet
+ranks better by its own selection order if it alone switches candidate.
+
+Only the swap holds everywhere today.  The other four are strict xfails
 pinned to a counterexample; when the engine is fixed they pass and the
 marks go.
 
@@ -24,6 +27,7 @@ devices, edited applications in local, remote and split mode, and 1-5 edges.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -324,3 +328,109 @@ def test_splitting_a_class_into_identical_classes_changes_only_the_breakdown(
         )
         == report
     )
+
+
+def _select_key(context, latency_ms, energy_mj, index):
+    """Where a candidate stands in ``ControlContext.select``'s order, best first.
+
+    Deadline first: a candidate that meets the deadline ranks by the quality
+    objective, then energy, then latency; one that misses it ranks behind
+    every candidate that meets it, by latency.
+    """
+    if latency_ms <= context.deadline_ms:
+        return (0, -float(context.quality[index]), energy_mj, latency_ms)
+    return (1, latency_ms)
+
+
+def _charge(simulation, decisions, user, base):
+    """``user``'s (latency, energy) under per-user ``decisions``, by the engine's rules.
+
+    ``simulation`` holds one class per user, so ``decisions`` is a per-user
+    vector.  The loads come from ``_loads`` of that vector and the user's
+    conditions from ``_endogenous`` at its offloader count, and the user pays
+    its slot's edge wait, as a reported epoch is charged.
+    """
+    loads = simulation._loads(decisions)
+    context = simulation._classes[user].context
+    context.decision_wait_ms = 0.0
+    evaluation = context.sweep(simulation._endogenous(base, loads.n_offloaded))
+    index = decisions[user]
+    wait = float(loads.slot_wait_ms[loads.deal.slot_of_user[user]])
+    idle_energy = 0.0 if math.isinf(wait) else simulation.network.radio_idle_power_w * wait
+    return (
+        float(evaluation.latency_ms[index]) + wait,
+        float(evaluation.energy_mj[index]) + idle_energy,
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "a class decides as one proxy against its worst edge wait, so the engine "
+        "reports all-or-nothing offloading that is no equilibrium: eight greedy XR1 "
+        "users on two edges never offload on the seed-11 step trace, while one of "
+        "them would rank better offloading alone (ROADMAP item 3a solves for "
+        "per-class offloader counts)"
+    ),
+)
+@settings(max_examples=10, deadline=None)
+@given(
+    trace_name=st.sampled_from(sorted(TRACE_GENERATORS)),
+    n_epochs=st.just(N_EPOCHS),
+    seed=SEEDS,
+    kinds=st.lists(st.tuples(DEVICES, APPS), min_size=1, max_size=2, unique=True),
+    n_users=st.integers(1, 8),
+    n_edges=st.integers(1, 5),
+)
+@example(
+    trace_name="step",
+    n_epochs=40,
+    seed=11,
+    kinds=[("XR1", ApplicationConfig.object_detection_default().with_mode(ExecutionMode.REMOTE))],
+    n_users=8,
+    n_edges=2,
+)
+def test_no_user_of_a_greedy_fleet_gains_by_deviating_alone(
+    trace_name, n_epochs, seed, kinds, n_users, n_edges
+):
+    trace = TRACE_GENERATORS[trace_name](n_epochs, seed=seed)
+    population = FleetPopulation(
+        users=tuple(
+            UserProfile(name=f"user-{index}", device=device, app=app)
+            for index, (device, app) in zip(range(n_users), itertools.cycle(kinds))
+        )
+    )
+    simulation = CoSimulation(
+        population, GreedyBatchSweep(), trace, n_edges=n_edges, include_aoi=False
+    )
+    report = simulation.run()
+    # One class per user, so any single user's deviation is a decision vector.
+    per_user = CoSimulation(
+        population,
+        {user.name: GreedyBatchSweep() for user in population},
+        trace,
+        n_edges=n_edges,
+        include_aoi=False,
+    )
+    chosen = [None] * n_users
+    for cls, class_report in zip(simulation._classes, report.class_reports):
+        for user in cls.user_indices:
+            chosen[user] = class_report.chosen_indices
+    for epoch in range(n_epochs):
+        decisions = [indices[epoch] for indices in chosen]
+        for user, cls in enumerate(per_user._classes):
+            context = cls.context
+            base = cls.trace[epoch]
+            current = _select_key(
+                context, *_charge(per_user, decisions, user, base), decisions[user]
+            )
+            for candidate in range(context.n_candidates):
+                deviation = decisions[:user] + [candidate] + decisions[user + 1 :]
+                charged = _charge(per_user, deviation, user, base)
+                assert not _select_key(context, *charged, candidate) < current, (
+                    epoch,
+                    user,
+                    decisions[user],
+                    candidate,
+                )

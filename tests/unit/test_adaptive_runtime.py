@@ -70,8 +70,7 @@ class TestControlContext:
 
     def test_out_of_domain_candidate_fails_at_construction(self, small_candidates):
         # A non-positive encoding workload raises when the candidates are
-        # compiled, not at the first sweep (which a prewarm=False co-sim
-        # would reach only mid-run).
+        # compiled, not at the first sweep.
         paper = CoefficientSet.paper()
         coefficients = replace(paper, encoding=replace(paper.encoding, intercept=-1e6))
         with pytest.raises(ModelDomainError, match="non-positive workload"):

@@ -111,10 +111,11 @@ class TestFrameAnalysis:
         frequencies = sorted(aoi_by_freq)
         assert aoi_by_freq[frequencies[0]] > aoi_by_freq[frequencies[-1]]
 
-    def test_fresh_and_stale_partition(self, model, network):
+    def test_fresh_sensors_are_those_with_roi_of_at_least_one(self, model, network):
         result = model.analyze_frame(network, updates_per_frame=3, frame_latency_ms=600.0)
-        assert set(result.fresh_sensors()) | set(result.stale_sensors()) == set(result.roi)
-        assert not set(result.fresh_sensors()) & set(result.stale_sensors())
+        fresh = set(result.fresh_sensors())
+        assert fresh <= set(result.roi)
+        assert all((value >= 1.0) == (name in fresh) for name, value in result.roi.items())
 
     def test_str_mentions_every_sensor(self, model, network):
         result = model.analyze_frame(network, updates_per_frame=3, frame_latency_ms=600.0)

@@ -35,10 +35,6 @@ class TestCalibrationGate:
         with pytest.raises(ModelDomainError):
             LEAFModel().energy_mj(remote_app)
 
-    def test_calibration_flag(self, calibrated_fact, calibrated_leaf):
-        assert calibrated_fact.is_calibrated
-        assert calibrated_leaf.is_calibrated
-
 
 class TestFACT:
     def test_reproduces_reference_point(self, calibrated_fact, reference_run, network):

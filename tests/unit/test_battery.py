@@ -37,7 +37,7 @@ class TestDrain:
     def test_drain_is_capped_at_remaining(self):
         battery = Battery(capacity_mj=100.0)
         assert battery.drain(250.0) == pytest.approx(100.0)
-        assert battery.is_depleted
+        assert battery.remaining_mj == 0.0
 
     def test_drain_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -47,23 +47,10 @@ class TestDrain:
         battery = Battery.from_spec(get_device("XR7"))
         assert battery.is_tethered
         assert battery.drain(1e9) == pytest.approx(1e9)
-        assert not battery.is_depleted
         assert battery.state_of_charge == pytest.approx(1.0)
 
 
-class TestRechargeAndRuntime:
-    def test_recharge_to_full(self):
-        battery = Battery(capacity_mj=100.0)
-        battery.drain(60.0)
-        battery.recharge()
-        assert battery.remaining_mj == pytest.approx(100.0)
-
-    def test_partial_recharge_does_not_overflow(self):
-        battery = Battery(capacity_mj=100.0)
-        battery.drain(10.0)
-        battery.recharge(50.0)
-        assert battery.remaining_mj == pytest.approx(100.0)
-
+class TestRuntime:
     def test_frames_remaining(self):
         battery = Battery(capacity_mj=1000.0)
         assert battery.frames_remaining(10.0) == pytest.approx(100.0)

@@ -11,7 +11,7 @@ from repro.exceptions import ModelDomainError, UnknownCNNError
 class TestCNNModel:
     def test_valid_descriptor(self):
         model = CNNModel(name="tiny", depth=10, size_mb=1.5)
-        assert model.is_lightweight
+        assert model.tier == "lightweight"
 
     def test_invalid_tier_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +61,13 @@ class TestZoo:
 class TestComplexityModel:
     def test_paper_coefficients(self):
         model = CNNComplexityModel.paper()
-        assert model.as_coefficients() == PAPER_COMPLEXITY_COEFFICIENTS
+        coefficients = (
+            model.intercept,
+            model.depth_coefficient,
+            model.size_coefficient,
+            model.scale_coefficient,
+        )
+        assert coefficients == PAPER_COMPLEXITY_COEFFICIENTS
         assert model.r_squared == pytest.approx(0.844)
 
     def test_eq12_evaluation(self):
@@ -75,13 +81,6 @@ class TestComplexityModel:
         assert model.complexity(get_cnn("YOLOv3")) > model.complexity(
             get_cnn("MobileNetv1_240 Quant")
         )
-
-    def test_complexity_vector_order(self):
-        model = CNNComplexityModel.paper()
-        models = list_cnns()
-        vector = model.complexity_vector(models)
-        assert len(vector) == len(models)
-        assert vector[0] == pytest.approx(model.complexity(models[0]))
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ModelDomainError):

@@ -78,14 +78,6 @@ class TestCoefficientSet:
         with pytest.raises(ModelDomainError):
             CoefficientSet(decode_discount=0.0)
 
-    def test_with_complexity_replaces_model(self, paper_coefficients):
-        from repro.cnn.complexity import CNNComplexityModel
-
-        other = paper_coefficients.with_complexity(
-            CNNComplexityModel.from_coefficients([1.0, 0.0, 0.0, 0.0])
-        )
-        assert other.cnn_complexity.intercept == pytest.approx(1.0)
-
 
 class TestCalibration:
     def test_calibrated_set_is_cached(self):

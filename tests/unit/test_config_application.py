@@ -78,11 +78,6 @@ class TestInferenceConfig:
                 mode=ExecutionMode.SPLIT, omega_client=omega_client, edge_shares=edge_shares
             )
 
-    def test_omega_loc_indicator(self):
-        assert ExecutionMode.LOCAL.omega_loc == 1
-        assert ExecutionMode.REMOTE.omega_loc == 0
-        assert ExecutionMode.SPLIT.omega_loc == 0
-
 
 class TestCooperationConfig:
     def test_disabled_by_default(self):

@@ -61,7 +61,7 @@ class TestHandoffConfig:
 
 class TestNetworkConfig:
     def test_default_has_three_sensors(self, network):
-        assert network.n_sensors == 3
+        assert len(network.sensors) == 3
 
     def test_sensor_names_must_be_unique(self):
         sensors = (
@@ -76,23 +76,19 @@ class TestNetworkConfig:
         assert network.total_sensor_arrival_rate_hz == pytest.approx(expected)
 
     def test_edge_propagation_delay(self, network):
-        assert network.edge_propagation_delay_ms == pytest.approx(
+        assert network.propagation_delay_ms(network.edge_distance_m) == pytest.approx(
             units.propagation_delay_ms(network.edge_distance_m)
         )
 
     def test_with_throughput(self, network):
         assert network.with_throughput(50.0).throughput_mbps == pytest.approx(50.0)
 
-    def test_with_sensors_replaces_population(self, network):
-        single = (SensorConfig(name="only", generation_frequency_hz=10.0),)
-        assert network.with_sensors(single).n_sensors == 1
-
     def test_rejects_zero_throughput(self):
         with pytest.raises(ConfigurationError):
             NetworkConfig(throughput_mbps=0.0)
 
     def test_empty_sensor_population_allowed(self):
-        assert NetworkConfig(sensors=()).n_sensors == 0
+        assert NetworkConfig(sensors=()).sensors == ()
         assert NetworkConfig(sensors=()).total_sensor_arrival_rate_hz == 0.0
 
 

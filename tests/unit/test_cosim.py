@@ -361,8 +361,9 @@ class TestControllerState:
         monkeypatch.setattr(ControlContext, "prewarm", prewarm)
         with pytest.raises(ConfigurationError, match=rf"'no-state'.* {missing}\(\)"):
             CoSimulation(homogeneous(2, device="XR1"), controller_type(), constant_trace(2))
+        monkeypatch.undo()
         # The single-user runtime never snapshots, so it still runs them.
-        runtime = AdaptiveRuntime(trace=constant_trace(3), prewarm=False)
+        runtime = AdaptiveRuntime(trace=constant_trace(3))
         assert runtime.run(controller_type()).chosen_indices == (0, 0, 0)
 
     def test_out_of_range_decision_rejected(self):
@@ -371,7 +372,6 @@ class TestControllerState:
             _OutOfRange(),
             constant_trace(2),
             include_aoi=False,
-            prewarm=False,
         )
         with pytest.raises(ConfigurationError, match="'out-of-range' chose candidate"):
             simulation.run()

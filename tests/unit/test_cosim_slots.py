@@ -85,7 +85,6 @@ def _simulation(rng: np.random.Generator, n_edges: int) -> CoSimulation:
         _trace(),
         n_edges=n_edges,
         include_aoi=False,
-        prewarm=False,
     )
 
 
@@ -225,9 +224,7 @@ def test_deal_cache_is_bounded_and_stays_exact():
     rng = np.random.default_rng(99)
     population = homogeneous(12, device="XR1")
     controllers = {user.name: GreedyBatchSweep() for user in population}
-    simulation = CoSimulation(
-        population, controllers, _trace(), n_edges=3, include_aoi=False, prewarm=False
-    )
+    simulation = CoSimulation(population, controllers, _trace(), n_edges=3, include_aoi=False)
     assert len(simulation._classes) == 12
     for _ in range(3 * DEAL_CACHE_SIZE):
         decisions = _decisions(rng, simulation)
@@ -292,7 +289,6 @@ def test_cached_loads_are_read_only():
         _trace(),
         n_edges=2,
         include_aoi=False,
-        prewarm=False,
     )
     offload = int(np.flatnonzero(simulation._classes[0].context.offload_mask)[0])
     loads = simulation._loads([offload])

@@ -87,10 +87,6 @@ class TestDerivedSpecProperties:
         expected = 4400.0 * xr1.battery_voltage_v * 3600.0
         assert xr1.battery_capacity_mj == pytest.approx(expected)
 
-    def test_5ghz_support_detection(self):
-        assert get_device("XR1").supports_5ghz_wifi
-        assert not get_device("XR3").supports_5ghz_wifi
-
     def test_with_memory_bandwidth_copy(self):
         xr1 = get_device("XR1")
         modified = xr1.with_memory_bandwidth(10.0)

@@ -75,7 +75,7 @@ class TestCosimFaults:
         assert report.faults.clear_miss_rate == 0.0
         assert report.availability == pytest.approx(1.0 - 6 / 40 * 0.5)
         assert report.mean_time_to_recover_epochs == 0.0
-        assert report.faults.all_recovered
+        assert all(window.recovered for window in report.faults.windows)
 
     def test_epoch_availability_series_tracks_the_schedule(self):
         report = _cosim(faults=_outage())
@@ -230,7 +230,7 @@ class TestAdaptiveFaults:
         outcome = runtime.fault_report(report)
         assert outcome.availability == pytest.approx(1.0 - 6 / 30)
         assert outcome.fault_miss_rate == 0.0
-        assert outcome.all_recovered
+        assert all(window.recovered for window in outcome.windows)
 
     def test_pinned_offloader_misses_during_outage(self):
         schedule = make_schedule("edge-outage", start_epoch=8, duration_epochs=6)

@@ -7,6 +7,8 @@ registry mechanics and the cheap data-backed builders against synthetic
 inputs.
 """
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from repro.experiments.runner import RunManifest, ScenarioResult
 from repro.figures import (
     FIGURES,
     FigureInputs,
-    Table,
     build_all,
     build_figure,
     check_figures,
@@ -197,8 +198,8 @@ class TestSaveAndCheck:
             "fleet_dashboard.vl.json",
         ]
         assert paths[0].read_text().endswith("\n")
-        round_trip = Table.from_csv(paths[1].read_text())
-        assert [row["scenario"] for row in round_trip.rows] == ["fleet_a"]
+        rows = csv.DictReader(io.StringIO(paths[1].read_text()))
+        assert [row["scenario"] for row in rows] == ["fleet_a"]
         spec = json.loads(paths[2].read_text())
         assert spec["data"]["url"] == "fleet_dashboard.csv"
 

@@ -1,5 +1,7 @@
 """Unit tests for repro.figures.tabular: Table and the manifest loader."""
 
+import csv
+import io
 import math
 
 import pytest
@@ -54,26 +56,18 @@ class TestTable:
         assert wide.columns == ("scn", "lat", "nrg")
         assert wide.rows[1]["nrg"] is None
 
-    def test_csv_round_trip_preserves_types(self):
+    def test_csv_spells_each_cell_type(self):
         table = Table(("i", "f", "s", "b", "n"), [{"i": 7, "f": 0.1, "s": "x,y", "b": True}])
-        back = Table.from_csv(table.to_csv())
-        assert back.rows == table.rows
-        assert [type(value) for value in back.rows[0].values()] == [
-            int,
-            float,
-            str,
-            bool,
-            type(None),
-        ]
+        header, row = csv.reader(io.StringIO(table.to_csv()))
+        assert header == ["i", "f", "s", "b", "n"]
+        assert row == ["7", "0.1", "x,y", "true", ""]
 
-    def test_csv_round_trip_survives_nan_and_inf(self):
+    def test_csv_floats_read_back_through_float(self):
         table = Table(("v",), [{"v": float("nan")}, {"v": math.inf}, {"v": -math.inf}, {"v": 0.1}])
-        values = [row["v"] for row in Table.from_csv(table.to_csv()).rows]
+        _, *rows = csv.reader(io.StringIO(table.to_csv()))
+        values = [float(cell) for (cell,) in rows]
         assert math.isnan(values[0])
         assert values[1:] == [math.inf, -math.inf, 0.1]
-
-    def test_from_csv_empty_text(self):
-        assert len(Table.from_csv("")) == 0
 
 
 class TestManifestLoaders:

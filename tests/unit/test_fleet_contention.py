@@ -61,16 +61,3 @@ class TestValidation:
             ContentionModel(network=network, collision_overhead=-0.1)
 
 
-class TestSaturation:
-    def test_saturation_station_count_is_boundary(self, contention):
-        floor = 5.0
-        n = contention.saturation_stations(floor)
-        assert contention.per_user_throughput_mbps(n) >= floor
-        assert contention.per_user_throughput_mbps(n + 1) < floor
-
-    def test_unreachable_floor_gives_zero(self, contention, network):
-        assert contention.saturation_stations(network.throughput_mbps * 2) == 0
-
-    def test_non_positive_floor_rejected(self, contention):
-        with pytest.raises(ModelDomainError):
-            contention.saturation_stations(0.0)

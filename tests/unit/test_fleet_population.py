@@ -10,7 +10,6 @@ from repro.fleet.population import (
     UserProfile,
     homogeneous,
     mixed_devices,
-    mixed_workloads,
     with_mode,
 )
 
@@ -67,15 +66,6 @@ class TestMixedGenerators:
         with pytest.raises(ConfigurationError):
             mixed_devices(4, devices=())
 
-    def test_mixed_workloads_cycles_apps(self):
-        apps = (
-            ApplicationConfig(frame_side_px=300.0),
-            ApplicationConfig(frame_side_px=700.0),
-        )
-        population = mixed_workloads(4, apps=apps)
-        sides = [user.app.frame_side_px for user in population]
-        assert sides == [300.0, 700.0, 300.0, 700.0]
-
     def test_duplicate_names_rejected(self):
         user = UserProfile(name="dup")
         with pytest.raises(ConfigurationError):
@@ -83,12 +73,8 @@ class TestMixedGenerators:
 
     @pytest.mark.parametrize(
         "generate",
-        [
-            homogeneous,
-            mixed_devices,
-            lambda n: mixed_workloads(n, apps=(ApplicationConfig(),)),
-        ],
-        ids=["homogeneous", "mixed_devices", "mixed_workloads"],
+        [homogeneous, mixed_devices],
+        ids=["homogeneous", "mixed_devices"],
     )
     def test_fractional_fleet_size_rejected(self, generate):
         with pytest.raises(ConfigurationError, match="n_users must be an integer"):

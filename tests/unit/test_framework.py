@@ -6,9 +6,7 @@ from repro.config.application import ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.config.workload import WorkloadConfig
 from repro.core.framework import XRPerformanceModel
-from repro.devices.catalog import get_device
-from repro.devices.device import XRDevice
-from repro.devices.edge_server import EdgeServer
+from repro.devices.catalog import get_device, get_edge_server
 from repro.exceptions import ConfigurationError, UnknownDeviceError
 
 
@@ -18,15 +16,13 @@ class TestConstruction:
         assert model.device.name == "XR3"
         assert model.edge.name == "EDGE-TX2"
 
-    def test_device_by_spec_and_runtime_object(self):
+    def test_device_by_spec(self):
         spec = get_device("XR4")
         assert XRPerformanceModel(device=spec).device is spec
-        runtime = XRDevice(spec=spec)
-        assert XRPerformanceModel(device=runtime).device is spec
 
-    def test_edge_by_runtime_object(self):
-        server = EdgeServer.from_catalog("EDGE-AGX")
-        assert XRPerformanceModel(edge=server).edge is server.spec
+    def test_edge_by_spec(self):
+        spec = get_edge_server("EDGE-AGX")
+        assert XRPerformanceModel(edge=spec).edge is spec
 
     def test_edge_none_is_allowed(self):
         model = XRPerformanceModel(device="XR1", edge=None)

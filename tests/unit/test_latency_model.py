@@ -90,7 +90,7 @@ class TestSegmentModels:
     def test_transmission_eq16(self, model, remote_app, network):
         expected = units.transmission_latency_ms(
             remote_app.encoded_frame_size_mb, network.throughput_mbps
-        ) + network.edge_propagation_delay_ms
+        ) + network.propagation_delay_ms(network.edge_distance_m)
         assert model.transmission_ms(remote_app, network) == pytest.approx(expected)
 
     def test_handoff_zero_when_disabled(self, model, remote_app, network):
@@ -110,7 +110,7 @@ class TestSegmentModels:
         assert local < remote
         assert remote == pytest.approx(
             units.transmission_latency_ms(INFERENCE_RESULT_SIZE_MB, network.throughput_mbps)
-            + network.edge_propagation_delay_ms
+            + network.propagation_delay_ms(network.edge_distance_m)
         )
 
     def test_cooperation_disabled_by_default(self, model, app, network):

@@ -7,7 +7,6 @@ from repro.evaluation.metrics import (
     mean_error_percent,
     normalized_accuracy,
     relative_error,
-    series_accuracy,
 )
 
 
@@ -49,9 +48,6 @@ class TestNormalizedAccuracy:
 
     def test_floored_at_zero(self):
         assert normalized_accuracy(500.0, 100.0) == 0.0
-
-    def test_series_accuracy_is_mean(self):
-        assert series_accuracy([110.0, 100.0], [100.0, 100.0]) == pytest.approx(95.0)
 
     def test_relative_error(self):
         assert relative_error(120.0, 100.0) == pytest.approx(0.2)

@@ -25,7 +25,6 @@ class TestConstruction:
         queue = MG1Queue(arrival_rate_per_ms=0.0, mean_service_time_ms=1.0)
         assert queue.utilization == 0.0
         assert queue.mean_waiting_time_ms == 0.0
-        assert queue.mean_number_in_system == 0.0
         assert queue.mean_time_in_system_ms == pytest.approx(1.0)
 
 
@@ -34,7 +33,6 @@ class TestSpecialCases:
         mg1 = MG1Queue.mm1(arrival_rate_per_ms=0.4, service_rate_per_ms=1.0)
         mm1 = MM1Queue(0.4, 1.0)
         assert mg1.mean_time_in_system_ms == pytest.approx(mm1.mean_time_in_system_ms)
-        assert mg1.mean_number_in_system == pytest.approx(mm1.mean_number_in_system)
 
     def test_md1_waits_half_of_mm1(self):
         md1 = MG1Queue.md1(arrival_rate_per_ms=0.4, mean_service_time_ms=1.0)
@@ -43,15 +41,6 @@ class TestSpecialCases:
 
     def test_utilization(self):
         assert MG1Queue(0.25, 2.0).utilization == pytest.approx(0.5)
-
-    def test_littles_law_consistency(self):
-        queue = MG1Queue(0.3, 1.5, service_scv=0.7)
-        assert queue.mean_number_in_system == pytest.approx(
-            queue.arrival_rate_per_ms * queue.mean_time_in_system_ms
-        )
-        assert queue.mean_number_in_queue == pytest.approx(
-            queue.arrival_rate_per_ms * queue.mean_waiting_time_ms
-        )
 
     def test_higher_variability_means_longer_waits(self):
         low = MG1Queue(0.4, 1.0, service_scv=0.2)

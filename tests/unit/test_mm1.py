@@ -20,9 +20,7 @@ class TestStability:
         queue = MM1Queue(arrival_rate_per_ms=0.0, service_rate_per_ms=1.0)
         assert queue.utilization == 0.0
         assert queue.mean_waiting_time_ms == 0.0
-        assert queue.mean_number_in_queue == 0.0
         assert queue.mean_time_in_system_ms == pytest.approx(queue.mean_service_time_ms)
-        assert queue.prob_empty() == pytest.approx(1.0)
 
     def test_from_rates_hz(self):
         queue = MM1Queue.from_rates_hz(300.0, 600.0)
@@ -45,45 +43,8 @@ class TestFirstOrderQuantities:
             queue.mean_time_in_system_ms
         )
 
-    def test_mean_number_in_system(self):
-        queue = MM1Queue(0.25, 0.5)
-        assert queue.mean_number_in_system == pytest.approx(1.0)
-
-    def test_queue_length_relation(self):
-        queue = MM1Queue(0.3, 0.4)
-        assert queue.mean_number_in_queue == pytest.approx(
-            queue.mean_number_in_system - queue.utilization
-        )
-
     def test_sojourn_grows_with_load(self):
         light = MM1Queue(0.1, 1.0)
         heavy = MM1Queue(0.9, 1.0)
         assert heavy.mean_time_in_system_ms > light.mean_time_in_system_ms
 
-
-class TestDistributions:
-    def test_state_probabilities_sum_to_one(self):
-        queue = MM1Queue(0.4, 1.0)
-        total = sum(queue.prob_n_in_system(n) for n in range(200))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_prob_empty(self):
-        assert MM1Queue(0.3, 1.0).prob_empty() == pytest.approx(0.7)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            MM1Queue(0.3, 1.0).prob_n_in_system(-1)
-
-    def test_sojourn_cdf_is_exponential(self):
-        queue = MM1Queue(0.5, 1.0)
-        assert queue.sojourn_time_cdf(0.0) == pytest.approx(0.0)
-        assert queue.sojourn_time_cdf(1e9) == pytest.approx(1.0)
-
-    def test_sojourn_quantile_inverts_cdf(self):
-        queue = MM1Queue(0.5, 1.0)
-        q90 = queue.sojourn_time_quantile(0.9)
-        assert queue.sojourn_time_cdf(q90) == pytest.approx(0.9, abs=1e-9)
-
-    def test_quantile_rejects_invalid_probability(self):
-        with pytest.raises(ValueError):
-            MM1Queue(0.5, 1.0).sojourn_time_quantile(1.0)

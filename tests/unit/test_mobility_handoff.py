@@ -16,7 +16,6 @@ from repro.network.mobility import CoverageLayout, RandomWalkMobility
 class TestCoverageLayout:
     def test_grid_size(self):
         layout = CoverageLayout(rows=3, cols=4)
-        assert layout.n_zones == 12
         assert len(layout.zones) == 12
 
     def test_technology_assignment_cycles(self):
@@ -31,7 +30,8 @@ class TestCoverageLayout:
     def test_single_technology_has_no_vertical_handoffs(self):
         layout = CoverageLayout(technologies=("wifi",))
         for zone in layout.zones:
-            assert layout.vertical_neighbor_fraction(zone) == 0.0
+            for neighbor in layout.neighbors(zone):
+                assert not layout.is_vertical_transition(zone, neighbor)
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -54,24 +54,14 @@ class TestRandomWalk:
         fast = RandomWalkMobility(layout=layout, speed_m_per_s=10.0)
         assert fast.handoff_probability(100.0) > slow.handoff_probability(100.0)
 
-    def test_expected_handoffs_scale_with_duration(self):
-        mobility = RandomWalkMobility(layout=CoverageLayout(), speed_m_per_s=1.4)
-        assert mobility.expected_handoffs(2000.0, 20.0) == pytest.approx(
-            2.0 * mobility.expected_handoffs(1000.0, 20.0)
-        )
-
     def test_walk_statistics_match_analytics(self, rng):
         mobility = RandomWalkMobility(
             layout=CoverageLayout(rows=9, cols=9), speed_m_per_s=8.0, pause_probability=0.0
         )
         trace = mobility.walk(n_steps=8000, step_interval_ms=100.0, rng=rng)
         analytical = mobility.handoff_probability(100.0)
-        assert trace.empirical_handoff_probability == pytest.approx(analytical, rel=0.15)
-
-    def test_walk_records_occupancy(self, rng):
-        mobility = RandomWalkMobility(layout=CoverageLayout(), speed_m_per_s=1.4)
-        trace = mobility.walk(n_steps=100, step_interval_ms=33.0, rng=rng)
-        assert sum(trace.zone_occupancy().values()) == len(trace.zones)
+        empirical = sum(trace.handoff_flags) / len(trace.handoff_flags)
+        assert empirical == pytest.approx(analytical, rel=0.15)
 
     def test_start_zone_must_exist(self):
         with pytest.raises(ConfigurationError):
@@ -82,14 +72,13 @@ class TestZeroVelocityWalks:
     def test_zero_velocity_walk_never_moves(self, rng):
         mobility = RandomWalkMobility(layout=CoverageLayout(), speed_m_per_s=0.0)
         trace = mobility.walk(n_steps=500, step_interval_ms=33.0, rng=rng)
-        assert trace.n_handoffs == 0
-        assert trace.n_vertical_handoffs == 0
+        assert sum(trace.handoff_flags) == 0
+        assert not any(trace.vertical_flags)
         assert set(trace.zones) == {mobility.start_zone}
-        assert trace.empirical_handoff_probability == 0.0
 
-    def test_zero_velocity_expected_handoffs_are_zero(self):
+    def test_zero_velocity_handoff_probability_is_zero(self):
         mobility = RandomWalkMobility(layout=CoverageLayout(), speed_m_per_s=0.0)
-        assert mobility.expected_handoffs(10_000.0, 33.0) == 0.0
+        assert mobility.handoff_probability(33.0) == 0.0
 
     def test_always_paused_walk_never_moves(self, rng):
         mobility = RandomWalkMobility(
@@ -97,15 +86,14 @@ class TestZeroVelocityWalks:
         )
         assert mobility.handoff_probability(100.0) == 0.0
         trace = mobility.walk(n_steps=200, step_interval_ms=100.0, rng=rng)
-        assert trace.n_handoffs == 0
+        assert sum(trace.handoff_flags) == 0
 
 
 class TestSingleZoneLayouts:
     def test_single_zone_has_no_neighbors(self):
         layout = CoverageLayout(rows=1, cols=1)
-        assert layout.n_zones == 1
+        assert layout.zones == ((0, 0),)
         assert layout.neighbors((0, 0)) == []
-        assert layout.vertical_neighbor_fraction((0, 0)) == 0.0
 
     def test_walk_on_single_zone_stays_put(self, rng):
         layout = CoverageLayout(rows=1, cols=1)
@@ -113,8 +101,8 @@ class TestSingleZoneLayouts:
             layout=layout, speed_m_per_s=50.0, pause_probability=0.0
         )
         trace = mobility.walk(n_steps=300, step_interval_ms=100.0, rng=rng)
-        assert trace.n_handoffs == 0
-        assert trace.zone_occupancy() == {(0, 0): len(trace.zones)}
+        assert sum(trace.handoff_flags) == 0
+        assert set(trace.zones) == {(0, 0)}
 
     def test_single_zone_analytical_probability_is_still_defined(self):
         # The fluid-flow boundary-crossing rate does not know the graph has
@@ -134,13 +122,11 @@ class TestDegenerateGraphClassification:
         layout = CoverageLayout(rows=1, cols=5, technologies=("a", "b"))
         for col in range(4):
             assert layout.is_vertical_transition((0, col), (0, col + 1))
-        assert layout.vertical_neighbor_fraction((0, 2)) == 1.0
 
     def test_single_row_single_technology_all_horizontal(self):
         layout = CoverageLayout(rows=1, cols=5, technologies=("wifi",))
         for col in range(4):
             assert not layout.is_vertical_transition((0, col), (0, col + 1))
-        assert layout.vertical_neighbor_fraction((0, 2)) == 0.0
 
     def test_more_technologies_than_zones(self):
         layout = CoverageLayout(rows=1, cols=2, technologies=("a", "b", "c", "d"))
@@ -151,7 +137,9 @@ class TestDegenerateGraphClassification:
     def test_column_graph_classifies_like_row_graph(self):
         row = CoverageLayout(rows=1, cols=4, technologies=("a", "b"))
         col = CoverageLayout(rows=4, cols=1, technologies=("a", "b"))
-        assert row.vertical_neighbor_fraction((0, 1)) == col.vertical_neighbor_fraction((1, 0))
+        assert [row.is_vertical_transition((0, 1), zone) for zone in row.neighbors((0, 1))] == [
+            col.is_vertical_transition((1, 0), zone) for zone in col.neighbors((1, 0))
+        ]
 
     def test_walk_classifies_vertical_handoffs(self, rng):
         layout = CoverageLayout(rows=1, cols=6, technologies=("a", "b"))
@@ -160,8 +148,8 @@ class TestDegenerateGraphClassification:
         )
         trace = mobility.walk(n_steps=400, step_interval_ms=200.0, rng=rng)
         # Every move in an alternating 1xN corridor crosses technologies.
-        assert trace.n_handoffs > 0
-        assert trace.n_vertical_handoffs == trace.n_handoffs
+        assert sum(trace.handoff_flags) > 0
+        assert sum(trace.vertical_flags) == sum(trace.handoff_flags)
 
 
 def _digest(obj) -> str:
@@ -230,7 +218,7 @@ class TestGridParity:
         layout = CoverageLayout(rows=rows, cols=cols, technologies=technologies)
         mobility = RandomWalkMobility(layout=layout, speed_m_per_s=50.0, pause_probability=0.1)
         trace = mobility.walk(400, 500.0, np.random.default_rng(seed))
-        assert (trace.n_handoffs, trace.n_vertical_handoffs) == (moves, vertical)
+        assert (sum(trace.handoff_flags), sum(trace.vertical_flags)) == (moves, vertical)
         assert _digest([trace.zones, trace.vertical_flags]) == digest
 
     def test_mobility_trace_digest(self):
@@ -263,7 +251,6 @@ class TestHandoffModel:
     def test_disabled_handoff_costs_nothing(self):
         model = HandoffModel(HandoffConfig(enabled=False))
         assert model.mean_handoff_latency_ms(33.3) == 0.0
-        assert model.mean_handoff_energy_mj(33.3) == 0.0
 
     def test_explicit_probability_used(self):
         config = HandoffConfig(enabled=True, handoff_probability=0.1, handoff_latency_ms=200.0)
@@ -276,8 +263,3 @@ class TestHandoffModel:
         period = 33.3
         expected = model.single_handoff_latency_ms() * model.handoff_probability(period)
         assert model.mean_handoff_latency_ms(period) == pytest.approx(expected)
-
-    def test_energy_uses_configured_radio_power(self):
-        config = HandoffConfig(enabled=True, handoff_probability=0.5, handoff_latency_ms=100.0, power_w=2.0)
-        model = HandoffModel(config)
-        assert model.mean_handoff_energy_mj(33.3) == pytest.approx(2.0 * 50.0)

@@ -20,17 +20,17 @@ def planner(device_spec, edge_spec):
 
 class TestCandidates:
     def test_three_candidates_by_default(self, planner, app):
-        candidates = planner.candidate_placements(app)
+        candidates = planner.candidates(app)
         modes = [candidate.inference.mode for candidate in candidates]
         assert modes == [ExecutionMode.LOCAL, ExecutionMode.REMOTE, ExecutionMode.SPLIT]
 
     def test_multi_edge_candidates_split_evenly(self, planner, app):
-        remote = planner.candidate_placements(app, n_edge_servers=2)[1]
+        remote = planner.candidates(app, n_edge_servers=2)[1]
         assert remote.inference.edge_shares == (0.5, 0.5)
 
     def test_invalid_edge_count_rejected(self, planner, app):
         with pytest.raises(ConfigurationError):
-            planner.candidate_placements(app, n_edge_servers=0)
+            planner.candidates(app, n_edge_servers=0)
 
     def test_candidates_accessor_is_memoized(self, planner, app):
         first = planner.candidates(app)

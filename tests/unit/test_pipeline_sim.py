@@ -31,7 +31,7 @@ def noiseless_simulator():
         edge=get_edge_server("EDGE-AGX"),
         exact_coefficients=truth_coefficients(truth, "XR2"),
         truth=truth,
-        noise=NoiseModel.none(),
+        noise=NoiseModel(relative_sigma=0.0, jitter_mean_ms=0.0, power_sigma=0.0),
     )
 
 
@@ -84,7 +84,3 @@ class TestSimulate:
         trace = simulator.simulate(app, network, n_frames=20, seed=5)
         correlation = np.corrcoef(trace.latencies_ms, trace.energies_mj)[0, 1]
         assert correlation > 0.8
-
-    def test_track_device_state_drains_battery(self, simulator, app, network):
-        trace = simulator.simulate(app, network, n_frames=5, seed=6, track_device_state=True)
-        assert trace.mean_energy_mj > 0.0

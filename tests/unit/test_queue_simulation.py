@@ -57,9 +57,3 @@ class TestAgainstTheory:
         theory = MM1Queue(arrival, service)
         assert relative_gap(result.mean_sojourn_time_ms, theory.mean_time_in_system_ms) < 0.05
         assert relative_gap(result.utilization, theory.utilization) < 0.05
-
-    def test_littles_law_holds_in_simulation(self, rng):
-        result = simulate_mm1(0.3, 0.8, horizon_ms=100_000.0, rng=rng)
-        arrival_rate = result.n_packets / result.departure_times_ms[-1]
-        expected_l = arrival_rate * result.mean_sojourn_time_ms
-        assert relative_gap(result.mean_number_in_system(), expected_l) < 0.05

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.queueing.arrivals import DeterministicProcess, PoissonProcess
+from repro.queueing.arrivals import PoissonProcess
 
 
 class TestPoissonProcess:
@@ -34,21 +34,3 @@ class TestPoissonProcess:
     def test_zero_horizon_rejected(self, rng):
         with pytest.raises(ValueError):
             PoissonProcess(0.3).sample_arrival_times(0.0, rng)
-
-
-class TestDeterministicProcess:
-    def test_rate_is_reciprocal_of_period(self):
-        assert DeterministicProcess(period_ms=4.0).rate_per_ms == pytest.approx(0.25)
-
-    def test_events_are_periodic(self):
-        times = DeterministicProcess(period_ms=10.0).sample_arrival_times(35.0)
-        assert list(times) == pytest.approx([10.0, 20.0, 30.0])
-
-    def test_offset_shifts_first_event(self):
-        times = DeterministicProcess(period_ms=10.0, offset_ms=3.0).sample_arrival_times(25.0)
-        assert times[0] == pytest.approx(3.0)
-
-    def test_rejects_zero_period(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicProcess(period_ms=0.0)
-

@@ -51,15 +51,9 @@ class TestLinearRegression:
         assert not np.isnan(result.r_squared_test)
         assert result.n_test == 200
 
-    def test_predict_uses_fitted_coefficients(self, rng):
-        X, y, _ = self._make_data(rng)
-        model = LinearRegression()
-        model.fit(X, y)
-        assert np.allclose(model.predict(X), y)
-
-    def test_predict_before_fit_raises(self):
+    def test_coefficients_before_fit_raise(self):
         with pytest.raises(RegressionError):
-            LinearRegression().predict(np.ones((3, 2)))
+            LinearRegression().coefficients
 
     def test_confidence_intervals_shrink_with_more_data(self, rng):
         X_small, y_small, _ = self._make_data(rng, noise=1.0, n=60)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation.report import format_float, format_table, results_directory, save_text
+from repro.evaluation.report import format_table, results_directory, save_text
 from repro.evaluation.tables import table_1, table_2
 
 
@@ -17,9 +17,6 @@ class TestFormatTable:
     def test_handles_numbers(self):
         text = format_table([(1, 2.5)], headers=("a", "b"))
         assert "2.5" in text
-
-    def test_format_float(self):
-        assert format_float(3.14159, digits=3) == "3.142"
 
 
 class TestPersistence:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.config.workload import WorkloadConfig
 from repro.core.aoi import AoIModel
-from repro.exceptions import SimulationError
 from repro.simulation.sensor_sim import emulate_aoi
 
 
@@ -13,15 +12,6 @@ class TestEmulation:
     def test_default_workload_has_three_sensors(self):
         emulation = emulate_aoi()
         assert len(emulation.timelines) == 3
-
-    def test_timeline_lookup_by_frequency(self):
-        emulation = emulate_aoi()
-        timeline = emulation.timeline_for_frequency(100.0)
-        assert timeline.generation_frequency_hz == pytest.approx(100.0)
-
-    def test_unknown_frequency_rejected(self):
-        with pytest.raises(SimulationError):
-            emulate_aoi().timeline_for_frequency(123.0)
 
     def test_update_counts_match_horizon(self, aoi_workload):
         emulation = emulate_aoi(aoi_workload)
@@ -40,7 +30,11 @@ class TestEmulation:
 
     def test_fast_sensor_aoi_stays_flat(self):
         emulation = emulate_aoi()
-        fast = emulation.timeline_for_frequency(200.0)
+        (fast,) = [
+            timeline
+            for timeline in emulation.timelines
+            if timeline.generation_frequency_hz == pytest.approx(200.0)
+        ]
         assert np.max(fast.aoi_ms) - np.min(fast.aoi_ms) < 3.0
 
     def test_buffer_wait_recorded(self):

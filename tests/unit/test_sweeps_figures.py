@@ -36,13 +36,6 @@ class TestSweepComparison:
         comparison = context.comparison("latency", ExecutionMode.LOCAL)
         assert len(comparison.rows()) == context.sweep_config.n_points
 
-    def test_series_lookup(self, context):
-        comparison = context.comparison("latency", ExecutionMode.LOCAL)
-        cpu = context.sweep_config.cpu_freqs_ghz[0]
-        assert comparison.series_for(cpu).cpu_freq_ghz == cpu
-        with pytest.raises(KeyError):
-            comparison.series_for(99.0)
-
     def test_ground_truth_increases_with_frame_size(self, context):
         comparison = context.comparison("latency", ExecutionMode.LOCAL)
         for series in comparison.series:

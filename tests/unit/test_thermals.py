@@ -51,12 +51,6 @@ class TestTemperatureDynamics:
             model.step(consumed_energy_mj=0.0, duration_ms=1000.0)
         assert model.temperature_c < hot
 
-    def test_history_records_each_step(self):
-        model = ThermalModel()
-        for _ in range(5):
-            model.step(1000.0, 500.0)
-        assert len(model.history) == 5
-
     def test_throttling_flag_on_sustained_load(self):
         model = ThermalModel(
             thermal_fraction=0.3,
@@ -66,13 +60,6 @@ class TestTemperatureDynamics:
         for _ in range(500):
             model.step(consumed_energy_mj=10_000.0, duration_ms=1000.0)
         assert model.is_throttling
-
-    def test_reset_restores_ambient_and_clears_history(self):
-        model = ThermalModel()
-        model.step(5000.0, 1000.0)
-        model.reset()
-        assert model.temperature_c == pytest.approx(model.ambient_c)
-        assert model.history == []
 
     def test_step_rejects_zero_duration(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ class TestWifiLinkWithoutPathLoss:
         link = WifiLink(config=network)
         data_mb = 0.5
         expected = units.transmission_latency_ms(data_mb, network.throughput_mbps)
-        expected += network.edge_propagation_delay_ms
+        expected += network.propagation_delay_ms(network.edge_distance_m)
         assert link.transmission_latency_ms(data_mb) == pytest.approx(expected)
 
     def test_snr_requires_path_loss(self, network):
