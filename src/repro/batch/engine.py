@@ -12,10 +12,12 @@ equations of Sections IV–VI.
 
 Bit compatibility
 -----------------
-Every array expression reproduces the scalar model's floating-point
-operation *order* (including the order segment latencies are summed into the
-Eq. 1 / Eq. 19 totals), so a batch evaluation agrees with the scalar path to
-the last bit — ``BatchResult.report_at(i)`` returns the exact report
+The equations are not written here.  Each one is a function of numeric
+values in :mod:`repro.core` that takes a float or an aligned array; the
+scalar models call it with floats and this engine with arrays, keeping only
+the grouping, the bucketing, the (conditions x points) broadcast and the
+result assembly.  So a batch evaluation agrees with the scalar path to the
+last bit — ``BatchResult.report_at(i)`` returns the exact report
 ``XRPerformanceModel.analyze`` would have produced for point ``i``.
 
 The vectorized numeric axes are the frame side, the CPU/GPU clocks, the
@@ -49,21 +51,32 @@ from typing import (
 
 import numpy as np
 
-from repro import telemetry
-from repro.cnn.zoo import get_cnn
+from repro import telemetry, units
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import NetworkConfig
+from repro.core.aoi import AoIModel, frame_aoi
 from repro.core.coefficients import CoefficientSet
-from repro.core.latency import COMPLEXITY_MODES, INFERENCE_RESULT_SIZE_MB
-from repro.core.segments import COMPUTE_SEGMENTS, RADIO_SEGMENTS, Segment, billed_segments
+from repro.core.energy import FrameTotals, XREnergyModel, frame_totals
+from repro.core.latency import (
+    INFERENCE_RESULT_SIZE_MB,
+    XRLatencyModel,
+    decode_ms,
+    generation_ms,
+    link_ms,
+    local_share_ms,
+    memory_ms,
+    processing_ms,
+    render_ms,
+    slowest_share_ms,
+)
+from repro.core.numeric import ArrayLike
+from repro.core.power import PowerModel
+from repro.core.segments import Segment, billed_segments
 from repro.devices.resolve import resolve_device_spec, resolve_edge_spec
 from repro.exceptions import ConfigurationError, ModelDomainError
-from repro.measurement.truth import SEGMENT_POWER_FACTORS
 from repro.network.handoff import HandoffModel
 from repro.network.wifi import WifiLink
-from repro.queueing.vectorized import ArrayLike, mm1_sojourn_ms
-from repro.sensors.sensor import ExternalSensor
 
 from repro.batch.grid import NUMERIC_AXES, OperatingPoint, ParameterGrid
 from repro.batch.result import BatchResult, GroupAoI, GroupResult
@@ -101,10 +114,6 @@ _SEGMENT_ORDER = (
     Segment.HANDOFF,
     Segment.COOPERATION,
 )
-
-#: Values per chunk of the AoI sum over updates (8 MB of float64), so a
-#: sweep over many conditions at the largest update count stays bounded.
-_AOI_CHUNK_ELEMENTS = 2**20
 
 
 class _Terms(NamedTuple):
@@ -149,15 +158,7 @@ class _ClosedForms(NamedTuple):
     latency_ms: Dict[Segment, np.ndarray]
     energy_mj: Dict[Segment, np.ndarray]
     included: FrozenSet[Segment]
-    total_latency_ms: np.ndarray
-    thermal_mj: np.ndarray
-    base_mj: np.ndarray
-    total_energy_mj: np.ndarray
-
-
-def _link_ms(megabits: ArrayLike, propagation_ms: ArrayLike, throughput: np.ndarray) -> np.ndarray:
-    """Serialization of ``megabits`` over r_w plus the propagation delay."""
-    return (megabits / throughput) * 1e3 + propagation_ms
+    totals: FrameTotals
 
 
 def _closed_forms(
@@ -166,10 +167,10 @@ def _closed_forms(
     """Finish the closed forms under (throughput, ``P(HO)``) conditions.
 
     Adds Eq. (8)'s result transfer and Eqs. (16)-(18) to the
-    condition-invariant ``terms``, then sums the Eq. (1) and Eq. (19)
-    totals in segment order, exactly as ``LatencyBreakdown.total_ms`` and
-    ``EnergyBreakdown.total_mj`` do.  Totals start from +0.0, so a segment a
-    point does not bill may be present with a zero entry: ``x + 0.0 == x``.
+    condition-invariant ``terms``, then takes the Eq. (1) and Eq. (19)
+    totals with :func:`~repro.core.energy.frame_totals`, as the scalar model
+    does.  Totals start from +0.0, so a segment a point does not bill may be
+    present with a zero entry: ``x + 0.0 == x``.
     """
     thr = throughput_mbps
     if terms.link_budget is not None:
@@ -177,20 +178,20 @@ def _closed_forms(
         thr = np.where(path_loss, link_budget, thr)
     segments = dict(terms.latency_ms)
     # Eq. (8): rendering = raster + memory + buffering + result transfer.
-    segments[Segment.RENDERING] = segments[Segment.RENDERING] + _link_ms(
-        terms.result_megabits, terms.edge_propagation_ms, thr
+    segments[Segment.RENDERING] = segments[Segment.RENDERING] + link_ms(
+        terms.result_megabits, thr, terms.edge_propagation_ms
     )
     if terms.transmission_megabits is not None:
         # Eq. (16)
-        segments[Segment.TRANSMISSION] = _link_ms(
-            terms.transmission_megabits, terms.edge_propagation_ms, thr
+        segments[Segment.TRANSMISSION] = link_ms(
+            terms.transmission_megabits, thr, terms.edge_propagation_ms
         )
         # Eq. (17)
         segments[Segment.HANDOFF] = terms.handoff_latency_ms * handoff_probability
     if terms.cooperation_megabits is not None:
         # Eq. (18)
-        segments[Segment.COOPERATION] = _link_ms(
-            terms.cooperation_megabits, terms.cooperation_propagation_ms, thr
+        segments[Segment.COOPERATION] = link_ms(
+            terms.cooperation_megabits, thr, terms.cooperation_propagation_ms
         )
     energy = {
         segment: terms.power_w[segment] * latency
@@ -199,35 +200,23 @@ def _closed_forms(
         for segment, latency in segments.items()
     }
     included = frozenset(terms.billed & set(segments))
-
-    total_latency = segment_energy = compute_energy = 0.0
-    for segment, latency in segments.items():
-        if segment in included:
-            total_latency = total_latency + latency
-            segment_energy = segment_energy + energy[segment]
-            if segment in COMPUTE_SEGMENTS:
-                compute_energy = compute_energy + energy[segment]
-    thermal = terms.thermal_fraction * compute_energy
-    base = terms.base_power_w * total_latency
     return _ClosedForms(
         latency_ms=segments,
         energy_mj=energy,
         included=included,
-        total_latency_ms=total_latency,
-        thermal_mj=thermal,
-        base_mj=base,
-        total_energy_mj=segment_energy + thermal + base,
+        totals=frame_totals(
+            segments, energy, included, terms.thermal_fraction, terms.base_power_w
+        ),
     )
 
 
 class _GroupEvaluator:
     """Vectorized evaluator for one structure group.
 
-    All point-independent quantities (sensor latencies, buffering delays,
-    handoff, CNN complexities, propagation delays) are computed once here —
-    with the *scalar* code paths, so they are trivially identical to the
-    scalar model.  :meth:`_fixed_terms` streams the numeric axes through the
-    condition-invariant array expressions, and :meth:`evaluate` finishes
+    The point-independent quantities (sensor latencies, buffering delays,
+    handoff, CNN complexities, propagation delays) come from the scalar
+    models' own methods.  :meth:`_fixed_terms` calls the equations of
+    :mod:`repro.core` on the numeric axes, and :meth:`evaluate` finishes
     them with :func:`_closed_forms`.
     """
 
@@ -241,18 +230,18 @@ class _GroupEvaluator:
         complexity_mode: str = "paper",
         include_aoi: bool = False,
     ) -> None:
-        if complexity_mode not in COMPLEXITY_MODES:
-            raise ConfigurationError(
-                f"complexity_mode must be one of {COMPLEXITY_MODES}, "
-                f"got {complexity_mode!r}"
-            )
+        latency = XRLatencyModel(
+            device=device, edge=edge, coefficients=coefficients, complexity_mode=complexity_mode
+        )
+        self.latency_model = latency
+        self.energy_model = XREnergyModel(
+            latency_model=latency,
+            power_model=PowerModel(coefficients=coefficients, device=device),
+        )
         self.device = device
         self.edge = edge
         self.app = app
         self.network = network
-        self.coefficients = coefficients
-        self.complexity_mode = complexity_mode
-        self.include_aoi = include_aoi
 
         mode = app.inference.mode
         self.mode = mode
@@ -264,13 +253,9 @@ class _GroupEvaluator:
                 "remote inference requires an edge server specification"
             )
 
-        # -- point-independent scalars (computed via the scalar code paths) --
-        self.frame_period_ms = app.frame_period_ms
-        self.mem_bw = device.memory_bandwidth_gb_s
-        self.scene_data_mb = app.virtual_scene_data_mb
-        self.virtual_scene_side_px = app.virtual_scene_side_px
-        self.external_ms = self._external_information_ms()
-        self.buffering_ms = self._buffering_ms()
+        # -- point-independent scalars, from the scalar models ----------------
+        self.external_ms = latency.external_information_ms(app, network)
+        self.buffering_ms = latency.buffering_ms(app, network)
         # Eq. (17) is l_HO * P(HO).  ConditionedPoints enables the handoff at
         # each condition's P(HO); ``evaluate`` charges the configured one,
         # and nothing when it is disabled (l_HO * 0 is NaN for l_HO = inf).
@@ -282,12 +267,9 @@ class _GroupEvaluator:
             if network.handoff.enabled:
                 self.configured_handoff = (
                     self.handoff_latency_ms,
-                    handoff.handoff_probability(self.frame_period_ms),
+                    handoff.handoff_probability(app.frame_period_ms),
                 )
         self.edge_propagation_ms = network.propagation_delay_ms(network.edge_distance_m)
-        # Result-transfer constants of Eq. (8).
-        self.result_megabits = INFERENCE_RESULT_SIZE_MB * 8.0
-        self.result_transfer_local_ms = INFERENCE_RESULT_SIZE_MB / self.mem_bw
 
         # Throughput handling: with path loss enabled the scalar WifiLink
         # derives r_w from the link budget and ignores the configured
@@ -296,30 +278,16 @@ class _GroupEvaluator:
         if network.enable_path_loss:
             self.link_budget_throughput = WifiLink(config=network).throughput_mbps()
 
-        # Local-inference constants.
-        self.omega_client = app.inference.omega_client
-        if self.uses_local_path and self.omega_client > 0.0:
-            local_cnn = get_cnn(app.inference.local_cnn)
-            self.local_complexity = coefficients.cnn_complexity.complexity(local_cnn)
-            self.converted_side_px = (
-                app.converted_frame_side_px
-                if app.converted_frame_side_px is not None
-                else local_cnn.input_side_px
+        if self.uses_local_path and app.inference.omega_client > 0.0:
+            self.local_complexity = latency.cnn_complexity(app.inference.local_cnn)
+            self.converted_side_px = latency.converted_frame_side_px(app)
+            self.converted_memory_ms = memory_ms(
+                app.converted_frame_size_mb(self.converted_side_px),
+                device.memory_bandwidth_gb_s,
             )
-            self.converted_size_mb = app.converted_frame_size_mb(self.converted_side_px)
-        # Remote-inference constants.
-        self.edge_shares = app.inference.edge_shares
-        if self.uses_remote_path and self.edge_shares:
-            remote_cnn = get_cnn(app.inference.remote_cnn)
-            self.remote_complexity = coefficients.cnn_complexity.complexity(remote_cnn)
         if self.uses_remote_path:
-            # edge is non-None here: the constructor raised above otherwise.
-            self.edge_scale = edge.compute_scale_vs_client
-            self.edge_mem_bw = edge.memory_bandwidth_gb_s
-        # Cooperation constants.
-        self.cooperation_enabled = app.cooperation.enabled
-        if self.cooperation_enabled:
-            self.coop_megabits = app.cooperation.data_size_mb * 8.0
+            self.remote_complexity = latency.cnn_complexity(app.inference.remote_cnn)
+        if app.cooperation.enabled:
             self.coop_propagation_ms = network.propagation_delay_ms(
                 app.cooperation.distance_m
             )
@@ -330,106 +298,14 @@ class _GroupEvaluator:
             app.cooperation.enabled and app.cooperation.include_in_totals,
         )
 
-        # Energy constants.
-        self.segment_factors = dict(SEGMENT_POWER_FACTORS)
-        self.power_floor = max(device.base_power_w, 1e-3)
-        self.compute_floor = 0.5  # ComputeResourceModel default clamp
-
-        # AoI constants.
         self.aoi_active = bool(include_aoi and network.sensors)
         if self.aoi_active:
             self.updates_per_frame = max(app.sensor_updates_per_frame, 1)
-            total_rate_hz = network.total_sensor_arrival_rate_hz
-            if total_rate_hz > 0.0:
-                self.aoi_buffer_time_ms = float(
-                    mm1_sojourn_ms(total_rate_hz / 1e3, app.buffer_service_rate_hz / 1e3)
-                )
-            else:
-                self.aoi_buffer_time_ms = 0.0
-
-    # -- point-independent helpers (scalar) -----------------------------------
-
-    def _external_information_ms(self) -> float:
-        """Eq. (5)-(6), identical to ``XRLatencyModel.external_information_ms``."""
-        network = self.network
-        app = self.app
-        if not network.sensors or app.sensor_updates_per_frame == 0:
-            return 0.0
-        totals = []
-        for config in network.sensors:
-            sensor = ExternalSensor(
-                config=config,
-                propagation_speed_m_per_s=network.propagation_speed_m_per_s,
-            )
-            totals.append(sensor.total_latency_ms(app.sensor_updates_per_frame))
-        return max(totals)
-
-    def _buffering_ms(self) -> float:
-        """Eq. (7), identical to ``InputBuffer.analytical_delays(...).total_ms``."""
-        app = self.app
-        network = self.network
-        service_per_ms = app.buffer_service_rate_hz / 1e3
-        frame_delay = float(mm1_sojourn_ms(app.frame_rate_fps / 1e3, service_per_ms))
-        volumetric_delay = float(mm1_sojourn_ms(app.frame_rate_fps / 1e3, service_per_ms))
-        sensor_rate_hz = network.total_sensor_arrival_rate_hz
-        if sensor_rate_hz > 0.0:
-            external_delay = float(mm1_sojourn_ms(sensor_rate_hz / 1e3, service_per_ms))
-        else:
-            external_delay = 0.0
-        return frame_delay + volumetric_delay + external_delay
+            self.aoi_buffer_time_ms = AoIModel(
+                app.buffer_service_rate_hz
+            ).average_buffer_time_ms(network.total_sensor_arrival_rate_hz)
 
     # -- vectorized evaluation --------------------------------------------------
-
-    def _client_compute(self, fc: np.ndarray, fg: np.ndarray) -> np.ndarray:
-        """Eq. (3) blended quadratic, clamped at the resource-model floor."""
-        share = self.app.cpu_share
-        blend = self.coefficients.resource
-        if np.any(fc <= 0.0) or np.any(fg <= 0.0):
-            raise ModelDomainError("clock frequencies must be > 0 at every point")
-        a0, a1, a2 = blend.cpu
-        b0, b1, b2 = blend.gpu
-        value = share * (a0 + a1 * fc + a2 * fc**2) + (1.0 - share) * (
-            b0 + b1 * fg + b2 * fg**2
-        )
-        return np.where(value < self.compute_floor, self.compute_floor, value)
-
-    def _mean_power(self, fc: np.ndarray, fg: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Eq. (21) blended quadratic, clamped at the device base power.
-
-        Returns the clamped values and the number of clamped points, so the
-        scalar :attr:`PowerModel.clamp_count` diagnostic can be maintained by
-        callers that own a power model.
-        """
-        share = self.app.cpu_share
-        blend = self.coefficients.power
-        a0, a1, a2 = blend.cpu
-        b0, b1, b2 = blend.gpu
-        value = share * (a0 + a1 * fc + a2 * fc**2) + (1.0 - share) * (
-            b0 + b1 * fg + b2 * fg**2
-        )
-        clamped = value < self.power_floor
-        return np.where(clamped, self.power_floor, value), int(np.count_nonzero(clamped))
-
-    def _encoding_numerator(self, side: np.ndarray, bitrate: np.ndarray) -> np.ndarray:
-        """Eq. (10) workload numerator, in the scalar accumulation order."""
-        enc = self.coefficients.encoding
-        app = self.app
-        value = (
-            enc.intercept
-            + enc.i_frame_interval * app.encoder.i_frame_interval
-            + enc.b_frame_count * app.encoder.b_frame_count
-            + enc.bitrate_mbps * bitrate
-            + enc.frame_side_px * side
-            + enc.frame_rate_fps * app.frame_rate_fps
-            + enc.quantization * app.encoder.quantization
-        )
-        if np.any(value <= 0.0):
-            raise ModelDomainError(
-                "encoding regression evaluated to a non-positive workload for at "
-                "least one grid point; the encoder configuration is outside the "
-                "model domain"
-            )
-        return value
 
     def _fixed_terms(
         self,
@@ -437,134 +313,133 @@ class _GroupEvaluator:
         fc: np.ndarray,
         fg: np.ndarray,
         bitrate: np.ndarray,
-    ) -> Tuple[_Terms, np.ndarray, Optional[np.ndarray], np.ndarray, int]:
+    ) -> Tuple[_Terms, np.ndarray, Optional[np.ndarray], np.ndarray]:
         """The condition-invariant terms at aligned per-point value arrays.
 
         Runs the point checks (frame sides, a path-loss link budget, clocks,
         the encoding domain).  Returns the terms, the client and edge compute
-        values, the mean power and the number of clamped mean-power points.
+        values and the mean power.
         """
         if np.any(side <= 0.0):
             raise ConfigurationError("frame sides must be > 0 at every point")
         link_budget = self.link_budget_throughput
         if link_budget is not None and link_budget <= 0.0:
             raise ConfigurationError("throughputs must be > 0 at every point")
+        app = self.app
+        latency = self.latency_model
+        complexity_mode = latency.complexity_mode
+        bandwidth = self.device.memory_bandwidth_gb_s
         n = side.shape[0]
-        c = self._client_compute(fc, fg)
-        raw_mb = ((side * side) * 1.5) / 1e6  # units.yuv_frame_size_mb
-        raw_mem = raw_mb / self.mem_bw
+        c = latency.resources.client_compute(fc, fg, app.cpu_share)
+        raw_mb = units.yuv_frame_size_mb(side)
+        raw_memory = memory_ms(raw_mb, bandwidth)
 
-        segments: Dict[Segment, np.ndarray] = {}
-        # Eq. (2)
-        segments[Segment.FRAME_GENERATION] = (
-            self.frame_period_ms + side / c + raw_mem
-        )
-        # Eq. (4)
-        segments[Segment.VOLUMETRIC] = (
-            self.virtual_scene_side_px / c + self.scene_data_mb / self.mem_bw
-        )
-        # Eqs. (5)-(6)
-        segments[Segment.EXTERNAL] = np.full(n, self.external_ms)
-        # Eq. (8) up to the result transfer, which only a local result (a
-        # memory copy) makes condition-invariant.
-        rendering = side / c + raw_mem + self.buffering_ms
-        segments[Segment.RENDERING] = (
-            rendering + self.result_transfer_local_ms if self.local else rendering
-        )
-
+        segments: Dict[Segment, np.ndarray] = {
+            Segment.FRAME_GENERATION: generation_ms(
+                app.frame_period_ms, side, c, raw_memory
+            ),
+            Segment.VOLUMETRIC: processing_ms(
+                app.virtual_scene_side_px, c, memory_ms(app.virtual_scene_data_mb, bandwidth)
+            ),
+            Segment.EXTERNAL: np.full(n, self.external_ms),
+            # Eq. (8) up to the result transfer, which only a local result (a
+            # memory copy) makes condition-invariant.
+            Segment.RENDERING: render_ms(
+                side,
+                c,
+                raw_memory,
+                self.buffering_ms,
+                memory_ms(INFERENCE_RESULT_SIZE_MB, bandwidth) if self.local else 0.0,
+            ),
+        }
         if self.uses_local_path:
-            # Eq. (9)
-            segments[Segment.CONVERSION] = side / c + raw_mem
-            # Eq. (11)
-            if self.omega_client == 0.0:
-                segments[Segment.LOCAL_INFERENCE] = np.zeros(n)
-            else:
-                if self.complexity_mode == "paper":
-                    inference_compute = self.converted_side_px / (
-                        c * self.local_complexity
-                    )
-                else:
-                    inference_compute = (
-                        self.converted_side_px * self.local_complexity / c
-                    )
-                segments[Segment.LOCAL_INFERENCE] = self.omega_client * (
-                    inference_compute + self.converted_size_mb / self.mem_bw
+            segments[Segment.CONVERSION] = processing_ms(side, c, raw_memory)
+            omega = app.inference.omega_client
+            segments[Segment.LOCAL_INFERENCE] = (
+                np.zeros(n)
+                if omega == 0.0
+                else local_share_ms(
+                    omega,
+                    self.converted_side_px,
+                    c,
+                    self.local_complexity,
+                    self.converted_memory_ms,
+                    complexity_mode,
                 )
+            )
 
         edge_compute: Optional[np.ndarray] = None
         transmission_megabits: Optional[np.ndarray] = None
         if self.uses_remote_path:
-            numerator = self._encoding_numerator(side, bitrate)
-            # Eq. (10)
-            segments[Segment.ENCODING] = numerator / c + raw_mem
-            edge_compute = self.edge_scale * c
-            encoded_mb = raw_mb / self.app.encoder.compression_ratio
-            # Eqs. (13)-(15)
-            if not self.edge_shares:
-                segments[Segment.REMOTE_INFERENCE] = np.zeros(n)
-            else:
-                # Eq. (14): decode latency derived from the encoding workload.
-                encoding_compute = numerator / c
-                decode = (
-                    encoding_compute
-                    * self.coefficients.decode_discount
-                    * c
-                    / edge_compute
-                )
-                edge_mem = encoded_mb / self.edge_mem_bw
-                remote: Optional[np.ndarray] = None
-                for share in self.edge_shares:
-                    if share == 0.0:
-                        per_share = np.zeros(n)
-                    else:
-                        if self.complexity_mode == "paper":
-                            inference_compute = side / (
-                                edge_compute * self.remote_complexity
-                            )
-                        else:
-                            inference_compute = (
-                                side * self.remote_complexity / edge_compute
-                            )
-                        per_share = share * (inference_compute + edge_mem + decode)
-                    remote = (
-                        per_share if remote is None else np.maximum(remote, per_share)
-                    )
-                segments[Segment.REMOTE_INFERENCE] = remote
-            transmission_megabits = encoded_mb * 8.0
+            encoder = app.encoder
+            numerator = latency.coefficients.encoding.numerator(
+                i_frame_interval=encoder.i_frame_interval,
+                b_frame_count=encoder.b_frame_count,
+                bitrate_mbps=bitrate,
+                frame_side_px=side,
+                frame_rate_fps=app.frame_rate_fps,
+                quantization=encoder.quantization,
+            )
+            segments[Segment.ENCODING] = processing_ms(numerator, c, raw_memory)
+            edge_compute = latency.resources.edge_compute(c, self.edge)
+            encoded_mb = raw_mb / encoder.compression_ratio
+            # The remote path always has an edge share (ApplicationConfig
+            # checks); np.full keeps an all-zero-share float 0.0 an array.
+            segments[Segment.REMOTE_INFERENCE] = np.full(
+                n,
+                slowest_share_ms(
+                    app.inference.edge_shares,
+                    side,
+                    edge_compute,
+                    self.remote_complexity,
+                    memory_ms(encoded_mb, self.edge.memory_bandwidth_gb_s),
+                    decode_ms(numerator, c, edge_compute, latency.coefficients.decode_discount),
+                    complexity_mode,
+                ),
+            )
+            transmission_megabits = units.mb_to_megabits(encoded_mb)
 
         # -- energy (Eqs. 19-21) --------------------------------------------------
-        mean_power, clamped_points = self._mean_power(fc, fg)
-        power = {
-            segment: self.segment_factors[segment.value] * mean_power
-            for segment in segments
-        }
+        mean_power = self.energy_model.power_model.mean_power_w(fc, fg, app.cpu_share)
+        network = self.network
         terms = _Terms(
             latency_ms=segments,
             energy_mj={
-                segment: power[segment] * latency
-                for segment, latency in segments.items()
+                segment: self.energy_model.segment_energy_mj(
+                    segment, latency_ms, mean_power, network
+                )
+                for segment, latency_ms in segments.items()
                 if segment is not Segment.RENDERING
             },
             power_w={
-                Segment.RENDERING: power[Segment.RENDERING],
-                Segment.TRANSMISSION: self.network.radio_tx_power_w,
-                Segment.HANDOFF: self.network.handoff.power_w,
-                Segment.COOPERATION: self.network.radio_tx_power_w,
+                segment: self.energy_model.power_model.segment_power_w(
+                    segment, mean_power, network
+                )
+                for segment in (
+                    Segment.RENDERING,
+                    Segment.TRANSMISSION,
+                    Segment.HANDOFF,
+                    Segment.COOPERATION,
+                )
             },
             billed=self._included_unrestricted,
             link_budget=None if link_budget is None else (True, link_budget),
-            result_megabits=0.0 if self.local else self.result_megabits,
+            result_megabits=0.0
+            if self.local
+            else units.mb_to_megabits(INFERENCE_RESULT_SIZE_MB),
             edge_propagation_ms=0.0 if self.local else self.edge_propagation_ms,
             transmission_megabits=transmission_megabits,
             handoff_latency_ms=self.handoff_latency_ms,
-            cooperation_megabits=self.coop_megabits if self.cooperation_enabled else None,
+            cooperation_megabits=units.mb_to_megabits(app.cooperation.data_size_mb)
+            if app.cooperation.enabled
+            else None,
             cooperation_propagation_ms=(
-                self.coop_propagation_ms if self.cooperation_enabled else 0.0
+                self.coop_propagation_ms if app.cooperation.enabled else 0.0
             ),
             thermal_fraction=self.device.thermal_fraction,
             base_power_w=self.device.base_power_w,
         )
-        return terms, c, edge_compute, mean_power, clamped_points
+        return terms, c, edge_compute, mean_power
 
     def evaluate(
         self,
@@ -580,7 +455,7 @@ class _GroupEvaluator:
         thr = np.asarray(throughput_mbps, dtype=float)
         if self.link_budget_throughput is None and np.any(thr <= 0.0):
             raise ConfigurationError("throughputs must be > 0 at every point")
-        terms, c, edge_compute, mean_power, clamped_points = self._fixed_terms(
+        terms, c, edge_compute, mean_power = self._fixed_terms(
             side,
             np.asarray(cpu_freq_ghz, dtype=float),
             np.asarray(gpu_freq_ghz, dtype=float),
@@ -592,84 +467,45 @@ class _GroupEvaluator:
             thr,
             np.full(side.shape[0], handoff_probability),
         )
-        segments = closed.latency_ms
-        aoi = self._evaluate_aoi(closed.total_latency_ms) if self.aoi_active else None
-
-        # The scalar path clamps once per mean-power evaluation: one per
-        # non-radio segment plus one for the report's mean_power_w field.
-        power_evals_per_point = (
-            sum(1 for segment in segments if segment not in RADIO_SEGMENTS) + 1
-        )
+        totals = closed.totals
+        aoi = None
+        if self.aoi_active:
+            required_frequency, rows = self.aoi_rows(totals.total_latency_ms)
+            aoi = GroupAoI(
+                sensor_names=tuple(name for name, _, _, _ in rows),
+                average_aoi_ms={name: mean for name, mean, _, _ in rows},
+                roi={name: roi for name, _, _, roi in rows},
+                processed_frequency_hz={name: hz for name, _, hz, _ in rows},
+                required_frequency_hz=required_frequency,
+                buffer_time_ms=self.aoi_buffer_time_ms,
+            )
 
         return GroupResult(
             device_name=self.device.name,
             edge_name=self.edge.name if self.edge is not None else None,
             mode=self.mode,
             included_segments=closed.included,
-            latency_segments_ms=segments,
+            latency_segments_ms=closed.latency_ms,
             energy_segments_mj=closed.energy_mj,
-            total_latency_ms=closed.total_latency_ms,
-            thermal_mj=closed.thermal_mj,
-            base_mj=closed.base_mj,
-            total_energy_mj=closed.total_energy_mj,
+            total_latency_ms=totals.total_latency_ms,
+            thermal_mj=totals.thermal_mj,
+            base_mj=totals.base_mj,
+            total_energy_mj=totals.total_energy_mj,
             client_compute=c,
             edge_compute=edge_compute,
             mean_power_w=mean_power,
             positions=np.asarray(positions, dtype=np.intp),
             aoi=aoi,
-            power_clamp_count=clamped_points * power_evals_per_point,
         )
 
-    # -- AoI (Eqs. 22-26) --------------------------------------------------------
-
-    def _evaluate_aoi(self, total_latency_ms: np.ndarray) -> GroupAoI:
-        network = self.network
-        updates = self.updates_per_frame
-        buffer_time = self.aoi_buffer_time_ms
-        required_period = total_latency_ms / updates
-        required_frequency = 1e3 / required_period
-
-        average_aoi: Dict[str, np.ndarray] = {}
-        roi: Dict[str, np.ndarray] = {}
-        processed: Dict[str, np.ndarray] = {}
-        speed = network.propagation_speed_m_per_s
-        # The update index runs down a leading axis, a chunk of rows at a
-        # time so a chunk holds at most _AOI_CHUNK_ELEMENTS values.
-        rows = max(1, _AOI_CHUNK_ELEMENTS // max(required_period.size, 1))
-        index_shape = (-1,) + (1,) * required_period.ndim
-        for sensor in network.sensors:
-            generation_period = sensor.generation_period_ms
-            propagation = (sensor.distance_m / speed) * 1e3
-            overhead = propagation + buffer_time
-            slow = generation_period >= required_period
-            accumulator: Optional[np.ndarray] = None
-            for start in range(1, updates + 1, rows):
-                index = np.arange(
-                    start, min(start + rows, updates + 1), dtype=float
-                ).reshape(index_shape)
-                request_time = (index - 1) * required_period
-                # Eq. (23): a sensor slower than the requirement accumulates
-                # AoI linearly; a faster sensor always has a fresh sample.
-                aoi_slow = index * generation_period + overhead - request_time
-                aoi_fast = request_time % generation_period + overhead
-                aoi_n = np.where(slow, aoi_slow, aoi_fast)
-                if accumulator is not None:
-                    aoi_n[0] += accumulator
-                # cumsum adds in update order, as Eq. (24)'s sum runs; a
-                # pairwise np.sum would change the last bit.
-                accumulator = np.cumsum(aoi_n, axis=0)[-1]
-            mean_aoi = accumulator / updates
-            average_aoi[sensor.name] = mean_aoi
-            processed_hz = np.where(mean_aoi > 0.0, 1e3 / mean_aoi, np.inf)
-            processed[sensor.name] = processed_hz
-            roi[sensor.name] = processed_hz / required_frequency
-        return GroupAoI(
-            sensor_names=tuple(sensor.name for sensor in network.sensors),
-            average_aoi_ms=average_aoi,
-            roi=roi,
-            processed_frequency_hz=processed,
-            required_frequency_hz=required_frequency,
-            buffer_time_ms=buffer_time,
+    def aoi_rows(self, total_latency_ms: np.ndarray):
+        """:func:`~repro.core.aoi.frame_aoi` of the group's sensors at arrays of latencies."""
+        return frame_aoi(
+            self.network.sensors,
+            self.network.propagation_speed_m_per_s,
+            self.aoi_buffer_time_ms,
+            self.updates_per_frame,
+            total_latency_ms,
         )
 
 
@@ -692,7 +528,7 @@ def evaluate_grid(
     Args:
         grid: the cartesian grid to evaluate.
         coefficients: regression coefficients (the paper's set by default).
-        complexity_mode: CNN-complexity placement mode (see DESIGN.md).
+        complexity_mode: CNN-complexity placement mode (see docs/ARCHITECTURE.md).
         include_aoi: evaluate the AoI model per point (off by default, like
             the scalar ``sweep``).
     """
@@ -1036,14 +872,12 @@ class ConditionedPoints:
             groups=len(self._groups),
             conditions=n_conditions,
         ):
-            closed = _closed_forms(self._terms, throughput[:, None], handoff[:, None])
-            latency = closed.total_latency_ms
+            totals = _closed_forms(self._terms, throughput[:, None], handoff[:, None]).totals
+            latency = totals.total_latency_ms
             min_roi = None
             if self._has_aoi:
                 min_roi = np.empty_like(latency)
                 for evaluator, positions in self._groups:
-                    aoi = evaluator._evaluate_aoi(latency[:, positions])
-                    min_roi[:, positions] = np.minimum.reduce(
-                        [aoi.roi[name] for name in aoi.sensor_names]
-                    )
-        return latency, closed.total_energy_mj, min_roi
+                    _, rows = evaluator.aoi_rows(latency[:, positions])
+                    min_roi[:, positions] = np.minimum.reduce([roi for _, _, _, roi in rows])
+        return latency, totals.total_energy_mj, min_roi

@@ -69,9 +69,6 @@ class GroupResult:
         mean_power_w: the ``P_mean`` values used.
         positions: global result indices of the group's points.
         aoi: vectorized AoI results (None when AoI was not evaluated).
-        power_clamp_count: how many mean-power clamps the scalar path would
-            have recorded for these points (feeds ``PowerModel.clamp_count``
-            on callers that own a power model).
     """
 
     device_name: str
@@ -89,7 +86,6 @@ class GroupResult:
     mean_power_w: np.ndarray
     positions: np.ndarray
     aoi: Optional[GroupAoI] = None
-    power_clamp_count: int = 0
 
     @property
     def n_points(self) -> int:
@@ -149,11 +145,6 @@ class BatchResult:
     def total_energy_mj(self) -> np.ndarray:
         """End-to-end energy ``E_tot`` per point (Eq. 19)."""
         return self._assemble(lambda group: group.total_energy_mj)
-
-    @property
-    def power_clamp_count(self) -> int:
-        """Mean-power clamps the scalar path would have recorded (diagnostic)."""
-        return sum(group.power_clamp_count for group in self.groups)
 
     def segment_latency_ms(self, segment: Segment) -> np.ndarray:
         """Latency of one segment per point (0.0 where the segment is absent)."""

@@ -1,17 +1,20 @@
 """Core contribution: the XR performance analysis modeling framework.
 
-This package implements Sections IV-VI of the paper:
+This package implements Sections IV-VI of the paper.  Each equation is a
+function of numeric values that takes a float or an aligned NumPy array
+(:mod:`repro.core.numeric` holds the clamp and domain-check helpers), so the
+scalar models and the batch engine (:mod:`repro.batch`) share one copy:
 
 * :mod:`repro.core.coefficients` — the regression coefficient sets (the
   paper's published constants and campaign-calibrated alternatives),
 * :mod:`repro.core.resources` — the computation-resource availability model
   (Eq. 3) and the client/edge compute relation,
 * :mod:`repro.core.power` — the mean-power model (Eq. 21) with per-segment
-  power factors, base power and thermal conversion,
+  power factors,
 * :mod:`repro.core.latency` — the per-segment and end-to-end latency model
   (Eqs. 1-18),
 * :mod:`repro.core.energy` — the per-segment and end-to-end energy model
-  (Eqs. 19-20),
+  (Eqs. 19-20) with the thermal and base terms,
 * :mod:`repro.core.aoi` — the Age-of-Information and Relevance-of-Information
   models (Eqs. 22-26),
 * :mod:`repro.core.offloading` — local/remote/split placement comparison

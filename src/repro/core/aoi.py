@@ -23,15 +23,119 @@ the ratio of that frequency to the required frequency is the RoI (Eq. 26).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import units
 from repro.config.network import NetworkConfig, SensorConfig
 from repro.config.workload import WorkloadConfig
+from repro.core.numeric import ArrayLike, any_true, where
 from repro.exceptions import ModelDomainError
 from repro.queueing.mm1 import MM1Queue
+
+#: Values per chunk of the Eq. (24) sum over updates (8 MB of float64), so a
+#: sweep over many conditions at the largest update count stays bounded.
+_AOI_CHUNK_ELEMENTS = 2**20
+
+
+def update_age_ms(
+    update_index: ArrayLike,
+    generation_period_ms: float,
+    required_period_ms: ArrayLike,
+    delivery_overhead_ms: float,
+) -> ArrayLike:
+    """AoI of the ``n``-th update cycle (Eq. 23), on floats or aligned arrays.
+
+    Sensors generating at most as fast as the application requires
+    (``1/f_t >= 1/f_req``) follow Eq. (23) verbatim: the ``n``-th request is
+    served by the ``n``-th generated sample, so AoI accumulates by
+    ``1/f_t - 1/f_req`` per cycle.  A sensor generating *faster* than
+    required always has a sample at most one generation period old, so its
+    AoI is the age of the freshest sample at the request instant plus the
+    delivery overhead (bounded and never negative) — Eq. (23) applied
+    literally would keep decreasing without bound in that regime.
+    """
+    request_time = (update_index - 1) * required_period_ms
+    return where(
+        generation_period_ms >= required_period_ms,
+        update_index * generation_period_ms + delivery_overhead_ms - request_time,
+        request_time % generation_period_ms + delivery_overhead_ms,
+    )
+
+
+def mean_update_age_ms(
+    updates: int,
+    generation_period_ms: float,
+    required_period_ms: ArrayLike,
+    delivery_overhead_ms: float,
+) -> ArrayLike:
+    """Average AoI ``A^mq`` over updates ``1..N`` (Eq. 24), summed in update order.
+
+    The update index runs down a leading axis, a chunk of rows at a time so
+    a chunk holds at most ``_AOI_CHUNK_ELEMENTS`` values; the running sum is
+    carried into each chunk's first row.  ``cumsum`` adds in update order, as
+    Eq. (24)'s sum runs, so a float and an array give the same bits (a
+    pairwise ``np.sum`` or ``np.mean`` would change the last bit).
+    """
+    # getattr with a default costs less than np.size/np.ndim and covers a float.
+    rows = max(1, _AOI_CHUNK_ELEMENTS // max(getattr(required_period_ms, "size", 1), 1))
+    index_shape = (-1,) + (1,) * getattr(required_period_ms, "ndim", 0)
+    total = None
+    for start in range(1, updates + 1, rows):
+        index = np.arange(start, min(start + rows, updates + 1), dtype=float)
+        ages = update_age_ms(
+            index.reshape(index_shape),
+            generation_period_ms,
+            required_period_ms,
+            delivery_overhead_ms,
+        )
+        if total is not None:
+            ages[0] += total
+        total = ages.cumsum(axis=0)[-1]
+    return total / updates
+
+
+def processed_frequency_hz(aoi_ms: ArrayLike) -> ArrayLike:
+    """Effectively processed information frequency ``1 / A`` in Hz (Eq. 25).
+
+    A zero AoI reads as an infinite frequency; a float never divides by it.
+    """
+    if isinstance(aoi_ms, np.ndarray):
+        return np.where(aoi_ms > 0.0, 1e3 / aoi_ms, np.inf)
+    return 1e3 / aoi_ms if aoi_ms > 0.0 else np.inf
+
+
+def frame_aoi(
+    sensors: Sequence[SensorConfig],
+    propagation_speed_m_per_s: float,
+    buffer_time_ms: float,
+    updates: int,
+    frame_latency_ms: ArrayLike,
+) -> Tuple[ArrayLike, List[Tuple[str, ArrayLike, ArrayLike, ArrayLike]]]:
+    """Eqs. (24)-(26) for every sensor of one frame, at float or array latencies.
+
+    The required update period is ``L_tot / N``, so ``f_req = N / L_tot``.
+
+    Returns:
+        ``(required_frequency_hz, rows)``, where ``rows`` holds one
+        ``(name, average AoI, processed frequency, RoI)`` tuple per sensor,
+        in sensor order.
+    """
+    required_period = frame_latency_ms / updates
+    required_frequency = 1e3 / required_period
+    rows = []
+    for sensor in sensors:
+        overhead = (
+            units.propagation_delay_ms(sensor.distance_m, propagation_speed_m_per_s)
+            + buffer_time_ms
+        )
+        mean_aoi = mean_update_age_ms(
+            updates, sensor.generation_period_ms, required_period, overhead
+        )
+        processed = processed_frequency_hz(mean_aoi)
+        rows.append((sensor.name, mean_aoi, processed, processed / required_frequency))
+    return required_frequency, rows
 
 
 @dataclass(frozen=True)
@@ -130,40 +234,30 @@ class AoIModel:
     def update_aoi_ms(
         self,
         sensor: SensorConfig,
-        update_index: int,
+        update_index: ArrayLike,
         required_update_period_ms: float,
         buffer_time_ms: float,
         propagation_speed_m_per_s: float = units.SPEED_OF_LIGHT_M_PER_S,
-    ) -> float:
+    ) -> ArrayLike:
         """AoI of the ``n``-th update cycle for one sensor (Eq. 23).
 
-        Sensors generating at most as fast as the application requires
-        (``1/f_t >= 1/f_req``, the regime of the paper's evaluation) follow
-        Eq. (23) verbatim: the ``n``-th request is served by the ``n``-th
-        generated sample, so AoI accumulates by ``1/f_t - 1/f_req`` per cycle.
-        A sensor generating *faster* than required always has a sample at most
-        one generation period old, so its AoI is the age of the freshest
-        sample at the request instant plus the delivery overheads (bounded and
-        never negative) — Eq. (23) applied literally would keep decreasing
-        without bound in that regime.
+        ``update_index`` may be an array of indices; see :func:`update_age_ms`.
         """
-        if update_index <= 0:
+        if any_true(update_index <= 0):
             raise ModelDomainError(f"update index must be >= 1, got {update_index}")
         if required_update_period_ms <= 0.0:
             raise ModelDomainError(
                 f"required update period must be > 0 ms, got {required_update_period_ms}"
             )
-        generation_period = sensor.generation_period_ms
-        request_time = (update_index - 1) * required_update_period_ms
         propagation = units.propagation_delay_ms(
             sensor.distance_m, propagation_speed_m_per_s
         )
-        delivery_overhead = propagation + buffer_time_ms
-        if generation_period >= required_update_period_ms:
-            generation_time = update_index * generation_period
-            return generation_time + delivery_overhead - request_time
-        freshest_age = request_time % generation_period
-        return freshest_age + delivery_overhead
+        return update_age_ms(
+            update_index,
+            sensor.generation_period_ms,
+            required_update_period_ms,
+            propagation + buffer_time_ms,
+        )
 
     # -- timelines (Fig. 4(e)/(f)) -----------------------------------------------------
 
@@ -187,27 +281,16 @@ class AoIModel:
         required_frequency_hz = 1e3 / required_update_period_ms
 
         n_updates = int(np.floor(horizon_ms / sensor.generation_period_ms))
-        times: List[float] = []
-        aois: List[float] = []
-        rois: List[float] = []
-        for index in range(1, n_updates + 1):
-            aoi = self.update_aoi_ms(
-                sensor,
-                index,
-                required_update_period_ms,
-                buffer_time,
-                propagation_speed_m_per_s,
-            )
-            times.append(index * sensor.generation_period_ms)
-            aois.append(aoi)
-            processed_hz = 1e3 / aoi if aoi > 0.0 else float("inf")
-            rois.append(processed_hz / required_frequency_hz)
+        index = np.arange(1, n_updates + 1)
+        aois = self.update_aoi_ms(
+            sensor, index, required_update_period_ms, buffer_time, propagation_speed_m_per_s
+        )
         return AoITimeline(
             sensor_name=sensor.name,
             generation_frequency_hz=sensor.generation_frequency_hz,
-            times_ms=np.array(times, dtype=float),
-            aoi_ms=np.array(aois, dtype=float),
-            roi=np.array(rois, dtype=float),
+            times_ms=index * sensor.generation_period_ms,
+            aoi_ms=aois,
+            roi=processed_frequency_hz(aois) / required_frequency_hz,
         )
 
     def timelines_for_workload(self, workload: WorkloadConfig) -> List[AoITimeline]:
@@ -260,34 +343,18 @@ class AoIModel:
             raise ModelDomainError(
                 f"frame latency must be > 0 ms, got {frame_latency_ms}"
             )
-        required_period_ms = frame_latency_ms / updates_per_frame
-        required_frequency_hz = 1e3 / required_period_ms
-        total_rate = network.total_sensor_arrival_rate_hz
-        buffer_time = self.average_buffer_time_ms(total_rate)
-
-        average_aoi: Dict[str, float] = {}
-        roi: Dict[str, float] = {}
-        processed: Dict[str, float] = {}
-        for sensor in network.sensors:
-            aois = [
-                self.update_aoi_ms(
-                    sensor,
-                    index,
-                    required_period_ms,
-                    buffer_time,
-                    network.propagation_speed_m_per_s,
-                )
-                for index in range(1, updates_per_frame + 1)
-            ]
-            mean_aoi = float(np.mean(aois))
-            average_aoi[sensor.name] = mean_aoi
-            processed_hz = 1e3 / mean_aoi if mean_aoi > 0.0 else float("inf")
-            processed[sensor.name] = processed_hz
-            roi[sensor.name] = processed_hz / required_frequency_hz
+        buffer_time = self.average_buffer_time_ms(network.total_sensor_arrival_rate_hz)
+        required_frequency_hz, rows = frame_aoi(
+            network.sensors,
+            network.propagation_speed_m_per_s,
+            buffer_time,
+            updates_per_frame,
+            frame_latency_ms,
+        )
         return AoIResult(
-            average_aoi_ms=average_aoi,
-            roi=roi,
-            processed_frequency_hz=processed,
+            average_aoi_ms={name: float(aoi) for name, aoi, _, _ in rows},
+            roi={name: float(roi) for name, _, _, roi in rows},
+            processed_frequency_hz={name: float(hz) for name, _, hz, _ in rows},
             required_frequency_hz=required_frequency_hz,
             buffer_time_ms=buffer_time,
         )

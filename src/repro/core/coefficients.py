@@ -15,7 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Tuple
 
+import numpy as np
+
 from repro.cnn.complexity import CNNComplexityModel
+from repro.core.numeric import ArrayLike, any_true
 from repro.exceptions import ModelDomainError
 
 
@@ -25,6 +28,10 @@ class QuadraticBlend:
 
     ``value = w_c * (a0 + a1 f_c + a2 f_c^2) + (1 - w_c) * (b0 + b1 f_g + b2 f_g^2)``
 
+    The clocks may be floats or aligned arrays.  The square is ``f * f``, not
+    ``f ** 2``: NumPy squares an array exactly, while ``float ** 2`` calls the
+    C library's ``pow``, which can differ in the last bit.
+
     Attributes:
         cpu: (intercept, linear, quadratic) coefficients in the CPU clock.
         gpu: (intercept, linear, quadratic) coefficients in the GPU clock.
@@ -33,21 +40,23 @@ class QuadraticBlend:
     cpu: Tuple[float, float, float]
     gpu: Tuple[float, float, float]
 
-    def cpu_component(self, cpu_freq_ghz: float) -> float:
+    def cpu_component(self, cpu_freq_ghz: ArrayLike) -> ArrayLike:
         """Evaluate the CPU polynomial."""
         a0, a1, a2 = self.cpu
-        return a0 + a1 * cpu_freq_ghz + a2 * cpu_freq_ghz**2
+        return a0 + a1 * cpu_freq_ghz + a2 * (cpu_freq_ghz * cpu_freq_ghz)
 
-    def gpu_component(self, gpu_freq_ghz: float) -> float:
+    def gpu_component(self, gpu_freq_ghz: ArrayLike) -> ArrayLike:
         """Evaluate the GPU polynomial."""
         b0, b1, b2 = self.gpu
-        return b0 + b1 * gpu_freq_ghz + b2 * gpu_freq_ghz**2
+        return b0 + b1 * gpu_freq_ghz + b2 * (gpu_freq_ghz * gpu_freq_ghz)
 
-    def evaluate(self, cpu_freq_ghz: float, gpu_freq_ghz: float, cpu_share: float) -> float:
-        """Evaluate the blended response at an operating point."""
+    def evaluate(
+        self, cpu_freq_ghz: ArrayLike, gpu_freq_ghz: ArrayLike, cpu_share: float
+    ) -> ArrayLike:
+        """Evaluate the blended response at an operating point (or aligned points)."""
         if not 0.0 <= cpu_share <= 1.0:
             raise ModelDomainError(f"cpu share must be in [0, 1], got {cpu_share}")
-        if cpu_freq_ghz <= 0.0 or gpu_freq_ghz <= 0.0:
+        if any_true(cpu_freq_ghz <= 0.0) or any_true(gpu_freq_ghz <= 0.0):
             raise ModelDomainError(
                 f"clock frequencies must be > 0, got cpu={cpu_freq_ghz}, gpu={gpu_freq_ghz}"
             )
@@ -88,17 +97,17 @@ class EncodingCoefficients:
         self,
         i_frame_interval: float,
         b_frame_count: float,
-        bitrate_mbps: float,
-        frame_side_px: float,
+        bitrate_mbps: ArrayLike,
+        frame_side_px: ArrayLike,
         frame_rate_fps: float,
         quantization: float,
-    ) -> float:
-        """Evaluate the encoding workload numerator.
+    ) -> ArrayLike:
+        """Evaluate the encoding workload numerator (per point on aligned arrays).
 
         Raises:
-            ModelDomainError: if the numerator is non-positive, which means
-                the encoder configuration lies outside the regression's valid
-                domain.
+            ModelDomainError: if the numerator is non-positive at some point,
+                which means the encoder configuration lies outside the
+                regression's valid domain.
         """
         value = (
             self.intercept
@@ -109,10 +118,11 @@ class EncodingCoefficients:
             + self.frame_rate_fps * frame_rate_fps
             + self.quantization * quantization
         )
-        if value <= 0.0:
+        if any_true(value <= 0.0):
             raise ModelDomainError(
                 "encoding regression evaluated to a non-positive workload "
-                f"({value:.2f}); the encoder configuration is outside the model domain"
+                f"({np.min(value):.2f}); the encoder configuration is outside the "
+                "model domain"
             )
         return value
 

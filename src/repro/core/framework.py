@@ -44,7 +44,8 @@ class XRPerformanceModel:
             topology (Wi-Fi to one edge server, three external sensors).
         coefficients: regression coefficient set; defaults to the paper's
             published constants.
-        complexity_mode: CNN-complexity placement mode (see DESIGN.md).
+        complexity_mode: CNN-complexity placement mode (see docs/ARCHITECTURE.md,
+            "Modelling decisions").
     """
 
     def __init__(
@@ -187,16 +188,12 @@ class XRPerformanceModel:
             app=app,
             network=network,
         )
-        result = evaluate_grid(
+        return evaluate_grid(
             grid,
             coefficients=self.coefficients,
             complexity_mode=self.latency_model.complexity_mode,
             include_aoi=include_aoi,
         )
-        # Keep the scalar diagnostic alive: record the clamps the per-point
-        # path would have counted.
-        self.power_model.clamp_count += result.power_clamp_count
-        return result
 
     def sweep(
         self,

@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro import units
-from repro.cnn.model import CNNModel
 from repro.cnn.zoo import get_cnn
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.device import DeviceSpec, EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.core.coefficients import CoefficientSet
+from repro.core.numeric import ArrayLike, any_true, at_least
 from repro.core.resources import ComputeResourceModel
 from repro.core.results import LatencyBreakdown
 from repro.core.segments import Segment, billed_segments
@@ -34,8 +36,117 @@ from repro.sensors.sensor import ExternalSensor
 #: renderer, in MB.  Used for the result-transfer term of Eq. (8).
 INFERENCE_RESULT_SIZE_MB: float = 0.05
 
-#: Valid values of the CNN-complexity placement mode (see DESIGN.md).
+#: Valid values of the CNN-complexity placement mode (see docs/ARCHITECTURE.md,
+#: "Modelling decisions").
 COMPLEXITY_MODES = ("paper", "proportional")
+
+
+# ---------------------------------------------------------------------------
+# The segment equations on numeric values
+#
+# Each function takes floats or aligned arrays and applies the same IEEE
+# operations to both, so the scalar model (floats) and the batch engine
+# (arrays) agree bit for bit.  The order of the terms is part of the result.
+# ---------------------------------------------------------------------------
+
+
+def memory_ms(data_size_mb: ArrayLike, bandwidth_gb_s: float) -> ArrayLike:
+    """The memory-access term ``delta / m`` of Section IV: MB over GB/s is ms."""
+    return data_size_mb / bandwidth_gb_s
+
+
+def generation_ms(
+    frame_period_ms: float, frame_side_px: ArrayLike, compute: ArrayLike, memory: ArrayLike
+) -> ArrayLike:
+    """Frame generation ``L_fg = 1/n_fps + s_f / c_client + delta_f / m`` (Eq. 2)."""
+    return frame_period_ms + frame_side_px / compute + memory
+
+
+def processing_ms(work: ArrayLike, compute: ArrayLike, memory: ArrayLike) -> ArrayLike:
+    """``work / c_client + delta / m``: Eqs. (4), (9) and (10), and Eq. (8)'s raster."""
+    return work / compute + memory
+
+
+def inference_compute_ms(
+    task_size_px: ArrayLike, compute: ArrayLike, complexity: float, complexity_mode: str
+) -> ArrayLike:
+    """Inference compute term of Eqs. (11) and (13) in a complexity mode."""
+    if any_true(compute <= 0.0) or complexity <= 0.0:
+        raise ModelDomainError(
+            f"compute ({np.min(compute)}) and complexity ({complexity}) must be > 0"
+        )
+    if complexity_mode == "paper":
+        return task_size_px / (compute * complexity)
+    return task_size_px * complexity / compute
+
+
+def local_share_ms(
+    share: float,
+    converted_side_px: float,
+    compute: ArrayLike,
+    complexity: float,
+    memory: float,
+    complexity_mode: str,
+) -> ArrayLike:
+    """Local inference ``L_loc``: the client's share of the converted frame (Eq. 11)."""
+    return share * (
+        inference_compute_ms(converted_side_px, compute, complexity, complexity_mode)
+        + memory
+    )
+
+
+def decode_ms(
+    numerator: ArrayLike, compute: ArrayLike, edge_compute: ArrayLike, decode_discount: float
+) -> ArrayLike:
+    """Edge decoding ``L_dec`` from the encoding workload (Eq. 14)."""
+    return numerator / compute * decode_discount * compute / edge_compute
+
+
+def slowest_share_ms(
+    shares,
+    frame_side_px: ArrayLike,
+    edge_compute: ArrayLike,
+    complexity: float,
+    memory: ArrayLike,
+    decoding: ArrayLike,
+    complexity_mode: str,
+) -> ArrayLike:
+    """Remote inference ``L_rem`` (Eqs. 13 and 15): the slowest edge share.
+
+    A zero share costs nothing (never ``0 x inf``).
+    """
+    slowest = None
+    for share in shares:
+        share_ms = (
+            0.0
+            if share == 0.0
+            else share
+            * (
+                inference_compute_ms(frame_side_px, edge_compute, complexity, complexity_mode)
+                + memory
+                + decoding
+            )
+        )
+        slowest = share_ms if slowest is None else at_least(share_ms, slowest)
+    return slowest
+
+
+def render_ms(
+    frame_side_px: ArrayLike,
+    compute: ArrayLike,
+    memory: ArrayLike,
+    buffering_ms: float,
+    result_transfer_ms: ArrayLike,
+) -> ArrayLike:
+    """Rendering ``L_ren``: raster, memory, buffering and result transfer (Eq. 8)."""
+    return processing_ms(frame_side_px, compute, memory) + buffering_ms + result_transfer_ms
+
+
+def link_ms(
+    megabits: ArrayLike, throughput_mbps: ArrayLike, propagation_ms: ArrayLike
+) -> ArrayLike:
+    """Serialization over ``r_w`` plus propagation (Eqs. 8, 16 and 18)."""
+    return (megabits / throughput_mbps) * 1e3 + propagation_ms
 
 
 @dataclass
@@ -50,7 +161,7 @@ class XRLatencyModel:
         complexity_mode: how CNN complexity enters the inference latency.
             ``"paper"`` follows Eq. (11)/(13) verbatim (complexity in the
             denominator); ``"proportional"`` multiplies by the complexity
-            instead (see DESIGN.md for the rationale).
+            instead (see docs/ARCHITECTURE.md, "Modelling decisions").
     """
 
     device: DeviceSpec
@@ -77,57 +188,42 @@ class XRLatencyModel:
         return self.resources.edge_compute_for(app, edge=self.edge)
 
     def _client_memory_ms(self, data_size_mb: float) -> float:
-        return units.memory_access_latency_ms(
-            data_size_mb, self.device.memory_bandwidth_gb_s
-        )
+        return memory_ms(data_size_mb, self.device.memory_bandwidth_gb_s)
 
     def _edge_memory_ms(self, data_size_mb: float) -> float:
         if self.edge is None:
             raise ModelDomainError(
                 "remote inference requires an edge server specification"
             )
-        return units.memory_access_latency_ms(data_size_mb, self.edge.memory_bandwidth_gb_s)
-
-    def _local_cnn(self, app: ApplicationConfig) -> CNNModel:
-        return get_cnn(app.inference.local_cnn)
-
-    def _remote_cnn(self, app: ApplicationConfig) -> CNNModel:
-        return get_cnn(app.inference.remote_cnn)
+        return memory_ms(data_size_mb, self.edge.memory_bandwidth_gb_s)
 
     def converted_frame_side_px(self, app: ApplicationConfig) -> float:
         """Converted frame side ``s_f2``: explicit config or the local CNN input size."""
         if app.converted_frame_side_px is not None:
             return app.converted_frame_side_px
-        return self._local_cnn(app).input_side_px
+        return get_cnn(app.inference.local_cnn).input_side_px
 
-    def _inference_compute_ms(
-        self, task_size_px: float, compute: float, complexity: float
-    ) -> float:
-        """Inference compute term, honouring the configured complexity mode."""
-        if compute <= 0.0 or complexity <= 0.0:
-            raise ModelDomainError(
-                f"compute ({compute}) and complexity ({complexity}) must be > 0"
-            )
-        if self.complexity_mode == "paper":
-            return task_size_px / (compute * complexity)
-        return task_size_px * complexity / compute
+    def cnn_complexity(self, cnn_name: str) -> float:
+        """Complexity of a catalog CNN under the coefficient set (Eq. 12)."""
+        return self.coefficients.cnn_complexity.complexity(get_cnn(cnn_name))
 
     # --------------------------------------------------------------- segments ----
 
     def frame_generation_ms(self, app: ApplicationConfig) -> float:
         """Frame generation latency ``L_fg`` (Eq. 2)."""
-        compute = self.client_compute(app)
-        return (
-            app.frame_period_ms
-            + app.frame_side_px / compute
-            + self._client_memory_ms(app.raw_frame_size_mb)
+        return generation_ms(
+            app.frame_period_ms,
+            app.frame_side_px,
+            self.client_compute(app),
+            self._client_memory_ms(app.raw_frame_size_mb),
         )
 
     def volumetric_ms(self, app: ApplicationConfig) -> float:
         """Volumetric data generation latency ``L_vol`` (Eq. 4)."""
-        compute = self.client_compute(app)
-        return app.virtual_scene_side_px / compute + self._client_memory_ms(
-            app.virtual_scene_data_mb
+        return processing_ms(
+            app.virtual_scene_side_px,
+            self.client_compute(app),
+            self._client_memory_ms(app.virtual_scene_data_mb),
         )
 
     def external_information_ms(
@@ -152,13 +248,15 @@ class XRLatencyModel:
 
     def conversion_ms(self, app: ApplicationConfig) -> float:
         """Frame conversion (YUV->RGB, scale, crop) latency ``L_fc`` (Eq. 9)."""
-        compute = self.client_compute(app)
-        return app.frame_side_px / compute + self._client_memory_ms(app.raw_frame_size_mb)
+        return processing_ms(
+            app.frame_side_px,
+            self.client_compute(app),
+            self._client_memory_ms(app.raw_frame_size_mb),
+        )
 
-    def encoding_ms(self, app: ApplicationConfig) -> float:
-        """Frame encoding latency ``L_en`` (Eq. 10)."""
-        compute = self.client_compute(app)
-        numerator = self.coefficients.encoding.numerator(
+    def encoding_numerator(self, app: ApplicationConfig) -> float:
+        """The encoding workload of Eq. (10) at an application's encoder settings."""
+        return self.coefficients.encoding.numerator(
             i_frame_interval=app.encoder.i_frame_interval,
             b_frame_count=app.encoder.b_frame_count,
             bitrate_mbps=app.encoder.bitrate_mbps,
@@ -166,43 +264,37 @@ class XRLatencyModel:
             frame_rate_fps=app.frame_rate_fps,
             quantization=app.encoder.quantization,
         )
-        return numerator / compute + self._client_memory_ms(app.raw_frame_size_mb)
+
+    def encoding_ms(self, app: ApplicationConfig) -> float:
+        """Frame encoding latency ``L_en`` (Eq. 10)."""
+        return processing_ms(
+            self.encoding_numerator(app),
+            self.client_compute(app),
+            self._client_memory_ms(app.raw_frame_size_mb),
+        )
 
     def local_inference_ms(self, app: ApplicationConfig) -> float:
         """Local inference latency ``L_loc`` (Eq. 11)."""
         share = app.inference.omega_client
         if share == 0.0:
             return 0.0
-        cnn = self._local_cnn(app)
-        complexity = self.coefficients.cnn_complexity.complexity(cnn)
-        compute = self.client_compute(app)
         converted_side = self.converted_frame_side_px(app)
-        converted_size_mb = app.converted_frame_size_mb(converted_side)
-        return share * (
-            self._inference_compute_ms(converted_side, compute, complexity)
-            + self._client_memory_ms(converted_size_mb)
+        return local_share_ms(
+            share,
+            converted_side,
+            self.client_compute(app),
+            self.cnn_complexity(app.inference.local_cnn),
+            self._client_memory_ms(app.converted_frame_size_mb(converted_side)),
+            self.complexity_mode,
         )
 
     def decoding_ms(self, app: ApplicationConfig) -> float:
         """Edge-side decoding latency ``L_dec`` (Eq. 14)."""
-        compute = self.client_compute(app)
-        encoding_compute_ms = (
-            self.coefficients.encoding.numerator(
-                i_frame_interval=app.encoder.i_frame_interval,
-                b_frame_count=app.encoder.b_frame_count,
-                bitrate_mbps=app.encoder.bitrate_mbps,
-                frame_side_px=app.frame_side_px,
-                frame_rate_fps=app.frame_rate_fps,
-                quantization=app.encoder.quantization,
-            )
-            / compute
-        )
-        edge_compute = self.edge_compute(app)
-        return (
-            encoding_compute_ms
-            * self.coefficients.decode_discount
-            * compute
-            / edge_compute
+        return decode_ms(
+            self.encoding_numerator(app),
+            self.client_compute(app),
+            self.edge_compute(app),
+            self.coefficients.decode_discount,
         )
 
     def remote_inference_ms(self, app: ApplicationConfig) -> float:
@@ -219,30 +311,23 @@ class XRLatencyModel:
             raise ModelDomainError(
                 "remote inference requires an edge server specification"
             )
-        cnn = self._remote_cnn(app)
-        complexity = self.coefficients.cnn_complexity.complexity(cnn)
-        edge_compute = self.edge_compute(app)
-        decode = self.decoding_ms(app)
-        encoded_size_mb = app.encoded_frame_size_mb
-        per_share = []
-        for share in shares:
-            if share == 0.0:
-                per_share.append(0.0)
-                continue
-            per_share.append(
-                share
-                * (
-                    self._inference_compute_ms(app.frame_side_px, edge_compute, complexity)
-                    + self._edge_memory_ms(encoded_size_mb)
-                    + decode
-                )
-            )
-        return max(per_share)
+        return slowest_share_ms(
+            shares,
+            app.frame_side_px,
+            self.edge_compute(app),
+            self.cnn_complexity(app.inference.remote_cnn),
+            self._edge_memory_ms(app.encoded_frame_size_mb),
+            self.decoding_ms(app),
+            self.complexity_mode,
+        )
 
     def transmission_ms(self, app: ApplicationConfig, network: NetworkConfig) -> float:
         """Wireless transmission latency ``L_tr`` (Eq. 16)."""
-        link = WifiLink(config=network)
-        return link.transmission_latency_ms(app.encoded_frame_size_mb)
+        return link_ms(
+            units.mb_to_megabits(app.encoded_frame_size_mb),
+            WifiLink(config=network).throughput_mbps(),
+            network.propagation_delay_ms(network.edge_distance_m),
+        )
 
     def handoff_ms(self, app: ApplicationConfig, network: NetworkConfig) -> float:
         """Average per-frame handoff latency ``L_HO`` (Eq. 17)."""
@@ -260,30 +345,33 @@ class XRLatencyModel:
         """Latency of moving the inference result to the renderer (Eq. 8 terms)."""
         if local:
             return self._client_memory_ms(INFERENCE_RESULT_SIZE_MB)
-        link = WifiLink(config=network)
-        return link.transmission_latency_ms(INFERENCE_RESULT_SIZE_MB)
+        return link_ms(
+            units.mb_to_megabits(INFERENCE_RESULT_SIZE_MB),
+            WifiLink(config=network).throughput_mbps(),
+            network.propagation_delay_ms(network.edge_distance_m),
+        )
 
     def rendering_ms(self, app: ApplicationConfig, network: NetworkConfig) -> float:
         """Frame rendering latency ``L_ren`` (Eq. 8)."""
-        compute = self.client_compute(app)
-        local = app.inference.mode is ExecutionMode.LOCAL
-        return (
-            app.frame_side_px / compute
-            + self._client_memory_ms(app.raw_frame_size_mb)
-            + self.buffering_ms(app, network)
-            + self.result_transfer_ms(app, network, local=local)
+        return render_ms(
+            app.frame_side_px,
+            self.client_compute(app),
+            self._client_memory_ms(app.raw_frame_size_mb),
+            self.buffering_ms(app, network),
+            self.result_transfer_ms(
+                app, network, local=app.inference.mode is ExecutionMode.LOCAL
+            ),
         )
 
     def cooperation_ms(self, app: ApplicationConfig, network: NetworkConfig) -> float:
         """XR cooperation latency ``L_coop`` (Eq. 18)."""
         if not app.cooperation.enabled:
             return 0.0
-        link = WifiLink(config=network)
-        serialization = units.transmission_latency_ms(
-            app.cooperation.data_size_mb, link.throughput_mbps()
+        return link_ms(
+            units.mb_to_megabits(app.cooperation.data_size_mb),
+            WifiLink(config=network).throughput_mbps(),
+            network.propagation_delay_ms(app.cooperation.distance_m),
         )
-        propagation = network.propagation_delay_ms(app.cooperation.distance_m)
-        return serialization + propagation
 
     # ------------------------------------------------------------- end-to-end ----
 

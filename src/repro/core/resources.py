@@ -6,7 +6,8 @@ blended quadratic regression of Eq. (3) over the CPU/GPU clocks and the
 CPU utilisation share.  The edge server's allocated compute ``c_epsilon``
 follows the measured proportionality ``c_epsilon = 11.76 c_client``
 (Section IV-B), optionally overridden by an
-:class:`~repro.config.device.EdgeServerSpec`'s own scale factor.
+:class:`~repro.config.device.EdgeServerSpec`'s own scale factor.  Both take
+a float or an aligned array of operating points.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from typing import Optional
 from repro.config.application import ApplicationConfig
 from repro.config.device import EdgeServerSpec
 from repro.core.coefficients import CoefficientSet
+from repro.core.numeric import ArrayLike, any_true, at_least
 from repro.exceptions import ModelDomainError
+
+#: Lower clamp of the evaluated client compute ``c_client``.  The paper's
+#: published Eq. (3) coefficients dip to very small (for some GPU clocks,
+#: negative) values outside the fitted domain; the clamp keeps every latency
+#: term finite (see docs/ARCHITECTURE.md, "Modelling decisions").
+COMPUTE_FLOOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -26,41 +34,18 @@ class ComputeResourceModel:
 
     Attributes:
         coefficients: the regression coefficient set in use.
-        floor: lower clamp applied to the evaluated client compute.  The
-            paper's published Eq. (3) coefficients can dip to very small (or,
-            for some GPU clocks, negative) values outside the fitted domain;
-            clamping keeps downstream latency finite while
-            :attr:`clamp_is_error` is False.  Setting ``clamp_is_error=True``
-            turns an out-of-domain evaluation into a
-            :class:`~repro.exceptions.ModelDomainError` instead.
-        clamp_is_error: raise instead of clamping when the evaluation falls
-            below the floor.
     """
 
     coefficients: CoefficientSet
-    floor: float = 0.5
-    clamp_is_error: bool = False
-
-    def __post_init__(self) -> None:
-        if self.floor <= 0.0:
-            raise ModelDomainError(f"compute floor must be > 0, got {self.floor}")
 
     # -- client ------------------------------------------------------------------
 
     def client_compute(
-        self, cpu_freq_ghz: float, gpu_freq_ghz: float, cpu_share: float
-    ) -> float:
-        """Allocated client compute ``c_client`` (Eq. 3)."""
+        self, cpu_freq_ghz: ArrayLike, gpu_freq_ghz: ArrayLike, cpu_share: float
+    ) -> ArrayLike:
+        """Allocated client compute ``c_client`` (Eq. 3), clamped at :data:`COMPUTE_FLOOR`."""
         value = self.coefficients.resource.evaluate(cpu_freq_ghz, gpu_freq_ghz, cpu_share)
-        if value < self.floor:
-            if self.clamp_is_error:
-                raise ModelDomainError(
-                    f"compute resource evaluated to {value:.3f} below the floor "
-                    f"{self.floor}; operating point (cpu={cpu_freq_ghz} GHz, "
-                    f"gpu={gpu_freq_ghz} GHz, share={cpu_share}) is outside the model domain"
-                )
-            return self.floor
-        return value
+        return at_least(value, COMPUTE_FLOOR)
 
     def client_compute_for(self, app: ApplicationConfig) -> float:
         """Client compute for an application configuration's operating point."""
@@ -69,15 +54,15 @@ class ComputeResourceModel:
     # -- edge --------------------------------------------------------------------
 
     def edge_compute(
-        self, client_compute: float, edge: Optional[EdgeServerSpec] = None
-    ) -> float:
+        self, client_compute: ArrayLike, edge: Optional[EdgeServerSpec] = None
+    ) -> ArrayLike:
         """Allocated edge compute ``c_epsilon`` for a given client compute.
 
         Uses the edge server's own ``compute_scale_vs_client`` when a spec is
         provided, otherwise the coefficient set's global scale (11.76 for the
         paper's measurements).
         """
-        if client_compute <= 0.0:
+        if any_true(client_compute <= 0.0):
             raise ModelDomainError(
                 f"client compute must be > 0, got {client_compute}"
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Mapping, Optional
 
 from repro.config.application import ExecutionMode
-from repro.core.segments import Segment
+from repro.core.segments import Segment, billed_sum
 
 
 def _format_table(rows, headers) -> str:
@@ -60,11 +60,7 @@ class LatencyBreakdown:
     @property
     def total_ms(self) -> float:
         """End-to-end latency ``L_tot`` (Eq. 1)."""
-        return sum(
-            value
-            for segment, value in self.per_segment_ms.items()
-            if segment in self.included_segments
-        )
+        return billed_sum(self.per_segment_ms, self.included_segments)
 
     def segment_ms(self, segment: Segment) -> float:
         """Latency of one segment (0.0 when the segment was not evaluated)."""
@@ -114,11 +110,7 @@ class EnergyBreakdown:
     @property
     def segment_total_mj(self) -> float:
         """Energy of the included pipeline segments (without thermal/base)."""
-        return sum(
-            value
-            for segment, value in self.per_segment_mj.items()
-            if segment in self.included_segments
-        )
+        return billed_sum(self.per_segment_mj, self.included_segments)
 
     @property
     def total_mj(self) -> float:

@@ -9,7 +9,9 @@ Eq. (1) / Eq. (19) without hard-coding segment lists in several places.
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet
+from typing import AbstractSet, FrozenSet, Mapping
+
+from repro.core.numeric import ArrayLike
 
 
 class Segment(str, enum.Enum):
@@ -97,3 +99,18 @@ def billed_segments(local_path: bool, remote_path: bool, cooperation: bool) -> F
     if cooperation:
         segments.add(Segment.COOPERATION)
     return frozenset(segments)
+
+
+def billed_sum(values: Mapping[Segment, ArrayLike], billed: AbstractSet[Segment]) -> ArrayLike:
+    """Sum of the billed segments' values: the segment sums of Eqs. (1) and (19).
+
+    Starts from +0.0 and adds one segment at a time in the mapping's
+    insertion order, so floats and arrays give the same bits and a zero
+    entry adds nothing; ``sum()`` would not, because its float sum is
+    compensated on Python 3.12+.
+    """
+    total = 0.0
+    for segment, value in values.items():
+        if segment in billed:
+            total = total + value
+    return total

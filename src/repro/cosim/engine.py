@@ -107,12 +107,12 @@ from repro.adaptive.runtime import (
 from repro.adaptive.traces import ConditionTrace, EpochConditions
 from repro.batch.grid import OperatingPoint
 from repro.config.application import ApplicationConfig, ExecutionMode
-from repro.config.device import EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.config.validation import ensure_integer
 from repro.core.coefficients import CoefficientSet
 from repro.core.framework import XRPerformanceModel
 from repro.cosim.results import CosimReport, ShardedCosimReport
+from repro.devices.resolve import EdgeLike, resolve_edge_spec
 from repro.exceptions import ConfigurationError
 from repro.exec import resolve_backend
 from repro.faults.report import fault_outcome
@@ -428,7 +428,7 @@ class CoSimulation:
         controller: ControllerLike,
         trace: TraceLike,
         *,
-        edge: Union[str, EdgeServerSpec] = "EDGE-AGX",
+        edge: EdgeLike = "EDGE-AGX",
         n_edges: int = 1,
         network: Optional[NetworkConfig] = None,
         contention: Optional[ContentionModel] = None,
@@ -461,7 +461,9 @@ class CoSimulation:
         )
         if not len(self.population):
             raise ConfigurationError("the co-simulation needs at least one user")
-        self.edge = edge
+        self.edge = resolve_edge_spec(edge)
+        if self.edge is None:
+            raise ConfigurationError("edge must name an edge server, got None")
         self.n_edges = n_edges
         self.network = network if network is not None else NetworkConfig()
         self.contention = (

@@ -6,8 +6,8 @@
 * :mod:`repro.evaluation.figures` — one generator per figure
   (Fig. 4(a)-(f), Fig. 5(a)-(b)),
 * :mod:`repro.evaluation.tables` — Table I and Table II reproduction,
-* :mod:`repro.evaluation.ablations` — ablation studies of the design choices
-  called out in DESIGN.md,
+* :mod:`repro.evaluation.ablations` — ablation studies of the modelling
+  decisions called out in docs/ARCHITECTURE.md,
 * :mod:`repro.evaluation.report` — text rendering and result persistence,
 * :mod:`repro.evaluation.run_all` — one entry point regenerating everything
   and rewriting EXPERIMENTS.md (``python -m repro.evaluation.run_all``).

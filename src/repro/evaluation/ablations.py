@@ -1,6 +1,7 @@
 """Ablation studies of the framework's documented design choices.
 
-DESIGN.md calls out four modeling decisions worth quantifying:
+docs/ARCHITECTURE.md ("Modelling decisions") calls out four modeling decisions
+worth quantifying:
 
 * the position of the CNN complexity in the inference latency (Eq. 11/13
   verbatim vs the proportional alternative),

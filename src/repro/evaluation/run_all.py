@@ -27,7 +27,7 @@ def _experiments_markdown(sections: List[Tuple[str, str, str]], quick: bool) -> 
         "Regenerated by `python -m repro.evaluation.run_all`"
         f" ({mode}); per-experiment artefacts are written under `results/`.",
         "",
-        "The ground truth here is the *simulated* testbed described in DESIGN.md",
+        "The ground truth here is the *simulated* testbed of docs/ARCHITECTURE.md",
         "(the paper used physical devices), so absolute values differ from the",
         "paper; the comparisons below check that the *shape* and the headline",
         "relationships hold: the proposed model tracks the ground truth within a",

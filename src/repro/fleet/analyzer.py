@@ -44,13 +44,12 @@ import numpy as np
 
 from repro import telemetry
 from repro.config.application import ApplicationConfig, ExecutionMode
-from repro.config.device import EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.config.validation import ensure_integer
 from repro.core.coefficients import CoefficientSet
 from repro.core.framework import XRPerformanceModel
 from repro.core.results import PerformanceReport
-from repro.devices.catalog import get_edge_server
+from repro.devices.resolve import EdgeLike, resolve_edge_spec
 from repro.exceptions import ConfigurationError
 from repro.faults.schedule import EpochFaultState
 from repro.fleet.admission import (
@@ -71,14 +70,6 @@ def _resolve_population(population: PopulationLike) -> FleetPopulation:
     if isinstance(population, FleetPopulation):
         return population
     return FleetPopulation(users=tuple(population))
-
-
-def _resolve_edge(edge: Union[str, EdgeServerSpec]) -> EdgeServerSpec:
-    if isinstance(edge, EdgeServerSpec):
-        return edge
-    if isinstance(edge, str):
-        return get_edge_server(edge)
-    raise ConfigurationError(f"cannot interpret {edge!r} as an edge server")
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,7 @@ class FleetAnalyzer:
     def __init__(
         self,
         population: PopulationLike,
-        edge: Union[str, EdgeServerSpec] = "EDGE-AGX",
+        edge: EdgeLike = "EDGE-AGX",
         n_edges: int = 1,
         network: Optional[NetworkConfig] = None,
         coefficients: Optional[CoefficientSet] = None,
@@ -153,7 +144,9 @@ class FleetAnalyzer:
         if slo_ms is not None and not slo_ms > 0.0:
             raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
         self.population = _resolve_population(population)
-        self.edge = _resolve_edge(edge)
+        self.edge = resolve_edge_spec(edge)
+        if self.edge is None:
+            raise ConfigurationError("edge must name an edge server, got None")
         self.n_edges = n_edges
         self.network = network if network is not None else NetworkConfig()
         if fault_state is not None:

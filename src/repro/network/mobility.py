@@ -5,9 +5,7 @@ per-frame handoff probability ``P(HO)`` from it (Eq. 17, citing location
 management analyses).  This module provides:
 
 * :class:`CoverageLayout` — a hexagonal-like grid of circular coverage zones,
-  each adjacent to the zones above, below, left and right of it and tagged
-  with its access technology so handoffs can be classified as horizontal
-  (same technology) or vertical (different technology),
+  each adjacent to the zones above, below, left and right of it,
 * :class:`RandomWalkMobility` — a discrete-time random walk of the XR device,
   with both an analytical boundary-crossing probability and a Monte-Carlo
   trajectory sampler used by the simulated testbed.
@@ -17,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import cycle
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,18 +30,13 @@ class CoverageLayout:
         rows: number of zone rows.
         cols: number of zone columns.
         cell_radius_m: radius of each coverage zone.
-        technologies: cyclic assignment of access technologies to zones;
-            neighbouring zones with different technologies produce vertical
-            handoffs.
         zones: the ``(row, col)`` zones in row-major order (derived).
     """
 
     rows: int = 3
     cols: int = 3
     cell_radius_m: float = 50.0
-    technologies: Tuple[str, ...] = ("wifi-5ghz", "wifi-2.4ghz")
     zones: Tuple[Tuple[int, int], ...] = field(init=False, repr=False)
-    _technology: Dict[Tuple[int, int], str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -55,30 +47,19 @@ class CoverageLayout:
             raise ConfigurationError(
                 f"cell radius must be > 0 m, got {self.cell_radius_m}"
             )
-        if not self.technologies:
-            raise ConfigurationError("at least one access technology is required")
         self.zones = tuple((row, col) for row in range(self.rows) for col in range(self.cols))
-        self._technology = dict(zip(self.zones, cycle(self.technologies)))
 
-    def technology_of(self, zone: Tuple[int, int]) -> str:
-        """Access technology of a zone; ConfigurationError if it is not in the layout."""
-        try:
-            return self._technology[zone]
-        except (KeyError, TypeError):  # TypeError: unhashable, e.g. a list
-            raise ConfigurationError(f"zone {zone!r} is outside the layout") from None
+    def check_zone(self, zone: Tuple[int, int]) -> None:
+        """Raise ConfigurationError unless ``zone`` is a zone of the layout."""
+        if zone not in self.zones:
+            raise ConfigurationError(f"zone {zone!r} is outside the layout")
 
     def neighbors(self, zone: Tuple[int, int]) -> List[Tuple[int, int]]:
         """Adjacent zones, up/down/left/right: the walk's RNG indexes this order."""
-        self.technology_of(zone)  # rejects a zone outside the layout
+        self.check_zone(zone)
         row, col = zone
         steps = ((row - 1, col), (row + 1, col), (row, col - 1), (row, col + 1))
         return [(r, c) for r, c in steps if 0 <= r < self.rows and 0 <= c < self.cols]
-
-    def is_vertical_transition(
-        self, origin: Tuple[int, int], destination: Tuple[int, int]
-    ) -> bool:
-        """True when moving between zones with different access technologies."""
-        return self.technology_of(origin) != self.technology_of(destination)
 
 
 @dataclass
@@ -108,7 +89,7 @@ class RandomWalkMobility:
             )
         if self.start_zone is None:
             self.start_zone = (self.layout.rows // 2, self.layout.cols // 2)
-        self.layout.technology_of(self.start_zone)  # rejects a zone outside the layout
+        self.layout.check_zone(self.start_zone)
 
     # -- analytical boundary-crossing probability --------------------------------
 
@@ -150,9 +131,7 @@ class RandomWalkMobility:
             raise ValueError(f"n_steps must be > 0, got {n_steps}")
         if step_interval_ms <= 0.0:
             raise ValueError(f"step interval must be > 0 ms, got {step_interval_ms}")
-        zones: List[Tuple[int, int]] = [self.start_zone]
         handoffs: List[bool] = []
-        vertical: List[bool] = []
         crossing_probability = self.handoff_probability(step_interval_ms) / max(
             1.0 - self.pause_probability, 1e-9
         )
@@ -160,33 +139,22 @@ class RandomWalkMobility:
         current = self.start_zone
         for _ in range(n_steps):
             moved = False
-            is_vertical = False
             if rng.random() >= self.pause_probability:
                 if rng.random() < crossing_probability:
                     neighbors = self.layout.neighbors(current)
                     if neighbors:
-                        destination = neighbors[rng.integers(0, len(neighbors))]
-                        is_vertical = self.layout.is_vertical_transition(
-                            current, destination
-                        )
-                        current = destination
+                        current = neighbors[rng.integers(0, len(neighbors))]
                         moved = True
-            zones.append(current)
             handoffs.append(moved)
-            vertical.append(is_vertical)
-        return MobilityTrace(
-            zones=zones,
-            handoff_flags=handoffs,
-            vertical_flags=vertical,
-            step_interval_ms=step_interval_ms,
-        )
+        return MobilityTrace(handoff_flags=handoffs)
 
 
 @dataclass(frozen=True)
 class MobilityTrace:
-    """Zone-level trajectory produced by :meth:`RandomWalkMobility.walk`."""
+    """Zone-level trajectory produced by :meth:`RandomWalkMobility.walk`.
 
-    zones: List[Tuple[int, int]]
+    Attributes:
+        handoff_flags: per step, whether the device moved to another zone.
+    """
+
     handoff_flags: List[bool]
-    vertical_flags: List[bool]
-    step_interval_ms: float

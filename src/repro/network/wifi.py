@@ -122,18 +122,3 @@ class WifiLink:
             self.snr_db(distance_m=distance_m, rng=rng),
             mac_efficiency=self.mac_efficiency,
         )
-
-    # -- latency -----------------------------------------------------------------
-
-    def transmission_latency_ms(
-        self,
-        data_size_mb: float,
-        distance_m: Optional[float] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
-        """Transmission latency (Eq. 16): serialization plus propagation delay."""
-        distance = self.config.edge_distance_m if distance_m is None else distance_m
-        throughput = self.throughput_mbps(distance_m=distance, rng=rng)
-        serialization = units.transmission_latency_ms(data_size_mb, throughput)
-        propagation = self.config.propagation_delay_ms(distance)
-        return serialization + propagation

@@ -8,22 +8,18 @@ Eq. 22).  This package provides:
   (:mod:`repro.queueing.mm1`, :mod:`repro.queueing.mg1`),
 * an event-driven single-server queue simulator, which the buffer-model
   ablation compares with the closed forms
-  (:mod:`repro.queueing.simulation`),
-* a vectorized array port of the M/M/1 sojourn time used by the batch
-  evaluation engine (:mod:`repro.queueing.vectorized`).
+  (:mod:`repro.queueing.simulation`).
 """
 
 from repro.queueing.arrivals import PoissonProcess
 from repro.queueing.mg1 import MG1Queue
 from repro.queueing.mm1 import MM1Queue
 from repro.queueing.simulation import QueueSimulationResult, simulate_single_server_queue
-from repro.queueing.vectorized import mm1_sojourn_ms
 
 __all__ = [
     "MG1Queue",
     "MM1Queue",
     "PoissonProcess",
     "QueueSimulationResult",
-    "mm1_sojourn_ms",
     "simulate_single_server_queue",
 ]

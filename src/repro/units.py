@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+from repro.core.numeric import ArrayLike, any_true
+
 # ---------------------------------------------------------------------------
 # Physical constants
 # ---------------------------------------------------------------------------
@@ -92,20 +94,21 @@ def mb_to_megabits(megabytes: float) -> float:
     return megabytes * 8.0
 
 
-def frame_pixels(frame_side_px: float) -> float:
+def frame_pixels(frame_side_px: ArrayLike) -> ArrayLike:
     """Number of pixels of a square frame whose side is ``frame_side_px``.
 
     The paper's sweeps express "frame size (pixel^2)" as a scalar in the
     300–700 range; we interpret that scalar as the side length of a square
-    frame, so the pixel count is its square.
+    frame, so the pixel count is its square.  Takes a float or an array of
+    sides (any side <= 0 raises).
     """
-    if frame_side_px <= 0.0:
+    if any_true(frame_side_px <= 0.0):
         raise ValueError(f"frame side must be > 0 px, got {frame_side_px}")
     return frame_side_px * frame_side_px
 
 
-def yuv_frame_size_mb(frame_side_px: float) -> float:
-    """Data size (MB) of a raw YUV420 square frame of side ``frame_side_px``."""
+def yuv_frame_size_mb(frame_side_px: ArrayLike) -> ArrayLike:
+    """Data size ``delta_f`` (MB) of raw YUV420 square frames of side ``frame_side_px``."""
     return bytes_to_mb(frame_pixels(frame_side_px) * YUV420_BYTES_PER_PIXEL)
 
 
@@ -117,19 +120,6 @@ def rgb_frame_size_mb(frame_side_px: float) -> float:
 # ---------------------------------------------------------------------------
 # Latency primitives
 # ---------------------------------------------------------------------------
-
-
-def memory_access_latency_ms(data_size_mb: float, bandwidth_gb_per_s: float) -> float:
-    """Latency (ms) of moving ``data_size_mb`` over a ``bandwidth_gb_per_s`` memory bus.
-
-    This is the ``delta / m`` term appearing throughout Section IV.
-    """
-    if bandwidth_gb_per_s <= 0.0:
-        raise ValueError(f"memory bandwidth must be > 0 GB/s, got {bandwidth_gb_per_s}")
-    if data_size_mb < 0.0:
-        raise ValueError(f"data size must be >= 0 MB, got {data_size_mb}")
-    # MB / (GB/s) = 1e-3 s = 1 ms per (MB / GBps)
-    return data_size_mb / bandwidth_gb_per_s
 
 
 def transmission_latency_ms(data_size_mb: float, throughput_mbps: float) -> float:

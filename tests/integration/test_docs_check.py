@@ -2,8 +2,9 @@
 
 The docs counterpart of ``tests/integration/test_figures_check.py``: the
 generated pages committed under ``docs/`` must re-render byte-identically
-from the live code (the CI ``docs-drift`` job runs exactly this), and the
-hand-written pages the README links to must actually exist.
+from the live code (the CI ``docs-drift`` job runs exactly this), the
+hand-written pages the README links to must actually exist, and every
+Markdown file the code or the docs name must be in the repository.
 """
 
 import re
@@ -14,6 +15,19 @@ from repro.docs import GENERATED_DOCS, GENERATED_MARKER, check_docs
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 DOCS_DIR = REPO_ROOT / "docs"
+
+#: A Markdown file name, with or without a directory in front of it.
+_MARKDOWN_NAME = re.compile(r"[A-Za-z0-9_-]+\.md\b")
+
+
+def _repository_files(root: Path):
+    """Files under ``root``, skipping hidden and cache directories."""
+    for path in sorted(root.rglob("*")):
+        parts = path.relative_to(REPO_ROOT).parts
+        if path.is_file() and not any(
+            part.startswith(".") or part == "__pycache__" for part in parts
+        ):
+            yield path
 
 
 class TestCommittedDocsAreCurrent:
@@ -64,3 +78,26 @@ class TestHandWrittenPages:
             text = page.read_text(encoding="utf-8")
             for rel in re.findall(r"\]\(((?!http|#)[A-Za-z0-9_./-]+\.md)\)", text):
                 assert (DOCS_DIR / rel).is_file(), f"{page.name} -> {rel}"
+
+
+class TestMarkdownReferences:
+    def test_every_named_markdown_file_exists(self):
+        """A ``*.md`` name in the code, the docs or perfbench names a real file.
+
+        Names match by basename, so ``docs/BATCH.md`` and ``BATCH.md`` both
+        resolve to the committed page.
+        """
+        existing = {path.name for path in _repository_files(REPO_ROOT) if path.suffix == ".md"}
+        sources = [
+            *_repository_files(REPO_ROOT / "src" / "repro"),
+            *_repository_files(DOCS_DIR),
+            REPO_ROOT / "README.md",
+            *_repository_files(REPO_ROOT / "perfbench"),
+        ]
+        dangling = sorted(
+            f"{path.relative_to(REPO_ROOT)}: {name}"
+            for path in sources
+            for name in set(_MARKDOWN_NAME.findall(path.read_text(encoding="utf-8")))
+            if name not in existing
+        )
+        assert not dangling, "names of missing Markdown files: " + ", ".join(dangling)

@@ -104,8 +104,8 @@ class TestBatchGrid:
     def test_batch_matches_the_scalar_loop(self, timed_grid):
         (latency, energy), batch, _, _ = timed_grid
         assert len(batch) == N_GRID_POINTS
-        np.testing.assert_allclose(batch.total_latency_ms, latency, rtol=1e-9)
-        np.testing.assert_allclose(batch.total_energy_mj, energy, rtol=1e-9)
+        np.testing.assert_array_equal(batch.total_latency_ms, latency)
+        np.testing.assert_array_equal(batch.total_energy_mj, energy)
 
     def test_batch_beats_the_scalar_loop_by_the_floor(self, timed_grid):
         _, _, scalar_seconds, batch_seconds = timed_grid

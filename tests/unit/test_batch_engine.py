@@ -303,36 +303,24 @@ class TestConsumers:
             assert decision.total_energy_mj == direct.total_energy_mj
         assert ranked[0].score <= ranked[-1].score
 
-    def test_sweep_maintains_power_clamp_count(self, app, network):
-        # Low clocks drive Eq. (21) negative, so the mean power clamps; the
-        # batch-routed sweep must record the same diagnostic count as the
-        # per-point scalar loop.
-        sides = (300.0, 500.0)
-        freqs = (0.7, 1.0)
-        reference = XRPerformanceModel(device="XR1", edge="EDGE-AGX", app=app, network=network)
-        for cpu_freq in freqs:
-            for frame_side in sides:
-                reference.analyze(
-                    replace(app, cpu_freq_ghz=cpu_freq, frame_side_px=frame_side),
-                    network,
-                    include_aoi=False,
-                )
-        model = XRPerformanceModel(device="XR1", edge="EDGE-AGX", app=app, network=network)
-        model.sweep(frame_sides_px=sides, cpu_freqs_ghz=freqs)
-        assert model.power_model.clamp_count == reference.power_model.clamp_count
-        assert model.power_model.clamp_count > 0
-
     def test_offloading_rank_honours_custom_energy_model(self, app, network):
+        from repro.core.coefficients import CoefficientSet, QuadraticBlend
         from repro.core.energy import XREnergyModel
         from repro.core.offloading import OffloadingPlanner
         from repro.core.power import PowerModel
-        from repro.measurement.truth import SEGMENT_POWER_FACTORS
 
         base = XRPerformanceModel(device="XR6", edge="EDGE-AGX", app=app, network=network)
+        paper = CoefficientSet.paper().power
+        # A different Eq. (21) blend: the paper's polynomials, doubled.
         doubled = PowerModel(
-            coefficients=base.coefficients,
+            coefficients=replace(
+                base.coefficients,
+                power=QuadraticBlend(
+                    cpu=tuple(2 * value for value in paper.cpu),
+                    gpu=tuple(2 * value for value in paper.gpu),
+                ),
+            ),
             device=base.device,
-            segment_factors={key: 2 * value for key, value in SEGMENT_POWER_FACTORS.items()},
         )
         planner = OffloadingPlanner(
             base.latency_model,
@@ -417,41 +405,18 @@ class TestConsumers:
 # ---------------------------------------------------------------------------
 
 
-def reference_aoi(self, total_latency_ms):
-    """``_GroupEvaluator._evaluate_aoi`` as one NumPy pass per update."""
-    from repro.batch.result import GroupAoI
-
-    network = self.network
-    updates = self.updates_per_frame
-    buffer_time = self.aoi_buffer_time_ms
-    required_period = total_latency_ms / updates
-    required_frequency = 1e3 / required_period
-    average_aoi, roi, processed = {}, {}, {}
-    speed = network.propagation_speed_m_per_s
-    for sensor in network.sensors:
-        generation_period = sensor.generation_period_ms
-        overhead = (sensor.distance_m / speed) * 1e3 + buffer_time
-        slow = generation_period >= required_period
-        accumulator = None
-        for index in range(1, updates + 1):
-            request_time = (index - 1) * required_period
-            aoi_slow = index * generation_period + overhead - request_time
-            aoi_fast = request_time % generation_period + overhead
-            aoi_n = np.where(slow, aoi_slow, aoi_fast)
-            accumulator = aoi_n if accumulator is None else accumulator + aoi_n
-        mean_aoi = accumulator / updates
-        average_aoi[sensor.name] = mean_aoi
-        processed_hz = np.where(mean_aoi > 0.0, 1e3 / mean_aoi, np.inf)
-        processed[sensor.name] = processed_hz
-        roi[sensor.name] = processed_hz / required_frequency
-    return GroupAoI(
-        sensor_names=tuple(sensor.name for sensor in network.sensors),
-        average_aoi_ms=average_aoi,
-        roi=roi,
-        processed_frequency_hz=processed,
-        required_frequency_hz=required_frequency,
-        buffer_time_ms=buffer_time,
-    )
+def reference_mean_update_age_ms(
+    updates, generation_period_ms, required_period_ms, delivery_overhead_ms
+):
+    """``repro.core.aoi.mean_update_age_ms`` as one NumPy pass per update."""
+    accumulator = None
+    for index in range(1, updates + 1):
+        request_time = (index - 1) * required_period_ms
+        aoi_slow = index * generation_period_ms + delivery_overhead_ms - request_time
+        aoi_fast = request_time % generation_period_ms + delivery_overhead_ms
+        aoi_n = np.where(generation_period_ms >= required_period_ms, aoi_slow, aoi_fast)
+        accumulator = aoi_n if accumulator is None else accumulator + aoi_n
+    return accumulator / updates
 
 
 def _aoi_points(updates):
@@ -492,15 +457,15 @@ def _aoi_outputs(points):
     [(1, None), (3, None), (7, None), (1000, None), (10_000, None), (7, 1), (1000, 40)],
 )
 def test_aoi_sum_is_the_per_update_loop(updates, chunk_elements, monkeypatch):
-    from repro.batch import engine
+    from repro.core import aoi
 
     if chunk_elements is not None:
         # Chunks of one or a few update rows: the running sum is carried
         # into each chunk's first row.
-        monkeypatch.setattr(engine, "_AOI_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(aoi, "_AOI_CHUNK_ELEMENTS", chunk_elements)
     points = _aoi_points(updates)
     vectorized = _aoi_outputs(points)
-    monkeypatch.setattr(engine._GroupEvaluator, "_evaluate_aoi", reference_aoi)
+    monkeypatch.setattr(aoi, "mean_update_age_ms", reference_mean_update_age_ms)
     reference = _aoi_outputs(points)
     np.testing.assert_array_equal(vectorized[0], reference[0])
     assert vectorized[1] == reference[1]

@@ -1,15 +1,16 @@
 """Property-based parity tests: scalar ``analyze()`` vs batch ``evaluate_*``.
 
 Hypothesis draws random devices, execution modes, frame sizes, clock
-frequencies and encoder bitrates inside the regression domain and asserts
-the batch engine agrees with the scalar path to 1e-9 relative error — on
-the end-to-end totals, every segment, and the AoI quantities.  Compiled
-candidate sets (:class:`ConditionedPoints`) must equal ``evaluate_points``
-on explicitly conditioned points bit for bit.  The queueing ports are
-additionally exercised at the rho -> 0 and rho -> 1 stability boundaries.
+frequencies, encoder bitrates and sensor update counts inside the regression
+domain and asserts the batch engine equals the scalar path bit for bit — on
+the end-to-end totals, every segment, the thermal and base terms, and the
+AoI quantities.  Both paths call the same equations in :mod:`repro.core`, so
+this checks the grouping; the Fig. 4 validation against the simulated
+testbed stays the independent check of the equations.  Compiled candidate
+sets (:class:`ConditionedPoints`) must equal ``evaluate_points`` on
+explicitly conditioned points bit for bit.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,16 +23,7 @@ from repro.batch import ConditionedPoints, OperatingPoint, evaluate_points
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.core.framework import XRPerformanceModel
-from repro.exceptions import ConfigurationError
-from repro.queueing.mm1 import MM1Queue
-from repro.queueing.vectorized import mm1_sojourn_ms
-
-RELATIVE_TOLERANCE = 1e-9
-
-
-def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=RELATIVE_TOLERANCE, abs_tol=1e-12)
-
+from repro.exceptions import ConfigurationError, UnstableQueueError
 
 devices = st.sampled_from(["XR1", "XR2", "XR3", "XR4", "XR6"])
 modes = st.sampled_from([ExecutionMode.LOCAL, ExecutionMode.REMOTE, ExecutionMode.SPLIT])
@@ -40,6 +32,7 @@ cpu_freqs = st.floats(min_value=0.6, max_value=3.2, allow_nan=False)
 gpu_freqs = st.floats(min_value=0.3, max_value=1.3, allow_nan=False)
 bitrates = st.floats(min_value=2.0, max_value=40.0, allow_nan=False)
 throughputs = st.floats(min_value=20.0, max_value=500.0, allow_nan=False)
+sensor_updates = st.integers(min_value=0, max_value=40)
 
 
 @settings(max_examples=60, deadline=None)
@@ -51,9 +44,32 @@ throughputs = st.floats(min_value=20.0, max_value=500.0, allow_nan=False)
     gpu_freq=gpu_freqs,
     bitrate=bitrates,
     throughput=throughputs,
+    updates=sensor_updates,
+)
+# libm's pow gives 2.759 ** 2 a last bit NumPy's exact square does not.
+@example(
+    device="XR1",
+    mode=ExecutionMode.LOCAL,
+    frame_side=640.0,
+    cpu_freq=2.759,
+    gpu_freq=0.9,
+    bitrate=10.0,
+    throughput=200.0,
+    updates=1,
+)
+# From 8 updates np.mean sums pairwise, where Eq. (24) sums in update order.
+@example(
+    device="XR1",
+    mode=ExecutionMode.REMOTE,
+    frame_side=640.0,
+    cpu_freq=2.0,
+    gpu_freq=0.9,
+    bitrate=10.0,
+    throughput=200.0,
+    updates=16,
 )
 def test_scalar_and_batch_agree(
-    device, mode, frame_side, cpu_freq, gpu_freq, bitrate, throughput
+    device, mode, frame_side, cpu_freq, gpu_freq, bitrate, throughput, updates
 ):
     base = ApplicationConfig.object_detection_default().with_mode(mode)
     app = replace(
@@ -62,8 +78,13 @@ def test_scalar_and_batch_agree(
         cpu_freq_ghz=cpu_freq,
         gpu_freq_ghz=gpu_freq,
         encoder=replace(base.encoder, bitrate_mbps=bitrate),
+        sensor_updates_per_frame=updates,
     )
-    network = NetworkConfig(throughput_mbps=throughput)
+    _assert_scalar_equals_batch(device, app, NetworkConfig(throughput_mbps=throughput))
+
+
+def _assert_scalar_equals_batch(device, app, network):
+    """``analyze`` and a one-point ``evaluate_points`` agree with ``==`` on every field."""
     model = XRPerformanceModel(device=device, edge="EDGE-AGX", app=app, network=network)
     scalar = model.analyze(app, network, include_aoi=True)
     batch = evaluate_points(
@@ -71,20 +92,66 @@ def test_scalar_and_batch_agree(
         include_aoi=True,
     ).report_at(0)
 
-    assert _close(batch.total_latency_ms, scalar.total_latency_ms)
-    assert _close(batch.total_energy_mj, scalar.total_energy_mj)
-    assert batch.latency.per_segment_ms.keys() == dict(scalar.latency.per_segment_ms).keys()
-    for segment, value in scalar.latency.per_segment_ms.items():
-        assert _close(batch.latency.per_segment_ms[segment], value)
-    for segment, value in scalar.energy.per_segment_mj.items():
-        assert _close(batch.energy.per_segment_mj[segment], value)
-    assert _close(batch.energy.thermal_mj, scalar.energy.thermal_mj)
-    assert _close(batch.energy.base_mj, scalar.energy.base_mj)
-    for name, value in scalar.aoi.average_aoi_ms.items():
-        assert _close(batch.aoi.average_aoi_ms[name], value)
-    for name, value in scalar.aoi.roi.items():
-        assert _close(batch.aoi.roi[name], value)
-    assert _close(batch.aoi.required_frequency_hz, scalar.aoi.required_frequency_hz)
+    assert batch.total_latency_ms == scalar.total_latency_ms
+    assert batch.total_energy_mj == scalar.total_energy_mj
+    assert list(batch.latency.per_segment_ms) == list(scalar.latency.per_segment_ms)
+    assert batch.latency.per_segment_ms == scalar.latency.per_segment_ms
+    assert batch.energy.per_segment_mj == scalar.energy.per_segment_mj
+    assert batch.energy.thermal_mj == scalar.energy.thermal_mj
+    assert batch.energy.base_mj == scalar.energy.base_mj
+    assert batch.energy.mean_power_w == scalar.energy.mean_power_w
+    assert batch.latency.client_compute == scalar.latency.client_compute
+    assert batch.latency.edge_compute == scalar.latency.edge_compute
+    assert batch.aoi.average_aoi_ms == scalar.aoi.average_aoi_ms
+    assert batch.aoi.roi == scalar.aoi.roi
+    assert batch.aoi.processed_frequency_hz == scalar.aoi.processed_frequency_hz
+    assert batch.aoi.required_frequency_hz == scalar.aoi.required_frequency_hz
+    assert batch.aoi.buffer_time_ms == scalar.aoi.buffer_time_ms
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.LOCAL, ExecutionMode.REMOTE])
+@pytest.mark.parametrize(
+    "cpu_freq, updates",
+    [(2.759, 3), (2.0, 8), (2.0, 16), (2.0, 1000)],
+    ids=["2.759GHz", "8-updates", "16-updates", "1000-updates"],
+)
+def test_scalar_and_batch_agree_where_two_copies_of_the_equations_differed(
+    mode, cpu_freq, updates
+):
+    # libm's pow squared 2.759 a last bit off NumPy's exact square, and from
+    # 8 updates np.mean summed Eq. (24) pairwise instead of in update order.
+    app = replace(
+        ApplicationConfig.object_detection_default().with_mode(mode),
+        cpu_freq_ghz=cpu_freq,
+        sensor_updates_per_frame=updates,
+    )
+    _assert_scalar_equals_batch("XR1", app, NetworkConfig())
+
+
+@pytest.mark.parametrize(
+    "headroom", [1e9, 2.0, 1.0 + 1e-9], ids=["rho-near-0", "rho-half", "rho-near-1"]
+)
+def test_scalar_and_batch_agree_across_the_buffer_stability_range(headroom):
+    # Eq. (7)'s M/M/1 input buffer: the sensors' aggregate rate sets rho.
+    network = NetworkConfig()
+    app = replace(
+        ApplicationConfig.object_detection_default(),
+        buffer_service_rate_hz=network.total_sensor_arrival_rate_hz * headroom,
+    )
+    _assert_scalar_equals_batch("XR1", app, network)
+
+
+def test_unstable_inputs_rejected():
+    network = NetworkConfig()
+    app = replace(
+        ApplicationConfig.object_detection_default(),
+        buffer_service_rate_hz=0.8 * network.total_sensor_arrival_rate_hz,
+    )
+    model = XRPerformanceModel(device="XR1", edge="EDGE-AGX", app=app, network=network)
+    with pytest.raises(UnstableQueueError):
+        model.analyze(app, network)
+    with pytest.raises(UnstableQueueError):
+        evaluate_points([OperatingPoint(app=app, network=network, device="XR1", edge="EDGE-AGX")])
 
 
 # ---------------------------------------------------------------------------
@@ -242,40 +309,3 @@ def test_conditioned_points_single_condition_and_validation():
             compiled.evaluate(throughput, handoff)
     with pytest.raises(ConfigurationError):
         ConditionedPoints([])
-
-
-# ---------------------------------------------------------------------------
-# Queueing boundaries (rho -> 0 and rho -> 1)
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    rho=st.one_of(
-        st.floats(min_value=1e-12, max_value=1.0 - 1e-9, exclude_max=False),
-        st.just(0.0),
-        st.just(1.0 - 1e-12),
-    ),
-    service_rate=st.floats(min_value=1e-3, max_value=1e3),
-)
-def test_mm1_vectorized_matches_scalar(rho, service_rate):
-    arrival = rho * service_rate
-    scalar = MM1Queue(arrival_rate_per_ms=arrival, service_rate_per_ms=service_rate)
-    assert _close(float(mm1_sojourn_ms(arrival, service_rate)), scalar.mean_time_in_system_ms)
-
-
-def test_vectorized_queueing_over_arrays():
-    service = 1.0
-    arrivals = np.linspace(0.0, 0.999999, 1000)
-    sojourn = mm1_sojourn_ms(arrivals, service)
-    expected = np.array(
-        [MM1Queue(a, service).mean_time_in_system_ms for a in arrivals]
-    )
-    np.testing.assert_allclose(sojourn, expected, rtol=RELATIVE_TOLERANCE)
-
-
-def test_unstable_inputs_rejected():
-    from repro.exceptions import UnstableQueueError
-
-    with pytest.raises(UnstableQueueError):
-        mm1_sojourn_ms(np.array([0.5, 1.0]), 1.0)

@@ -458,6 +458,16 @@ class TestValidationAndReport:
         with pytest.raises(ConfigurationError, match="at least one user"):
             CoSimulation(FleetPopulation(users=()), GreedyBatchSweep(), burst_trace(3, seed=0))
 
+    def test_missing_edge_rejected_at_construction(self):
+        # Without an edge the first offloading candidate would fail inside run().
+        with pytest.raises(ConfigurationError, match="edge must name an edge server"):
+            CoSimulation(
+                homogeneous(2, device="XR1"),
+                GreedyBatchSweep(),
+                burst_trace(3, seed=0),
+                edge=None,
+            )
+
     def test_fractional_edge_count_rejected(self):
         with pytest.raises(ConfigurationError, match="n_edges"):
             CoSimulation(

@@ -1,5 +1,7 @@
 """Unit tests for the Table I device catalog."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config.device import DeviceSpec, EdgeServerSpec
@@ -13,7 +15,7 @@ from repro.devices.catalog import (
     list_devices,
     list_edge_servers,
 )
-from repro.exceptions import UnknownDeviceError
+from repro.exceptions import ConfigurationError, UnknownDeviceError
 
 
 class TestCatalogContents:
@@ -92,6 +94,11 @@ class TestDerivedSpecProperties:
         modified = xr1.with_memory_bandwidth(10.0)
         assert modified.memory_bandwidth_gb_s == pytest.approx(10.0)
         assert xr1.memory_bandwidth_gb_s != 10.0
+        # The delta/m term divides by it without a check of its own.
+        with pytest.raises(ConfigurationError):
+            xr1.with_memory_bandwidth(0.0)
+        with pytest.raises(ConfigurationError):
+            replace(get_edge_server("EDGE-AGX"), memory_bandwidth_gb_s=0.0)
 
     def test_describe_mentions_model(self):
         assert "Huawei" in get_device("XR1").describe()

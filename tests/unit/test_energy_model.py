@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config.application import ExecutionMode
-from repro.core.energy import XREnergyModel
+from repro.core.energy import XREnergyModel, frame_totals
 from repro.core.latency import XRLatencyModel
 from repro.core.power import PowerModel
 from repro.core.segments import COMPUTE_SEGMENTS, Segment
@@ -18,13 +18,15 @@ def energy_model(device_spec, edge_spec):
 
 class TestSegmentEnergy:
     def test_energy_is_power_times_latency(self, energy_model, app, network):
-        power = energy_model.power_model.segment_power_w(Segment.RENDERING, app, network)
+        mean_power = energy_model.power_model.mean_power_for(app)
+        power = energy_model.power_model.segment_power_w(Segment.RENDERING, mean_power, network)
         assert energy_model.segment_energy_mj(
-            Segment.RENDERING, 100.0, app, network
+            Segment.RENDERING, 100.0, mean_power, network
         ) == pytest.approx(100.0 * power)
 
     def test_transmission_uses_radio_power(self, energy_model, remote_app, network):
-        energy = energy_model.segment_energy_mj(Segment.TRANSMISSION, 10.0, remote_app, network)
+        mean_power = energy_model.power_model.mean_power_for(remote_app)
+        energy = energy_model.segment_energy_mj(Segment.TRANSMISSION, 10.0, mean_power, network)
         assert energy == pytest.approx(10.0 * network.radio_tx_power_w)
 
 
@@ -41,7 +43,7 @@ class TestEndToEnd:
         latency = energy_model.latency_model.end_to_end(app, network)
         energy = energy_model.from_latency_breakdown(latency, app, network)
         assert energy.base_mj == pytest.approx(
-            energy_model.power_model.base_power_w * latency.total_ms
+            energy_model.power_model.device.base_power_w * latency.total_ms
         )
 
     def test_thermal_energy_matches_compute_fraction(self, energy_model, app, network):
@@ -91,3 +93,50 @@ class TestEndToEnd:
             energy_model.latency_model.remote_inference_ms(remote_app), 1e-9
         )
         assert remote_inference_power < local_inference_power
+
+
+class TestFrameTotals:
+    """Eqs. (1) and (19) composed from per-segment values by ``frame_totals``."""
+
+    LATENCY = {
+        Segment.FRAME_GENERATION: 40.0,
+        Segment.TRANSMISSION: 12.0,
+        Segment.LOCAL_INFERENCE: 90.0,
+    }
+    ENERGY = {
+        Segment.FRAME_GENERATION: 80.0,
+        Segment.TRANSMISSION: 24.0,
+        Segment.LOCAL_INFERENCE: 300.0,
+    }
+
+    def test_base_energy_scales_with_latency(self):
+        totals = frame_totals(self.LATENCY, self.ENERGY, frozenset(self.LATENCY), 0.1, 0.5)
+        assert totals.total_latency_ms == 142.0
+        assert totals.base_mj == 0.5 * 142.0
+
+    def test_thermal_energy_fraction_of_compute_energy_only(self):
+        totals = frame_totals(self.LATENCY, self.ENERGY, frozenset(self.LATENCY), 0.1, 0.5)
+        assert totals.thermal_mj == 0.1 * (80.0 + 300.0)
+        assert totals.total_energy_mj == (80.0 + 24.0 + 300.0) + totals.thermal_mj + 71.0
+
+    def test_unbilled_segments_add_nothing(self):
+        billed = frozenset({Segment.FRAME_GENERATION, Segment.TRANSMISSION})
+        totals = frame_totals(self.LATENCY, self.ENERGY, billed, 0.1, 0.5)
+        assert totals.total_latency_ms == 52.0
+        assert totals.thermal_mj == 0.1 * 80.0
+        assert totals.total_energy_mj == 104.0 + 0.1 * 80.0 + 0.5 * 52.0
+
+    def test_arrays_give_each_frame_its_float_totals(self, rng):
+        latency = {segment: rng.uniform(1.0, 100.0, 16) for segment in self.LATENCY}
+        energy = {segment: rng.uniform(1.0, 300.0, 16) for segment in self.ENERGY}
+        billed = frozenset(self.LATENCY)
+        on_arrays = frame_totals(latency, energy, billed, 0.07, 0.45)
+        for i in range(16):
+            on_floats = frame_totals(
+                {segment: float(values[i]) for segment, values in latency.items()},
+                {segment: float(values[i]) for segment, values in energy.items()},
+                billed,
+                0.07,
+                0.45,
+            )
+            assert [float(total[i]) for total in on_arrays] == list(on_floats)

@@ -181,6 +181,10 @@ class TestFleetEffects:
         report = FleetAnalyzer(homogeneous(8), n_edges=np.int64(2)).analyze()
         assert report == FleetAnalyzer(homogeneous(8), n_edges=2).analyze()
 
+    def test_missing_edge_rejected(self):
+        with pytest.raises(ConfigurationError, match="edge must name an edge server"):
+            FleetAnalyzer(homogeneous(8), edge=None)
+
     @pytest.mark.parametrize("slo_ms", (float("nan"), -1.0, 0.0))
     def test_invalid_slo_rejected(self, slo_ms):
         with pytest.raises(ConfigurationError, match="SLO must be > 0 ms"):

@@ -27,8 +27,9 @@ class TestSegmentModels:
 
     def test_volumetric_eq4(self, model, app):
         compute = model.client_compute(app)
-        expected = app.virtual_scene_side_px / compute + units.memory_access_latency_ms(
-            app.virtual_scene_data_mb, model.device.memory_bandwidth_gb_s
+        expected = (
+            app.virtual_scene_side_px / compute
+            + app.virtual_scene_data_mb / model.device.memory_bandwidth_gb_s
         )
         assert model.volumetric_ms(app) == pytest.approx(expected)
 
@@ -55,8 +56,9 @@ class TestSegmentModels:
         assert model.local_inference_ms(app) > 0.0
 
     def test_decoding_is_fraction_of_encoding(self, model, remote_app):
-        encoding_compute = model.encoding_ms(remote_app) - units.memory_access_latency_ms(
-            remote_app.raw_frame_size_mb, model.device.memory_bandwidth_gb_s
+        encoding_compute = (
+            model.encoding_ms(remote_app)
+            - remote_app.raw_frame_size_mb / model.device.memory_bandwidth_gb_s
         )
         decoding = model.decoding_ms(remote_app)
         assert decoding < encoding_compute

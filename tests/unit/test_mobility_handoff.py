@@ -18,21 +18,6 @@ class TestCoverageLayout:
         layout = CoverageLayout(rows=3, cols=4)
         assert len(layout.zones) == 12
 
-    def test_technology_assignment_cycles(self):
-        layout = CoverageLayout(technologies=("a", "b"))
-        technologies = {layout.technology_of(zone) for zone in layout.zones}
-        assert technologies == {"a", "b"}
-
-    def test_vertical_transition_detection(self):
-        layout = CoverageLayout(rows=1, cols=2, technologies=("a", "b"))
-        assert layout.is_vertical_transition((0, 0), (0, 1))
-
-    def test_single_technology_has_no_vertical_handoffs(self):
-        layout = CoverageLayout(technologies=("wifi",))
-        for zone in layout.zones:
-            for neighbor in layout.neighbors(zone):
-                assert not layout.is_vertical_transition(zone, neighbor)
-
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ConfigurationError):
             CoverageLayout(rows=0, cols=3)
@@ -73,8 +58,6 @@ class TestZeroVelocityWalks:
         mobility = RandomWalkMobility(layout=CoverageLayout(), speed_m_per_s=0.0)
         trace = mobility.walk(n_steps=500, step_interval_ms=33.0, rng=rng)
         assert sum(trace.handoff_flags) == 0
-        assert not any(trace.vertical_flags)
-        assert set(trace.zones) == {mobility.start_zone}
 
     def test_zero_velocity_handoff_probability_is_zero(self):
         mobility = RandomWalkMobility(layout=CoverageLayout(), speed_m_per_s=0.0)
@@ -102,7 +85,6 @@ class TestSingleZoneLayouts:
         )
         trace = mobility.walk(n_steps=300, step_interval_ms=100.0, rng=rng)
         assert sum(trace.handoff_flags) == 0
-        assert set(trace.zones) == {(0, 0)}
 
     def test_single_zone_analytical_probability_is_still_defined(self):
         # The fluid-flow boundary-crossing rate does not know the graph has
@@ -115,41 +97,6 @@ class TestSingleZoneLayouts:
         # A device that never moves never leaves its zone.
         model = HandoffModel(HandoffConfig(enabled=True, device_speed_m_per_s=0.0))
         assert model.mean_handoff_latency_ms(33.3) == 0.0
-
-
-class TestDegenerateGraphClassification:
-    def test_single_row_alternating_technologies_all_vertical(self):
-        layout = CoverageLayout(rows=1, cols=5, technologies=("a", "b"))
-        for col in range(4):
-            assert layout.is_vertical_transition((0, col), (0, col + 1))
-
-    def test_single_row_single_technology_all_horizontal(self):
-        layout = CoverageLayout(rows=1, cols=5, technologies=("wifi",))
-        for col in range(4):
-            assert not layout.is_vertical_transition((0, col), (0, col + 1))
-
-    def test_more_technologies_than_zones(self):
-        layout = CoverageLayout(rows=1, cols=2, technologies=("a", "b", "c", "d"))
-        assert layout.technology_of((0, 0)) == "a"
-        assert layout.technology_of((0, 1)) == "b"
-        assert layout.is_vertical_transition((0, 0), (0, 1))
-
-    def test_column_graph_classifies_like_row_graph(self):
-        row = CoverageLayout(rows=1, cols=4, technologies=("a", "b"))
-        col = CoverageLayout(rows=4, cols=1, technologies=("a", "b"))
-        assert [row.is_vertical_transition((0, 1), zone) for zone in row.neighbors((0, 1))] == [
-            col.is_vertical_transition((1, 0), zone) for zone in col.neighbors((1, 0))
-        ]
-
-    def test_walk_classifies_vertical_handoffs(self, rng):
-        layout = CoverageLayout(rows=1, cols=6, technologies=("a", "b"))
-        mobility = RandomWalkMobility(
-            layout=layout, speed_m_per_s=50.0, pause_probability=0.0
-        )
-        trace = mobility.walk(n_steps=400, step_interval_ms=200.0, rng=rng)
-        # Every move in an alternating 1xN corridor crosses technologies.
-        assert sum(trace.handoff_flags) > 0
-        assert sum(trace.vertical_flags) == sum(trace.handoff_flags)
 
 
 def _digest(obj) -> str:
@@ -182,44 +129,34 @@ class TestGridParity:
     def test_neighbor_order(self, rows, cols, zone, expected):
         assert CoverageLayout(rows=rows, cols=cols).neighbors(zone) == expected
 
-    def test_zones_are_row_major_and_technologies_cycle_over_them(self):
-        layout = CoverageLayout(rows=2, cols=3, technologies=("a", "b", "c", "d"))
+    def test_zones_are_row_major(self):
+        layout = CoverageLayout(rows=2, cols=3)
         assert layout.zones == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
-        assert [layout.technology_of(zone) for zone in layout.zones] == [
-            "a", "b", "c", "d", "a", "b",
-        ]
 
     def test_seeded_walk_on_default_grid(self):
-        layout = CoverageLayout(technologies=("a", "b", "c"))
-        mobility = RandomWalkMobility(layout=layout, speed_m_per_s=50.0, pause_probability=0.1)
+        mobility = RandomWalkMobility(
+            layout=CoverageLayout(), speed_m_per_s=50.0, pause_probability=0.1
+        )
         trace = mobility.walk(12, 500.0, np.random.default_rng(0))
-        assert trace.zones == [
-            (1, 1), (2, 1), (2, 1), (2, 1), (2, 1), (2, 1), (1, 1),
-            (1, 2), (1, 2), (1, 2), (1, 1), (1, 1), (1, 1),
-        ]
-        assert [i for i, flag in enumerate(trace.vertical_flags) if flag] == [6, 9]
+        # The zones (1,1) -> (2,1) -> (1,1) -> (1,2) -> (1,1): four moves.
+        assert [i for i, flag in enumerate(trace.handoff_flags) if flag] == [0, 5, 6, 9]
 
     @pytest.mark.parametrize(
-        "rows, cols, technologies, seed, digest, moves, vertical",
+        "rows, cols, seed, digest, moves",
         [
-            (3, 3, ("a", "b", "c"), 1,
-             "cef98839c81bd03dfac715f8ebb89d2bc81838d2e52207762df29804997a681f", 101, 48),
-            (1, 5, ("a", "b", "c"), 2,
-             "eff4e7ed5aa42d5e5b378bc18fc268e659ee19d88002104c5327f1216658becd", 109, 109),
-            (5, 1, ("a", "b", "c"), 3,
-             "16fd341a1acbf2dcd693a5a8cffe6c019b88cac11044fd85c1708339cdba8de3", 101, 101),
-            (4, 6, ("a", "b", "c", "d"), 4,
-             "44e1a883c98447028d1d996bd430f309e37eb2839ebcc16b3a1601ce309ed48c", 94, 94),
-            (9, 9, ("a", "b", "c"), 5,
-             "aed7abe744437c61c849a7889fa2d320747ea2c6b475aab834414c0b7710e395", 90, 42),
+            (3, 3, 1, "2017ad3866d6bde40d24f21e326466ec1c82774e8659f60a2e86df22e148438c", 101),
+            (1, 5, 2, "ff38fef1a52f3a59ae4fabf13700802a03d1c3dd786aca930265e54d0e9ce425", 109),
+            (5, 1, 3, "5a43c7aeb55c5953b0c9ba86b0532d9f4f34393d3728a08497dfefbb4699fb31", 101),
+            (4, 6, 4, "82c625a16944e1b2942cf1ddac311663c2ff0fbb3647bc5b8bf21230858e3f52", 94),
+            (9, 9, 5, "6a81f1fe2ad50508e8e3e957e90d34bd8c64d5788e7484aa12b3c6a4e8c9bb03", 90),
         ],
     )
-    def test_seeded_walks(self, rows, cols, technologies, seed, digest, moves, vertical):
-        layout = CoverageLayout(rows=rows, cols=cols, technologies=technologies)
+    def test_seeded_walks(self, rows, cols, seed, digest, moves):
+        layout = CoverageLayout(rows=rows, cols=cols)
         mobility = RandomWalkMobility(layout=layout, speed_m_per_s=50.0, pause_probability=0.1)
         trace = mobility.walk(400, 500.0, np.random.default_rng(seed))
-        assert (sum(trace.handoff_flags), sum(trace.vertical_flags)) == (moves, vertical)
-        assert _digest([trace.zones, trace.vertical_flags]) == digest
+        assert sum(trace.handoff_flags) == moves
+        assert _digest(trace.handoff_flags) == digest
 
     def test_mobility_trace_digest(self):
         trace = make_trace("mobility", 2000, seed=7)
@@ -242,9 +179,7 @@ class TestZoneValidation:
         with pytest.raises(ConfigurationError):
             layout.neighbors(zone)
         with pytest.raises(ConfigurationError):
-            layout.technology_of(zone)
-        with pytest.raises(ConfigurationError):
-            layout.is_vertical_transition((1, 1), zone)
+            layout.check_zone(zone)
 
 
 class TestHandoffModel:

@@ -1,5 +1,6 @@
 """Unit tests for the compute-resource model (Eq. 3) and power model (Eq. 21)."""
 
+import numpy as np
 import pytest
 
 from repro.core.coefficients import CoefficientSet
@@ -8,6 +9,7 @@ from repro.core.resources import ComputeResourceModel
 from repro.core.segments import Segment
 from repro.devices.catalog import get_device, get_edge_server
 from repro.exceptions import ModelDomainError
+from repro.measurement.truth import SEGMENT_POWER_FACTORS
 
 
 class TestComputeResourceModel:
@@ -16,14 +18,9 @@ class TestComputeResourceModel:
         assert model.client_compute(2.0, 1.0, 1.0) == pytest.approx(13.56)
 
     def test_floor_clamps_pathological_points(self, paper_coefficients):
-        model = ComputeResourceModel(paper_coefficients, floor=0.5)
+        model = ComputeResourceModel(paper_coefficients)
         # The paper's GPU polynomial dips near 0.7 GHz; the floor keeps it positive.
         assert model.client_compute(2.0, 0.7, 0.0) >= 0.5
-
-    def test_clamp_can_be_turned_into_an_error(self, paper_coefficients):
-        model = ComputeResourceModel(paper_coefficients, floor=0.5, clamp_is_error=True)
-        with pytest.raises(ModelDomainError):
-            model.client_compute(2.0, 0.7, 0.0)
 
     def test_client_compute_for_app(self, paper_coefficients, app):
         model = ComputeResourceModel(paper_coefficients)
@@ -43,10 +40,6 @@ class TestComputeResourceModel:
         with pytest.raises(ModelDomainError):
             ComputeResourceModel(paper_coefficients).edge_compute(0.0)
 
-    def test_invalid_floor_rejected(self, paper_coefficients):
-        with pytest.raises(ModelDomainError):
-            ComputeResourceModel(paper_coefficients, floor=0.0)
-
 
 class TestPowerModel:
     def _model(self, coefficients=None):
@@ -65,40 +58,30 @@ class TestPowerModel:
         assert model.mean_power_w(1.0, 1.0, 1.0) == pytest.approx(
             get_device("XR1").base_power_w
         )
-        assert model.clamp_count == 1
 
     def test_segment_power_scales_mean_power(self, app):
         model = self._model()
         mean = model.mean_power_for(app)
-        rendering = model.segment_power_w(Segment.RENDERING, app)
-        encoding = model.segment_power_w(Segment.ENCODING, app)
+        rendering = model.segment_power_w(Segment.RENDERING, mean)
+        encoding = model.segment_power_w(Segment.ENCODING, mean)
         assert rendering > encoding
-        assert rendering == pytest.approx(model.segment_factors["rendering"] * mean)
+        assert rendering == pytest.approx(SEGMENT_POWER_FACTORS["rendering"] * mean)
 
     def test_radio_segments_use_network_power(self, app, network):
         model = self._model()
-        assert model.segment_power_w(Segment.TRANSMISSION, app, network) == pytest.approx(
+        mean = model.mean_power_for(app)
+        assert model.segment_power_w(Segment.TRANSMISSION, mean, network) == pytest.approx(
             network.radio_tx_power_w
         )
-        assert model.segment_power_w(Segment.HANDOFF, app, network) == pytest.approx(
+        assert model.segment_power_w(Segment.HANDOFF, mean, network) == pytest.approx(
             network.handoff.power_w
-        )
-
-    def test_base_energy_scales_with_latency(self):
-        model = self._model()
-        assert model.base_energy_mj(1000.0) == pytest.approx(
-            get_device("XR1").base_power_w * 1000.0
-        )
-
-    def test_thermal_energy_fraction(self):
-        model = self._model()
-        assert model.thermal_energy_mj(100.0) == pytest.approx(
-            get_device("XR1").thermal_fraction * 100.0
         )
 
     def test_negative_inputs_rejected(self):
         model = self._model()
         with pytest.raises(ModelDomainError):
-            model.base_energy_mj(-1.0)
+            model.mean_power_w(-1.0, 1.0, 0.5)
         with pytest.raises(ModelDomainError):
-            model.thermal_energy_mj(-1.0)
+            model.mean_power_w(np.array([2.0, -1.0]), 1.0, 0.5)
+        with pytest.raises(ModelDomainError):
+            model.mean_power_w(2.0, 1.0, -0.5)

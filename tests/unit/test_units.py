@@ -1,6 +1,7 @@
 """Unit tests for :mod:`repro.units`."""
 
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -47,6 +48,8 @@ class TestDataSizes:
     def test_frame_pixels_rejects_non_positive(self):
         with pytest.raises(ValueError):
             units.frame_pixels(0.0)
+        with pytest.raises(ValueError):
+            units.frame_pixels(np.array([500.0, 0.0]))
 
     def test_yuv_frame_size(self):
         # 500x500 pixels x 1.5 bytes = 375 kB = 0.375 MB
@@ -59,17 +62,6 @@ class TestDataSizes:
 
 
 class TestLatencyPrimitives:
-    def test_memory_access_latency(self):
-        # 44 GB/s moving 4.4 MB -> 0.1 ms
-        assert units.memory_access_latency_ms(4.4, 44.0) == pytest.approx(0.1)
-
-    def test_memory_access_zero_data(self):
-        assert units.memory_access_latency_ms(0.0, 10.0) == 0.0
-
-    def test_memory_access_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
-            units.memory_access_latency_ms(1.0, 0.0)
-
     def test_transmission_latency(self):
         # 1 MB = 8 Mb over 100 Mbps = 80 ms
         assert units.transmission_latency_ms(1.0, 100.0) == pytest.approx(80.0)

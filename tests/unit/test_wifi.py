@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import units
 from repro.config.network import NetworkConfig
 from repro.exceptions import ModelDomainError
 from repro.network.wifi import WifiLink, shannon_capacity_mbps
@@ -30,13 +29,6 @@ class TestWifiLinkWithoutPathLoss:
     def test_throughput_is_configured_value(self, network):
         link = WifiLink(config=network)
         assert link.throughput_mbps() == pytest.approx(network.throughput_mbps)
-
-    def test_transmission_latency_matches_eq16(self, network):
-        link = WifiLink(config=network)
-        data_mb = 0.5
-        expected = units.transmission_latency_ms(data_mb, network.throughput_mbps)
-        expected += network.propagation_delay_ms(network.edge_distance_m)
-        assert link.transmission_latency_ms(data_mb) == pytest.approx(expected)
 
     def test_snr_requires_path_loss(self, network):
         with pytest.raises(ModelDomainError):
