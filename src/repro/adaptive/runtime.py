@@ -35,7 +35,7 @@ heuristic, not one of the paper's calibrated quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -132,6 +132,11 @@ class CandidateEvaluation:
 _Key = Tuple[float, float]
 
 
+def _condition_key(throughput_mbps: float, handoff_probability: float) -> _Key:
+    """The sweep-memo key of one (throughput, handoff probability) condition."""
+    return (float(throughput_mbps), float(handoff_probability))
+
+
 class _CandidateBlocks:
     """Candidate blocks compiled into one set, with one sweep memo per block.
 
@@ -186,6 +191,18 @@ class _CandidateBlocks:
                     energy_mj=energy[row, columns],
                     min_roi=min_roi[row, columns] if min_roi is not None else None,
                 )
+
+    def evaluate_missing(self, keys: Iterable[_Key]) -> int:
+        """Evaluate, in one call, the distinct keys no memo holds yet.
+
+        Every evaluation writes every memo, so the first one stands for all.
+        Returns the number of keys evaluated.
+        """
+        memo = self.memos[0]
+        fresh = list(dict.fromkeys(key for key in keys if key not in memo))
+        if fresh:
+            self.evaluate(fresh)
+        return len(fresh)
 
 
 @dataclass(frozen=True)
@@ -283,7 +300,7 @@ class ControlContext:
         off that grid get their own memo entry instead of silently aliasing
         a neighbouring grid point's arrays.
         """
-        return (float(conditions.throughput_mbps), float(conditions.handoff_probability))
+        return _condition_key(conditions.throughput_mbps, conditions.handoff_probability)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -315,19 +332,9 @@ class ControlContext:
         with telemetry.get().span(
             "adaptive.prewarm", epochs=trace.n_epochs, candidates=self.n_candidates
         ) as sp:
-            distinct = self._prewarm(trace)
+            distinct = self._blocks.evaluate_missing(self._key(epoch) for epoch in trace)
             sp.annotate(distinct_keys=distinct)
             return distinct
-
-    def _prewarm(self, trace: ConditionTrace) -> int:
-        fresh: Dict[_Key, None] = {}
-        for epoch in trace:
-            key = self._key(epoch)
-            if key not in self._memo:
-                fresh[key] = None
-        if fresh:
-            self._blocks.evaluate(list(fresh))
-        return len(fresh)
 
     # -- selection --------------------------------------------------------------
 

@@ -75,7 +75,7 @@ from repro.core.power import PowerModel
 from repro.core.segments import Segment, billed_segments
 from repro.devices.resolve import resolve_device_spec, resolve_edge_spec
 from repro.exceptions import ConfigurationError, ModelDomainError
-from repro.network.handoff import HandoffModel
+from repro.network.handoff import HandoffModel, handoff_ms
 from repro.network.wifi import WifiLink
 
 from repro.batch.grid import NUMERIC_AXES, OperatingPoint, ParameterGrid
@@ -187,7 +187,7 @@ def _closed_forms(
             terms.transmission_megabits, thr, terms.edge_propagation_ms
         )
         # Eq. (17)
-        segments[Segment.HANDOFF] = terms.handoff_latency_ms * handoff_probability
+        segments[Segment.HANDOFF] = handoff_ms(terms.handoff_latency_ms, handoff_probability)
     if terms.cooperation_megabits is not None:
         # Eq. (18)
         segments[Segment.COOPERATION] = link_ms(

@@ -30,9 +30,10 @@ advance from the same epoch-start state in each round.  The engine takes
 that state as a value once per epoch (:meth:`Controller.state
 <repro.adaptive.controllers.Controller.state>`) and restores it before each
 ``decide``; a controller without ``state``/``restore`` is rejected when the
-simulation is built.  The per-class endogenous conditions are built once
-per (epoch, offloader count) and shared by the decision rounds and the
-charging step.
+simulation is built.  Classes that replay one trace object see one
+exogenous condition per epoch, so the endogenous conditions are built once
+per (epoch, trace, offloader count), and a round's damped conditions once
+per trace; the decision rounds and the charging step share them.
 
 Equivalence classes
 -------------------
@@ -68,6 +69,19 @@ then on.  A block's slice of the set equals what a set of its own would
 return, bit for bit.  The arrival, service and frame arrays are likewise
 built once per block.
 
+The damped rounds hand the controllers a new throughput every round, so
+most of their keys are off the pre-warmed trace.  Each epoch therefore
+starts by replaying the previous epoch's rounds — each round's offloader
+count, whether it was the verification round, and the traces whose round
+conditions a class swept — on the new epoch's conditions, and evaluates
+the keys they predict that no memo holds in one batch
+(:meth:`CoSimulation._prefetch`, counted as ``cosim.prefetch.keys``).  The
+rounds then sweep as before: a predicted key is a memo hit, a wrong
+prediction costs only its extra rows, and a key the replay missed is
+evaluated live.  Since a memo row holds the same bits whatever batch
+filled it, no report changes.  Fleets whose controllers never sweep the
+conditions they are handed (hysteresis, static) evaluate nothing ahead.
+
 Degeneracies
 ------------
 * ``N == 1``: contention leaves the channel untouched and a sole tenant
@@ -89,7 +103,7 @@ import copy
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,6 +115,8 @@ from repro.adaptive.runtime import (
     ControlContext,
     EpochOutcome,
     _CandidateBlocks,
+    _condition_key,
+    _Key,
     build_adaptation_report,
     default_candidates,
 )
@@ -148,6 +164,10 @@ class CosimControlContext(ControlContext):
     deadline-first selection sees the queueing the rest of the fleet causes.
     A wait of zero returns the memoized base evaluation object untouched —
     the fast path that keeps the ``N == 1`` degeneracy bit-exact.
+
+    Every sweep also appends its memo key to :attr:`swept_keys`, a log the
+    engine clears before each decision and reads after it, to learn whether
+    the controller swept the conditions it was handed.
     """
 
     def __init__(self, *args, radio_idle_power_w: float = 0.0, **kwargs) -> None:
@@ -162,8 +182,11 @@ class CosimControlContext(ControlContext):
         #: Edge queueing delay applied to offloading candidates during the
         #: current decision (set by the co-sim engine each iteration).
         self.decision_wait_ms = 0.0
+        #: Memo keys swept since the engine last cleared the log.
+        self.swept_keys: List[_Key] = []
 
     def sweep(self, conditions: EpochConditions) -> CandidateEvaluation:
+        self.swept_keys.append(self._key(conditions))
         base = super().sweep(conditions)
         wait = self.decision_wait_ms
         if wait == 0.0:
@@ -223,6 +246,22 @@ DEAL_CACHE_SIZE = 8
 #: evicted.  The benchmarked cosim fleets compute loads for at most 4
 #: (rate, service, service-scale) keys per deal; 8 holds that twice over.
 LOADS_TABLE_SIZE = 8
+
+
+class _Round(NamedTuple):
+    """One decision round of an epoch's best-response solve.
+
+    Attributes:
+        n_offloaded: offloaders of the loads the round decided under.
+        exact: whether it was the verification round, which hands the
+            classes the exact endogenous throughput instead of a damped one.
+        swept: the traces whose round conditions a class swept, in class
+            order.
+    """
+
+    n_offloaded: int
+    exact: bool
+    swept: Tuple[int, ...]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -495,6 +534,13 @@ class CoSimulation:
         self._user_arrays = [
             np.asarray(cls.user_indices, dtype=np.intp) for cls in self._classes
         ]
+        # Classes that replay one trace object see one exogenous condition per
+        # epoch, so the solve builds every condition once per distinct trace.
+        self._traces = list({id(cls.trace): cls.trace for cls in self._classes}.values())
+        trace_index = {id(trace): index for index, trace in enumerate(self._traces)}
+        self._trace_of_class = [trace_index[id(cls.trace)] for cls in self._classes]
+        #: The previous epoch's decision rounds (see :meth:`_prefetch`).
+        self._trajectory: List[_Round] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -617,7 +663,7 @@ class CoSimulation:
                     )
                 )
             class_blocks.append(block_of[key])
-        shared = _CandidateBlocks(
+        shared = self._blocks = _CandidateBlocks(
             blocks,
             coefficients=self.coefficients,
             complexity_mode=self.complexity_mode,
@@ -707,6 +753,27 @@ class CoSimulation:
         ):
             return new
         return self.damping * new + (1.0 - self.damping) * previous
+
+    def _round_throughputs(
+        self,
+        conditions: Sequence[EpochConditions],
+        previous: Sequence[Optional[float]],
+        exact: bool,
+    ) -> List[float]:
+        """The throughput each trace's classes decide against in one round.
+
+        ``conditions`` are the traces' endogenous conditions under the round's
+        loads and ``previous`` the throughputs the round before handed over
+        (None in the first round).  The verification round (``exact``) hands
+        over the exact throughput; any other round damps it toward the
+        previous one.
+        """
+        if exact:
+            return [current.throughput_mbps for current in conditions]
+        return [
+            self._damp(before, current.throughput_mbps)
+            for before, current in zip(previous, conditions)
+        ]
 
     # -- loads ----------------------------------------------------------------
 
@@ -924,34 +991,74 @@ class CoSimulation:
         self,
         epoch: int,
         conditions: Sequence[EpochConditions],
+        throughput_mbps: Sequence[float],
         snapshots: Sequence[object],
         wait_ms: Sequence[float],
-        throughput_mbps: Sequence[float],
-    ) -> List[int]:
-        """One synchronized decision round under the given per-class conditions.
+    ) -> Tuple[List[int], Tuple[int, ...]]:
+        """One synchronized decision round under the given per-trace conditions.
 
-        ``conditions`` are the classes' endogenous conditions under the
+        ``conditions`` are the traces' endogenous conditions under the
         round's loads; a (damped) ``throughput_mbps`` that differs replaces
-        their throughput.  Every controller is first restored to its
-        epoch-start state value in ``snapshots``: the fixed-point search may
-        call ``decide`` several times per epoch, but controller state must
-        advance exactly once per epoch.
+        their throughput, once per trace.  ``wait_ms`` holds each class's
+        wait.  Every controller is first restored to its epoch-start state
+        value in ``snapshots``: the fixed-point search may call ``decide``
+        several times per epoch, but controller state must advance exactly
+        once per epoch.
+
+        Returns the decisions and the traces whose handed conditions some
+        class swept (:attr:`CosimControlContext.swept_keys`), in class order.
         """
+        handed = [
+            current
+            if throughput == current.throughput_mbps
+            else replace(current, throughput_mbps=throughput)
+            for current, throughput in zip(conditions, throughput_mbps)
+        ]
         decisions: List[int] = []
+        swept: List[int] = []
         for cls_index, cls in enumerate(self._classes):
-            current = conditions[cls_index]
-            if throughput_mbps[cls_index] != current.throughput_mbps:
-                current = replace(current, throughput_mbps=throughput_mbps[cls_index])
+            trace = self._trace_of_class[cls_index]
+            current = handed[trace]
             cls.controller.restore(snapshots[cls_index])
             cls.context.decision_wait_ms = wait_ms[cls_index]
+            log = cls.context.swept_keys
+            log.clear()
             index = int(cls.controller.decide(epoch, current, cls.context))
             if not 0 <= index < cls.context.n_candidates:
                 raise ConfigurationError(
                     f"controller {cls.controller.name!r} chose candidate "
                     f"{index}, but only {cls.context.n_candidates} exist"
                 )
+            if log and trace not in swept and cls.context._key(current) in log:
+                swept.append(trace)
             decisions.append(index)
-        return decisions
+        return decisions, tuple(swept)
+
+    def _prefetch(self, conditions_under: Callable[[int], List[EpochConditions]]) -> None:
+        """Evaluate, in one call, the keys the previous epoch's rounds predict.
+
+        Replays :attr:`_trajectory` on this epoch's conditions: each round's
+        offloader count gives the traces' endogenous conditions
+        (``conditions_under``), :meth:`_round_throughputs` the throughput the
+        round would hand over, and every trace a class swept in that round
+        gives one key.  The keys no memo holds are evaluated in one batch.
+        The rounds then sweep as before: a predicted key is a memo hit, and
+        a key the replay missed is evaluated live.  A memo row holds the same
+        bits whatever batch filled it, so no answer changes.
+        """
+        keys: List[_Key] = []
+        throughput: List[Optional[float]] = [None] * len(self._traces)
+        for n_offloaded, exact, swept in self._trajectory:
+            conditions = conditions_under(n_offloaded)
+            throughput = self._round_throughputs(conditions, throughput, exact)
+            keys.extend(
+                _condition_key(throughput[trace], conditions[trace].handoff_probability)
+                for trace in swept
+            )
+        n_fresh = self._blocks.evaluate_missing(keys)
+        registry = telemetry.get()
+        if n_fresh and registry.enabled:
+            registry.add("cosim.prefetch.keys", n_fresh)
 
     def run(self) -> CosimReport:
         """Drive the closed loop over every epoch on the shared DES clock."""
@@ -974,6 +1081,7 @@ class CoSimulation:
             cls.controller.reset(cls.context)
             cls.outcomes = []
         self._prev_decisions: List[Optional[int]] = [None] * len(classes)
+        self._trajectory = []
         # The fleet's mean quality under every final decision vector so far.
         self._mean_quality: Dict[Tuple[int, ...], float] = {}
 
@@ -1084,17 +1192,18 @@ class CoSimulation:
 
         Returns the final decisions, their exact (undamped) loads and the
         classes' endogenous conditions under them, whether the fixed point
-        was verified, and the iterations spent.
+        was verified, and the iterations spent.  Conditions and throughputs
+        are kept per distinct trace, and each class reads its trace's.
         """
         classes = self._classes
-        base = [cls.trace[epoch] for cls in classes]
+        base = [trace[epoch] for trace in self._traces]
         if fault_state is not None:
             # Link degradation reshapes the exogenous channel *before*
             # contention; edge-side faults act through the loads below.
             base = [fault_state.apply_to_conditions(c) for c in base]
         snapshots = [cls.controller.state() for cls in classes]
-        # Per-class endogenous conditions by offloader count, shared by the
-        # decision rounds and the charging step.
+        # Per-trace endogenous conditions by offloader count, shared by the
+        # prefetch, the decision rounds and the charging step.
         endogenous: Dict[int, List[EpochConditions]] = {}
 
         def conditions_under(n_offloaded: int) -> List[EpochConditions]:
@@ -1104,9 +1213,11 @@ class CoSimulation:
                 ]
             return endogenous[n_offloaded]
 
+        self._prefetch(conditions_under)
+        trajectory: List[_Round] = []
         decisions: List[Optional[int]] = list(self._prev_decisions)
         prev_wait: List[Optional[float]] = [None] * len(classes)
-        prev_thr: List[Optional[float]] = [None] * len(classes)
+        prev_thr: List[Optional[float]] = [None] * len(self._traces)
         converged = False
         iterations = 0
         loads: Optional[_EpochLoads] = None
@@ -1122,26 +1233,24 @@ class CoSimulation:
             loads_current = True
             conditions = conditions_under(loads.n_offloaded)
             exact_wait = loads.decision_wait_ms
-            exact_thr = [c.throughput_mbps for c in conditions]
+            exact_thr = self._round_throughputs(conditions, prev_thr, exact=True)
             used_wait = [
                 self._damp(previous, exact)
                 for previous, exact in zip(prev_wait, exact_wait)
             ]
-            used_thr = [
-                self._damp(previous, exact)
-                for previous, exact in zip(prev_thr, exact_thr)
-            ]
+            used_thr = self._round_throughputs(conditions, prev_thr, exact=False)
             if registry.enabled:
                 n_blends += sum(
                     used != exact for used, exact in zip(used_wait, exact_wait)
                 )
                 n_blends += sum(
-                    used != exact for used, exact in zip(used_thr, exact_thr)
+                    used_thr[trace] != exact_thr[trace] for trace in self._trace_of_class
                 )
             prev_wait, prev_thr = used_wait, used_thr
-            new_decisions = self._decide_round(
-                epoch, conditions, snapshots, used_wait, used_thr
+            new_decisions, swept = self._decide_round(
+                epoch, conditions, used_thr, snapshots, used_wait
             )
+            trajectory.append(_Round(loads.n_offloaded, False, swept))
             if new_decisions != decisions:
                 decisions = new_decisions
                 loads_current = False
@@ -1159,16 +1268,21 @@ class CoSimulation:
             if iterations >= self.max_iterations:
                 break
             iterations += 1
-            verification = self._decide_round(
-                epoch, conditions, snapshots, exact_wait, exact_thr
+            verification, swept = self._decide_round(
+                epoch, conditions, exact_thr, snapshots, exact_wait
             )
-            prev_wait, prev_thr = list(exact_wait), list(exact_thr)
+            trajectory.append(_Round(loads.n_offloaded, True, swept))
+            prev_wait, prev_thr = list(exact_wait), exact_thr
             if verification == decisions:
                 converged = True
                 break
             decisions = verification
             loads_current = False
         self._prev_decisions = decisions
+        # Rounds after the last one anybody swept predict no key.
+        while trajectory and not trajectory[-1].swept:
+            trajectory.pop()
+        self._trajectory = trajectory
 
         if registry.enabled:
             registry.add("cosim.epochs")
@@ -1197,7 +1311,9 @@ class CoSimulation:
         # decision vector; only budget-exhausted exits need a recomputation.
         if not loads_current:
             loads = self._loads(decisions, fault_state)
-        return decisions, loads, conditions_under(loads.n_offloaded), converged, iterations
+        final = conditions_under(loads.n_offloaded)
+        final_conditions = [final[trace] for trace in self._trace_of_class]
+        return decisions, loads, final_conditions, converged, iterations
 
     def _run_epoch(
         self,

@@ -4,16 +4,26 @@ The average per-frame handoff latency in the end-to-end model is::
 
     L_HO = l_HO * P(HO)
 
-``P(HO)`` comes either from the configuration directly or from the
-random-walk mobility model; ``l_HO`` is the configured latency of one
-handoff (``HandoffConfig.handoff_latency_ms``).
+written once, in :func:`handoff_ms`, which the scalar model and the batch
+engine both call.  ``P(HO)`` comes either from the configuration directly
+or from the random-walk mobility model; ``l_HO`` is the configured latency
+of one handoff (``HandoffConfig.handoff_latency_ms``).
 """
 
 from __future__ import annotations
 
 from repro.config.network import HandoffConfig
+from repro.core.numeric import ArrayLike
 from repro.exceptions import ModelDomainError
 from repro.network.mobility import CoverageLayout, RandomWalkMobility
+
+
+def handoff_ms(handoff_latency_ms: ArrayLike, handoff_probability: ArrayLike) -> ArrayLike:
+    """Eq. (17): the average handoff latency charged to one frame.
+
+    ``L_HO = l_HO * P(HO)``, on floats or on aligned NumPy arrays.
+    """
+    return handoff_latency_ms * handoff_probability
 
 
 class HandoffModel:
@@ -57,6 +67,6 @@ class HandoffModel:
         """Average handoff latency charged to one frame, ``l_HO * P(HO)``."""
         if not self.config.enabled:
             return 0.0
-        return self.single_handoff_latency_ms() * self.handoff_probability(
-            frame_period_ms
+        return handoff_ms(
+            self.single_handoff_latency_ms(), self.handoff_probability(frame_period_ms)
         )

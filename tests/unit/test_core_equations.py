@@ -1,7 +1,7 @@
 """Each model equation gives the same bits on a float as on an array.
 
-The equations of Sections IV-VI are written once, in :mod:`repro.core`, as
-functions of numeric values: the scalar models call them with floats and the
+The equations of Sections IV-VI are written once, in :mod:`repro.core` (Eq.
+17 in :mod:`repro.network.handoff`), as functions of numeric values: the scalar models call them with floats and the
 batch engine with aligned NumPy arrays.  Each case below evaluates one
 equation on arrays of operating points and again on every point's floats, and
 compares the two with ``==``.  The sampled points fall on both sides of each
@@ -26,6 +26,7 @@ from repro.core.resources import COMPUTE_FLOOR, ComputeResourceModel
 from repro.core.segments import Segment
 from repro.devices.catalog import get_device, get_edge_server
 from repro.exceptions import ModelDomainError
+from repro.network import handoff
 
 N_POINTS = 64
 RESOURCES = ComputeResourceModel(CoefficientSet.paper())
@@ -45,6 +46,7 @@ def _points():
         "bitrate": rng.uniform(2.0, 40.0, N_POINTS),
         "throughput": rng.uniform(20.0, 500.0, N_POINTS),
         "required_period": rng.uniform(2.0, 20.0, N_POINTS),
+        "handoff_probability": rng.uniform(0.0, 1.0, N_POINTS),
     }
 
 
@@ -113,6 +115,7 @@ EQUATIONS = {
     "eq16-link": lambda v: latency.link_ms(
         units.yuv_frame_size_mb(v["side"]) * 8.0, v["throughput"], 0.01
     ),
+    "eq17-handoff": lambda v: handoff.handoff_ms(50.0, v["handoff_probability"]),
     "eq23-update-age": lambda v: aoi.update_age_ms(
         5, SENSOR_PERIOD_MS, v["required_period"], DELIVERY_OVERHEAD_MS
     ),

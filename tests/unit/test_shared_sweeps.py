@@ -6,7 +6,8 @@ memo per block; the co-simulation hands one such set to all of its classes.
 These tests pin that a block's slice of the fused evaluation equals a set
 compiled from the block alone, that the block memos stay in step, that a
 co-simulation reports exactly what it reported with a private set per
-class, and that it evaluates every condition key once.
+class, and that it evaluates every condition key once, most of them ahead
+in one batch per epoch.
 """
 
 import numpy as np
@@ -215,10 +216,19 @@ class TestSharedSetInTheEngine:
         prewarm = _span_totals(spans, "adaptive.prewarm")
         assert prewarm["count"] == 9
         assert prewarm["distinct_keys"] == len(trace_keys)
-        # One pre-warm batch, then one evaluation per live key.
+        # No key is evaluated twice, and every key a class swept was evaluated.
+        memo = simulation._classes[0].context._memo
         evaluations = _span_totals(spans, "batch.evaluate_conditions")
-        assert evaluations["count"] == 1 + len(live_keys)
-        assert evaluations["conditions"] == len(trace_keys | swept)
+        assert evaluations["conditions"] == len(memo)
+        assert trace_keys | swept <= set(memo)
+        # One pre-warm batch, then per epoch one batch of the keys the previous
+        # epoch's rounds predict, and one evaluation per key they missed: 56
+        # calls where evaluating each live key on its own took 97.  Of the 90
+        # keys evaluated ahead, 20 were never swept.
+        assert len(live_keys) == 96
+        assert evaluations["count"] == 56
+        assert registry.counters["cosim.prefetch.keys"] == 90
+        assert len(memo) - len(trace_keys | swept) == 20
 
 
 def _span_totals(spans: dict, name: str) -> dict:
