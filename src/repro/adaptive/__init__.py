@@ -5,7 +5,7 @@ closes the loop over time.  A :class:`ConditionTrace` replays time-varying
 channel/load conditions (mobility handoffs, fading, fleet contention — or
 synthetic drift/step/burst scenarios), a :class:`Controller` picks an
 operating point (CPU clock, frame size, inference placement) each control
-epoch, and the :class:`AdaptiveRuntime` drives the loop on the DES clock,
+epoch, and the :class:`AdaptiveRuntime` drives the loop epoch by epoch,
 charging every epoch the closed-form latency/energy/AoI of the chosen
 point under the epoch's true conditions and aggregating the QoE into an
 :class:`AdaptationReport`.

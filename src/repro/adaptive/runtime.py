@@ -1,11 +1,10 @@
 """The adaptive runtime: replay a condition trace, pick an operating point
 per control epoch, and score the resulting QoE.
 
-The loop is driven by the discrete-event clock of
-:class:`repro.simulation.des.EventScheduler`: one event per control epoch
-reads the epoch's :class:`~repro.adaptive.traces.EpochConditions`, asks the
-controller for an operating point, and charges the point's per-frame
-latency/energy/AoI under the *true* epoch conditions.
+The loop visits the control epochs in order: each one reads the epoch's
+:class:`~repro.adaptive.traces.EpochConditions`, asks the controller for an
+operating point, and charges the point's per-frame latency/energy/AoI under
+the *true* epoch conditions.
 
 Candidate evaluation goes through the vectorized batch engine: a
 :class:`ControlContext`'s candidates are compiled once into a
@@ -46,13 +45,11 @@ from repro.batch.grid import OperatingPoint
 from repro.cnn.zoo import get_cnn
 from repro.config.application import ApplicationConfig
 from repro.config.network import NetworkConfig
-from repro.core.coefficients import CoefficientSet
 from repro.core.offloading import placement_candidates
 from repro.exceptions import ConfigurationError
 from repro.faults.report import FaultOutcome, fault_outcome
 from repro.faults.schedule import EpochFaultState, FaultInjector, FaultSchedule
 from repro.fleet.results import percentile_method
-from repro.simulation.des import EventScheduler
 
 #: Supported selection objectives (all are deadline-first; see
 #: :meth:`ControlContext.select`).
@@ -154,23 +151,15 @@ class _CandidateBlocks:
 
     Args:
         blocks: the candidate tuples, one per block.
-        coefficients / complexity_mode / include_aoi: forwarded to the
-            compiled set.
+        include_aoi: forwarded to the compiled set.
     """
 
     def __init__(
-        self,
-        blocks: Sequence[Sequence[OperatingPoint]],
-        coefficients: Optional[CoefficientSet] = None,
-        complexity_mode: str = "paper",
-        include_aoi: bool = True,
+        self, blocks: Sequence[Sequence[OperatingPoint]], include_aoi: bool = True
     ) -> None:
         self.blocks = tuple(tuple(block) for block in blocks)
         self._conditioned = ConditionedPoints(
-            [point for block in self.blocks for point in block],
-            coefficients=coefficients,
-            complexity_mode=complexity_mode,
-            include_aoi=include_aoi,
+            [point for block in self.blocks for point in block], include_aoi=include_aoi
         )
         self._columns: List[slice] = []
         start = 0
@@ -210,7 +199,6 @@ class EpochOutcome:
     """What the chosen operating point delivered during one epoch."""
 
     epoch: int
-    time_ms: float
     index: int
     latency_ms: float
     energy_mj: float
@@ -237,15 +225,12 @@ class ControlContext:
         candidates: the operating points the controller chooses among.
         deadline_ms: per-frame end-to-end latency budget.
         objective: default selection objective of :meth:`select`.
-        coefficients: regression coefficients shared by every evaluation.
-        complexity_mode: CNN-complexity placement mode.
         include_aoi: evaluate the AoI model per point (enables the
             ``min_roi`` arrays and the report's AoI-violation rate).
         block: ``(compiled set, block index)`` to sweep through; the block
-            must hold exactly ``candidates``, and the set's own
-            coefficients, complexity mode and AoI switch apply.  None
-            compiles a one-block set of the context's own.  The
-            co-simulation passes one to share a set among its classes.
+            must hold exactly ``candidates``, and the set's own AoI switch
+            applies.  None compiles a one-block set of the context's own.
+            The co-simulation passes one to share a set among its classes.
     """
 
     def __init__(
@@ -253,8 +238,6 @@ class ControlContext:
         candidates: Sequence[OperatingPoint],
         deadline_ms: float,
         objective: str = "quality",
-        coefficients: Optional[CoefficientSet] = None,
-        complexity_mode: str = "paper",
         include_aoi: bool = True,
         block: Optional[Tuple[_CandidateBlocks, int]] = None,
     ) -> None:
@@ -270,13 +253,9 @@ class ControlContext:
         self.candidates = tuple(candidates)
         self.deadline_ms = float(deadline_ms)
         self.objective = objective
-        self.coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
         self.quality = np.asarray([candidate_quality(p) for p in self.candidates])
         if block is None:
-            shared = _CandidateBlocks(
-                [self.candidates], self.coefficients, complexity_mode, include_aoi
-            )
-            block = (shared, 0)
+            block = (_CandidateBlocks([self.candidates], include_aoi), 0)
         self._blocks, index = block
         if self._blocks.blocks[index] != self.candidates:
             raise ConfigurationError("a context's block must hold exactly its candidates")
@@ -591,7 +570,6 @@ class AdaptiveRuntime:
             (ignored when ``candidates`` is given).
         deadline_ms: per-frame latency budget.
         objective: default selection objective.
-        coefficients / complexity_mode: forwarded to the batch engine.
         include_aoi: evaluate AoI per point (adds the AoI-violation rate).
         faults: optional deterministic fault schedule replayed alongside the
             trace.  The runtime models a single edge server (edge index 0):
@@ -610,8 +588,6 @@ class AdaptiveRuntime:
         network: Optional[NetworkConfig] = None,
         deadline_ms: float = 700.0,
         objective: str = "quality",
-        coefficients: Optional[CoefficientSet] = None,
-        complexity_mode: str = "paper",
         include_aoi: bool = True,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
@@ -626,8 +602,6 @@ class AdaptiveRuntime:
             candidates=candidates,
             deadline_ms=deadline_ms,
             objective=objective,
-            coefficients=coefficients,
-            complexity_mode=complexity_mode,
             include_aoi=include_aoi,
         )
         self._frames_per_epoch = np.asarray(
@@ -649,7 +623,7 @@ class AdaptiveRuntime:
     # -- the control loop -------------------------------------------------------
 
     def run(self, controller) -> AdaptationReport:
-        """Drive the controller over the trace on the DES clock."""
+        """Drive the controller over the trace, epoch by epoch."""
         registry = telemetry.get()
         with registry.span(
             "adaptive.run",
@@ -673,9 +647,7 @@ class AdaptiveRuntime:
         ctx = view if view is not None else context
         controller.reset(ctx)
         outcomes: List[EpochOutcome] = []
-
-        def step(scheduler: EventScheduler) -> None:
-            epoch = len(outcomes)
+        for epoch in range(trace.n_epochs):
             conditions = trace[epoch]
             if self._injector is not None:
                 fault_state = self._injector.state(epoch)
@@ -698,7 +670,6 @@ class AdaptiveRuntime:
             )
             outcome = EpochOutcome(
                 epoch=epoch,
-                time_ms=scheduler.now_ms,
                 index=index,
                 latency_ms=latency,
                 energy_mj=float(evaluation.energy_mj[index]),
@@ -708,12 +679,6 @@ class AdaptiveRuntime:
             )
             controller.observe(epoch, conditions, outcome)
             outcomes.append(outcome)
-            if epoch + 1 < trace.n_epochs:
-                scheduler.schedule_in(trace.epoch_ms, step)
-
-        scheduler = EventScheduler()
-        scheduler.schedule_at(0.0, step)
-        scheduler.run(max_events=trace.n_epochs + 1)
         return self._report(controller.name, outcomes)
 
     def _report(self, name: str, outcomes: List[EpochOutcome]) -> AdaptationReport:

@@ -15,11 +15,13 @@ from repro.exceptions import ConfigurationError
 
 
 def ensure_integer(name: str, value: object) -> int:
-    """Return ``value`` as an ``int``; NumPy integers pass, floats raise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    """Return ``value`` as an ``int``; NumPy integers pass, floats and bools raise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def ensure_positive(name: str, value: float) -> float:

@@ -125,7 +125,6 @@ from repro.batch.grid import OperatingPoint
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.config.validation import ensure_integer
-from repro.core.coefficients import CoefficientSet
 from repro.core.framework import XRPerformanceModel
 from repro.cosim.results import CosimReport, ShardedCosimReport
 from repro.devices.resolve import EdgeLike, resolve_edge_spec
@@ -137,7 +136,6 @@ from repro.fleet.contention import ContentionModel
 from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
 from repro.fleet.population import FleetPopulation, UserProfile
 from repro.fleet.results import percentile_method
-from repro.simulation.des import EventScheduler
 
 #: Per-user controller specification: one shared template instance, a
 #: mapping from user name to controller, or a factory called per user.
@@ -434,17 +432,14 @@ class CoSimulation:
             ``controller``.  All traces must agree on epoch count/length.
         edge: edge server model shared by the ``n_edges`` servers.
         n_edges: number of identical edge servers behind the cell.
-        network: base network configuration of the shared channel.
-        contention: Wi-Fi contention model fed back from the offload count
-            (defaults to one wrapping ``network``).
-        scheduler: edge GPU queueing model.
+        network: base network configuration of the shared channel; its
+            Wi-Fi contention is fed back from the offload count.
         deadline_ms: per-frame end-to-end latency budget.
         objective: candidate-selection objective inside each class.
         candidates: explicit operating points shared by every class; None
             derives :func:`~repro.adaptive.runtime.default_candidates` from
             each class's device/app.
-        coefficients / complexity_mode / include_aoi: forwarded to the
-            simulation's compiled candidate set.
+        include_aoi: forwarded to the simulation's compiled candidate set.
         max_iterations: best-response iteration budget per epoch (>= 2 so a
             fixed point can be verified).
         damping: relaxation factor in (0, 1] applied to the endogenous
@@ -470,13 +465,9 @@ class CoSimulation:
         edge: EdgeLike = "EDGE-AGX",
         n_edges: int = 1,
         network: Optional[NetworkConfig] = None,
-        contention: Optional[ContentionModel] = None,
-        scheduler: Optional[EdgeScheduler] = None,
         deadline_ms: float = 700.0,
         objective: str = "quality",
         candidates: Optional[Sequence[OperatingPoint]] = None,
-        coefficients: Optional[CoefficientSet] = None,
-        complexity_mode: str = "paper",
         include_aoi: bool = True,
         max_iterations: int = 8,
         damping: float = 0.5,
@@ -505,16 +496,10 @@ class CoSimulation:
             raise ConfigurationError("edge must name an edge server, got None")
         self.n_edges = n_edges
         self.network = network if network is not None else NetworkConfig()
-        self.contention = (
-            contention if contention is not None else ContentionModel(network=self.network)
-        )
-        self.scheduler = scheduler if scheduler is not None else EdgeScheduler()
+        self.contention = ContentionModel(network=self.network)
+        self.scheduler = EdgeScheduler()
         self.deadline_ms = float(deadline_ms)
         self.objective = objective
-        self.coefficients = (
-            coefficients if coefficients is not None else CoefficientSet.paper()
-        )
-        self.complexity_mode = complexity_mode
         self.include_aoi = include_aoi
         self.max_iterations = max_iterations
         self.damping = float(damping)
@@ -571,12 +556,7 @@ class CoSimulation:
         key = device if isinstance(device, str) else id(device)
         model = self._models.get(key)
         if model is None:
-            model = XRPerformanceModel(
-                device=device,
-                edge=self.edge,
-                coefficients=self.coefficients,
-                complexity_mode=self.complexity_mode,
-            )
+            model = XRPerformanceModel(device=device, edge=self.edge)
             self._models[key] = model
         return model
 
@@ -663,20 +643,13 @@ class CoSimulation:
                     )
                 )
             class_blocks.append(block_of[key])
-        shared = self._blocks = _CandidateBlocks(
-            blocks,
-            coefficients=self.coefficients,
-            complexity_mode=self.complexity_mode,
-            include_aoi=self.include_aoi,
-        )
+        shared = self._blocks = _CandidateBlocks(blocks, include_aoi=self.include_aoi)
         block_arrays = [self._block_arrays(block, reference.epoch_ms) for block in blocks]
         for cls, index in zip(classes, class_blocks):
             cls.context = CosimControlContext(
                 candidates=blocks[index],
                 deadline_ms=self.deadline_ms,
                 objective=self.objective,
-                coefficients=self.coefficients,
-                complexity_mode=self.complexity_mode,
                 include_aoi=self.include_aoi,
                 radio_idle_power_w=self.network.radio_idle_power_w,
                 block=(shared, index),
@@ -1061,7 +1034,7 @@ class CoSimulation:
             registry.add("cosim.prefetch.keys", n_fresh)
 
     def run(self) -> CosimReport:
-        """Drive the closed loop over every epoch on the shared DES clock."""
+        """Drive the closed loop over every epoch, in epoch order."""
         with telemetry.get().span(
             "cosim.run",
             users=self._n_users,
@@ -1106,18 +1079,8 @@ class CoSimulation:
         }
         sample_values: List[np.ndarray] = []
         sample_counts: List[np.ndarray] = []
-
-        def step(scheduler: EventScheduler) -> None:
-            epoch = len(series["converged"])
-            self._run_epoch(
-                epoch, scheduler.now_ms, groups, series, sample_values, sample_counts
-            )
-            if epoch + 1 < n_epochs:
-                scheduler.schedule_in(epoch_ms, step)
-
-        clock = EventScheduler()
-        clock.schedule_at(0.0, step)
-        clock.run(max_events=n_epochs + 1)
+        for epoch in range(n_epochs):
+            self._run_epoch(epoch, groups, series, sample_values, sample_counts)
 
         registry = telemetry.get()
         if registry.enabled:
@@ -1318,7 +1281,6 @@ class CoSimulation:
     def _run_epoch(
         self,
         epoch: int,
-        now_ms: float,
         groups: _UserGroups,
         series: Dict[str, list],
         sample_values: List[np.ndarray],
@@ -1411,7 +1373,6 @@ class CoSimulation:
         ):
             outcome = EpochOutcome(
                 epoch=epoch,
-                time_ms=now_ms,
                 index=decisions[cls_index],
                 latency_ms=class_latency,
                 energy_mj=class_energy,
@@ -1450,7 +1411,6 @@ def run_cosim(
     trace: TraceLike,
     *,
     n_shards: int = 1,
-    shard_timeout_s: Optional[float] = None,
     backend: Optional[str] = None,
     **kwargs,
 ) -> Union[CosimReport, ShardedCosimReport]:
@@ -1463,8 +1423,9 @@ def run_cosim(
     named by ``backend`` (default: ``REPRO_EXEC_BACKEND``, then the
     hardened process pool; see :func:`repro.exec.resolve_backend`):
     unpicklable specifications fall back to in-process execution, and a
-    shard whose worker crashes or exceeds ``shard_timeout_s`` is
-    re-executed serially while completed shards keep their results.
+    shard whose worker crashes or exceeds the backend's task timeout
+    (``REPRO_EXEC_TIMEOUT_S``) is re-executed serially while completed
+    shards keep their results.
     Shards are deterministic and merged in shard order, so every backend
     and every recovery path produces a result bit-identical to the
     all-serial run.
@@ -1500,7 +1461,6 @@ def run_cosim(
             _run_shard,
             payloads,
             max_workers=n_shards,
-            timeout_s=shard_timeout_s,
             label="exec",
         )
         with registry.span("cosim.merge_shards", shards=n_shards):

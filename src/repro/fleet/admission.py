@@ -165,32 +165,24 @@ class GreedySLOAdmission(AdmissionPolicy):
     Users are considered in candidate order.  Each offload-preferring user is
     tentatively placed on the least-loaded edge (by busy fraction, service
     scale included); the placement sticks only if that edge's busy fraction
-    stays within the cap and the predicted tenant latency — the candidate's
-    (contention-bounded) remote latency plus the M/G/1 waiting caused by the
-    load already admitted there (:meth:`EdgeScheduler.tenant_wait_ms`) —
-    stays within the SLO.  Rejected users fall back to local inference.
+    stays within :attr:`UTILIZATION_CAP` and the predicted tenant latency —
+    the candidate's (contention-bounded) remote latency plus the M/G/1
+    waiting caused by the load already admitted there
+    (:meth:`EdgeScheduler.tenant_wait_ms`) — stays within the SLO.  Rejected
+    users fall back to local inference.
 
     Attributes:
         slo_ms: motion-to-photon latency budget per user.
-        scheduler: queueing model used to predict the added waiting.
-        utilization_cap: hard ceiling on admitted edge utilisation.
     """
 
-    def __init__(
-        self,
-        slo_ms: float,
-        scheduler: Optional[EdgeScheduler] = None,
-        utilization_cap: float = 0.95,
-    ) -> None:
+    #: Hard ceiling on an edge's admitted busy fraction.
+    UTILIZATION_CAP = 0.95
+
+    def __init__(self, slo_ms: float) -> None:
         if not slo_ms > 0.0:
             raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
-        if not 0.0 < utilization_cap < 1.0:
-            raise ConfigurationError(
-                f"utilisation cap must be in (0, 1), got {utilization_cap}"
-            )
         self.slo_ms = slo_ms
-        self.scheduler = scheduler if scheduler is not None else EdgeScheduler()
-        self.utilization_cap = utilization_cap
+        self.scheduler = EdgeScheduler()
 
     def assign(
         self,
@@ -227,7 +219,7 @@ class GreedySLOAdmission(AdmissionPolicy):
                 scale=scales[edge],
             )
             predicted = candidate.remote_latency_ms + wait
-            if new_busy <= self.utilization_cap and predicted <= self.slo_ms:
+            if new_busy <= self.UTILIZATION_CAP and predicted <= self.slo_ms:
                 edge_rates[edge] += candidate.arrival_rate_per_ms
                 edge_sums[edge] = new_sum
                 edge_busy[edge] = new_busy
@@ -256,21 +248,12 @@ class EnergyAwareAdmission(AdmissionPolicy):
 
     Offload-preferring users are ranked by their per-frame energy saving and
     admitted best-first onto the least-loaded edge (by busy fraction, service
-    scale included) until the utilisation cap is reached; users whose offload
-    would *cost* energy run locally.
+    scale included) until :attr:`UTILIZATION_CAP` is reached; users whose
+    offload would *cost* energy run locally.
     """
 
-    def __init__(
-        self,
-        scheduler: Optional[EdgeScheduler] = None,
-        utilization_cap: float = 0.9,
-    ) -> None:
-        if not 0.0 < utilization_cap < 1.0:
-            raise ConfigurationError(
-                f"utilisation cap must be in (0, 1), got {utilization_cap}"
-            )
-        self.scheduler = scheduler if scheduler is not None else EdgeScheduler()
-        self.utilization_cap = utilization_cap
+    #: Hard ceiling on an edge's admitted busy fraction.
+    UTILIZATION_CAP = 0.9
 
     def assign(
         self,
@@ -300,7 +283,7 @@ class EnergyAwareAdmission(AdmissionPolicy):
             edge = min(range(n_edges), key=lambda index: edge_busy[index])
             new_sum = edge_sums[edge] + candidate.arrival_rate_per_ms * candidate.service_time_ms
             new_busy = new_sum * scales[edge]
-            if new_busy <= self.utilization_cap:
+            if new_busy <= self.UTILIZATION_CAP:
                 edge_sums[edge] = new_sum
                 edge_busy[edge] = new_busy
                 by_name[candidate.name] = PlacementDecision(

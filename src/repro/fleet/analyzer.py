@@ -10,9 +10,9 @@ one Wi-Fi channel and a pool of edge GPUs::
     print(analyzer.analyze().summary())
 
 Composition: one :class:`XRPerformanceModel` per *device model* (memoized,
-sharing a single :class:`CoefficientSet`), per-user network parameters
-adjusted by the :class:`ContentionModel`, per-tenant edge queueing delay
-from the :class:`EdgeScheduler`, and placements chosen by an
+on the paper's coefficient set), per-user network parameters adjusted by
+the :class:`ContentionModel` of the shared channel, per-tenant edge queueing
+delay from the :class:`EdgeScheduler`, and placements chosen by an
 :class:`AdmissionPolicy`.
 
 An analysis groups the users into *kinds* (one device, one application
@@ -46,7 +46,6 @@ from repro import telemetry
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.config.validation import ensure_integer
-from repro.core.coefficients import CoefficientSet
 from repro.core.framework import XRPerformanceModel
 from repro.core.results import PerformanceReport
 from repro.devices.resolve import EdgeLike, resolve_edge_spec
@@ -102,16 +101,9 @@ class FleetAnalyzer:
             (Eq. 15).
         n_edges: number of identical edge servers behind the cell.
         network: single-user network configuration of the shared channel.
-        coefficients: regression coefficients shared by every per-device
-            model (defaults to the paper's published set).
         policy: admission/placement policy (defaults to round-robin).
-        contention: shared-channel contention model (defaults to one wrapping
-            ``network``).
-        scheduler: edge GPU queueing model.
         slo_ms: optional per-user motion-to-photon SLO recorded on reports
             (must be > 0 when given).
-        complexity_mode: CNN-complexity mode forwarded to the per-device
-            models.
         include_aoi: evaluate the AoI model per user (on by default).
         fault_state: optional composed fault state (one epoch of a
             :class:`~repro.faults.schedule.FaultSchedule`): dead edges leave
@@ -129,12 +121,8 @@ class FleetAnalyzer:
         edge: EdgeLike = "EDGE-AGX",
         n_edges: int = 1,
         network: Optional[NetworkConfig] = None,
-        coefficients: Optional[CoefficientSet] = None,
         policy: Optional[AdmissionPolicy] = None,
-        contention: Optional[ContentionModel] = None,
-        scheduler: Optional[EdgeScheduler] = None,
         slo_ms: Optional[float] = None,
-        complexity_mode: str = "paper",
         include_aoi: bool = True,
         fault_state: Optional[EpochFaultState] = None,
     ) -> None:
@@ -156,22 +144,16 @@ class FleetAnalyzer:
                     f"but the analyzer has {n_edges}"
                 )
             # Link degradation reshapes the channel before contention (the
-            # default contention model below wraps the faulted network).
+            # contention model below wraps the faulted network).
             self.network = fault_state.apply_to_network(self.network)
         self.fault_state = fault_state
-        self.coefficients = coefficients if coefficients is not None else CoefficientSet.paper()
         self.policy = policy if policy is not None else RoundRobinAdmission()
-        self.contention = (
-            contention
-            if contention is not None
-            else ContentionModel(network=self.network)
-        )
-        self.scheduler = scheduler if scheduler is not None else EdgeScheduler()
+        self.contention = ContentionModel(network=self.network)
+        self.scheduler = EdgeScheduler()
         self.slo_ms = slo_ms
-        self.complexity_mode = complexity_mode
         self.include_aoi = include_aoi
-        # Per-device model cache: every entry shares self.coefficients, so a
-        # mixed-device fleet builds at most one model per catalog entry.
+        # Per-device model cache: a mixed-device fleet builds at most one
+        # model per catalog entry.
         self._models: Dict[str, XRPerformanceModel] = {}
         # Per-(device, app, network) report cache, read once per kind and
         # network.  Unique keys are batch-evaluated together (see
@@ -233,12 +215,7 @@ class FleetAnalyzer:
         model = self._models.get(device)
         if model is None:
             self._cache_misses["models"] += 1
-            model = XRPerformanceModel(
-                device=device,
-                edge=self.edge,
-                coefficients=self.coefficients,
-                complexity_mode=self.complexity_mode,
-            )
+            model = XRPerformanceModel(device=device, edge=self.edge)
             self._models[device] = model
         else:
             self._cache_hits["models"] += 1
@@ -277,8 +254,6 @@ class FleetAnalyzer:
                 OperatingPoint(app=app, network=network, device=device, edge=self.edge)
                 for device, app, network in missing
             ],
-            coefficients=self.coefficients,
-            complexity_mode=self.complexity_mode,
             include_aoi=self.include_aoi,
         )
         for index, key in enumerate(missing):

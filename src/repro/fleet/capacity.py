@@ -7,17 +7,17 @@ size — contention only shrinks per-user throughput and edge queueing only
 grows with tenants — so the planner exponentially grows an upper bound and
 then bisects, evaluating ``O(log N)`` fleets.
 
-Probe evaluation is cheap: for the default round-robin policy a
-homogeneous fleet of ``n`` identical users needs only *one* per-user report
-(evaluated through the batch engine of :mod:`repro.batch`, whose results are
-bit-identical to the scalar path) plus one wait per distinct tenant count,
-so each bisection probe costs O(n_edges) Python-object work instead of
-O(n).  The probe computes its loads and waits with the definition the
-analyzer uses (:func:`~repro.fleet.edge_scheduler.edge_loads`, which adds
-an edge's tenants in deal order and scales the sum, and
-:meth:`~repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms`), so the
-planned capacity is identical to the exhaustive path.  A custom admission
-policy falls back to full :class:`FleetAnalyzer` probes.
+Probe evaluation is cheap: under round-robin placement a homogeneous fleet
+of ``n`` identical users needs only *one* per-user report (evaluated through
+the batch engine of :mod:`repro.batch`, whose results are bit-identical to
+the scalar path) plus one wait per distinct tenant count, so each bisection
+probe costs O(n_edges) Python-object work instead of O(n).  The probe
+computes its loads and waits with the definition the analyzer uses
+(:func:`~repro.fleet.edge_scheduler.edge_loads`, which adds an edge's
+tenants in deal order and scales the sum, and
+:meth:`~repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms`), so its
+p95 equals a full round-robin :class:`~repro.fleet.analyzer.FleetAnalyzer`
+analysis of the same fleet.
 """
 
 from __future__ import annotations
@@ -31,15 +31,12 @@ from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.device import EdgeServerSpec
 from repro.config.network import NetworkConfig
 from repro.config.validation import ensure_integer
-from repro.core.coefficients import CoefficientSet
 from repro.core.segments import Segment
 from repro.exceptions import ConfigurationError
-from repro.fleet.admission import AdmissionPolicy, RoundRobinAdmission
-from repro.fleet.analyzer import FleetAnalyzer
 from repro.fleet.contention import ContentionModel
 from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
 from repro.fleet.population import homogeneous
-from repro.fleet.results import FleetReport, percentile_method
+from repro.fleet.results import percentile_method
 from repro.fleet.search import bisect_capacity
 
 
@@ -106,15 +103,12 @@ class _HomogeneousRoundRobinProbe:
         n_edges: int,
         app: Optional[ApplicationConfig],
         network: Optional[NetworkConfig],
-        coefficients: CoefficientSet,
-        contention: Optional[ContentionModel],
-        scheduler: Optional[EdgeScheduler],
     ) -> None:
         self.device = device
         self.edge = edge
         self.n_edges = n_edges
-        # Resolve the default application exactly as the exhaustive path
-        # does, by asking the population generator itself.
+        # Resolve the default application exactly as a fleet analysis does,
+        # by asking the population generator itself.
         base_app = homogeneous(1, device=device, app=app).users[0].app
         self.wants_offload = base_app.inference.mode is not ExecutionMode.LOCAL
         self.local_app = base_app.with_mode(ExecutionMode.LOCAL)
@@ -122,11 +116,8 @@ class _HomogeneousRoundRobinProbe:
             base_app if self.wants_offload else base_app.with_mode(ExecutionMode.REMOTE)
         )
         self.network = network if network is not None else NetworkConfig()
-        self.coefficients = coefficients
-        self.contention = (
-            contention if contention is not None else ContentionModel(network=self.network)
-        )
-        self.scheduler = scheduler if scheduler is not None else EdgeScheduler()
+        self.contention = ContentionModel(network=self.network)
+        self.scheduler = EdgeScheduler()
         self.frame_rate_fps = base_app.frame_rate_fps
         self._local_latency: Optional[float] = None
         self._remote_cache: Dict[int, tuple] = {}
@@ -147,7 +138,6 @@ class _HomogeneousRoundRobinProbe:
                         edge=self.edge,
                     )
                 ],
-                coefficients=self.coefficients,
                 include_aoi=False,
             )
             self._local_latency = float(batch.total_latency_ms[0])
@@ -169,7 +159,6 @@ class _HomogeneousRoundRobinProbe:
                         edge=self.edge,
                     )
                 ],
-                coefficients=self.coefficients,
                 include_aoi=False,
             )
             cached = (
@@ -230,110 +219,38 @@ def plan_capacity(
     network: Optional[NetworkConfig] = None,
     n_edges: int = 1,
     max_users: int = 4096,
-    coefficients: Optional[CoefficientSet] = None,
-    policy: Optional[AdmissionPolicy] = None,
-    contention: Optional[ContentionModel] = None,
-    scheduler: Optional[EdgeScheduler] = None,
-    require_feasible: bool = False,
 ) -> CapacityPlan:
     """Maximum SLO-feasible fleet size for one device/edge/CNN combination.
 
     Builds homogeneous offloading fleets of growing size and reports the
-    largest one whose p95 motion-to-photon latency meets the SLO.  The
-    default round-robin policy offloads everyone, so the plan reflects the
+    largest one whose p95 motion-to-photon latency meets the SLO.  Users are
+    dealt round robin, which offloads everyone, so the plan reflects the
     infrastructure's raw capacity rather than an admission policy's gating —
     and lets every bisection probe run through the O(n_edges) homogeneous
-    probe instead of an O(n) per-user analysis.
-
-    With ``require_feasible=True`` an SLO that not even a single user can
-    meet raises a :class:`~repro.exceptions.ConfigurationError` instead of
-    returning a zero-capacity plan — callers that would otherwise build on
-    ``max_users == 0`` (capacity-driven deployment sizing) get a clear
-    terminal error rather than a bogus plan.
+    probe instead of an O(n) per-user analysis.  An SLO that not even one
+    user meets plans zero users.
     """
     if not slo_ms > 0.0:
         raise ConfigurationError(f"SLO must be > 0 ms, got {slo_ms}")
     n_edges = ensure_integer("n_edges", n_edges)
     if n_edges < 1:
         raise ConfigurationError(f"need at least one edge server, got {n_edges}")
-    shared_coefficients = (
-        coefficients if coefficients is not None else CoefficientSet.paper()
+    max_users = ensure_integer("max_users", max_users)
+    probe = _HomogeneousRoundRobinProbe(
+        device=device, edge=edge, n_edges=n_edges, app=app, network=network
     )
 
-    def _checked(plan: CapacityPlan) -> CapacityPlan:
-        if require_feasible and not plan.feasible:
-            raise ConfigurationError(
-                f"SLO of {slo_ms:.1f} ms p95 is unmeetable on {device}: even a "
-                f"single user misses it (raise the SLO, change the operating "
-                f"point, or use plan_edges to size the edge tier)"
-            )
-        return plan
-
-    if policy is None or type(policy) is RoundRobinAdmission:
-        probe = _HomogeneousRoundRobinProbe(
-            device=device,
-            edge=edge,
-            n_edges=n_edges,
-            app=app,
-            network=network,
-            coefficients=shared_coefficients,
-            contention=contention,
-            scheduler=scheduler,
-        )
-
-        def feasible(n_users: int) -> bool:
-            return probe.p95_latency_ms(n_users) <= slo_ms
-
-        capacity, ceiling_reached, evaluations = bisect_capacity(feasible, max_users)
-        p95 = probe.p95_latency_ms(capacity) if capacity >= 1 else None
-        return _checked(
-            CapacityPlan(
-                slo_ms=slo_ms,
-                max_users=capacity,
-                p95_at_capacity_ms=p95,
-                search_ceiling=max_users,
-                ceiling_reached=ceiling_reached,
-                evaluations=evaluations,
-            )
-        )
-
-    # Custom admission policy: fall back to exhaustive fleet analyses.
-    shared_policy = policy
-    reports: Dict[int, FleetReport] = {}
-
-    def report_for(n_users: int) -> FleetReport:
-        report = reports.get(n_users)
-        if report is None:
-            analyzer = FleetAnalyzer(
-                homogeneous(n_users, device=device, app=app),
-                edge=edge,
-                n_edges=n_edges,
-                network=network,
-                coefficients=shared_coefficients,
-                policy=shared_policy,
-                contention=contention,
-                scheduler=scheduler,
-                slo_ms=slo_ms,
-                include_aoi=False,
-            )
-            report = analyzer.analyze()
-            reports[n_users] = report
-        return report
-
     def feasible(n_users: int) -> bool:
-        return report_for(n_users).p95_latency_ms <= slo_ms
+        return probe.p95_latency_ms(n_users) <= slo_ms
 
     capacity, ceiling_reached, evaluations = bisect_capacity(feasible, max_users)
-    p95 = report_for(capacity).p95_latency_ms if capacity >= 1 else None
-    return _checked(
-        CapacityPlan(
-            slo_ms=slo_ms,
-            max_users=capacity,
-            p95_at_capacity_ms=p95,
-            search_ceiling=max_users,
-            ceiling_reached=ceiling_reached,
-            evaluations=evaluations,
-        )
+    return CapacityPlan(
+        slo_ms=slo_ms,
+        max_users=capacity,
+        p95_at_capacity_ms=probe.p95_latency_ms(capacity) if capacity >= 1 else None,
+        search_ceiling=max_users,
+        ceiling_reached=ceiling_reached,
+        evaluations=evaluations,
     )
 
 
@@ -372,9 +289,6 @@ def plan_edges(
     app: Optional[ApplicationConfig] = None,
     network: Optional[NetworkConfig] = None,
     max_edges: int = 64,
-    coefficients: Optional[CoefficientSet] = None,
-    contention: Optional[ContentionModel] = None,
-    scheduler: Optional[EdgeScheduler] = None,
 ) -> EdgePlan:
     """Smallest edge-server count serving ``n_users`` within the SLO.
 
@@ -399,23 +313,13 @@ def plan_edges(
         raise ConfigurationError(f"n_users must be >= 1, got {n_users}")
     if max_edges < 1:
         raise ConfigurationError(f"max_edges must be >= 1, got {max_edges}")
-    shared_coefficients = (
-        coefficients if coefficients is not None else CoefficientSet.paper()
-    )
     p95_cache: Dict[int, float] = {}
 
     def p95_for(count: int) -> float:
         cached = p95_cache.get(count)
         if cached is None:
             probe = _HomogeneousRoundRobinProbe(
-                device=device,
-                edge=edge,
-                n_edges=count,
-                app=app,
-                network=network,
-                coefficients=shared_coefficients,
-                contention=contention,
-                scheduler=scheduler,
+                device=device, edge=edge, n_edges=count, app=app, network=network
             )
             cached = probe.p95_latency_ms(n_users)
             p95_cache[count] = cached

@@ -9,7 +9,8 @@ stations:
 * the *aggregate* deliverable throughput decays logarithmically with the
   station count (CSMA/CA collision and backoff overhead grows with
   contenders — the classic Bianchi DCF result is well approximated by a
-  ``1 / (1 + a ln N)`` efficiency curve),
+  ``1 / (1 + a ln N)`` efficiency curve, with ``a`` =
+  :data:`COLLISION_OVERHEAD`),
 * each station receives an equal (fair, long-term) share of the aggregate.
 
 With a single station the model reduces exactly to the paper's single-user
@@ -26,29 +27,21 @@ from repro.config.network import NetworkConfig
 from repro.exceptions import ModelDomainError
 from repro.network.wifi import WifiLink
 
+#: Strength ``a`` of the aggregate-efficiency decay ``1 / (1 + a ln N)``.
+COLLISION_OVERHEAD = 0.08
+
 
 @dataclass(frozen=True)
 class ContentionModel:
     """Throughput degradation of one Wi-Fi channel shared by ``N`` stations.
 
     Attributes:
-        network: the single-user network configuration describing the channel.
-        collision_overhead: strength ``a`` of the logarithmic aggregate-
-            efficiency decay ``1 / (1 + a ln N)``; 0 models an ideal
-            perfectly-scheduled channel.
-        mac_efficiency: PHY-to-transport efficiency forwarded to the
-            link-budget path of :class:`WifiLink`.
+        network: the single-user network configuration describing the
+            channel; its link is :class:`WifiLink` at its default MAC
+            efficiency.
     """
 
     network: NetworkConfig
-    collision_overhead: float = 0.08
-    mac_efficiency: float = 0.65
-
-    def __post_init__(self) -> None:
-        if self.collision_overhead < 0.0:
-            raise ModelDomainError(
-                f"collision overhead must be >= 0, got {self.collision_overhead}"
-            )
 
     def _check_stations(self, n_stations: int) -> None:
         if n_stations < 1:
@@ -59,12 +52,12 @@ class ContentionModel:
     def channel_efficiency(self, n_stations: int) -> float:
         """Aggregate MAC efficiency with ``n_stations`` contenders (1 at N=1)."""
         self._check_stations(n_stations)
-        return 1.0 / (1.0 + self.collision_overhead * math.log(n_stations))
+        return 1.0 / (1.0 + COLLISION_OVERHEAD * math.log(n_stations))
 
     def aggregate_throughput_mbps(self, n_stations: int) -> float:
         """Total channel throughput delivered across all stations."""
         self._check_stations(n_stations)
-        link = WifiLink(config=self.network, mac_efficiency=self.mac_efficiency)
+        link = WifiLink(config=self.network)
         return link.throughput_mbps() * self.channel_efficiency(n_stations)
 
     def per_user_throughput_mbps(self, n_stations: int) -> float:

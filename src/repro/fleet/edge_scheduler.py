@@ -2,16 +2,13 @@
 
 The paper's remote-inference latency (Eq. 13/15) assumes a dedicated edge
 GPU.  When several users offload to the same server their frames queue.
-:class:`EdgeScheduler` models one edge GPU as a stationary queue built on the
-Pollaczek-Khinchine :class:`repro.queueing.mg1.MG1Queue`:
-
-* ``"fifo"`` — frames are served in arrival order; the extra delay a tenant
-  sees is the M/G/1 mean waiting time of the queue formed by the *other*
-  tenants' frames (the tagged-customer view: with no other tenants the
-  waiting time is exactly zero and the dedicated-GPU model is recovered),
-* ``"ps"`` — the GPU is time-shared (processor sharing); the M/G/1-PS mean
-  sojourn ``E[S] / (1 - rho)`` is insensitive to the service distribution
-  and the extra delay is ``E[S] * rho / (1 - rho)``.
+:class:`EdgeScheduler` models one edge GPU as a stationary FIFO queue built
+on the Pollaczek-Khinchine :class:`repro.queueing.mg1.MG1Queue`, with
+service SCV :data:`SERVICE_SCV`: frames are served in arrival order, and the
+extra delay a tenant sees is the M/G/1 mean waiting time of the queue formed
+by the *other* tenants' frames (the tagged-customer view: with no other
+tenants the waiting time is exactly zero and the dedicated-GPU model is
+recovered).
 
 Overload (``rho >= 1``) is reported as an *infinite* waiting time rather
 than an exception so capacity planners can treat saturation as an ordinary
@@ -31,16 +28,17 @@ tagged wait of the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ModelDomainError
+from repro.exceptions import ModelDomainError
 from repro.queueing.mg1 import MG1Queue
 
-#: Supported service disciplines.
-DISCIPLINES = ("fifo", "ps")
+#: Squared coefficient of variation of the edge GPU's inference service
+#: time.  CNN inference on a dedicated GPU is fairly regular, so it sits
+#: between deterministic (0) and exponential (1) service.
+SERVICE_SCV = 0.5
 
 
 def _check_service(service_time_ms: float) -> None:
@@ -72,30 +70,8 @@ def edge_loads(
     return edge_rate, edge_busy
 
 
-@dataclass(frozen=True)
 class EdgeScheduler:
-    """Queueing model of one shared edge GPU.
-
-    Attributes:
-        discipline: ``"fifo"`` (M/G/1) or ``"ps"`` (processor sharing).
-        service_scv: squared coefficient of variation of the inference
-            service time for the FIFO discipline (finite, >= 0); CNN
-            inference on a dedicated GPU is fairly regular, so the default
-            sits between deterministic (0) and exponential (1) service.
-    """
-
-    discipline: str = "fifo"
-    service_scv: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.discipline not in DISCIPLINES:
-            raise ConfigurationError(
-                f"discipline must be one of {DISCIPLINES}, got {self.discipline!r}"
-            )
-        if not 0.0 <= self.service_scv < math.inf:
-            raise ModelDomainError(
-                f"service SCV must be finite and >= 0, got {self.service_scv}"
-            )
+    """Queueing model of one shared edge GPU (FIFO M/G/1, :data:`SERVICE_SCV`)."""
 
     # -- load ----------------------------------------------------------------
 
@@ -124,9 +100,8 @@ class EdgeScheduler:
         exactly 0 ms, recovering the paper's dedicated-GPU model.
 
         Args:
-            service_time_ms: the tagged tenant's own service time (enters
-                the PS slowdown; FIFO waiting depends only on the
-                background).
+            service_time_ms: the tagged tenant's own service time (the
+                FIFO wait depends only on the background).
             background_arrival_rate_per_ms: aggregate frame rate of the
                 other tenants on the same edge.
             background_service_time_ms: mean service time of the *other*
@@ -144,12 +119,10 @@ class EdgeScheduler:
         rho = self.utilization(background_arrival_rate_per_ms, background_service)
         if rho >= 1.0:
             return math.inf
-        if self.discipline == "ps":
-            return service_time_ms * rho / (1.0 - rho)
         queue = MG1Queue(
             arrival_rate_per_ms=background_arrival_rate_per_ms,
             mean_service_time_ms=background_service,
-            service_scv=self.service_scv,
+            service_scv=SERVICE_SCV,
         )
         return queue.mean_waiting_time_ms
 

@@ -20,8 +20,8 @@ from repro.devices.catalog import get_device
 from repro.exceptions import ConfigurationError
 
 
-def _default_app(mode: ExecutionMode) -> ApplicationConfig:
-    return ApplicationConfig.object_detection_default().with_mode(mode)
+def _default_app() -> ApplicationConfig:
+    return ApplicationConfig.object_detection_default().with_mode(ExecutionMode.REMOTE)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class UserProfile:
             raise ConfigurationError("user name must not be empty")
         get_device(self.device)  # raises UnknownDeviceError for bad names
         if self.app is None:
-            object.__setattr__(self, "app", _default_app(ExecutionMode.REMOTE))
+            object.__setattr__(self, "app", _default_app())
 
     @property
     def wants_offload(self) -> bool:
@@ -110,7 +110,6 @@ def homogeneous(
     n_users: int,
     device: str = "XR1",
     app: Optional[ApplicationConfig] = None,
-    mode: ExecutionMode = ExecutionMode.REMOTE,
 ) -> FleetPopulation:
     """``n_users`` identical users on one device model, named ``user-0000`` onwards.
 
@@ -118,13 +117,12 @@ def homogeneous(
         n_users: fleet size.
         device: device catalog name shared by every user.
         app: shared application configuration; defaults to the paper's
-            object-detection pipeline in the given ``mode``.
-        mode: inference placement used when ``app`` is not given.
+            object-detection pipeline, offloaded.
     """
     n_users = ensure_integer("n_users", n_users)
     if n_users <= 0:
         raise ConfigurationError(f"fleet size must be > 0, got {n_users}")
-    shared_app = app if app is not None else _default_app(mode)
+    shared_app = app if app is not None else _default_app()
     return FleetPopulation(
         users=tuple(
             UserProfile(name=f"user-{index:04d}", device=device, app=shared_app)
@@ -137,7 +135,6 @@ def mixed_devices(
     n_users: int,
     devices: Sequence[str] = ("XR1", "XR2", "XR6"),
     app: Optional[ApplicationConfig] = None,
-    mode: ExecutionMode = ExecutionMode.REMOTE,
 ) -> FleetPopulation:
     """``n_users`` users cycling round-robin through several device models."""
     n_users = ensure_integer("n_users", n_users)
@@ -145,7 +142,7 @@ def mixed_devices(
         raise ConfigurationError(f"fleet size must be > 0, got {n_users}")
     if not devices:
         raise ConfigurationError("mixed_devices needs at least one device name")
-    shared_app = app if app is not None else _default_app(mode)
+    shared_app = app if app is not None else _default_app()
     return FleetPopulation(
         users=tuple(
             UserProfile(

@@ -64,12 +64,6 @@ class EventScheduler:
         )
         heapq.heappush(self._queue, event)
 
-    def schedule_in(self, delay_ms: float, callback: EventCallback) -> None:
-        """Schedule ``callback`` after ``delay_ms`` from the current time."""
-        if delay_ms < 0.0:
-            raise SimulationError(f"delay must be >= 0 ms, got {delay_ms}")
-        self.schedule_at(self._now_ms + delay_ms, callback)
-
     # -- execution ----------------------------------------------------------------
 
     def run(self, max_events: int = 1_000_000) -> float:

@@ -104,8 +104,6 @@ def test_model_paths_load_neither_scipy_nor_networkx_nor_tooling():
     assert [m for m in loaded if m.startswith(("repro.simulation", "repro.measurement"))] == [
         "repro.measurement",
         "repro.measurement.truth",
-        "repro.simulation",
-        "repro.simulation.des",
     ]
 
 

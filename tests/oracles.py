@@ -7,14 +7,22 @@ Nothing in ``src/`` calls them, so they live with the tests.
   other without further assumptions.
 * :func:`simulate_buffer_delays` measures Eq. (7)'s three buffer streams on
   one shared FIFO server, the interference the closed form leaves out.
+* :func:`exhaustive_capacity` plans a capacity the slow way, with one full
+  fleet analysis per probed fleet size, for the fast probe behind
+  ``plan_capacity`` to match.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
 from repro.config.application import ApplicationConfig
 from repro.config.network import NetworkConfig
+from repro.fleet import FleetAnalyzer, bisect_capacity, homogeneous
+from repro.fleet.admission import RoundRobinAdmission
+from repro.fleet.capacity import CapacityPlan
 from repro.queueing.arrivals import PoissonProcess
 from repro.queueing.simulation import simulate_single_server_queue
 from repro.sensors.buffer import BufferDelays
@@ -87,4 +95,47 @@ def simulate_buffer_delays(
         frame_ms=mean_for("frame"),
         volumetric_ms=mean_for("volumetric"),
         external_ms=mean_for("external"),
+    )
+
+
+def exhaustive_capacity(
+    device: str,
+    edge: str,
+    slo_ms: float,
+    app: Optional[ApplicationConfig] = None,
+    network: Optional[NetworkConfig] = None,
+    n_edges: int = 1,
+    max_users: int = 4096,
+) -> CapacityPlan:
+    """The capacity plan of full round-robin fleet analyses.
+
+    :func:`repro.fleet.bisect_capacity` over the p95 latency of
+    ``FleetAnalyzer(homogeneous(n), policy=RoundRobinAdmission(),
+    include_aoi=False).analyze()``, each fleet size analysed once.
+    """
+    p95: dict = {}
+
+    def p95_of(n_users: int) -> float:
+        if n_users not in p95:
+            p95[n_users] = FleetAnalyzer(
+                homogeneous(n_users, device=device, app=app),
+                edge=edge,
+                n_edges=n_edges,
+                network=network,
+                policy=RoundRobinAdmission(),
+                slo_ms=slo_ms,
+                include_aoi=False,
+            ).analyze().p95_latency_ms
+        return p95[n_users]
+
+    capacity, ceiling_reached, evaluations = bisect_capacity(
+        lambda n_users: p95_of(n_users) <= slo_ms, max_users
+    )
+    return CapacityPlan(
+        slo_ms=slo_ms,
+        max_users=capacity,
+        p95_at_capacity_ms=p95_of(capacity) if capacity >= 1 else None,
+        search_ceiling=max_users,
+        ceiling_reached=ceiling_reached,
+        evaluations=evaluations,
     )

@@ -64,7 +64,6 @@ def _advance(controller, context, prefix) -> None:
             latency = float(evaluation.latency_ms[index])
             outcome = EpochOutcome(
                 epoch=epoch,
-                time_ms=0.0,
                 index=index,
                 latency_ms=latency,
                 energy_mj=float(evaluation.energy_mj[index]),

@@ -20,29 +20,20 @@ from repro.fleet import (
     homogeneous,
 )
 from repro.fleet.admission import RoundRobinAdmission
-from repro.fleet.edge_scheduler import DISCIPLINES, edge_loads
+from repro.fleet.edge_scheduler import edge_loads
 
 station_counts = st.integers(min_value=1, max_value=512)
 
 
 class TestContentionProperties:
-    @given(
-        n=station_counts,
-        overhead=st.floats(min_value=0.0, max_value=0.5),
-        throughput=st.floats(min_value=10.0, max_value=1000.0),
-    )
-    def test_per_user_rate_non_increasing_in_n(self, n, overhead, throughput):
-        model = ContentionModel(
-            network=NetworkConfig(throughput_mbps=throughput),
-            collision_overhead=overhead,
-        )
+    @given(n=station_counts, throughput=st.floats(min_value=10.0, max_value=1000.0))
+    def test_per_user_rate_non_increasing_in_n(self, n, throughput):
+        model = ContentionModel(network=NetworkConfig(throughput_mbps=throughput))
         assert model.per_user_throughput_mbps(n) >= model.per_user_throughput_mbps(n + 1)
 
-    @given(n=station_counts, overhead=st.floats(min_value=0.0, max_value=0.5))
-    def test_per_user_rate_bounded_by_fair_share(self, n, overhead):
-        model = ContentionModel(
-            network=NetworkConfig(), collision_overhead=overhead
-        )
+    @given(n=station_counts)
+    def test_per_user_rate_bounded_by_fair_share(self, n):
+        model = ContentionModel(network=NetworkConfig())
         fair_share = model.network.throughput_mbps / n
         assert 0.0 < model.per_user_throughput_mbps(n) <= fair_share
 
@@ -51,11 +42,10 @@ class TestSchedulerProperties:
     @given(
         rho=st.floats(min_value=0.0, max_value=0.98),
         service=st.floats(min_value=0.5, max_value=50.0),
-        scv=st.floats(min_value=0.0, max_value=3.0),
     )
-    def test_waiting_time_non_negative_and_monotone_in_load(self, rho, service, scv):
+    def test_waiting_time_non_negative_and_monotone_in_load(self, rho, service):
         # With the full load as background, the tagged wait is the queue's.
-        scheduler = EdgeScheduler(service_scv=scv)
+        scheduler = EdgeScheduler()
         wait = scheduler.tagged_waiting_time_ms(service, rho / service, service)
         heavier = scheduler.tagged_waiting_time_ms(
             service, min(rho + 0.01, 0.999) / service, service
@@ -86,8 +76,6 @@ class TestEdgeLoadProperties:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        discipline=st.sampled_from(DISCIPLINES),
-        scv=st.floats(min_value=0.0, max_value=3.0),
         kinds=st.lists(
             st.tuples(
                 st.floats(min_value=1e-3, max_value=0.06),  # frames/ms
@@ -98,8 +86,8 @@ class TestEdgeLoadProperties:
         ),
         data=st.data(),
     )
-    def test_loads_and_waits_match_per_tenant_loop(self, discipline, scv, kinds, data):
-        scheduler = EdgeScheduler(discipline=discipline, service_scv=scv)
+    def test_loads_and_waits_match_per_tenant_loop(self, kinds, data):
+        scheduler = EdgeScheduler()
         n_edges = data.draw(st.integers(min_value=1, max_value=5))
         # Possibly empty, so idle edges occur; long lists saturate an edge.
         tenants = data.draw(

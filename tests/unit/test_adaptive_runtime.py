@@ -15,8 +15,7 @@ from repro.adaptive.runtime import (
 )
 from repro.adaptive.traces import EpochConditions, burst_trace, drift_trace
 from repro.batch import ConditionedPoints
-from repro.config.application import ExecutionMode
-from repro.core.coefficients import CoefficientSet
+from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.core.framework import XRPerformanceModel
 from repro.exceptions import ConfigurationError, ModelDomainError
 
@@ -68,17 +67,19 @@ class TestControlContext:
         with pytest.raises(ConfigurationError, match="deadline"):
             AdaptiveRuntime(trace=trace, deadline_ms=float("nan"))
 
-    def test_out_of_domain_candidate_fails_at_construction(self, small_candidates):
+    def test_out_of_domain_candidate_fails_at_construction(self):
         # A non-positive encoding workload raises when the candidates are
-        # compiled, not at the first sweep.
-        paper = CoefficientSet.paper()
-        coefficients = replace(paper, encoding=replace(paper.encoding, intercept=-1e6))
+        # compiled, not at the first sweep.  An I-frame interval of 2000
+        # drives the paper's encoding regression below zero.
+        app = ApplicationConfig.object_detection_default()
+        app = replace(app, encoder=replace(app.encoder, i_frame_interval=2000))
+        candidates = default_candidates(
+            app=app, cpu_freqs_ghz=(2.0,), frame_sides_px=(500.0,)
+        )
         with pytest.raises(ModelDomainError, match="non-positive workload"):
-            ConditionedPoints(small_candidates, coefficients=coefficients)
+            ConditionedPoints(candidates)
         with pytest.raises(ModelDomainError, match="non-positive workload"):
-            ControlContext(
-                candidates=small_candidates, deadline_ms=100.0, coefficients=coefficients
-            )
+            ControlContext(candidates=candidates, deadline_ms=100.0)
 
     def test_sweep_is_memoized(self, small_context):
         conditions = EpochConditions(

@@ -334,13 +334,11 @@ class TestConsumers:
             assert decision.total_energy_mj == direct.total_energy_mj
 
     def test_capacity_probe_inherits_population_default_app(self):
-        from repro.core.coefficients import CoefficientSet
         from repro.fleet.capacity import _HomogeneousRoundRobinProbe
         from repro.fleet.population import homogeneous
 
         probe = _HomogeneousRoundRobinProbe(
-            device="XR1", edge="EDGE-AGX", n_edges=1, app=None, network=None,
-            coefficients=CoefficientSet.paper(), contention=None, scheduler=None,
+            device="XR1", edge="EDGE-AGX", n_edges=1, app=None, network=None
         )
         assert probe.remote_app == homogeneous(1, device="XR1").users[0].app
 
@@ -359,35 +357,55 @@ class TestConsumers:
         )
         assert outcome.report.total_latency_ms == scalar.total_latency_ms
 
-    def test_plan_capacity_fast_path_equals_exhaustive_fallback(self):
-        # A RoundRobinAdmission *subclass* forces the exhaustive FleetAnalyzer
-        # fallback; the default policy takes the vectorized probe.  The two
-        # paths must plan identical capacities.
+    #: (app, SLO in ms, where the plan lands) with a ceiling of two users
+    #: per edge: the remote app saturates an edge at three tenants, and the
+    #: local app never offloads, so its p95 does not move with the fleet.
+    CAPACITY_CASES = (
+        ("local", 100.0, "infeasible"),
+        ("local", 800.0, "ceiling"),
+        ("remote", 100.0, "infeasible"),
+        ("remote", 745.0, "between"),
+        ("remote", 10_000.0, "ceiling"),
+    )
+
+    @pytest.mark.parametrize("n_edges", (1, 2, 3))
+    @pytest.mark.parametrize("mode, slo_ms, lands", CAPACITY_CASES)
+    def test_plan_capacity_fast_path_equals_exhaustive_fallback(
+        self, mode, slo_ms, lands, n_edges
+    ):
+        # The O(n_edges) probe plans exactly what full fleet analyses do.
+        from oracles import exhaustive_capacity
         from repro.fleet import plan_capacity
-        from repro.fleet.admission import RoundRobinAdmission
 
-        class ExhaustiveRoundRobin(RoundRobinAdmission):
-            pass
-
-        fast = plan_capacity(device="XR1", edge="EDGE-AGX", slo_ms=800.0, max_users=64)
-        slow = plan_capacity(
-            device="XR1", edge="EDGE-AGX", slo_ms=800.0, max_users=64,
-            policy=ExhaustiveRoundRobin(),
+        app = ApplicationConfig.object_detection_default().with_mode(
+            ExecutionMode.LOCAL if mode == "local" else ExecutionMode.REMOTE
+        )
+        max_users = 2 * n_edges
+        fast = plan_capacity(
+            device="XR1", edge="EDGE-AGX", slo_ms=slo_ms, app=app,
+            n_edges=n_edges, max_users=max_users,
+        )
+        slow = exhaustive_capacity(
+            "XR1", "EDGE-AGX", slo_ms, app=app, n_edges=n_edges, max_users=max_users
         )
         assert fast.max_users == slow.max_users
         assert fast.p95_at_capacity_ms == slow.p95_at_capacity_ms
         assert fast.evaluations == slow.evaluations
         assert fast.ceiling_reached == slow.ceiling_reached
+        landed = (
+            "infeasible"
+            if fast.max_users == 0
+            else "ceiling" if fast.ceiling_reached else "between"
+        )
+        assert landed == lands
 
     def test_capacity_probe_matches_full_analyzer(self):
-        from repro.core.coefficients import CoefficientSet
         from repro.fleet import FleetAnalyzer, homogeneous
         from repro.fleet.admission import RoundRobinAdmission
         from repro.fleet.capacity import _HomogeneousRoundRobinProbe
 
         probe = _HomogeneousRoundRobinProbe(
-            device="XR1", edge="EDGE-AGX", n_edges=2, app=None, network=None,
-            coefficients=CoefficientSet.paper(), contention=None, scheduler=None,
+            device="XR1", edge="EDGE-AGX", n_edges=2, app=None, network=None
         )
         for n_users in (1, 2, 5, 9):
             analyzer = FleetAnalyzer(

@@ -46,7 +46,6 @@ from repro.faults.report import fault_outcome
 from repro.faults.schedule import EpochFaultState
 from repro.fleet import FleetPopulation, UserProfile, homogeneous
 from repro.fleet.results import percentile_method
-from repro.simulation.des import EventScheduler
 
 #: Frame rates of the test apps: distinct per-class arrival rates make the
 #: per-edge accumulation order observable in the last bit.
@@ -422,12 +421,9 @@ class PerUserCoSimulation(CoSimulation):
         series: Dict[str, list] = {name: [] for name in SERIES}
         sample_values: List[np.ndarray] = []
         sample_counts: List[np.ndarray] = []
-
-        def step(scheduler):
-            epoch = len(series["converged"])
+        for epoch in range(n_epochs):
             self._charge_per_user(
                 epoch,
-                scheduler.now_ms,
                 user_miss,
                 user_latency_sum,
                 user_energy_j,
@@ -435,12 +431,6 @@ class PerUserCoSimulation(CoSimulation):
                 sample_values,
                 sample_counts,
             )
-            if epoch + 1 < n_epochs:
-                scheduler.schedule_in(epoch_ms, step)
-
-        clock = EventScheduler()
-        clock.schedule_at(0.0, step)
-        clock.run(max_events=n_epochs + 1)
 
         class_reports = []
         user_switches = np.zeros(n_users, dtype=int)
@@ -498,7 +488,6 @@ class PerUserCoSimulation(CoSimulation):
     def _charge_per_user(
         self,
         epoch,
-        now_ms,
         user_miss,
         user_latency_sum,
         user_energy_j,
@@ -569,7 +558,6 @@ class PerUserCoSimulation(CoSimulation):
             mean_latency = float(np.mean(latency_user[user_array]))
             outcome = EpochOutcome(
                 epoch=epoch,
-                time_ms=now_ms,
                 index=decisions[cls_index],
                 latency_ms=mean_latency,
                 energy_mj=float(np.mean(energy_user[user_array])),

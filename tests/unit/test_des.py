@@ -25,18 +25,6 @@ class TestScheduling:
         assert seen == [3.0, 7.5]
         assert scheduler.now_ms == 7.5
 
-    def test_schedule_in_is_relative(self):
-        scheduler = EventScheduler()
-        times = []
-
-        def first(s):
-            times.append(s.now_ms)
-            s.schedule_in(2.0, lambda inner: times.append(inner.now_ms))
-
-        scheduler.schedule_at(4.0, first)
-        scheduler.run()
-        assert times == [4.0, 6.0]
-
     def test_same_time_events_run_in_scheduling_order(self):
         scheduler = EventScheduler()
         order = []
@@ -52,17 +40,13 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             scheduler.schedule_at(1.0, lambda s: None)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            EventScheduler().schedule_in(-1.0, lambda s: None)
-
 
 class TestRunControl:
     def test_runaway_schedule_detected(self):
         scheduler = EventScheduler()
 
         def reschedule(s):
-            s.schedule_in(0.1, reschedule)
+            s.schedule_at(s.now_ms + 0.1, reschedule)
 
         scheduler.schedule_at(0.0, reschedule)
         with pytest.raises(SimulationError, match="budget"):
@@ -108,7 +92,7 @@ class TestRunControl:
         def chain(s):
             fired.append(s.now_ms)
             if len(fired) < 4:
-                s.schedule_in(1.0, chain)
+                s.schedule_at(s.now_ms + 1.0, chain)
 
         scheduler.schedule_at(0.0, chain)
         with pytest.raises(SimulationError, match="budget"):

@@ -107,23 +107,29 @@ class TestGreedySLO:
             GreedySLOAdmission(slo_ms=0.0)
         with pytest.raises(ConfigurationError):
             GreedySLOAdmission(slo_ms=float("nan"))
-        with pytest.raises(ConfigurationError):
-            GreedySLOAdmission(slo_ms=100.0, utilization_cap=1.5)
 
 
 class TestEnergyAware:
     def test_biggest_savers_admitted_first(self):
-        # Per-user rho is 0.3; a cap of 0.65 only fits two of the three.
+        # Per-user rho is 0.03 * 7.8 = 0.234: the fixed cap of 0.9 fits three
+        # of the four, and the fourth (0.936) would still fit under 0.95.
+        assert EnergyAwareAdmission.UTILIZATION_CAP == 0.9
         candidates = [
-            make_candidate("small", remote_energy_mj=950.0),
-            make_candidate("medium", remote_energy_mj=700.0),
-            make_candidate("large", remote_energy_mj=100.0),
+            make_candidate(name, service_time_ms=7.8, remote_energy_mj=energy)
+            for name, energy in (
+                ("small", 950.0),
+                ("medium", 700.0),
+                ("large", 100.0),
+                ("larger", 400.0),
+            )
         ]
-        policy = EnergyAwareAdmission(utilization_cap=0.65)
-        decisions = {d.name: d for d in policy.assign(candidates, n_edges=1)}
+        decisions = EnergyAwareAdmission().assign(candidates, n_edges=1)
+        decisions = {d.name: d for d in decisions}
         assert decisions["large"].offload
+        assert decisions["larger"].offload
         assert decisions["medium"].offload
         assert not decisions["small"].offload
+        assert "cap" in decisions["small"].reason
 
     def test_energy_losers_stay_local(self):
         candidates = [make_candidate("loser", remote_energy_mj=2000.0)]
@@ -150,7 +156,7 @@ class TestServiceScales:
 
     @pytest.mark.parametrize(
         "policy",
-        (GreedySLOAdmission(slo_ms=10_000.0), EnergyAwareAdmission(utilization_cap=0.95)),
+        (GreedySLOAdmission(slo_ms=10_000.0), EnergyAwareAdmission()),
         ids=("greedy", "energy"),
     )
     def test_cap_and_least_loaded_edge_use_scaled_load(self, policy):

@@ -1,10 +1,12 @@
 """Unit tests for the shared-channel contention model."""
 
+import math
+
 import pytest
 
 from repro.config.network import NetworkConfig
 from repro.exceptions import ModelDomainError
-from repro.fleet.contention import ContentionModel
+from repro.fleet.contention import COLLISION_OVERHEAD, ContentionModel
 
 
 @pytest.fixture
@@ -36,10 +38,12 @@ class TestDegradation:
         # Contention overhead makes the share strictly worse than r_w / N.
         assert contention.per_user_throughput_mbps(10) < network.throughput_mbps / 10
 
-    def test_ideal_channel_is_a_fair_split(self, network):
-        ideal = ContentionModel(network=network, collision_overhead=0.0)
-        assert ideal.per_user_throughput_mbps(8) == pytest.approx(
-            network.throughput_mbps / 8
+    def test_share_is_a_fair_split_of_the_decayed_channel(self, contention, network):
+        # Eight stations share r_w / (1 + 0.08 ln 8) equally.
+        assert COLLISION_OVERHEAD == 0.08
+        efficiency = 1.0 / (1.0 + COLLISION_OVERHEAD * math.log(8))
+        assert contention.per_user_throughput_mbps(8) == pytest.approx(
+            network.throughput_mbps * efficiency / 8
         )
 
     def test_network_for_carries_degraded_throughput(self, contention):
@@ -55,9 +59,5 @@ class TestValidation:
     def test_zero_stations_rejected(self, contention):
         with pytest.raises(ModelDomainError):
             contention.per_user_throughput_mbps(0)
-
-    def test_negative_overhead_rejected(self, network):
-        with pytest.raises(ModelDomainError):
-            ContentionModel(network=network, collision_overhead=-0.1)
 
 

@@ -5,20 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, ModelDomainError
-from repro.fleet.edge_scheduler import EdgeScheduler, edge_loads
+from repro.exceptions import ModelDomainError
+from repro.fleet.edge_scheduler import SERVICE_SCV, EdgeScheduler, edge_loads
 from repro.queueing.mg1 import MG1Queue
-
-
-class TestConstruction:
-    def test_unknown_discipline_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EdgeScheduler(discipline="lifo")
-
-    def test_negative_scv_rejected(self):
-        for scv in (-1.0, math.nan, math.inf):
-            with pytest.raises(ModelDomainError):
-                EdgeScheduler(service_scv=scv)
 
 
 # ``tagged_waiting_time_ms(s, rate, s)`` is the wait of the whole queue: a
@@ -47,24 +36,12 @@ class TestWaitingTime:
         assert scheduler.tagged_waiting_time_ms(10.0, 0.0, 10.0) == 0.0
 
     def test_fifo_matches_pollaczek_khinchine(self):
-        scheduler = EdgeScheduler(discipline="fifo", service_scv=0.5)
+        assert SERVICE_SCV == 0.5
         queue = MG1Queue(
             arrival_rate_per_ms=0.04, mean_service_time_ms=10.0, service_scv=0.5
         )
-        assert scheduler.tagged_waiting_time_ms(10.0, 0.04, 10.0) == pytest.approx(
+        assert EdgeScheduler().tagged_waiting_time_ms(10.0, 0.04, 10.0) == pytest.approx(
             queue.mean_waiting_time_ms
-        )
-
-    def test_ps_extra_delay(self):
-        # M/G/1-PS sojourn is E[S] / (1 - rho); extra delay is E[S] rho / (1 - rho).
-        scheduler = EdgeScheduler(discipline="ps")
-        assert scheduler.tagged_waiting_time_ms(10.0, 0.05, 10.0) == pytest.approx(10.0)
-
-    def test_ps_is_insensitive_to_scv(self):
-        low = EdgeScheduler(discipline="ps", service_scv=0.0)
-        high = EdgeScheduler(discipline="ps", service_scv=3.0)
-        assert low.tagged_waiting_time_ms(10.0, 0.03, 10.0) == high.tagged_waiting_time_ms(
-            10.0, 0.03, 10.0
         )
 
 
