@@ -183,9 +183,9 @@ class XRLatencyModel:
         """Allocated client compute ``c_client`` (Eq. 3)."""
         return self.resources.client_compute_for(app)
 
-    def edge_compute(self, app: ApplicationConfig) -> float:
-        """Allocated edge compute ``c_epsilon``."""
-        return self.resources.edge_compute_for(app, edge=self.edge)
+    def edge_compute(self, compute: float) -> float:
+        """Allocated edge compute ``c_epsilon`` at client compute ``compute``."""
+        return self.resources.edge_compute(compute, edge=self.edge)
 
     def _client_memory_ms(self, data_size_mb: float) -> float:
         return memory_ms(data_size_mb, self.device.memory_bandwidth_gb_s)
@@ -208,21 +208,25 @@ class XRLatencyModel:
         return self.coefficients.cnn_complexity.complexity(get_cnn(cnn_name))
 
     # --------------------------------------------------------------- segments ----
+    #
+    # ``compute`` is the operating point's client compute (Eq. 3), ``numerator``
+    # its Eq. (10) encoding workload and ``edge_compute`` the edge compute at
+    # that client compute; :meth:`end_to_end` derives each once per frame.
 
-    def frame_generation_ms(self, app: ApplicationConfig) -> float:
+    def frame_generation_ms(self, app: ApplicationConfig, compute: float) -> float:
         """Frame generation latency ``L_fg`` (Eq. 2)."""
         return generation_ms(
             app.frame_period_ms,
             app.frame_side_px,
-            self.client_compute(app),
+            compute,
             self._client_memory_ms(app.raw_frame_size_mb),
         )
 
-    def volumetric_ms(self, app: ApplicationConfig) -> float:
+    def volumetric_ms(self, app: ApplicationConfig, compute: float) -> float:
         """Volumetric data generation latency ``L_vol`` (Eq. 4)."""
         return processing_ms(
             app.virtual_scene_side_px,
-            self.client_compute(app),
+            compute,
             self._client_memory_ms(app.virtual_scene_data_mb),
         )
 
@@ -246,11 +250,11 @@ class XRLatencyModel:
             totals.append(sensor.total_latency_ms(app.sensor_updates_per_frame))
         return max(totals)
 
-    def conversion_ms(self, app: ApplicationConfig) -> float:
+    def conversion_ms(self, app: ApplicationConfig, compute: float) -> float:
         """Frame conversion (YUV->RGB, scale, crop) latency ``L_fc`` (Eq. 9)."""
         return processing_ms(
             app.frame_side_px,
-            self.client_compute(app),
+            compute,
             self._client_memory_ms(app.raw_frame_size_mb),
         )
 
@@ -265,15 +269,15 @@ class XRLatencyModel:
             quantization=app.encoder.quantization,
         )
 
-    def encoding_ms(self, app: ApplicationConfig) -> float:
+    def encoding_ms(
+        self, app: ApplicationConfig, compute: float, numerator: float
+    ) -> float:
         """Frame encoding latency ``L_en`` (Eq. 10)."""
         return processing_ms(
-            self.encoding_numerator(app),
-            self.client_compute(app),
-            self._client_memory_ms(app.raw_frame_size_mb),
+            numerator, compute, self._client_memory_ms(app.raw_frame_size_mb)
         )
 
-    def local_inference_ms(self, app: ApplicationConfig) -> float:
+    def local_inference_ms(self, app: ApplicationConfig, compute: float) -> float:
         """Local inference latency ``L_loc`` (Eq. 11)."""
         share = app.inference.omega_client
         if share == 0.0:
@@ -282,22 +286,27 @@ class XRLatencyModel:
         return local_share_ms(
             share,
             converted_side,
-            self.client_compute(app),
+            compute,
             self.cnn_complexity(app.inference.local_cnn),
             self._client_memory_ms(app.converted_frame_size_mb(converted_side)),
             self.complexity_mode,
         )
 
-    def decoding_ms(self, app: ApplicationConfig) -> float:
+    def decoding_ms(
+        self, compute: float, edge_compute: float, numerator: float
+    ) -> float:
         """Edge-side decoding latency ``L_dec`` (Eq. 14)."""
         return decode_ms(
-            self.encoding_numerator(app),
-            self.client_compute(app),
-            self.edge_compute(app),
-            self.coefficients.decode_discount,
+            numerator, compute, edge_compute, self.coefficients.decode_discount
         )
 
-    def remote_inference_ms(self, app: ApplicationConfig) -> float:
+    def remote_inference_ms(
+        self,
+        app: ApplicationConfig,
+        compute: float,
+        edge_compute: float,
+        numerator: float,
+    ) -> float:
         """Remote inference latency ``L_rem`` (Eqs. 13 and 15).
 
         With several edge servers the task executes in parallel and the
@@ -314,10 +323,10 @@ class XRLatencyModel:
         return slowest_share_ms(
             shares,
             app.frame_side_px,
-            self.edge_compute(app),
+            edge_compute,
             self.cnn_complexity(app.inference.remote_cnn),
             self._edge_memory_ms(app.encoded_frame_size_mb),
-            self.decoding_ms(app),
+            self.decoding_ms(compute, edge_compute, numerator),
             self.complexity_mode,
         )
 
@@ -351,11 +360,13 @@ class XRLatencyModel:
             network.propagation_delay_ms(network.edge_distance_m),
         )
 
-    def rendering_ms(self, app: ApplicationConfig, network: NetworkConfig) -> float:
+    def rendering_ms(
+        self, app: ApplicationConfig, network: NetworkConfig, compute: float
+    ) -> float:
         """Frame rendering latency ``L_ren`` (Eq. 8)."""
         return render_ms(
             app.frame_side_px,
-            self.client_compute(app),
+            compute,
             self._client_memory_ms(app.raw_frame_size_mb),
             self.buffering_ms(app, network),
             self.result_transfer_ms(
@@ -386,18 +397,24 @@ class XRLatencyModel:
         uses_local_path = mode is not ExecutionMode.REMOTE
         uses_remote_path = not local
 
+        compute = self.client_compute(app)
         per_segment: Dict[Segment, float] = {
-            Segment.FRAME_GENERATION: self.frame_generation_ms(app),
-            Segment.VOLUMETRIC: self.volumetric_ms(app),
+            Segment.FRAME_GENERATION: self.frame_generation_ms(app, compute),
+            Segment.VOLUMETRIC: self.volumetric_ms(app, compute),
             Segment.EXTERNAL: self.external_information_ms(app, network),
-            Segment.RENDERING: self.rendering_ms(app, network),
+            Segment.RENDERING: self.rendering_ms(app, network, compute),
         }
         if uses_local_path:
-            per_segment[Segment.CONVERSION] = self.conversion_ms(app)
-            per_segment[Segment.LOCAL_INFERENCE] = self.local_inference_ms(app)
+            per_segment[Segment.CONVERSION] = self.conversion_ms(app, compute)
+            per_segment[Segment.LOCAL_INFERENCE] = self.local_inference_ms(app, compute)
+        edge_compute = None
         if uses_remote_path:
-            per_segment[Segment.ENCODING] = self.encoding_ms(app)
-            per_segment[Segment.REMOTE_INFERENCE] = self.remote_inference_ms(app)
+            numerator = self.encoding_numerator(app)
+            edge_compute = self.edge_compute(compute)
+            per_segment[Segment.ENCODING] = self.encoding_ms(app, compute, numerator)
+            per_segment[Segment.REMOTE_INFERENCE] = self.remote_inference_ms(
+                app, compute, edge_compute, numerator
+            )
             per_segment[Segment.TRANSMISSION] = self.transmission_ms(app, network)
             per_segment[Segment.HANDOFF] = self.handoff_ms(app, network)
         if app.cooperation.enabled:
@@ -411,6 +428,6 @@ class XRLatencyModel:
                 app.cooperation.enabled and app.cooperation.include_in_totals,
             ),
             mode=mode,
-            client_compute=self.client_compute(app),
-            edge_compute=self.edge_compute(app) if uses_remote_path and self.edge else None,
+            client_compute=compute,
+            edge_compute=edge_compute if self.edge else None,
         )

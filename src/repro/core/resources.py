@@ -72,9 +72,3 @@ class ComputeResourceModel:
             else self.coefficients.edge_compute_scale
         )
         return scale * client_compute
-
-    def edge_compute_for(
-        self, app: ApplicationConfig, edge: Optional[EdgeServerSpec] = None
-    ) -> float:
-        """Edge compute for an application configuration's operating point."""
-        return self.edge_compute(self.client_compute_for(app), edge=edge)

@@ -676,11 +676,16 @@ class CoSimulation:
         service = np.zeros(len(candidates))
         for i, point in enumerate(candidates):
             if offloads[i]:
-                # The same per-frame edge busy time the fleet analyzer
-                # charges (memoized per device model).
-                service[i] = self._model_for(
-                    point.device
-                ).latency_model.remote_inference_ms(point.app)
+                # The per-frame edge busy time the fleet analyzer charges:
+                # the remote-inference segment (Eqs. 13-15).
+                latency = self._model_for(point.device).latency_model
+                compute = latency.client_compute(point.app)
+                service[i] = latency.remote_inference_ms(
+                    point.app,
+                    compute,
+                    latency.edge_compute(compute),
+                    latency.encoding_numerator(point.app),
+                )
         offloading = service[np.asarray(offloads)]
         return (
             np.asarray([point.app.frame_rate_fps / 1e3 for point in candidates]),

@@ -29,6 +29,7 @@ from typing import List, Tuple
 from repro.config.application import ExecutionMode, InferenceConfig
 from repro.config.network import HandoffConfig, NetworkConfig
 from repro.core.framework import XRPerformanceModel
+from repro.core.segments import Segment
 from repro.core.session import SessionAnalyzer
 from repro.evaluation.report import format_table
 from repro.network.wifi import WifiLink
@@ -145,8 +146,9 @@ def multi_edge_extension(
                 mode=ExecutionMode.REMOTE, omega_client=0.0, edge_shares=shares
             ),
         )
-        remote = model.latency_model.remote_inference_ms(app)
-        total = model.analyze_latency(app=app).total_ms
+        breakdown = model.analyze_latency(app=app)
+        remote = breakdown.segment_ms(Segment.REMOTE_INFERENCE)
+        total = breakdown.total_ms
         remote_latencies.append(remote)
         rows.append((str(n_servers), f"{remote:.2f}", f"{total:.1f}"))
     speedup = remote_latencies[0] / remote_latencies[-1]

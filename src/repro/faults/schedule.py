@@ -454,9 +454,10 @@ class FaultSchedule:
 class FaultInjector:
     """Memoized per-epoch resolution of a schedule against an edge pool.
 
-    The engines resolve the same epoch's state several times (best-response
-    iterations, charging, series bookkeeping); the injector caches each
-    :class:`EpochFaultState` so resolution cost is paid once per epoch.
+    Each engine resolves an epoch's state once per epoch of a run; the memo
+    serves repeated runs of one engine, such as one
+    :class:`~repro.adaptive.AdaptiveRuntime` run once per controller over
+    the same epochs.
     """
 
     def __init__(self, schedule: FaultSchedule, n_edges: int) -> None:

@@ -9,19 +9,19 @@ one Wi-Fi channel and a pool of edge GPUs::
     analyzer = FleetAnalyzer(fleet, edge="EDGE-AGX", slo_ms=100.0)
     print(analyzer.analyze().summary())
 
-Composition: one :class:`XRPerformanceModel` per *device model* (memoized,
-on the paper's coefficient set), per-user network parameters adjusted by
-the :class:`ContentionModel` of the shared channel, per-tenant edge queueing
-delay from the :class:`EdgeScheduler`, and placements chosen by an
-:class:`AdmissionPolicy`.
+Composition: the single-user model's reports (batch-evaluated through
+:mod:`repro.batch`, on the paper's coefficient set), per-user network
+parameters adjusted by the :class:`ContentionModel` of the shared channel,
+per-tenant edge queueing delay from the :class:`EdgeScheduler`, and
+placements chosen by an :class:`AdmissionPolicy`.
 
 An analysis groups the users into *kinds* (one device, one application
-config object) and resolves per kind the mode variants, the edge service
-time, the reports (batch-evaluated, cached by ``(device, app, network)``)
-and their totals.  Each edge's load comes from
-:func:`~repro.fleet.edge_scheduler.edge_loads`, which adds its offloaders in
-population order and scales the sum by the edge's service scale, and an
-offloader's wait from :meth:`EdgeScheduler.tenant_wait_ms
+config object) and resolves per kind the mode variants, the reports
+(batch-evaluated once per ``(device, app, network)``), their totals and the
+edge service time (the remote report's remote-inference segment).  Each
+edge's load comes from :func:`~repro.fleet.edge_scheduler.edge_loads`, which
+adds its offloaders in population order and scales the sum by the edge's
+service scale, and an offloader's wait from :meth:`EdgeScheduler.tenant_wait_ms
 <repro.fleet.edge_scheduler.EdgeScheduler.tenant_wait_ms>`, once per (kind,
 edge).  Per user remain the candidate, decision and outcome records and the
 admission policy's loop.  A homogeneous 10k-user fleet under greedy SLO
@@ -46,8 +46,8 @@ from repro import telemetry
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.network import NetworkConfig
 from repro.config.validation import ensure_integer
-from repro.core.framework import XRPerformanceModel
 from repro.core.results import PerformanceReport
+from repro.core.segments import Segment
 from repro.devices.resolve import EdgeLike, resolve_edge_spec
 from repro.exceptions import ConfigurationError
 from repro.faults.schedule import EpochFaultState
@@ -63,6 +63,8 @@ from repro.fleet.population import FleetPopulation, UserProfile
 from repro.fleet.results import FleetReport, UserOutcome
 
 PopulationLike = Union[FleetPopulation, Sequence[UserProfile]]
+_ReportKey = Tuple[str, ApplicationConfig, NetworkConfig]
+_Reports = Dict[_ReportKey, PerformanceReport]
 
 
 def _resolve_population(population: PopulationLike) -> FleetPopulation:
@@ -87,7 +89,18 @@ class _Kind:
     remote_app: ApplicationConfig
     frame_rate_fps: float
     arrival_rate_per_ms: float
-    service_time_ms: float
+
+
+def _kind(device: str, app: ApplicationConfig) -> _Kind:
+    wants_offload = app.inference.mode is not ExecutionMode.LOCAL
+    return _Kind(
+        device=device,
+        wants_offload=wants_offload,
+        local_app=app.with_mode(ExecutionMode.LOCAL),
+        remote_app=app if wants_offload else app.with_mode(ExecutionMode.REMOTE),
+        frame_rate_fps=app.frame_rate_fps,
+        arrival_rate_per_ms=app.frame_rate_fps / 1e3,
+    )
 
 
 class FleetAnalyzer:
@@ -152,103 +165,20 @@ class FleetAnalyzer:
         self.scheduler = EdgeScheduler()
         self.slo_ms = slo_ms
         self.include_aoi = include_aoi
-        # Per-device model cache: a mixed-device fleet builds at most one
-        # model per catalog entry.
-        self._models: Dict[str, XRPerformanceModel] = {}
-        # Per-(device, app, network) report cache, read once per kind and
-        # network.  Unique keys are batch-evaluated together (see
-        # _prime_reports).
-        self._reports: Dict[
-            Tuple[str, ApplicationConfig, NetworkConfig], PerformanceReport
-        ] = {}
-        self._service_times: Dict[Tuple[str, ApplicationConfig], float] = {}
-        # Mode-variant cache: with_mode() rebuilds frozen configs; kinds that
-        # share an app (one per device of a mixed-device fleet) and repeated
-        # analyses share the rebuilds.
-        self._mode_variants: Dict[
-            Tuple[ApplicationConfig, ExecutionMode], ApplicationConfig
-        ] = {}
-        # Hit/miss tallies per cache (plain ints; see cache_stats()).
-        self._cache_hits: Dict[str, int] = {name: 0 for name in self._CACHE_NAMES}
-        self._cache_misses: Dict[str, int] = {name: 0 for name in self._CACHE_NAMES}
 
-    #: The instance caches cache_stats() reports on (name -> attribute).
-    _CACHE_NAMES = {
-        "models": "_models",
-        "reports": "_reports",
-        "service_times": "_service_times",
-        "mode_variants": "_mode_variants",
-    }
+    def _prime_reports(self, reports: _Reports, keys: Sequence[_ReportKey]) -> None:
+        """Batch-evaluate the keys ``reports`` lacks into it, all at once.
 
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/size statistics of the analyzer's memoization caches.
-
-        Keys: ``models`` (per-device :class:`XRPerformanceModel`),
-        ``reports`` (per ``(device, app, network)`` performance reports —
-        batch-primed entries count as misses exactly once), ``service_times``
-        (per ``(device, app)`` edge busy times) and ``mode_variants``
-        (``app.with_mode`` rebuilds).  An analysis looks each entry up once
-        per kind of user (one device and one app object), not once per user,
-        so hits count per-kind lookups.  Deterministic per instance: the same
-        call sequence produces the same statistics.
-        """
-        return {
-            name: {
-                "hits": self._cache_hits[name],
-                "misses": self._cache_misses[name],
-                "currsize": len(getattr(self, attribute)),
-            }
-            for name, attribute in self._CACHE_NAMES.items()
-        }
-
-    def _publish_cache_stats(self) -> None:
-        """Record the current cache statistics as telemetry gauges."""
-        registry = telemetry.get()
-        for name, stats in self.cache_stats().items():
-            for field_name, value in stats.items():
-                registry.gauge(f"fleet.cache.{name}.{field_name}", value)
-
-    # -- memoized building blocks ------------------------------------------------
-
-    def model_for(self, device: str) -> XRPerformanceModel:
-        """The (memoized) single-user model for one device catalog entry."""
-        model = self._models.get(device)
-        if model is None:
-            self._cache_misses["models"] += 1
-            model = XRPerformanceModel(device=device, edge=self.edge)
-            self._models[device] = model
-        else:
-            self._cache_hits["models"] += 1
-        return model
-
-    def _mode_variant(
-        self, app: ApplicationConfig, mode: ExecutionMode
-    ) -> ApplicationConfig:
-        """Memoized ``app.with_mode(mode)`` (identity when already in the mode)."""
-        key = (app, mode)
-        variant = self._mode_variants.get(key)
-        if variant is None:
-            self._cache_misses["mode_variants"] += 1
-            variant = app.with_mode(mode)
-            self._mode_variants[key] = variant
-        else:
-            self._cache_hits["mode_variants"] += 1
-        return variant
-
-    def _prime_reports(
-        self, keys: Sequence[Tuple[str, ApplicationConfig, NetworkConfig]]
-    ) -> None:
-        """Batch-evaluate all not-yet-cached (device, app, network) keys at once.
-
-        One call to the vectorized batch engine replaces one scalar
-        ``analyze()`` per key; the resulting reports are bit-identical.
+        An analysis keeps one such dict and reads each report from it once per
+        kind and network.  One call to the vectorized batch engine replaces
+        one scalar ``analyze()`` per key; the resulting reports are
+        bit-identical.
         """
         from repro.batch import OperatingPoint, evaluate_points
 
-        missing = [key for key in dict.fromkeys(keys) if key not in self._reports]
+        missing = [key for key in dict.fromkeys(keys) if key not in reports]
         if not missing:
             return
-        self._cache_misses["reports"] += len(missing)
         batch = evaluate_points(
             [
                 OperatingPoint(app=app, network=network, device=device, edge=self.edge)
@@ -257,26 +187,7 @@ class FleetAnalyzer:
             include_aoi=self.include_aoi,
         )
         for index, key in enumerate(missing):
-            self._reports[key] = batch.report_at(index)
-
-    def _report(
-        self, device: str, app: ApplicationConfig, network: NetworkConfig
-    ) -> PerformanceReport:
-        """The report :meth:`_prime_reports` cached for the key (one hit)."""
-        self._cache_hits["reports"] += 1
-        return self._reports[(device, app, network)]
-
-    def _service_time_ms(self, device: str, app: ApplicationConfig) -> float:
-        """Edge GPU busy time per frame for one user (memoized)."""
-        key = (device, app)
-        service = self._service_times.get(key)
-        if service is None:
-            self._cache_misses["service_times"] += 1
-            service = self.model_for(device).latency_model.remote_inference_ms(app)
-            self._service_times[key] = service
-        else:
-            self._cache_hits["service_times"] += 1
-        return service
+            reports[key] = batch.report_at(index)
 
     def _kinds(self) -> Tuple[List[_Kind], List[int]]:
         """The population's kinds in first-use order, and each user's kind.
@@ -293,42 +204,27 @@ class FleetAnalyzer:
             index = index_of.get(key)
             if index is None:
                 index = index_of[key] = len(kinds)
-                kinds.append(self._kind(user.device, user.app))
+                kinds.append(_kind(user.device, user.app))
             kind_of_user.append(index)
         return kinds, kind_of_user
 
-    def _kind(self, device: str, app: ApplicationConfig) -> _Kind:
-        wants_offload = app.inference.mode is not ExecutionMode.LOCAL
-        remote_app = (
-            app if wants_offload else self._mode_variant(app, ExecutionMode.REMOTE)
-        )
-        return _Kind(
-            device=device,
-            wants_offload=wants_offload,
-            local_app=self._mode_variant(app, ExecutionMode.LOCAL),
-            remote_app=remote_app,
-            frame_rate_fps=app.frame_rate_fps,
-            arrival_rate_per_ms=app.frame_rate_fps / 1e3,
-            service_time_ms=self._service_time_ms(device, remote_app),
-        )
-
     # -- pipeline stages -----------------------------------------------------------
 
-    def candidates(self) -> List[UserCandidate]:
-        """Per-user statistics for the admission policy.
+    def _candidates(
+        self, reports: _Reports, kinds: Sequence[_Kind], kind_of_user: Sequence[int]
+    ) -> Tuple[List[float], List[UserCandidate]]:
+        """Each kind's edge service time, and per-user statistics for the policy.
 
         Remote statistics are evaluated under the contention of *all*
         offload-preferring users — an upper bound on the contention any
         admitted subset will actually see — so SLO-guarding policies err
         towards rejecting rather than admitting users into violation.
         With a single user this bound coincides with the uncontended
-        channel, preserving the single-user equivalence.
+        channel, preserving the single-user equivalence.  A kind's edge
+        service time, the edge GPU's busy time per frame, is its remote
+        report's remote-inference segment (Eqs. 13-15), which no network
+        term enters.
         """
-        return self._candidates(*self._kinds())
-
-    def _candidates(
-        self, kinds: Sequence[_Kind], kind_of_user: Sequence[int]
-    ) -> List[UserCandidate]:
         users_of = Counter(kind_of_user)
         n_wants = sum(
             users_of[index] for index, kind in enumerate(kinds) if kind.wants_offload
@@ -336,27 +232,29 @@ class FleetAnalyzer:
         remote_network = self.contention.network_for(max(n_wants, 1))
         # Evaluate every kind's local and remote report in one vectorized
         # batch instead of one call per kind.
-        keys: List[Tuple[str, ApplicationConfig, NetworkConfig]] = []
+        keys: List[_ReportKey] = []
         for kind in kinds:
             keys.append((kind.device, kind.local_app, self.network))
             keys.append((kind.device, kind.remote_app, remote_network))
-        self._prime_reports(keys)
+        self._prime_reports(reports, keys)
+        service_ms: List[float] = []
         fields_of = []
         for kind in kinds:
-            local = self._report(kind.device, kind.local_app, self.network)
-            remote = self._report(kind.device, kind.remote_app, remote_network)
+            local = reports[kind.device, kind.local_app, self.network]
+            remote = reports[kind.device, kind.remote_app, remote_network]
+            service_ms.append(remote.latency.segment_ms(Segment.REMOTE_INFERENCE))
             fields_of.append(
                 {
                     "wants_offload": kind.wants_offload,
                     "frame_rate_fps": kind.frame_rate_fps,
-                    "service_time_ms": kind.service_time_ms,
+                    "service_time_ms": service_ms[-1],
                     "local_latency_ms": local.total_latency_ms,
                     "remote_latency_ms": remote.total_latency_ms,
                     "local_energy_mj": local.total_energy_mj,
                     "remote_energy_mj": remote.total_energy_mj,
                 }
             )
-        return [
+        return service_ms, [
             UserCandidate(name=user.name, **fields_of[index])
             for user, index in zip(self.population, kind_of_user)
         ]
@@ -368,10 +266,7 @@ class FleetAnalyzer:
         with telemetry.get().span(
             "fleet.analyze", users=len(self.population), edges=self.n_edges
         ):
-            report = self._analyze()
-        if telemetry.get().enabled:
-            self._publish_cache_stats()
-        return report
+            return self._analyze()
 
     def _placements_under_faults(
         self, candidates: List[UserCandidate]
@@ -425,8 +320,9 @@ class FleetAnalyzer:
 
     def _analyze(self) -> FleetReport:
         fault_state = self.fault_state
+        reports: _Reports = {}
         kinds, kind_of_user = self._kinds()
-        candidates = self._candidates(kinds, kind_of_user)
+        service_ms, candidates = self._candidates(reports, kinds, kind_of_user)
         decisions, forced_local = self._placements_under_faults(candidates)
 
         offloaders = [user for user, decision in enumerate(decisions) if decision.offload]
@@ -450,7 +346,7 @@ class FleetAnalyzer:
         )
         rates, busy = edge_loads(
             np.asarray([kind.arrival_rate_per_ms for kind in kinds]),
-            np.asarray([kind.service_time_ms for kind in kinds]),
+            np.asarray(service_ms),
             [offloader_kinds[offloader_edges == edge] for edge in range(self.n_edges)],
             edge_scale,
         )
@@ -458,10 +354,10 @@ class FleetAnalyzer:
         edge_rates, edge_busy = rates.tolist(), busy.tolist()
 
         # Every (kind, placement) the decisions use, in first-use order.  The
-        # reports candidates() did not already cover are batch-evaluated (the
+        # reports _candidates did not already cover are batch-evaluated (the
         # post-admission contention level can differ from the admission bound
         # when a policy rejects users); then each report is read once.
-        report_keys: Dict[Tuple[int, bool], Tuple[str, ApplicationConfig, NetworkConfig]] = {}
+        report_keys: Dict[Tuple[int, bool], _ReportKey] = {}
         for index, offload in dict.fromkeys(
             zip(kind_of_user, [decision.offload for decision in decisions])
         ):
@@ -471,10 +367,10 @@ class FleetAnalyzer:
                 if offload
                 else (kind.device, kind.local_app, self.network)
             )
-        self._prime_reports(list(report_keys.values()))
+        self._prime_reports(reports, list(report_keys.values()))
         placed = {}
         for placement, (device, app, network) in report_keys.items():
-            report = self._report(device, app, network)
+            report = reports[device, app, network]
             fresh_fraction = None
             if report.aoi is not None and report.aoi.roi:
                 fresh_fraction = len(report.aoi.fresh_sensors()) / len(report.aoi.roi)
@@ -502,7 +398,7 @@ class FleetAnalyzer:
                 edge = decision.edge_index
                 wait_ms = (
                     self.scheduler.tenant_wait_ms(
-                        kind.service_time_ms,
+                        service_ms[index],
                         edge_rates[edge],
                         edge_busy[edge],
                         kind.arrival_rate_per_ms,

@@ -23,7 +23,7 @@ analysis of the same fleet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -88,25 +88,24 @@ class _HomogeneousRoundRobinProbe:
     """O(n_edges) p95 probe for homogeneous all-identical round-robin fleets.
 
     Mirrors ``FleetAnalyzer.analyze`` for the special case the capacity
-    planner constructs: every user shares one device and application config,
+    planners construct: every user shares one device and application config,
     and the round-robin policy admits every offload-preferring user.  The
     per-user report is evaluated once per probed fleet size through the
-    batch engine; the loads and waits come from the analyzer's own
-    :func:`~repro.fleet.edge_scheduler.edge_loads` and
-    :meth:`EdgeScheduler.tenant_wait_ms`, once per distinct tenant count.
+    batch engine (the contended channel depends on the fleet size alone, so
+    every edge count probed at one size shares it); the loads and waits come
+    from the analyzer's own :func:`~repro.fleet.edge_scheduler.edge_loads`
+    and :meth:`EdgeScheduler.tenant_wait_ms`, once per distinct tenant count.
     """
 
     def __init__(
         self,
         device: str,
         edge: Union[str, EdgeServerSpec],
-        n_edges: int,
         app: Optional[ApplicationConfig],
         network: Optional[NetworkConfig],
     ) -> None:
         self.device = device
         self.edge = edge
-        self.n_edges = n_edges
         # Resolve the default application exactly as a fleet analysis does,
         # by asking the population generator itself.
         base_app = homogeneous(1, device=device, app=app).users[0].app
@@ -121,7 +120,7 @@ class _HomogeneousRoundRobinProbe:
         self.frame_rate_fps = base_app.frame_rate_fps
         self._local_latency: Optional[float] = None
         self._remote_cache: Dict[int, tuple] = {}
-        self._p95_cache: Dict[int, float] = {}
+        self._p95_cache: Dict[Tuple[int, int], float] = {}
 
     # -- batch-evaluated per-user reports -------------------------------------
 
@@ -170,9 +169,9 @@ class _HomogeneousRoundRobinProbe:
 
     # -- p95 ------------------------------------------------------------------
 
-    def p95_latency_ms(self, n_users: int) -> float:
+    def p95_latency_ms(self, n_users: int, n_edges: int) -> float:
         """Fleet p95 motion-to-photon latency, identical to the analyzer's."""
-        cached = self._p95_cache.get(n_users)
+        cached = self._p95_cache.get((n_users, n_edges))
         if cached is not None:
             return cached
         if not self.wants_offload:
@@ -183,10 +182,8 @@ class _HomogeneousRoundRobinProbe:
             arrival = self.frame_rate_fps / 1e3
             # Round robin deals users 0..n-1 onto edges cyclically, so edge i
             # carries ceil or floor of n / n_edges tenants.
-            base, extra = divmod(n_users, self.n_edges)
-            tenant_counts = [
-                base + 1 if index < extra else base for index in range(self.n_edges)
-            ]
+            base, extra = divmod(n_users, n_edges)
+            tenant_counts = [base + 1 if index < extra else base for index in range(n_edges)]
             # Edges with the same tenant count share loads and waits, and
             # round robin produces at most two distinct counts.
             counts = sorted({count for count in tenant_counts if count > 0})
@@ -207,7 +204,7 @@ class _HomogeneousRoundRobinProbe:
             latencies = np.repeat(np.asarray(per_edge_latency), tenant_counts)
         method = percentile_method(latencies)
         p95 = float(np.percentile(latencies, 95, method=method))
-        self._p95_cache[n_users] = p95
+        self._p95_cache[n_users, n_edges] = p95
         return p95
 
 
@@ -236,18 +233,18 @@ def plan_capacity(
     if n_edges < 1:
         raise ConfigurationError(f"need at least one edge server, got {n_edges}")
     max_users = ensure_integer("max_users", max_users)
-    probe = _HomogeneousRoundRobinProbe(
-        device=device, edge=edge, n_edges=n_edges, app=app, network=network
-    )
+    probe = _HomogeneousRoundRobinProbe(device=device, edge=edge, app=app, network=network)
 
     def feasible(n_users: int) -> bool:
-        return probe.p95_latency_ms(n_users) <= slo_ms
+        return probe.p95_latency_ms(n_users, n_edges) <= slo_ms
 
     capacity, ceiling_reached, evaluations = bisect_capacity(feasible, max_users)
     return CapacityPlan(
         slo_ms=slo_ms,
         max_users=capacity,
-        p95_at_capacity_ms=probe.p95_latency_ms(capacity) if capacity >= 1 else None,
+        p95_at_capacity_ms=(
+            probe.p95_latency_ms(capacity, n_edges) if capacity >= 1 else None
+        ),
         search_ceiling=max_users,
         ceiling_reached=ceiling_reached,
         evaluations=evaluations,
@@ -313,17 +310,14 @@ def plan_edges(
         raise ConfigurationError(f"n_users must be >= 1, got {n_users}")
     if max_edges < 1:
         raise ConfigurationError(f"max_edges must be >= 1, got {max_edges}")
-    p95_cache: Dict[int, float] = {}
+    # One probe for every edge count: the fleet size, and so the per-user
+    # report, stays fixed.
+    probe = _HomogeneousRoundRobinProbe(device=device, edge=edge, app=app, network=network)
+    probed: Set[int] = set()
 
     def p95_for(count: int) -> float:
-        cached = p95_cache.get(count)
-        if cached is None:
-            probe = _HomogeneousRoundRobinProbe(
-                device=device, edge=edge, n_edges=count, app=app, network=network
-            )
-            cached = probe.p95_latency_ms(n_users)
-            p95_cache[count] = cached
-        return cached
+        probed.add(count)
+        return probe.p95_latency_ms(n_users, count)
 
     # Probe the ceiling first: if the SLO cannot be met with every edge
     # server available, no smaller count can meet it either and the search
@@ -347,5 +341,5 @@ def plan_edges(
         n_users=n_users,
         n_edges=high,
         p95_ms=p95_for(high),
-        evaluations=len(p95_cache),
+        evaluations=len(probed),
     )

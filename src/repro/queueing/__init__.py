@@ -6,9 +6,9 @@ Eq. 22).  This package provides:
 * a Poisson arrival process generator (:mod:`repro.queueing.arrivals`),
 * closed-form M/M/1 and M/G/1 (Pollaczek–Khinchine) results
   (:mod:`repro.queueing.mm1`, :mod:`repro.queueing.mg1`),
-* an event-driven single-server queue simulator, which the buffer-model
-  ablation compares with the closed forms
-  (:mod:`repro.queueing.simulation`).
+* an event-driven single-server queue simulator, which runs the AoI
+  emulation's input buffer and which the buffer-model ablation compares
+  with the closed forms (:mod:`repro.queueing.simulation`).
 """
 
 from repro.queueing.arrivals import PoissonProcess

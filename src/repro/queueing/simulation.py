@@ -1,7 +1,8 @@
 """Event-driven single-server queue simulator.
 
 Measures a FIFO queue's per-packet waits instead of taking them from a
-closed form.  The buffer-model ablation
+closed form.  The AoI emulation (:func:`repro.simulation.sensor_sim.emulate_aoi`)
+runs the XR input buffer through it, the buffer-model ablation
 (:func:`repro.evaluation.ablations.ablation_buffer_model`) compares its
 M/M/1 runs with the M/M/1 and M/D/1 formulas, and the test suite checks the
 closed-form queues against it.

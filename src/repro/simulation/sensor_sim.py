@@ -21,16 +21,7 @@ import numpy as np
 from repro import units
 from repro.config.workload import WorkloadConfig
 from repro.core.aoi import AoITimeline
-from repro.simulation.des import EventScheduler
-
-
-@dataclass
-class _PacketRecord:
-    sensor_index: int
-    cycle_index: int
-    generated_ms: float
-    arrived_ms: float = 0.0
-    departed_ms: float = 0.0
+from repro.queueing.simulation import simulate_single_server_queue
 
 
 @dataclass(frozen=True)
@@ -63,82 +54,66 @@ def emulate_aoi(
     if workload is None:
         workload = WorkloadConfig.paper_default()
     rng = np.random.default_rng(seed)
-    scheduler = EventScheduler()
-
     service_rate_per_ms = workload.buffer_service_rate_hz / 1e3
-    horizon = workload.horizon_ms
-    packets: List[_PacketRecord] = []
-    server_free_at = [0.0]
-    buffer_waits: List[float] = []
+    mean_service_ms = 1.0 / service_rate_per_ms
 
-    def make_arrival(packet: _PacketRecord):
-        def on_arrival(sched: EventScheduler) -> None:
-            packet.arrived_ms = sched.now_ms
-            start = max(sched.now_ms, server_free_at[0])
-            service = float(rng.exponential(1.0 / service_rate_per_ms))
-            departure = start + service
-            server_free_at[0] = departure
-            buffer_waits.append(departure - packet.arrived_ms)
-
-            def on_departure(_: EventScheduler, record=packet, when=departure) -> None:
-                record.departed_ms = when
-
-            sched.schedule_at(departure, on_departure)
-
-        return on_arrival
-
-    # Schedule every sensor's generations over the horizon (plus propagation).
-    for sensor_index, (frequency, distance) in enumerate(
-        zip(workload.sensor_frequencies_hz, workload.sensor_distances_m)
+    # Every sensor's generations over the horizon, sensor by sensor and cycle
+    # by cycle, and the instant each packet reaches the buffer.
+    generated_ms: List[List[float]] = []
+    arrivals_ms: List[float] = []
+    for frequency, distance in zip(
+        workload.sensor_frequencies_hz, workload.sensor_distances_m
     ):
         period_ms = 1e3 / frequency
         propagation = units.propagation_delay_ms(distance)
+        generated: List[float] = []
         cycle = 1
-        generated = period_ms
-        while generated <= horizon + 1e-9:
-            packet = _PacketRecord(
-                sensor_index=sensor_index, cycle_index=cycle, generated_ms=generated
-            )
-            packets.append(packet)
-            scheduler.schedule_at(generated + propagation, make_arrival(packet))
+        while cycle * period_ms <= workload.horizon_ms + 1e-9:
+            generated.append(cycle * period_ms)
+            arrivals_ms.append(cycle * period_ms + propagation)
             cycle += 1
-            generated = cycle * period_ms
+        generated_ms.append(generated)
 
-    scheduler.run()
+    # The buffer serves packets in arrival order, and packets that arrive
+    # together in the order they were generated above (the sort is stable).
+    # Each packet draws its service time when it arrives.
+    order = sorted(range(len(arrivals_ms)), key=arrivals_ms.__getitem__)
+    queue = simulate_single_server_queue(
+        [arrivals_ms[index] for index in order],
+        lambda _, generator: generator.exponential(mean_service_ms),
+        rng=rng,
+    )
+    departed_ms = np.empty(len(order))
+    departed_ms[order] = queue.departure_times_ms
 
-    # Build per-sensor timelines: AoI of cycle n is the departure time of the
-    # n-th packet minus the instant the n-th update was requested.
+    # AoI of cycle n is the departure time of the n-th packet minus the
+    # instant the n-th update was requested.
     required_period = workload.required_update_period_ms
     required_frequency_hz = workload.required_update_frequency_hz
     timelines: List[AoITimeline] = []
-    for sensor_index, frequency in enumerate(workload.sensor_frequencies_hz):
-        own_packets = sorted(
-            (p for p in packets if p.sensor_index == sensor_index),
-            key=lambda p: p.cycle_index,
-        )
-        times: List[float] = []
-        aois: List[float] = []
-        rois: List[float] = []
-        for packet in own_packets:
-            if packet.departed_ms <= 0.0:
-                continue
-            request_time = (packet.cycle_index - 1) * required_period
-            aoi = packet.departed_ms - request_time
-            times.append(packet.generated_ms)
-            aois.append(aoi)
-            processed_hz = 1e3 / aoi if aoi > 0.0 else float("inf")
-            rois.append(processed_hz / required_frequency_hz)
+    first = 0
+    for frequency, generated in zip(workload.sensor_frequencies_hz, generated_ms):
+        departures = departed_ms[first : first + len(generated)].tolist()
+        first += len(generated)
+        aois = [
+            departure - cycle * required_period
+            for cycle, departure in enumerate(departures)
+        ]
+        rois = [
+            (1e3 / aoi if aoi > 0.0 else float("inf")) / required_frequency_hz
+            for aoi in aois
+        ]
         timelines.append(
             AoITimeline(
                 sensor_name=f"sensor-{frequency:.0f}hz",
                 generation_frequency_hz=frequency,
-                times_ms=np.array(times, dtype=float),
+                times_ms=np.array(generated, dtype=float),
                 aoi_ms=np.array(aois, dtype=float),
                 roi=np.array(rois, dtype=float),
             )
         )
 
-    mean_wait = float(np.mean(buffer_waits)) if buffer_waits else 0.0
+    mean_wait = float(np.mean(queue.sojourn_times_ms)) if len(order) else 0.0
     return AoIEmulation(
         timelines=timelines,
         required_update_period_ms=required_period,

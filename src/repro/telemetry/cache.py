@@ -1,13 +1,8 @@
-"""Cache statistics: one report over every memoization surface in the repo.
+"""Cache statistics of the module-level memoization surfaces.
 
-Two families of caches exist:
-
-* module-level ``functools.lru_cache`` surfaces — the device/edge catalogs,
-  the CNN zoo, and the Eq. (12) complexity memo — whose statistics are
-  process-global (:func:`cache_report` walks them via ``cache_info()``);
-* per-instance dict caches — e.g. :class:`repro.fleet.FleetAnalyzer`'s
-  report/mode-variant/service-time memos — which expose their own
-  ``cache_stats()`` and are deterministic per analyzer instance.
+The ``functools.lru_cache`` surfaces — the device/edge catalogs, the CNN
+zoo, and the Eq. (12) complexity memo — keep process-global statistics,
+which :func:`cache_report` walks via ``cache_info()``.
 
 The imports below happen inside the function so that
 :mod:`repro.telemetry` itself stays import-light (it sits under every hot

@@ -107,6 +107,21 @@ def test_model_paths_load_neither_scipy_nor_networkx_nor_tooling():
     ]
 
 
+def test_fleet_path_loads_no_scalar_model_facade():
+    # The analyzer reads every report, and each kind's edge service time,
+    # from the batch engine, so the scalar facade and the placement planner
+    # behind it stay unloaded.
+    loaded = loaded_after(
+        """
+        import repro.fleet
+
+        repro.fleet.FleetAnalyzer(repro.fleet.homogeneous(4, device="XR1")).analyze()
+        """
+    )
+    assert "repro.fleet.analyzer" in loaded
+    assert [m for m in loaded if m in ("repro.core.framework", "repro.core.offloading")] == []
+
+
 def test_lazy_roots_keep_their_public_surface():
     result = run_python(
         f"""

@@ -7,6 +7,7 @@ import pytest
 from repro.config.application import ExecutionMode, InferenceConfig
 from repro.config.network import NetworkConfig
 from repro.core.framework import XRPerformanceModel
+from repro.core.segments import Segment
 from repro.devices.battery import Battery
 from repro.devices.catalog import get_device
 
@@ -38,8 +39,8 @@ class TestOffloadingTradeoffs:
                 mode=ExecutionMode.REMOTE, omega_client=0.0, edge_shares=(0.5, 0.5)
             ),
         )
-        single_latency = model.latency_model.remote_inference_ms(single)
-        split_latency = model.latency_model.remote_inference_ms(split)
+        single_latency = model.analyze_latency(single).segment_ms(Segment.REMOTE_INFERENCE)
+        split_latency = model.analyze_latency(split).segment_ms(Segment.REMOTE_INFERENCE)
         assert split_latency < single_latency
 
     def test_weaker_device_benefits_more_from_offloading(self):
@@ -49,8 +50,6 @@ class TestOffloadingTradeoffs:
         # resource model is device-agnostic, but the memory subsystem differs.
         strong_local = strong.analyze_latency().segment_ms
         weak_local = weak.analyze_latency().segment_ms
-        from repro.core.segments import Segment
-
         assert weak_local(Segment.LOCAL_INFERENCE) >= strong_local(Segment.LOCAL_INFERENCE)
 
 

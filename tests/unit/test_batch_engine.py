@@ -337,9 +337,7 @@ class TestConsumers:
         from repro.fleet.capacity import _HomogeneousRoundRobinProbe
         from repro.fleet.population import homogeneous
 
-        probe = _HomogeneousRoundRobinProbe(
-            device="XR1", edge="EDGE-AGX", n_edges=1, app=None, network=None
-        )
+        probe = _HomogeneousRoundRobinProbe(device="XR1", edge="EDGE-AGX", app=None, network=None)
         assert probe.remote_app == homogeneous(1, device="XR1").users[0].app
 
     def test_fleet_analyzer_batch_priming_matches_scalar(self, network):
@@ -404,9 +402,7 @@ class TestConsumers:
         from repro.fleet.admission import RoundRobinAdmission
         from repro.fleet.capacity import _HomogeneousRoundRobinProbe
 
-        probe = _HomogeneousRoundRobinProbe(
-            device="XR1", edge="EDGE-AGX", n_edges=2, app=None, network=None
-        )
+        probe = _HomogeneousRoundRobinProbe(device="XR1", edge="EDGE-AGX", app=None, network=None)
         for n_users in (1, 2, 5, 9):
             analyzer = FleetAnalyzer(
                 homogeneous(n_users, device="XR1"),
@@ -415,7 +411,7 @@ class TestConsumers:
                 policy=RoundRobinAdmission(),
                 include_aoi=False,
             )
-            assert probe.p95_latency_ms(n_users) == analyzer.analyze().p95_latency_ms
+            assert probe.p95_latency_ms(n_users, 2) == analyzer.analyze().p95_latency_ms
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.config.application import (
     InferenceConfig,
 )
 from repro.core.framework import XRPerformanceModel
+from repro.core.segments import Segment
 from repro.exceptions import ConfigurationError
 
 
@@ -253,7 +254,7 @@ class TestWithModeSplit:
         split = ApplicationConfig().with_mode(ExecutionMode.SPLIT)
         report = model.analyze(split)
         assert report.latency.edge_compute is not None
-        assert model.latency_model.remote_inference_ms(split) > 0.0
+        assert report.latency.segment_ms(Segment.REMOTE_INFERENCE) > 0.0
 
     def test_fleet_and_cosim_of_split_users_run(self):
         from repro.adaptive import StaticBaseline, step_trace

@@ -86,11 +86,13 @@ class TestEndToEnd:
         # Waiting for the edge server draws far less power than running the CNN locally.
         local = energy_model.end_to_end(app, network)
         remote = energy_model.end_to_end(remote_app, network)
+        latency = energy_model.latency_model
         local_inference_power = local.per_segment_mj[Segment.LOCAL_INFERENCE] / max(
-            energy_model.latency_model.local_inference_ms(app), 1e-9
+            latency.end_to_end(app, network).segment_ms(Segment.LOCAL_INFERENCE), 1e-9
         )
         remote_inference_power = remote.per_segment_mj[Segment.REMOTE_INFERENCE] / max(
-            energy_model.latency_model.remote_inference_ms(remote_app), 1e-9
+            latency.end_to_end(remote_app, network).segment_ms(Segment.REMOTE_INFERENCE),
+            1e-9,
         )
         assert remote_inference_power < local_inference_power
 

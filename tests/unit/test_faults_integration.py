@@ -24,6 +24,7 @@ from repro.adaptive import (
     GreedyBatchSweep,
     HysteresisThreshold,
     StaticBaseline,
+    make_trace,
     step_trace,
 )
 from repro.cli import main
@@ -249,6 +250,58 @@ class TestAdaptiveFaults:
     def test_schedule_must_target_the_single_edge(self):
         with pytest.raises(ConfigurationError):
             self._runtime(faults=_outage(edge=1))
+
+
+class TestSingleUserFaultDegeneracy:
+    """A one-user co-simulation under faults is the adaptive runtime.
+
+    XR1 pinned to ``StaticBaseline(1)``, the first remote candidate of
+    ``default_candidates(device="XR1")``, on one edge.
+    """
+
+    def _both(self, schedule):
+        trace = make_trace("step", 30, seed=0)
+        runtime = AdaptiveRuntime(
+            trace=trace, device="XR1", include_aoi=False, faults=schedule
+        ).run(StaticBaseline(1))
+        cosim = CoSimulation(
+            homogeneous(1, device="XR1"),
+            StaticBaseline(1),
+            trace,
+            n_edges=1,
+            include_aoi=False,
+            faults=schedule,
+        ).run()
+        return runtime, cosim.class_reports[0]
+
+    def test_outage_agrees(self):
+        runtime, cosim = self._both(make_schedule("edge-outage"))
+        assert cosim == runtime
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "AdaptiveRuntime inflates an offloading candidate by its offloaded "
+            "share, while the co-simulation scales only the other tenants' queue "
+            "and tenant_wait_ms returns inf once the sole tenant's scaled load "
+            "reaches 1: a 0.5 brownout reads 1317.54 vs 658.77 ms in all 10 "
+            "faulted epochs, a straggler 1976.44 ms vs inf in 5"
+        ),
+    )
+    @pytest.mark.parametrize(
+        "schedule",
+        (
+            make_schedule(
+                "brownout", start_epoch=5, duration_epochs=10, capacity_factor=0.5
+            ),
+            make_schedule("straggler"),
+        ),
+        ids=("brownout", "straggler"),
+    )
+    def test_inflating_faults_agree(self, schedule):
+        runtime, cosim = self._both(schedule)
+        assert cosim.latency_ms == runtime.latency_ms
 
 
 def _fault_spec(**overrides):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.core.framework import XRPerformanceModel
 from repro.exceptions import ConfigurationError
@@ -159,15 +160,41 @@ class TestFleetEffects:
         ).analyze()
         assert report.device_counts == {"XR1": 3, "XR3": 3}
 
-    def test_memoization_shares_models_and_reports(self, remote_fleet_app):
+    def test_users_of_one_kind_share_reports(self, remote_fleet_app):
+        registry = telemetry.enable()
+        try:
+            FleetAnalyzer(
+                homogeneous(500, device="XR1", app=remote_fleet_app),
+                policy=RoundRobinAdmission(),
+            ).analyze()
+        finally:
+            telemetry.disable()
+        batch = registry.snapshot()["spans"]["fleet.analyze"]["children"][
+            "batch.evaluate_points"
+        ]
+        # Round robin admits every user, so the contention the candidates
+        # were evaluated under is the fleet's: one call, local and remote.
+        assert batch["count"] == 1
+        assert batch["counters"]["points"] == 2
+
+    def test_each_analysis_evaluates_its_own_reports(self, remote_fleet_app):
         analyzer = FleetAnalyzer(
-            homogeneous(500, device="XR1", app=remote_fleet_app),
+            homogeneous(50, device="XR1", app=remote_fleet_app),
             policy=RoundRobinAdmission(),
         )
-        analyzer.analyze()
-        assert len(analyzer._models) == 1
-        # local + remote candidates, plus the contended offload evaluation.
-        assert len(analyzer._reports) <= 4
+        registry = telemetry.enable()
+        try:
+            first = analyzer.analyze()
+            second = analyzer.analyze()
+        finally:
+            telemetry.disable()
+        batch = registry.snapshot()["spans"]["fleet.analyze"]["children"][
+            "batch.evaluate_points"
+        ]
+        # No report outlives its analysis, so a second run evaluates afresh
+        # and reads the same fleet.
+        assert batch["count"] == 2
+        assert second == first
 
     def test_zero_edges_rejected(self, remote_fleet_app):
         with pytest.raises(ConfigurationError):
@@ -193,40 +220,46 @@ class TestFleetEffects:
 # -- the kind-grouped analyzer against the per-user algorithm --------------------
 
 
-def _local_app(analyzer, user):
-    return analyzer._mode_variant(user.app, ExecutionMode.LOCAL)
+def _local_app(user):
+    return user.app.with_mode(ExecutionMode.LOCAL)
 
 
-def _remote_app(analyzer, user):
+def _remote_app(user):
     if user.wants_offload:
         return user.app
-    return analyzer._mode_variant(user.app, ExecutionMode.REMOTE)
+    return user.app.with_mode(ExecutionMode.REMOTE)
 
 
-def reference_candidates(analyzer: FleetAnalyzer):
+def _scalar_service_time_ms(analyzer: FleetAnalyzer, user) -> float:
+    """The scalar model's remote inference time of the user's remote app."""
+    latency = XRPerformanceModel(device=user.device, edge=analyzer.edge).latency_model
+    app = _remote_app(user)
+    compute = latency.client_compute(app)
+    return latency.remote_inference_ms(
+        app, compute, latency.edge_compute(compute), latency.encoding_numerator(app)
+    )
+
+
+def reference_candidates(analyzer: FleetAnalyzer, reports: dict):
     """Per-user candidates: each user resolves its own apps and reports."""
     population = analyzer.population
     n_wants = sum(1 for user in population if user.wants_offload)
     remote_network = analyzer.contention.network_for(max(n_wants, 1))
     keys = []
     for user in population:
-        keys.append((user.device, _local_app(analyzer, user), analyzer.network))
-        keys.append((user.device, _remote_app(analyzer, user), remote_network))
-    analyzer._prime_reports(keys)
+        keys.append((user.device, _local_app(user), analyzer.network))
+        keys.append((user.device, _remote_app(user), remote_network))
+    analyzer._prime_reports(reports, keys)
     candidates = []
     for user in population:
-        local = analyzer._report(user.device, _local_app(analyzer, user), analyzer.network)
-        remote = analyzer._report(
-            user.device, _remote_app(analyzer, user), remote_network
-        )
+        local = reports[user.device, _local_app(user), analyzer.network]
+        remote = reports[user.device, _remote_app(user), remote_network]
         candidates.append(
             UserCandidate(
                 name=user.name,
                 wants_offload=user.wants_offload,
                 frame_rate_fps=user.frame_rate_fps,
-                service_time_ms=analyzer._service_time_ms(
-                    user.device, _remote_app(analyzer, user)
-                ),
+                service_time_ms=_scalar_service_time_ms(analyzer, user),
                 local_latency_ms=local.total_latency_ms,
                 remote_latency_ms=remote.total_latency_ms,
                 local_energy_mj=local.total_energy_mj,
@@ -239,14 +272,15 @@ def reference_candidates(analyzer: FleetAnalyzer):
 def reference_analyze(analyzer: FleetAnalyzer) -> FleetReport:
     """The per-user algorithm that the kind-grouped analyzer reproduces.
 
-    Every user resolves its own reports and edge wait.  Run it on a fresh
-    analyzer, so that its report cache is batch-primed with the same keys,
-    in the same order, as the analyzer under test.
+    Every user resolves its own reports and edge wait, and takes its edge
+    service time from the scalar model.  Its reports are batch-evaluated
+    with the same keys, in the same order, as the analyzer's own analysis.
     """
     population = analyzer.population
     network = analyzer.network
     fault_state = analyzer.fault_state
-    candidates = reference_candidates(analyzer)
+    reports = {}
+    candidates = reference_candidates(analyzer, reports)
     decisions, forced_local = analyzer._placements_under_faults(candidates)
     by_name = {candidate.name: candidate for candidate in candidates}
     offloaders = [decision for decision in decisions if decision.offload]
@@ -270,18 +304,19 @@ def reference_analyze(analyzer: FleetAnalyzer) -> FleetReport:
         total * scale if total else 0.0 for total, scale in zip(edge_sums, edge_scale)
     ]
     analyzer._prime_reports(
+        reports,
         [
-            (user.device, _remote_app(analyzer, user), contended)
+            (user.device, _remote_app(user), contended)
             if decision.offload
-            else (user.device, _local_app(analyzer, user), network)
+            else (user.device, _local_app(user), network)
             for user, decision in zip(population, decisions)
-        ]
+        ],
     )
     outcomes = []
     for user, decision in zip(population, decisions):
         candidate = by_name[user.name]
         if decision.offload:
-            app, user_network = _remote_app(analyzer, user), contended
+            app, user_network = _remote_app(user), contended
             edge = decision.edge_index
             scale = edge_scale[edge]
             if edge_busy[edge] >= 1.0:
@@ -299,8 +334,8 @@ def reference_analyze(analyzer: FleetAnalyzer) -> FleetReport:
                     background_busy / background if background > 0.0 else None,
                 )
         else:
-            app, user_network, wait_ms = _local_app(analyzer, user), network, 0.0
-        report = analyzer._report(user.device, app, user_network)
+            app, user_network, wait_ms = _local_app(user), network, 0.0
+        report = reports[user.device, app, user_network]
         wait_energy_mj = (
             user_network.radio_idle_power_w * wait_ms if wait_ms != math.inf else 0.0
         )
@@ -432,9 +467,9 @@ class TestKindsMatchPerUserReference:
     @pytest.mark.parametrize("case", range(len(POPULATIONS)))
     def test_candidates_match_reference(self, case):
         args = _analyzer_args(case)
-        assert repr(FleetAnalyzer(**args).candidates()) == repr(
-            reference_candidates(FleetAnalyzer(**args))
-        )
+        analyzer = FleetAnalyzer(**args)
+        _, candidates = analyzer._candidates({}, *analyzer._kinds())
+        assert repr(candidates) == repr(reference_candidates(FleetAnalyzer(**args), {}))
 
     def test_one_wait_per_kind_and_edge(self, monkeypatch):
         apps = tuple(
@@ -624,6 +659,19 @@ class TestPlanEdges:
                 policy=RoundRobinAdmission(),
             ).analyze()
             assert fewer.p95_latency_ms > SLO_MS
+
+    def test_edge_counts_share_one_report_evaluation(self):
+        # The contended channel depends on the fleet size alone, so the seven
+        # edge counts the search probes share one per-user report.
+        registry = telemetry.enable()
+        try:
+            plan = plan_edges(device="XR1", n_users=16, slo_ms=900.0, max_edges=64)
+        finally:
+            telemetry.disable()
+        assert registry.snapshot()["spans"]["batch.evaluate_points"]["count"] == 1
+        assert plan == EdgePlan(
+            slo_ms=900.0, n_users=16, n_edges=8, p95_ms=796.5988697397872, evaluations=7
+        )
 
     def test_unmeetable_slo_terminates_with_configuration_error(self):
         # The channel (not the edge count) is binding at a 1 ms SLO: the

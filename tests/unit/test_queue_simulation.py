@@ -49,6 +49,62 @@ class TestDeterministicScenarios:
         assert result.n_packets == 0
         assert result.mean_sojourn_time_ms == 0.0
 
+    def test_negative_drawn_service_rejected(self, rng):
+        with pytest.raises(SimulationError):
+            simulate_single_server_queue([0.0, 1.0], lambda i, generator: 1.0 - i * 2.0, rng=rng)
+
+    def test_two_dimensional_arrivals_rejected(self):
+        with pytest.raises(SimulationError):
+            simulate_single_server_queue([[0.0, 1.0]], [1.0, 1.0])
+
+
+class TestServiceOrder:
+    def test_service_starts_at_the_later_of_arrival_and_previous_departure(self):
+        # Packet 1 queues behind packet 0, packet 2 finds the server idle.
+        result = simulate_single_server_queue([0.0, 1.0, 10.0], [4.0, 2.0, 1.0])
+        assert list(result.start_service_times_ms) == [0.0, 4.0, 10.0]
+        assert list(result.departure_times_ms) == [4.0, 6.0, 11.0]
+        assert list(result.waiting_times_ms) == [0.0, 3.0, 0.0]
+
+    def test_coinciding_arrivals_are_served_in_the_order_given(self):
+        # FIFO, not shortest job first: the long job listed first goes first.
+        result = simulate_single_server_queue([0.0, 0.0, 0.0], [3.0, 1.0, 2.0])
+        assert list(result.departure_times_ms) == [3.0, 4.0, 6.0]
+
+    def test_callable_is_asked_once_per_packet_in_arrival_order(self, rng):
+        asked = []
+
+        def service(index, generator):
+            asked.append((index, generator))
+            return 1.0
+
+        simulate_single_server_queue([0.0, 0.5, 0.5, 2.0], service, rng=rng)
+        assert [index for index, _ in asked] == [0, 1, 2, 3]
+        assert all(generator is rng for _, generator in asked)
+
+    def test_drawn_services_are_the_generator_stream_in_packet_order(self):
+        arrivals = [0.0, 0.1, 0.1, 0.3, 2.0]
+        drawn = simulate_single_server_queue(
+            arrivals,
+            lambda _, generator: generator.exponential(0.5),
+            rng=np.random.default_rng(11),
+        )
+        expected = np.random.default_rng(11).exponential(0.5, size=len(arrivals))
+        services = drawn.departure_times_ms - drawn.start_service_times_ms
+        assert list(services) == pytest.approx(list(expected), rel=1e-12, abs=0.0)
+
+    def test_callable_without_generator_is_reproducible(self):
+        def service(_, generator):
+            return generator.exponential(1.0)
+
+        first = simulate_single_server_queue([0.0, 1.0, 2.0], service)
+        second = simulate_single_server_queue([0.0, 1.0, 2.0], service)
+        assert list(first.departure_times_ms) == list(second.departure_times_ms)
+
+    def test_utilization_is_busy_time_over_the_last_departure(self):
+        result = simulate_single_server_queue([0.0, 10.0], [2.0, 3.0])
+        assert result.utilization == 5.0 / 13.0
+
 
 class TestAgainstTheory:
     def test_simulated_mm1_matches_closed_form(self, rng):

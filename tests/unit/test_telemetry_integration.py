@@ -3,7 +3,7 @@
 Pins the PR's two contracts:
 
 * instrumented runs record the right counters/spans (cosim convergence
-  accounting, fleet cache statistics, shard-snapshot merging), and
+  accounting, fleet analyses, shard-snapshot merging), and
 * enabling telemetry never perturbs the deterministic surfaces — manifests'
   ``metric_payload()`` and stripped snapshots are bit-identical with the
   layer on or off.
@@ -119,39 +119,18 @@ class TestShardedSnapshotMerge:
         assert sharded == serial
 
 
-class TestFleetCacheStats:
-    def _analyzer(self, users=12):
-        return FleetAnalyzer(
-            homogeneous(users, device="XR1"),
+class TestFleetAndAdaptiveTelemetry:
+    def test_fleet_analysis_records_its_span(self):
+        registry = telemetry.enable()
+        FleetAnalyzer(
+            homogeneous(12, device="XR1"),
             policy=GreedySLOAdmission(slo_ms=800.0),
             slo_ms=800.0,
             include_aoi=False,
-        )
-
-    def test_cache_stats_shape_and_determinism(self):
-        analyzer = self._analyzer()
-        analyzer.analyze()
-        stats = analyzer.cache_stats()
-        assert set(stats) == {"models", "reports", "service_times", "mode_variants"}
-        for entry in stats.values():
-            assert set(entry) == {"hits", "misses", "currsize"}
-            assert entry["currsize"] >= 0
-        # A homogeneous fleet shares one model and hits the memos hard.
-        assert stats["models"]["currsize"] == 1
-        assert stats["reports"]["hits"] > 0
-        other = self._analyzer()
-        other.analyze()
-        assert other.cache_stats() == stats
-
-    def test_analyze_publishes_gauges_when_enabled(self):
-        registry = telemetry.enable()
-        analyzer = self._analyzer()
-        analyzer.analyze()
-        gauges = registry.snapshot()["gauges"]
-        stats = analyzer.cache_stats()
-        assert gauges["fleet.cache.models.currsize"] == stats["models"]["currsize"]
-        assert gauges["fleet.cache.reports.hits"] == stats["reports"]["hits"]
-        assert registry.snapshot()["spans"]["fleet.analyze"]["count"] == 1
+        ).analyze()
+        snapshot = registry.snapshot()
+        assert snapshot["spans"]["fleet.analyze"]["count"] == 1
+        assert snapshot["gauges"] == {}
 
     def test_adaptive_counters_and_prewarm_span(self):
         registry = telemetry.enable()
