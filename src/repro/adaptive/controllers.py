@@ -131,94 +131,52 @@ class HysteresisThreshold(ControllerBase):
     """Two-rung offload/fallback ladder with a hysteresis band.
 
     The controller engages the *offload* rung when the channel is good
-    (throughput at or above ``high_mbps`` and handoff probability at or
-    below ``handoff_cap``) and drops to the *fallback* rung as soon as the
-    channel leaves the band (throughput below ``low_mbps`` or handoff
-    probability above the cap).  In between, it keeps its current rung —
-    the hysteresis that suppresses flapping.  Downgrades are immediate;
-    upgrades additionally wait ``min_dwell_epochs`` after any switch.
+    (throughput at or above :attr:`HIGH_MBPS` and handoff probability at or
+    below :attr:`HANDOFF_CAP`) and drops to the *fallback* rung as soon as
+    the channel leaves the band (throughput below :attr:`LOW_MBPS` or
+    handoff probability above the cap).  In between, it keeps its current
+    rung — the hysteresis that suppresses flapping.  Downgrades are
+    immediate; upgrades additionally wait :attr:`MIN_DWELL_EPOCHS` after any
+    switch.
 
-    When the rungs are not given explicitly they are derived from the
-    candidate set at :meth:`reset` time:
+    The rungs are derived from the candidate set at :meth:`reset` time:
 
     * *offload* is the context's selection under the **worst in-band**
-      conditions (``low_mbps``, ``handoff_cap``) — by latency monotonicity
-      it therefore meets the deadline at every epoch the controller keeps
-      it engaged,
+      conditions (:attr:`LOW_MBPS`, :attr:`HANDOFF_CAP`) — by latency
+      monotonicity it therefore meets the deadline at every epoch the
+      controller keeps it engaged,
     * *fallback* is the selection under hostile conditions (throughput at
       the floor, certain handoff), which lands on a condition-independent
       (local) candidate whenever one is feasible.
-
-    Args:
-        low_mbps / high_mbps: throughput hysteresis band edges.
-        handoff_cap: handoff probability above which offloading disengages.
-        min_dwell_epochs: epochs to hold a rung before upgrading again.
-        offload_index / fallback_index: explicit rungs (candidate indices);
-            ``None`` derives them as described above.
     """
 
     name = "hysteresis"
 
-    def __init__(
-        self,
-        low_mbps: float = 30.0,
-        high_mbps: float = 60.0,
-        handoff_cap: float = 0.1,
-        min_dwell_epochs: int = 3,
-        offload_index: Optional[int] = None,
-        fallback_index: Optional[int] = None,
-    ) -> None:
-        # Written so that NaN fails: every comparison with NaN is false.
-        if not (low_mbps > 0.0 and high_mbps > 0.0):
-            raise ConfigurationError(
-                f"hysteresis thresholds must be > 0 Mbps, got {low_mbps} and {high_mbps}"
-            )
-        if not low_mbps < high_mbps:
-            raise ConfigurationError(
-                f"low_mbps ({low_mbps}) must be below high_mbps ({high_mbps})"
-            )
-        if not 0.0 <= handoff_cap <= 1.0:
-            raise ConfigurationError(
-                f"handoff_cap must be in [0, 1], got {handoff_cap}"
-            )
-        if min_dwell_epochs < 0:
-            raise ConfigurationError(
-                f"min_dwell_epochs must be >= 0, got {min_dwell_epochs}"
-            )
-        self.low_mbps = float(low_mbps)
-        self.high_mbps = float(high_mbps)
-        self.handoff_cap = float(handoff_cap)
-        self.min_dwell_epochs = int(min_dwell_epochs)
-        self._explicit_offload = offload_index
-        self._explicit_fallback = fallback_index
-        self.offload_index = offload_index if offload_index is not None else 0
-        self.fallback_index = fallback_index if fallback_index is not None else 0
+    #: Throughput hysteresis band edges (Mbps).
+    LOW_MBPS = 30.0
+    HIGH_MBPS = 60.0
+    #: Handoff probability above which offloading disengages.
+    HANDOFF_CAP = 0.1
+    #: Epochs to hold a rung before upgrading again.
+    MIN_DWELL_EPOCHS = 3
+
+    def __init__(self) -> None:
+        self.offload_index = 0
+        self.fallback_index = 0
         self._current: Optional[int] = None
         self._last_switch_epoch = 0
 
     def reset(self, context: "ControlContext") -> None:
-        if self._explicit_offload is None:
-            band_edge = EpochConditions(
-                time_ms=0.0,
-                throughput_mbps=self.low_mbps,
-                handoff_probability=self.handoff_cap,
-            )
-            self.offload_index = context.select(context.sweep(band_edge))
-        else:
-            self.offload_index = self._explicit_offload
-        if self._explicit_fallback is None:
-            hostile = EpochConditions(
-                time_ms=0.0, throughput_mbps=0.5, handoff_probability=1.0
-            )
-            self.fallback_index = context.select(context.sweep(hostile))
-        else:
-            self.fallback_index = self._explicit_fallback
-        for rung in (self.offload_index, self.fallback_index):
-            if not 0 <= rung < context.n_candidates:
-                raise ConfigurationError(
-                    f"rung index {rung} out of range for "
-                    f"{context.n_candidates} candidates"
-                )
+        band_edge = EpochConditions(
+            time_ms=0.0,
+            throughput_mbps=self.LOW_MBPS,
+            handoff_probability=self.HANDOFF_CAP,
+        )
+        self.offload_index = context.select(context.sweep(band_edge))
+        hostile = EpochConditions(
+            time_ms=0.0, throughput_mbps=0.5, handoff_probability=1.0
+        )
+        self.fallback_index = context.select(context.sweep(hostile))
         self._current = None
         self._last_switch_epoch = 0
 
@@ -227,12 +185,12 @@ class HysteresisThreshold(ControllerBase):
     ) -> int:
         del context
         in_band = (
-            conditions.throughput_mbps >= self.low_mbps
-            and conditions.handoff_probability <= self.handoff_cap
+            conditions.throughput_mbps >= self.LOW_MBPS
+            and conditions.handoff_probability <= self.HANDOFF_CAP
         )
         engage = (
-            conditions.throughput_mbps >= self.high_mbps
-            and conditions.handoff_probability <= self.handoff_cap
+            conditions.throughput_mbps >= self.HIGH_MBPS
+            and conditions.handoff_probability <= self.HANDOFF_CAP
         )
         if self._current is None:
             self._current = self.offload_index if engage else self.fallback_index
@@ -245,7 +203,7 @@ class HysteresisThreshold(ControllerBase):
         elif (
             engage
             and self._current != self.offload_index
-            and epoch - self._last_switch_epoch >= self.min_dwell_epochs
+            and epoch - self._last_switch_epoch >= self.MIN_DWELL_EPOCHS
         ):
             self._current = self.offload_index
             self._last_switch_epoch = epoch
@@ -268,21 +226,15 @@ class GreedyBatchSweep(ControllerBase):
     any epoch where at least one candidate meets the deadline, its choice
     meets the deadline, so its miss count is a lower bound over all static
     policies.
-
-    Args:
-        objective: selection objective override (None uses the context's).
     """
 
     name = "greedy-sweep"
-
-    def __init__(self, objective: Optional[str] = None) -> None:
-        self.objective = objective
 
     def decide(
         self, epoch: int, conditions: EpochConditions, context: "ControlContext"
     ) -> int:
         del epoch
-        return context.select(context.sweep(conditions), objective=self.objective)
+        return context.select(context.sweep(conditions))
 
     def state(self) -> tuple:
         return ()
@@ -304,35 +256,24 @@ class EwmaPredictive(ControllerBase):
     with conservatism, never with deadline misses.
 
     A seeded epsilon-greedy exploration over the predicted-feasible set
-    adds the bandit flavour: with probability ``epsilon`` the controller
+    adds the bandit flavour: with probability :attr:`EPSILON` the controller
     tries a random feasible candidate instead of the objective's pick,
     which keeps its outcome statistics fresh across regime changes while
     remaining deadline-safe and bit-deterministic for a fixed seed.
 
     Args:
-        alpha: EWMA smoothing factor in (0, 1]; higher tracks faster.
-        epsilon: exploration probability in [0, 1].
         seed: exploration seed.
-        objective: selection objective override (None uses the context's).
     """
 
     name = "ewma-predictive"
 
-    def __init__(
-        self,
-        alpha: float = 0.3,
-        epsilon: float = 0.1,
-        seed: int = 0,
-        objective: Optional[str] = None,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ConfigurationError(f"epsilon must be in [0, 1], got {epsilon}")
-        self.alpha = float(alpha)
-        self.epsilon = float(epsilon)
+    #: EWMA smoothing factor in (0, 1]; higher tracks faster.
+    ALPHA = 0.3
+    #: Exploration probability.
+    EPSILON = 0.1
+
+    def __init__(self, seed: int = 0) -> None:
         self.seed = ensure_non_negative("seed", ensure_integer("seed", seed))
-        self.objective = objective
         self._rng = np.random.default_rng(self.seed)
         self._ewma_throughput: Optional[float] = None
         self._ewma_handoff: Optional[float] = None
@@ -362,9 +303,9 @@ class EwmaPredictive(ControllerBase):
         predicted = self._predict(conditions)
         evaluation = context.sweep(predicted)
         feasible = np.flatnonzero(evaluation.latency_ms <= context.deadline_ms)
-        if feasible.size > 1 and self._rng.random() < self.epsilon:
+        if feasible.size > 1 and self._rng.random() < self.EPSILON:
             return int(feasible[self._rng.integers(0, feasible.size)])
-        return context.select(evaluation, objective=self.objective)
+        return context.select(evaluation)
 
     def state(self) -> tuple:
         return (
@@ -388,12 +329,12 @@ class EwmaPredictive(ControllerBase):
             self._ewma_handoff = conditions.handoff_probability
             return
         self._ewma_throughput = (
-            self.alpha * conditions.throughput_mbps
-            + (1.0 - self.alpha) * self._ewma_throughput
+            self.ALPHA * conditions.throughput_mbps
+            + (1.0 - self.ALPHA) * self._ewma_throughput
         )
         self._ewma_handoff = (
-            self.alpha * conditions.handoff_probability
-            + (1.0 - self.alpha) * self._ewma_handoff
+            self.ALPHA * conditions.handoff_probability
+            + (1.0 - self.ALPHA) * self._ewma_handoff
         )
 
 

@@ -34,7 +34,7 @@ heuristic, not one of the paper's calibrated quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,32 +84,32 @@ def candidate_quality(point: OperatingPoint) -> float:
     return cnn_quality * side_factor
 
 
+#: The default candidate grid's CPU clocks (GHz) and frame sides (px).
+CANDIDATE_CPU_FREQS_GHZ = (1.0, 2.0, 3.0)
+CANDIDATE_FRAME_SIDES_PX = (300.0, 500.0, 700.0)
+
+
 def default_candidates(
     device: str = "XR1",
     edge: str = "EDGE-AGX",
     app: Optional[ApplicationConfig] = None,
     network: Optional[NetworkConfig] = None,
-    cpu_freqs_ghz: Sequence[float] = (1.0, 2.0, 3.0),
-    frame_sides_px: Sequence[float] = (300.0, 500.0, 700.0),
-    n_edge_servers: int = 1,
 ) -> Tuple[OperatingPoint, ...]:
     """The default candidate grid: clocks x frame sides x placements.
 
     Placements come from :func:`repro.core.offloading.placement_candidates`
     — the same local / remote / even-split derivation the
-    :class:`~repro.core.offloading.OffloadingPlanner` ranks — so the
-    adaptive layer and the static planner agree on what a "placement
-    candidate" is.
+    :class:`~repro.core.offloading.OffloadingPlanner` ranks, over one edge
+    server — so the adaptive layer and the static planner agree on what a
+    "placement candidate" is.
     """
     app = app if app is not None else ApplicationConfig.object_detection_default()
     network = network if network is not None else NetworkConfig()
     points: List[OperatingPoint] = []
-    for cpu_freq in cpu_freqs_ghz:
-        for frame_side in frame_sides_px:
-            base = replace(
-                app, cpu_freq_ghz=float(cpu_freq), frame_side_px=float(frame_side)
-            )
-            for candidate in placement_candidates(base, n_edge_servers=n_edge_servers):
+    for cpu_freq in CANDIDATE_CPU_FREQS_GHZ:
+        for frame_side in CANDIDATE_FRAME_SIDES_PX:
+            base = replace(app, cpu_freq_ghz=cpu_freq, frame_side_px=frame_side)
+            for candidate in placement_candidates(base, n_edge_servers=1):
                 points.append(
                     OperatingPoint(app=candidate, network=network, device=device, edge=edge)
                 )
@@ -317,24 +317,19 @@ class ControlContext:
 
     # -- selection --------------------------------------------------------------
 
-    def select(
-        self, evaluation: CandidateEvaluation, objective: Optional[str] = None
-    ) -> int:
+    def select(self, evaluation: CandidateEvaluation) -> int:
         """Deadline-first candidate selection.
 
         Among the candidates whose latency meets the deadline, pick by the
-        objective — ``"quality"`` maximises :func:`candidate_quality` (ties
-        broken by lower energy, then lower latency, then lower index),
-        ``"energy"`` minimises energy, ``"latency"`` minimises latency.
-        When *no* candidate meets the deadline, the least-bad (lowest
-        latency) candidate is returned, so a selection-based controller
-        never misses a deadline a static candidate would have met.
+        context's objective — ``"quality"`` maximises
+        :func:`candidate_quality` (ties broken by lower energy, then lower
+        latency, then lower index), ``"energy"`` minimises energy,
+        ``"latency"`` minimises latency.  When *no* candidate meets the
+        deadline, the least-bad (lowest latency) candidate is returned, so a
+        selection-based controller never misses a deadline a static
+        candidate would have met.
         """
-        objective = objective if objective is not None else self.objective
-        if objective not in OBJECTIVES:
-            raise ConfigurationError(
-                f"objective must be one of {OBJECTIVES}, got {objective!r}"
-            )
+        objective = self.objective
         latency = evaluation.latency_ms
         feasible = np.flatnonzero(latency <= self.deadline_ms)
         if feasible.size == 0:
@@ -720,10 +715,8 @@ class AdaptiveRuntime:
         order = np.lexsort((np.arange(len(rates)), -self.context.quality, rates))
         return int(order[0])
 
-    def static_report(self, index: Union[int, None] = None) -> AdaptationReport:
-        """The report a pinned candidate would achieve (best static by default)."""
+    def static_report(self) -> AdaptationReport:
+        """The report of the best static candidate pinned for the whole trace."""
         from repro.adaptive.controllers import StaticBaseline
 
-        if index is None:
-            index = self.best_static_index()
-        return self.run(StaticBaseline(index))
+        return self.run(StaticBaseline(self.best_static_index()))

@@ -13,18 +13,21 @@ Two families of generators are provided:
 
 * :func:`mobility_fading_trace` composes the existing substrates — a
   :class:`~repro.network.mobility.RandomWalkMobility` walk for handoffs,
-  Rician/Rayleigh fading gains, and a seeded birth-death contender process
-  fed through the fleet's :class:`~repro.fleet.contention.ContentionModel`
-  for the per-user throughput share;
+  Rician fading gains, and a seeded birth-death contender process fed
+  through the fleet's :class:`~repro.fleet.contention.ContentionModel` for
+  the per-user throughput share;
 * :func:`drift_trace` / :func:`step_trace` / :func:`burst_trace` are
   synthetic scenarios with known structure (slow degradation, a regime
   change, periodic congestion bursts) used by the controller tests and the
   bundled scenarios.
 
-Every generator is seeded and fully deterministic: the same ``(generator,
-parameters, seed)`` triple reproduces the trace bit-for-bit, and
-:meth:`ConditionTrace.to_dict` / :meth:`ConditionTrace.from_dict` give a
-materialised replay format for traces that came from somewhere else.
+Each generator's shape is fixed by the module constants below; a caller
+chooses only the trace's length, epoch length, seed and (for the synthetic
+ones) jitter.  Every generator is seeded and fully deterministic: the same
+``(generator, n_epochs, epoch_ms, seed, jitter)`` reproduces the trace
+bit-for-bit, and :meth:`ConditionTrace.to_dict` /
+:meth:`ConditionTrace.from_dict` give a materialised replay format for
+traces that came from somewhere else.
 """
 
 from __future__ import annotations
@@ -52,9 +55,28 @@ MIN_THROUGHPUT_MBPS: float = 0.5
 HANDOFF_PROBABILITY_STEP: float = 0.005
 
 
-def quantize_probability(value: float, step: float = HANDOFF_PROBABILITY_STEP) -> float:
+#: The synthetic traces' shapes, each a (throughput in Mbps, handoff
+#: probability) pair: the two ends of a drift, the two sides of a step (at
+#: half the trace), and outside and inside a burst.  A burst covers
+#: ``BURST_EPOCHS`` of every ``BURST_PERIOD_EPOCHS`` epochs, at a seeded
+#: phase.
+DRIFT_START, DRIFT_END = (180.0, 0.0), (4.0, 0.25)
+STEP_BEFORE, STEP_AFTER = (180.0, 0.01), (6.0, 0.3)
+BURST_OUTSIDE, BURST_INSIDE = (180.0, 0.01), (3.0, 0.35)
+BURST_PERIOD_EPOCHS, BURST_EPOCHS = 50, 8
+
+#: The mobility trace's device walk (over the default
+#: :class:`~repro.network.mobility.CoverageLayout`) and contender process,
+#: whose ceiling is four times its mean.  Its frames run at 30 fps.
+MOBILITY_SPEED_M_PER_S = 8.0
+MOBILITY_PAUSE_PROBABILITY = 0.2
+MEAN_CONTENDERS = 12
+
+
+def quantize_probability(value: float) -> float:
     """Clamp ``value`` to [0, 1] and snap it to the coarse probability grid."""
     clamped = min(max(float(value), 0.0), 1.0)
+    step = HANDOFF_PROBABILITY_STEP
     return min(max(round(clamped / step) * step, 0.0), 1.0)
 
 
@@ -222,23 +244,21 @@ def drift_trace(
     n_epochs: int,
     epoch_ms: float = 100.0,
     seed: int = 0,
-    start_mbps: float = 180.0,
-    end_mbps: float = 4.0,
-    handoff_start: float = 0.0,
-    handoff_end: float = 0.25,
     jitter: float = 0.02,
 ) -> ConditionTrace:
     """Slow monotone degradation: the device walks away from its access point.
 
-    Throughput drifts linearly from ``start_mbps`` to ``end_mbps`` with
-    multiplicative jitter; the handoff probability ramps up as cell-edge
-    conditions make re-association more likely.
+    Throughput and handoff probability move linearly from
+    :data:`DRIFT_START` to :data:`DRIFT_END`, the throughput with
+    multiplicative jitter: the channel fades as cell-edge conditions make
+    re-association more likely.
     """
     _check_epochs(n_epochs)
     rng = np.random.default_rng(seed)
     ramp = np.linspace(0.0, 1.0, n_epochs)
+    (start_mbps, start_handoff), (end_mbps, end_handoff) = DRIFT_START, DRIFT_END
     throughput = _jittered(rng, start_mbps + (end_mbps - start_mbps) * ramp, jitter)
-    handoff = handoff_start + (handoff_end - handoff_start) * ramp
+    handoff = start_handoff + (end_handoff - start_handoff) * ramp
     return _build("drift", epoch_ms, seed, throughput, handoff)
 
 
@@ -246,24 +266,14 @@ def step_trace(
     n_epochs: int,
     epoch_ms: float = 100.0,
     seed: int = 0,
-    high_mbps: float = 180.0,
-    low_mbps: float = 6.0,
-    step_fraction: float = 0.5,
-    handoff_high: float = 0.01,
-    handoff_low: float = 0.3,
     jitter: float = 0.02,
 ) -> ConditionTrace:
-    """A regime change: good channel until ``step_fraction``, then congested."""
+    """A regime change: :data:`STEP_BEFORE` for the first half, then :data:`STEP_AFTER`."""
     _check_epochs(n_epochs)
-    if not 0.0 < step_fraction < 1.0:
-        raise ConfigurationError(
-            f"step_fraction must be in (0, 1), got {step_fraction}"
-        )
     rng = np.random.default_rng(seed)
-    step_at = int(n_epochs * step_fraction)
-    before = np.arange(n_epochs) < step_at
-    throughput = _jittered(rng, np.where(before, high_mbps, low_mbps), jitter)
-    handoff = np.where(before, handoff_high, handoff_low)
+    before = np.arange(n_epochs) < n_epochs // 2
+    throughput = _jittered(rng, np.where(before, STEP_BEFORE[0], STEP_AFTER[0]), jitter)
+    handoff = np.where(before, STEP_BEFORE[1], STEP_AFTER[1])
     return _build("step", epoch_ms, seed, throughput, handoff)
 
 
@@ -271,33 +281,23 @@ def burst_trace(
     n_epochs: int,
     epoch_ms: float = 100.0,
     seed: int = 0,
-    base_mbps: float = 180.0,
-    burst_mbps: float = 3.0,
-    burst_every: int = 50,
-    burst_duration: int = 8,
-    handoff_base: float = 0.01,
-    handoff_burst: float = 0.35,
     jitter: float = 0.02,
 ) -> ConditionTrace:
     """Periodic congestion bursts (seeded phase): crowd surges, elevator rides.
 
-    Outside bursts the channel is good; during a burst both the throughput
-    collapses and the handoff probability spikes, which is the regime where
-    offloaded operating points blow through their deadline.
+    Outside bursts the channel is good (:data:`BURST_OUTSIDE`); during a
+    burst (:data:`BURST_INSIDE`) both the throughput collapses and the
+    handoff probability spikes, which is the regime where offloaded
+    operating points blow through their deadline.
     """
     _check_epochs(n_epochs)
-    if burst_every <= 0 or burst_duration <= 0:
-        raise ConfigurationError("burst_every and burst_duration must be > 0")
-    if burst_duration >= burst_every:
-        raise ConfigurationError(
-            f"burst_duration ({burst_duration}) must be shorter than "
-            f"burst_every ({burst_every})"
-        )
     rng = np.random.default_rng(seed)
-    phase = int(rng.integers(0, burst_every))
-    in_burst = ((np.arange(n_epochs) - phase) % burst_every) < burst_duration
-    throughput = _jittered(rng, np.where(in_burst, burst_mbps, base_mbps), jitter)
-    handoff = np.where(in_burst, handoff_burst, handoff_base)
+    phase = int(rng.integers(0, BURST_PERIOD_EPOCHS))
+    in_burst = ((np.arange(n_epochs) - phase) % BURST_PERIOD_EPOCHS) < BURST_EPOCHS
+    throughput = _jittered(
+        rng, np.where(in_burst, BURST_INSIDE[0], BURST_OUTSIDE[0]), jitter
+    )
+    handoff = np.where(in_burst, BURST_INSIDE[1], BURST_OUTSIDE[1])
     return _build("burst", epoch_ms, seed, throughput, handoff)
 
 
@@ -310,64 +310,50 @@ def mobility_fading_trace(
     n_epochs: int,
     epoch_ms: float = 100.0,
     seed: int = 0,
-    network: Optional[NetworkConfig] = None,
-    layout: Optional[CoverageLayout] = None,
-    speed_m_per_s: float = 8.0,
-    pause_probability: float = 0.2,
-    mean_contenders: int = 12,
-    max_contenders: Optional[int] = None,
-    rician_k: float = 6.0,
-    frame_period_ms: float = 1000.0 / 30.0,
 ) -> ConditionTrace:
     """Compose mobility, fading and fleet load into one condition timeline.
 
     Per epoch:
 
-    * a :class:`~repro.network.mobility.RandomWalkMobility` walk over
-      ``layout`` decides whether the device crossed a zone boundary; an
-      epoch containing a handoff charges its frames the per-frame
-      probability ``frame_period_ms / epoch_ms`` (exactly one handoff in
-      expectation over the epoch's frames),
+    * a :class:`~repro.network.mobility.RandomWalkMobility` walk decides
+      whether the device crossed a zone boundary; an epoch containing a
+      handoff charges its frames the per-frame probability
+      ``frame_period_ms / epoch_ms`` (exactly one handoff in expectation
+      over the epoch's frames),
     * a seeded birth-death process moves the contender count around
-      ``mean_contenders``; the fleet's
-      :class:`~repro.fleet.contention.ContentionModel` turns it into the
+      :data:`MEAN_CONTENDERS`; the fleet's
+      :class:`~repro.fleet.contention.ContentionModel` over the default
+      :class:`~repro.config.network.NetworkConfig` turns it into the
       per-user throughput share,
-    * a Rician fading gain (line-of-sight factor ``rician_k``) multiplies
-      the share.
+    * a :class:`~repro.network.fading.RicianFading` gain multiplies the
+      share.
     """
     _check_epochs(n_epochs)
-    if mean_contenders < 1:
-        raise ConfigurationError(
-            f"mean_contenders must be >= 1, got {mean_contenders}"
-        )
-    network = network if network is not None else NetworkConfig()
-    layout = layout if layout is not None else CoverageLayout()
     rng = np.random.default_rng(seed)
 
     mobility = RandomWalkMobility(
-        layout=layout,
-        speed_m_per_s=speed_m_per_s,
-        pause_probability=pause_probability,
+        layout=CoverageLayout(),
+        speed_m_per_s=MOBILITY_SPEED_M_PER_S,
+        pause_probability=MOBILITY_PAUSE_PROBABILITY,
     )
     walk = mobility.walk(n_steps=n_epochs, step_interval_ms=epoch_ms, rng=rng)
-    per_frame = min(frame_period_ms / epoch_ms, 1.0)
+    per_frame = min((1000.0 / 30.0) / epoch_ms, 1.0)
     handoff = np.where(np.asarray(walk.handoff_flags), per_frame, 0.0)
 
-    ceiling = max_contenders if max_contenders is not None else 4 * mean_contenders
-    contention = ContentionModel(network=network)
-    fading = RicianFading(k_factor=rician_k)
-    gains = fading.sample(rng, size=n_epochs)
+    ceiling = 4 * MEAN_CONTENDERS
+    contention = ContentionModel(network=NetworkConfig())
+    gains = RicianFading().sample(rng, size=n_epochs)
 
     contenders = np.empty(n_epochs, dtype=int)
     throughput = np.empty(n_epochs)
-    current = mean_contenders
+    current = MEAN_CONTENDERS
     for i in range(n_epochs):
         # Mean-reverting birth-death: a random step plus a pull towards the
         # configured mean keeps the process stationary.
         step = int(rng.integers(-2, 3))
-        if current > mean_contenders and rng.random() < 0.3:
+        if current > MEAN_CONTENDERS and rng.random() < 0.3:
             step -= 1
-        elif current < mean_contenders and rng.random() < 0.3:
+        elif current < MEAN_CONTENDERS and rng.random() < 0.3:
             step += 1
         current = min(max(current + step, 1), ceiling)
         contenders[i] = current

@@ -241,7 +241,3 @@ class BatchResult:
             device_name=group.device_name,
             edge_name=group.edge_name,
         )
-
-    def reports(self) -> List[PerformanceReport]:
-        """Scalar reports for every point, in point order."""
-        return [self.report_at(i) for i in range(self._n_points)]

@@ -373,7 +373,6 @@ def _cmd_cosim(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         objective=args.objective,
         max_iterations=args.max_iterations,
-        damping=args.damping,
     )
     report = cosim_report(spec, backend=args.backend)
     print(
@@ -976,12 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="per-epoch best-response iteration budget",
-    )
-    cosim.add_argument(
-        "--damping",
-        type=float,
-        default=0.5,
-        help="relaxation factor on the endogenous conditions between iterations",
     )
     cosim.set_defaults(handler=_cmd_cosim)
 

@@ -7,9 +7,10 @@ The paper's system model (Fig. 1/Fig. 2) connects the XR device to
   information (Eqs. 5-6 and the AoI model of Section VI),
 * neighbouring coverage zones it may hand off to while moving (Eq. 17).
 
-The configuration below captures that topology.  Path loss, shadowing and
-fading are disabled by default — matching the paper's baseline assumption —
-but can be enabled for the extension experiments.
+The configuration below captures that topology.  Path loss is disabled by
+default — matching the paper's baseline assumption — but can be enabled for
+the extension experiments; the link budget then stays deterministic (no
+shadowing or fading).
 """
 
 from __future__ import annotations
@@ -144,11 +145,11 @@ class NetworkConfig:
         propagation_speed_m_per_s: signal propagation speed ``c``.
         sensors: external sensors/devices connected to the XR device.
         handoff: mobility/handoff configuration.
-        enable_path_loss: include log-distance path loss in the link budget
-            (off by default to match the paper).
+        enable_path_loss: derive ``r_w`` from a deterministic link budget
+            at ``edge_distance_m`` (log-distance path loss, no shadowing)
+            instead of taking ``throughput_mbps`` as given; off by default
+            to match the paper.
         path_loss_exponent: log-distance path-loss exponent when enabled.
-        shadowing_sigma_db: log-normal shadowing standard deviation when
-            path loss is enabled (0 disables shadowing).
         carrier_frequency_ghz: Wi-Fi carrier (2.4 or 5 GHz for the paper's
             LinkSys dual-band router).
         bandwidth_mhz: channel bandwidth used when deriving throughput from
@@ -173,7 +174,6 @@ class NetworkConfig:
     handoff: HandoffConfig = field(default_factory=HandoffConfig)
     enable_path_loss: bool = False
     path_loss_exponent: float = 3.0
-    shadowing_sigma_db: float = 0.0
     carrier_frequency_ghz: float = 5.0
     bandwidth_mhz: float = 80.0
     tx_power_dbm: float = 20.0
@@ -191,7 +191,6 @@ class NetworkConfig:
         )
         ensure_positive("path_loss_exponent", self.path_loss_exponent)
         ensure_finite("path_loss_exponent", self.path_loss_exponent)
-        ensure_in_range("shadowing_sigma_db", self.shadowing_sigma_db, 0.0, MAX_ABS_DB)
         ensure_at_least(
             "carrier_frequency_ghz", self.carrier_frequency_ghz, MIN_CARRIER_FREQUENCY_GHZ
         )

@@ -13,10 +13,17 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from repro.config.validation import (
+    ensure_finite,
     ensure_non_negative,
     ensure_positive,
     ensure_sorted_positive,
 )
+from repro.exceptions import ConfigurationError
+
+#: Most packets an AoI workload may generate: ``horizon_ms / 1e3`` times the
+#: summed sensor frequencies.  The paper workload generates about 33; the
+#: emulation lists every packet, so the bound keeps its arrays small.
+MAX_WORKLOAD_PACKETS = 1e6
 
 
 @dataclass(frozen=True)
@@ -98,19 +105,25 @@ class WorkloadConfig:
         ensure_sorted_positive(
             "sensor_frequencies_hz", tuple(sorted(self.sensor_frequencies_hz))
         )
+        for frequency in self.sensor_frequencies_hz:
+            ensure_finite("sensor_frequencies_hz entries", frequency)
         ensure_positive("required_update_period_ms", self.required_update_period_ms)
         ensure_positive("horizon_ms", self.horizon_ms)
+        ensure_finite("horizon_ms", self.horizon_ms)
         ensure_positive("buffer_service_rate_hz", self.buffer_service_rate_hz)
         ensure_non_negative("seed", self.seed)
+        packets = self.horizon_ms / 1e3 * sum(self.sensor_frequencies_hz)
+        if not packets <= MAX_WORKLOAD_PACKETS:
+            raise ConfigurationError(
+                f"horizon_ms ({self.horizon_ms!r}) and sensor_frequencies_hz "
+                f"generate {packets!r} packets, above {MAX_WORKLOAD_PACKETS:g}"
+            )
         if len(self.sensor_distances_m) != len(self.sensor_frequencies_hz):
-            raise_distances = (
+            raise ConfigurationError(
                 "sensor_distances_m must have the same length as "
                 f"sensor_frequencies_hz ({len(self.sensor_frequencies_hz)}), "
                 f"got {len(self.sensor_distances_m)}"
             )
-            from repro.exceptions import ConfigurationError
-
-            raise ConfigurationError(raise_distances)
         for index, distance in enumerate(self.sensor_distances_m):
             ensure_non_negative(f"sensor_distances_m[{index}]", distance)
 

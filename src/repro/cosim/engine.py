@@ -19,8 +19,8 @@ previous epoch's decisions seed a load estimate, every controller re-decides
 against the implied (contended throughput, edge wait) conditions, and the
 loop repeats until the decision vector stops changing or the iteration
 budget is exhausted.  The endogenous quantities fed to the controllers are
-relaxed between iterations (``damping``) to tame decision flapping; the
-*charged* outcomes always use the exact loads implied by the final
+relaxed between iterations (by :data:`DAMPING`) to tame decision flapping;
+the *charged* outcomes always use the exact loads implied by the final
 decisions.  Every epoch's convergence flag and iteration count are recorded
 on the :class:`~repro.cosim.results.CosimReport` — an adversarial fleet
 whose best responses cycle is reported, not hidden.
@@ -245,6 +245,12 @@ DEAL_CACHE_SIZE = 8
 #: (rate, service, service-scale) keys per deal; 8 holds that twice over.
 LOADS_TABLE_SIZE = 8
 
+#: Weight of the new value when a best-response round relaxes the endogenous
+#: throughput and wait toward the previous round's (1.0 would be the
+#: undamped best response).  The reported equilibrium of a fleet whose
+#: classes differ depends on it, so it is fixed rather than tuned.
+DAMPING = 0.5
+
 
 class _Round(NamedTuple):
     """One decision round of an epoch's best-response solve.
@@ -441,10 +447,9 @@ class CoSimulation:
             each class's device/app.
         include_aoi: forwarded to the simulation's compiled candidate set.
         max_iterations: best-response iteration budget per epoch (>= 2 so a
-            fixed point can be verified).
-        damping: relaxation factor in (0, 1] applied to the endogenous
-            throughput/wait between iterations (1.0 = undamped best
-            response).  Charged outcomes always use undamped final loads.
+            fixed point can be verified).  Between iterations the endogenous
+            throughput/wait are relaxed by :data:`DAMPING`; charged outcomes
+            always use undamped final loads.
         faults: optional :class:`~repro.faults.schedule.FaultSchedule`
             injected into the closed loop — dead edges leave the
             round-robin deal, brownouts and straggler windows inflate the
@@ -470,7 +475,6 @@ class CoSimulation:
         candidates: Optional[Sequence[OperatingPoint]] = None,
         include_aoi: bool = True,
         max_iterations: int = 8,
-        damping: float = 0.5,
         faults: Optional[FaultSchedule] = None,
     ) -> None:
         n_edges = ensure_integer("n_edges", n_edges)
@@ -482,8 +486,6 @@ class CoSimulation:
                 f"max_iterations must be >= 2 to verify a fixed point, "
                 f"got {max_iterations}"
             )
-        if not 0.0 < damping <= 1.0:
-            raise ConfigurationError(f"damping must be in (0, 1], got {damping}")
         self.population = (
             population
             if isinstance(population, FleetPopulation)
@@ -502,7 +504,6 @@ class CoSimulation:
         self.objective = objective
         self.include_aoi = include_aoi
         self.max_iterations = max_iterations
-        self.damping = float(damping)
         self.faults = faults
         # Validates edge targets against the pool up front and memoizes the
         # per-epoch composed states.
@@ -721,16 +722,11 @@ class CoSimulation:
             return base
         return replace(base, throughput_mbps=share, n_contenders=n_offloaded)
 
-    def _damp(self, previous: Optional[float], new: float) -> float:
-        if (
-            previous is None
-            or previous == new
-            or self.damping >= 1.0
-            or math.isinf(new)
-            or math.isinf(previous)
-        ):
+    @staticmethod
+    def _damp(previous: Optional[float], new: float) -> float:
+        if previous is None or previous == new or math.isinf(new) or math.isinf(previous):
             return new
-        return self.damping * new + (1.0 - self.damping) * previous
+        return DAMPING * new + (1.0 - DAMPING) * previous
 
     def _round_throughputs(
         self,

@@ -332,7 +332,6 @@ def cosim_report(spec: ScenarioSpec, backend: Optional[str] = None):
         objective=params.get("objective", "quality"),
         include_aoi=bool(params.get("include_aoi", False)),
         max_iterations=int(params.get("max_iterations", 8)),
-        damping=float(params.get("damping", 0.5)),
         faults=spec.build_faults(),
     )
 

@@ -80,7 +80,6 @@ _PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
         "deadline_ms",
         "objective",
         "max_iterations",
-        "damping",
         "include_aoi",
     ),
 }
@@ -262,7 +261,7 @@ class ScenarioSpec:
                     )
         # The positive-number checks are written ``not value > 0`` so that
         # NaN fails them too.
-        for key in ("epoch_ms", "deadline_ms", "slo_ms", "damping"):
+        for key in ("epoch_ms", "deadline_ms", "slo_ms"):
             if key in params:
                 value = params[key]
                 if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:

@@ -40,7 +40,6 @@ from repro.fleet.population import (
     UserProfile,
     homogeneous,
     mixed_devices,
-    with_mode,
 )
 from repro.fleet.results import FleetReport, UserOutcome
 
@@ -66,5 +65,4 @@ __all__ = [
     "mixed_devices",
     "plan_capacity",
     "plan_edges",
-    "with_mode",
 ]

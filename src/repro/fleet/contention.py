@@ -37,8 +37,8 @@ class ContentionModel:
 
     Attributes:
         network: the single-user network configuration describing the
-            channel; its link is :class:`WifiLink` at its default MAC
-            efficiency.
+            channel; its link is :class:`WifiLink`, at the MAC efficiency
+            :data:`repro.network.wifi.MAC_EFFICIENCY`.
     """
 
     network: NetworkConfig

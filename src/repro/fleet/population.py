@@ -11,8 +11,8 @@ catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.config.application import ApplicationConfig, ExecutionMode
 from repro.config.validation import ensure_integer
@@ -84,21 +84,6 @@ class FleetPopulation:
         """Number of users in the population."""
         return len(self.users)
 
-    @property
-    def device_counts(self) -> Dict[str, int]:
-        """Number of users per device model."""
-        counts: Dict[str, int] = {}
-        for user in self.users:
-            counts[user.device] = counts.get(user.device, 0) + 1
-        return counts
-
-    def subset(self, n: int) -> "FleetPopulation":
-        """The first ``n`` users as a new population (for capacity bisection)."""
-        if not 0 < n <= len(self.users):
-            raise ConfigurationError(
-                f"subset size must be in [1, {len(self.users)}], got {n}"
-            )
-        return FleetPopulation(users=self.users[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +136,5 @@ def mixed_devices(
                 app=shared_app,
             )
             for index in range(n_users)
-        )
-    )
-
-
-def with_mode(population: FleetPopulation, mode: ExecutionMode) -> FleetPopulation:
-    """A copy of the population with every user's preferred mode replaced."""
-    return FleetPopulation(
-        users=tuple(
-            replace(user, app=user.app.with_mode(mode)) for user in population
         )
     )

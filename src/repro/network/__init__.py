@@ -3,10 +3,12 @@
 Covers the pieces of the edge-assisted wireless network the paper's models
 touch:
 
-* log-distance path loss and shadowing (:mod:`repro.network.pathloss`) —
-  off by default, matching the paper's baseline assumptions,
-* small-scale fading samplers (:mod:`repro.network.fading`),
-* 802.11 link-budget throughput estimation (:mod:`repro.network.wifi`),
+* log-distance path loss (:mod:`repro.network.pathloss`) — off by default,
+  matching the paper's baseline assumptions; there is no shadowing,
+* the Rician fading sampler of the mobility condition trace
+  (:mod:`repro.network.fading`),
+* 802.11 link-budget throughput at the edge distance
+  (:mod:`repro.network.wifi`),
 * random-walk mobility over a cellular coverage layout
   (:mod:`repro.network.mobility`),
 * the per-frame handoff latency model (:mod:`repro.network.handoff`).
@@ -15,7 +17,7 @@ The free-space propagation delay ``d / c`` is
 :func:`repro.units.propagation_delay_ms`.
 """
 
-from repro.network.fading import RayleighFading, RicianFading
+from repro.network.fading import RicianFading
 from repro.network.handoff import HandoffModel
 from repro.network.mobility import CoverageLayout, RandomWalkMobility
 from repro.network.pathloss import LogDistancePathLoss, free_space_path_loss_db
@@ -26,7 +28,6 @@ __all__ = [
     "HandoffModel",
     "LogDistancePathLoss",
     "RandomWalkMobility",
-    "RayleighFading",
     "RicianFading",
     "WifiLink",
     "free_space_path_loss_db",

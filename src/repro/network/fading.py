@@ -1,76 +1,36 @@
-"""Small-scale fading samplers (Rayleigh and Rician).
+"""Small-scale Rician fading.
 
-Fading is outside the paper's baseline assumptions; it is provided for the
-extension experiments that stress the transmission-latency model with a
-time-varying wireless channel.  The samplers return multiplicative power
-gains (linear scale, mean 1.0) that can be applied to a link's SNR or
-throughput.
+Fading is outside the paper's baseline assumptions; the mobility condition
+trace (:func:`repro.adaptive.traces.mobility_fading_trace`) uses it to
+stress the transmission-latency model with a time-varying wireless channel.
+The sampler returns multiplicative power gains (linear scale, mean 1.0)
+that scale a link's throughput.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.exceptions import ModelDomainError
 
-
-@dataclass(frozen=True)
-class RayleighFading:
-    """Rayleigh (no line-of-sight) fading power-gain sampler.
-
-    The power gain of a Rayleigh channel is exponentially distributed with
-    the chosen mean.
-    """
-
-    mean_power_gain: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mean_power_gain <= 0.0:
-            raise ModelDomainError(
-                f"mean power gain must be > 0, got {self.mean_power_gain}"
-            )
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw ``size`` power gains."""
-        if size <= 0:
-            raise ValueError(f"size must be > 0, got {size}")
-        return rng.exponential(self.mean_power_gain, size=size)
-
-
-@dataclass(frozen=True)
 class RicianFading:
-    """Rician (line-of-sight) fading power-gain sampler.
+    """Rician (line-of-sight) fading power-gain sampler with mean gain 1.
 
-    Attributes:
-        k_factor: ratio of line-of-sight power to scattered power; larger K
-            means a steadier channel (K -> infinity is no fading, K = 0
-            degenerates to Rayleigh).
-        mean_power_gain: mean of the returned power gains.
+    :attr:`K_FACTOR` is the ratio of line-of-sight power to scattered power;
+    a larger K means a steadier channel (K -> infinity is no fading, K = 0
+    degenerates to Rayleigh).
     """
 
-    k_factor: float = 6.0
-    mean_power_gain: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.k_factor < 0.0:
-            raise ModelDomainError(f"K factor must be >= 0, got {self.k_factor}")
-        if self.mean_power_gain <= 0.0:
-            raise ModelDomainError(
-                f"mean power gain must be > 0, got {self.mean_power_gain}"
-            )
+    K_FACTOR = 6.0
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` power gains."""
         if size <= 0:
             raise ValueError(f"size must be > 0, got {size}")
-        k = self.k_factor
+        k = self.K_FACTOR
         # Complex Gaussian with a line-of-sight component: the in-phase part
         # carries sqrt(k / (k + 1)) of the amplitude, the scattered part the rest.
         los = np.sqrt(k / (k + 1.0))
         sigma = np.sqrt(1.0 / (2.0 * (k + 1.0)))
         in_phase = rng.normal(los, sigma, size=size)
         quadrature = rng.normal(0.0, sigma, size=size)
-        gains = in_phase**2 + quadrature**2
-        return gains * self.mean_power_gain
+        return in_phase**2 + quadrature**2

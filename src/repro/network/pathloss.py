@@ -3,20 +3,20 @@
 The paper explicitly assumes no path loss, shadowing or fading in its default
 propagation model but notes they "can be incorporated into the model
 according to system requirements".  This module provides the standard
-log-distance model (with optional log-normal shadowing) so that extension
-experiments can switch them on, and the free-space reference loss it builds
-on.
+log-distance model, which a network configuration switches on with
+``enable_path_loss``, and the free-space reference loss it builds on.
+Shadowing is not modelled: the link budget is deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from repro.exceptions import ModelDomainError
+
+#: Reference distance ``d0`` of the log-distance model.
+REFERENCE_DISTANCE_M = 1.0
 
 
 def free_space_path_loss_db(distance_m: float, carrier_frequency_ghz: float) -> float:
@@ -41,57 +41,36 @@ def free_space_path_loss_db(distance_m: float, carrier_frequency_ghz: float) -> 
 
 @dataclass(frozen=True)
 class LogDistancePathLoss:
-    """Log-distance path loss with optional log-normal shadowing.
+    """Log-distance path loss.
 
-    ``PL(d) = PL(d0) + 10 * n * log10(d / d0) + X_sigma``
+    ``PL(d) = PL(d0) + 10 * n * log10(d / d0)``, with ``d0`` the
+    :data:`REFERENCE_DISTANCE_M` and ``PL(d0)`` its free-space loss; closer
+    than ``d0`` the loss stays at ``PL(d0)``.
 
     Attributes:
         exponent: path-loss exponent ``n`` (2 free space, ~3 indoor office).
-        reference_distance_m: reference distance ``d0``.
         carrier_frequency_ghz: carrier used for the reference free-space loss.
-        shadowing_sigma_db: standard deviation of the log-normal shadowing
-            term ``X_sigma``; 0 disables shadowing.
     """
 
     exponent: float = 3.0
-    reference_distance_m: float = 1.0
     carrier_frequency_ghz: float = 5.0
-    shadowing_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
         if self.exponent <= 0.0:
             raise ModelDomainError(f"path-loss exponent must be > 0, got {self.exponent}")
-        if self.reference_distance_m <= 0.0:
-            raise ModelDomainError(
-                f"reference distance must be > 0 m, got {self.reference_distance_m}"
-            )
-        if self.shadowing_sigma_db < 0.0:
-            raise ModelDomainError(
-                f"shadowing sigma must be >= 0 dB, got {self.shadowing_sigma_db}"
-            )
 
-    def path_loss_db(
-        self, distance_m: float, rng: Optional[np.random.Generator] = None
-    ) -> float:
-        """Path loss (dB) at ``distance_m``; shadowing sampled when ``rng`` given."""
+    def path_loss_db(self, distance_m: float) -> float:
+        """Path loss (dB) at ``distance_m``."""
         if distance_m <= 0.0:
             raise ModelDomainError(f"distance must be > 0 m, got {distance_m}")
-        distance = max(distance_m, self.reference_distance_m)
+        distance = max(distance_m, REFERENCE_DISTANCE_M)
         reference_loss = free_space_path_loss_db(
-            self.reference_distance_m, self.carrier_frequency_ghz
+            REFERENCE_DISTANCE_M, self.carrier_frequency_ghz
         )
-        loss = reference_loss + 10.0 * self.exponent * math.log10(
-            distance / self.reference_distance_m
+        return reference_loss + 10.0 * self.exponent * math.log10(
+            distance / REFERENCE_DISTANCE_M
         )
-        if self.shadowing_sigma_db > 0.0 and rng is not None:
-            loss += float(rng.normal(0.0, self.shadowing_sigma_db))
-        return loss
 
-    def received_power_dbm(
-        self,
-        tx_power_dbm: float,
-        distance_m: float,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
+    def received_power_dbm(self, tx_power_dbm: float, distance_m: float) -> float:
         """Received power (dBm) for a given transmit power and distance."""
-        return tx_power_dbm - self.path_loss_db(distance_m, rng=rng)
+        return tx_power_dbm - self.path_loss_db(distance_m)

@@ -60,15 +60,6 @@ class MG1Queue:
             service_scv=0.0,
         )
 
-    @classmethod
-    def mm1(cls, arrival_rate_per_ms: float, service_rate_per_ms: float) -> "MG1Queue":
-        """Exponential-service (M/M/1) special case for cross-checking."""
-        return cls(
-            arrival_rate_per_ms=arrival_rate_per_ms,
-            mean_service_time_ms=1.0 / service_rate_per_ms,
-            service_scv=1.0,
-        )
-
     @property
     def utilization(self) -> float:
         """Server utilisation ``rho = lambda * E[S]``."""

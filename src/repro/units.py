@@ -17,8 +17,6 @@ converts through the helpers below so the factors never get duplicated.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.numeric import ArrayLike, any_true
 
 # ---------------------------------------------------------------------------
@@ -165,10 +163,3 @@ def energy_mj(power_w: float, latency_ms: float) -> float:
 def db_to_linear(value_db: float) -> float:
     """Convert a dB quantity to linear scale."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Convert a linear quantity to dB."""
-    if value <= 0.0:
-        raise ValueError(f"value must be > 0 to convert to dB, got {value}")
-    return 10.0 * math.log10(value)

@@ -51,7 +51,6 @@ NETWORK_FIELDS = {
         "edge_distance_m",
         "propagation_speed_m_per_s",
         "path_loss_exponent",
-        "shadowing_sigma_db",
         "carrier_frequency_ghz",
         "bandwidth_mhz",
         "tx_power_dbm",

@@ -31,10 +31,9 @@ from repro.adaptive import (
 
 CONTROLLERS = {
     "static": lambda seed: StaticBaseline(2),
-    "hysteresis": lambda seed: HysteresisThreshold(min_dwell_epochs=2),
+    "hysteresis": lambda seed: HysteresisThreshold(),
     "greedy": lambda seed: GreedyBatchSweep(),
-    # A high epsilon makes most decisions draw from the generator.
-    "ewma": lambda seed: EwmaPredictive(epsilon=0.5, seed=seed),
+    "ewma": lambda seed: EwmaPredictive(seed=seed),
 }
 
 conditions = st.builds(

@@ -85,12 +85,11 @@ def _memo(simulation):
     ),
     n_edges=st.integers(1, 3),
     faults=st.booleans(),
-    damping=st.sampled_from([0.5, 1.0]),
     max_iterations=st.sampled_from([2, 8]),
     seed=st.integers(0, 2**16),
 )
 def test_the_prefetch_changes_no_report(
-    n_users, devices, kinds, traces, n_edges, faults, damping, max_iterations, seed
+    n_users, devices, kinds, traces, n_edges, faults, max_iterations, seed
 ):
     population = FleetPopulation(
         users=tuple(
@@ -115,7 +114,6 @@ def test_the_prefetch_changes_no_report(
             user_traces,
             n_edges=n_edges,
             include_aoi=False,
-            damping=damping,
             max_iterations=max_iterations,
             faults=_faults(n_edges) if faults else None,
         )

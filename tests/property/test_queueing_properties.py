@@ -62,7 +62,8 @@ class TestMG1Properties:
     @given(rates=stable_rates)
     def test_mm1_equivalence(self, rates):
         arrival, service = rates
-        assert MG1Queue.mm1(arrival, service).mean_time_in_system_ms == pytest.approx(
+        mm1 = MG1Queue(arrival, 1.0 / service, service_scv=1.0)
+        assert mm1.mean_time_in_system_ms == pytest.approx(
             MM1Queue(arrival, service).mean_time_in_system_ms
         )
 

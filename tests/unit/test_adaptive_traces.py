@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from repro.adaptive.traces import (
+    BURST_EPOCHS,
+    BURST_INSIDE,
+    BURST_OUTSIDE,
+    BURST_PERIOD_EPOCHS,
+    DRIFT_END,
+    DRIFT_START,
     HANDOFF_PROBABILITY_STEP,
+    MEAN_CONTENDERS,
     MIN_THROUGHPUT_MBPS,
+    STEP_AFTER,
+    STEP_BEFORE,
     ConditionTrace,
     EpochConditions,
     burst_trace,
@@ -17,7 +26,9 @@ from repro.adaptive.traces import (
     quantize_probability,
     step_trace,
 )
+from repro.config.network import NetworkConfig
 from repro.exceptions import ConfigurationError
+from repro.fleet.contention import ContentionModel
 
 
 class TestEpochConditions:
@@ -94,7 +105,7 @@ class TestGenerators:
         assert last < first / 5.0
 
     def test_step_changes_regime_at_fraction(self):
-        trace = step_trace(100, seed=0, step_fraction=0.5)
+        trace = step_trace(100, seed=0)
         assert trace.throughput_mbps[:50].min() > trace.throughput_mbps[50:].max()
         assert trace.handoff_probability[49] < trace.handoff_probability[50]
 
@@ -103,13 +114,38 @@ class TestGenerators:
         in_burst = trace.throughput_mbps < 50.0
         assert 0 < in_burst.sum() < 120
 
-    def test_burst_duration_must_fit_period(self):
-        with pytest.raises(ConfigurationError):
-            burst_trace(50, burst_every=10, burst_duration=10)
+    def test_unjittered_drift_runs_between_its_ends(self):
+        trace = drift_trace(11, seed=0, jitter=0.0)
+        assert (trace[0].throughput_mbps, trace[0].handoff_probability) == DRIFT_START
+        assert trace[-1].throughput_mbps == DRIFT_END[0]
+        assert trace[-1].handoff_probability == quantize_probability(DRIFT_END[1])
+        steps = np.diff(trace.throughput_mbps)
+        assert steps == pytest.approx(np.full(10, (DRIFT_END[0] - DRIFT_START[0]) / 10))
 
-    def test_step_fraction_validated(self):
-        with pytest.raises(ConfigurationError):
-            step_trace(50, step_fraction=1.0)
+    def test_unjittered_step_holds_each_regime(self):
+        trace = step_trace(10, seed=0, jitter=0.0)
+        for i, epoch in enumerate(trace):
+            throughput, handoff = STEP_BEFORE if i < 5 else STEP_AFTER
+            assert epoch.throughput_mbps == throughput
+            assert epoch.handoff_probability == quantize_probability(handoff)
+
+    def test_bursts_cover_their_share_of_each_period(self):
+        periods = 4
+        trace = burst_trace(periods * BURST_PERIOD_EPOCHS, seed=7, jitter=0.0)
+        pairs = [(e.throughput_mbps, e.handoff_probability) for e in trace]
+        inside = (BURST_INSIDE[0], quantize_probability(BURST_INSIDE[1]))
+        outside = (BURST_OUTSIDE[0], quantize_probability(BURST_OUTSIDE[1]))
+        assert set(pairs) == {inside, outside}
+        in_burst = np.asarray([pair == inside for pair in pairs])
+        assert in_burst.sum() == periods * BURST_EPOCHS
+        # Every period repeats the same phase.
+        per_period = in_burst.reshape(periods, BURST_PERIOD_EPOCHS)
+        assert np.all(per_period == per_period[0])
+
+    @pytest.mark.parametrize("name", ("drift", "step", "burst"))
+    def test_negative_jitter_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="jitter"):
+            make_trace(name, 10, jitter=-0.01)
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -122,29 +158,27 @@ class TestGenerators:
 
 class TestMobilityComposition:
     def test_contenders_stay_in_bounds(self):
-        trace = mobility_fading_trace(80, seed=5, mean_contenders=6)
+        trace = mobility_fading_trace(80, seed=5)
         contenders = np.asarray([epoch.n_contenders for epoch in trace])
         assert contenders.min() >= 1
-        assert contenders.max() <= 24
-
-    def test_stationary_device_never_hands_off(self):
-        trace = mobility_fading_trace(60, seed=5, speed_m_per_s=0.0)
-        assert np.all(trace.handoff_probability == 0.0)
+        assert contenders.max() <= 4 * MEAN_CONTENDERS
 
     def test_handoff_epochs_charge_per_frame_probability(self):
-        trace = mobility_fading_trace(
-            200, seed=5, speed_m_per_s=20.0, epoch_ms=100.0
-        )
+        trace = mobility_fading_trace(200, seed=5, epoch_ms=100.0)
         levels = set(float(v) for v in trace.handoff_probability)
         expected = quantize_probability((1000.0 / 30.0) / 100.0)
         assert levels <= {0.0, expected}
         assert expected in levels
 
     def test_contention_reduces_throughput_below_single_user(self):
-        trace = mobility_fading_trace(80, seed=5, mean_contenders=20, rician_k=1e9)
-        # With fading suppressed (huge K factor) the per-user share alone
-        # must sit well below the 200 Mbps single-user link.
-        assert trace.throughput_mbps.max() < 100.0
+        trace = mobility_fading_trace(80, seed=5)
+        contention = ContentionModel(network=NetworkConfig())
+        for epoch in trace:
+            share = contention.per_user_throughput_mbps(epoch.n_contenders)
+            assert epoch.throughput_mbps == max(share * epoch.fading_gain, MIN_THROUGHPUT_MBPS)
+        # The fading gain has mean 1, so the contended share keeps the
+        # trace well below the 200 Mbps single-user link.
+        assert trace.throughput_mbps.mean() < 100.0
 
 
 class TestReplayFormat:

@@ -267,13 +267,6 @@ class TestBatchResult:
         with pytest.raises(IndexError):
             result.report_at(1)
 
-    def test_reports_helper(self, app, network):
-        grid = ParameterGrid(frame_sides_px=(300.0, 500.0), app=app, network=network)
-        result = evaluate_grid(grid)
-        reports = result.reports()
-        assert len(reports) == 2
-        assert reports[1].total_latency_ms == result.total_latency_ms[1]
-
     def test_coords_recorded(self, app, network):
         grid = ParameterGrid(
             frame_sides_px=(300.0, 500.0), cpu_freqs_ghz=(1.0, 2.0),

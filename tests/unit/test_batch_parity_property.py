@@ -200,13 +200,7 @@ def _candidates(device, path_loss, cooperation, sensors, edge_distance_m=None):
         network = replace(network, edge_distance_m=edge_distance_m)
     if not sensors:
         network = replace(network, sensors=())
-    return default_candidates(
-        device=device,
-        app=app,
-        network=network,
-        cpu_freqs_ghz=(1.0, 2.5),
-        frame_sides_px=(300.0, 640.0),
-    )
+    return default_candidates(device=device, app=app, network=network)
 
 
 conditions_lists = st.lists(

@@ -144,6 +144,13 @@ class TestCommands:
         for frequency in ("200", "100", "50"):
             assert frequency in output
 
+    def test_aoi_rejects_infinite_horizon(self, capsys):
+        assert main(["aoi", "--horizon", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: horizon_ms"), captured.err
+
     def test_session_analytical_mode(self, capsys):
         assert main(["session", "--device", "XR6", "--frames", "20", "--analytical"]) == 0
         assert "battery" in capsys.readouterr().out
@@ -162,6 +169,13 @@ class TestCommands:
         assert "Closed-loop co-simulation" in output
         assert "fixed point" in output
         assert "offload fraction" in output
+
+    def test_cosim_has_no_damping_flag(self, capsys):
+        # The relaxation weight is the engine's DAMPING constant.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cosim", "--damping", "0.5"])
+        assert excinfo.value.code == 2
+        assert "--damping" in capsys.readouterr().err
 
     def test_cosim_sharded_run(self, capsys):
         assert main(

@@ -47,7 +47,7 @@ ADAPT_ARGVS = (
 COSIM_ARGVS = (
     "cosim --users 16 --epochs 30 --edge-servers 2",
     "cosim --users 40 --epochs 20 --shards 2 --backend serial --controller greedy "
-    "--trace step --seed 11 --damping 1.0",
+    "--trace step --seed 11",
     "cosim --users 12 --epochs 25 --controller ewma --trace drift --epoch-ms 50 "
     "--max-iterations 4 --objective energy --deadline-ms 600",
     "cosim --users 9 --epochs 15 --device XR3 --edge EDGE-TX2 --edge-servers 3",
@@ -137,7 +137,6 @@ def reference_cosim(args: argparse.Namespace) -> None:
         objective=args.objective,
         include_aoi=False,
         max_iterations=args.max_iterations,
-        damping=args.damping,
     )
 
 

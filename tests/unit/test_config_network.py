@@ -200,3 +200,43 @@ class TestWorkloadAndSweep:
 
         with pytest.raises(ConfigurationError):
             WorkloadConfig(sensor_frequencies_hz=(10.0, 20.0), sensor_distances_m=(1.0,))
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"horizon_ms": math.inf}, "horizon_ms"),
+            ({"horizon_ms": math.nan}, "horizon_ms"),
+            (
+                {"sensor_frequencies_hz": (math.inf,), "sensor_distances_m": (1.0,)},
+                "sensor_frequencies_hz",
+            ),
+            (
+                {"sensor_frequencies_hz": (1e300,), "sensor_distances_m": (1.0,)},
+                "sensor_frequencies_hz",
+            ),
+        ],
+    )
+    def test_workload_rejects_what_the_emulation_cannot_list(self, overrides, field):
+        # The AoI emulation lists every packet: an infinite horizon used to
+        # overflow and a huge rate never returned.
+        from repro.config.workload import WorkloadConfig
+
+        with pytest.raises(ConfigurationError, match=field):
+            WorkloadConfig(**overrides)
+
+    def test_workload_packet_bound_is_inclusive(self):
+        from repro.config.workload import MAX_WORKLOAD_PACKETS, WorkloadConfig
+
+        # A 1 kHz sensor over MAX_WORKLOAD_PACKETS ms generates exactly the
+        # bound's packets, which is allowed; one more millisecond's worth is not.
+        WorkloadConfig(
+            sensor_frequencies_hz=(1e3,),
+            sensor_distances_m=(1.0,),
+            horizon_ms=MAX_WORKLOAD_PACKETS,
+        )
+        with pytest.raises(ConfigurationError, match="packets"):
+            WorkloadConfig(
+                sensor_frequencies_hz=(1e3,),
+                sensor_distances_m=(1.0,),
+                horizon_ms=MAX_WORKLOAD_PACKETS + 1.0,
+            )

@@ -315,7 +315,7 @@ class TestControllerState:
         templates = (
             GreedyBatchSweep(),
             HysteresisThreshold(),
-            ewma_type(epsilon=0.5, seed=11),
+            ewma_type(seed=11),
         )
         controller = {
             user.name: templates[index % 3] for index, user in enumerate(population)
@@ -428,8 +428,6 @@ class TestValidationAndReport:
             CoSimulation(population, GreedyBatchSweep(), trace, n_edges=0)
         with pytest.raises(ConfigurationError):
             CoSimulation(population, GreedyBatchSweep(), trace, max_iterations=1)
-        with pytest.raises(ConfigurationError):
-            CoSimulation(population, GreedyBatchSweep(), trace, damping=0.0)
         with pytest.raises(ConfigurationError):
             CoSimulation(population, GreedyBatchSweep(), "not-a-trace")
 

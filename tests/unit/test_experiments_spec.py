@@ -38,7 +38,7 @@ def _rich_spec() -> ScenarioSpec:
             "n_edges": 2,
             "shards": 2,
             "deadline_ms": 650.0,
-            "damping": 0.25,
+            "max_iterations": 6,
         },
         expected={"deadline_miss_rate": 0.0},
         tolerances={"deadline_miss_rate": 1e-9, "total_energy_j": 0.01},
@@ -146,6 +146,14 @@ class TestValidation:
             ScenarioSpec(name="x", kind="analyze", params={"users": 4})
         with pytest.raises(ConfigurationError, match="unknown parameter"):
             ScenarioSpec(name="x", kind="sweep", params={"trace": "burst"})
+
+    def test_fixed_tuning_values_are_not_parameters(self):
+        # The cosim's relaxation weight and the link's shadowing are fixed:
+        # a scenario that sets them fails instead of running without them.
+        with pytest.raises(ConfigurationError, match="unknown parameter 'damping'"):
+            ScenarioSpec(name="x", kind="cosim", params={"damping": 0.5})
+        with pytest.raises(ConfigurationError, match="shadowing_sigma_db"):
+            ScenarioSpec(name="x", kind="analyze", network={"shadowing_sigma_db": 6.0})
 
     def test_param_values_validated(self):
         with pytest.raises(ConfigurationError, match="trace"):

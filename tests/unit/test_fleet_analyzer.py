@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from repro.fleet import (
     mixed_devices,
     plan_capacity,
     plan_edges,
-    with_mode,
 )
 from repro.fleet.results import percentile_method
 
@@ -399,7 +399,12 @@ def _seeded_population(kind: str, rng: random.Random):
     if kind == "with_mode":
         # Every user gets an app object of its own, so users of one
         # workload hold equal apps in distinct objects.
-        return with_mode(population, ExecutionMode.REMOTE)
+        return FleetPopulation(
+            users=tuple(
+                replace(user, app=user.app.with_mode(ExecutionMode.REMOTE))
+                for user in population
+            )
+        )
     return population
 
 

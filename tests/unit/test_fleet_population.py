@@ -10,7 +10,6 @@ from repro.fleet.population import (
     UserProfile,
     homogeneous,
     mixed_devices,
-    with_mode,
 )
 
 
@@ -39,7 +38,7 @@ class TestHomogeneous:
         population = homogeneous(10, device="XR2")
         assert population.n_users == 10
         assert len({user.name for user in population}) == 10
-        assert population.device_counts == {"XR2": 10}
+        assert {user.device for user in population} == {"XR2"}
 
     def test_all_users_share_the_app(self):
         population = homogeneous(5)
@@ -50,17 +49,11 @@ class TestHomogeneous:
         with pytest.raises(ConfigurationError):
             homogeneous(0)
 
-    def test_subset(self):
-        population = homogeneous(8)
-        assert population.subset(3).n_users == 3
-        with pytest.raises(ConfigurationError):
-            population.subset(9)
-
 
 class TestMixedGenerators:
     def test_mixed_devices_round_robin(self):
         population = mixed_devices(7, devices=("XR1", "XR3"))
-        assert population.device_counts == {"XR1": 4, "XR3": 3}
+        assert [user.device for user in population] == ["XR1", "XR3"] * 3 + ["XR1"]
 
     def test_mixed_devices_needs_devices(self):
         with pytest.raises(ConfigurationError):
@@ -81,10 +74,3 @@ class TestMixedGenerators:
             generate(2.5)
         assert generate(np.int64(3)).n_users == 3
 
-
-class TestWithMode:
-    def test_replaces_every_users_mode(self):
-        population = with_mode(homogeneous(3), ExecutionMode.LOCAL)
-        assert all(
-            user.app.inference.mode is ExecutionMode.LOCAL for user in population
-        )

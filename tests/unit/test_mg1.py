@@ -30,13 +30,14 @@ class TestConstruction:
 
 class TestSpecialCases:
     def test_mm1_special_case_matches_mm1_queue(self):
-        mg1 = MG1Queue.mm1(arrival_rate_per_ms=0.4, service_rate_per_ms=1.0)
+        # Exponential service (mean 1/mu = 1 ms) has SCV 1: M/G/1 is M/M/1.
+        mg1 = MG1Queue(0.4, 1.0, service_scv=1.0)
         mm1 = MM1Queue(0.4, 1.0)
         assert mg1.mean_time_in_system_ms == pytest.approx(mm1.mean_time_in_system_ms)
 
     def test_md1_waits_half_of_mm1(self):
         md1 = MG1Queue.md1(arrival_rate_per_ms=0.4, mean_service_time_ms=1.0)
-        mm1 = MG1Queue.mm1(arrival_rate_per_ms=0.4, service_rate_per_ms=1.0)
+        mm1 = MG1Queue(0.4, 1.0, service_scv=1.0)
         assert md1.mean_waiting_time_ms == pytest.approx(mm1.mean_waiting_time_ms / 2.0)
 
     def test_utilization(self):

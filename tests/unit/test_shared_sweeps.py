@@ -156,7 +156,7 @@ def _simulation(include_aoi=False, candidates=None, faults=None):
     templates = (
         GreedyBatchSweep(),
         HysteresisThreshold(),
-        EwmaPredictive(epsilon=0.5, seed=11),
+        EwmaPredictive(seed=11),
     )
     controller = {
         user.name: templates[(index // 3) % 3] for index, user in enumerate(population)
@@ -222,13 +222,13 @@ class TestSharedSetInTheEngine:
         assert evaluations["conditions"] == len(memo)
         assert trace_keys | swept <= set(memo)
         # One pre-warm batch, then per epoch one batch of the keys the previous
-        # epoch's rounds predict, and one evaluation per key they missed: 56
+        # epoch's rounds predict, and one evaluation per key they missed: 44
         # calls where evaluating each live key on its own took 97.  Of the 90
-        # keys evaluated ahead, 20 were never swept.
+        # keys evaluated ahead, 8 were never swept.
         assert len(live_keys) == 96
-        assert evaluations["count"] == 56
+        assert evaluations["count"] == 44
         assert registry.counters["cosim.prefetch.keys"] == 90
-        assert len(memo) - len(trace_keys | swept) == 20
+        assert len(memo) - len(trace_keys | swept) == 8
 
 
 def _span_totals(spans: dict, name: str) -> dict:

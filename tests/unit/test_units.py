@@ -90,12 +90,8 @@ class TestEnergyPrimitives:
         with pytest.raises(ValueError):
             units.energy_mj(1.0, -1.0)
 
-    def test_db_roundtrip(self):
-        assert units.linear_to_db(units.db_to_linear(13.0)) == pytest.approx(13.0)
+    def test_db_to_linear_of_ten_db(self):
+        assert units.db_to_linear(10.0) == pytest.approx(10.0)
 
     def test_db_to_linear_of_zero_db(self):
         assert units.db_to_linear(0.0) == pytest.approx(1.0)
-
-    def test_linear_to_db_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            units.linear_to_db(0.0)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.network import NetworkConfig
 from repro.exceptions import ModelDomainError
-from repro.network.wifi import WifiLink, shannon_capacity_mbps
+from repro.network.wifi import MAC_EFFICIENCY, WifiLink, shannon_capacity_mbps
 
 
 class TestShannonCapacity:
@@ -17,12 +17,12 @@ class TestShannonCapacity:
         )
 
     def test_zero_snr_gives_one_bit_per_symbol(self):
-        # log2(1 + 1) = 1 bit/s/Hz at 0 dB
-        assert shannon_capacity_mbps(10.0, 0.0, mac_efficiency=1.0) == pytest.approx(10.0)
+        # log2(1 + 1) = 1 bit/s/Hz at 0 dB, of which the MAC delivers its share.
+        assert shannon_capacity_mbps(10.0, 0.0) == pytest.approx(10.0 * MAC_EFFICIENCY)
 
-    def test_invalid_efficiency_rejected(self):
+    def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ModelDomainError):
-            shannon_capacity_mbps(10.0, 10.0, mac_efficiency=0.0)
+            shannon_capacity_mbps(0.0, 10.0)
 
 
 class TestWifiLinkWithoutPathLoss:
@@ -37,9 +37,11 @@ class TestWifiLinkWithoutPathLoss:
 
 class TestWifiLinkWithPathLoss:
     def test_link_budget_throughput_decreases_with_distance(self):
-        config = NetworkConfig(enable_path_loss=True)
-        link = WifiLink(config=config)
-        assert link.throughput_mbps(distance_m=10.0) > link.throughput_mbps(distance_m=80.0)
+        near, far = (
+            WifiLink(config=NetworkConfig(enable_path_loss=True, edge_distance_m=distance))
+            for distance in (10.0, 80.0)
+        )
+        assert near.throughput_mbps() > far.throughput_mbps()
 
     def test_path_loss_model_built_automatically(self):
         config = NetworkConfig(enable_path_loss=True, path_loss_exponent=3.5)
